@@ -203,11 +203,28 @@ def _suite_summary_rows(summary: dict, timing: Optional[dict] = None) -> List[di
     return rows
 
 
+def _select_suite(command: str, name: str, only=None):
+    """The suite's scenarios (``--only`` applied), or ``None`` on a user error.
+
+    An unknown suite or scenario name is reported as one line on stderr, and
+    the caller exits 2 instead of raising a traceback.
+    """
+    from repro.experiments.runner import select_scenarios
+
+    try:
+        return select_scenarios(name, only)
+    except ValueError as exc:
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_suite_list(args: argparse.Namespace) -> int:
     from repro.experiments import get_suite, suite_names
 
     if args.suite:
-        specs = get_suite(args.suite)
+        specs = _select_suite("suite list", args.suite)
+        if specs is None:
+            return 2
         print(format_table([spec.describe() for spec in specs],
                            title=f"suite '{args.suite}' ({len(specs)} scenarios)"))
         return 0
@@ -232,6 +249,8 @@ def cmd_suite_run(args: argparse.Namespace) -> int:
 
     from repro.obs import Heartbeat, current_rss_mb
 
+    if _select_suite("suite run", args.suite, args.only) is None:
+        return 2
     started = time.perf_counter()
     # --progress heartbeats go to stderr (plain lines, one per completed
     # trial) so they never disturb stdout tables or artifact bytes.
@@ -369,6 +388,8 @@ def cmd_suite_compare(args: argparse.Namespace) -> int:
                       "skipping timing/RSS checks")
     else:
         suite = args.suite or baseline.get("suite")
+        if _select_suite("suite compare", suite) is None:
+            return 2
         print(f"running suite '{suite}' fresh (workers={args.workers}) ...")
         result = run_suite(
             suite, workers=args.workers, backend=args.backend,

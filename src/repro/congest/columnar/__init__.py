@@ -17,8 +17,9 @@ seams:
 * :mod:`~repro.congest.columnar.transport` — the ``ColumnarTransport``
   backend (vectorized broadcast routing and chunked-round accounting);
 * :mod:`~repro.congest.columnar.sweep` — the vectorized
-  ``EstimateSimilarity`` buddy sweep driving the ACD, the dominant compute
-  of every large coloring run;
+  ``EstimateSimilarity`` kernel behind the ACD buddy test, triangle
+  detection and sparsity estimation, the dominant compute of every large
+  run;
 * :mod:`~repro.congest.columnar.faults` — vectorized twins of the fault
   layer's per-edge drop/corrupt/crash decisions (pure functions of
   ``(master_seed, round, edge)``, matching ``FaultyTransport`` bit-for-bit);

@@ -1,12 +1,14 @@
-"""Vectorized buddy sweep: ``EstimateSimilarity`` over all candidate edges.
+"""Vectorized ``EstimateSimilarity``: one kernel for every columnar caller.
 
-This is the columnar backend's reason to exist: the graph-wide buddy test of
-the ACD (Section 4.2) dominates every large coloring run (>50% of wall-clock
-at n=50k on the slot backend), and its inner kernel — splitmix64 hashing of
-every scaled neighborhood element, per edge — vectorizes exactly.
+:func:`columnar_similarity` runs Algorithm 1 on a whole edge list at once.
+That sweep is the ACD buddy test (Section 4.2), triangle detection
+(Theorem 2) and sparsity estimation (Lemmas 4 and 5); its inner work —
+splitmix64 hashing of every scaled neighborhood element, per edge —
+vectorizes exactly.  :func:`columnar_buddy_edges` is the ACD's threshold
+over the kernel.
 
-Byte-identity with :func:`repro.sampling.similarity.estimate_similarity_on_
-edges` + the ACD's threshold loop is the load-bearing contract:
+Byte-identity with the scalar loop of :func:`repro.sampling.similarity.
+estimate_similarity_on_edges` is the load-bearing contract:
 
 * the shared hash-function *index* per edge comes from the same SHA-256
   seeded ``random.Random`` stream (``RngStream.for_edge``), replayed here
@@ -15,26 +17,37 @@ edges` + the ACD's threshold loop is the load-bearing contract:
 * ledger records replay ``exchange_chunked`` on the same label/size
   multisets (``{label}:index`` then ``{label}:indicator``), through the
   transport's vectorized chunk accounting;
-* hash values, low-unique filtering and shared-value counting run as flat
+* hash values, low-unique filtering and shared-value extraction run as flat
   uint64 kernels (:mod:`~repro.congest.columnar.kernels`) over a CSR layout
   of the neighborhood element keys — per-endpoint value multisets are
   reduced by a packed ``(endpoint << 32) | value`` unique/count pass instead
   of per-edge Python dicts;
-* estimates and the buddy threshold are evaluated in float64, which matches
-  Python exactly because every operand is below 2**53 (guarded below — the
-  sweep declines, returning ``None`` before any ledger effect, if the
-  parameter regime would break the packing or the float reproduction, and
-  the caller falls back to the scalar reference).
+* estimates are evaluated in float64, which matches Python exactly because
+  every operand is below 2**53.
 
-The reference implementation ignores the delivered inboxes of both rounds
-(only the ledger charge and the locally-computed hash sets matter), so no
-inbox is materialised here at all.
+The kernel declines — returns ``None`` before any ledger effect, so the
+caller runs the scalar reference instead — when
+
+* the transport does not set ``supports_columnar_sweep`` (every backend but
+  ``columnar``, including a fault-wrapped ``columnar``);
+* the network's tracer digests payloads (``wants_payloads``): the kernel
+  charges ledger records without materializing the payloads a digest hashes;
+* an unordered pair repeats among the swept edges: the reference sends one
+  index message per unordered pair and one indicator per directed key, where
+  this kernel would charge one of each per list position;
+* the parameters leave the exactly-reproducible regime (λ ≥ 2**32 breaks
+  the value packing, σ·λ ≥ 2**53 the float reproduction).
+
+The reference ignores the delivered inboxes of both rounds (only the ledger
+charge and the locally-computed hash sets matter), so no inbox is
+materialised here at all.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 try:
@@ -53,9 +66,13 @@ from repro.hashing.representative import RepresentativeHashFamily
 Node = Hashable
 Edge = Tuple[Node, Node]
 
-#: Cap on scaled elements hashed per vector block (bounds temp-array RSS to a
-#: few hundred MB; blocks partition the edge list, results are per-edge).
-_BLOCK_ELEMENTS = 1 << 22
+#: Cap on scaled elements hashed per vector block.  Blocks partition the edge
+#: list and results are per edge, so the cap only bounds the sweep's
+#: temporaries (about a dozen 8-byte arrays of this length, a few tens of
+#: MiB).  Larger blocks buy no speed: at ``1 << 22`` the temporaries set the
+#: peak RSS of a whole coloring solve (545 MiB against 343 MiB at ``1 << 18``
+#: on the benchmark's sparse G(n, p) workload).
+_BLOCK_ELEMENTS = 1 << 18
 
 # Packing guards: endpoint-local hash values share a uint64 with a 32-bit
 # endpoint id, and estimates must reproduce Python float division exactly.
@@ -63,51 +80,63 @@ _MAX_LAM = 1 << 32
 _EXACT_FLOAT = 1 << 53
 
 
+@dataclass
+class SimilaritySweep:
+    """What :func:`columnar_similarity` computed for an edge list.
+
+    ``states`` follows the caller's edge order: ``(k, family)`` for an edge
+    the kernel swept, ``None`` for an edge with an empty endpoint set (the
+    protocol answers 0 there and sends nothing).  The arrays follow the swept
+    edges in that order: swept edge ``i`` has the estimate ``estimates[i]``
+    and the shared hash values ``values[offsets[i]:offsets[i + 1]]``, in
+    ascending order.
+    """
+
+    states: List[Optional[Tuple[int, RepresentativeHashFamily]]]
+    estimates: "np.ndarray"
+    offsets: "np.ndarray"
+    values: "np.ndarray"
+
+
 def _block_ranges(work: "np.ndarray") -> List[Tuple[int, int]]:
-    """Partition edges into contiguous blocks of ~_BLOCK_ELEMENTS work."""
+    """Partition edges into contiguous blocks of at most ~_BLOCK_ELEMENTS work.
+
+    Greedy, like filling one block at a time: a block grows while its summed
+    work stays within the cap, and always takes at least one edge.
+    """
+    ends = np.cumsum(work)
     blocks: List[Tuple[int, int]] = []
     start = 0
-    acc = 0
-    for i, w in enumerate(work.tolist()):
-        if acc + w > _BLOCK_ELEMENTS and i > start:
-            blocks.append((start, i))
-            start = i
-            acc = 0
-        acc += w
-    if start < len(work):
-        blocks.append((start, len(work)))
+    done = 0
+    while start < len(work):
+        stop = int(np.searchsorted(ends, done + _BLOCK_ELEMENTS, side="right"))
+        stop = max(stop, start + 1)
+        blocks.append((start, stop))
+        done = int(ends[stop - 1])
+        start = stop
     return blocks
 
 
-def columnar_buddy_edges(
+def columnar_similarity(
     network,
     sets: Mapping[Node, Set[Hashable]],
-    degrees: Mapping[Node, int],
     edges: List[Edge],
     params,
     seed: int,
     label: str,
-    threshold_coeff: float,
-) -> Optional[Set[Edge]]:
-    """Buddy edges via the vectorized sweep, or ``None`` to decline.
+) -> Optional[SimilaritySweep]:
+    """``EstimateSimilarity`` on every edge of ``edges``, or ``None`` to decline.
 
-    Produces exactly the set the caller would get from
-    ``estimate_similarity_on_edges`` + ``estimate >= threshold_coeff *
-    min(degrees[u], degrees[v])``, with identical ledger records.  Declines
-    (before touching the ledger) when the transport is not columnar or the
-    similarity parameters leave the exactly-reproducible regime.
+    Charges the two ledger rounds of the scalar loop in
+    ``estimate_similarity_on_edges`` and computes the same per-edge scale
+    factor, family and shared hash values.  ``edges`` is a list of tuples.
+    The module docstring lists when the kernel declines.
     """
     transport = network.transport
     if not getattr(transport, "supports_columnar_sweep", False):
         return None
     if getattr(network.tracer, "wants_payloads", False):
-        # Digest forensics hashes the real delivered payload bytes; this
-        # sweep charges equivalent ledger records without ever materializing
-        # them, so under a payload-digesting tracer it declines and the
-        # caller takes the reference exchange path (identical digests, at
-        # the cost of the sweep speedup).
         return None
-    edges = [tuple(edge) for edge in edges]
 
     # ---------------------------------------------------------------- loop A
     # Scalar per-edge setup: set sizes, scale factor k, family, and the
@@ -125,8 +154,8 @@ def columnar_buddy_edges(
     rng = random.Random()
     sha256 = hashlib.sha256
 
-    empties: List[int] = []
-    positions: List[int] = []
+    states: List[Optional[Tuple[int, RepresentativeHashFamily]]] = []
+    swept: Set[Edge] = set()
     validate_pairs: List[Tuple[Node, Node]] = []
     eu_list: List[int] = []
     ev_list: List[int] = []
@@ -136,7 +165,6 @@ def columnar_buddy_edges(
     fseed_list: List[int] = []
     index_list: List[int] = []
     ibits_list: List[int] = []
-    mindeg_list: List[int] = []
 
     def _set_of(node: Node) -> Set[Hashable]:
         members = node_sets.get(node)
@@ -161,12 +189,16 @@ def columnar_buddy_edges(
             local_nodes.append(node)
         return slot
 
-    for pos, (u, v) in enumerate(edges):
+    for edge in edges:
+        u, v = edge
         set_u = _set_of(u)
         set_v = _set_of(v)
         if not set_u or not set_v:
-            empties.append(pos)
+            states.append(None)
             continue
+        if edge in swept or (v, u) in swept:
+            return None  # a repeated pair, which the reference charges once
+        swept.add(edge)
         du = len(set_u)
         dv = len(set_v)
         max_size = du if du >= dv else dv
@@ -198,7 +230,7 @@ def columnar_buddy_edges(
         rng.seed(int.from_bytes(digest[:8], "big"))
         index = rng.randrange(family.size)
 
-        positions.append(pos)
+        states.append((k, family))
         validate_pairs.append((sender, receiver))
         eu_list.append(_local_of(u))
         ev_list.append(_local_of(v))
@@ -208,8 +240,6 @@ def columnar_buddy_edges(
         fseed_list.append(family.family_seed)
         index_list.append(index)
         ibits_list.append(family.index_bits)
-        mindeg = min(degrees[u], degrees[v])
-        mindeg_list.append(mindeg)
 
     # Validation, in the reference's order (the index-payload round validates
     # every participating edge before anything is charged).
@@ -224,8 +254,12 @@ def columnar_buddy_edges(
         f"{label}:index", np.array(ibits_list, dtype=np.int64)
     )
 
-    count = len(positions)
+    count = len(eu_list)
+    k_arr = np.array(k_list, dtype=np.int64)
+    lam_i64 = np.array(lam_list, dtype=np.int64)
+    sigma_i64 = np.array(sigma_list, dtype=np.int64)
     shared_counts = np.zeros(count, dtype=np.int64)
+    shared_blocks: List["np.ndarray"] = []
     if count:
         # CSR layout of the participating neighborhoods' element keys.
         key_arrays = [element_keys_array(node_sets[node]) for node in local_nodes]
@@ -238,9 +272,6 @@ def columnar_buddy_edges(
 
         eu = np.array(eu_list, dtype=np.int64)
         ev = np.array(ev_list, dtype=np.int64)
-        k_arr = np.array(k_list, dtype=np.int64)
-        lam_i64 = np.array(lam_list, dtype=np.int64)
-        sigma_i64 = np.array(sigma_list, dtype=np.int64)
         lam_u64 = lam_i64.astype(np.uint64)
         sigma_u64 = sigma_i64.astype(np.uint64)
         prefixes = member_prefixes_vec(
@@ -302,29 +333,59 @@ def columnar_buddy_edges(
             shared_vals, shared_cnt = np.unique(by_edge, return_counts=True)
             shared_vals = shared_vals[shared_cnt == 2]
             if shared_vals.size:
+                # Sorted by (edge, value), so the blocks concatenate into
+                # one ascending run per swept edge.
                 edge_hits = (shared_vals >> np.uint64(32)).astype(np.int64)
                 shared_counts[start:stop] = np.bincount(edge_hits, minlength=span)
+                shared_blocks.append(shared_vals & np.uint64(0xFFFFFFFF))
 
     # Round 2: both endpoints' σ-bit indicators (two directed messages per
     # participating edge, max(1, σ) bits each — σ is already >= 1).
-    if count:
-        indicator_sizes = np.repeat(np.maximum(sigma_i64, 1), 2)
-    else:
-        indicator_sizes = np.empty(0, dtype=np.int64)
-    transport.charge_chunked_sizes(f"{label}:indicator", indicator_sizes)
+    transport.charge_chunked_sizes(
+        f"{label}:indicator", np.repeat(np.maximum(sigma_i64, 1), 2)
+    )
 
-    # Estimates and the buddy threshold, in float64 == Python float exactly
-    # (all operands < 2**53; int/int true division is correctly rounded in
-    # both, so the results are bit-identical to the scalar loop).
-    buddies: Set[Edge] = set()
-    if count:
-        estimates = (shared_counts * lam_i64).astype(np.float64)
-        estimates /= (sigma_i64 * k_arr).astype(np.float64)
-        thresholds = threshold_coeff * np.array(mindeg_list, dtype=np.float64)
-        for i in np.flatnonzero(estimates >= thresholds).tolist():
-            buddies.add(edges[positions[i]])
-    for pos in empties:
-        u, v = edges[pos]
-        if 0.0 >= threshold_coeff * min(degrees[u], degrees[v]):
+    # Estimates in float64 == Python float exactly (all operands < 2**53;
+    # int/int true division is correctly rounded in both).
+    estimates = (shared_counts * lam_i64).astype(np.float64)
+    estimates /= (sigma_i64 * k_arr).astype(np.float64)
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(shared_counts, out=offsets[1:])
+    values = (
+        np.concatenate(shared_blocks) if shared_blocks else np.empty(0, dtype=np.uint64)
+    )
+    return SimilaritySweep(states=states, estimates=estimates, offsets=offsets,
+                           values=values)
+
+
+def columnar_buddy_edges(
+    network,
+    sets: Mapping[Node, Set[Hashable]],
+    degrees: Mapping[Node, int],
+    edges: List[Edge],
+    params,
+    seed: int,
+    label: str,
+    threshold_coeff: float,
+) -> Optional[Set[Edge]]:
+    """The ACD's buddy edges over :func:`columnar_similarity`, or ``None``.
+
+    Exactly the set the reference gives — the edges whose estimate reaches
+    ``threshold_coeff * min(degrees[u], degrees[v])`` — with the kernel's
+    ledger records; ``None`` when the kernel declines.
+    """
+    edges = [tuple(edge) for edge in edges]
+    sweep = columnar_similarity(network, sets, edges, params, seed, label)
+    if sweep is None:
+        return None
+    swept = [edge for edge, state in zip(edges, sweep.states) if state is not None]
+    min_degrees = np.fromiter(
+        (min(degrees[u], degrees[v]) for u, v in swept),
+        dtype=np.float64, count=len(swept),
+    )
+    hits = np.flatnonzero(sweep.estimates >= threshold_coeff * min_degrees)
+    buddies: Set[Edge] = {swept[i] for i in hits.tolist()}
+    for (u, v), state in zip(edges, sweep.states):
+        if state is None and 0.0 >= threshold_coeff * min(degrees[u], degrees[v]):
             buddies.add((u, v))
     return buddies

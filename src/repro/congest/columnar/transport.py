@@ -55,9 +55,11 @@ class ColumnarTransport(SlotTransport):
     """Flat-array sibling of :class:`~repro.congest.transport.SlotTransport`."""
 
     name = "columnar"
-    #: The ACD's buddy sweep asks for this before taking its vectorized path,
-    #: so wrapped transports (faults rename to ``columnar+faults``) and other
-    #: backends fall through to the scalar reference sweep automatically.
+    #: The vectorized ``EstimateSimilarity`` kernel
+    #: (:mod:`repro.congest.columnar.sweep`) runs only on a transport that
+    #: sets this, for the ACD, triangle detection and sparsity alike.  Other
+    #: backends, and a ``FaultyTransport`` wrapping this one (it does not
+    #: forward the flag), take the scalar reference sweep.
     supports_columnar_sweep = True
 
     def __init__(self, topology: Topology, mode: str, bandwidth_bits: int,

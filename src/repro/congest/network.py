@@ -8,7 +8,7 @@ communication engine (see DESIGN.md):
 * :class:`~repro.congest.transport.Transport` — the delivery mechanics,
   selected via ``backend=`` (``"batch"`` by default, ``"dict"`` for the
   per-message reference semantics, ``"slot"`` for the CSR-routed large-n
-  fast path);
+  fast path, ``"columnar"`` for the numpy flat-array core);
 * :class:`~repro.metrics.ledger.Ledger` — the bandwidth accounting, selected
   via ``ledger=`` (``"records"`` keeps the full round history, ``"counters"``
   keeps aggregates only for big runs).
@@ -69,10 +69,12 @@ class Network:
         uses ``O(log n)`` bits) while leaving room for the constant factors
         that the paper hides in Θ-notation.
     backend:
-        Transport backend: ``"batch"`` (default), ``"dict"``, or ``"slot"``.
-        All charge identical ledgers; ``"dict"`` keeps the original
-        message-at-a-time reference implementation and ``"slot"`` is the
-        CSR-routed large-n fast path.
+        Transport backend: ``"batch"`` (default), ``"dict"``, ``"slot"`` or
+        ``"columnar"``.  All charge identical ledgers; ``"dict"`` keeps the
+        original message-at-a-time reference implementation, ``"slot"`` is
+        the CSR-routed large-n fast path, and ``"columnar"`` is the numpy
+        flat-array core, which also runs every similarity sweep as one
+        vectorized kernel.
     ledger:
         Ledger kind (``"records"`` / ``"counters"``) or a
         :class:`~repro.metrics.ledger.Ledger` instance to share.

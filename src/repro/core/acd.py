@@ -100,24 +100,20 @@ def _similarity_buddy_edges(
         sigma_cap=sigma_cap,
         seed=seed,
     )
-    if network.backend == "columnar" and getattr(
-        network.transport, "supports_columnar_sweep", False
-    ):
-        # The columnar backend runs this sweep — the dominant compute of
-        # every large run — as flat uint64 kernels, byte-identical to the
-        # scalar path below (fault-wrapped transports rename the backend to
-        # "columnar+faults" and therefore keep the reference path).  It
-        # declines (returning None, before any ledger effect) outside its
-        # exactly-reproducible parameter regime.
-        from repro.congest.columnar.sweep import columnar_buddy_edges
+    # The columnar kernel decides whether it runs: it declines (None, before
+    # any ledger effect) off the columnar transport, under payload-digesting
+    # tracers and outside its exactly-reproducible regime, and the reference
+    # sweep below runs instead.  Looked up per call, so a wrapper installed
+    # on the module attribute (as tracing and profiling do) takes effect.
+    from repro.congest.columnar.sweep import columnar_buddy_edges
 
-        buddies = columnar_buddy_edges(
-            network, neighborhoods, degrees, candidate_edges,
-            params=sim_params, seed=seed, label="acd:buddy",
-            threshold_coeff=1.0 - 1.5 * eps,
-        )
-        if buddies is not None:
-            return buddies
+    buddies = columnar_buddy_edges(
+        network, neighborhoods, degrees, candidate_edges,
+        params=sim_params, seed=seed, label="acd:buddy",
+        threshold_coeff=1.0 - 1.5 * eps,
+    )
+    if buddies is not None:
+        return buddies
     results = estimate_similarity_on_edges(
         network, neighborhoods, edges=candidate_edges, params=sim_params,
         seed=seed, label="acd:buddy",

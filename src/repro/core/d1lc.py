@@ -76,7 +76,8 @@ def solve_instance(
 ) -> ColoringResult:
     """Run the full D1LC pipeline on a prepared instance.
 
-    ``backend`` selects the transport engine (``"batch"`` / ``"dict"``) and
+    ``backend`` selects the transport engine (``"batch"`` / ``"dict"`` /
+    ``"slot"`` / ``"columnar"``) and
     ``ledger`` the accounting depth (``"records"`` / ``"counters"``); both
     choices change performance only, never the reported rounds or bits.
 
@@ -149,7 +150,7 @@ def solve_d1lc(
     ``lists`` maps every node to its palette (at least ``d_v + 1`` colors); if
     omitted, the numeric D1C palettes ``{0..d_v}`` are used.  ``mode`` selects
     CONGEST (default) or LOCAL bandwidth accounting, ``backend`` the transport
-    engine (``"batch"`` / ``"dict"``).
+    engine (``"batch"`` / ``"dict"`` / ``"slot"`` / ``"columnar"``).
     """
     if lists is None:
         instance = ColoringInstance.d1c(graph)

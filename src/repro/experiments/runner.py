@@ -27,7 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import repro
 
-from repro.experiments.registry import GRAPH_FAMILIES, SOLVERS, validate_spec
+from repro.experiments.registry import GRAPH_FAMILIES, SOLVERS, get_suite, validate_spec
 from repro.experiments.spec import ScenarioSpec, trial_seeds
 from repro.obs.artifacts import trace_filename, write_trace
 from repro.obs.tracer import RoundTracer
@@ -353,6 +353,23 @@ def run_scenarios(
     return suite_result
 
 
+def select_scenarios(name: str, only: Optional[Sequence[str]] = None) -> List[ScenarioSpec]:
+    """Suite ``name``'s scenarios, restricted to the ``only`` names if given.
+
+    Raises ``ValueError`` naming the unknown suite or scenarios.
+    """
+    specs = get_suite(name)
+    if only:
+        wanted = set(only)
+        unknown = wanted - {spec.name for spec in specs}
+        if unknown:
+            raise ValueError(
+                f"suite {name!r} has no scenarios named: {sorted(unknown)}"
+            )
+        specs = [spec for spec in specs if spec.name in wanted]
+    return specs
+
+
 def run_suite(
     name: str,
     workers: int = 1,
@@ -389,17 +406,7 @@ def run_suite(
     """
     from dataclasses import replace
 
-    from repro.experiments.registry import get_suite
-
-    specs = get_suite(name)
-    if only:
-        wanted = set(only)
-        unknown = wanted - {spec.name for spec in specs}
-        if unknown:
-            raise ValueError(
-                f"suite {name!r} has no scenarios named: {sorted(unknown)}"
-            )
-        specs = [spec for spec in specs if spec.name in wanted]
+    specs = select_scenarios(name, only)
     if backend is not None:
         specs = [replace(spec, backend=backend) for spec in specs]
     if shards is not None:

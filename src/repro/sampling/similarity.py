@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.congest.bandwidth import index_message
 from repro.congest.message import Message
@@ -166,6 +166,47 @@ def _indicator_message(hashes: Set[int], sigma: int, label: str) -> Message:
     return Message(content=tuple(sorted(hashes)), bits=max(1, sigma), label=label)
 
 
+def _result(k: int, family: RepresentativeHashFamily,
+            shared: FrozenSet[int]) -> SimilarityResult:
+    """Step 5's output for one execution, from its ``k``, family and shared values."""
+    return SimilarityResult(
+        estimate=len(shared) * family.lam / (family.sigma * k),
+        bits_exchanged=family.index_bits + 2 * family.sigma,
+        scale_factor=k,
+        sigma=family.sigma,
+        lam=family.lam,
+        shared_hash_values=shared,
+    )
+
+
+def _empty_result() -> SimilarityResult:
+    """Step 1's output when either set is empty."""
+    return SimilarityResult(
+        estimate=0.0,
+        bits_exchanged=1,
+        scale_factor=1,
+        sigma=0,
+        lam=0,
+        shared_hash_values=frozenset(),
+    )
+
+
+def _sweep_results(edges: List[Edge], sweep) -> Dict[Edge, SimilarityResult]:
+    """Per-edge results of a columnar kernel sweep, keyed like the loop's."""
+    values = sweep.values.tolist()
+    bounds = sweep.offsets.tolist()
+    results: Dict[Edge, SimilarityResult] = {}
+    row = 0
+    for edge, state in zip(edges, sweep.states):
+        if state is None:
+            results[edge] = _empty_result()
+            continue
+        k, family = state
+        results[edge] = _result(k, family, frozenset(values[bounds[row]:bounds[row + 1]]))
+        row += 1
+    return results
+
+
 def estimate_similarity(
     set_u: Iterable[Hashable],
     set_v: Iterable[Hashable],
@@ -180,14 +221,7 @@ def estimate_similarity(
     """
     set_u, set_v = set(set_u), set(set_v)
     if not set_u or not set_v:
-        return SimilarityResult(
-            estimate=0.0,
-            bits_exchanged=1,
-            scale_factor=1,
-            sigma=0,
-            lam=0,
-            shared_hash_values=frozenset(),
-        )
+        return _empty_result()
     rng = rng or random.Random(params.seed)
     max_size = max(len(set_u), len(set_v))
     k = params.scale_factor(max_size)
@@ -199,18 +233,7 @@ def estimate_similarity(
 
     hashes_u = _low_unique_hashes(h, scaled_u, sigma)
     hashes_v = _low_unique_hashes(h, scaled_v, sigma)
-    shared = frozenset(hashes_u & hashes_v)
-    estimate = len(shared) * family.lam / (sigma * k)
-
-    bits = family.index_bits + 2 * sigma
-    return SimilarityResult(
-        estimate=estimate,
-        bits_exchanged=bits,
-        scale_factor=k,
-        sigma=sigma,
-        lam=family.lam,
-        shared_hash_values=shared,
-    )
+    return _result(k, family, frozenset(hashes_u & hashes_v))
 
 
 def estimate_similarity_on_edges(
@@ -228,10 +251,23 @@ def estimate_similarity_on_edges(
     index, one synchronous exchange of the ``σ``-bit indicators), which is the
     point of the paper's construction.  Results are keyed by the edge in the
     orientation given (``(u, v)`` and ``(v, u)`` would hold the same result).
+
+    On a columnar network the whole sweep runs as one vectorized kernel
+    (:func:`repro.congest.columnar.sweep.columnar_similarity`) with the same
+    results and ledger records; the loop below is the reference it is tested
+    against, and runs whenever the kernel declines.
     """
     if edges is None:
         edges = list(network.graph.edges())
     edges = [tuple(edge) for edge in edges]
+
+    # The kernel decides whether it runs and declines before any ledger
+    # effect, so nothing is charged twice.
+    from repro.congest.columnar.sweep import columnar_similarity
+
+    sweep = columnar_similarity(network, sets, edges, params, seed, label)
+    if sweep is not None:
+        return _sweep_results(edges, sweep)
     stream = RngStream(seed)
 
     # Per-sweep caches.  A node of degree d participates in up to d requested
@@ -347,27 +383,11 @@ def estimate_similarity_on_edges(
     network.exchange_chunked(indicator_payloads, label=f"{label}:indicator")
 
     results: Dict[Edge, SimilarityResult] = {}
-    for (u, v), state in per_edge_state.items():
+    for edge, state in per_edge_state.items():
         if state is None:
-            results[(u, v)] = SimilarityResult(
-                estimate=0.0,
-                bits_exchanged=1,
-                scale_factor=1,
-                sigma=0,
-                lam=0,
-                shared_hash_values=frozenset(),
-            )
+            results[edge] = _empty_result()
             continue
         k, family, _index = state
-        hashes_u, hashes_v = per_edge_hashes[(u, v)]
-        shared = frozenset(hashes_u & hashes_v)
-        estimate = len(shared) * family.lam / (family.sigma * k)
-        results[(u, v)] = SimilarityResult(
-            estimate=estimate,
-            bits_exchanged=family.index_bits + 2 * family.sigma,
-            scale_factor=k,
-            sigma=family.sigma,
-            lam=family.lam,
-            shared_hash_values=shared,
-        )
+        hashes_u, hashes_v = per_edge_hashes[edge]
+        results[edge] = _result(k, family, frozenset(hashes_u & hashes_v))
     return results

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -69,9 +71,23 @@ class TestSuiteCommands:
         assert main(["suite", "list", "smoke"]) == 0
         assert "gnp-d1c" in capsys.readouterr().out
 
-    def test_suite_list_unknown(self):
-        with pytest.raises(ValueError, match="unknown suite"):
-            main(["suite", "list", "nope"])
+    def test_suite_list_unknown(self, capsys):
+        assert main(["suite", "list", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown suite: 'nope'" in err
+
+    def test_suite_run_unknown_suite_exits_2_with_one_line(self, capsys, tmp_path):
+        assert main(["suite", "run", "nosuch", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown suite: 'nosuch'" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_suite_compare_unknown_suite_exits_2(self, capsys):
+        baseline = Path(__file__).resolve().parent.parent / "BENCH_suite.json"
+        assert main(["suite", "compare", "nosuch",
+                     "--baseline", str(baseline)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown suite: 'nosuch'" in err
 
     def test_suite_run_smoke_and_compare(self, capsys, tmp_path):
         exit_code = main(["suite", "run", "smoke", "--workers", "1",
@@ -113,10 +129,12 @@ class TestSuiteCommands:
         b = (tmp_path / "b" / "BENCH_suite.json").read_bytes()
         assert a == b  # the backend knob never reaches the aggregate
 
-    def test_suite_run_only_unknown_scenario(self, tmp_path):
-        with pytest.raises(ValueError, match="no scenarios named"):
-            main(["suite", "run", "smoke", "--only", "nope",
-                  "--out", str(tmp_path)])
+    def test_suite_run_only_unknown_scenario(self, capsys, tmp_path):
+        assert main(["suite", "run", "scale", "--only", "a,b",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no scenarios named: ['a,b']" in err
+        assert not any(tmp_path.iterdir())
 
     def test_suite_run_profile_writes_hotspots(self, capsys, tmp_path):
         assert main(["suite", "run", "smoke", "--trials", "1",

@@ -14,6 +14,7 @@ here with a precise finger instead of as an opaque end-to-end diff.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import pickle
 import random
 
@@ -26,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest import Message, Network
-from repro.congest.columnar import HAVE_NUMPY, NUMPY_HINT
+from repro.congest.columnar import HAVE_NUMPY, NUMPY_HINT, sweep
 from repro.congest.columnar.buffers import CsrRoundBuffer, PackedEdgeBatch
 from repro.congest.columnar.faults import (
     corruption_seeds, crash_mask, drop_mask, to_unit_vec,
@@ -43,12 +44,17 @@ from repro.congest.columnar.kernels import (
 from repro.congest.columnar.state import SlotMasks
 from repro.congest.simulator import Simulator
 from repro.congest.transport import EMPTY_INBOX
+from repro.core.acd import compute_acd
 from repro.faults.corruption import to_unit
 from repro.faults.transport import _CORRUPT_SALT, _DROP_SALT
 from repro.hashing.keys import (
     MIX64_INIT, combine_part_keys, element_key, mix64, mix64_step,
 )
 from repro.hashing.representative import RepresentativeHashFunction
+from repro.obs.forensics import DigestTracer
+from repro.sampling.similarity import SimilarityParameters, estimate_similarity_on_edges
+from repro.sampling.sparsity import estimate_global_sparsity, estimate_local_sparsity
+from repro.sampling.triangles import detect_triangle_rich_edges
 
 MASK64 = (1 << 64) - 1
 
@@ -315,6 +321,197 @@ class TestChunkedAccounting:
         slot_net.transport._charge_chunked_rounds("big", sizes)
         col_net.transport._charge_chunked_rounds("big", sizes)
         assert col_net.ledger.records == slot_net.ledger.records
+
+
+# --------------------------------------------------------------------------- #
+# The EstimateSimilarity kernel against the dict reference
+# --------------------------------------------------------------------------- #
+
+#: k = 1 everywhere; k mixing 1 (large sets) with 2..4 (small sets) in one
+#: sweep; and the practical preset's k = 4.
+SIMILARITY_PARAMS = {
+    "k1": SimilarityParameters(eps=0.3, max_scale=1, sigma_cap=64),
+    "mixed-k": SimilarityParameters(eps=0.3, scale_constant=0.05, sigma_cap=64),
+    "practical": SimilarityParameters.practical(eps=0.3, seed=2),
+}
+
+
+def _similarity_graph():
+    """Two planted cliques on a sparse background: mixed degrees, real overlaps."""
+    graph = nx.gnp_random_graph(40, 0.12, seed=3)
+    for clique in (range(0, 8), range(20, 27)):
+        graph.add_edges_from(itertools.combinations(clique, 2))
+    return graph
+
+
+def _on_dict_and_columnar(graph, run, **options):
+    """``run(network)`` on a dict and a columnar network, each with its records."""
+    outcomes = []
+    for backend in ("dict", "columnar"):
+        network = Network(graph, backend=backend, ledger="records", **options)
+        outcomes.append((run(network), network.ledger.records))
+    return outcomes
+
+
+def _sweep(params, edges=None, label="sim"):
+    """``estimate_similarity_on_edges`` over the neighborhoods, as a list."""
+    def run(network):
+        sets = {v: set(network.neighbors(v)) for v in network.nodes}
+        return list(estimate_similarity_on_edges(
+            network, sets, edges=edges, params=params, seed=5, label=label,
+        ).items())
+    return run
+
+
+@pytest.fixture
+def kernel_ran(monkeypatch):
+    """Per kernel call, in call order: ``True`` if it ran, ``False`` if it declined."""
+    calls = []
+    kernel = sweep.columnar_similarity
+
+    def spy(*args, **kwargs):
+        result = kernel(*args, **kwargs)
+        calls.append(result is not None)
+        return result
+
+    monkeypatch.setattr(sweep, "columnar_similarity", spy)
+    return calls
+
+
+class TestSimilarityKernel:
+    @pytest.mark.parametrize("name", list(SIMILARITY_PARAMS))
+    def test_results_and_rounds_match_dict(self, kernel_ran, name):
+        (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(
+            _similarity_graph(), _sweep(SIMILARITY_PARAMS[name]))
+        assert col == ref and col_rounds == ref_rounds
+        assert kernel_ran == [False, True]
+        assert any(result.shared_hash_values for _edge, result in col)
+
+    def test_mixed_regime_mixes_scale_factors(self):
+        params = SIMILARITY_PARAMS["mixed-k"]
+        assert params.scale_factor(3) > 1 and params.scale_factor(12) == 1
+
+    def test_block_boundaries_do_not_matter(self, monkeypatch):
+        monkeypatch.setattr(sweep, "_BLOCK_ELEMENTS", 8)
+        (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(
+            _similarity_graph(), _sweep(SIMILARITY_PARAMS["practical"]))
+        assert col == ref and col_rounds == ref_rounds
+
+    @pytest.mark.parametrize("detector", [
+        lambda net: detect_triangle_rich_edges(net, eps=0.3, seed=2),
+        lambda net: estimate_local_sparsity(net, eps=0.3, seed=2),
+        lambda net: estimate_global_sparsity(net, eps=0.3, seed=2),
+    ], ids=["triangles", "local-sparsity", "global-sparsity"])
+    def test_detection_and_sparsity_match_dict(self, kernel_ran, detector):
+        (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(
+            _similarity_graph(), detector)
+        assert col == ref and col_rounds == ref_rounds
+        assert kernel_ran == [False, True]
+
+    @pytest.mark.parametrize("relabel", [
+        lambda v: f"n{v}", lambda v: (v % 3, str(v)),
+    ], ids=["str", "tuple"])
+    def test_non_integer_labels_take_the_element_key_fallback(self, kernel_ran, relabel):
+        graph = nx.relabel_nodes(_similarity_graph(), relabel)
+        (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(
+            graph, lambda net: detect_triangle_rich_edges(net, eps=0.3, seed=4))
+        assert col == ref and col_rounds == ref_rounds
+        assert kernel_ran == [False, True]
+
+    def test_empty_sets(self, kernel_ran):
+        params = SIMILARITY_PARAMS["practical"]
+
+        def run(network):
+            some = {v: set(network.neighbors(v)) for v in network.nodes if v % 3}
+            return [
+                list(estimate_similarity_on_edges(
+                    network, sets, params=params, seed=1, label=label).items())
+                for label, sets in (("some", some), ("none", {}))
+            ]
+
+        (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(
+            _similarity_graph(), run)
+        assert col == ref and col_rounds == ref_rounds
+        assert kernel_ran == [False, False, True, True]
+        some, none = col
+        assert {result.sigma == 0 for _edge, result in some} == {True, False}
+        assert all(result.sigma == 0 for _edge, result in none)
+
+    def test_local_mode(self, kernel_ran):
+        (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(
+            _similarity_graph(), _sweep(SIMILARITY_PARAMS["practical"]),
+            mode="local")
+        assert col == ref and col_rounds == ref_rounds
+        assert kernel_ran == [False, True]
+
+    def test_declines_outside_the_exact_regime(self, kernel_ran):
+        params = SimilarityParameters(eps=1e-9, max_scale=1, sigma_cap=8)
+        assert params.family(2).lam >= 1 << 32
+        (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(
+            nx.cycle_graph(6), _sweep(params))
+        assert col == ref and col_rounds == ref_rounds
+        assert kernel_ran == [False, False]
+
+    def test_digest_tracer_declines_and_streams_match(self, kernel_ran):
+        streams = []
+        for backend in ("dict", "columnar"):
+            tracer = DigestTracer()
+            network = Network(_similarity_graph(), backend=backend, tracer=tracer)
+            detect_triangle_rich_edges(network, eps=0.3, seed=3)
+            tracer.close()
+            streams.append(tracer.events)
+        assert streams[0] == streams[1]
+        assert kernel_ran == [False, False]
+
+    def test_repeated_and_reversed_pairs_match_dict(self, kernel_ran):
+        graph = _similarity_graph()
+        edges = list(graph.edges())[:12]
+        given = edges + [(v, u) for u, v in edges[:4]] + edges[5:7]
+
+        def run(network):
+            similarity = _sweep(SIMILARITY_PARAMS["practical"], edges=given,
+                                label="dup")(network)
+            triangles = detect_triangle_rich_edges(network, eps=0.3, edges=given,
+                                                   seed=9)
+            return similarity, triangles
+
+        (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(graph, run)
+        assert col == ref and col_rounds == ref_rounds
+        assert kernel_ran == [False, False, False, False]
+        # The reference's accounting, read off each stream's first chunk
+        # round: one index message per unordered pair, one indicator per
+        # directed key.
+        first = {}
+        for record in col_rounds:
+            first.setdefault(record.label, record.message_count)
+        pairs = len({frozenset(edge) for edge in given})
+        assert first["dup:index"] == pairs and first["dup:indicator"] == 2 * pairs
+
+    def test_kernel_takes_precedence_over_the_shard_pool(self, kernel_ran, monkeypatch):
+        import repro.shard.sweep as shard_sweep
+
+        def pool(*args, **kwargs):
+            raise AssertionError("the shard pool ran on a columnar network")
+
+        monkeypatch.setattr(shard_sweep, "MIN_SHARDED_WORK", 0)
+        monkeypatch.setattr(shard_sweep, "sharded_edge_hashes", pool)
+        graph = _similarity_graph()
+        networks = [Network(graph, backend="dict", ledger="records"),
+                    Network(graph, backend="columnar", ledger="records", shards=2)]
+        ref, col = [detect_triangle_rich_edges(net, eps=0.3, seed=6)
+                    for net in networks]
+        assert col == ref
+        assert networks[1].ledger.records == networks[0].ledger.records
+        assert kernel_ran == [False, True]
+
+    def test_acd_runs_the_kernel_only_on_columnar(self, kernel_ran):
+        graph = nx.disjoint_union(nx.complete_graph(10), nx.complete_graph(10))
+        (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(
+            graph, lambda net: compute_acd(net, seed=1).friend_edges)
+        assert col == ref and col_rounds == ref_rounds
+        # dict: the buddy threshold's kernel call and the reference sweep's
+        # both decline; columnar: the threshold's call runs, nothing else.
+        assert kernel_ran == [False, False, True]
 
 
 # --------------------------------------------------------------------------- #
