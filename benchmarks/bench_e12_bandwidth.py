@@ -24,6 +24,7 @@ from dataclasses import replace
 import pytest
 
 from benchmarks.conftest import emit, run_once
+from repro.congest import DEFAULT_BACKEND, TRANSPORT_BACKENDS
 from repro.experiments import get_suite, run_scenarios
 
 
@@ -52,7 +53,7 @@ def _paired_rows(result, specs, kind: str, workload_of):
     return rows
 
 
-def measure(backend: str = "batch"):
+def measure(backend: str = DEFAULT_BACKEND):
     specs = [replace(spec, backend=backend)
              for spec in get_suite("bandwidth") if "e12" in spec.tags]
     result = run_scenarios(specs, suite="bandwidth")
@@ -65,7 +66,7 @@ def measure(backend: str = "batch"):
     return rows
 
 
-@pytest.mark.parametrize("backend", ["dict", "batch"])
+@pytest.mark.parametrize("backend", TRANSPORT_BACKENDS)
 def test_e12_bandwidth_ablation(benchmark, backend):
     rows = run_once(benchmark, lambda: measure(backend))
     emit(benchmark, "E12 — bandwidth ablation: hashed vs naive primitives "

@@ -12,7 +12,7 @@ its table, and writes:
 
 * ``BENCH_all.json`` — wall-clock + rows for every experiment that ran;
 * ``BENCH_transport.json`` — the transport-engine snapshot (E12 on both
-  backends plus the E16 dict-vs-batch comparison), the perf gate for the
+  backends plus the E16 dict-vs-columnar comparison), the perf gate for the
   Topology/Transport/Ledger engine.
 
 Snapshots land in the repository root (or ``--out DIR``).
@@ -66,22 +66,24 @@ def transport_snapshot(reuse: dict = None) -> dict:
     """Time the transport-sensitive workloads on both backends.
 
     ``reuse`` maps experiment keys to already-measured ``{seconds, rows}``
-    entries from the main loop (e12 runs on the default batch backend there),
-    so a default invocation never measures the same workload twice.
+    entries from the main loop (e12 runs on the default columnar backend
+    there), so a default invocation never measures the same workload twice.
     """
+    from repro.congest import DEFAULT_BACKEND, TRANSPORT_BACKENDS
+
     reuse = reuse or {}
     snapshot: dict = {"experiments": {}}
     timings = {}
-    for backend in ("dict", "batch"):
-        if backend == "batch" and "e12" in reuse:
+    for backend in TRANSPORT_BACKENDS:
+        if backend == DEFAULT_BACKEND and "e12" in reuse:
             entry = reuse["e12"]
         else:
             rows, elapsed = run_measure("bench_e12_bandwidth", backend=backend)
             entry = {"seconds": round(elapsed, 3), "rows": rows}
         timings[backend] = entry["seconds"]
         snapshot["experiments"][f"e12[{backend}]"] = entry
-    snapshot["e12_dict_over_batch"] = round(
-        timings["dict"] / max(timings["batch"], 1e-9), 3
+    snapshot["e12_dict_over_columnar"] = round(
+        timings["dict"] / max(timings["columnar"], 1e-9), 3
     )
     if "e16" in reuse:
         entry = reuse["e16"]
@@ -106,15 +108,12 @@ def main(argv=None) -> int:
                              "of the e* measure() modules")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for --suite")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="shard-count override for --suite (bit-identical "
-                             "aggregates for any value)")
     args = parser.parse_args(argv)
 
     if args.suite:
         from repro.experiments import run_suite, write_suite_artifacts
 
-        result = run_suite(args.suite, workers=args.workers, shards=args.shards)
+        result = run_suite(args.suite, workers=args.workers)
         paths = write_suite_artifacts(result, args.out)
         peak = max((s.peak_rss_mb for s in result.scenarios), default=0.0)
         print(f"suite '{args.suite}': {len(result.rows())} trials in "
@@ -144,7 +143,8 @@ def main(argv=None) -> int:
         snapshot = transport_snapshot(reuse=all_results)
         (args.out / "BENCH_transport.json").write_text(canonical_dumps(snapshot))
         print(f"wrote {args.out / 'BENCH_transport.json'} "
-              f"(e12 dict/batch wall-clock ratio: {snapshot['e12_dict_over_batch']})")
+              f"(e12 dict/columnar wall-clock ratio: "
+              f"{snapshot['e12_dict_over_columnar']})")
     return 0
 
 

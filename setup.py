@@ -3,10 +3,9 @@
 The offline environment used for this reproduction has setuptools but not the
 ``wheel`` package, so PEP 517 editable installs (which build a wheel) can
 fail; a plain ``setup.py`` keeps ``pip install -e .`` working through the
-legacy editable path.  ``numpy`` is a hard requirement: the ``columnar``
-transport backend (``repro.congest.columnar``) needs it, and environments
-without it fall back to the pure-Python backends with a clean ImportError
-only if numpy is genuinely absent — but supported installs ship it.
+legacy editable path.  ``numpy`` is a hard requirement: it runs the default
+``columnar`` transport backend (``repro.congest.columnar``) and the
+vectorized digest kernels.
 """
 
 from setuptools import find_packages, setup

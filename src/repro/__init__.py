@@ -3,7 +3,8 @@
 The package provides:
 
 * ``repro.congest`` — a synchronous CONGEST/LOCAL simulator with per-round,
-  per-edge bandwidth accounting;
+  per-edge bandwidth accounting, on two byte-identical transports: the
+  ``dict`` reference oracle and the default ``columnar`` numpy fast path;
 * ``repro.hashing`` — representative hash families and the explicit
   pseudorandom objects of the paper (pairwise-independent hashing, averaging
   samplers, error-correcting codes, universal hashing for huge color spaces);
@@ -13,10 +14,6 @@ The package provides:
   almost-clique decomposition, SlackColor, dense/sparse phases, Theorem 1);
 * ``repro.baselines`` — Johansson-style random trials, naive high-bandwidth
   implementations, and a centralized greedy reference;
-* ``repro.shard`` — partition-parallel execution: contiguous shard plans
-  with cut-edge routing, a sharded simulator for node programs, and the
-  sharded similarity sweep behind ``Network(shards=N)`` — byte-identical to
-  serial for any shard count;
 * ``repro.graphs`` / ``repro.metrics`` — instance generators, ground-truth
   properties, and experiment reporting.
 

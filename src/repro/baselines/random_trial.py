@@ -16,7 +16,7 @@ from typing import Dict, Hashable, Iterable, Mapping, Optional
 
 import networkx as nx
 
-from repro.congest.network import Network
+from repro.congest.network import DEFAULT_BACKEND, Network
 from repro.core.d1lc import _build_result
 from repro.core.params import ColoringParameters
 from repro.core.problem import ColoringInstance
@@ -34,11 +34,10 @@ def johansson_coloring(
     seed: int = 0,
     max_iterations: Optional[int] = None,
     params: Optional[ColoringParameters] = None,
-    backend: str = "batch",
+    backend: str = DEFAULT_BACKEND,
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
-    shards: int = 1,
     tracer=None,
 ) -> ColoringResult:
     """Color ``graph`` by iterated random color trials.
@@ -57,7 +56,7 @@ def johansson_coloring(
     network = Network(graph, mode=mode, backend=backend, ledger=ledger,
                       faults=faults,
                       fault_seed=seed if fault_seed is None else fault_seed,
-                      shards=shards, tracer=tracer)
+                      tracer=tracer)
     state = ColoringState(instance, network, params)
     if max_iterations is None:
         max_iterations = 8 * max(4, graph.number_of_nodes().bit_length() ** 2)

@@ -10,7 +10,7 @@ be run without writing Python::
     python -m repro.cli baseline   --n 200 --p 0.08
     python -m repro.cli suite list
     python -m repro.cli suite run smoke --workers 4
-    python -m repro.cli suite run scale --backend slot
+    python -m repro.cli suite run scale --backend dict
     python -m repro.cli suite run smoke --profile --out /tmp/prof
     python -m repro.cli suite run smoke --faults drop=0.01,corrupt=1e-4
     python -m repro.cli suite run robustness --workers 4
@@ -41,11 +41,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional
 
 from repro.baselines import johansson_coloring
-from repro.congest import Network
+from repro.congest import DEFAULT_BACKEND, TRANSPORT_BACKENDS, Network
 from repro.core import ColoringParameters, solve_d1c, solve_d1lc, solve_delta_plus_one
 from repro.core.acd import compute_acd
 from repro.graphs import (
@@ -58,6 +59,28 @@ from repro.graphs.generators import triangle_rich_graph
 from repro.metrics import format_table
 from repro.sampling import detect_triangle_rich_edges
 from repro.sampling.triangles import true_triangle_count
+
+
+class UserError(Exception):
+    """A bad argument or unreadable input: one stderr line, exit code 2."""
+
+
+@contextmanager
+def _user_input():
+    """Report a ValueError raised while building inputs from argv as a UserError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UserError(str(exc)) from None
+
+
+def _load(loader, path: str):
+    """``loader(Path(path))``, reporting an unreadable file as a UserError."""
+    try:
+        return loader(Path(path))
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise UserError(f"cannot read {path}: {reason}") from None
 
 
 def _coloring_rows(name: str, result) -> List[dict]:
@@ -73,24 +96,22 @@ def _coloring_rows(name: str, result) -> List[dict]:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
-    graph = gnp_graph(args.n, args.p, seed=args.seed)
+    with _user_input():
+        graph = gnp_graph(args.n, args.p, seed=args.seed)
+        if args.problem == "d1lc" and args.color_bits:
+            lists = huge_color_space_lists(graph, color_space_bits=args.color_bits, seed=args.seed)
+        elif args.problem == "d1lc":
+            lists = degree_plus_one_lists(graph, seed=args.seed)
     params = ColoringParameters.small(seed=args.seed, uniform=args.uniform)
     if args.problem == "d1c":
         result = solve_d1c(graph, params=params, mode=args.mode,
-                           backend=args.backend, ledger=args.ledger,
-                           shards=args.shards)
+                           backend=args.backend, ledger=args.ledger)
     elif args.problem == "delta+1":
         result = solve_delta_plus_one(graph, params=params, mode=args.mode,
-                                      backend=args.backend, ledger=args.ledger,
-                                      shards=args.shards)
+                                      backend=args.backend, ledger=args.ledger)
     else:
-        if args.color_bits:
-            lists = huge_color_space_lists(graph, color_space_bits=args.color_bits, seed=args.seed)
-        else:
-            lists = degree_plus_one_lists(graph, seed=args.seed)
         result = solve_d1lc(graph, lists, params=params, mode=args.mode,
-                            backend=args.backend, ledger=args.ledger,
-                            shards=args.shards)
+                            backend=args.backend, ledger=args.ledger)
     print(format_table(_coloring_rows(args.problem, result), title="coloring run"))
     print("\nrounds by phase:")
     for phase, rounds in sorted(result.rounds_by_phase.items()):
@@ -99,23 +120,24 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    graph = gnp_graph(args.n, args.p, seed=args.seed)
+    with _user_input():
+        graph = gnp_graph(args.n, args.p, seed=args.seed)
     pipeline = solve_d1c(graph, params=ColoringParameters.small(seed=args.seed),
-                         backend=args.backend, shards=args.shards)
-    baseline = johansson_coloring(graph, seed=args.seed, backend=args.backend,
-                                  shards=args.shards)
+                         backend=args.backend)
+    baseline = johansson_coloring(graph, seed=args.seed, backend=args.backend)
     rows = _coloring_rows("pipeline", pipeline) + _coloring_rows("johansson", baseline)
     print(format_table(rows, title="pipeline vs random-trial baseline"))
     return 0 if pipeline.is_valid and baseline.is_valid else 1
 
 
 def cmd_acd(args: argparse.Namespace) -> int:
-    planted = planted_almost_cliques(
-        num_cliques=args.cliques, clique_size=args.clique_size,
-        num_sparse=args.sparse, seed=args.seed,
-    )
+    with _user_input():
+        planted = planted_almost_cliques(
+            num_cliques=args.cliques, clique_size=args.clique_size,
+            num_sparse=args.sparse, seed=args.seed,
+        )
     params = ColoringParameters.small(seed=args.seed, uniform=args.uniform)
-    network = Network(planted.graph, backend=args.backend, shards=args.shards)
+    network = Network(planted.graph, backend=args.backend)
     acd = compute_acd(network, params)
     summary = acd.partition_summary()
     summary["rounds"] = acd.rounds_used
@@ -126,7 +148,7 @@ def cmd_acd(args: argparse.Namespace) -> int:
 
 def cmd_triangles(args: argparse.Namespace) -> int:
     planted = triangle_rich_graph(n=args.n, planted_cliques=3, clique_size=14, seed=args.seed)
-    network = Network(planted.graph, backend=args.backend, shards=args.shards)
+    network = Network(planted.graph, backend=args.backend)
     result = detect_triangle_rich_edges(network, eps=args.eps, seed=args.seed)
     rich = flagged_rich = 0
     for u, v in planted.graph.edges():
@@ -159,19 +181,19 @@ def _parse_faults(text: str) -> dict:
             continue
         key, sep, value = part.partition("=")
         if not sep:
-            raise SystemExit(
+            raise UserError(
                 f"--faults expects comma-separated key=value pairs, got {part!r}"
             )
         try:
             params[key.strip()] = float(value)
         except ValueError:
-            raise SystemExit(f"--faults {key.strip()}: not a number: {value!r}")
+            raise UserError(f"--faults {key.strip()}: not a number: {value!r}") from None
     from repro.faults import FaultPlan
 
     try:
         FaultPlan.from_params(params)
     except (TypeError, ValueError) as exc:
-        raise SystemExit(f"--faults: {exc}")
+        raise UserError(f"--faults: {exc}") from None
     return params
 
 
@@ -203,28 +225,19 @@ def _suite_summary_rows(summary: dict, timing: Optional[dict] = None) -> List[di
     return rows
 
 
-def _select_suite(command: str, name: str, only=None):
-    """The suite's scenarios (``--only`` applied), or ``None`` on a user error.
-
-    An unknown suite or scenario name is reported as one line on stderr, and
-    the caller exits 2 instead of raising a traceback.
-    """
+def _select_suite(name: str, only=None):
+    """The suite's scenarios (``--only`` applied); unknown names are a UserError."""
     from repro.experiments.runner import select_scenarios
 
-    try:
+    with _user_input():
         return select_scenarios(name, only)
-    except ValueError as exc:
-        print(f"repro {command}: {exc}", file=sys.stderr)
-        return None
 
 
 def cmd_suite_list(args: argparse.Namespace) -> int:
     from repro.experiments import get_suite, suite_names
 
     if args.suite:
-        specs = _select_suite("suite list", args.suite)
-        if specs is None:
-            return 2
+        specs = _select_suite(args.suite)
         print(format_table([spec.describe() for spec in specs],
                            title=f"suite '{args.suite}' ({len(specs)} scenarios)"))
         return 0
@@ -249,8 +262,10 @@ def cmd_suite_run(args: argparse.Namespace) -> int:
 
     from repro.obs import Heartbeat, current_rss_mb
 
-    if _select_suite("suite run", args.suite, args.only) is None:
-        return 2
+    _select_suite(args.suite, args.only)
+    if args.trials is not None and args.trials < 1:
+        raise UserError(f"--trials must be >= 1, got {args.trials}")
+    faults = _parse_faults(args.faults) if args.faults else None
     started = time.perf_counter()
     # --progress heartbeats go to stderr (plain lines, one per completed
     # trial) so they never disturb stdout tables or artifact bytes.
@@ -275,13 +290,12 @@ def cmd_suite_run(args: argparse.Namespace) -> int:
     digest_dir = Path(args.digest) if args.digest else None
     if args.profile and args.workers > 1:
         print("profiling forces serial execution; ignoring --workers")
-    faults = _parse_faults(args.faults) if args.faults else None
     result = run_suite(
         args.suite, workers=args.workers, backend=args.backend,
         trials=args.trials,
         progress=progress if (args.verbose or args.progress) else None,
         only=args.only, profile_dir=profile_dir, seed=args.seed,
-        faults=faults, shards=args.shards, trace_dir=trace_dir,
+        faults=faults, trace_dir=trace_dir,
         digest_dir=digest_dir,
     )
     summary = aggregate_suite(result)
@@ -308,7 +322,7 @@ def cmd_suite_run(args: argparse.Namespace) -> int:
         summary, timing=None if args.profile else timing,
         timestamp=time.time(),
         knobs={
-            "backend": args.backend, "shards": args.shards,
+            "backend": args.backend,
             "workers": args.workers, "trials": args.trials,
             "only": args.only, "faults": args.faults,
         },
@@ -370,13 +384,13 @@ def cmd_suite_compare(args: argparse.Namespace) -> int:
         run_suite, timing_summary,
     )
 
-    baseline = load_suite_summary(Path(args.baseline))
+    baseline = _load(load_suite_summary, args.baseline)
     fresh_timing = None
     wants_timing_artifact = (
         args.timing_budget is not None or args.rss_budget is not None
     )
     if args.fresh:
-        fresh = load_suite_summary(Path(args.fresh))
+        fresh = _load(load_suite_summary, args.fresh)
         if wants_timing_artifact:
             # A pre-produced aggregate keeps its timing (and peak RSS) in the
             # sibling file.
@@ -388,14 +402,12 @@ def cmd_suite_compare(args: argparse.Namespace) -> int:
                       "skipping timing/RSS checks")
     else:
         suite = args.suite or baseline.get("suite")
-        if _select_suite("suite compare", suite) is None:
-            return 2
+        _select_suite(suite)
+        faults = _parse_faults(args.faults) if args.faults else None
         print(f"running suite '{suite}' fresh (workers={args.workers}) ...")
         result = run_suite(
             suite, workers=args.workers, backend=args.backend,
-            seed=args.seed,
-            faults=_parse_faults(args.faults) if args.faults else None,
-            shards=args.shards,
+            seed=args.seed, faults=faults,
         )
         fresh = aggregate_suite(result)
         fresh_timing = timing_summary(result)
@@ -469,7 +481,7 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
         # Machine-readable shape: one key per trace file, key-sorted and
         # stable — CI consumes this without scraping tables.
         payload = {
-            Path(path).name: summary_as_dict(summarize_trace(load_trace(Path(path))))
+            Path(path).name: summary_as_dict(summarize_trace(_load(load_trace, path)))
             for path in args.trace
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -477,7 +489,7 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
     for index, path in enumerate(args.trace):
         if index:
             print()
-        events = load_trace(Path(path))
+        events = _load(load_trace, path)
         print(render_timeline(
             summarize_trace(events),
             title=f"phase timeline: {Path(path).name}",
@@ -503,8 +515,8 @@ def cmd_trace_compare(args: argparse.Namespace) -> int:
         # Same scenario from two runs: disambiguate by parent directory.
         name_a = f"{path_a.parent.name or 'a'}/{name_a}"
         name_b = f"{path_b.parent.name or 'b'}/{name_b}"
-    events_a = load_trace(path_a)
-    events_b = load_trace(path_b)
+    events_a = _load(load_trace, args.a)
+    events_b = _load(load_trace, args.b)
     if args.json:
         payload = comparison_as_dict(events_a, events_b,
                                      name_a=name_a, name_b=name_b)
@@ -528,12 +540,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
         render_divergence,
     )
 
-    try:
-        events_a = load_digests(Path(args.a))
-        events_b = load_digests(Path(args.b))
-    except (OSError, ValueError) as exc:
-        print(f"repro diff: {exc}", file=sys.stderr)
-        return 2
+    events_a = _load(load_digests, args.a)
+    events_b = _load(load_digests, args.b)
     divergence = first_divergence(events_a, events_b, trial=args.trial)
     report = None
     if args.bisect and divergence is not None:
@@ -561,8 +569,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         summarize_trace,
     )
     from repro.obs.analytics import (
-        detect_trends, load_runs, render_report, shard_balance,
-        suite_overview_rows, trend_rows,
+        detect_trends, load_runs, render_report, suite_overview_rows,
+        trend_rows,
     )
     from repro.experiments.compare import gate_passes
 
@@ -621,11 +629,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         print()
         print(render_timeline(summarize_trace(events),
                               title=f"phase timeline: {name}"))
-        balance = shard_balance(events)
-        if balance:
-            print(f"shard balance: {balance['shards']} shards, "
-                  f"imbalance ratio {balance['imbalance_ratio']}, "
-                  f"cut fraction {balance['cut_fraction']}")
 
     html_path = Path(args.html) if args.html else (
         report_dir / f"REPORT_{args.target}.html"
@@ -645,18 +648,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_backend_option(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--backend", choices=["batch", "dict", "slot", "columnar"],
-                       default="batch",
-                       help="transport backend (identical accounting; 'dict' is "
-                            "the per-message reference implementation, 'slot' the "
-                            "CSR-routed large-n fast path, 'columnar' the "
-                            "numpy flat-array core)")
-
-    def add_shards_option(p: argparse.ArgumentParser, default: int = 1) -> None:
-        p.add_argument("--shards", type=int, default=default,
-                       help="partition-parallel execution width (results are "
-                            "bit-identical for any count; >1 fans the per-edge "
-                            "similarity sweeps over persistent shard workers)")
+        p.add_argument("--backend", choices=TRANSPORT_BACKENDS,
+                       default=DEFAULT_BACKEND,
+                       help="transport backend (identical accounting; "
+                            "'columnar' is the numpy fast path, 'dict' the "
+                            "per-message reference implementation)")
 
     color = sub.add_parser("color", help="run the D1LC/D1C/(Δ+1) coloring pipeline")
     color.add_argument("--n", type=int, default=200)
@@ -669,7 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the uniform (Section 5) implementations")
     color.add_argument("--seed", type=int, default=0)
     add_backend_option(color)
-    add_shards_option(color)
     color.add_argument("--ledger", choices=["records", "counters"], default="records",
                        help="keep full per-round history or aggregate counters only")
     color.set_defaults(func=cmd_color)
@@ -679,7 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
     baseline.add_argument("--p", type=float, default=0.08)
     baseline.add_argument("--seed", type=int, default=0)
     add_backend_option(baseline)
-    add_shards_option(baseline)
     baseline.set_defaults(func=cmd_baseline)
 
     acd = sub.add_parser("acd", help="compute an almost-clique decomposition")
@@ -689,7 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     acd.add_argument("--uniform", action="store_true")
     acd.add_argument("--seed", type=int, default=0)
     add_backend_option(acd)
-    add_shards_option(acd)
     acd.set_defaults(func=cmd_acd)
 
     triangles = sub.add_parser("triangles", help="local triangle-richness detection")
@@ -697,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     triangles.add_argument("--eps", type=float, default=0.3)
     triangles.add_argument("--seed", type=int, default=0)
     add_backend_option(triangles)
-    add_shards_option(triangles)
     triangles.set_defaults(func=cmd_triangles)
 
     suite = sub.add_parser(
@@ -713,13 +705,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_suite_run_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes (results are identical for any count)")
-        p.add_argument("--backend", choices=["batch", "dict", "slot", "columnar"],
-                       default=None,
+        p.add_argument("--backend", choices=TRANSPORT_BACKENDS, default=None,
                        help="override every scenario's transport backend "
-                            "('columnar' needs numpy)")
-        p.add_argument("--shards", type=int, default=None,
-                       help="override every scenario's shard count "
-                            "(bit-identical aggregates for any value)")
+                            "(bit-identical aggregates on either)")
         p.add_argument("--seed", type=int, default=None,
                        help="override every scenario's base seed; recorded in "
                             "the aggregate, and suite compare refuses to diff "
@@ -844,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser(
         "diff",
         help="align two DIGEST_*.jsonl streams and report the first "
-             "divergent (round, phase, shard); --bisect re-runs the window "
+             "divergent (round, phase); --bisect re-runs the window "
              "in fine mode to name the first divergent node",
     )
     diff.add_argument("a", help="first DIGEST_*.jsonl stream")
@@ -895,7 +883,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UserError as exc:
+        command = " ".join(filter(None, (
+            args.command,
+            getattr(args, "suite_command", None),
+            getattr(args, "trace_command", None),
+        )))
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()

@@ -4,9 +4,10 @@ The simulator is the substrate every distributed primitive in this
 reproduction runs on.  It is layered (see DESIGN.md):
 
 * :class:`~repro.congest.topology.Topology` — immutable CSR-style adjacency;
-* :class:`~repro.congest.transport.Transport` — pluggable delivery backends
-  (:class:`~repro.congest.transport.DictTransport` reference semantics,
-  :class:`~repro.congest.transport.BatchTransport` batched fast path);
+* :class:`~repro.congest.transport.Transport` — two delivery backends
+  (:class:`~repro.congest.transport.DictTransport`, the reference oracle,
+  and :class:`~repro.congest.columnar.transport.ColumnarTransport`, the
+  default numpy fast path);
 * :class:`~repro.metrics.ledger.Ledger` — pluggable bandwidth accounting.
 
 A :class:`~repro.congest.network.Network` facade wires the three together and
@@ -26,9 +27,7 @@ from repro.congest.message import Message
 from repro.congest.node import NodeState
 from repro.congest.topology import Topology
 from repro.congest.transport import (
-    BatchTransport,
     DictTransport,
-    SlotTransport,
     TRANSPORT_BACKENDS,
     Transport,
     make_transport,
@@ -47,8 +46,6 @@ __all__ = [
     "Topology",
     "Transport",
     "DictTransport",
-    "BatchTransport",
-    "SlotTransport",
     "TRANSPORT_BACKENDS",
     "make_transport",
     "DEFAULT_BACKEND",

@@ -1,31 +1,20 @@
-"""CSR-offset message round buffers and packed cut-edge batches.
+"""CSR-offset message round buffers.
 
 The columnar core never stores a round's traffic as per-edge dict entries.
 A broadcast round is one ``offsets``/``storage`` pair: ``offsets[i] ..
 offsets[i+1]`` delimit sender ``i``'s run in ``storage`` (payload contents)
 and ``receiver_slots`` (destination slots), in the sender's CSR adjacency
-order.  Written sender-side in one vectorized gather, read receiver-side in
-exactly the order the slot backend fills inboxes — sender-major, receivers
-in CSR row order — so the resulting inbox dicts reproduce the slot backend's
-insertion sequence byte for byte (``tests/test_columnar.py`` pins the
-round-trip, including zero-bit and max-width messages).
-
-:class:`PackedEdgeBatch` is the cross-shard sibling: a cut-edge batch packed
-as two flat int64 slot arrays plus a payload list, replacing the pickled
-list-of-tuples the :class:`~repro.shard.router.ShardRouter` previously
-shipped.  It pickles as array buffers (no per-edge tuple boxing) and
-iterates as ``(sender_slot, receiver_slot, payload)`` triples, so the
-coordinator and worker merge loops consume it unchanged.
+order.  Written sender-side in one vectorized gather, read receiver-side
+sender-major, so every receiver's inbox lists its senders in send order —
+the reference backend's insertion sequence (``tests/test_columnar.py`` pins
+the round-trip, including zero-bit and max-width messages).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - package is importable without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 
 def _object_array(payloads: Sequence[object]) -> "np.ndarray":
@@ -80,8 +69,8 @@ class CsrRoundBuffer:
         """Yield ``(sender_slot, receiver_slot, payload)`` in storage order.
 
         Storage order is sender-major (senders in send order, receivers in
-        CSR row order) — the exact insertion sequence of the slot backend's
-        inbox fill.
+        CSR row order) — the order ``ColumnarTransport.broadcast`` replays
+        into the inboxes.
         """
         senders = self.sender_slots.tolist()
         offsets = self.offsets.tolist()
@@ -90,56 +79,3 @@ class CsrRoundBuffer:
         for i, sender in enumerate(senders):
             for pos in range(offsets[i], offsets[i + 1]):
                 yield sender, receivers[pos], payloads[pos]
-
-    def fill_inboxes(self, inboxes: List[dict], nodes: Sequence[object]) -> None:
-        """Read-side: replay the buffer into per-slot inbox dicts.
-
-        ``inboxes`` is indexed by receiver slot; senders are boxed back to
-        node objects via ``nodes``.  Insertion order per receiver equals the
-        slot backend's because :meth:`entries` is sender-major.
-        """
-        for sender_slot, receiver_slot, payload in self.entries():
-            inboxes[receiver_slot][nodes[sender_slot]] = payload
-
-
-class PackedEdgeBatch:
-    """A cut-edge batch as flat slot arrays plus a payload list.
-
-    Iterates as ``(sender_slot, receiver_slot, payload)`` triples — the
-    protocol the sharded coordinator and worker merge loops already speak —
-    and pickles as two int64 buffers plus the payload list instead of one
-    boxed tuple per edge.
-    """
-
-    __slots__ = ("sender_slots", "receiver_slots", "payloads")
-
-    def __init__(self, sender_slots, receiver_slots, payloads):
-        self.sender_slots = sender_slots
-        self.receiver_slots = receiver_slots
-        self.payloads = payloads
-
-    @classmethod
-    def from_triples(
-        cls, triples: Sequence[Tuple[int, int, object]]
-    ) -> "PackedEdgeBatch":
-        count = len(triples)
-        senders = np.fromiter((t[0] for t in triples), dtype=np.int64, count=count)
-        receivers = np.fromiter((t[1] for t in triples), dtype=np.int64, count=count)
-        return cls(senders, receivers, [t[2] for t in triples])
-
-    def __len__(self) -> int:
-        return len(self.payloads)
-
-    def __iter__(self) -> Iterator[Tuple[int, int, object]]:
-        return zip(self.sender_slots.tolist(), self.receiver_slots.tolist(), self.payloads)
-
-    def __reduce__(self):
-        return (PackedEdgeBatch, (self.sender_slots, self.receiver_slots, self.payloads))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PackedEdgeBatch):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        return f"PackedEdgeBatch({len(self)} edges)"

@@ -17,10 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - package is importable without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.hashing.keys import _MASK64 as MASK64
 from repro.hashing.keys import MIX64_INIT, element_key

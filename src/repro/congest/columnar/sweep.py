@@ -28,8 +28,8 @@ estimate_similarity_on_edges` is the load-bearing contract:
 The kernel declines — returns ``None`` before any ledger effect, so the
 caller runs the scalar reference instead — when
 
-* the transport does not set ``supports_columnar_sweep`` (every backend but
-  ``columnar``, including a fault-wrapped ``columnar``);
+* the transport does not set ``supports_columnar_sweep`` (the ``dict``
+  oracle, and a fault-wrapped ``columnar``);
 * the network's tracer digests payloads (``wants_payloads``): the kernel
   charges ledger records without materializing the payloads a digest hashes;
 * an unordered pair repeats among the swept edges: the reference sends one
@@ -50,10 +50,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - package is importable without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.congest.columnar.kernels import (
     element_keys_array,

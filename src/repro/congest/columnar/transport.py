@@ -1,10 +1,13 @@
-"""The ``columnar`` transport backend: vectorized CSR routing + accounting.
+"""The ``columnar`` transport backend: the engine's fast path.
 
-:class:`ColumnarTransport` subclasses the slot backend and keeps its
-observable contract — same delivered payloads, same sender-major inbox
-insertion order, same ledger rounds/labels/counts/bits/maxima — while moving
-the per-round arithmetic off the Python interpreter:
+:class:`ColumnarTransport` keeps the reference backend's observable contract
+— same delivered payloads, same sender-major inbox insertion order, same
+ledger rounds/labels/counts/bits/maxima — while moving the per-round
+arithmetic off the Python interpreter:
 
+* ``exchange`` sizes payloads through one sizing memo pooled across rounds
+  (keyed by payload identity, cleared at the start of every round) and
+  defers the bandwidth check to a single audit after sizing;
 * ``broadcast`` sizes and accounts all senders in one vectorized pass over
   the topology CSR (degree gather, ``bits * degree`` sums, worst-edge argmax)
   and expands the round into one :class:`~repro.congest.columnar.buffers.
@@ -17,27 +20,21 @@ the per-round arithmetic off the Python interpreter:
   histogram dicts with ``np.bincount`` / ``np.maximum.at`` over the size
   array — identical records, O(edges) numpy instead of O(edges) Python.
 
-Per-edge ``exchange`` rounds are inherited from the batch path unchanged:
-their payloads are per-edge Python objects either way, and the equivalence
-suite pins that path already.  The byte-identity of every override is pinned
-by ``tests/test_columnar.py`` and the four-backend equivalence matrix.
+The byte-identity of every path against the ``dict`` oracle is pinned by
+``tests/test_columnar.py`` and the two-backend equivalence matrix.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - package is importable without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-from repro.congest.columnar import require_numpy
 from repro.congest.columnar.buffers import CsrRoundBuffer
-from repro.congest.errors import BandwidthExceeded
+from repro.congest.errors import BandwidthExceeded, ProtocolError
 from repro.congest.message import Message
 from repro.congest.topology import Topology
-from repro.congest.transport import EMPTY_INBOX, SlotTransport, _memoized_bits
+from repro.congest.transport import EMPTY_INBOX, Transport, _memoized_bits
 from repro.metrics.ledger import Ledger
 
 Node = Any
@@ -51,26 +48,89 @@ _VECTOR_MIN_SIZES = 1024
 _VECTOR_MAX_ROUNDS = 4_000_000
 
 
-class ColumnarTransport(SlotTransport):
-    """Flat-array sibling of :class:`~repro.congest.transport.SlotTransport`."""
+class ColumnarTransport(Transport):
+    """Fast path: pooled sizing, deferred audit, vectorized CSR routing.
+
+    On violating rounds the *reported* error may differ from ``dict``: edges
+    are validated inline but the budget audit is deferred to the end of the
+    round, so with several violations in one round ``dict`` raises for the
+    first offending entry in iteration order while ``columnar`` raises the
+    edge error it hits first or a :class:`BandwidthExceeded` for the largest
+    payload (a broadcast's worst edge is found in CSR order).  Either way the
+    round is rejected before it is recorded.
+    """
 
     name = "columnar"
     #: The vectorized ``EstimateSimilarity`` kernel
     #: (:mod:`repro.congest.columnar.sweep`) runs only on a transport that
-    #: sets this, for the ACD, triangle detection and sparsity alike.  Other
-    #: backends, and a ``FaultyTransport`` wrapping this one (it does not
-    #: forward the flag), take the scalar reference sweep.
+    #: sets this, for the ACD, triangle detection and sparsity alike.  The
+    #: ``dict`` oracle, and a ``FaultyTransport`` wrapping this one (it does
+    #: not forward the flag), take the scalar reference sweep.
     supports_columnar_sweep = True
 
     def __init__(self, topology: Topology, mode: str, bandwidth_bits: int,
                  ledger: Ledger):
-        require_numpy()
         super().__init__(topology, mode, bandwidth_bits, ledger)
+        self._size_memo: Dict[int, int] = {}
         # array("l") exposes the buffer protocol, so these are zero-copy
         # int64 views of the topology CSR.
         self._np_indptr = np.asarray(topology.indptr, dtype=np.int64)
         self._np_indices = np.asarray(topology.indices, dtype=np.int64)
         self._np_degrees = np.diff(self._np_indptr)
+
+    def _round_memo(self) -> Dict[int, int]:
+        """The pooled payload-sizing memo, invalidated (cleared) for a new round.
+
+        The "generation" of an ``id()`` key is the round that computed it: a
+        payload object is only guaranteed alive while its round's message
+        mapping holds it, so entries never survive into the next round.
+        """
+        memo = self._size_memo
+        memo.clear()
+        return memo
+
+    def _sizes(self, messages: Mapping[DirectedEdge, Any]) -> Dict[DirectedEdge, int]:
+        size_memo = self._round_memo()
+        return {
+            edge: _memoized_bits(payload, size_memo)
+            for edge, payload in messages.items()
+        }
+
+    # -------------------------------------------------------------- exchange
+    def _deliver(self, messages: Mapping[DirectedEdge, Any], label: str,
+                 validate: bool) -> Dict[DirectedEdge, Any]:
+        neighbor_sets = self.topology.neighbor_sets
+        total_bits = 0
+        max_edge_bits = 0
+        worst_edge: Optional[DirectedEdge] = None
+        delivered: Dict[DirectedEdge, Any] = {}
+        size_memo = self._round_memo()
+        for edge, payload in messages.items():
+            if validate:
+                sender, receiver = edge
+                nbrs = neighbor_sets.get(sender)
+                if nbrs is None or receiver not in nbrs:
+                    self._validate_edge(sender, receiver)  # raises the reference error
+            bits = _memoized_bits(payload, size_memo)
+            delivered[edge] = payload.content if isinstance(payload, Message) else payload
+            total_bits += bits
+            if bits > max_edge_bits:
+                max_edge_bits = bits
+                worst_edge = edge
+        if (
+            self.mode == "congest"
+            and max_edge_bits > self.bandwidth_bits
+            and worst_edge is not None
+        ):
+            raise BandwidthExceeded(
+                worst_edge, max_edge_bits, self.bandwidth_bits, label
+            )
+        self.ledger.record_round(label, len(delivered), total_bits, max_edge_bits)
+        return delivered
+
+    def exchange(self, messages: Mapping[DirectedEdge, Any],
+                 label: str = "exchange") -> Dict[DirectedEdge, Any]:
+        return self._deliver(messages, label, validate=True)
 
     # ------------------------------------------------------------- broadcast
     def _account_broadcast(
@@ -80,7 +140,7 @@ class ColumnarTransport(SlotTransport):
         """Vectorized ledger arithmetic for one broadcast round.
 
         Returns ``(message_count, total_bits, max_edge_bits)`` after the
-        budget audit, matching the slot backend's running-loop accounting:
+        budget audit, matching a running per-sender accounting loop:
         isolated senders contribute nothing, and the audited worst edge is
         the first sender (in send order) attaining the maximal per-edge bits,
         paired with the head of its CSR row.
@@ -109,9 +169,9 @@ class ColumnarTransport(SlotTransport):
     ) -> Tuple[List[Node], List[Any], "np.ndarray", "np.ndarray"]:
         """Scalar prologue: slot + sized bits + unwrapped content per sender.
 
-        Sizing goes through the same pooled identity memo as the slot
-        backend (``_round_memo``), and an unknown sender raises the canonical
-        ProtocolError at the same position in send order.
+        Sizing goes through the pooled identity memo (``_round_memo``), and
+        an unknown sender raises the canonical ProtocolError at the same
+        position in send order.
         """
         topology = self.topology
         index_of = topology.node_index
@@ -140,11 +200,7 @@ class ColumnarTransport(SlotTransport):
         senders_only_to: Optional[Mapping[Node, Iterable[Node]]] = None,
     ) -> Dict[Node, Mapping[Node, Any]]:
         if senders_only_to is not None:
-            # Restricted recipients are rare and per-sender small; the batch
-            # path (validated per recipient) already handles them well.
-            return super().broadcast(
-                values, label=label, senders_only_to=senders_only_to
-            )
+            return self._broadcast_restricted(values, label, senders_only_to)
         nodes = self.topology.nodes
         senders, contents, slots, bits = self._collect_senders(values)
         message_count, total_bits, max_edge_bits = self._account_broadcast(
@@ -153,10 +209,11 @@ class ColumnarTransport(SlotTransport):
         buffer = CsrRoundBuffer.from_broadcast(
             self._np_indptr, self._np_indices, slots, contents
         )
-        # Replay the buffer receiver-side.  Storage order is sender-major
-        # with receivers in CSR row order — the slot backend's exact inbox
-        # insertion sequence — and slot-indexed boxes replace per-node dict
-        # lookups in the one loop that must stay Python (payloads are boxed).
+        # Replay the buffer receiver-side.  Storage order is sender-major, so
+        # every receiver sees its senders in send order (the reference
+        # backend's inbox insertion sequence), and slot-indexed boxes replace
+        # per-node dict lookups in the one loop that must stay Python
+        # (payloads are boxed).
         boxes: List[Any] = [EMPTY_INBOX] * len(nodes)
         offsets = buffer.offsets.tolist()
         receivers = buffer.receiver_slots.tolist()
@@ -171,6 +228,36 @@ class ColumnarTransport(SlotTransport):
                 box[sender] = payloads[p]
         self.ledger.record_round(label, message_count, total_bits, max_edge_bits)
         return dict(zip(nodes, boxes))
+
+    def _broadcast_restricted(
+        self,
+        values: Mapping[Node, Any],
+        label: str,
+        senders_only_to: Mapping[Node, Iterable[Node]],
+    ) -> Dict[Node, Mapping[Node, Any]]:
+        """Broadcast where some senders reach only a subset of neighbours.
+
+        Restricted recipients are rare and per-sender small, so this path
+        builds the per-edge mapping (validating each recipient) and delivers
+        it like an ``exchange``.
+        """
+        neighbors = self.topology.neighbors
+        messages: Dict[DirectedEdge, Any] = {}
+        for sender, payload in values.items():
+            nbrs = neighbors(sender)  # validates the sender exists
+            if sender in senders_only_to:
+                for receiver in senders_only_to[sender]:
+                    if receiver not in nbrs:
+                        raise ProtocolError(
+                            f"{sender!r} cannot broadcast to non-neighbour {receiver!r}"
+                        )
+                    messages[(sender, receiver)] = payload
+            else:
+                for receiver in nbrs:
+                    messages[(sender, receiver)] = payload
+        # Recipients were validated above, so delivery can skip edge checks.
+        delivered = self._deliver(messages, label, validate=False)
+        return self._inboxes(delivered)
 
     def broadcast_discard(
         self, values: Mapping[Node, Any], label: str = "broadcast"
@@ -243,8 +330,8 @@ class ColumnarTransport(SlotTransport):
         chunks = -(-positive // budget)  # ceil-divide, like the scalar path
         total_rounds = int(chunks.max())
         if total_rounds > _VECTOR_MAX_ROUNDS:
-            SlotTransport._charge_chunked_rounds(
-                self, label, dict(enumerate(sizes.tolist()))
+            super()._charge_chunked_rounds(
+                label, dict(enumerate(sizes.tolist()))
             )
             return
         remainder = positive - (chunks - 1) * budget

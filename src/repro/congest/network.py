@@ -6,9 +6,8 @@ communication engine (see DESIGN.md):
 * :class:`~repro.congest.topology.Topology` — immutable CSR-style adjacency
   (cached node list, neighbor sets, degrees, contiguous node index);
 * :class:`~repro.congest.transport.Transport` — the delivery mechanics,
-  selected via ``backend=`` (``"batch"`` by default, ``"dict"`` for the
-  per-message reference semantics, ``"slot"`` for the CSR-routed large-n
-  fast path, ``"columnar"`` for the numpy flat-array core);
+  selected via ``backend=`` (``"columnar"``, the numpy fast path, by
+  default; ``"dict"`` for the per-message reference semantics);
 * :class:`~repro.metrics.ledger.Ledger` — the bandwidth accounting, selected
   via ``ledger=`` (``"records"`` keeps the full round history, ``"counters"``
   keeps aggregates only for big runs).
@@ -46,7 +45,17 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 Node = Hashable
 DirectedEdge = Tuple[Node, Node]
 
-DEFAULT_BACKEND = "batch"
+DEFAULT_BACKEND = "columnar"
+
+
+def require_serial(shards: int) -> None:
+    """Reject any ``shards`` other than 1: execution is always serial.
+
+    The keyword survives on :class:`Network`, ``solve_d1c`` and
+    ``solve_d1lc`` only so that callers passing ``shards=1`` keep working.
+    """
+    if shards != 1:
+        raise ValueError(f"shards must be 1 (execution is serial), got {shards!r}")
 
 
 class Network:
@@ -69,11 +78,10 @@ class Network:
         uses ``O(log n)`` bits) while leaving room for the constant factors
         that the paper hides in Θ-notation.
     backend:
-        Transport backend: ``"batch"`` (default), ``"dict"``, ``"slot"`` or
-        ``"columnar"``.  All charge identical ledgers; ``"dict"`` keeps the
-        original message-at-a-time reference implementation, ``"slot"`` is
-        the CSR-routed large-n fast path, and ``"columnar"`` is the numpy
-        flat-array core, which also runs every similarity sweep as one
+        Transport backend: ``"columnar"`` (default) or ``"dict"``.  Both
+        charge identical ledgers; ``"dict"`` keeps the original
+        message-at-a-time reference implementation, and ``"columnar"`` is
+        the numpy fast path, which also runs every similarity sweep as one
         vectorized kernel.
     ledger:
         Ledger kind (``"records"`` / ``"counters"``) or a
@@ -90,13 +98,9 @@ class Network:
         repo-wide ``derive_seed`` chain so a fixed (seed, plan) pair
         reproduces byte-identically across backends and processes.
     shards:
-        Partition-parallel execution width (default 1 = everything in this
-        process).  Like ``backend``/``ledger`` this is a performance knob
-        with no observable effect on results: primitives that know how to
-        shard (the per-edge similarity sweep driving ACD/sparsity/detection
-        — see :mod:`repro.shard`) fan their compute over ``shards``
-        persistent workers, producing bit-identical outputs and charging the
-        identical ledger.
+        Accepted for compatibility with callers that pass ``shards=1``;
+        any other value raises :class:`ValueError`.  Execution is always
+        serial in this process.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer` observing this run.  The
         default is the shared :data:`~repro.obs.tracer.NULL_TRACER`, which
@@ -122,9 +126,7 @@ class Network:
     ):
         if mode not in ("congest", "local"):
             raise ValueError(f"unknown mode: {mode!r}")
-        if int(shards) < 1:
-            raise ValueError(f"shards must be >= 1, got {shards!r}")
-        self.shards = int(shards)
+        require_serial(shards)
         self.graph = graph
         self.bandwidth_factor = float(bandwidth_factor)
         if isinstance(backend, Transport):

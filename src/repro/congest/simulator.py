@@ -8,7 +8,6 @@ from typing import Any, Dict, Hashable, List, Optional
 from repro.congest.network import Network
 from repro.congest.node import NodeState
 from repro.congest.program import NodeProgram, ProgramContext
-from repro.congest.columnar.state import SlotMasks
 from repro.utils.rng import RngStream
 
 Node = Hashable
@@ -69,19 +68,9 @@ class Simulator:
     but the dict is only guaranteed to hold those messages *for the duration
     of the call*: a program that wants to keep an inbox across rounds must
     copy it.
-
-    ``slots`` optionally restricts the simulator to *own* only a contiguous
-    range of the topology's node indices: states, contexts, rngs and inboxes
-    are built (and ``init``/``step``/``finish`` run) for the owned slots only.
-    This is the seam the sharded execution layer (:mod:`repro.shard`) plugs
-    into — each shard worker drives one ``Simulator`` over its slice, with a
-    transport that delivers only to owned receivers.  With the default
-    ``slots=None`` the simulator owns every node and behaves exactly as
-    before.
     """
 
-    def __init__(self, network: Network, program: NodeProgram, seed: int = 0,
-                 slots: Optional[range] = None):
+    def __init__(self, network: Network, program: NodeProgram, seed: int = 0):
         self.network = network
         self.program = program
         self.rng_stream = RngStream(seed)
@@ -89,67 +78,31 @@ class Simulator:
         nodes = topology.nodes
         self._nodes = nodes
         self._slot_of = topology.node_index
-        if slots is None:
-            owned = range(len(nodes))
-        else:
-            if slots.step != 1 or slots.start < 0 or slots.stop > len(nodes):
-                raise ValueError(
-                    f"slots must be a unit-step range within [0, {len(nodes)}), "
-                    f"got {slots!r}"
-                )
-            owned = slots
-        self._owned = owned
-        # Slot-indexed lists span the full topology so global indices stay
-        # valid; entries outside the owned range are never populated.
-        self._state_list: List[Optional[NodeState]] = [None] * len(nodes)
-        self._context_list: List[Optional[ProgramContext]] = [None] * len(nodes)
-        self._inbox_list: List[Optional[Dict[Node, Any]]] = [None] * len(nodes)
-        for i in owned:
-            v = nodes[i]
-            state = NodeState(node=v)
-            self._state_list[i] = state
-            self._context_list[i] = ProgramContext(
+        self._state_list: List[NodeState] = [NodeState(node=v) for v in nodes]
+        self._context_list: List[ProgramContext] = [
+            ProgramContext(
                 network=network,
                 node=v,
                 state=state,
                 rng=self.rng_stream.for_node(v),
                 round_index=0,
             )
-            self._inbox_list[i] = {}
-        self.states: Dict[Node, NodeState] = {
-            nodes[i]: self._state_list[i] for i in owned
-        }
-        self._contexts: Dict[Node, ProgramContext] = {
-            nodes[i]: self._context_list[i] for i in owned
-        }
+            for v, state in zip(nodes, self._state_list)
+        ]
+        self._inbox_list: List[Dict[Node, Any]] = [{} for _ in nodes]
+        self.states: Dict[Node, NodeState] = dict(zip(nodes, self._state_list))
+        self._contexts: Dict[Node, ProgramContext] = dict(
+            zip(nodes, self._context_list)
+        )
         self._round_index = 0
         self._outgoing: Dict[tuple, Any] = {}
-        for i in owned:
-            self.program.init(self._context_list[i])
+        for ctx in self._context_list:
+            self.program.init(ctx)
         # Incremental active set: slots leave on halt (a program may already
         # halt in init), and are never rescanned.
         self._active: List[int] = [
-            i for i in owned if not self._state_list[i].halted
+            i for i, state in enumerate(self._state_list) if not state.halted
         ]
-        # Flat boolean liveness columns for array-level consumers (vectorized
-        # fault kernels, observability).  Observation only: NodeState.halted
-        # and the active list stay authoritative, and without numpy the
-        # masks are simply absent.
-        self.slot_masks = SlotMasks(len(nodes), owned) if SlotMasks.available() else None
-        if self.slot_masks is not None:
-            for i in owned:
-                if self._state_list[i].halted:
-                    self.slot_masks.halt(i)
-
-    @property
-    def has_active(self) -> bool:
-        """True while at least one owned node has not halted."""
-        return bool(self._active)
-
-    @property
-    def active_count(self) -> int:
-        """Number of owned nodes that have not halted."""
-        return len(self._active)
 
     def _context(self, node: Node) -> ProgramContext:
         ctx = self._contexts[node]
@@ -175,15 +128,11 @@ class Simulator:
         state_list = self._state_list
         slot_of = self._slot_of
         changed = False
-        masks = self.slot_masks
         for v in crashed:
             i = slot_of.get(v)
-            state = state_list[i] if i is not None else None
-            if state is not None and not state.halted:
-                state.halted = True
+            if i is not None and not state_list[i].halted:
+                state_list[i].halted = True
                 changed = True
-                if masks is not None:
-                    masks.crash(i)
         if changed:
             self._active = [i for i in self._active if not state_list[i].halted]
 
@@ -205,7 +154,7 @@ class Simulator:
         tracer = self.network.tracer
         if tracer.enabled:
             # Observation only: counts as of the round about to execute.
-            tracer.note_nodes(len(active), len(self._owned))
+            tracer.note_nodes(len(active), len(nodes))
         outgoing = self._outgoing
         outgoing.clear()
         for i in active:
@@ -224,17 +173,7 @@ class Simulator:
         )
         # Drop freshly-halted slots from the active set (no O(n) rescan), and
         # recycle every pooled inbox that was readable this round.
-        masks = self.slot_masks
-        if masks is None:
-            self._active = [i for i in active if not state_list[i].halted]
-        else:
-            still_active: List[int] = []
-            for i in active:
-                if state_list[i].halted:
-                    masks.halt(i)
-                else:
-                    still_active.append(i)
-            self._active = still_active
+        self._active = [i for i in active if not state_list[i].halted]
         for i in active:
             box = inbox_list[i]
             if box:
@@ -242,25 +181,21 @@ class Simulator:
         # Refill from this round's deliveries.  Mail for an already-halted
         # receiver is dropped: it could never be read (the node will not step
         # again), and leaving it would accrete stale entries in a pooled box.
-        # Mail for a slot outside the owned range is likewise dropped (it is
-        # some other shard's to deliver; a correctly-routed transport never
-        # produces it).
         slot_of = self._slot_of
         for (sender, receiver), payload in delivered.items():
             i = slot_of[receiver]
-            state = state_list[i]
-            if state is not None and not state.halted:
+            if not state_list[i].halted:
                 inbox_list[i][sender] = payload
         self._round_index += 1
         if tracer.wants_state:
             # Observation only: hash the post-step solver-visible state of
-            # every owned node (halted ones included — their frozen state is
-            # part of the global picture a digest must cover).
+            # every node (halted ones included — their frozen state is part
+            # of the global picture a digest must cover).
             tracer.note_state(self.state_digest_items())
         return bool(self._active)
 
     def state_digest_items(self):
-        """Yield ``(node, entry_hash, halted)`` for every owned node.
+        """Yield ``(node, entry_hash, halted)`` for every node.
 
         The forensics state-digest hook: entry hashes cover the canonical
         encoding of each node's full solver-visible surface — ``halted``,
@@ -269,36 +204,15 @@ class Simulator:
         """
         from repro.obs.forensics.digest import node_state_entry
 
-        nodes = self._nodes
-        state_list = self._state_list
-        for i in self._owned:
-            state = state_list[i]
-            yield (nodes[i], node_state_entry(nodes[i], state), state.halted)
-
-    def state_digest(self):
-        """Multiset digest ``(value, count)`` of all owned nodes' state."""
-        from repro.obs.forensics.digest import states_digest
-
-        return states_digest(self.states)
-
-    def finish_outputs(self) -> Dict[Node, Any]:
-        """Collect ``program.finish`` for every owned node, in slot order.
-
-        The one finish epilogue, shared by :meth:`run` and the sharded
-        workers (:mod:`repro.shard.sim`) so the two cannot drift.
-        """
-        nodes = self._nodes
-        return {
-            nodes[i]: self.program.finish(self._context(nodes[i]))
-            for i in self._owned
-        }
+        for v, state in zip(self._nodes, self._state_list):
+            yield (v, node_state_entry(v, state), state.halted)
 
     def run(self, max_rounds: int = 10_000, label: Optional[str] = None) -> SimulationResult:
         """Run until every node halts or ``max_rounds`` rounds have elapsed."""
         for _ in range(max_rounds):
             if not self.step(label=label):
                 break
-        outputs = self.finish_outputs()
+        outputs = {v: self.program.finish(self._context(v)) for v in self._nodes}
         return SimulationResult(
             rounds=self._round_index,
             outputs=outputs,

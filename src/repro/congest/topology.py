@@ -5,7 +5,7 @@ DESIGN.md): it is built once from a ``networkx`` graph and never mutated, so
 every view the transports and algorithms need — the node list, per-node
 neighbor sets, degrees, the contiguous node index — is computed once and
 cached.  The CSR arrays (``indptr``/``indices`` over the contiguous index)
-give later vectorized/sharded backends a dense representation to work from
+give the vectorized columnar backend a dense representation to work from
 without retraversing the ``networkx`` structure.
 """
 

@@ -5,20 +5,15 @@ edges, sizing payloads, enforcing the bandwidth budget, delivering messages
 and reporting the round to the ledger — on top of an immutable
 :class:`~repro.congest.topology.Topology`.  Two backends are provided:
 
-* :class:`DictTransport` processes one message at a time, exactly as the
-  original ``Network.exchange`` did: validate, size, budget-check and deliver
-  each entry in order.  It is the reference semantics.
-* :class:`BatchTransport` (the default) sizes payloads in bulk with a
-  per-round memo for repeated payload objects, defers the bandwidth check to
-  a single audit after sizing, and computes chunked-stream accounting
-  arithmetically instead of simulating every chunk round edge by edge.
-* :class:`SlotTransport` (``backend="slot"``) is the large-n fast path: it
-  routes broadcasts over the topology's CSR adjacency arrays (building the
-  per-receiver inboxes directly, without materialising a ``(sender,
-  receiver) -> payload`` dict of tuple keys first) and keeps one pooled
-  payload-sizing cache across rounds, keyed by payload identity and
-  invalidated at the start of every round (``id()`` keys are only stable
-  while the round's message mapping keeps the payloads alive).
+* :class:`DictTransport` (``backend="dict"``) processes one message at a
+  time, exactly as the original ``Network.exchange`` did: validate, size,
+  budget-check and deliver each entry in order.  It is the reference
+  semantics (the oracle).
+* :class:`~repro.congest.columnar.transport.ColumnarTransport`
+  (``backend="columnar"``, the default) is the fast path: bulk sizing with a
+  pooled per-round memo, a deferred budget audit, vectorized CSR broadcast
+  routing and chunked-round accounting, and the vectorized
+  ``EstimateSimilarity`` kernel.
 
 Broadcast inboxes from **both** backends are read-only views: silent nodes
 share one immutable empty mapping instead of each allocating a dict every
@@ -33,9 +28,8 @@ The cross-backend equivalence suite enforces this.
 
 from __future__ import annotations
 
-import math
 from types import MappingProxyType
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
 from repro.congest.bandwidth import payload_bits
 from repro.congest.errors import BandwidthExceeded, ProtocolError
@@ -53,7 +47,8 @@ EMPTY_INBOX: Mapping[Node, Any] = MappingProxyType({})
 def _memoized_bits(payload: Any, memo: Dict[int, int]) -> int:
     """Charge for ``payload``, memoized by object identity within one round.
 
-    The single sizing rule for every batched path (exchange and chunked):
+    The single sizing rule of the columnar path (exchange, broadcast and
+    chunked):
     a ``Message`` is charged its declared bits; anything else goes through
     :func:`payload_bits` once per distinct object (a broadcast reuses one
     payload object for all recipients).  Identity keys are safe because the
@@ -237,7 +232,7 @@ class DictTransport(Transport):
 
     This preserves the original ``Network.exchange`` semantics entry by
     entry — including the order in which violations are detected — and is
-    the backend the equivalence suite measures :class:`BatchTransport`
+    the oracle the equivalence suite measures the ``columnar`` backend
     against.
     """
 
@@ -285,223 +280,29 @@ class DictTransport(Transport):
         return self._inboxes(delivered)
 
 
-class BatchTransport(Transport):
-    """Fast backend: bulk sizing, deferred audit, shared inbox buffers.
-
-    The observable behavior (delivered payloads, ledger entries) matches
-    :class:`DictTransport` for every in-budget round.  On violating rounds
-    the *reported* error may differ: edges are validated inline but the
-    budget audit is deferred to the end of the round, so with several
-    violations in one round ``dict`` raises for the first offending entry in
-    iteration order while ``batch`` raises the edge error it hits first or a
-    :class:`BandwidthExceeded` for the largest payload.  Either way the round
-    is rejected before it is recorded.
-    """
-
-    name = "batch"
-
-    def _round_memo(self) -> Dict[int, int]:
-        """The payload-sizing memo for one round (a fresh dict per round).
-
-        :class:`SlotTransport` overrides this with a dict pooled across
-        rounds; everything else about sizing, auditing and recording is
-        shared, so a fix to the delivery path applies to both backends.
-        """
-        return {}
-
-    def _bad_edge(self, sender: Node, receiver: Node) -> None:
-        """Raise the same ProtocolError the reference backend would."""
-        if sender == receiver:
-            raise ProtocolError(f"node {sender!r} cannot message itself")
-        self.topology.neighbors(sender)  # raises for unknown sender
-        raise ProtocolError(
-            f"{sender!r} and {receiver!r} are not adjacent; CONGEST only "
-            "allows communication along edges"
-        )
-
-    def _deliver(self, messages: Mapping[DirectedEdge, Any], label: str,
-                 validate: bool) -> Dict[DirectedEdge, Any]:
-        neighbor_sets = self.topology.neighbor_sets
-        total_bits = 0
-        max_edge_bits = 0
-        worst_edge: Optional[DirectedEdge] = None
-        delivered: Dict[DirectedEdge, Any] = {}
-        size_memo = self._round_memo()
-        for edge, payload in messages.items():
-            if validate:
-                sender, receiver = edge
-                nbrs = neighbor_sets.get(sender)
-                if nbrs is None or receiver not in nbrs:
-                    self._bad_edge(sender, receiver)
-            bits = _memoized_bits(payload, size_memo)
-            delivered[edge] = payload.content if isinstance(payload, Message) else payload
-            total_bits += bits
-            if bits > max_edge_bits:
-                max_edge_bits = bits
-                worst_edge = edge
-        if (
-            self.mode == "congest"
-            and max_edge_bits > self.bandwidth_bits
-            and worst_edge is not None
-        ):
-            raise BandwidthExceeded(
-                worst_edge, max_edge_bits, self.bandwidth_bits, label
-            )
-        self.ledger.record_round(label, len(delivered), total_bits, max_edge_bits)
-        return delivered
-
-    def exchange(self, messages: Mapping[DirectedEdge, Any],
-                 label: str = "exchange") -> Dict[DirectedEdge, Any]:
-        return self._deliver(messages, label, validate=True)
-
-    def broadcast(
-        self,
-        values: Mapping[Node, Any],
-        label: str = "broadcast",
-        senders_only_to: Optional[Mapping[Node, Iterable[Node]]] = None,
-    ) -> Dict[Node, Mapping[Node, Any]]:
-        neighbors = self.topology.neighbors
-        messages: Dict[DirectedEdge, Any] = {}
-        for sender, payload in values.items():
-            nbrs = neighbors(sender)  # validates the sender exists
-            if senders_only_to is not None and sender in senders_only_to:
-                for receiver in senders_only_to[sender]:
-                    if receiver not in nbrs:
-                        raise ProtocolError(
-                            f"{sender!r} cannot broadcast to non-neighbour {receiver!r}"
-                        )
-                    messages[(sender, receiver)] = payload
-            else:
-                for receiver in nbrs:
-                    messages[(sender, receiver)] = payload
-        # Recipients were validated above, so delivery can skip edge checks.
-        delivered = self._deliver(messages, label, validate=False)
-        return self._inboxes(delivered)
-
-    def _sizes(self, messages: Mapping[DirectedEdge, Any]) -> Dict[DirectedEdge, int]:
-        size_memo = self._round_memo()
-        return {
-            edge: _memoized_bits(payload, size_memo)
-            for edge, payload in messages.items()
-        }
-
-
-class SlotTransport(BatchTransport):
-    """Large-n fast path: CSR-routed broadcast plus a pooled sizing cache.
-
-    Delivery and accounting are observably identical to the other backends
-    (the equivalence suite runs all three): same delivered payloads, same
-    inbox ordering (sender-major — each sender's recipients are appended
-    before the next sender's), same ledger rounds/counts/bits/maxima.  Two
-    mechanical differences:
-
-    * ``broadcast`` walks each sender's CSR neighbor slice and writes
-      straight into the per-receiver inboxes, so a broadcast round allocates
-      ``O(receivers)`` dicts instead of an ``O(messages)`` tuple-keyed dict
-      *plus* the inboxes;
-    * payload sizing uses one dict pooled across rounds (cleared per round —
-      the "generation" of an ``id()`` key is the round that computed it, and
-      a payload object is only guaranteed alive while its round's message
-      mapping holds it, so entries never survive into the next round).
-
-    On violating rounds the reported edge may differ from ``dict``/``batch``
-    (a broadcast's worst edge is found in CSR order rather than neighbor-set
-    iteration order); as with ``batch``, the round is rejected before it is
-    recorded.
-    """
-
-    name = "slot"
-
-    def __init__(self, topology: Topology, mode: str, bandwidth_bits: int,
-                 ledger: Ledger):
-        super().__init__(topology, mode, bandwidth_bits, ledger)
-        self._size_memo: Dict[int, int] = {}
-
-    def _round_memo(self) -> Dict[int, int]:
-        """The pooled sizing cache, invalidated (cleared) for a new round."""
-        memo = self._size_memo
-        memo.clear()
-        return memo
-
-    def broadcast(
-        self,
-        values: Mapping[Node, Any],
-        label: str = "broadcast",
-        senders_only_to: Optional[Mapping[Node, Iterable[Node]]] = None,
-    ) -> Dict[Node, Mapping[Node, Any]]:
-        topology = self.topology
-        if senders_only_to is not None:
-            # Restricted recipients are rare and per-sender small; the batch
-            # path (validated per recipient) already handles them well.
-            return super().broadcast(
-                values, label=label, senders_only_to=senders_only_to
-            )
-        nodes = topology.nodes
-        indptr = topology.indptr
-        indices = topology.indices
-        index_of = topology.node_index
-        inbox: Dict[Node, Mapping[Node, Any]] = dict.fromkeys(nodes, EMPTY_INBOX)
-        size_memo = self._round_memo()
-        message_count = 0
-        total_bits = 0
-        max_edge_bits = 0
-        worst_edge: Optional[DirectedEdge] = None
-        for sender, payload in values.items():
-            i = index_of.get(sender)
-            if i is None:
-                topology.neighbors(sender)  # raises the canonical ProtocolError
-            row = indices[indptr[i]:indptr[i + 1]]
-            if not row:
-                continue  # an isolated sender contributes no messages
-            bits = _memoized_bits(payload, size_memo)
-            content = payload.content if isinstance(payload, Message) else payload
-            message_count += len(row)
-            total_bits += bits * len(row)
-            if bits > max_edge_bits:
-                max_edge_bits = bits
-                worst_edge = (sender, nodes[row[0]])
-            for j in row:
-                receiver = nodes[j]
-                box = inbox[receiver]
-                if box is EMPTY_INBOX:
-                    box = {}
-                    inbox[receiver] = box
-                box[sender] = content
-        if (
-            self.mode == "congest"
-            and max_edge_bits > self.bandwidth_bits
-            and worst_edge is not None
-        ):
-            raise BandwidthExceeded(
-                worst_edge, max_edge_bits, self.bandwidth_bits, label
-            )
-        self.ledger.record_round(label, message_count, total_bits, max_edge_bits)
-        return inbox
-
-
-_TRANSPORT_KINDS = {
-    "dict": DictTransport,
-    "batch": BatchTransport,
-    "slot": SlotTransport,
-}
-
-#: Backends selectable via ``Network(backend=...)``.  ``columnar`` (the
-#: numpy flat-array sibling of ``slot``) is resolved lazily so this module —
-#: and every pure-Python backend — imports without numpy installed.
-TRANSPORT_BACKENDS: Tuple[str, ...] = tuple(sorted((*_TRANSPORT_KINDS, "columnar")))
+#: Backends selectable via ``Network(backend=...)``: the ``dict`` reference
+#: oracle and the ``columnar`` fast path.  The one list of backend names the
+#: CLI, the scenario specs and the benchmarks read.
+TRANSPORT_BACKENDS: Tuple[str, ...] = ("columnar", "dict")
 
 
 def _transport_class(backend):
+    if backend == "dict":
+        return DictTransport
     if backend == "columnar":
+        # Imported lazily: the columnar module subclasses Transport from here.
         from repro.congest.columnar.transport import ColumnarTransport
 
         return ColumnarTransport
-    return _TRANSPORT_KINDS[backend]
+    raise ValueError(
+        f"unknown transport backend: {backend!r} "
+        f"(expected one of {list(TRANSPORT_BACKENDS)})"
+    )
 
 
 def make_transport(backend, topology: Topology, mode: str, bandwidth_bits: int,
                    ledger: Ledger, faults=None, fault_seed: int = 0) -> Transport:
-    """Build a transport from a backend name (``dict``/``batch``/``slot``/``columnar``).
+    """Build a transport from a backend name (``columnar`` or ``dict``).
 
     ``faults`` optionally wraps the backend in a
     :class:`~repro.faults.transport.FaultyTransport` driven by a
@@ -528,13 +329,7 @@ def make_transport(backend, topology: Topology, mode: str, bandwidth_bits: int,
 
             return FaultyTransport(backend, plan, seed=fault_seed)
         return backend
-    try:
-        cls = _transport_class(backend)
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown transport backend: {backend!r} "
-            f"(expected one of {list(TRANSPORT_BACKENDS)})"
-        ) from None
+    cls = _transport_class(backend)
     if plan is None:
         return cls(topology, mode, bandwidth_bits, ledger)
     from repro.faults.transport import FaultyTransport

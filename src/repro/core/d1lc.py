@@ -25,7 +25,7 @@ from typing import Dict, Hashable, Iterable, Mapping, Optional
 
 import networkx as nx
 
-from repro.congest.network import Network
+from repro.congest.network import DEFAULT_BACKEND, Network, require_serial
 from repro.core.acd import compute_acd
 from repro.core.dense_phase import run_dense_phase
 from repro.core.params import ColoringParameters
@@ -67,19 +67,18 @@ def solve_instance(
     mode: str = "congest",
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
-    backend: str = "batch",
+    backend: str = DEFAULT_BACKEND,
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
-    shards: int = 1,
     tracer=None,
 ) -> ColoringResult:
     """Run the full D1LC pipeline on a prepared instance.
 
-    ``backend`` selects the transport engine (``"batch"`` / ``"dict"`` /
-    ``"slot"`` / ``"columnar"``) and
-    ``ledger`` the accounting depth (``"records"`` / ``"counters"``); both
-    choices change performance only, never the reported rounds or bits.
+    ``backend`` selects the transport engine (``"columnar"``, the default,
+    or the ``"dict"`` reference) and ``ledger`` the accounting depth
+    (``"records"`` / ``"counters"``); both choices change performance only,
+    never the reported rounds or bits.
 
     ``faults`` optionally perturbs delivery with a deterministic
     :class:`~repro.faults.plan.FaultPlan` (or a ``{"drop": 0.01}``-style
@@ -104,7 +103,6 @@ def solve_instance(
         ledger=ledger,
         faults=faults,
         fault_seed=params.seed if fault_seed is None else fault_seed,
-        shards=shards,
         tracer=tracer,
     )
     state = ColoringState(instance, network, params)
@@ -138,7 +136,7 @@ def solve_d1lc(
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
     color_space: Optional[ColorSpace] = None,
-    backend: str = "batch",
+    backend: str = DEFAULT_BACKEND,
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
@@ -150,8 +148,10 @@ def solve_d1lc(
     ``lists`` maps every node to its palette (at least ``d_v + 1`` colors); if
     omitted, the numeric D1C palettes ``{0..d_v}`` are used.  ``mode`` selects
     CONGEST (default) or LOCAL bandwidth accounting, ``backend`` the transport
-    engine (``"batch"`` / ``"dict"`` / ``"slot"`` / ``"columnar"``).
+    engine (``"columnar"`` / ``"dict"``).  ``shards`` must be 1 (see
+    :func:`~repro.congest.network.require_serial`).
     """
+    require_serial(shards)
     if lists is None:
         instance = ColoringInstance.d1c(graph)
     else:
@@ -159,7 +159,7 @@ def solve_d1lc(
     return solve_instance(
         instance, params=params, mode=mode, bandwidth_bits=bandwidth_bits,
         seed=seed, backend=backend, ledger=ledger, faults=faults,
-        fault_seed=fault_seed, shards=shards, tracer=tracer,
+        fault_seed=fault_seed, tracer=tracer,
     )
 
 
@@ -169,19 +169,19 @@ def solve_d1c(
     mode: str = "congest",
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
-    backend: str = "batch",
+    backend: str = DEFAULT_BACKEND,
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
     shards: int = 1,
     tracer=None,
 ) -> ColoringResult:
-    """Solve (deg+1)-coloring (Corollary 1)."""
+    """Solve (deg+1)-coloring (Corollary 1); ``shards`` must be 1."""
+    require_serial(shards)
     return solve_instance(
         ColoringInstance.d1c(graph), params=params, mode=mode,
         bandwidth_bits=bandwidth_bits, seed=seed, backend=backend,
-        ledger=ledger, faults=faults, fault_seed=fault_seed, shards=shards,
-        tracer=tracer,
+        ledger=ledger, faults=faults, fault_seed=fault_seed, tracer=tracer,
     )
 
 
@@ -191,17 +191,15 @@ def solve_delta_plus_one(
     mode: str = "congest",
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
-    backend: str = "batch",
+    backend: str = DEFAULT_BACKEND,
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
-    shards: int = 1,
     tracer=None,
 ) -> ColoringResult:
     """Solve (Δ+1)-coloring with the same pipeline."""
     return solve_instance(
         ColoringInstance.delta_plus_one(graph), params=params, mode=mode,
         bandwidth_bits=bandwidth_bits, seed=seed, backend=backend,
-        ledger=ledger, faults=faults, fault_seed=fault_seed, shards=shards,
-        tracer=tracer,
+        ledger=ledger, faults=faults, fault_seed=fault_seed, tracer=tracer,
     )

@@ -118,7 +118,7 @@ class ColoringResult:
     fault_stats: Optional[Dict[str, int]] = None
     #: Communication-volume breakdown read off the run's ledger: total
     #: message count plus per-phase bit/message totals (the label prefix
-    #: before ``":"``).  Deterministic across backends/ledgers/shards, like
+    #: before ``":"``).  Deterministic across backends and ledgers, like
     #: the headline ``total_bits``.
     total_messages: int = 0
     bits_by_phase: Dict[str, int] = field(default_factory=dict)

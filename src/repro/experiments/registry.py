@@ -19,13 +19,12 @@ executable trial:
   historical ``bench_e*`` scripts — scenarios tagged
   ``e09``/``e11``/``e12``/``e16`` are the exact points those benchmarks now
   resolve via :func:`get_suite`.  ``scale`` is the large-n workload
-  (n = 2 000 / 10 000 / 50 000) unlocked by the slot transport and the
-  slot-indexed simulation core; it runs single trials on the ``counters``
+  (n = 2 000 / 10 000 / 50 000); it runs single trials on the ``counters``
   ledger so wall-clock and memory stay bounded.  ``robustness`` sweeps the
   fault-intensity axis (:mod:`repro.faults`): drop/corruption rates, node
   crashes and bandwidth throttling across d1lc/d1c on three families.
-  ``massive`` is the partition-parallel workload (n up to 500 000 on
-  ``gnp_fast``/geometric/ring-of-cliques) driven with ``--shards N``.
+  ``massive`` is the very-large-n workload (n up to 500 000 on
+  ``gnp_fast``/geometric/ring-of-cliques).
 """
 
 from __future__ import annotations
@@ -269,7 +268,7 @@ def _solve_d1c(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
     result = solve_d1c(
         graph, params=_solver_params(spec, seed), mode=spec.mode,
         bandwidth_bits=spec.bandwidth_bits, backend=spec.backend,
-        ledger=spec.ledger, shards=spec.shards, tracer=tracer,
+        ledger=spec.ledger, tracer=tracer,
         **_fault_kwargs(spec, seed),
     )
     return _coloring_metrics(result, graph)
@@ -281,7 +280,7 @@ def _solve_d1lc(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
     result = solve_d1lc(
         graph, lists, params=_solver_params(spec, seed), mode=spec.mode,
         bandwidth_bits=spec.bandwidth_bits, backend=spec.backend,
-        ledger=spec.ledger, shards=spec.shards, tracer=tracer,
+        ledger=spec.ledger, tracer=tracer,
         **_fault_kwargs(spec, seed),
     )
     return _coloring_metrics(result, graph)
@@ -292,7 +291,7 @@ def _solve_delta_plus_one(spec: ScenarioSpec, graph: nx.Graph, truth,
     result = solve_delta_plus_one(
         graph, params=_solver_params(spec, seed), mode=spec.mode,
         bandwidth_bits=spec.bandwidth_bits, backend=spec.backend,
-        ledger=spec.ledger, shards=spec.shards, tracer=tracer,
+        ledger=spec.ledger, tracer=tracer,
         **_fault_kwargs(spec, seed),
     )
     return _coloring_metrics(result, graph)
@@ -302,7 +301,7 @@ def _solve_johansson(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
                      tracer=None):
     result = johansson_coloring(
         graph, mode=spec.mode, seed=seed, backend=spec.backend,
-        ledger=spec.ledger, shards=spec.shards, tracer=tracer,
+        ledger=spec.ledger, tracer=tracer,
         **_fault_kwargs(spec, seed),
     )
     return _coloring_metrics(result, graph)
@@ -312,8 +311,8 @@ def _solve_acd(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
                tracer=None):
     network = Network(
         graph, mode=spec.mode, bandwidth_bits=spec.bandwidth_bits,
-        backend=spec.backend, ledger=spec.ledger, shards=spec.shards,
-        tracer=tracer, **_fault_kwargs(spec, seed),
+        backend=spec.backend, ledger=spec.ledger, tracer=tracer,
+        **_fault_kwargs(spec, seed),
     )
     params = ColoringParameters.small(seed=seed)
     variant = spec.solver_params.get("variant", "hashed")
@@ -351,8 +350,8 @@ def _solve_multitrial(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
     instance = ColoringInstance.d1lc(graph, lists)
     network = Network(
         graph, mode=spec.mode, bandwidth_bits=spec.bandwidth_bits,
-        backend=spec.backend, ledger=spec.ledger, shards=spec.shards,
-        tracer=tracer, **_fault_kwargs(spec, seed),
+        backend=spec.backend, ledger=spec.ledger, tracer=tracer,
+        **_fault_kwargs(spec, seed),
     )
     state = ColoringState(instance, network, ColoringParameters.small(seed=seed))
     if variant == "hashed":
@@ -385,8 +384,8 @@ def _solve_triangles(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
                      tracer=None):
     network = Network(
         graph, mode=spec.mode, bandwidth_bits=spec.bandwidth_bits,
-        backend=spec.backend, ledger=spec.ledger, shards=spec.shards,
-        tracer=tracer, **_fault_kwargs(spec, seed),
+        backend=spec.backend, ledger=spec.ledger, tracer=tracer,
+        **_fault_kwargs(spec, seed),
     )
     eps = float(spec.solver_params.get("eps", 0.3))
     result = detect_triangle_rich_edges(network, eps=eps, seed=seed)
@@ -416,8 +415,8 @@ def _solve_four_cycles(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
                        tracer=None):
     network = Network(
         graph, mode=spec.mode, bandwidth_bits=spec.bandwidth_bits,
-        backend=spec.backend, ledger=spec.ledger, shards=spec.shards,
-        tracer=tracer, **_fault_kwargs(spec, seed),
+        backend=spec.backend, ledger=spec.ledger, tracer=tracer,
+        **_fault_kwargs(spec, seed),
     )
     eps = float(spec.solver_params.get("eps", 0.3))
     result = detect_four_cycle_rich_pairs(network, eps=eps, seed=seed)
@@ -717,17 +716,13 @@ def _robustness_suite() -> List[ScenarioSpec]:
 
 
 def _massive_suite() -> List[ScenarioSpec]:
-    """Partition-parallel large-n workload: n = 50 000 / 200 000 / 500 000.
+    """Very-large-n workload: n = 50 000 / 200 000 / 500 000.
 
     Three scalable families (``gnp_fast`` — the sparse-time G(n, p) sampler,
-    geometric, ring-of-cliques) under the D1LC and D1C solvers.  The
-    ``massive-smoke`` tier (n = 50 000) is what CI and
-    ``benchmarks/bench_massive.py --smoke`` run; the n = 200 000 / 500 000
-    points are the headline sharded-vs-serial workload (single trials,
-    ``counters`` ledger).  Run with ``--shards N`` to fan the per-edge
-    similarity sweeps over shard workers — aggregates are byte-identical to
-    serial for any count, which is exactly what ``bench_massive`` asserts
-    while it times the two.  Geometric radii target average degree ≈ 8
+    geometric, ring-of-cliques) under the D1LC and D1C solvers, as single
+    trials on the ``counters`` ledger.  CI runs the
+    ``massive-gnp-n50000-d1c`` point of the ``massive-smoke`` tier
+    (n = 50 000).  Geometric radii target average degree ≈ 8
     (``r = sqrt(8 / (π n))``) so the sweeps stay linear in m.
     """
     return [
@@ -814,8 +809,6 @@ def validate_spec(spec: ScenarioSpec) -> None:
         raise ValueError(f"{spec.name}: unknown mode {spec.mode!r}")
     if spec.trials < 1:
         raise ValueError(f"{spec.name}: trials must be >= 1")
-    if int(spec.shards) < 1:
-        raise ValueError(f"{spec.name}: shards must be >= 1")
     if spec.bandwidth_bits is not None and int(spec.bandwidth_bits) < 1:
         raise ValueError(f"{spec.name}: bandwidth_bits must be >= 1 or None")
     # Param-key validation normally runs at construction; re-check here so

@@ -380,7 +380,6 @@ def run_suite(
     profile_dir: Optional[Path] = None,
     seed: Optional[int] = None,
     faults: Optional[Mapping[str, object]] = None,
-    shards: Optional[int] = None,
     trace_dir: Optional[Path] = None,
     digest_dir: Optional[Path] = None,
 ) -> SuiteResult:
@@ -409,10 +408,6 @@ def run_suite(
     specs = select_scenarios(name, only)
     if backend is not None:
         specs = [replace(spec, backend=backend) for spec in specs]
-    if shards is not None:
-        # A performance-only knob like backend: byte-identical aggregates
-        # for any value (the CI shard-smoke job gates exactly this).
-        specs = [replace(spec, shards=int(shards)) for spec in specs]
     if trials is not None:
         specs = [replace(spec, trials=trials) for spec in specs]
     if faults is not None:

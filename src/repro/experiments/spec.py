@@ -22,11 +22,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
 
+from repro.congest.network import DEFAULT_BACKEND
+from repro.congest.transport import TRANSPORT_BACKENDS as BACKENDS  # noqa: F401
 from repro.utils.rng import derive_seed  # noqa: F401  (re-exported: the
 # seed-derivation chain now lives with the other deterministic-rng utilities
 # so the fault layer can share it without depending on the experiments layer)
 
-BACKENDS = ("batch", "columnar", "dict", "slot")
 LEDGERS = ("records", "counters")
 MODES = ("congest", "local")
 
@@ -59,7 +60,7 @@ class ScenarioSpec:
     solver: str
     family_params: Mapping[str, object] = field(default_factory=dict)
     solver_params: Mapping[str, object] = field(default_factory=dict)
-    backend: str = "batch"
+    backend: str = DEFAULT_BACKEND
     ledger: str = "counters"
     mode: str = "congest"
     bandwidth_bits: object = None  # Optional[int]
@@ -67,11 +68,6 @@ class ScenarioSpec:
     seed: int = 0
     tags: Tuple[str, ...] = ()
     faults: Mapping[str, object] = field(default_factory=dict)
-    #: Partition-parallel execution width — a performance knob exactly like
-    #: ``backend``/``ledger``: it does not feed the seed derivation and does
-    #: not appear in aggregate artifacts, so a sharded run must (and, tested,
-    #: does) produce byte-identical aggregates to a serial one.
-    shards: int = 1
 
     def __post_init__(self):
         # Imported lazily — the registry imports this module at load time.

@@ -1,6 +1,6 @@
 """A transport decorator that perturbs delivery deterministically.
 
-:class:`FaultyTransport` wraps any concrete backend (dict / batch / slot)
+:class:`FaultyTransport` wraps either concrete backend (dict / columnar)
 behind the same :class:`~repro.congest.transport.Transport` interface and
 applies a :class:`~repro.faults.plan.FaultPlan` to every communication
 primitive.  Design invariants (enforced by the fault-layer test suite):
@@ -11,7 +11,7 @@ primitive.  Design invariants (enforced by the fault-layer test suite):
   wrapped round is materialised as one per-edge message mapping and handed
   to the inner backend's ``exchange``, whose ledger records are already
   proven identical across backends, so a fixed (seed, plan) pair yields
-  byte-identical ledgers, inboxes and stats on dict, batch and slot.
+  byte-identical ledgers, inboxes and stats on dict and columnar.
 * **Failures are absences, not exceptions.**  A dropped, crashed-away or
   still-delayed message is simply missing from the result mapping / inbox;
   programs never see a fault-layer exception.  Protocol violations (illegal

@@ -208,9 +208,9 @@ class RepresentativeHashFamily:
         """The mixed seed members are derived from.
 
         ``RepresentativeHashFunction(family_seed, index, lam)`` rebuilds
-        ``member(index)`` exactly — the identity the sharded similarity
-        sweep uses to reconstruct members inside compute workers without
-        shipping the family object.
+        ``member(index)`` exactly — the identity the columnar similarity
+        kernel uses to evaluate every edge's member as flat array arithmetic
+        instead of building member objects.
         """
         return self._seed
 

@@ -299,7 +299,7 @@ def comm_row_metrics(network, prefix_split: str = ":") -> Dict[str, object]:
     layer on top of them) treat as first-class communication metrics.  Both
     ledgers support the per-label folds, so the columns are available on
     ``records`` and ``counters`` runs alike and are byte-identical across
-    backends, shard counts and ledgers.
+    backends and ledgers.
     """
     ledger = network.ledger
     nodes = max(1, network.number_of_nodes)

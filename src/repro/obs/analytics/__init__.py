@@ -1,14 +1,14 @@
 """repro.obs.analytics — performance intelligence over traces & aggregates.
 
 Pure post-hoc reductions of the artifacts PR 6 introduced (``TRACE_*.jsonl``
-event streams, ``BENCH_*.json`` aggregates): comm-volume and shard-balance
-summaries, reference-curve fitting with the comm regression gate, the
+event streams, ``BENCH_*.json`` aggregates): comm-volume summaries and
+resource series, reference-curve fitting with the comm regression gate, the
 append-only run-history registry, and the static HTML report renderer.
 Nothing here touches a live run — the observation-only contract extends to
 analytics by construction (see DESIGN.md, "Analytics invariants").
 """
 
-from repro.obs.analytics.comm import rss_series, shard_balance
+from repro.obs.analytics.comm import rss_series
 from repro.obs.analytics.curves import (
     COMM_FILENAME,
     COMM_SCHEMA,
@@ -66,7 +66,6 @@ __all__ = [
     "render_report",
     "rss_series",
     "run_record",
-    "shard_balance",
     "suite_overview_rows",
     "trend_rows",
 ]

@@ -1,4 +1,4 @@
-"""Trace-side communication analytics: shard balance and resource series.
+"""Trace-side analytics: the resource series of a round trace.
 
 These helpers read the *trace* (the ``TRACE_*.jsonl`` event stream written
 by :class:`~repro.obs.tracer.RoundTracer`), never the live network — they
@@ -8,61 +8,7 @@ construction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-
-def shard_balance(
-    events: Sequence[Mapping[str, object]],
-) -> Optional[Dict[str, object]]:
-    """Per-shard load split of a sharded trace, or ``None`` when serial.
-
-    Folds every round event carrying ``shards`` triples into per-shard
-    message/bit totals and reports the balance metrics the ROADMAP asks
-    for:
-
-    * ``imbalance_ratio`` — max shard bits over mean shard bits (1.0 is a
-      perfect split; 2.0 means the hottest shard carried twice its share);
-    * ``cut_fraction`` — shard-boundary messages relayed by the coordinator
-      over all messages of the sharded rounds (0.0 means the partition cut
-      no traffic).
-    """
-    shard_messages: List[int] = []
-    shard_bits: List[int] = []
-    sharded_rounds = 0
-    cut_messages = 0
-    total_messages = 0
-    for event in events:
-        if event.get("type") != "round":
-            continue
-        shards = event.get("shards")
-        if not shards:
-            continue
-        sharded_rounds += 1
-        cut_messages += int(event.get("cut_messages", 0))
-        total_messages += int(event.get("messages", 0))
-        if len(shard_messages) < len(shards):
-            grow = len(shards) - len(shard_messages)
-            shard_messages.extend([0] * grow)
-            shard_bits.extend([0] * grow)
-        for i, stats in enumerate(shards):
-            shard_messages[i] += int(stats[0])
-            shard_bits[i] += int(stats[1])
-    if not sharded_rounds:
-        return None
-    mean_bits = sum(shard_bits) / len(shard_bits)
-    return {
-        "shards": len(shard_bits),
-        "sharded_rounds": sharded_rounds,
-        "shard_messages": shard_messages,
-        "shard_bits": shard_bits,
-        "imbalance_ratio": round(
-            (max(shard_bits) / mean_bits) if mean_bits else 1.0, 4
-        ),
-        "cut_messages": cut_messages,
-        "cut_fraction": round(
-            (cut_messages / total_messages) if total_messages else 0.0, 4
-        ),
-    }
+from typing import List, Mapping, Sequence, Tuple
 
 
 def rss_series(

@@ -47,16 +47,12 @@ def aggregate_digest(summary: Mapping[str, object]) -> str:
 
 def environment_provenance() -> Dict[str, object]:
     """The machine/toolchain facts a regression hunt needs to rule out."""
-    try:
-        import numpy
+    import numpy
 
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "platform": sys.platform,
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
@@ -72,7 +68,7 @@ def run_record(
 ) -> Dict[str, object]:
     """Build one registry record from a run's aggregate (+ optional timing).
 
-    ``knobs`` carries the perf-only execution parameters (backend, shards,
+    ``knobs`` carries the perf-only execution parameters (backend,
     workers, ledger) that the deterministic aggregate deliberately omits —
     here they are exactly the provenance a trend reader wants.
     ``digest_dir`` records where the run wrote its ``DIGEST_*.jsonl``
@@ -153,7 +149,7 @@ def localize_digest_change(
     """Align two runs' stored ``DIGEST_*.jsonl`` streams, per scenario.
 
     Upgrades the bare "aggregate digest changed" trend finding into
-    per-scenario (round, phase, shard) localizations via the forensics
+    per-scenario (round, phase) localizations via the forensics
     aligner.  Every obstacle — no recorded ``digest_dir``, both runs
     overwriting the same directory, a stream file missing or unreadable —
     degrades to an ``info`` finding rather than an error: trend reporting

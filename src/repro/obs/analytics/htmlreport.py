@@ -4,7 +4,7 @@
 inline CSS, inline SVG, no scripts to fetch — so the artifact can be
 attached to CI runs and opened anywhere.  Charts follow one discipline:
 
-* every chart is single-series (magnitude per phase / shard / time), drawn
+* every chart is single-series (magnitude per phase / time), drawn
   in one categorical hue with light/dark values swapped via CSS custom
   properties and ``prefers-color-scheme``;
 * values, labels and legends wear text ink, never the series color; each
@@ -18,7 +18,7 @@ from __future__ import annotations
 from html import escape
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.analytics.comm import rss_series, shard_balance
+from repro.obs.analytics.comm import rss_series
 from repro.obs.summary import TraceSummary, summarize_trace, timeline_rows
 
 #: Chart geometry: fixed-width SVGs that scale down via max-width CSS.
@@ -233,20 +233,6 @@ def _trace_section(name: str, events: Sequence[Mapping[str, object]]) -> str:
     if len(rss) >= 2:
         parts.append("<h3>resident set over the run</h3>")
         parts.append(line_chart(rss, f"{name}: RSS", "wall s", "MiB"))
-    balance = shard_balance(events)
-    if balance:
-        parts.append("<h3>shard balance</h3>")
-        parts.append(
-            f"<p class='meta'>imbalance ratio "
-            f"{_fmt(balance['imbalance_ratio'])}, cut fraction "
-            f"{_fmt(balance['cut_fraction'])} over "
-            f"{_fmt(balance['sharded_rounds'])} sharded rounds</p>"
-        )
-        shard_bits: List[int] = balance["shard_bits"]
-        parts.append(bar_chart(
-            [(f"shard {i}", float(b)) for i, b in enumerate(shard_bits)],
-            f"{name}: bits by shard", unit="bits",
-        ))
     return "".join(parts)
 
 

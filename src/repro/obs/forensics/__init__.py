@@ -3,7 +3,7 @@
 Chained per-round state digests (:class:`DigestTracer` on the PR 6 tracer
 seam), byte-reproducible ``DIGEST_<scenario>.jsonl`` artifacts, and the
 ``repro diff`` debugger that aligns two digest streams, localizes the first
-divergent (round, phase, shard), and bisects to the first divergent node
+divergent (round, phase), and bisects to the first divergent node
 via a round-windowed fine mode.
 
 Observation-only, like the rest of :mod:`repro.obs`: no RNG consumed, no
@@ -36,12 +36,8 @@ from repro.obs.forensics.digest import (
     canonical_bytes,
     hex16,
     payload_hash,
-    states_digest,
 )
-from repro.obs.forensics.tracer import (
-    DigestTracer,
-    ShardDigestCollector,
-)
+from repro.obs.forensics.tracer import DigestTracer
 
 __all__ = [
     "BisectReport",
@@ -53,7 +49,6 @@ __all__ = [
     "Divergence",
     "FineDivergence",
     "MultisetDigest",
-    "ShardDigestCollector",
     "bisect_divergence",
     "canonical_bytes",
     "digest_filename",
@@ -66,6 +61,5 @@ __all__ = [
     "spec_from_payload",
     "spec_payload",
     "split_trials",
-    "states_digest",
     "write_digests",
 ]

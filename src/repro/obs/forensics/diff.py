@@ -5,19 +5,18 @@ Three layers, each built on the one below:
 * :func:`first_divergence` — align two ``DIGEST_*.jsonl`` event lists
   trial by trial and round by round (the chain makes prefix equality a
   single comparison per round) and report the first divergent
-  (round, phase, shard) with per-component attribution: inbox bytes,
+  (round, phase) with per-component attribution: inbox bytes,
   ledger counters, liveness, solver state, or round structure.
 * :func:`bisect_divergence` — re-run both sides' trials in *fine* mode
-  over a window around the divergent round (serial, default backend —
-  valid because the digest chain is pinned equal across backends and
-  shard counts) and name the first divergent node and which component
-  diverged first for it.
+  over a window around the divergent round (default backend — valid
+  because the digest chain is pinned equal across backends) and name the
+  first divergent node and which component diverged first for it.
 * ``repro diff`` / ``repro report trend`` (:mod:`repro.cli`,
   :mod:`repro.obs.analytics.history`) — the user-facing surfaces.
 
 The bisection re-run is possible because every digest header embeds the
 scenario spec's workload fields (:func:`spec_payload`); performance knobs
-(backend/ledger/shards) are deliberately absent and default on re-run.
+(backend/ledger) are deliberately absent and default on re-run.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ def spec_payload(spec) -> Dict[str, Any]:
     """JSON-safe embedding of a spec's workload fields for digest headers.
 
     Everything the seed derivation and the solvers read — and nothing the
-    byte-identity contract says must not matter (backend, ledger, shards,
+    byte-identity contract says must not matter (backend, ledger,
     trial-worker count).  Fault plans embed via their canonical encoding,
     which is JSON-round-trip stable by design.
     """
@@ -63,8 +62,8 @@ def spec_payload(spec) -> Dict[str, Any]:
 def spec_from_payload(payload: Mapping[str, Any]):
     """Rebuild a runnable :class:`ScenarioSpec` from an embedded payload.
 
-    Performance knobs revert to their defaults (serial batch backend) —
-    legitimate, because the digest chain is backend- and shard-neutral.
+    Performance knobs revert to their defaults (the columnar backend) —
+    legitimate, because the digest chain is backend-neutral.
     Node identifiers survive only if they are JSON-native (int/str); every
     in-repo graph family uses int nodes.
     """
@@ -131,7 +130,6 @@ class Divergence:
     round: Optional[int] = None
     phase: Optional[str] = None
     label: Optional[str] = None
-    shard: Optional[int] = None
     detail: str = ""
 
     def as_dict(self) -> Dict[str, Any]:
@@ -142,7 +140,7 @@ class Divergence:
             "components": list(self.components),
             "detail": self.detail,
         }
-        for key in ("round", "phase", "label", "shard"):
+        for key in ("round", "phase", "label"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -190,19 +188,6 @@ def _round_components(
             f"{round_b.get('state')}/{round_b.get('state_n')}"
         )
     return components, details
-
-
-def _divergent_shard(
-    round_a: Mapping[str, Any], round_b: Mapping[str, Any]
-) -> Optional[int]:
-    shards_a = round_a.get("shards")
-    shards_b = round_b.get("shards")
-    if (isinstance(shards_a, list) and isinstance(shards_b, list)
-            and len(shards_a) == len(shards_b)):
-        for index, (part_a, part_b) in enumerate(zip(shards_a, shards_b)):
-            if part_a != part_b:
-                return index
-    return None
 
 
 #: Header fields that must match for two streams to be alignable at all.
@@ -277,7 +262,6 @@ def first_divergence(
                 component=primary, components=tuple(components),
                 round=round_a.get("round"), phase=round_a.get("phase"),
                 label=round_a.get("label"),
-                shard=_divergent_shard(round_a, round_b),
                 detail="; ".join(context + details),
             )
         if len(rounds_a) != len(rounds_b):
@@ -314,8 +298,6 @@ def render_divergence(div: Optional[Divergence]) -> str:
     where = f"round {div.round}"
     if div.phase:
         where += f", phase {div.phase!r}"
-    if div.shard is not None:
-        where += f", shard {div.shard}"
     lines = [
         f"{div.scenario} trial {div.trial}: first divergence at {where} "
         f"(label {div.label!r})",

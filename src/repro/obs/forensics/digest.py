@@ -10,11 +10,9 @@ properties carry the whole subsystem:
   it.
 * **Commutative multisets.** Per-round digests are *multiset* sums
   (64-bit wrapping sum of per-entry hashes, plus a count), not order-folded
-  chains.  The dict, batch, slot and columnar backends deliver the same
-  messages in different iteration orders, and shard workers each see only
-  their slice — a commutative accumulator makes the per-round digest
-  independent of delivery order and lets per-shard partial sums merge into
-  exactly the serial global sum.
+  chains.  The dict and columnar backends deliver the same messages in
+  different iteration orders — a commutative accumulator makes the
+  per-round digest independent of delivery order.
 
 The only order-sensitive fold is the *chain* (:func:`fold_chain`), which
 links the per-round summaries into one tamper-evident running digest; the
@@ -32,12 +30,9 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.hashing.keys import _MASK64, MIX64_INIT, element_key, mix64, mix64_step
+import numpy as np
 
-try:  # pragma: no cover - exercised only when numpy is absent
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+from repro.hashing.keys import _MASK64, MIX64_INIT, element_key, mix64, mix64_step
 
 Node = Hashable
 
@@ -177,13 +172,12 @@ def delivery_entry_hashes(
     (sender, receiver) orientation, so an exchange and the broadcast that
     delivers identical bytes produce identical entries.
 
-    When numpy is available and every payload is a plain uint64-range int,
-    the whole batch runs through the pinned uint64 kernel twins.
+    When every payload is a plain uint64-range int, the whole batch runs
+    through the pinned uint64 kernel twins.
     """
     count = len(payloads)
     if (
-        np is not None
-        and count >= _VECTOR_MIN
+        count >= _VECTOR_MIN
         and all(type(p) is int and 0 <= p <= _MASK64 for p in payloads)
     ):
         from repro.congest.columnar.kernels import (
@@ -253,10 +247,8 @@ def node_state_entry(node: Node, state: Any) -> int:
 class MultisetDigest:
     """Commutative digest: wrapping 64-bit sum of entry hashes + count.
 
-    Order-independent and mergeable: the sum of per-shard accumulators over
-    a partition of the entries equals the serial accumulator over all of
-    them, which is exactly the shard-merge contract the coordinator relies
-    on.
+    Order-independent: any delivery order of the same entries yields the
+    same ``(value, count)``.
     """
 
     __slots__ = ("value", "count")
@@ -278,11 +270,6 @@ class MultisetDigest:
         self.value = total & _MASK64
         self.count = count
 
-    def merge(self, value: int, count: int) -> None:
-        """Fold another accumulator's (value, count) into this one."""
-        self.value = (self.value + value) & _MASK64
-        self.count += count
-
     def snapshot(self) -> Tuple[int, int]:
         return (self.value, self.count)
 
@@ -300,25 +287,6 @@ def fold_chain(chain: int, *values: int) -> int:
     for value in values:
         acc = mix64_step(acc, value)
     return acc
-
-
-def states_digest(states: Mapping[Node, Any]) -> Tuple[int, int]:
-    """Multiset digest (value, count) over a mapping of final node states.
-
-    Uses the same per-node entries as the per-round state digest, so the
-    digest of :attr:`Simulator.states` after a run matches the state
-    component of the final recorded round when no node mutates afterwards.
-    """
-    acc = MultisetDigest()
-    acc.add_many(
-        node_state_entry(node, state) for node, state in states.items()
-    )
-    return acc.snapshot()
-
-
-def inbox_count(inboxes: Mapping[Node, Mapping[Node, Any]]) -> int:
-    """Total delivered messages across a broadcast inbox mapping."""
-    return sum(len(box) for box in inboxes.values())
 
 
 def flatten_inboxes(
@@ -358,27 +326,3 @@ def flatten_exchange(
 def label_key(label: str) -> int:
     """Stable 64-bit key of a round label for the chain fold."""
     return element_key(label)
-
-
-def merge_shard_parts(
-    parts: Sequence[Tuple[int, int, int, int, int]]
-) -> Dict[str, int]:
-    """Merge per-shard (payload_sum, payload_n, state_sum, state_n, halted).
-
-    Pure sum-merge — shard order does not matter, which is what makes the
-    sharded chain equal to the serial one.
-    """
-    payload = MultisetDigest()
-    state = MultisetDigest()
-    halted = 0
-    for payload_sum, payload_n, state_sum, state_n, shard_halted in parts:
-        payload.merge(payload_sum, payload_n)
-        state.merge(state_sum, state_n)
-        halted += shard_halted
-    return {
-        "payload_sum": payload.value,
-        "payload_n": payload.count,
-        "state_sum": state.value,
-        "state_n": state.count,
-        "halted": halted,
-    }

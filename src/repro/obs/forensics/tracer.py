@@ -10,17 +10,12 @@ protocol and folds, per recorded round, a chained digest over
 * the ledger's round counters (messages, bits, per-edge maximum),
 
 using the commutative multiset accumulators of
-:mod:`repro.obs.forensics.digest`.  The stream is **backend- and
-shard-neutral by construction**: multiset sums ignore delivery order, shard
-partial sums merge to the serial global sum, and the header deliberately
-omits backend/ledger/shard knobs — so two runs of the same workload produce
-byte-identical ``DIGEST_*.jsonl`` streams across dict/batch/slot/columnar
-and trial-worker counts.  A sharded run additionally records per-shard
-sub-digest context in its round events (that is what localizes a divergence
-to a shard), so its stream is not byte-equal to a serial one — but its
-``chain`` values and final digest are, which is the shard-determinism
-contract in digest form.  That is what makes a digest diff a *divergence*
-signal rather than a configuration echo.
+:mod:`repro.obs.forensics.digest`.  The stream is **backend-neutral by
+construction**: multiset sums ignore delivery order and the header
+deliberately omits backend/ledger knobs — so two runs of the same workload
+produce byte-identical ``DIGEST_*.jsonl`` streams on dict and columnar and
+for any trial-worker count.  That is what makes a digest diff a
+*divergence* signal rather than a configuration echo.
 
 Observation-only, like every tracer: no RNG is consumed, nothing is
 mutated, and no wall-clock readings are taken (a digest stream must be
@@ -46,7 +41,6 @@ from repro.obs.forensics.digest import (
     fold_chain,
     hex16,
     label_key,
-    node_state_entry,
     value_entry_hash,
 )
 from repro.obs.tracer import (
@@ -54,11 +48,6 @@ from repro.obs.tracer import (
     add_round_observer,
     remove_round_observer,
 )
-
-#: One shard's round contribution:
-#: (payload_sum, payload_n, state_sum, state_n, halted).
-ShardDigestPart = Tuple[int, int, int, int, int]
-
 
 class DigestTracer(Tracer):
     """Fold a chained determinism digest over every recorded round.
@@ -68,7 +57,7 @@ class DigestTracer(Tracer):
     meta:
         Extra key/value pairs merged into the header event (scenario name,
         trial index, embedded scenario spec for the bisection re-run, ...).
-        Keep perf knobs (backend, shard count, worker count) out of it —
+        Keep perf knobs (backend, ledger, worker count) out of it —
         the stream's value is that those must *not* change it.
     fine_rounds:
         Optional inclusive ``(lo, hi)`` round window; rounds inside it emit
@@ -80,9 +69,8 @@ class DigestTracer(Tracer):
       plan, plus ``meta``.
     * ``round`` — ``round`` (1-based ledger index), ``label``, ``phase``,
       the ledger counters, ``payload`` (multiset hex) + ``payload_n``,
-      ``state``/``state_n``/``halted`` when state was observed, per-shard
-      sub-digests when sharded, and ``chain`` — the running chained digest
-      through this round.
+      ``state``/``state_n``/``halted`` when state was observed, and
+      ``chain`` — the running chained digest through this round.
     * ``fine`` — per-receiver ``inbox`` digests and per-node ``state`` /
       ``halted`` maps for one in-window round (keys are ``repr(node)``).
     * ``end`` — final ledger aggregates and the final ``chain``.
@@ -124,7 +112,7 @@ class DigestTracer(Tracer):
             raise RuntimeError("tracer is closed; build a fresh one per run")
         self._network = network
         add_round_observer(network.ledger, self._on_round)
-        # No backend/ledger/shard fields: the digest stream must be
+        # No backend/ledger fields: the digest stream must be
         # byte-identical across them (that equivalence is the product).
         header: Dict[str, Any] = {
             "type": "header",
@@ -166,9 +154,9 @@ class DigestTracer(Tracer):
         """The running chain as hex — the run's ``state_digest`` once closed."""
         return hex16(self._chain)
 
-    # note_nodes stays the inherited no-op on purpose: serial drivers report
-    # pre-round active counts and the shard coordinator post-round ones, and
-    # the digest stream must not echo that driver difference.
+    # note_nodes stays the inherited no-op on purpose: active counts are
+    # driver context, not run identity (liveness reaches the chain through
+    # the halted set of the state digest).
 
     def _fine_active(self) -> bool:
         if self.fine_rounds is None or self._pending is None:
@@ -225,21 +213,6 @@ class DigestTracer(Tracer):
         self._halted = halted
         self._state_seen = True
 
-    def note_shard_digests(self, parts: Sequence[ShardDigestPart]) -> None:
-        context: List[List[Any]] = []
-        for payload_sum, payload_n, state_sum, state_n, halted in parts:
-            self._payload.merge(payload_sum, payload_n)
-            self._state.merge(state_sum, state_n)
-            self._halted += halted
-            if state_n:
-                self._state_seen = True
-            context.append(
-                [hex16(payload_sum), payload_n, hex16(state_sum), state_n,
-                 halted]
-            )
-        if self._pending is not None:
-            self._pending["shards"] = context
-
     # ---------------------------------------------------------- round events
     def _on_round(self, index: int, label: str, message_count: int,
                   total_bits: int, max_edge_bits: int) -> None:
@@ -269,9 +242,7 @@ class DigestTracer(Tracer):
             return
         payload, state = self._payload, self._state
         # Chain over round identity, counters, and the multiset digests —
-        # but not over active/owned or per-shard parts: those are honest
-        # context that legitimately differs between serial and sharded
-        # drivers, while the chain must not.
+        # not over driver context such as active/owned node counts.
         self._chain = fold_chain(
             self._chain,
             pending["round"],
@@ -323,70 +294,4 @@ class DigestTracer(Tracer):
         self._pending = None
 
 
-class ShardDigestCollector(Tracer):
-    """Per-shard digest accumulator living inside a shard worker.
-
-    The master :class:`DigestTracer` stays in the coordinator process; each
-    worker's network carries one of these instead, accumulating the shard's
-    payload/state contributions with the *same* entry hashes.  The worker
-    ships :meth:`take_round_digest` back with its ``stepped`` reply and the
-    coordinator merges the parts via ``note_shard_digests`` — sum-merge, so
-    the sharded chain equals the serial one.
-    """
-
-    enabled = True
-
-    def __init__(self, wants_payloads: bool = True, wants_state: bool = True):
-        self.wants_payloads = wants_payloads
-        self.wants_state = wants_state
-        self._payload = MultisetDigest()
-        self._state = MultisetDigest()
-        self._halted = 0
-
-    def note_exchange(self, delivered) -> None:
-        if delivered:
-            senders, receivers, payloads = flatten_exchange(delivered)
-            self._payload.add_many(
-                delivery_entry_hashes(senders, receivers, payloads)
-            )
-
-    def note_inboxes(self, inboxes) -> None:
-        if inboxes:
-            senders, receivers, payloads = flatten_inboxes(inboxes)
-            self._payload.add_many(
-                delivery_entry_hashes(senders, receivers, payloads)
-            )
-
-    def note_values(self, values) -> None:
-        for sender, payload in values.items():
-            self._payload.add(value_entry_hash(sender, payload))
-
-    def note_state(self, items) -> None:
-        acc = self._state
-        halted = self._halted
-        for _node, entry, is_halted in items:
-            acc.add(entry)
-            if is_halted:
-                halted += 1
-        self._halted = halted
-
-    def take_round_digest(self) -> ShardDigestPart:
-        """Snapshot and reset this shard's contribution for the round."""
-        part = (
-            self._payload.value,
-            self._payload.count,
-            self._state.value,
-            self._state.count,
-            self._halted,
-        )
-        self._payload.reset()
-        self._state.reset()
-        self._halted = 0
-        return part
-
-
-__all__ = [
-    "DigestTracer",
-    "ShardDigestCollector",
-    "ShardDigestPart",
-]
+__all__ = ["DigestTracer"]

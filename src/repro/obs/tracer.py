@@ -2,8 +2,8 @@
 
 The paper's guarantees are per-round statements, so the trace layer records
 what every synchronous round *cost*: bits, messages, the per-edge maximum,
-wall-clock time, how many nodes were still active, fault-counter movement,
-and — under the sharded simulator — the per-shard split of the merged round.
+wall-clock time, how many nodes were still active, and fault-counter
+movement.
 
 Three pieces:
 
@@ -21,7 +21,7 @@ Three pieces:
 **The observation-only contract** (pinned by ``tests/test_obs.py``): a
 tracer consumes no randomness, never mutates ledgers, inboxes, or node
 state, and a traced run is byte-identical to an untraced one on every
-backend, serial and sharded, fault-free and under fault plans.  Tracers may
+backend, fault-free and under fault plans.  Tracers may
 read clocks and process counters — those land in the trace, which is a
 diagnostic artifact, never in the deterministic aggregates.
 
@@ -33,16 +33,13 @@ write them with :func:`repro.obs.artifacts.write_trace`) after
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.heartbeat import Heartbeat
 from repro.obs.sampler import ResourceSampler
 
 #: Trace event schema identifier (bump when the event shapes change).
 TRACE_SCHEMA = "repro-trace/1"
-
-#: One shard's contribution to a merged round: (messages, bits, max_edge_bits).
-ShardStats = Tuple[int, int, int]
 
 
 class Tracer:
@@ -71,15 +68,6 @@ class Tracer:
     def note_nodes(self, active: int, owned: int) -> None:
         """Driver hook: node counts as of the round about to execute."""
 
-    def note_shards(self, shard_stats: Sequence[ShardStats],
-                    cut_messages: int = 0) -> None:
-        """Coordinator hook: per-shard deltas of the round about to merge.
-
-        ``cut_messages`` counts the messages that crossed a shard boundary
-        this round (the cut traffic the coordinator relayed) — the basis for
-        the analytics layer's cut-traffic fraction.
-        """
-
     def note_exchange(self, delivered) -> None:
         """Payload hook: one round's delivered ``{(u, v): payload}`` mapping."""
 
@@ -91,9 +79,6 @@ class Tracer:
 
     def note_state(self, items) -> None:
         """State hook: iterable of ``(node, entry_hash, halted)`` post-step."""
-
-    def note_shard_digests(self, parts) -> None:
-        """Coordinator hook: per-shard digest contributions of a merged round."""
 
     def close(self) -> None:
         """Stop observing and finalize (idempotent)."""
@@ -189,11 +174,6 @@ class CompositeTracer(Tracer):
         for tracer in self.tracers:
             tracer.note_nodes(active, owned)
 
-    def note_shards(self, shard_stats: Sequence[ShardStats],
-                    cut_messages: int = 0) -> None:
-        for tracer in self.tracers:
-            tracer.note_shards(shard_stats, cut_messages=cut_messages)
-
     def note_exchange(self, delivered) -> None:
         for tracer in self.tracers:
             if tracer.wants_payloads:
@@ -217,11 +197,6 @@ class CompositeTracer(Tracer):
             items = list(items)  # the hook may receive a one-shot generator
         for tracer in wanting:
             tracer.note_state(items)
-
-    def note_shard_digests(self, parts) -> None:
-        for tracer in self.tracers:
-            if tracer.wants_payloads or tracer.wants_state:
-                tracer.note_shard_digests(parts)
 
     def close(self) -> None:
         for tracer in self.tracers:
@@ -256,11 +231,8 @@ class RoundTracer(Tracer):
       (label prefix before ``":"``), ``messages``, ``bits``,
       ``max_edge_bits``, ``wall_s`` (time since the previous round event —
       i.e. including the compute that produced the round); optionally
-      ``active``/``owned`` (when a driver reported them), ``shards`` (per
-      -shard ``[messages, bits, max_edge_bits]`` triples, with
-      ``cut_messages`` counting the shard-boundary traffic the coordinator
-      relayed) and ``faults`` (nonzero fault-counter deltas since the
-      previous round).
+      ``active``/``owned`` (when a driver reported them) and ``faults``
+      (nonzero fault-counter deltas since the previous round).
     * ``sample`` — ``round``, ``wall_s`` since attach, ``rss_mb``, ``cpu_s``.
     * ``end`` — final ledger aggregates, total ``wall_s``, final resource
       sample, and final fault counters when a fault plan ran.
@@ -283,8 +255,6 @@ class RoundTracer(Tracer):
         self._last_ts: Optional[float] = None
         self._last_sample_ts: Optional[float] = None
         self._nodes: Optional[Tuple[int, int]] = None
-        self._shard_stats: Optional[List[ShardStats]] = None
-        self._cut_messages = 0
         self._fault_prev: Optional[Dict[str, int]] = None
         self._closed = False
 
@@ -352,11 +322,6 @@ class RoundTracer(Tracer):
     def note_nodes(self, active: int, owned: int) -> None:
         self._nodes = (int(active), int(owned))
 
-    def note_shards(self, shard_stats: Sequence[ShardStats],
-                    cut_messages: int = 0) -> None:
-        self._shard_stats = [tuple(stats) for stats in shard_stats]
-        self._cut_messages = int(cut_messages)
-
     # ---------------------------------------------------------- round events
     def _on_round(self, index: int, label: str, message_count: int,
                   total_bits: int, max_edge_bits: int) -> None:
@@ -373,11 +338,6 @@ class RoundTracer(Tracer):
         }
         if self._nodes is not None:
             event["active"], event["owned"] = self._nodes
-        if self._shard_stats is not None:
-            event["shards"] = [list(stats) for stats in self._shard_stats]
-            event["cut_messages"] = self._cut_messages
-            self._shard_stats = None
-            self._cut_messages = 0
         if self._fault_prev is not None:
             current = self._network.transport.fault_stats.as_dict()
             deltas = {

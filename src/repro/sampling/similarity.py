@@ -338,44 +338,16 @@ def estimate_similarity_on_edges(
 
     # Round 2: both endpoints exchange the σ-bit indicator of h(T), where
     # T = S ¬_h S is computed in one counting pass over the precomputed keys.
-    # On a sharded network (``Network(shards=N)``) a big enough sweep fans
-    # the per-edge hashing out over the persistent compute pool
-    # (repro.shard.sweep) — a pure reorganisation of the same hash
-    # evaluations, so the hash sets (and everything downstream) are
-    # bit-identical to this loop; the accounting rounds below are untouched.
     indicator_payloads = {}
     per_edge_hashes: Dict[Edge, Tuple[Set[int], Set[int]]] = {}
-    sharded_hashes = None
-    shards = int(getattr(network, "shards", 1) or 1)
-    if shards > 1:
-        from repro.shard.sweep import (
-            MIN_SHARDED_WORK, estimated_work, sharded_edge_hashes,
-        )
-
-        tasks = []
-        base_keys: Dict[Node, list] = {}
-        for (u, v), state in per_edge_state.items():
-            if state is None:
-                continue
-            k, family, index = state
-            for node in (u, v):
-                if node not in base_keys:
-                    base_keys[node] = _keys_of(node, 1)
-            tasks.append((len(tasks), u, v, family.family_seed, index,
-                          family.lam, family.sigma, k))
-        if tasks and estimated_work(tasks, base_keys) >= MIN_SHARDED_WORK:
-            sharded_hashes = iter(sharded_edge_hashes(tasks, base_keys, shards))
     for (u, v), state in per_edge_state.items():
         if state is None:
             continue
         k, family, index = state
         sigma = family.sigma
-        if sharded_hashes is not None:
-            hashes_u, hashes_v = next(sharded_hashes)
-        else:
-            h = family.member(index)
-            hashes_u = h.low_unique_values(_keys_of(u, k), sigma)
-            hashes_v = h.low_unique_values(_keys_of(v, k), sigma)
+        h = family.member(index)
+        hashes_u = h.low_unique_values(_keys_of(u, k), sigma)
+        hashes_v = h.low_unique_values(_keys_of(v, k), sigma)
         per_edge_hashes[(u, v)] = (hashes_u, hashes_v)
         indicator_label = f"{label}:indicator"
         indicator_payloads[(u, v)] = _indicator_message(hashes_u, sigma, indicator_label)

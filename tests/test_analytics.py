@@ -32,7 +32,6 @@ from repro.obs.analytics import (
     render_report,
     run_record,
     rss_series,
-    shard_balance,
     suite_overview_rows,
 )
 from repro.obs.summary import comparison_as_dict, summarize_trace, summary_as_dict
@@ -231,23 +230,6 @@ def _traced_events():
 
 
 class TestTraceAnalytics:
-    def test_shard_balance_none_for_serial_trace(self):
-        assert shard_balance(_traced_events()) is None
-
-    def test_shard_balance_math(self):
-        events = [
-            {"type": "round", "messages": 10, "bits": 30,
-             "shards": [[4, 10, 2], [6, 20, 3]], "cut_messages": 5},
-            {"type": "round", "messages": 10, "bits": 30,
-             "shards": [[5, 10, 2], [5, 20, 3]], "cut_messages": 0},
-        ]
-        balance = shard_balance(events)
-        assert balance["shards"] == 2
-        assert balance["shard_bits"] == [20, 40]
-        assert balance["imbalance_ratio"] == round(40 / 30, 4)
-        assert balance["cut_messages"] == 5
-        assert balance["cut_fraction"] == pytest.approx(0.25)
-
     def test_rss_series_reads_samples(self):
         events = _traced_events()
         series = rss_series(events)

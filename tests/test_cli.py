@@ -119,11 +119,11 @@ class TestSuiteCommands:
                      "--fresh", str(fresh)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_suite_run_slot_backend_matches_default_aggregate(self, capsys, tmp_path):
+    def test_suite_run_dict_backend_matches_default_aggregate(self, capsys, tmp_path):
         assert main(["suite", "run", "smoke", "--trials", "1",
                      "--only", "gnp-d1c", "--out", str(tmp_path / "a")]) == 0
         assert main(["suite", "run", "smoke", "--trials", "1",
-                     "--only", "gnp-d1c", "--backend", "slot",
+                     "--only", "gnp-d1c", "--backend", "dict",
                      "--out", str(tmp_path / "b")]) == 0
         a = (tmp_path / "a" / "BENCH_suite.json").read_bytes()
         b = (tmp_path / "b" / "BENCH_suite.json").read_bytes()
@@ -208,16 +208,13 @@ class TestFaultsCli:
         out = capsys.readouterr().out
         assert "invalid under faults" in out
 
-    def test_bad_faults_spec_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="dorp"):
-            main(["suite", "run", "smoke", "--only", "gnp-d1c",
-                  "--faults", "dorp=0.1", "--out", str(tmp_path)])
-        with pytest.raises(SystemExit, match="key=value"):
-            main(["suite", "run", "smoke", "--only", "gnp-d1c",
-                  "--faults", "drop", "--out", str(tmp_path)])
-        with pytest.raises(SystemExit, match="not a number"):
-            main(["suite", "run", "smoke", "--only", "gnp-d1c",
-                  "--faults", "drop=lots", "--out", str(tmp_path)])
+    def test_bad_faults_spec_rejected(self, capsys, tmp_path):
+        for spec, message in (("dorp=0.1", "dorp"), ("drop", "key=value"),
+                              ("drop=lots", "not a number")):
+            assert main(["suite", "run", "smoke", "--only", "gnp-d1c",
+                         "--faults", spec, "--out", str(tmp_path)]) == 2
+            assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_robustness_suite_listed(self, capsys):
         assert main(["suite", "list", "robustness"]) == 0
@@ -242,6 +239,59 @@ class TestFaultsCli:
         assert main(["suite", "compare", "--baseline", str(summary_path),
                      "--fresh", str(tmp_path / "clean" / "BENCH_suite.json")]) == 1
         assert "seed override mismatch" in capsys.readouterr().out
+
+
+#: Bad invocations, by name.  ``{tmp}`` is a scratch directory holding
+#: ``bad.json`` (not JSON); ``{bench}`` is the committed smoke aggregate.
+USER_ERRORS = {
+    "color-n-zero": ["color", "--n", "0"],
+    "color-p-above-one": ["color", "--p", "2"],
+    "baseline-n-zero": ["baseline", "--n", "0"],
+    "suite-run-zero-trials": ["suite", "run", "smoke", "--trials", "0",
+                              "--out", "{tmp}/out"],
+    "compare-missing-baseline": ["suite", "compare",
+                                 "--baseline", "{tmp}/missing.json"],
+    "compare-non-json-baseline": ["suite", "compare",
+                                  "--baseline", "{tmp}/bad.json"],
+    "compare-missing-fresh": ["suite", "compare", "--baseline", "{bench}",
+                              "--fresh", "{tmp}/missing.json"],
+    "compare-non-json-fresh": ["suite", "compare", "--baseline", "{bench}",
+                               "--fresh", "{tmp}/bad.json"],
+    "trace-summarize-missing": ["trace", "summarize", "{tmp}/missing.jsonl"],
+    "trace-compare-missing": ["trace", "compare", "{tmp}/missing.jsonl",
+                              "{tmp}/missing.jsonl"],
+    "faults-not-a-number": ["suite", "run", "smoke", "--faults", "drop=abc",
+                            "--out", "{tmp}/out"],
+    "faults-unknown-key": ["suite", "run", "smoke", "--faults", "bogus=1",
+                           "--out", "{tmp}/out"],
+}
+
+
+class TestUserErrors:
+    @pytest.mark.parametrize("argv", list(USER_ERRORS.values()),
+                             ids=list(USER_ERRORS))
+    def test_exits_2_with_one_stderr_line(self, argv, capsys, tmp_path):
+        (tmp_path / "bad.json").write_text("not json\n")
+        bench = Path(__file__).resolve().parent.parent / "BENCH_suite.json"
+        argv = [arg.format(tmp=tmp_path, bench=bench) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_backend_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["color", "--backend", "slot"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'slot'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["color"], ["baseline"], ["acd"], ["triangles"],
+        ["suite", "run", "smoke"], ["suite", "compare", "--baseline", "b.json"],
+    ], ids=" ".join)
+    def test_no_command_takes_a_shard_count(self, argv):
+        # An unknown option is an argparse usage error (exit 2).
+        assert "shards" not in vars(build_parser().parse_args(argv))
 
 
 class TestTraceCommands:

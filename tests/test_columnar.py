@@ -1,37 +1,30 @@
-"""Columnar core: kernels, buffers, accounting and masks pinned bit-for-bit.
+"""Columnar core: kernels, buffers and accounting pinned bit-for-bit.
 
 The columnar backend's contract (DESIGN.md "Columnar core invariants") is
-byte-identity with the slot backend.  The end-to-end half of that contract
-lives in the four-backend equivalence matrix (``test_transport_equivalence``)
-and the shard triangle (``test_shard``); this module pins the *pieces* —
-vectorized splitmix64 kernels against the scalar implementations, CSR round
-buffers against the slot backend's inbox fill, vectorized chunk accounting
-against a literal chunk-by-chunk simulation, fault kernels against
-``FaultyTransport``'s live decisions — so a drift in any one layer fails
-here with a precise finger instead of as an opaque end-to-end diff.
+byte-identity with the ``dict`` reference backend.  The end-to-end half of
+that contract lives in the equivalence matrix (``test_transport_equivalence``);
+this module pins the *pieces* — vectorized splitmix64 kernels against the
+scalar implementations, CSR round buffers against the reference inbox fill,
+vectorized chunk accounting against a literal chunk-by-chunk simulation, the
+similarity kernel against the scalar sweep — so a drift in any one layer
+fails here with a precise finger instead of as an opaque end-to-end diff.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import pickle
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest import Message, Network
-from repro.congest.columnar import HAVE_NUMPY, NUMPY_HINT, sweep
-from repro.congest.columnar.buffers import CsrRoundBuffer, PackedEdgeBatch
-from repro.congest.columnar.faults import (
-    corruption_seeds, crash_mask, drop_mask, to_unit_vec,
-)
+from repro.congest.columnar import sweep
+from repro.congest.columnar.buffers import CsrRoundBuffer
 from repro.congest.columnar.kernels import (
     element_keys_array,
     hash_values_vec,
@@ -41,12 +34,8 @@ from repro.congest.columnar.kernels import (
     mix64_vec,
     scale_keys_vec,
 )
-from repro.congest.columnar.state import SlotMasks
-from repro.congest.simulator import Simulator
 from repro.congest.transport import EMPTY_INBOX
 from repro.core.acd import compute_acd
-from repro.faults.corruption import to_unit
-from repro.faults.transport import _CORRUPT_SALT, _DROP_SALT
 from repro.hashing.keys import (
     MIX64_INIT, combine_part_keys, element_key, mix64, mix64_step,
 )
@@ -143,25 +132,25 @@ class TestKernelParity:
 # CSR round buffers: write sender-side, read receiver-side in slot order
 # --------------------------------------------------------------------------- #
 
-def _slot_vs_columnar_broadcast(graph, values, bandwidth_bits=64):
+def _dict_vs_columnar_broadcast(graph, values, bandwidth_bits=64):
     nets = [Network(graph, backend=b, bandwidth_bits=bandwidth_bits,
-                    ledger="records") for b in ("slot", "columnar")]
+                    ledger="records") for b in ("dict", "columnar")]
     inboxes = [net.broadcast(values, label="b") for net in nets]
     return nets, inboxes
 
 
 class TestCsrRoundBuffer:
-    def test_round_trip_reproduces_slot_inboxes_and_order(self):
+    def test_round_trip_reproduces_reference_inboxes_and_order(self):
         graph = nx.random_geometric_graph(40, 0.3, seed=3)
         values = {v: Message(content=(v, "payload"), bits=17)
                   for v in list(graph.nodes())[::2]}
-        nets, (slot_in, col_in) = _slot_vs_columnar_broadcast(graph, values)
+        nets, (ref_in, col_in) = _dict_vs_columnar_broadcast(graph, values)
         assert {v: dict(b) for v, b in col_in.items()} == \
-            {v: dict(b) for v, b in slot_in.items()}
+            {v: dict(b) for v, b in ref_in.items()}
         # insertion order per receiver must match too (seeded algorithms
         # iterate inbox.items() and consume randomness in that order)
         assert {v: list(b) for v, b in col_in.items()} == \
-            {v: list(b) for v, b in slot_in.items()}
+            {v: list(b) for v, b in ref_in.items()}
         assert nets[0].ledger.records == nets[1].ledger.records
 
     def test_entries_are_sender_major_in_csr_row_order(self):
@@ -207,41 +196,13 @@ class TestCsrRoundBuffer:
             ))
             bits = data.draw(st.sampled_from([0, 1, budget]))
             values[v] = Message(content=payload, bits=bits)
-        nets, (slot_in, col_in) = _slot_vs_columnar_broadcast(
+        nets, (ref_in, col_in) = _dict_vs_columnar_broadcast(
             graph, values, bandwidth_bits=budget)
         for v, box in col_in.items():
-            assert dict(box) == dict(slot_in[v])
+            assert dict(box) == dict(ref_in[v])
             for sender, content in box.items():
                 assert content is values[sender].content
         assert nets[0].ledger.records == nets[1].ledger.records
-
-
-class TestPackedEdgeBatch:
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=1 << 31),
-                              st.integers(min_value=0, max_value=1 << 31),
-                              st.one_of(st.binary(max_size=6), st.integers(),
-                                        st.tuples(st.integers()))),
-                    min_size=0, max_size=50))
-    def test_round_trip_and_pickle(self, triples):
-        batch = PackedEdgeBatch.from_triples(triples)
-        assert len(batch) == len(triples)
-        assert list(batch) == triples
-        clone = pickle.loads(pickle.dumps(batch))
-        assert clone == batch
-        assert list(clone) == triples
-
-    def test_zero_bit_and_max_width_payload_bytes(self):
-        wide = b"\xff" * 32
-        triples = [(0, 1, b""), (1, 0, wide), (2, 3, ())]
-        batch = PackedEdgeBatch.from_triples(triples)
-        got = list(batch)
-        assert got == triples
-        assert got[1][2] is wide  # identical object, not a copy
-
-    def test_truthiness_matches_list_protocol(self):
-        assert not PackedEdgeBatch.from_triples([])
-        assert PackedEdgeBatch.from_triples([(0, 1, "x")])
 
 
 # --------------------------------------------------------------------------- #
@@ -300,27 +261,27 @@ class TestChunkedAccounting:
         rng = random.Random(99)
         graph = nx.path_graph(6)
         sizes = {(i, i + 1): rng.randrange(0, 120) for i in range(5)}
-        slot_net = Network(graph, backend="slot", bandwidth_bits=7,
-                           ledger="records")
+        ref_net = Network(graph, backend="dict", bandwidth_bits=7,
+                          ledger="records")
         col_net = Network(graph, backend="columnar", bandwidth_bits=7,
                           ledger="records")
         monkeypatch.setattr(ct, "_VECTOR_MIN_SIZES", 0)  # force the array path
-        slot_net.transport._charge_chunked_rounds("c", sizes)
+        ref_net.transport._charge_chunked_rounds("c", sizes)
         col_net.transport._charge_chunked_rounds("c", sizes)
-        assert col_net.ledger.records == slot_net.ledger.records
+        assert col_net.ledger.records == ref_net.ledger.records
 
     def test_beyond_int64_payload_falls_back_to_scalar(self, monkeypatch):
         import repro.congest.columnar.transport as ct
 
         monkeypatch.setattr(ct, "_VECTOR_MIN_SIZES", 0)
         sizes = {(0, 1): 1 << 80}  # OverflowError on fromiter
-        slot_net = Network(nx.path_graph(3), backend="slot",
-                           bandwidth_bits=1 << 70, ledger="records")
+        ref_net = Network(nx.path_graph(3), backend="dict",
+                          bandwidth_bits=1 << 70, ledger="records")
         col_net = Network(nx.path_graph(3), backend="columnar",
                           bandwidth_bits=1 << 70, ledger="records")
-        slot_net.transport._charge_chunked_rounds("big", sizes)
+        ref_net.transport._charge_chunked_rounds("big", sizes)
         col_net.transport._charge_chunked_rounds("big", sizes)
-        assert col_net.ledger.records == slot_net.ledger.records
+        assert col_net.ledger.records == ref_net.ledger.records
 
 
 # --------------------------------------------------------------------------- #
@@ -487,23 +448,6 @@ class TestSimilarityKernel:
         pairs = len({frozenset(edge) for edge in given})
         assert first["dup:index"] == pairs and first["dup:indicator"] == 2 * pairs
 
-    def test_kernel_takes_precedence_over_the_shard_pool(self, kernel_ran, monkeypatch):
-        import repro.shard.sweep as shard_sweep
-
-        def pool(*args, **kwargs):
-            raise AssertionError("the shard pool ran on a columnar network")
-
-        monkeypatch.setattr(shard_sweep, "MIN_SHARDED_WORK", 0)
-        monkeypatch.setattr(shard_sweep, "sharded_edge_hashes", pool)
-        graph = _similarity_graph()
-        networks = [Network(graph, backend="dict", ledger="records"),
-                    Network(graph, backend="columnar", ledger="records", shards=2)]
-        ref, col = [detect_triangle_rich_edges(net, eps=0.3, seed=6)
-                    for net in networks]
-        assert col == ref
-        assert networks[1].ledger.records == networks[0].ledger.records
-        assert kernel_ran == [False, True]
-
     def test_acd_runs_the_kernel_only_on_columnar(self, kernel_ran):
         graph = nx.disjoint_union(nx.complete_graph(10), nx.complete_graph(10))
         (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(
@@ -532,11 +476,11 @@ class TestBroadcastDiscard:
         graph = nx.star_graph(6)
         values = {0: Message(content="hub", bits=12), 3: 7}
         records = []
-        for backend in ("dict", "batch", "slot", "columnar"):
+        for backend in ("dict", "columnar"):
             net = Network(graph, backend=backend, ledger="records")
             assert net.broadcast_discard(values, label="d") is None
             records.append(net.ledger.records)
-        assert all(r == records[0] for r in records[1:])
+        assert records[0] == records[1]
 
     def test_bandwidth_violation_still_raises(self):
         from repro.congest import BandwidthExceeded
@@ -551,138 +495,3 @@ class TestBroadcastDiscard:
         net = Network(nx.path_graph(3), backend="columnar")
         with pytest.raises(ProtocolError):
             net.broadcast_discard({"ghost": 1})
-
-
-# --------------------------------------------------------------------------- #
-# Fault kernels vs FaultyTransport's live decisions
-# --------------------------------------------------------------------------- #
-
-class TestFaultKernels:
-    def test_to_unit_vec_matches_scalar(self):
-        mixed = np.array(ADVERSARIAL, dtype=np.uint64)
-        got = to_unit_vec(mixed)
-        assert got.tolist() == [to_unit(m) for m in ADVERSARIAL]
-
-    def test_drop_mask_matches_scalar_formula(self):
-        rng = random.Random(5)
-        master, round_id, p = rng.getrandbits(31), 7, 0.37
-        s_keys = [rng.getrandbits(64) for _ in range(200)]
-        r_keys = [rng.getrandbits(64) for _ in range(200)]
-        got = drop_mask(master, round_id, s_keys, r_keys, p)
-        expected = [to_unit(mix64(master, round_id, sk, rk, _DROP_SALT)) < p
-                    for sk, rk in zip(s_keys, r_keys)]
-        assert got.tolist() == expected
-        assert any(expected) and not all(expected)  # non-degenerate draw
-
-    def test_corruption_seeds_match_scalar_formula(self):
-        rng = random.Random(6)
-        master, round_id = rng.getrandbits(31), 3
-        s_keys = [rng.getrandbits(64) for _ in range(50)]
-        r_keys = [rng.getrandbits(64) for _ in range(50)]
-        got = corruption_seeds(master, round_id, s_keys, r_keys)
-        expected = [mix64(master, round_id, sk, rk, _CORRUPT_SALT)
-                    for sk, rk in zip(s_keys, r_keys)]
-        assert got.tolist() == expected
-
-    def test_crash_mask(self):
-        crashed = np.array([False, True, False, False], dtype=bool)
-        senders = np.array([0, 1, 2, 3], dtype=np.int64)
-        receivers = np.array([2, 0, 1, 0], dtype=np.int64)
-        assert crash_mask(crashed, senders, receivers).tolist() == \
-            [False, True, True, False]
-
-    def test_drop_mask_predicts_a_live_faulted_round(self):
-        # The kernel must agree with FaultyTransport's actual deliveries,
-        # not just its formula on paper.
-        graph = nx.random_geometric_graph(40, 0.35, seed=9)
-        net = Network(graph, backend="slot", ledger="records",
-                      faults={"drop": 0.3}, fault_seed=21)
-        messages = {(u, v): (u, v) for u, v in graph.edges()}
-        messages.update({(v, u): (v, u) for u, v in graph.edges()})
-        round_id = net.ledger.rounds
-        delivered = net.exchange(messages, label="live")
-        edges = list(messages)
-        mask = drop_mask(
-            net.transport._master, round_id,
-            element_keys_array([e[0] for e in edges]),
-            element_keys_array([e[1] for e in edges]),
-            0.3,
-        )
-        for edge, dropped in zip(edges, mask.tolist()):
-            assert (edge not in delivered) == dropped, edge
-        assert int(mask.sum()) == net.fault_stats["dropped_messages"]
-
-
-# --------------------------------------------------------------------------- #
-# SlotMasks: flat liveness columns stay in sync with the simulator
-# --------------------------------------------------------------------------- #
-
-class TestSlotMasks:
-    def test_masks_track_halts_during_a_run(self):
-        from repro.congest import NodeProgram
-
-        class HaltAtOwnRound(NodeProgram):
-            def step(self, ctx, inbox):
-                if ctx.round_index >= (hash(ctx.node) % 4):
-                    ctx.state.halt("done")
-                    return None
-                return {u: 1 for u in ctx.neighbors}
-
-        net = Network(nx.random_geometric_graph(25, 0.3, seed=1))
-        sim = Simulator(net, HaltAtOwnRound(), seed=2)
-        assert sim.slot_masks is not None
-        while sim.step():
-            assert sim.slot_masks.active_count() == sim.active_count
-        assert sim.slot_masks.active_count() == 0
-        assert bool(sim.slot_masks.halted.all())
-        assert not sim.slot_masks.crashed.any()
-
-    def test_masks_track_crashes(self):
-        from repro.congest import NodeProgram
-
-        class Chatter(NodeProgram):
-            def step(self, ctx, inbox):
-                if ctx.round_index >= 5:
-                    ctx.state.halt("done")
-                    return None
-                return {u: 0 for u in ctx.neighbors}
-
-        graph = nx.path_graph(8)
-        net = Network(graph, faults={"crash": {2: (3, 5)}}, fault_seed=4)
-        sim = Simulator(net, Chatter(), seed=0)
-        result = sim.run()
-        assert result.rounds > 2
-        slot_of = net.topology.node_index
-        assert sim.slot_masks.crashed[slot_of[3]]
-        assert sim.slot_masks.crashed[slot_of[5]]
-        assert int(sim.slot_masks.crashed.sum()) == 2
-        assert bool(sim.slot_masks.halted.all())
-
-    def test_owned_range_marks_foreign_slots_halted(self):
-        masks = SlotMasks(10, range(3, 7))
-        assert masks.active_count() == 4
-        assert masks.halted.tolist() == [True] * 3 + [False] * 4 + [True] * 3
-
-
-# --------------------------------------------------------------------------- #
-# Import gating: numpy-less installs get one clean, actionable error
-# --------------------------------------------------------------------------- #
-
-class TestNumpyGating:
-    def test_have_numpy_is_true_here(self):
-        assert HAVE_NUMPY  # the suite imported numpy above
-
-    def test_require_numpy_raises_the_hint(self, monkeypatch):
-        import repro.congest.columnar as pkg
-
-        monkeypatch.setattr(pkg, "HAVE_NUMPY", False)
-        with pytest.raises(ImportError, match="backend='slot'"):
-            pkg.require_numpy()
-        assert "numpy" in NUMPY_HINT and "slot" in NUMPY_HINT
-
-    def test_backend_listing_includes_columnar(self):
-        from repro.congest.transport import TRANSPORT_BACKENDS
-
-        assert "columnar" in TRANSPORT_BACKENDS
-        net = Network(nx.path_graph(3), backend="columnar")
-        assert net.backend == "columnar"

@@ -12,7 +12,7 @@ from repro.congest import (
 )
 
 
-@pytest.fixture(params=["dict", "batch"])
+@pytest.fixture(params=["dict", "columnar"])
 def backend(request) -> str:
     return request.param
 
@@ -252,8 +252,13 @@ class TestChunkedLocalAccounting:
 
 
 class TestBackendSelection:
-    def test_default_backend_is_batch(self):
-        assert Network(nx.path_graph(3)).backend == "batch"
+    def test_default_backend_is_columnar(self):
+        assert Network(nx.path_graph(3)).backend == "columnar"
+
+    def test_only_one_shard_accepted(self):
+        assert Network(nx.path_graph(3), shards=1).backend == "columnar"
+        with pytest.raises(ValueError, match="shards must be 1"):
+            Network(nx.path_graph(3), shards=2)
 
     def test_backend_recorded_in_summary(self, backend):
         net = Network(nx.path_graph(3), backend=backend)

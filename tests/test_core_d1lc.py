@@ -101,6 +101,14 @@ class TestSolveD1LC:
         assert result.is_valid
 
 
+@pytest.mark.parametrize("solve", [solve_d1c, solve_d1lc])
+def test_only_one_shard_accepted(solve):
+    g = gnp_graph(20, 0.2, seed=3)
+    assert solve(g, seed=1, shards=1).is_valid
+    with pytest.raises(ValueError, match="shards must be 1"):
+        solve(g, seed=1, shards=2)
+
+
 class TestSolveDeltaPlusOne:
     def test_valid_and_uses_at_most_delta_plus_one_colors(self, gnp_medium):
         result = solve_delta_plus_one(gnp_medium, seed=1)

@@ -88,12 +88,15 @@ class TestRegistry:
         assert all("scale" in spec.tags for spec in specs)
         assert all(spec.trials == 1 for spec in specs)
         assert any("n50k" in spec.tags for spec in specs)
-        # The slot backend must be a valid override for every scale scenario.
+        # Either backend must be a valid override for every scale scenario.
         for spec in specs:
-            validate_spec(dataclasses.replace(spec, backend="slot"))
+            for backend in ("columnar", "dict"):
+                validate_spec(dataclasses.replace(spec, backend=backend))
 
-    def test_slot_backend_is_registered(self):
-        validate_spec(dataclasses.replace(TINY_SPECS[0], backend="slot"))
+    def test_only_the_two_backends_are_registered(self):
+        for backend in ("batch", "slot"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                validate_spec(dataclasses.replace(TINY_SPECS[0], backend=backend))
 
     def test_validate_spec_rejects_bad_fields(self):
         good = TINY_SPECS[0]
@@ -157,12 +160,10 @@ class TestRunner:
             assert a == b
 
     def test_backend_does_not_change_aggregates(self):
-        batch = run_scenarios(TINY_SPECS, suite="tiny")
-        for backend in ("dict", "slot"):
-            other_specs = [dataclasses.replace(s, backend=backend)
-                           for s in TINY_SPECS]
-            other = run_scenarios(other_specs, suite="tiny")
-            assert aggregate_suite(batch) == aggregate_suite(other), backend
+        default = run_scenarios(TINY_SPECS, suite="tiny")
+        oracle_specs = [dataclasses.replace(s, backend="dict") for s in TINY_SPECS]
+        oracle = run_scenarios(oracle_specs, suite="tiny")
+        assert aggregate_suite(default) == aggregate_suite(oracle)
 
     def test_run_suite_only_filter(self):
         result = run_suite("smoke", only=["gnp-d1c"], trials=1)
@@ -492,11 +493,9 @@ class TestFaultedScenarios:
 
     def test_backend_override_keeps_faulted_aggregate(self):
         base = run_scenarios([self.FAULTED], suite="tiny")
-        for backend in ("dict", "slot"):
-            other = run_scenarios(
-                [dataclasses.replace(self.FAULTED, backend=backend)],
-                suite="tiny")
-            assert aggregate_suite(base) == aggregate_suite(other), backend
+        oracle = run_scenarios(
+            [dataclasses.replace(self.FAULTED, backend="dict")], suite="tiny")
+        assert aggregate_suite(base) == aggregate_suite(oracle)
 
     def test_compare_rejects_fault_plan_drift(self):
         baseline = aggregate_suite(run_scenarios([self.FAULTED], suite="tiny"))

@@ -3,14 +3,12 @@
 The headline contracts pinned here:
 
 * **Digest byte-identity** — a scenario's ``DIGEST_*.jsonl`` stream is byte
-  for byte identical across every transport backend (dict/batch/slot/
-  columnar) and across the trial-worker process boundary (``--workers 1``
-  vs ``2``); a program run under :class:`ShardedSimulator` (fork and thread
-  workers alike) reproduces the serial chain and final digest exactly.
+  for byte identical across both transport backends (dict/columnar) and
+  across the trial-worker process boundary (``--workers 1`` vs ``2``).
 * **Observation-only** — digesting consumes no RNG: rows, ledgers, and
   outputs are byte-identical to an undigested run.
 * **Localization** — ``repro diff`` names the first divergent (round,
-  phase, shard), and ``--bisect`` re-runs a fine window to name the exact
+  phase), and ``--bisect`` re-runs a fine window to name the exact
   injected (round, node) of a single-edge fault.
 * **Composition** — the observer multiplexer lets RoundTracer and
   DigestTracer share one ledger, attached and detached in any order.
@@ -56,7 +54,6 @@ from repro.obs.forensics import (
     split_trials,
     write_digests,
 )
-from repro.shard.sim import ShardedSimulator
 
 
 class CountDown(NodeProgram):
@@ -123,7 +120,7 @@ class TestDigestPrimitives:
         assert payload_hash(-1) != payload_hash(1)
         assert payload_hash("x") != payload_hash(b"x")
 
-    def test_multiset_digest_is_order_free_and_mergeable(self):
+    def test_multiset_digest_is_order_free(self):
         entries = [payload_hash(v) for v in (3, 1, 2, 2)]
         forward = MultisetDigest()
         forward.add_many(entries)
@@ -131,12 +128,6 @@ class TestDigestPrimitives:
         backward.add_many(reversed(entries))
         assert forward.snapshot() == backward.snapshot()
         assert forward.count == 4
-        # shard-style partials merge to the serial total
-        left, right = MultisetDigest(), MultisetDigest()
-        left.add_many(entries[:2])
-        right.add_many(entries[2:])
-        left.merge(right.value, right.count)
-        assert left.snapshot() == forward.snapshot()
 
 
 # --------------------------------------------------------------------------- #
@@ -205,18 +196,17 @@ class TestObserverMux:
 
 
 # --------------------------------------------------------------------------- #
-# Byte-identity across backends, worker boundaries, shard runtimes (sat. 3)
+# Byte-identity across backends and worker boundaries (sat. 3)
 # --------------------------------------------------------------------------- #
 
 class TestDigestByteIdentity:
-    @pytest.mark.parametrize("backend", ["batch", "slot", "columnar"])
-    def test_streams_identical_across_backends(self, backend):
+    def test_streams_identical_across_backends(self):
         # planted-acd exercises the columnar buddy-sweep decline; gnp-d1c
         # the coloring pipeline.  "dict" is the reference side.
         for name in ("gnp-d1c", "planted-acd"):
             spec = smoke_spec(name, trials=1)
             ref_row, ref_events = digest_run(replace(spec, backend="dict"))
-            row, events = digest_run(replace(spec, backend=backend))
+            row, events = digest_run(replace(spec, backend="columnar"))
             assert stream_bytes(events) == stream_bytes(ref_events)
             assert strip_machine(row) == strip_machine(ref_row)
 
@@ -230,35 +220,21 @@ class TestDigestByteIdentity:
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "parallel" / name).read_bytes()
 
-    @pytest.mark.parametrize("workers", ["thread", "fork"])
-    def test_sharded_simulator_reproduces_serial_chain(self, workers):
+    def test_simulator_rounds_digest_node_state(self):
         graph = nx.gnm_random_graph(24, 60, seed=5)
 
-        def run(sharded):
-            tracer = DigestTracer()
+        def run(tracer):
             net = Network(graph, tracer=tracer)
-            if sharded:
-                sim = ShardedSimulator(net, CountDown(), seed=2, shards=3,
-                                       workers=workers)
-            else:
-                sim = Simulator(net, CountDown(), seed=2)
-            result = sim.run(label="ping:step")
-            tracer.close()
-            return result, tracer.events
+            return Simulator(net, CountDown(), seed=2).run(label="ping:step")
 
-        serial_result, serial_events = run(sharded=False)
-        sharded_result, sharded_events = run(sharded=True)
-        assert sharded_result.outputs == serial_result.outputs
-        serial_rounds = [e for e in serial_events if e["type"] == "round"]
-        sharded_rounds = [e for e in sharded_events if e["type"] == "round"]
-        assert [e["chain"] for e in serial_rounds] == \
-            [e["chain"] for e in sharded_rounds]
-        assert serial_events[-1]["chain"] == sharded_events[-1]["chain"]
-        # per-round state digests are merged from per-shard sub-digests;
-        # the sharded stream additionally localizes them per shard
-        assert all("state" in e for e in serial_rounds)
-        assert any("shards" in e for e in sharded_rounds)
-        assert all("shards" not in e for e in serial_rounds)
+        plain = run(None)
+        tracer = DigestTracer()
+        digested = run(tracer)
+        tracer.close()
+        assert digested.outputs == plain.outputs
+        rounds = [e for e in tracer.events if e["type"] == "round"]
+        assert rounds and all("state" in e for e in rounds)
+        assert tracer.events[-1]["chain"] == rounds[-1]["chain"]
 
     def test_digesting_is_observation_only(self):
         spec = smoke_spec("gnp-johansson", trials=1)

@@ -1,8 +1,8 @@
 """Tests for the observability subsystem (repro.obs).
 
 The headline contract here is **observation-only tracing**: a traced run is
-byte-identical to an untraced one on every transport backend, serial and
-sharded, fault-free and under fault plans.  The rest covers the trace event
+byte-identical to an untraced one on every transport backend, fault-free
+and under fault plans.  The rest covers the trace event
 stream, the JSONL artifacts, phase-timeline summaries, heartbeats, resource
 sampling, and the suite runner / CLI integration.
 """
@@ -44,7 +44,6 @@ from repro.obs import (
     trace_filename,
     write_trace,
 )
-from repro.shard.sim import ShardedSimulator
 
 
 class CountDown(NodeProgram):
@@ -111,20 +110,6 @@ class TestRoundTracer:
         assert sum(e["bits"] for e in rounds) == net.ledger.total_bits
         assert sum(e["messages"] for e in rounds) == net.ledger.total_messages
         assert len(rounds) == net.ledger.rounds
-
-    def test_sharded_rounds_carry_per_shard_breakdown(self):
-        tracer = RoundTracer()
-        net = Network(nx.cycle_graph(8), tracer=tracer)
-        ShardedSimulator(net, CountDown(), seed=1, shards=2,
-                         workers="thread").run(label="ping:step")
-        tracer.close()
-        rounds = [e for e in tracer.events if e["type"] == "round"]
-        assert rounds, "sharded run recorded no rounds"
-        for event in rounds:
-            assert len(event["shards"]) == 2
-            msgs, bits, _ = map(sum, zip(*event["shards"]))
-            assert msgs == event["messages"]
-            assert bits == event["bits"]
 
     def test_fault_deltas_in_round_events(self):
         tracer = RoundTracer()
@@ -206,21 +191,19 @@ class TestRoundTracer:
 # --------------------------------------------------------------------------- #
 
 class TestObservationOnly:
-    @pytest.mark.parametrize("backend", ["dict", "batch", "slot"])
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_traced_solve_identical(self, backend, shards):
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
+    def test_traced_solve_identical(self, backend):
         graph = nx.gnm_random_graph(30, 80, seed=11)
-        plain = solve_d1c(graph, seed=4, backend=backend, shards=shards)
+        plain = solve_d1c(graph, seed=4, backend=backend)
         tracer = RoundTracer()
-        traced = solve_d1c(graph, seed=4, backend=backend, shards=shards,
-                           tracer=tracer)
+        traced = solve_d1c(graph, seed=4, backend=backend, tracer=tracer)
         tracer.close()
         assert traced.coloring == plain.coloring
         assert (traced.rounds, traced.total_bits, traced.max_edge_bits) == (
             plain.rounds, plain.total_bits, plain.max_edge_bits)
         assert traced.rounds_by_phase == plain.rounds_by_phase
 
-    @pytest.mark.parametrize("backend", ["dict", "batch", "slot"])
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
     def test_traced_solve_identical_under_faults(self, backend):
         graph = nx.gnm_random_graph(30, 80, seed=11)
         kwargs = dict(seed=4, backend=backend,
@@ -234,16 +217,10 @@ class TestObservationOnly:
         assert (traced.rounds, traced.total_bits) == (
             plain.rounds, plain.total_bits)
 
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_traced_simulation_identical(self, sharded):
+    def test_traced_simulation_identical(self):
         def run(tracer):
             net = Network(nx.cycle_graph(10), tracer=tracer)
-            if sharded:
-                sim = ShardedSimulator(net, CountDown(), seed=2, shards=2,
-                                       workers="thread")
-            else:
-                sim = Simulator(net, CountDown(), seed=2)
-            result = sim.run(label="ping:step")
+            result = Simulator(net, CountDown(), seed=2).run(label="ping:step")
             return result, ledger_fingerprint(net)
 
         plain_result, plain_ledger = run(None)
@@ -261,7 +238,6 @@ class TestObservationOnly:
         assert net.ledger.observer is None
         # The protocol hooks are callable no-ops on the shared singleton.
         NULL_TRACER.note_nodes(1, 2)
-        NULL_TRACER.note_shards([(0, 0, 0)])
         NULL_TRACER.close()
         assert isinstance(NULL_TRACER, NullTracer)
 

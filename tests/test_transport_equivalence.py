@@ -1,26 +1,27 @@
-"""Cross-backend equivalence: Dict, Batch, Slot and Columnar must agree.
+"""Cross-backend equivalence: the ``columnar`` fast path must match ``dict``.
 
 The paper-fidelity contract (DESIGN.md) is that the transport backend is a
-performance choice only: for the same inputs and seeds, every backend must
+performance choice only: for the same inputs and seeds, both backends must
 deliver the same payloads and charge byte-identical ledgers — same rounds,
 labels, message counts, total bits and per-round maxima.  This suite checks
 that contract at the primitive level and end-to-end on several graph
 families, including small instances of the ``scale`` suite's families
-(geometric, power-law, ring-of-cliques).  The numpy-backed ``columnar``
-backend joins the matrix whenever numpy is importable (it is an optional
-runtime dependency of that backend only).
+(geometric, power-law, ring-of-cliques), and for node programs driven by the
+:class:`~repro.congest.Simulator` under every fault axis.
 """
 
 import networkx as nx
 import pytest
 
 from repro.baselines import johansson_coloring
-from repro.congest import Message, Network, Simulator
-from repro.congest.columnar import HAVE_NUMPY
+from repro.congest import (
+    BandwidthExceeded, Message, Network, NodeProgram, ProtocolError, Simulator,
+)
 from repro.congest.transport import EMPTY_INBOX
 from repro.core import solve_d1c, solve_d1lc
 from repro.graphs import (
     degree_plus_one_lists,
+    gnp_fast_graph,
     gnp_graph,
     planted_almost_cliques,
     power_law_graph,
@@ -30,9 +31,8 @@ from repro.graphs import (
 from repro.graphs.generators import triangle_rich_graph
 from repro.metrics.ledger import CounterLedger, RecordingLedger
 
-_COLUMNAR = ("columnar",) if HAVE_NUMPY else ()
-BACKENDS = ("dict", "batch", "slot") + _COLUMNAR
-FAST_BACKENDS = ("batch", "slot") + _COLUMNAR  # vs the "dict" reference
+BACKENDS = ("dict", "columnar")
+FAST_BACKENDS = ("columnar",)  # vs the "dict" reference
 
 
 def ledger_tuple(network: Network):
@@ -213,6 +213,22 @@ class TestEndToEndEquivalence:
             assert a.coloring == b.coloring, backend
             assert (a.rounds, a.total_bits) == (b.rounds, b.total_bits), backend
 
+    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+    def test_johansson_identical_on_every_family(self, family):
+        graph = GRAPH_FAMILIES[family]()
+        results = {
+            backend: johansson_coloring(graph, seed=6, backend=backend)
+            for backend in BACKENDS
+        }
+        a = results["dict"]
+        assert a.is_valid
+        for backend in FAST_BACKENDS:
+            b = results[backend]
+            assert a.coloring == b.coloring, backend
+            assert (a.rounds, a.total_bits, a.max_edge_bits) == (
+                b.rounds, b.total_bits, b.max_edge_bits
+            ), backend
+
     def test_simulator_identical_across_backends(self):
         from repro.congest import NodeProgram
 
@@ -274,12 +290,184 @@ class TestFaultedEquivalence:
             ), backend
             assert a.fault_stats == b.fault_stats, backend
 
+    @pytest.mark.parametrize("family", ["gnp", "geometric", "ring-of-cliques"])
+    @pytest.mark.parametrize("plan", sorted(FAULT_PLANS))
+    def test_faulted_d1lc_identical_across_backends(self, family, plan):
+        graph = GRAPH_FAMILIES[family]()
+        lists = degree_plus_one_lists(graph, seed=9)
+        results = {
+            backend: solve_d1lc(graph, lists, seed=4, backend=backend,
+                                faults=FAULT_PLANS[plan], fault_seed=13)
+            for backend in BACKENDS
+        }
+        a = results["dict"]
+        for backend in FAST_BACKENDS:
+            b = results[backend]
+            assert a.coloring == b.coloring, backend
+            assert (a.rounds, a.total_bits, a.max_edge_bits) == (
+                b.rounds, b.total_bits, b.max_edge_bits
+            ), backend
+            assert a.fault_stats == b.fault_stats, backend
+
+
+# --------------------------------------------------------------------------- #
+# Node programs on the Simulator, fault-free and under every fault axis
+# --------------------------------------------------------------------------- #
+
+class RoundCappedFlood(NodeProgram):
+    """Deterministic flood; every node halts in the same round."""
+
+    def init(self, ctx):
+        ctx.state["best"] = ctx.node
+
+    def step(self, ctx, inbox):
+        best = min([ctx.state["best"], *inbox.values()])
+        ctx.state["best"] = best
+        if ctx.round_index >= 6:
+            ctx.state.halt(best)
+            return None
+        return {u: best for u in ctx.neighbors}
+
+
+class RandomGossip(NodeProgram):
+    """Per-node randomness: every node's rng stream must advance identically."""
+
+    def init(self, ctx):
+        ctx.state["trace"] = [ctx.rng.randrange(1000)]
+
+    def step(self, ctx, inbox):
+        ctx.state["trace"].append(ctx.rng.randrange(1000) + sum(inbox.values()))
+        if ctx.round_index >= 4:
+            ctx.state.halt(tuple(ctx.state["trace"]))
+            return None
+        return {u: ctx.state["trace"][-1] % 7 for u in ctx.neighbors}
+
+
+class StaggeredHalt(NodeProgram):
+    """Nodes halt at different rounds: later rounds run on a thinning active
+    set while mail to already-halted receivers is still sent and charged."""
+
+    def step(self, ctx, inbox):
+        if ctx.round_index >= ctx.node % 5:
+            ctx.state.halt(("done", len(inbox)))
+            return None
+        return {u: 1 for u in ctx.neighbors}
+
+
+PROGRAMS = {
+    "flood": RoundCappedFlood,
+    "gossip": RandomGossip,
+    "staggered": StaggeredHalt,
+}
+
+PROGRAM_GRAPHS = {
+    "gnp-fast": lambda: gnp_fast_graph(60, avg_degree=6.0, seed=3),
+    "geometric": lambda: random_geometric_graph(60, 0.22, seed=5),
+    "ring-of-cliques": lambda: ring_of_cliques(6, 6),
+}
+
+
+def delayed_edges(graph):
+    """Both directions of the first six edges, late by one to three rounds."""
+    return {(u, v): 1 + (u + 2 * v) % 3
+            for a, b in sorted(graph.edges())[:6]
+            for u, v in ((a, b), (b, a))}
+
+
+#: Fault plans per graph (a delay plan names concrete edges).  Each maps to
+#: the fault counter it must visibly move, so no axis passes vacuously;
+#: delays move no counter and must reshape the ledger instead.
+PROGRAM_FAULTS = {
+    "none": (lambda graph: None, None),
+    "drop": (lambda graph: {"drop": 0.15}, "dropped_messages"),
+    "corrupt": (lambda graph: {"corrupt": 0.02}, "corrupted_messages"),
+    "drop-corrupt": (lambda graph: {"drop": 0.1, "corrupt": 0.01},
+                     "corrupted_messages"),
+    "crash": (lambda graph: {"crash": {2: (5, 11)}}, "crashed_nodes"),
+    "delay": (lambda graph: {"delay": delayed_edges(graph)}, None),
+}
+
+
+def run_program(graph, program_cls, backend, faults=None):
+    """Drive ``program_cls`` to completion; return everything a run exposes."""
+    net = Network(graph, backend=backend, ledger="records", faults=faults,
+                  fault_seed=13)
+    result = Simulator(net, program_cls(), seed=7).run()
+    return {
+        "rounds": result.rounds,
+        "halted": result.halted,
+        "outputs": result.outputs,
+        "states": {v: (s.halted, s.output) for v, s in result.states.items()},
+        "records": list(net.ledger.records),
+        "fault_stats": net.fault_stats,
+    }
+
+
+class TestProgramEquivalence:
+    @pytest.mark.parametrize("graph", sorted(PROGRAM_GRAPHS))
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    @pytest.mark.parametrize("plan", sorted(PROGRAM_FAULTS))
+    def test_program_identical_across_backends(self, plan, program, graph):
+        graph = PROGRAM_GRAPHS[graph]()
+        make_faults, counter = PROGRAM_FAULTS[plan]
+        runs = {
+            backend: run_program(graph, PROGRAMS[program], backend,
+                                 faults=make_faults(graph))
+            for backend in BACKENDS
+        }
+        reference = runs["dict"]
+        assert reference["halted"]
+        for backend in FAST_BACKENDS:
+            assert runs[backend] == reference, backend
+        if plan == "none":
+            assert reference["fault_stats"] is None
+        elif counter is not None:
+            assert reference["fault_stats"][counter] > 0
+        else:
+            clean = run_program(graph, PROGRAMS[program], "dict")
+            assert reference["records"] != clean["records"]
+
+    def test_crashing_a_contiguous_slot_block(self):
+        # A whole block of the topology's slot order crashes mid-run: the
+        # survivors keep stepping while every message to or from the block
+        # is suppressed, identically on both backends.
+        graph = ring_of_cliques(6, 6)
+        block = tuple(Network(graph).topology.nodes[:9])
+        faults = {"crash": {2: block}}
+        runs = [run_program(graph, RoundCappedFlood, backend, faults=faults)
+                for backend in BACKENDS]
+        assert runs[0] == runs[1]
+        assert runs[0]["fault_stats"]["crashed_nodes"] == len(block)
+        assert runs[0]["rounds"] == 7
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_protocol_error_propagates(self, backend):
+        class SendsOffGraph(NodeProgram):
+            def step(self, ctx, inbox):
+                return {"no-such-node": 1}
+
+        net = Network(ring_of_cliques(4, 5), backend=backend)
+        with pytest.raises(ProtocolError):
+            Simulator(net, SendsOffGraph()).run()
+        assert net.ledger.rounds == 0  # the violating round is never recorded
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bandwidth_exceeded_propagates(self, backend):
+        class TooChatty(NodeProgram):
+            def step(self, ctx, inbox):
+                return {u: tuple(range(4096)) for u in ctx.neighbors}
+
+        net = Network(ring_of_cliques(4, 5), backend=backend)
+        with pytest.raises(BandwidthExceeded):
+            Simulator(net, TooChatty()).run()
+        assert net.ledger.rounds == 0
+
 
 class TestLedgerBackends:
     def test_counters_match_records(self):
         graph = gnp_graph(40, 0.15, seed=8)
-        full = solve_d1c(graph, seed=3, backend="batch", ledger="records")
-        lean = solve_d1c(graph, seed=3, backend="batch", ledger="counters")
+        full = solve_d1c(graph, seed=3, backend="columnar", ledger="records")
+        lean = solve_d1c(graph, seed=3, backend="columnar", ledger="counters")
         assert full.coloring == lean.coloring
         assert (full.rounds, full.total_bits, full.max_edge_bits) == (
             lean.rounds, lean.total_bits, lean.max_edge_bits
@@ -370,9 +558,35 @@ class TestChunkedAccountingOracle:
                for r in net.ledger.records]
         assert got == self.simulate_rounds(sizes, budget)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("trial", range(20))
+    def test_broadcast_matches_literal_simulation(self, backend, trial):
+        import random
+
+        rng = random.Random(1000 + trial)
+        budget = rng.choice([1, 3, 8, 17])
+        graph = nx.wheel_graph(9)  # hub of degree 8, rim nodes of degree 3
+        senders = rng.sample(sorted(graph.nodes()), rng.randrange(1, 10))
+        bits = {v: rng.choice([0, 1, budget - 1, budget, budget + 1,
+                               3 * budget, rng.randrange(0, 6 * budget + 1)])
+                for v in senders}
+        net = Network(graph, bandwidth_bits=budget, backend=backend)
+        inbox = net.broadcast_chunked(
+            {v: Message(content=v, bits=b) for v, b in bits.items()}, label="o"
+        )
+        # Every sender streams its payload down each incident edge.
+        sizes = {(v, u): b for v, b in bits.items() for u in graph.neighbors(v)}
+        got = [(r.message_count, r.total_bits, r.max_edge_bits)
+               for r in net.ledger.records]
+        assert got == self.simulate_rounds(sizes, budget)
+        assert {u: dict(box) for u, box in inbox.items()} == {
+            u: {v: v for v in graph.neighbors(u) if v in bits}
+            for u in graph.nodes()
+        }
+
 
 class TestSlotSizingCacheInvalidation:
-    """The slot backend's pooled payload-sizing cache is keyed by ``id()``.
+    """The columnar backend's pooled payload-sizing cache is keyed by ``id()``.
 
     The cache must be invalidated between rounds: an ``id()`` key is only
     meaningful while the round's message mapping keeps the payload alive,
@@ -382,7 +596,7 @@ class TestSlotSizingCacheInvalidation:
 
     def test_mutated_payload_resized_next_round(self):
         graph = nx.path_graph(3)
-        net = Network(graph, mode="local", backend="slot", ledger="records")
+        net = Network(graph, mode="local", backend="columnar", ledger="records")
         payload = [1, 1]
         net.exchange({(0, 1): payload}, label="r0")
         first_bits = net.ledger.records[-1].total_bits
@@ -400,7 +614,7 @@ class TestSlotSizingCacheInvalidation:
         # object, drop it, and keep sending new objects until the allocator
         # recycles the address — every delivery must charge the true size.
         graph = nx.path_graph(3)
-        net = Network(graph, mode="local", backend="slot", ledger="records")
+        net = Network(graph, mode="local", backend="columnar", ledger="records")
         from repro.congest.bandwidth import payload_bits
 
         stale = [255] * 4
