@@ -18,8 +18,8 @@ be run without writing Python::
     python -m repro.cli suite run smoke --trace /tmp/traces --progress
     python -m repro.cli suite run smoke --digest /tmp/digests
     python -m repro.cli diff /tmp/a/DIGEST_gnp-d1c.jsonl /tmp/b/DIGEST_gnp-d1c.jsonl --bisect
+    python -m repro.cli diff /tmp/a/TRACE_gnp-d1c.jsonl /tmp/b/TRACE_gnp-d1c.jsonl
     python -m repro.cli trace summarize TRACE_powerlaw-d1lc.jsonl
-    python -m repro.cli trace compare /tmp/a/TRACE_gnp-d1c.jsonl /tmp/b/TRACE_gnp-d1c.jsonl
     python -m repro.cli suite compare --baseline BENCH_suite.json
     python -m repro.cli suite compare --baseline BENCH_suite.json --timing-budget 50
     python -m repro.cli suite compare --baseline BENCH_robustness.json
@@ -147,9 +147,14 @@ def cmd_acd(args: argparse.Namespace) -> int:
 
 
 def cmd_triangles(args: argparse.Namespace) -> int:
-    planted = triangle_rich_graph(n=args.n, planted_cliques=3, clique_size=14, seed=args.seed)
-    network = Network(planted.graph, backend=args.backend)
-    result = detect_triangle_rich_edges(network, eps=args.eps, seed=args.seed)
+    with _user_input():
+        planted = triangle_rich_graph(n=args.n, planted_cliques=3,
+                                      clique_size=14, seed=args.seed)
+        network = Network(planted.graph, backend=args.backend)
+        # A bad eps is rejected before the first round, so a ValueError
+        # from the detection is an argument error, not a failed run.
+        result = detect_triangle_rich_edges(network, eps=args.eps,
+                                            seed=args.seed)
     rich = flagged_rich = 0
     for u, v in planted.graph.edges():
         if true_triangle_count(network, u, v) >= 2 * result.threshold:
@@ -260,29 +265,26 @@ def cmd_suite_run(args: argparse.Namespace) -> int:
         write_suite_artifacts,
     )
 
-    from repro.obs import Heartbeat, current_rss_mb
+    from repro.obs import current_rss_mb, digest_filename, trace_filename
 
     _select_suite(args.suite, args.only)
     if args.trials is not None and args.trials < 1:
         raise UserError(f"--trials must be >= 1, got {args.trials}")
     faults = _parse_faults(args.faults) if args.faults else None
     started = time.perf_counter()
-    # --progress heartbeats go to stderr (plain lines, one per completed
-    # trial) so they never disturb stdout tables or artifact bytes.
-    heartbeat = Heartbeat(interval_s=0.0) if args.progress else None
 
     def progress(row):
         if args.verbose:
             status = "ok" if row.get("valid") else "INVALID"
             print(f"  {row['scenario']} trial {row['trial']}: {status} "
                   f"({row['wall_s']}s)")
-        if heartbeat is not None:
-            heartbeat.beat(
-                f"[suite] {row['scenario']} trial {row['trial']}: "
-                f"rounds={row.get('rounds', '-')} "
-                f"elapsed={round(time.perf_counter() - started, 1)}s "
-                f"rss={current_rss_mb()}MiB"
-            )
+        if args.progress:
+            # stderr, one plain line per completed trial: never disturbs
+            # stdout tables or artifact bytes.
+            print(f"[suite] {row['scenario']} trial {row['trial']}: "
+                  f"rounds={row.get('rounds', '-')} "
+                  f"elapsed={round(time.perf_counter() - started, 1)}s "
+                  f"rss={current_rss_mb()}MiB", file=sys.stderr, flush=True)
 
     out_dir = Path(args.out)
     profile_dir = out_dir if args.profile else None
@@ -329,16 +331,12 @@ def cmd_suite_run(args: argparse.Namespace) -> int:
         digest_dir=digest_dir,
     ))
     if trace_dir is not None:
-        from repro.obs import trace_filename
-
         traces = ", ".join(
             str(trace_dir / trace_filename(s.spec.name))
             for s in result.scenarios
         )
         print(f"traces: {traces}")
     if digest_dir is not None:
-        from repro.obs.forensics import digest_filename
-
         streams = ", ".join(
             str(digest_dir / digest_filename(s.spec.name))
             for s in result.scenarios
@@ -474,14 +472,14 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs import (
-        load_trace, render_timeline, summarize_trace, summary_as_dict,
+        load_events, render_timeline, summarize_trace, summary_as_dict,
     )
 
     if args.json:
         # Machine-readable shape: one key per trace file, key-sorted and
         # stable — CI consumes this without scraping tables.
         payload = {
-            Path(path).name: summary_as_dict(summarize_trace(_load(load_trace, path)))
+            Path(path).name: summary_as_dict(summarize_trace(_load(load_events, path)))
             for path in args.trace
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -489,7 +487,7 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
     for index, path in enumerate(args.trace):
         if index:
             print()
-        events = _load(load_trace, path)
+        events = _load(load_events, path)
         print(render_timeline(
             summarize_trace(events),
             title=f"phase timeline: {Path(path).name}",
@@ -497,75 +495,55 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace_compare(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs import (
-        TRACE_PREFIX, compare_traces, comparison_as_dict, load_trace,
-        render_comparison,
-    )
-
-    def short(path: Path) -> str:
-        stem = path.stem
-        return stem[len(TRACE_PREFIX):] if stem.startswith(TRACE_PREFIX) else stem
-
-    path_a, path_b = Path(args.a), Path(args.b)
-    name_a, name_b = short(path_a), short(path_b)
-    if name_a == name_b:
-        # Same scenario from two runs: disambiguate by parent directory.
-        name_a = f"{path_a.parent.name or 'a'}/{name_a}"
-        name_b = f"{path_b.parent.name or 'b'}/{name_b}"
-    events_a = _load(load_trace, args.a)
-    events_b = _load(load_trace, args.b)
-    if args.json:
-        payload = comparison_as_dict(events_a, events_b,
-                                     name_a=name_a, name_b=name_b)
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0 if payload["identical"] else 1
-    print(render_comparison(events_a, events_b, name_a=name_a, name_b=name_b))
-    # diff semantics: exit 1 when the deterministic columns drifted.
-    return 1 if compare_traces(events_a, events_b) else 0
-
-
 def cmd_diff(args: argparse.Namespace) -> int:
-    """Align two DIGEST_*.jsonl streams; optionally bisect to the first node.
+    """Align two run-event streams; optionally bisect to the first node.
 
-    Exit code mirrors ``trace compare``: 0 when the streams are identical,
-    1 when they diverge, 2 on unreadable inputs.
+    Either side may be a TRACE_*.jsonl or a DIGEST_*.jsonl file.  Exit
+    codes: 0 when the streams are identical, 1 when they diverge, 2 on
+    unreadable inputs.
     """
     import json
+    from dataclasses import asdict
 
+    from repro.obs import compare_traces, load_events
     from repro.obs.forensics import (
-        bisect_divergence, first_divergence, load_digests, render_bisect,
-        render_divergence,
+        bisect_divergence, first_divergence, render_bisect,
+        render_divergence, select_trial,
     )
 
-    events_a = _load(load_digests, args.a)
-    events_b = _load(load_digests, args.b)
-    divergence = first_divergence(events_a, events_b, trial=args.trial)
+    events_a = _load(load_events, args.a)
+    events_b = _load(load_events, args.b)
+    if args.trial is not None:
+        events_a = select_trial(events_a, args.trial)
+        events_b = select_trial(events_b, args.trial)
+    divergence = first_divergence(events_a, events_b)
+    drift = compare_traces(events_a, events_b)
     report = None
     if args.bisect and divergence is not None:
         report = bisect_divergence(events_a, events_b, divergence=divergence,
                                    window=args.window)
     if args.json:
-        payload: dict = {"identical": divergence is None}
-        if divergence is not None:
-            payload["divergence"] = divergence.as_dict()
+        payload: dict = {
+            "identical": divergence is None,
+            "divergence": None if divergence is None else divergence.as_dict(),
+            "drift": [asdict(d) for d in drift],
+        }
         if report is not None:
             payload["bisect"] = report.as_dict()
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0 if divergence is None else 1
-    if report is not None:
-        print(render_bisect(report))
     else:
-        print(render_divergence(divergence))
+        print(render_bisect(report) if report is not None
+              else render_divergence(divergence))
+        if drift:
+            print(format_table([d.as_row() for d in drift],
+                               title="deterministic drift"))
     return 0 if divergence is None else 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments import SUITE_FILENAME, load_suite_summary
     from repro.obs import (
-        TRACE_PREFIX, TRACE_SUFFIX, load_trace, render_timeline,
+        EVENTS_SUFFIX, TRACE_PREFIX, load_events, render_timeline,
         summarize_trace,
     )
     from repro.obs.analytics import (
@@ -601,13 +579,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     if suite_path.exists():
         summary = load_suite_summary(suite_path)
     traces = []
-    for path in sorted(report_dir.glob(f"{TRACE_PREFIX}*{TRACE_SUFFIX}")):
+    for path in sorted(report_dir.glob(f"{TRACE_PREFIX}*{EVENTS_SUFFIX}")):
         name = path.stem[len(TRACE_PREFIX):]
         if (
             args.target == name
             or (summary is not None and summary.get("suite") == args.target)
         ):
-            traces.append((name, load_trace(path)))
+            traces.append((name, _load(load_events, str(path))))
     if summary is not None and summary.get("suite") != args.target:
         # Scenario target: narrow the overview to the one scenario.
         scenarios = summary.get("scenarios", {})
@@ -618,7 +596,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             summary = None
     if summary is None and not traces:
         print(f"nothing to report: no {SUITE_FILENAME} for suite/scenario "
-              f"{args.target!r} and no matching {TRACE_PREFIX}*{TRACE_SUFFIX} "
+              f"{args.target!r} and no matching {TRACE_PREFIX}*{EVENTS_SUFFIX} "
               f"in {report_dir}")
         return 2
 
@@ -802,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_compare.set_defaults(func=cmd_suite_compare)
 
     trace = sub.add_parser(
-        "trace", help="summarize or diff TRACE_*.jsonl round traces"
+        "trace", help="summarize TRACE_*.jsonl round traces"
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
@@ -816,27 +794,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "per trace file) instead of tables")
     t_sum.set_defaults(func=cmd_trace_summarize)
 
-    t_cmp = trace_sub.add_parser(
-        "compare",
-        help="diff two traces per phase; exits 1 when the deterministic "
-             "columns (rounds/messages/bits) drifted, wall-clock is "
-             "informational only",
-    )
-    t_cmp.add_argument("a", help="first TRACE_*.jsonl")
-    t_cmp.add_argument("b", help="second TRACE_*.jsonl")
-    t_cmp.add_argument("--json", action="store_true",
-                       help="emit both summaries plus the deterministic "
-                            "drift as key-sorted JSON (same exit semantics)")
-    t_cmp.set_defaults(func=cmd_trace_compare)
-
     diff = sub.add_parser(
         "diff",
-        help="align two DIGEST_*.jsonl streams and report the first "
-             "divergent (round, phase); --bisect re-runs the window "
-             "in fine mode to name the first divergent node",
+        help="align two TRACE_/DIGEST_*.jsonl streams, report the first "
+             "divergent (round, phase) and the per-phase rounds/messages/"
+             "bits drift; --bisect re-runs the window in fine mode to name "
+             "the first divergent node",
     )
-    diff.add_argument("a", help="first DIGEST_*.jsonl stream")
-    diff.add_argument("b", help="second DIGEST_*.jsonl stream")
+    diff.add_argument("a", help="first TRACE_*.jsonl or DIGEST_*.jsonl stream")
+    diff.add_argument("b", help="second TRACE_*.jsonl or DIGEST_*.jsonl stream")
     diff.add_argument("--bisect", action="store_true",
                       help="re-run both sides over a round window with "
                            "per-node fine digests and name the first "
@@ -848,8 +814,9 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--trial", type=int, default=None,
                       help="restrict the alignment to one trial index")
     diff.add_argument("--json", action="store_true",
-                      help="emit the divergence (and bisection) as "
-                           "key-sorted JSON; exit 1 when streams diverge")
+                      help="emit the divergence, the per-phase drift (and "
+                           "the bisection) as key-sorted JSON; exit 1 when "
+                           "streams diverge")
     diff.set_defaults(func=cmd_diff)
 
     report = sub.add_parser(

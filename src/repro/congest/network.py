@@ -105,10 +105,11 @@ class Network:
         Optional :class:`~repro.obs.tracer.Tracer` observing this run.  The
         default is the shared :data:`~repro.obs.tracer.NULL_TRACER`, which
         installs nothing — untraced runs execute the exact code they always
-        did.  Passing a :class:`~repro.obs.tracer.RoundTracer` attaches it to
-        the ledger's round seam; tracing is observation-only (no RNG, no
-        state mutation) and a traced run is byte-identical to an untraced
-        one.
+        did.  Passing a :class:`~repro.obs.tracer.RoundTracer` attaches it as
+        the ledger's one round observer (and, with ``digest=True``, hands
+        it every primitive's delivered payloads); tracing is
+        observation-only (no RNG, no state mutation) and a traced run is
+        byte-identical to an untraced one.
     """
 
     def __init__(

@@ -88,9 +88,10 @@ def solve_instance(
     validity reports how the coloring held up *under* the faults.
 
     ``tracer`` optionally attaches a :class:`~repro.obs.tracer.RoundTracer`
-    to the run's network.  Tracing is observation-only (no RNG, no state
-    mutation; the result is byte-identical either way), and the caller that
-    built the tracer owns closing it — ``solve_instance`` never does.
+    (round events, plus the chained digest with ``digest=True``) to the
+    run's network.  Tracing is observation-only (no RNG, no state mutation;
+    the result is byte-identical either way), and the caller that built the
+    tracer owns closing it — ``solve_instance`` never does.
     """
     params = params or ColoringParameters.small()
     if seed is not None:

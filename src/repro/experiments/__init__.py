@@ -52,7 +52,6 @@ from repro.experiments.runner import (
     profile_filename,
     run_scenarios,
     run_suite,
-    run_traced_trial,
     run_trial,
 )
 from repro.experiments.spec import ScenarioSpec, derive_seed, trial_seeds
@@ -85,7 +84,6 @@ __all__ = [
     "profile_filename",
     "run_scenarios",
     "run_suite",
-    "run_traced_trial",
     "run_trial",
     "suite_names",
     "timing_summary",

@@ -103,7 +103,7 @@ def timing_summary(result: SuiteResult) -> Dict[str, object]:
     """One run's wall-clock + peak-memory entry (merged into the timing file).
 
     ``peak_rss_mb`` is the per-scenario maximum of the trial rows' process
-    high-water marks (see :func:`~repro.experiments.runner.peak_rss_mb`), so
+    high-water marks (see :func:`~repro.obs.sampler.peak_rss_mb`), so
     memory regressions at large n are visible next to the wall-clock they
     usually cause.  Machine state, like timing — hence this artifact, never
     the aggregate.

@@ -9,10 +9,10 @@ executable trial:
 * ``SOLVERS`` — ``name -> solver(spec, graph, truth, seed)`` returning a flat
   metrics dict for one trial.  All coloring solvers share the same metric
   schema so suites can be aggregated and diffed uniformly.  Every solver also
-  accepts an optional ``tracer=`` keyword (a
-  :class:`~repro.obs.tracer.RoundTracer`) attached to the trial's network —
-  tracing is observation-only, so trial metrics are byte-identical either
-  way; the runner owns the tracer's lifecycle.
+  accepts an optional ``tracer=`` keyword (the trial's one
+  :class:`~repro.obs.tracer.RoundTracer`, digesting or not) attached to the
+  trial's network — tracing is observation-only, so trial metrics are
+  byte-identical either way; the runner owns the tracer's lifecycle.
 * ``SUITES`` — the named scenario collections the CLI exposes
   (``smoke``, ``coloring``, ``bandwidth``, ``detection``, ``scaling``,
   ``scale``, ``robustness``, ``massive``).  The suites absorb the workloads of the

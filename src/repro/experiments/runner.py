@@ -17,8 +17,6 @@ import functools
 import io
 import os
 import pstats
-import resource
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,7 +27,14 @@ import repro
 
 from repro.experiments.registry import GRAPH_FAMILIES, SOLVERS, get_suite, validate_spec
 from repro.experiments.spec import ScenarioSpec, trial_seeds
-from repro.obs.artifacts import trace_filename, write_trace
+from repro.obs.artifacts import (
+    deterministic_events,
+    digest_filename,
+    trace_filename,
+    write_events,
+)
+from repro.obs.forensics.diff import spec_payload
+from repro.obs.sampler import peak_rss_mb
 from repro.obs.tracer import RoundTracer
 
 #: Row keys describing execution rather than the measured workload; they are
@@ -39,22 +44,6 @@ NON_METRIC_KEYS = (
     "scenario", "family", "solver", "trial", "graph_seed", "solver_seed", "wall_s",
     "peak_rss_mb", "state_digest",
 )
-
-
-def peak_rss_mb() -> float:
-    """Peak resident-set size of the calling process, in MiB.
-
-    ``ru_maxrss`` is a lifetime high-water mark, so a trial's value is an
-    upper bound: a light scenario that runs after a heavy one in the same
-    (worker) process reports the heavy one's peak.  Regressions still
-    surface — the per-suite maximum only ever grows because *some* scenario
-    needed that much — and the number is machine state, so it lives in the
-    timing artifact, never the byte-stable aggregate.
-    """
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform != "darwin":
-        peak *= 1024  # Linux reports KiB; macOS reports bytes
-    return round(peak / (1024.0 * 1024.0), 1)
 
 #: Number of cumulative-time hotspots written per scenario profile.
 PROFILE_TOP = 25
@@ -137,65 +126,33 @@ def run_trial(spec: ScenarioSpec, trial: int,
 
 
 def run_instrumented_trial(spec: ScenarioSpec, trial: int,
-                           trace: bool = False, digest: bool = False,
-                           fine_rounds=None):
-    """Execute one trial with tracing and/or digesting attached.
+                           digest: bool = False):
+    """Execute one trial under a :class:`~repro.obs.tracer.RoundTracer`.
 
-    Returns ``(row, trace_events, digest_events)`` where the event lists are
-    ``None`` for instruments that were off.  When both are on they share one
-    ledger through a :class:`~repro.obs.tracer.CompositeTracer`.  All events
-    are plain JSON-serializable dicts, so the triple crosses the process-pool
-    boundary like any other result and the parent writes per-scenario
-    ``TRACE_*.jsonl`` / ``DIGEST_*.jsonl`` artifacts in deterministic trial
-    order.  A digested row additionally carries the run's final chained
-    ``state_digest`` (a non-metric key: identity, not measurement).
+    Returns ``(row, events)``.  The events are plain JSON-serializable
+    dicts, so the pair crosses the process-pool boundary like any other
+    result and the parent writes per-scenario ``TRACE_*.jsonl`` /
+    ``DIGEST_*.jsonl`` artifacts in deterministic trial order.  With
+    ``digest`` the round events carry the chained digest and the row
+    additionally carries the run's final chain as ``state_digest`` (a
+    non-metric key: identity, not measurement).
     """
-    meta = {
+    # The header embeds the spec so `repro diff --bisect` can re-run the
+    # exact workload in fine mode from the stream alone.
+    tracer = RoundTracer(meta={
         "scenario": spec.name,
         "trial": trial,
         "solver": spec.solver,
         "family": spec.family,
-    }
-    round_tracer = RoundTracer(meta=dict(meta)) if trace else None
-    digest_tracer = None
-    if digest:
-        from repro.obs.forensics import DigestTracer
-        from repro.obs.forensics.diff import spec_payload
-
-        # The header embeds the spec so `repro diff --bisect` can re-run the
-        # exact workload in fine mode from the stream alone.
-        digest_tracer = DigestTracer(
-            meta={**meta, "spec": spec_payload(spec)}, fine_rounds=fine_rounds,
-        )
-    tracers = [t for t in (round_tracer, digest_tracer) if t is not None]
-    if not tracers:
-        tracer = None
-    elif len(tracers) == 1:
-        tracer = tracers[0]
-    else:
-        from repro.obs.tracer import CompositeTracer
-
-        tracer = CompositeTracer(tracers)
+        "spec": spec_payload(spec),
+    }, digest=digest)
     try:
         row = run_trial(spec, trial, tracer=tracer)
     finally:
-        for member in tracers:
-            member.close()
-    if digest_tracer is not None:
-        row["state_digest"] = digest_tracer.final_digest
-    return (row,
-            round_tracer.events if round_tracer is not None else None,
-            digest_tracer.events if digest_tracer is not None else None)
-
-
-def run_traced_trial(spec: ScenarioSpec, trial: int):
-    """Execute one traced trial; return ``(row, trace_events)``.
-
-    Kept as the historical two-tuple API; new instrumentation goes through
-    :func:`run_instrumented_trial`.
-    """
-    row, trace_events, _ = run_instrumented_trial(spec, trial, trace=True)
-    return row, trace_events
+        tracer.close()
+    if digest:
+        row["state_digest"] = tracer.events[-1]["chain"]
+    return row, tracer.events
 
 
 @contextlib.contextmanager
@@ -247,14 +204,14 @@ def run_scenarios(
     ignored) and inflates the ``wall_s`` fields with profiler overhead, so a
     profiled run must not be used to refresh timing baselines.
 
-    ``trace_dir`` attaches a :class:`~repro.obs.tracer.RoundTracer` to every
-    trial and writes one ``TRACE_<scenario>.jsonl`` per scenario into that
-    directory (all trials, in trial order).  ``digest_dir`` does the same
-    with a :class:`~repro.obs.forensics.DigestTracer` and per-scenario
-    ``DIGEST_<scenario>.jsonl`` streams (and stamps each row's
-    ``state_digest``); both may be on at once.  Instrumentation is
-    observation-only: rows and aggregates are byte-identical to an
-    uninstrumented run, whatever the worker count.
+    ``trace_dir`` or ``digest_dir`` attaches one
+    :class:`~repro.obs.tracer.RoundTracer` to every trial (digesting when
+    ``digest_dir`` is set, which also stamps each row's ``state_digest``).
+    ``trace_dir`` receives one ``TRACE_<scenario>.jsonl`` per scenario with
+    every event (all trials, in trial order); ``digest_dir`` one
+    ``DIGEST_<scenario>.jsonl`` with the machine-dependent fields removed.
+    Instrumentation is observation-only: rows and aggregates are
+    byte-identical to an uninstrumented run, whatever the worker count.
     """
     for spec in specs:
         validate_spec(spec)
@@ -262,30 +219,23 @@ def run_scenarios(
              for index, spec in enumerate(specs)
              for trial in range(spec.trials)]
     results: Dict[tuple, Dict[str, object]] = {}
-    traces: Dict[tuple, List[Dict[str, object]]] = {}
-    digests: Dict[tuple, List[Dict[str, object]]] = {}
+    events: Dict[tuple, List[Dict[str, object]]] = {}
     instrumented = trace_dir is not None or digest_dir is not None
     suite_start = time.perf_counter()
 
     def record(key, outcome) -> Dict[str, object]:
         # One unpacking seam for all three execution paths: instrumented
-        # tasks return (row, trace_events, digest_events), plain ones just
-        # the row.
-        if not instrumented:
-            results[key] = outcome
+        # tasks return (row, events), plain ones just the row.
+        if instrumented:
+            results[key], events[key] = outcome
         else:
-            results[key], trace_events, digest_events = outcome
-            if trace_dir is not None:
-                traces[key] = trace_events
-            if digest_dir is not None:
-                digests[key] = digest_events
+            results[key] = outcome
         return results[key]
 
     if instrumented:
         # functools.partial of a module-level function pickles under every
         # process-pool start method.
         task = functools.partial(run_instrumented_trial,
-                                 trace=trace_dir is not None,
                                  digest=digest_dir is not None)
     else:
         task = run_trial
@@ -323,24 +273,20 @@ def run_scenarios(
                 if progress is not None:
                     progress(row)
 
-    if trace_dir is not None:
-        trace_dir = Path(trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
+    if instrumented:
+        for directory in (trace_dir, digest_dir):
+            if directory is not None:
+                Path(directory).mkdir(parents=True, exist_ok=True)
         for index, spec in enumerate(specs):
-            events = [event
+            stream = [event
                       for trial in range(spec.trials)
-                      for event in traces[(index, trial)]]
-            write_trace(trace_dir / trace_filename(spec.name), events)
-    if digest_dir is not None:
-        from repro.obs.forensics import digest_filename, write_digests
-
-        digest_dir = Path(digest_dir)
-        digest_dir.mkdir(parents=True, exist_ok=True)
-        for index, spec in enumerate(specs):
-            events = [event
-                      for trial in range(spec.trials)
-                      for event in digests[(index, trial)]]
-            write_digests(digest_dir / digest_filename(spec.name), events)
+                      for event in events[(index, trial)]]
+            if trace_dir is not None:
+                write_events(Path(trace_dir) / trace_filename(spec.name),
+                             stream)
+            if digest_dir is not None:
+                write_events(Path(digest_dir) / digest_filename(spec.name),
+                             deterministic_events(stream))
 
     suite_result = SuiteResult(suite=suite)
     for index, spec in enumerate(specs):

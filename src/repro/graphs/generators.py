@@ -215,6 +215,8 @@ def triangle_rich_graph(
     seed: int = 0,
 ) -> TriangleRichGraph:
     """Sparse ``G(n, p)`` background plus planted cliques whose edges are triangle-rich."""
+    if n < 1:
+        raise ValueError("n must be positive")
     rng = random.Random(seed)
     graph = nx.gnp_random_graph(n, background_p, seed=seed)
     rich_edges: Set[Tuple[int, int]] = set()

@@ -1,4 +1,4 @@
-"""repro.obs — round-level tracing, telemetry, and trace artifacts.
+"""repro.obs — round-level tracing, telemetry, and run-event artifacts.
 
 Observation-only by contract: nothing in this package consumes randomness
 or mutates engine state, and a traced run is byte-identical to an untraced
@@ -6,13 +6,14 @@ one (see DESIGN.md, "Observability invariants").
 """
 
 from repro.obs.artifacts import (
+    EVENTS_SUFFIX,
     TRACE_PREFIX,
-    TRACE_SUFFIX,
-    load_trace,
+    deterministic_events,
+    digest_filename,
+    load_events,
     trace_filename,
-    write_trace,
+    write_events,
 )
-from repro.obs.heartbeat import Heartbeat
 from repro.obs.sampler import (
     ResourceSampler,
     cpu_seconds,
@@ -24,8 +25,6 @@ from repro.obs.summary import (
     PhaseTotals,
     TraceSummary,
     compare_traces,
-    comparison_as_dict,
-    render_comparison,
     render_timeline,
     summarize_trace,
     summary_as_dict,
@@ -33,23 +32,17 @@ from repro.obs.summary import (
 )
 from repro.obs.tracer import (
     NULL_TRACER,
-    TRACE_SCHEMA,
-    CompositeTracer,
+    RUN_SCHEMA,
     NullTracer,
     RoundTracer,
     Tracer,
-    add_round_observer,
-    make_tracer,
-    remove_round_observer,
 )
 
 __all__ = [
-    "TRACE_PREFIX",
-    "TRACE_SCHEMA",
-    "TRACE_SUFFIX",
+    "EVENTS_SUFFIX",
     "NULL_TRACER",
-    "CompositeTracer",
-    "Heartbeat",
+    "RUN_SCHEMA",
+    "TRACE_PREFIX",
     "NullTracer",
     "PhaseDrift",
     "PhaseTotals",
@@ -57,20 +50,17 @@ __all__ = [
     "RoundTracer",
     "Tracer",
     "TraceSummary",
-    "add_round_observer",
-    "remove_round_observer",
     "compare_traces",
-    "comparison_as_dict",
     "cpu_seconds",
     "current_rss_mb",
-    "load_trace",
-    "make_tracer",
+    "deterministic_events",
+    "digest_filename",
+    "load_events",
     "peak_rss_mb",
-    "render_comparison",
     "render_timeline",
     "summarize_trace",
     "summary_as_dict",
     "timeline_rows",
     "trace_filename",
-    "write_trace",
+    "write_events",
 ]

@@ -173,9 +173,8 @@ def localize_digest_change(
             "distinct --digest directories per run",
         ))
         return findings
-    from repro.obs.forensics import (
-        digest_filename, first_divergence, load_digests, render_divergence,
-    )
+    from repro.obs.artifacts import digest_filename, load_events
+    from repro.obs.forensics import first_divergence, render_divergence
 
     emitted = 0
     scenarios = sorted(set(prev.get("scenarios") or [])
@@ -192,8 +191,8 @@ def localize_digest_change(
             ))
             continue
         try:
-            div = first_divergence(load_digests(path_a),
-                                   load_digests(path_b))
+            div = first_divergence(load_events(path_a),
+                                   load_events(path_b))
         except (OSError, ValueError) as exc:
             findings.append(Finding(
                 "info", suite, "digest",

@@ -1,12 +1,14 @@
-"""The repro diff debugger: align digest streams, localize, bisect.
+"""The repro diff debugger: align run-event streams, localize, bisect.
 
 Three layers, each built on the one below:
 
-* :func:`first_divergence` — align two ``DIGEST_*.jsonl`` event lists
-  trial by trial and round by round (the chain makes prefix equality a
-  single comparison per round) and report the first divergent
-  (round, phase) with per-component attribution: inbox bytes,
-  ledger counters, liveness, solver state, or round structure.
+* :func:`first_divergence` — align two run-event lists (``TRACE_*`` or
+  ``DIGEST_*`` files) trial by trial and round by round and report the
+  first divergent (round, phase) with per-component attribution: inbox
+  bytes, ledger counters, liveness, solver state, or round structure.
+  When both sides carry a digest chain, prefix equality is one chain
+  comparison per round; otherwise rounds align on their deterministic
+  fields (label and ledger counters).
 * :func:`bisect_divergence` — re-run both sides' trials in *fine* mode
   over a window around the divergent round (default backend — valid
   because the digest chain is pinned equal across backends) and name the
@@ -14,9 +16,10 @@ Three layers, each built on the one below:
 * ``repro diff`` / ``repro report trend`` (:mod:`repro.cli`,
   :mod:`repro.obs.analytics.history`) — the user-facing surfaces.
 
-The bisection re-run is possible because every digest header embeds the
-scenario spec's workload fields (:func:`spec_payload`); performance knobs
-(backend/ledger) are deliberately absent and default on re-run.
+The bisection re-run is possible because every instrumented trial's header
+embeds the scenario spec's workload fields (:func:`spec_payload`);
+performance knobs (backend/ledger) are deliberately absent and default on
+re-run.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ _COMPONENT_ORDER = ("structure", "inbox", "counters", "liveness", "state")
 
 # ------------------------------------------------------------- spec embedding
 def spec_payload(spec) -> Dict[str, Any]:
-    """JSON-safe embedding of a spec's workload fields for digest headers.
+    """JSON-safe embedding of a spec's workload fields for stream headers.
 
     Everything the seed derivation and the solvers read — and nothing the
     byte-identity contract says must not matter (backend, ledger,
@@ -108,7 +111,7 @@ def split_trials(events: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
             current = {"header": event, "rounds": [], "fine": {}, "end": None}
             trials.append(current)
         elif current is None:
-            raise ValueError("digest stream does not start with a header event")
+            raise ValueError("stream does not start with a header event")
         elif kind == "round":
             current["rounds"].append(event)
         elif kind == "fine":
@@ -118,9 +121,22 @@ def split_trials(events: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
     return trials
 
 
+def select_trial(events: Sequence[Mapping[str, Any]],
+                 trial: int) -> List[Mapping[str, Any]]:
+    """The events of the trial blocks whose header names trial ``trial``."""
+    selected: List[Mapping[str, Any]] = []
+    keep = False
+    for event in events:
+        if event.get("type") == "header":
+            keep = event.get("trial") == trial
+        if keep:
+            selected.append(event)
+    return selected
+
+
 @dataclass
 class Divergence:
-    """The first point where two digest streams disagree."""
+    """The first point where two run-event streams disagree."""
 
     scenario: str
     trial: int
@@ -148,9 +164,13 @@ class Divergence:
 
 
 def _round_components(
-    round_a: Mapping[str, Any], round_b: Mapping[str, Any]
+    round_a: Mapping[str, Any], round_b: Mapping[str, Any], digested: bool,
 ) -> Tuple[List[str], List[str]]:
-    """Which components differ between two aligned round events, and how."""
+    """Which components differ between two aligned round events, and how.
+
+    The inbox, liveness and state components exist only when both sides
+    are ``digested``; otherwise label and counters are all there is.
+    """
     components: List[str] = []
     details: List[str] = []
     if round_a.get("label") != round_b.get("label"):
@@ -158,8 +178,8 @@ def _round_components(
         details.append(
             f"label {round_a.get('label')!r} vs {round_b.get('label')!r}"
         )
-    if (round_a.get("payload") != round_b.get("payload")
-            or round_a.get("payload_n") != round_b.get("payload_n")):
+    if digested and (round_a.get("payload") != round_b.get("payload")
+                     or round_a.get("payload_n") != round_b.get("payload_n")):
         components.append("inbox")
         details.append(
             "payload digest "
@@ -174,6 +194,8 @@ def _round_components(
     if counter_diffs:
         components.append("counters")
         details.append(", ".join(counter_diffs))
+    if not digested:
+        return components, details
     if round_a.get("halted") != round_b.get("halted"):
         components.append("liveness")
         details.append(
@@ -198,14 +220,14 @@ _WORKLOAD_KEYS = ("n", "m", "mode", "bandwidth_bits", "family", "solver",
 def first_divergence(
     events_a: Sequence[Mapping[str, Any]],
     events_b: Sequence[Mapping[str, Any]],
-    trial: Optional[int] = None,
 ) -> Optional[Divergence]:
-    """First divergent point between two digest streams, or ``None``.
+    """First divergent point between two run-event streams, or ``None``.
 
-    Trials align by stream position.  Differing fault plans are reported as
-    context, not a mismatch — diffing a clean run against its faulted twin
-    is the injection workflow, and the interesting answer is still *where*
-    the rounds part ways.  ``trial`` restricts the scan to one trial index.
+    Trials align by stream position (:func:`select_trial` narrows a stream
+    to one trial first).  Differing fault plans are reported as context,
+    not a mismatch — diffing a clean run against its faulted twin is the
+    injection workflow, and the interesting answer is still *where* the
+    rounds part ways.
     """
     trials_a = split_trials(events_a)
     trials_b = split_trials(events_b)
@@ -216,8 +238,6 @@ def first_divergence(
         header_a = block_a["header"]
         header_b = block_b["header"]
         trial_index = header_a.get("trial", pair_index)
-        if trial is not None and trial_index != trial:
-            continue
         scenario = header_a.get("scenario", header_a.get("name", "?"))
         mismatched = [
             key for key in _WORKLOAD_KEYS
@@ -243,10 +263,14 @@ def first_divergence(
         rounds_a = block_a["rounds"]
         rounds_b = block_b["rounds"]
         for round_a, round_b in zip(rounds_a, rounds_b):
-            if round_a.get("chain") == round_b.get("chain"):
+            digested = "chain" in round_a and "chain" in round_b
+            if digested and round_a["chain"] == round_b["chain"]:
                 continue
-            components, details = _round_components(round_a, round_b)
+            components, details = _round_components(round_a, round_b,
+                                                    digested)
             if not components:
+                if not digested:
+                    continue
                 components, details = (
                     ["chain"],
                     [f"chain {round_a.get('chain')} vs {round_b.get('chain')}"
@@ -289,8 +313,7 @@ def first_divergence(
 def render_divergence(div: Optional[Divergence]) -> str:
     """Human-readable one-or-two-line report of a divergence."""
     if div is None:
-        return ("digest streams are identical (same chains, same rounds, "
-                "same trials)")
+        return "streams are identical (same rounds, same trials)"
     if div.component == "trials":
         return f"streams diverge in shape: {div.detail}"
     if div.component == "header":
@@ -348,20 +371,20 @@ class BisectReport:
 
 
 def _fine_rerun(header: Mapping[str, Any], window: Tuple[int, int]):
-    """Re-run one trial serially with a fine-mode digest tracer attached."""
+    """Re-run one trial serially with a fine-mode digesting tracer attached."""
     from repro.experiments.runner import run_trial
-    from repro.obs.forensics.tracer import DigestTracer
+    from repro.obs.tracer import RoundTracer
 
     payload = header.get("spec")
     if payload is None:
         raise ValueError(
-            "digest header does not embed the scenario spec; streams "
-            "produced by this version always do — re-generate the stream "
-            "with --digest before bisecting"
+            "stream header does not embed the scenario spec; suite runs "
+            "with --trace or --digest always do — re-generate the stream "
+            "before bisecting"
         )
     spec = spec_from_payload(payload)
     trial = int(header.get("trial", 0))
-    tracer = DigestTracer(fine_rounds=window)
+    tracer = RoundTracer(digest=True, fine_rounds=window)
     try:
         run_trial(spec, trial, tracer=tracer)
     finally:
@@ -422,16 +445,19 @@ def bisect_divergence(
     header_b = split_trials(events_b)[divergence.pair_index]["header"]
     fine_block_a = _fine_rerun(header_a, (lo, hi))
     fine_block_b = _fine_rerun(header_b, (lo, hi))
-    # Sanity: the re-run must reproduce the stored chain at the divergent
-    # round on each side; if it does not, the original run is not
-    # reproducible in this environment and the bisection is untrustworthy.
+    # Sanity: the re-run must reproduce the stored chain (where the stream
+    # carries one) at the divergent round on each side; if it does not, the
+    # original run is not reproducible in this environment and the
+    # bisection is untrustworthy.
     for side, block, original in (("A", fine_block_a, events_a),
                                   ("B", fine_block_b, events_b)):
         stored = split_trials(original)[divergence.pair_index]["rounds"]
         rerun = block["rounds"]
         stored_at = {r["round"]: r.get("chain") for r in stored}
         rerun_at = {r["round"]: r.get("chain") for r in rerun}
-        if stored_at.get(divergence.round) != rerun_at.get(divergence.round):
+        stored_chain = stored_at.get(divergence.round)
+        if (stored_chain is not None
+                and stored_chain != rerun_at.get(divergence.round)):
             report.notes.append(
                 f"side {side}: fine re-run did not reproduce the stored "
                 f"chain at round {divergence.round} — the original stream "
@@ -465,8 +491,8 @@ def bisect_divergence(
 def render_bisect(report: Optional[BisectReport]) -> str:
     """Human-readable bisection report."""
     if report is None:
-        return ("digest streams are identical (same chains, same rounds, "
-                "same trials); nothing to bisect")
+        return ("streams are identical (same rounds, same trials); "
+                "nothing to bisect")
     lines = [render_divergence(report.divergence)]
     lo, hi = report.window
     if report.window != (0, 0):

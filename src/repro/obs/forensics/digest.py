@@ -30,14 +30,9 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from repro.hashing.keys import _MASK64, MIX64_INIT, element_key, mix64, mix64_step
 
 Node = Hashable
-
-#: Stream schema tag written into every digest header.
-DIGEST_SCHEMA = "repro-digest/1"
 
 # Domain-separation salts: one per kind of digested entry, so an exchange
 # entry can never collide with a state entry built from the same integers.
@@ -180,6 +175,11 @@ def delivery_entry_hashes(
         count >= _VECTOR_MIN
         and all(type(p) is int and 0 <= p <= _MASK64 for p in payloads)
     ):
+        # Imported here, like the columnar transport itself: every network
+        # imports this module (through ``repro.obs.tracer``), and numpy
+        # stays out of ``import repro`` until a columnar path needs it.
+        import numpy as np
+
         from repro.congest.columnar.kernels import (
             element_keys_array,
             mix64_step_vec,

@@ -1,4 +1,4 @@
-"""Process resource sampling for traces and heartbeats.
+"""Process resource sampling for traces and trial rows.
 
 The sampler answers "what is this run costing the machine *right now*":
 current resident-set size and cumulative CPU time.  Current RSS comes from
@@ -21,7 +21,15 @@ from typing import Dict
 
 
 def peak_rss_mb() -> float:
-    """Lifetime peak resident-set size of this process, in MiB."""
+    """Lifetime peak resident-set size of this process, in MiB.
+
+    ``ru_maxrss`` is a lifetime high-water mark, so a trial row's value is
+    an upper bound: a light scenario that runs after a heavy one in the same
+    (worker) process reports the heavy one's peak.  Regressions still
+    surface — the per-suite maximum only ever grows because *some* scenario
+    needed that much — and the number is machine state, so it lives in the
+    timing artifact, never the byte-stable aggregate.
+    """
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform != "darwin":
         peak *= 1024  # Linux reports KiB; macOS reports bytes

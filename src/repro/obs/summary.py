@@ -1,4 +1,4 @@
-"""Trace summaries: phase timelines and trace-vs-trace comparison.
+"""Trace summaries: phase timelines and per-phase drift between two runs.
 
 A *phase timeline* folds a trace's round events by phase (the label prefix
 before ``":"`` — the same convention as
@@ -8,8 +8,9 @@ how much wall-clock they took.  This is the per-phase comparison surface
 competing solvers will share.
 
 ``compare_traces`` diffs the *deterministic* columns (rounds, messages,
-bits) of two timelines; wall-clock is shown but never drives the verdict —
-two byte-identical runs on different machines must compare clean.
+bits) of two timelines — the drift table ``repro diff`` prints; wall-clock
+never enters it, so two byte-identical runs on different machines compare
+clean.
 """
 
 from __future__ import annotations
@@ -130,24 +131,6 @@ def summary_as_dict(summary: TraceSummary) -> Dict[str, object]:
     }
 
 
-def comparison_as_dict(events_a: Sequence[Mapping[str, object]],
-                       events_b: Sequence[Mapping[str, object]],
-                       name_a: str = "a",
-                       name_b: str = "b") -> Dict[str, object]:
-    """Machine-readable trace comparison (the ``compare --json`` shape)."""
-    drifts = compare_traces(events_a, events_b)
-    return {
-        "names": [name_a, name_b],
-        "a": summary_as_dict(summarize_trace(events_a)),
-        "b": summary_as_dict(summarize_trace(events_b)),
-        "drift": [
-            {"phase": d.phase, "column": d.column, "a": d.a, "b": d.b}
-            for d in drifts
-        ],
-        "identical": not drifts,
-    }
-
-
 def timeline_rows(summary: TraceSummary) -> List[Dict[str, object]]:
     """Printable per-phase rows of one summary (plus a totals row)."""
     rows: List[Dict[str, object]] = []
@@ -232,32 +215,3 @@ def compare_traces(events_a: Sequence[Mapping[str, object]],
                 drifts.append(PhaseDrift(phase=name, column=column, a=va, b=vb))
     return drifts
 
-
-def render_comparison(events_a: Sequence[Mapping[str, object]],
-                      events_b: Sequence[Mapping[str, object]],
-                      name_a: str = "a", name_b: str = "b") -> str:
-    """The ``repro trace compare`` output: side-by-side timelines + drift."""
-    a = summarize_trace(events_a)
-    b = summarize_trace(events_b)
-    rows: List[Dict[str, object]] = []
-    names = [t.phase for t in a.phases]
-    names.extend(t.phase for t in b.phases if t.phase not in names)
-    for name in names:
-        pa = a.phase(name) or PhaseTotals(phase=name)
-        pb = b.phase(name) or PhaseTotals(phase=name)
-        rows.append({
-            "phase": name or "-",
-            f"rounds {name_a}": pa.rounds,
-            f"rounds {name_b}": pb.rounds,
-            f"bits {name_a}": pa.bits,
-            f"bits {name_b}": pb.bits,
-            f"wall s {name_a}": round(pa.wall_s, 4),
-            f"wall s {name_b}": round(pb.wall_s, 4),
-        })
-    table = format_table(rows, title=f"phase timelines: {name_a} vs {name_b}")
-    drifts = compare_traces(events_a, events_b)
-    if not drifts:
-        return table + "\nno drift: per-phase rounds/messages/bits identical"
-    drift_table = format_table([d.as_row() for d in drifts],
-                               title="deterministic drift")
-    return table + "\n" + drift_table

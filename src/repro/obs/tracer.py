@@ -1,9 +1,9 @@
-"""Round-level tracers: the observation side of the communication engine.
+"""Round-level tracing: the observation side of the communication engine.
 
 The paper's guarantees are per-round statements, so the trace layer records
-what every synchronous round *cost*: bits, messages, the per-edge maximum,
-wall-clock time, how many nodes were still active, and fault-counter
-movement.
+what every synchronous round *cost* — bits, messages, the per-edge maximum,
+wall-clock time, how many nodes were still active, fault-counter movement —
+and, on request, a chained determinism digest of what the round *did*.
 
 Three pieces:
 
@@ -14,32 +14,46 @@ Three pieces:
   every :class:`~repro.congest.network.Network` carries.  No observer is
   installed on the ledger, so an untraced run executes byte-for-byte the
   code it always did.
-* :class:`RoundTracer` — captures one event dict per round by observing the
-  network ledger's ``record_round`` seam, plus periodic resource samples and
-  optional heartbeat lines.
+* :class:`RoundTracer` — the one tracer: one event per round from the
+  network ledger's ``record_round`` seam, periodic resource samples, and
+  with ``digest=True`` the chain fields of :mod:`repro.obs.forensics.digest`
+  on the same round events.
 
-**The observation-only contract** (pinned by ``tests/test_obs.py``): a
-tracer consumes no randomness, never mutates ledgers, inboxes, or node
-state, and a traced run is byte-identical to an untraced one on every
-backend, fault-free and under fault plans.  Tracers may
-read clocks and process counters — those land in the trace, which is a
-diagnostic artifact, never in the deterministic aggregates.
+**The observation-only contract** (pinned by ``tests/test_obs.py`` and
+``tests/test_forensics.py``): a tracer consumes no randomness, never mutates
+ledgers, inboxes, or node state, and a traced run is byte-identical to an
+untraced one on every backend, fault-free and under fault plans.  Tracers
+may read clocks and process counters — those land in the machine-dependent
+event fields, which :func:`repro.obs.artifacts.deterministic_events` drops
+from the byte-reproducible ``DIGEST_*.jsonl`` view of a run.
 
 A tracer traces **one run**: attach it to one network, read ``events`` (or
-write them with :func:`repro.obs.artifacts.write_trace`) after
-:meth:`RoundTracer.close`.
+write them with :mod:`repro.obs.artifacts`) after :meth:`RoundTracer.close`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.heartbeat import Heartbeat
+from repro.obs.forensics.digest import (
+    CHAIN_INIT,
+    MultisetDigest,
+    delivery_entry_hashes,
+    flatten_exchange,
+    flatten_inboxes,
+    fold_chain,
+    hex16,
+    label_key,
+    value_entry_hash,
+)
 from repro.obs.sampler import ResourceSampler
 
-#: Trace event schema identifier (bump when the event shapes change).
-TRACE_SCHEMA = "repro-trace/1"
+#: Run-event schema identifier (bump when the event shapes change).
+RUN_SCHEMA = "repro-run/1"
+
+#: Minimum seconds between resource samples.
+SAMPLE_EVERY_S = 1.0
 
 
 class Tracer:
@@ -49,7 +63,7 @@ class Tracer:
     calls with a single attribute check (``if tracer.enabled: ...``) instead
     of a method call — that is what makes the :class:`NullTracer` default
     genuinely free on hot paths.  ``wants_payloads`` and ``wants_state``
-    guard the forensics hooks the same way: the network only walks delivered
+    guard the digest hooks the same way: the network only walks delivered
     payloads (and the simulator only walks node states) for tracers that
     opted in, so tracing rounds stays free of per-message work.
     """
@@ -92,171 +106,91 @@ class NullTracer(Tracer):
 NULL_TRACER = NullTracer()
 
 
-class _ObserverMux:
-    """Fan one ledger ``observer`` slot out to several round observers.
-
-    The ledger keeps its single-callable seam (one attribute check per
-    round); composition lives here.  Callbacks fire in attach order, which
-    is part of the observation-only contract's determinism: two tracers on
-    one ledger see the same interleaving on every run.
-    """
-
-    __slots__ = ("callbacks",)
-
-    def __init__(self, callbacks) -> None:
-        self.callbacks = list(callbacks)
-
-    def __call__(self, index: int, label: str, message_count: int,
-                 total_bits: int, max_edge_bits: int) -> None:
-        for callback in self.callbacks:
-            callback(index, label, message_count, total_bits, max_edge_bits)
-
-
-def add_round_observer(ledger, callback) -> None:
-    """Install ``callback`` as a round observer, composing with any existing one.
-
-    First observer goes straight into the ledger slot (zero indirection for
-    the common single-tracer run); a second observer upgrades the slot to a
-    :class:`_ObserverMux` transparently.
-    """
-    current = ledger.observer
-    if current is None:
-        ledger.observer = callback
-    elif isinstance(current, _ObserverMux):
-        current.callbacks.append(callback)
-    else:
-        ledger.observer = _ObserverMux([current, callback])
-
-
-def remove_round_observer(ledger, callback) -> None:
-    """Detach ``callback``, unwrapping the mux when one observer remains.
-
-    Bound-method access creates a fresh object each time, so membership is
-    by ``==`` (same function + same instance), never ``is``.  Removing a
-    callback that is not installed is a no-op, which keeps tracer ``close``
-    idempotent.
-    """
-    current = ledger.observer
-    if current is None:
-        return
-    if isinstance(current, _ObserverMux):
-        try:
-            current.callbacks.remove(callback)
-        except ValueError:
-            return
-        if len(current.callbacks) == 1:
-            ledger.observer = current.callbacks[0]
-        elif not current.callbacks:
-            ledger.observer = None
-    elif current == callback:
-        ledger.observer = None
-
-
-class CompositeTracer(Tracer):
-    """Fan every tracer hook out to several tracers on one run.
-
-    ``enabled`` / ``wants_payloads`` / ``wants_state`` are the ORs of the
-    members', so drivers guard hooks exactly as for a single tracer; payload
-    and state hooks are forwarded only to members that opted in.
-    """
-
-    def __init__(self, tracers) -> None:
-        self.tracers = [t for t in tracers if t is not None and t.enabled]
-        self.enabled = bool(self.tracers)
-        self.wants_payloads = any(t.wants_payloads for t in self.tracers)
-        self.wants_state = any(t.wants_state for t in self.tracers)
-
-    def attach(self, network) -> None:
-        for tracer in self.tracers:
-            tracer.attach(network)
-
-    def note_nodes(self, active: int, owned: int) -> None:
-        for tracer in self.tracers:
-            tracer.note_nodes(active, owned)
-
-    def note_exchange(self, delivered) -> None:
-        for tracer in self.tracers:
-            if tracer.wants_payloads:
-                tracer.note_exchange(delivered)
-
-    def note_inboxes(self, inboxes) -> None:
-        for tracer in self.tracers:
-            if tracer.wants_payloads:
-                tracer.note_inboxes(inboxes)
-
-    def note_values(self, values) -> None:
-        for tracer in self.tracers:
-            if tracer.wants_payloads:
-                tracer.note_values(values)
-
-    def note_state(self, items) -> None:
-        wanting = [t for t in self.tracers if t.wants_state]
-        if not wanting:
-            return
-        if len(wanting) > 1:
-            items = list(items)  # the hook may receive a one-shot generator
-        for tracer in wanting:
-            tracer.note_state(items)
-
-    def close(self) -> None:
-        for tracer in self.tracers:
-            tracer.close()
-
-
 class RoundTracer(Tracer):
-    """Capture one event per synchronous round, plus samples and heartbeats.
+    """Capture one event per synchronous round, plus resource samples.
 
     Parameters
     ----------
     meta:
         Extra key/value pairs merged into the header event (scenario name,
-        trial index, solver — whatever identifies the run in its artifact).
-    sample_every_s:
-        Minimum seconds between resource samples (RSS, CPU).  Samples are
-        taken opportunistically on round boundaries — no background thread,
-        so an idle tracer costs nothing.  ``None`` disables sampling.
-    heartbeat:
-        Optional :class:`~repro.obs.heartbeat.Heartbeat`; when given, a
-        progress line (round, phase, bits, active nodes, RSS) is emitted at
-        most once per its interval.
+        trial index, embedded scenario spec for the bisection re-run, ...).
+    digest:
+        Fold a chained digest over delivered payload bytes, per-node
+        solver-visible state and liveness, and the ledger counters, and add
+        it to every round event.  This turns the payload and state hooks on,
+        so the columnar similarity kernel declines (it never materializes
+        the payloads a digest hashes); a trace-only tracer leaves the hooks
+        off and the kernel running.
+    fine_rounds:
+        Optional inclusive ``(lo, hi)`` round window for a digesting tracer:
+        rounds inside it emit an extra ``fine`` event with per-node detail —
+        the data the bisection debugger uses to name the first divergent
+        node.  Outside the window the per-round cost stays one multiset sum.
     clock:
         Time source (``time.perf_counter`` by default; injectable for
         deterministic tests).
 
-    Event shapes (all plain JSON-serializable dicts, one JSONL line each):
+    Event shapes (schema :data:`RUN_SCHEMA`; plain JSON-serializable dicts,
+    one JSONL line each):
 
-    * ``header`` — schema, topology size, mode/backend/budget, fault plan,
-      plus ``meta``.
+    * ``header`` — schema, topology size, mode/backend/budget, ledger kind,
+      fault plan, ``fine_rounds`` when set, plus ``meta``.
     * ``round`` — ``round`` (1-based ledger index), ``label``, ``phase``
       (label prefix before ``":"``), ``messages``, ``bits``,
       ``max_edge_bits``, ``wall_s`` (time since the previous round event —
       i.e. including the compute that produced the round); optionally
       ``active``/``owned`` (when a driver reported them) and ``faults``
-      (nonzero fault-counter deltas since the previous round).
-    * ``sample`` — ``round``, ``wall_s`` since attach, ``rss_mb``, ``cpu_s``.
+      (nonzero fault-counter deltas since the previous round).  With
+      ``digest``: ``payload`` (multiset hex) + ``payload_n``,
+      ``state``/``state_n``/``halted`` when state was observed, and
+      ``chain`` — the running chained digest through this round.
+    * ``fine`` — per-receiver ``inbox`` digests and per-node ``state`` /
+      ``halted`` maps for one in-window round (keys are ``repr(node)``).
+    * ``sample`` — ``round``, ``wall_s`` since attach, ``rss_mb``,
+      ``cpu_s``; at most one per :data:`SAMPLE_EVERY_S`, taken on round
+      boundaries (no background thread, so an idle tracer costs nothing).
     * ``end`` — final ledger aggregates, total ``wall_s``, final resource
-      sample, and final fault counters when a fault plan ran.
+      sample, final fault counters when a fault plan ran, and the final
+      ``chain`` with ``digest``.
+
+    The chain folds round identity, counters and the multiset digests —
+    never driver context such as ``active``/``owned`` (liveness reaches it
+    through the halted count of the state digest).
     """
 
     enabled = True
 
     def __init__(self, meta: Optional[Dict[str, Any]] = None,
-                 sample_every_s: Optional[float] = 1.0,
-                 heartbeat: Optional[Heartbeat] = None,
+                 digest: bool = False,
+                 fine_rounds: Optional[Tuple[int, int]] = None,
                  clock: Callable[[], float] = time.perf_counter):
         self.events: List[Dict[str, Any]] = []
         self.meta = dict(meta or {})
+        self.digest = bool(digest)
+        # Plain attributes, not properties: each per-round guard in Network
+        # and Simulator stays a single attribute read.
+        self.wants_payloads = self.wants_state = self.digest
+        if fine_rounds is not None:
+            lo, hi = fine_rounds
+            fine_rounds = (int(lo), int(hi))
+        self.fine_rounds = fine_rounds
         self._sampler = ResourceSampler()
-        self._sample_every_s = sample_every_s
-        self._heartbeat = heartbeat
         self._clock = clock
         self._network = None
+        self._closed = False
         self._started: Optional[float] = None
         self._last_ts: Optional[float] = None
         self._last_sample_ts: Optional[float] = None
         self._nodes: Optional[Tuple[int, int]] = None
         self._fault_prev: Optional[Dict[str, int]] = None
-        self._closed = False
+        self._pending: Optional[Dict[str, Any]] = None
+        self._chain = CHAIN_INIT
+        self._payload = MultisetDigest()
+        self._state = MultisetDigest()
+        self._halted = 0
+        self._state_seen = False
+        self._fine_inbox: Dict[Any, MultisetDigest] = {}
+        self._fine_state: Dict[Any, Tuple[int, bool]] = {}
 
     # ------------------------------------------------------------- lifecycle
     def attach(self, network) -> None:
@@ -270,13 +204,18 @@ class RoundTracer(Tracer):
         if self._closed:
             raise RuntimeError("tracer is closed; build a fresh one per run")
         ledger = network.ledger
+        if ledger.observer is not None:
+            raise RuntimeError(
+                "this network's ledger already has a round observer; one "
+                "RoundTracer per run carries both the trace and the digest"
+            )
         self._network = network
-        add_round_observer(ledger, self._on_round)
+        ledger.observer = self._on_round
         now = self._clock()
         self._started = self._last_ts = self._last_sample_ts = now
         header: Dict[str, Any] = {
             "type": "header",
-            "schema": TRACE_SCHEMA,
+            "schema": RUN_SCHEMA,
             "n": network.number_of_nodes,
             "m": network.number_of_edges,
             "mode": network.mode,
@@ -284,6 +223,8 @@ class RoundTracer(Tracer):
             "bandwidth_bits": network.bandwidth_bits,
             "ledger": type(ledger).__name__,
         }
+        if self.fine_rounds is not None:
+            header["fine_rounds"] = list(self.fine_rounds)
         plan = getattr(network.transport, "fault_plan", None)
         if plan is not None:
             header["faults"] = plan.canonical()
@@ -301,9 +242,10 @@ class RoundTracer(Tracer):
         network = self._network
         if network is None:
             return
-        remove_round_observer(network.ledger, self._on_round)
-        now = self._clock()
+        self._finalize_round()
         ledger = network.ledger
+        ledger.observer = None
+        now = self._clock()
         end: Dict[str, Any] = {
             "type": "end",
             "rounds": ledger.rounds,
@@ -316,15 +258,73 @@ class RoundTracer(Tracer):
         stats = network.fault_stats
         if stats is not None:
             end["faults"] = stats
+        if self.digest:
+            end["chain"] = hex16(self._chain)
         self.events.append(end)
 
     # ----------------------------------------------------------- driver hooks
     def note_nodes(self, active: int, owned: int) -> None:
         self._nodes = (int(active), int(owned))
 
+    def _fine_active(self) -> bool:
+        if self.fine_rounds is None or self._pending is None:
+            return False
+        lo, hi = self.fine_rounds
+        return lo <= self._pending["round"] <= hi
+
+    # ---------------------------------------------------------- payload hooks
+    def _note_edges(self, senders: Sequence[Any], receivers: Sequence[Any],
+                    payloads: Sequence[Any]) -> None:
+        if not payloads:
+            return
+        hashes = delivery_entry_hashes(senders, receivers, payloads)
+        self._payload.add_many(hashes)
+        if self._fine_active():
+            fine = self._fine_inbox
+            for receiver, entry in zip(receivers, hashes):
+                acc = fine.get(receiver)
+                if acc is None:
+                    acc = fine[receiver] = MultisetDigest()
+                acc.add(entry)
+
+    def note_exchange(self, delivered) -> None:
+        if delivered:
+            self._note_edges(*flatten_exchange(delivered))
+
+    def note_inboxes(self, inboxes) -> None:
+        if inboxes:
+            self._note_edges(*flatten_inboxes(inboxes))
+
+    def note_values(self, values) -> None:
+        # Sent values, hashed per sender.  A discarded inbox cannot affect
+        # any node's downstream state, so sent-side hashing is the honest
+        # (and backend-neutral) digest for the discard primitive.
+        for sender, payload in values.items():
+            self._payload.add(value_entry_hash(sender, payload))
+
+    # ------------------------------------------------------------ state hooks
+    def note_state(self, items) -> None:
+        acc = self._state
+        halted = self._halted
+        if self._fine_active():
+            fine = self._fine_state
+            for node, entry, is_halted in items:
+                acc.add(entry)
+                if is_halted:
+                    halted += 1
+                fine[node] = (entry, bool(is_halted))
+        else:
+            for node, entry, is_halted in items:
+                acc.add(entry)
+                if is_halted:
+                    halted += 1
+        self._halted = halted
+        self._state_seen = True
+
     # ---------------------------------------------------------- round events
     def _on_round(self, index: int, label: str, message_count: int,
                   total_bits: int, max_edge_bits: int) -> None:
+        self._finalize_round()
         now = self._clock()
         event: Dict[str, Any] = {
             "type": "round",
@@ -348,46 +348,78 @@ class RoundTracer(Tracer):
             if deltas:
                 event["faults"] = deltas
             self._fault_prev = current
-        self.events.append(event)
+        self._pending = event
         self._last_ts = now
-        if (
-            self._sample_every_s is not None
-            and now - self._last_sample_ts >= self._sample_every_s
-        ):
+
+    def _finalize_round(self) -> None:
+        """Emit the pending round's events, folding its digest into the chain.
+
+        Deferred until the next round (or ``close``) because payload and
+        state hooks fire *after* the ledger observer for the round they
+        belong to: the transport records the round, then the network hands
+        the delivered payloads to the tracer, then the simulator reports
+        post-step state.
+        """
+        pending = self._pending
+        if pending is None:
+            return
+        self._pending = None
+        if self.digest:
+            payload, state = self._payload, self._state
+            self._chain = fold_chain(
+                self._chain,
+                pending["round"],
+                label_key(pending["label"]),
+                pending["messages"],
+                pending["bits"],
+                pending["max_edge_bits"],
+                payload.value,
+                payload.count,
+                state.value,
+                state.count,
+                self._halted,
+            )
+            pending["payload"] = hex16(payload.value)
+            pending["payload_n"] = payload.count
+            if self._state_seen:
+                pending["state"] = hex16(state.value)
+                pending["state_n"] = state.count
+                pending["halted"] = self._halted
+            pending["chain"] = hex16(self._chain)
+            payload.reset()
+            state.reset()
+            self._halted = 0
+            self._state_seen = False
+        self.events.append(pending)
+        if self.fine_rounds is not None:
+            lo, hi = self.fine_rounds
+            if lo <= pending["round"] <= hi:
+                fine: Dict[str, Any] = {
+                    "type": "fine",
+                    "round": pending["round"],
+                    "inbox": {
+                        repr(node): [hex16(acc.value), acc.count]
+                        for node, acc in self._fine_inbox.items()
+                    },
+                }
+                if self._fine_state:
+                    fine["state"] = {
+                        repr(node): hex16(entry)
+                        for node, (entry, _) in self._fine_state.items()
+                    }
+                    fine["halted"] = {
+                        repr(node): halted
+                        for node, (_, halted) in self._fine_state.items()
+                    }
+                self.events.append(fine)
+            self._fine_inbox = {}
+            self._fine_state = {}
+        if self._last_ts - self._last_sample_ts >= SAMPLE_EVERY_S:
             sample: Dict[str, Any] = {
                 "type": "sample",
-                "round": index,
-                "wall_s": round(now - self._started, 6),
+                "round": pending["round"],
+                "wall_s": round(self._last_ts - self._started, 6),
             }
             sample.update(self._sampler.sample())
             self.events.append(sample)
-            self._last_sample_ts = now
-        if self._heartbeat is not None:
-            self._heartbeat.maybe_beat(lambda: self._heartbeat_line(event, now))
-
-    def _heartbeat_line(self, event: Dict[str, Any], now: float) -> str:
-        ledger = self._network.ledger
-        parts = [
-            f"[trace] round {event['round']} {event['phase'] or '-'}:",
-            f"{ledger.total_bits} bits",
-            f"{ledger.total_messages} msgs",
-        ]
-        if "active" in event:
-            parts.append(f"active {event['active']}/{event['owned']}")
-        sample = self._sampler.sample()
-        parts.append(f"rss {sample['rss_mb']}MiB")
-        parts.append(f"{round(now - self._started, 1)}s")
-        return " ".join(parts)
-
-
-def make_tracer(trace: bool, meta: Optional[Dict[str, Any]] = None,
-                heartbeat: Optional[Heartbeat] = None) -> Optional[RoundTracer]:
-    """Build a :class:`RoundTracer` when ``trace`` is set, else ``None``.
-
-    The ``None`` return (rather than a :class:`NullTracer`) lets callers pass
-    the result straight to ``Network(tracer=...)``, whose default path stays
-    allocation-free.
-    """
-    if not trace:
-        return None
-    return RoundTracer(meta=meta, heartbeat=heartbeat)
+            self._last_sample_ts = self._last_ts

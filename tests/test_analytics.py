@@ -34,7 +34,7 @@ from repro.obs.analytics import (
     rss_series,
     suite_overview_rows,
 )
-from repro.obs.summary import comparison_as_dict, summarize_trace, summary_as_dict
+from repro.obs.summary import summarize_trace, summary_as_dict
 
 
 def _smoke_summary():
@@ -221,9 +221,12 @@ class TestRunHistory:
 # --------------------------------------------------------------------------- #
 
 def _traced_events():
+    import itertools
+
     from repro.obs.tracer import RoundTracer
 
-    tracer = RoundTracer(sample_every_s=0.0)
+    # A clock that advances one second per reading: a sample every round.
+    tracer = RoundTracer(clock=itertools.count().__next__)
     solve_d1c(gnp_graph(40, 0.15, seed=5), seed=5, tracer=tracer)
     tracer.close()
     return tracer.events
@@ -246,12 +249,6 @@ class TestTraceAnalytics:
         assert encoded == again
         assert payload["rounds"] > 0
         assert payload["phases"][0]["phase"] == "acd"
-
-    def test_comparison_as_dict_identical(self):
-        events = _traced_events()
-        payload = comparison_as_dict(events, events)
-        assert payload["identical"] is True
-        assert payload["drift"] == []
 
 
 class TestHtmlReport:

@@ -242,7 +242,8 @@ class TestFaultsCli:
 
 
 #: Bad invocations, by name.  ``{tmp}`` is a scratch directory holding
-#: ``bad.json`` (not JSON); ``{bench}`` is the committed smoke aggregate.
+#: ``bad.json`` and ``TRACE_bad.jsonl`` (neither is JSON); ``{bench}`` is the
+#: committed smoke aggregate.
 USER_ERRORS = {
     "color-n-zero": ["color", "--n", "0"],
     "color-p-above-one": ["color", "--p", "2"],
@@ -258,8 +259,11 @@ USER_ERRORS = {
     "compare-non-json-fresh": ["suite", "compare", "--baseline", "{bench}",
                                "--fresh", "{tmp}/bad.json"],
     "trace-summarize-missing": ["trace", "summarize", "{tmp}/missing.jsonl"],
-    "trace-compare-missing": ["trace", "compare", "{tmp}/missing.jsonl",
-                              "{tmp}/missing.jsonl"],
+    "diff-missing": ["diff", "{tmp}/missing.jsonl", "{tmp}/missing.jsonl"],
+    "triangles-n-zero": ["triangles", "--n", "0"],
+    "triangles-n-negative": ["triangles", "--n", "-5"],
+    "triangles-eps-zero": ["triangles", "--eps", "0"],
+    "report-non-json-trace": ["report", "bad", "--dir", "{tmp}"],
     "faults-not-a-number": ["suite", "run", "smoke", "--faults", "drop=abc",
                             "--out", "{tmp}/out"],
     "faults-unknown-key": ["suite", "run", "smoke", "--faults", "bogus=1",
@@ -272,12 +276,27 @@ class TestUserErrors:
                              ids=list(USER_ERRORS))
     def test_exits_2_with_one_stderr_line(self, argv, capsys, tmp_path):
         (tmp_path / "bad.json").write_text("not json\n")
+        (tmp_path / "TRACE_bad.jsonl").write_text("not json\n")
         bench = Path(__file__).resolve().parent.parent / "BENCH_suite.json"
         argv = [arg.format(tmp=tmp_path, bench=bench) for arg in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("schema", ["repro-digest/1", "repro-trace/1"])
+    def test_old_stream_schema_names_the_expected_one(self, schema, capsys,
+                                                      tmp_path):
+        import json
+
+        from repro.obs import RUN_SCHEMA
+
+        old = tmp_path / "old.jsonl"
+        old.write_text(json.dumps({"type": "header", "schema": schema}) + "\n")
+        assert main(["diff", str(old), str(old)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert schema in err and RUN_SCHEMA in err
 
     def test_removed_backend_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -343,26 +362,30 @@ class TestTraceCommands:
         assert "acd" in out
         assert "TOTAL" in out
 
-    def test_trace_compare_clean_and_drifted(self, capsys, tmp_path):
+    def test_diff_trace_files_clean_and_drifted(self, capsys, tmp_path):
         a = self._run_traced(tmp_path, out="a")
         b = self._run_traced(tmp_path, out="b")
         trace_a = a / "TRACE_gnp-d1c.jsonl"
         trace_b = b / "TRACE_gnp-d1c.jsonl"
-        assert main(["trace", "compare", str(trace_a), str(trace_b)]) == 0
-        assert "no drift" in capsys.readouterr().out
+        capsys.readouterr()
+        assert main(["diff", str(trace_a), str(trace_b)]) == 0
+        out = capsys.readouterr().out
+        assert "identical" in out and "deterministic drift" not in out
         # Perturb one round's bits: the deterministic gate must trip.
         import json
 
         lines = trace_b.read_text().splitlines()
         for i, line in enumerate(lines):
             event = json.loads(line)
-            if event["type"] == "round":
+            if event["type"] == "round" and event["round"] == 3:
                 event["bits"] += 1
                 lines[i] = json.dumps(event, sort_keys=True)
                 break
         trace_b.write_text("\n".join(lines) + "\n")
-        assert main(["trace", "compare", str(trace_a), str(trace_b)]) == 1
-        assert "deterministic drift" in capsys.readouterr().out
+        assert main(["diff", str(trace_a), str(trace_b)]) == 1
+        out = capsys.readouterr().out
+        assert "first divergence at round 3" in out
+        assert "deterministic drift" in out and "bits" in out
 
     def test_trace_parser_requires_subcommand(self):
         import pytest as _pytest
@@ -413,15 +436,16 @@ class TestAnalyticsCli:
         assert summary["rounds"] > 0
         assert json.dumps(summary, sort_keys=True) == json.dumps(summary)
 
-    def test_trace_compare_json_exit_semantics(self, capsys, tmp_path):
+    def test_diff_json_on_trace_files(self, capsys, tmp_path):
         import json
 
         out = self._run_smoke(tmp_path, trace=True)
         trace = out / "TRACE_gnp-d1c.jsonl"
         capsys.readouterr()
-        assert main(["trace", "compare", "--json", str(trace), str(trace)]) == 0
+        assert main(["diff", "--json", str(trace), str(trace)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["identical"] is True and payload["drift"] == []
+        assert payload["divergence"] is None
         # Drifted pair: exit 1 and the drift rows name the column.
         drifted = tmp_path / "drifted.jsonl"
         lines = trace.read_text().splitlines()
@@ -432,11 +456,11 @@ class TestAnalyticsCli:
                 lines[i] = json.dumps(event, sort_keys=True)
                 break
         drifted.write_text("\n".join(lines) + "\n")
-        assert main(["trace", "compare", "--json", str(trace),
-                     str(drifted)]) == 1
+        assert main(["diff", "--json", str(trace), str(drifted)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["identical"] is False
         assert any(d["column"] == "bits" for d in payload["drift"])
+        assert payload["divergence"]["component"] == "counters"
 
     def test_suite_compare_comm_budget_gates(self, capsys, tmp_path):
         import json

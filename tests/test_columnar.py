@@ -40,7 +40,7 @@ from repro.hashing.keys import (
     MIX64_INIT, combine_part_keys, element_key, mix64, mix64_step,
 )
 from repro.hashing.representative import RepresentativeHashFunction
-from repro.obs.forensics import DigestTracer
+from repro.obs import RoundTracer, deterministic_events
 from repro.sampling.similarity import SimilarityParameters, estimate_similarity_on_edges
 from repro.sampling.sparsity import estimate_global_sparsity, estimate_local_sparsity
 from repro.sampling.triangles import detect_triangle_rich_edges
@@ -413,16 +413,22 @@ class TestSimilarityKernel:
         assert col == ref and col_rounds == ref_rounds
         assert kernel_ran == [False, False]
 
-    def test_digest_tracer_declines_and_streams_match(self, kernel_ran):
-        streams = []
+    @pytest.mark.parametrize("digest", [True, False], ids=["digest", "trace"])
+    def test_tracers_decline_only_when_digesting(self, kernel_ran, digest):
+        # A digest hashes delivered payloads, which the kernel never
+        # materializes; a trace-only tracer reads the ledger alone.
+        streams, ledgers = [], []
         for backend in ("dict", "columnar"):
-            tracer = DigestTracer()
-            network = Network(_similarity_graph(), backend=backend, tracer=tracer)
+            tracer = RoundTracer(digest=digest)
+            network = Network(_similarity_graph(), backend=backend,
+                              ledger="records", tracer=tracer)
             detect_triangle_rich_edges(network, eps=0.3, seed=3)
             tracer.close()
-            streams.append(tracer.events)
+            streams.append(deterministic_events(tracer.events))
+            ledgers.append(network.ledger.records)
         assert streams[0] == streams[1]
-        assert kernel_ran == [False, False]
+        assert ledgers[0] == ledgers[1]
+        assert kernel_ran == [False, not digest]
 
     def test_repeated_and_reversed_pairs_match_dict(self, kernel_ran):
         graph = _similarity_graph()

@@ -2,16 +2,15 @@
 
 The headline contracts pinned here:
 
-* **Digest byte-identity** — a scenario's ``DIGEST_*.jsonl`` stream is byte
-  for byte identical across both transport backends (dict/columnar) and
-  across the trial-worker process boundary (``--workers 1`` vs ``2``).
+* **Digest byte-identity** — a scenario's ``DIGEST_*.jsonl`` file is byte
+  for byte identical across both transport backends (dict/columnar),
+  across the trial-worker process boundary (``--workers 1`` vs ``2``), and
+  with or without ``--trace`` riding on the same tracer.
 * **Observation-only** — digesting consumes no RNG: rows, ledgers, and
   outputs are byte-identical to an undigested run.
 * **Localization** — ``repro diff`` names the first divergent (round,
-  phase), and ``--bisect`` re-runs a fine window to name the exact
-  injected (round, node) of a single-edge fault.
-* **Composition** — the observer multiplexer lets RoundTracer and
-  DigestTracer share one ledger, attached and detached in any order.
+  phase) of two TRACE or DIGEST streams, and ``--bisect`` re-runs a fine
+  window to name the exact injected (round, node) of a single-edge fault.
 """
 
 import json
@@ -36,23 +35,24 @@ from repro.experiments.runner import (
     run_trial,
 )
 from repro.experiments.spec import trial_seeds
-from repro.obs import RoundTracer, add_round_observer, remove_round_observer
+from repro.obs import (
+    RoundTracer,
+    deterministic_events,
+    digest_filename,
+    trace_filename,
+)
 from repro.obs.forensics import (
-    DIGEST_SCHEMA,
-    DigestTracer,
     MultisetDigest,
     bisect_divergence,
     canonical_bytes,
-    digest_filename,
     first_divergence,
-    load_digests,
     payload_hash,
     render_bisect,
     render_divergence,
+    select_trial,
     spec_from_payload,
     spec_payload,
     split_trials,
-    write_digests,
 )
 
 
@@ -73,21 +73,25 @@ class CountDown(NodeProgram):
         return ctx.state.memory["t"]
 
 
-def stream_bytes(events):
-    """The exact serialization ``write_digests`` uses, without the file."""
-    return "\n".join(json.dumps(dict(e), sort_keys=True, default=str)
-                     for e in events)
-
-
 def smoke_spec(name, **overrides):
     spec = next(s for s in get_suite("smoke") if s.name == name)
     return replace(spec, **overrides) if overrides else spec
 
 
-def digest_run(spec, trial=0, fine_rounds=None):
-    row, _, events = run_instrumented_trial(spec, trial, digest=True,
-                                            fine_rounds=fine_rounds)
-    return row, events
+def digest_run(spec, trial=0):
+    """One digested trial: its row and the DIGEST view of its events."""
+    row, events = run_instrumented_trial(spec, trial, digest=True)
+    return row, deterministic_events(events)
+
+
+def digest_file(tmp_path, name, specs, **run_options):
+    """Run ``specs`` with ``digest_dir`` set; the rows and DIGEST file bytes."""
+    out = tmp_path / name
+    result = run_scenarios(specs, suite="smoke", digest_dir=out,
+                           **run_options)
+    files = {spec.name: (out / digest_filename(spec.name)).read_bytes()
+             for spec in specs}
+    return result, files
 
 
 def strip_machine(row):
@@ -131,94 +135,40 @@ class TestDigestPrimitives:
 
 
 # --------------------------------------------------------------------------- #
-# Observer multiplexer: tracers compose on one ledger (satellite 1)
-# --------------------------------------------------------------------------- #
-
-class TestObserverMux:
-    def test_round_and_digest_tracers_share_a_ledger(self):
-        round_tracer = RoundTracer()
-        net = Network(nx.path_graph(4), tracer=round_tracer)
-        digest_tracer = DigestTracer()
-        digest_tracer.attach(net)  # historically raised on an occupied ledger
-        net.exchange({(0, 1): 1}, label="a:one")
-        round_tracer.close()
-        digest_tracer.close()
-        assert [e["type"] for e in round_tracer.events] == \
-            ["header", "round", "end"]
-        assert [e["type"] for e in digest_tracer.events] == \
-            ["header", "round", "end"]
-        assert net.ledger.observer is None
-
-    @pytest.mark.parametrize("close_order", ["attach", "reverse"])
-    def test_detach_in_any_order_keeps_the_survivor_observing(self, close_order):
-        first = RoundTracer()
-        net = Network(nx.path_graph(4), tracer=first)
-        second = DigestTracer()
-        second.attach(net)
-        net.exchange({(0, 1): 1}, label="a:one")
-        closing, surviving = ((first, second) if close_order == "attach"
-                              else (second, first))
-        closing.close()
-        net.exchange({(1, 2): 1}, label="a:two")
-        surviving.close()
-        survivor_rounds = [e for e in surviving.events if e["type"] == "round"]
-        closed_rounds = [e for e in closing.events if e["type"] == "round"]
-        assert len(survivor_rounds) == 2
-        assert len(closed_rounds) == 1
-        assert net.ledger.observer is None
-
-    def test_add_remove_round_observer_unwraps(self):
-        net = Network(nx.path_graph(3))
-        seen_a, seen_b = [], []
-        cb_a = lambda *args: seen_a.append(args)  # noqa: E731
-        cb_b = lambda *args: seen_b.append(args)  # noqa: E731
-        add_round_observer(net.ledger, cb_a)
-        assert net.ledger.observer is cb_a  # single observer stays direct
-        add_round_observer(net.ledger, cb_b)
-        net.exchange({(0, 1): 1}, label="x")
-        assert len(seen_a) == len(seen_b) == 1
-        remove_round_observer(net.ledger, cb_a)
-        assert net.ledger.observer is cb_b  # mux of one unwraps
-        remove_round_observer(net.ledger, cb_a)  # idempotent no-op
-        remove_round_observer(net.ledger, cb_b)
-        assert net.ledger.observer is None
-
-    def test_instrumented_trial_with_both_instruments(self):
-        spec = smoke_spec("gnp-d1c", trials=1)
-        row, trace_events, digest_events = run_instrumented_trial(
-            spec, 0, trace=True, digest=True)
-        assert trace_events[-1]["type"] == "end"
-        assert digest_events[-1]["type"] == "end"
-        assert row["state_digest"] == digest_events[-1]["chain"]
-        # both instruments on == digest-only, byte for byte
-        _, solo_events = digest_run(spec)
-        assert stream_bytes(digest_events) == stream_bytes(solo_events)
-
-
-# --------------------------------------------------------------------------- #
-# Byte-identity across backends and worker boundaries (sat. 3)
+# Byte-identity of the DIGEST file across backends, workers and --trace
 # --------------------------------------------------------------------------- #
 
 class TestDigestByteIdentity:
-    def test_streams_identical_across_backends(self):
+    def test_streams_identical_across_backends(self, tmp_path):
         # planted-acd exercises the columnar buddy-sweep decline; gnp-d1c
         # the coloring pipeline.  "dict" is the reference side.
-        for name in ("gnp-d1c", "planted-acd"):
-            spec = smoke_spec(name, trials=1)
-            ref_row, ref_events = digest_run(replace(spec, backend="dict"))
-            row, events = digest_run(replace(spec, backend="columnar"))
-            assert stream_bytes(events) == stream_bytes(ref_events)
-            assert strip_machine(row) == strip_machine(ref_row)
+        specs = [smoke_spec(name, trials=1)
+                 for name in ("gnp-d1c", "planted-acd")]
+        ref, ref_files = digest_file(
+            tmp_path, "dict", [replace(s, backend="dict") for s in specs])
+        col, files = digest_file(
+            tmp_path, "columnar", [replace(s, backend="columnar") for s in specs])
+        assert files == ref_files
+        assert [strip_machine(r) for r in col.rows()] == \
+            [strip_machine(r) for r in ref.rows()]
 
     def test_streams_identical_across_trial_worker_boundary(self, tmp_path):
         specs = [smoke_spec("gnp-d1c"), smoke_spec("powerlaw-d1lc")]
-        run_scenarios(specs, suite="smoke", digest_dir=tmp_path / "serial")
-        run_scenarios(specs, suite="smoke", workers=2,
-                      digest_dir=tmp_path / "parallel")
-        for spec in specs:
-            name = digest_filename(spec.name)
-            assert (tmp_path / "serial" / name).read_bytes() == \
-                (tmp_path / "parallel" / name).read_bytes()
+        _, serial = digest_file(tmp_path, "serial", specs)
+        _, parallel = digest_file(tmp_path, "parallel", specs, workers=2)
+        assert serial == parallel
+
+    def test_trace_and_digest_run_writes_the_digest_only_file(self, tmp_path):
+        spec = smoke_spec("gnp-d1c", trials=1)
+        solo, solo_files = digest_file(tmp_path, "solo", [spec])
+        both, both_files = digest_file(tmp_path, "both", [spec],
+                                       trace_dir=tmp_path / "both")
+        assert both_files == solo_files
+        assert both.rows()[0]["state_digest"] == solo.rows()[0]["state_digest"]
+        trace = (tmp_path / "both" / trace_filename(spec.name)).read_text()
+        end = json.loads(trace.splitlines()[-1])
+        assert end["chain"] == both.rows()[0]["state_digest"]
+        assert "wall_s" in end  # the TRACE file keeps the machine fields
 
     def test_simulator_rounds_digest_node_state(self):
         graph = nx.gnm_random_graph(24, 60, seed=5)
@@ -228,7 +178,7 @@ class TestDigestByteIdentity:
             return Simulator(net, CountDown(), seed=2).run(label="ping:step")
 
         plain = run(None)
-        tracer = DigestTracer()
+        tracer = RoundTracer(digest=True)
         digested = run(tracer)
         tracer.close()
         assert digested.outputs == plain.outputs
@@ -257,37 +207,6 @@ class TestDigestByteIdentity:
 
         assert FaultPlan.coerce(rebuilt.faults).canonical() == \
             FaultPlan.coerce(spec.faults).canonical()
-
-
-# --------------------------------------------------------------------------- #
-# Artifacts
-# --------------------------------------------------------------------------- #
-
-class TestDigestArtifacts:
-    def test_filename_sanitizes(self):
-        assert digest_filename("gnp-d1c") == "DIGEST_gnp-d1c.jsonl"
-        assert digest_filename("weird name/x:y") == "DIGEST_weird_name_x_y.jsonl"
-
-    def test_write_load_round_trip(self, tmp_path):
-        _, events = digest_run(smoke_spec("gnp-d1c", trials=1))
-        path = write_digests(tmp_path / digest_filename("rt"), events)
-        loaded = load_digests(path)
-        assert loaded == [json.loads(json.dumps(e, sort_keys=True, default=str))
-                          for e in events]
-        assert loaded[0]["schema"] == DIGEST_SCHEMA
-
-    def test_load_rejects_foreign_jsonl(self, tmp_path):
-        path = tmp_path / "DIGEST_bogus.jsonl"
-        path.write_text('{"type": "round", "round": 1}\n')
-        with pytest.raises(ValueError, match="no header"):
-            load_digests(path)
-        path.write_text('{"type": "header", "schema": "repro-digest/99"}\n')
-        with pytest.raises(ValueError, match="unsupported digest schema"):
-            load_digests(path)
-
-    def test_split_trials_requires_header_first(self):
-        with pytest.raises(ValueError, match="header"):
-            split_trials([{"type": "round", "round": 1}])
 
 
 # --------------------------------------------------------------------------- #
@@ -322,11 +241,34 @@ class TestFirstDivergence:
         assert div is not None and div.component == "header"
         assert "different workloads" in div.detail
 
-    def test_trial_restriction(self):
+    def test_trial_selection(self):
         spec = smoke_spec("gnp-d1c")  # two trials
-        _, events_a = digest_run(spec, trial=0)
-        _, events_b = digest_run(spec, trial=0)
-        assert first_divergence(events_a, events_b, trial=5) is None
+        trials = [digest_run(spec, trial=t)[1] for t in (0, 1)]
+        stream = trials[0] + trials[1]
+        assert select_trial(stream, 1) == trials[1]
+        assert select_trial(stream, 5) == []
+        other = trials[0] + digest_run(replace(spec, seed=99), trial=1)[1]
+        assert first_divergence(stream, other) is not None
+        assert first_divergence(select_trial(stream, 0),
+                                select_trial(other, 0)) is None
+
+    def test_split_trials_requires_header_first(self):
+        with pytest.raises(ValueError, match="header"):
+            split_trials([{"type": "round", "round": 1}])
+
+    def test_trace_streams_align_on_counters(self):
+        spec = smoke_spec("gnp-d1c", trials=1)
+        _, traced = run_instrumented_trial(spec, 0)
+        _, digested = digest_run(spec)
+        # A trace-only side carries no chain: rounds align on label and
+        # counters, and the same run matches its own DIGEST view.
+        assert first_divergence(traced, digested) is None
+        drifted = [dict(e) for e in traced]
+        third = [e for e in drifted if e["type"] == "round"][2]
+        third["bits"] += 1
+        div = first_divergence(digested, drifted)
+        assert div is not None
+        assert (div.round, div.component) == (third["round"], "counters")
 
 
 # --------------------------------------------------------------------------- #
@@ -395,11 +337,27 @@ class TestBisect:
         assert bisect_divergence(events_a, events_b) is None
         assert "nothing to bisect" in render_bisect(None)
 
+    def test_bisect_from_trace_streams(self):
+        # Trace-only streams carry the spec but no chain: the fine re-runs
+        # still localize, and there is no stored chain to check them against.
+        spec = smoke_spec("gnp-johansson", trials=1)
+        _, clean = run_instrumented_trial(spec, 0)
+        _, dropped = run_instrumented_trial(
+            replace(spec, faults={"drop": 0.05}), 0)
+        report = bisect_divergence(clean, dropped)
+        assert report.divergence.component == "counters"
+        assert report.fine is not None and report.fine.node is not None
+        assert report.notes == []
+
     def test_fine_mode_windows_per_node_data(self):
         # gnp-johansson: every round materializes inboxes (no discard rounds)
         spec = smoke_spec("gnp-johansson", trials=1)
-        _, events = digest_run(spec, fine_rounds=(2, 3))
-        block = split_trials(events)[0]
+        tracer = RoundTracer(digest=True, fine_rounds=(2, 3))
+        try:
+            run_trial(spec, 0, tracer=tracer)
+        finally:
+            tracer.close()
+        block = split_trials(tracer.events)[0]
         assert sorted(block["fine"]) == [2, 3]
         fine = block["fine"][2]
         # scenario solvers drive the Network directly, so fine events carry
@@ -570,6 +528,62 @@ class TestCli:
         bogus = tmp_path / "DIGEST_x.jsonl"
         bogus.write_text('{"type": "round"}\n')
         assert main(["diff", str(bogus), str(bogus)]) == 2
+
+    def test_diff_trace_file_against_digest_file(self, tmp_path, capsys):
+        from repro.cli import main
+
+        def run(name, *extra):
+            out = tmp_path / name
+            assert main(["suite", "run", "smoke", "--only", "gnp-d1c",
+                         "--trials", "1", "--out", str(out), *extra]) == 0
+            return out
+
+        trace = run("traced", "--trace", str(tmp_path / "traced"))
+        clean = run("clean", "--digest", str(tmp_path / "clean"))
+        dropped = run("dropped", "--digest", str(tmp_path / "dropped"),
+                      "--faults", "drop=0.05")
+        trace = trace / "TRACE_gnp-d1c.jsonl"
+        capsys.readouterr()
+        # No chain on the trace-only side: rounds align on label and
+        # counters, which the clean run shares and the dropping twin does
+        # not.
+        assert main(["diff", str(trace),
+                     str(clean / "DIGEST_gnp-d1c.jsonl")]) == 0
+        assert "identical" in capsys.readouterr().out
+        assert main(["diff", str(trace),
+                     str(dropped / "DIGEST_gnp-d1c.jsonl")]) == 1
+        out = capsys.readouterr().out
+        assert "first divergence at round" in out
+        assert "first: counters" in out
+
+    def test_diff_trial_restricts_divergence_and_drift(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "run"
+        assert main(["suite", "run", "smoke", "--only", "gnp-d1c",
+                     "--trials", "2", "--out", str(out),
+                     "--trace", str(out)]) == 0
+        trace = out / "TRACE_gnp-d1c.jsonl"
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        trial = None
+        for event in events:
+            if event["type"] == "header":
+                trial = event["trial"]
+            elif trial == 1 and event["type"] == "round":
+                event["bits"] += 1
+                break
+        drifted = tmp_path / "TRACE_drifted.jsonl"
+        drifted.write_text("".join(json.dumps(e) + "\n" for e in events))
+        capsys.readouterr()
+        assert main(["diff", str(trace), str(drifted), "--trial", "0",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["identical"] is True and payload["drift"] == []
+        assert main(["diff", str(trace), str(drifted), "--trial", "1",
+                     "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["divergence"]["trial"] == 1
+        assert [d["column"] for d in payload["drift"]] == ["bits"]
 
     def test_suite_run_digest_writes_stream_and_registry(self, tmp_path,
                                                          capsys):

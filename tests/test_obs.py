@@ -2,9 +2,9 @@
 
 The headline contract here is **observation-only tracing**: a traced run is
 byte-identical to an untraced one on every transport backend, fault-free
-and under fault plans.  The rest covers the trace event
-stream, the JSONL artifacts, phase-timeline summaries, heartbeats, resource
-sampling, and the suite runner / CLI integration.
+and under fault plans.  The rest covers the run-event stream, the
+TRACE/DIGEST JSONL artifacts, phase-timeline summaries, resource sampling,
+and the suite runner / CLI integration.
 """
 
 import io
@@ -23,27 +23,28 @@ from repro.experiments import (
     canonical_dumps,
     get_suite,
     run_scenarios,
-    run_traced_trial,
 )
+from repro.experiments.runner import run_instrumented_trial
 from repro.obs import (
     NULL_TRACER,
-    TRACE_SCHEMA,
-    Heartbeat,
+    RUN_SCHEMA,
     NullTracer,
     ResourceSampler,
     RoundTracer,
     compare_traces,
     cpu_seconds,
     current_rss_mb,
-    load_trace,
-    make_tracer,
+    deterministic_events,
+    digest_filename,
+    load_events,
     peak_rss_mb,
-    render_comparison,
     render_timeline,
     summarize_trace,
     trace_filename,
-    write_trace,
+    write_events,
 )
+from repro.obs.artifacts import MACHINE_FIELDS
+from repro.obs.tracer import SAMPLE_EVERY_S
 
 
 class CountDown(NodeProgram):
@@ -85,7 +86,7 @@ class TestRoundTracer:
         rounds = [e for e in tracer.events if e["type"] == "round"]
         assert len(rounds) == 3
         header = tracer.events[0]
-        assert header["schema"] == TRACE_SCHEMA
+        assert header["schema"] == RUN_SCHEMA
         assert header["n"] == 6
         assert header["scenario"] == "unit"
         first = rounds[0]
@@ -148,42 +149,42 @@ class TestRoundTracer:
         with pytest.raises(RuntimeError):
             tracer.attach(Network(nx.path_graph(3)))
 
-    def test_tracers_compose_on_one_ledger(self):
-        # Historically a second attach raised; the observer multiplexer now
-        # fans the ledger's round callback out to every attached tracer (the
-        # forensics DigestTracer rides the same seam — see test_forensics).
+    def test_second_tracer_on_an_occupied_ledger_raises(self):
+        # One tracer carries both the trace and the digest, so a ledger has
+        # at most one round observer.
         first = RoundTracer()
         net = Network(nx.path_graph(3), tracer=first)
-        second = RoundTracer()
-        second.attach(net)
+        with pytest.raises(RuntimeError, match="already has a round observer"):
+            RoundTracer(digest=True).attach(net)
         net.exchange({(0, 1): 1}, label="a")
-        assert len([e for e in first.events if e["type"] == "round"]) == 1
-        assert len([e for e in second.events if e["type"] == "round"]) == 1
-        second.close()
-        net.exchange({(1, 2): 1}, label="b")
-        assert len([e for e in first.events if e["type"] == "round"]) == 2
-        assert len([e for e in second.events if e["type"] == "round"]) == 1
         first.close()
+        assert len([e for e in first.events if e["type"] == "round"]) == 1
         assert net.ledger.observer is None
 
-    def test_periodic_samples_use_injected_clock(self):
-        fake = iter(range(100))
-        tracer = RoundTracer(sample_every_s=2.0, clock=lambda: next(fake))
+    def test_periodic_samples_follow_the_injected_clock(self):
+        now = [0.0]
+        tracer = RoundTracer(clock=lambda: now[0])
         net = Network(nx.path_graph(4), tracer=tracer)
-        for _ in range(4):
+        for _ in range(6):
+            now[0] += SAMPLE_EVERY_S / 2
             net.exchange({(0, 1): 1}, label="a")
         tracer.close()
         samples = [e for e in tracer.events if e["type"] == "sample"]
-        assert samples, "no samples despite elapsed fake time"
+        # One sample per elapsed SAMPLE_EVERY_S, after the round it follows.
+        assert [s["round"] for s in samples] == [2, 4, 6]
+        assert [s["wall_s"] for s in samples] == [1.0, 2.0, 3.0]
         for sample in samples:
             assert sample["rss_mb"] > 0
             assert sample["cpu_s"] >= 0
 
-    def test_make_tracer_factory(self):
-        assert make_tracer(False) is None
-        tracer = make_tracer(True, meta={"k": "v"})
-        assert isinstance(tracer, RoundTracer)
-        assert tracer.meta == {"k": "v"}
+    def test_trace_only_tracer_records_no_digest(self):
+        tracer = RoundTracer()
+        assert not (tracer.wants_payloads or tracer.wants_state)
+        net = Network(nx.cycle_graph(6), tracer=tracer)
+        Simulator(net, CountDown(), seed=1).run(label="ping:step")
+        tracer.close()
+        for event in tracer.events:
+            assert not {"chain", "payload", "state"} & set(event)
 
 
 # --------------------------------------------------------------------------- #
@@ -253,21 +254,24 @@ class TestObservationOnly:
 
 
 # --------------------------------------------------------------------------- #
-# Trace artifacts: filenames, JSONL round-trip, schema checks
+# Run-event artifacts: filenames, JSONL round-trip, schema checks, and the
+# machine-field-free DIGEST view
 # --------------------------------------------------------------------------- #
 
-class TestTraceArtifacts:
-    def test_trace_filename_sanitizes(self):
+class TestRunArtifacts:
+    def test_filenames_sanitize(self):
         assert trace_filename("gnp-d1c") == "TRACE_gnp-d1c.jsonl"
         assert trace_filename("weird name/x:y") == "TRACE_weird_name_x_y.jsonl"
+        assert digest_filename("gnp-d1c") == "DIGEST_gnp-d1c.jsonl"
+        assert digest_filename("weird name/x:y") == "DIGEST_weird_name_x_y.jsonl"
 
     def test_write_load_round_trip(self, tmp_path):
         tracer = RoundTracer(meta={"scenario": "rt"})
         net = Network(nx.path_graph(4), tracer=tracer)
         net.exchange({(0, 1): 1}, label="a:one")
         tracer.close()
-        path = write_trace(tmp_path / trace_filename("rt"), tracer.events)
-        loaded = load_trace(path)
+        path = write_events(tmp_path / trace_filename("rt"), tracer.events)
+        loaded = load_events(path)
         assert loaded == [json.loads(json.dumps(e, sort_keys=True, default=str))
                           for e in tracer.events]
         # one JSON object per line, keys sorted
@@ -277,17 +281,47 @@ class TestTraceArtifacts:
             obj = json.loads(line)
             assert list(obj) == sorted(obj)
 
-    def test_load_trace_rejects_non_trace_jsonl(self, tmp_path):
+    def test_digest_view_drops_machine_fields_only(self, tmp_path):
+        now = [0.0]
+
+        def clock():
+            now[0] += SAMPLE_EVERY_S  # a resource sample after every round
+            return now[0]
+
+        tracer = RoundTracer(digest=True, clock=clock)
+        net = Network(nx.cycle_graph(6), tracer=tracer)
+        Simulator(net, CountDown(), seed=1).run(label="ping:step")
+        tracer.close()
+        assert any(e["type"] == "sample" for e in tracer.events)
+        view = deterministic_events(tracer.events)
+        assert [e["type"] for e in view] == [
+            e["type"] for e in tracer.events if e["type"] != "sample"]
+        for full, kept in zip(
+                (e for e in tracer.events if e["type"] != "sample"), view):
+            assert kept == {k: v for k, v in full.items()
+                            if k not in MACHINE_FIELDS}
+        assert "backend" in tracer.events[0] and "backend" not in view[0]
+        assert view[-1]["chain"] == tracer.events[-1]["chain"]
+        path = write_events(tmp_path / digest_filename("rt"), view)
+        assert load_events(path)[0]["schema"] == RUN_SCHEMA
+
+    def test_load_rejects_non_run_jsonl(self, tmp_path):
         path = tmp_path / "TRACE_bogus.jsonl"
         path.write_text('{"type": "round", "round": 1}\n')
         with pytest.raises(ValueError, match="no header"):
-            load_trace(path)
+            load_events(path)
+        path.write_text('[1, 2]\n')
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_events(path)
 
-    def test_load_trace_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "TRACE_future.jsonl"
-        path.write_text('{"type": "header", "schema": "repro-trace/99"}\n')
-        with pytest.raises(ValueError, match="unsupported trace schema"):
-            load_trace(path)
+    @pytest.mark.parametrize("schema", [
+        "repro-trace/1", "repro-digest/1", "repro-run/99",
+    ])
+    def test_load_rejects_other_schemas(self, tmp_path, schema):
+        path = tmp_path / "TRACE_old.jsonl"
+        path.write_text(json.dumps({"type": "header", "schema": schema}) + "\n")
+        with pytest.raises(ValueError, match=f"expected '{RUN_SCHEMA}'"):
+            load_events(path)
 
     def test_summarize_stable_across_round_trip(self, tmp_path):
         tracer = RoundTracer()
@@ -295,8 +329,8 @@ class TestTraceArtifacts:
         Simulator(net, CountDown(), seed=1).run(label="ping:step")
         tracer.close()
         direct = summarize_trace(tracer.events)
-        path = write_trace(tmp_path / trace_filename("rt"), tracer.events)
-        reloaded = summarize_trace(load_trace(path))
+        path = write_events(tmp_path / trace_filename("rt"), tracer.events)
+        reloaded = summarize_trace(load_events(path))
         assert render_timeline(reloaded) == render_timeline(direct)
 
 
@@ -310,7 +344,7 @@ def _round(phase, messages, bits, wall_s=0.0):
             "max_edge_bits": 1, "wall_s": wall_s}
 
 
-HEADER = {"type": "header", "schema": TRACE_SCHEMA, "n": 4, "m": 3}
+HEADER = {"type": "header", "schema": RUN_SCHEMA, "n": 4, "m": 3}
 
 
 class TestSummaries:
@@ -338,52 +372,10 @@ class TestSummaries:
         assert {(d.phase, d.column) for d in drifts} == {
             ("dense", "rounds"), ("dense", "messages"), ("dense", "bits")}
 
-    def test_render_comparison_mentions_drift_state(self):
-        a = [HEADER, _round("acd", 1, 10)]
-        assert "no drift" in render_comparison(a, list(a))
-        b = [HEADER, _round("acd", 1, 11)]
-        assert "deterministic drift" in render_comparison(a, b)
-
 
 # --------------------------------------------------------------------------- #
-# Heartbeat and resource sampler
+# Resource sampler
 # --------------------------------------------------------------------------- #
-
-class TestHeartbeat:
-    def test_rate_limited_by_interval(self):
-        clock = iter([0.0, 1.0, 5.0, 6.0, 12.0]).__next__
-        stream = io.StringIO()
-        hb = Heartbeat(interval_s=5.0, stream=stream, clock=clock)
-        fired = [hb.maybe_beat(lambda: "line") for _ in range(5)]
-        # first call only starts the clock; beats at t=5 and t=12
-        assert fired == [False, False, True, False, True]
-        assert stream.getvalue() == "line\nline\n"
-        assert hb.beats == 2
-
-    def test_zero_interval_emits_every_call(self):
-        stream = io.StringIO()
-        hb = Heartbeat(interval_s=0.0, stream=stream, clock=lambda: 0.0)
-        assert hb.maybe_beat(lambda: "a")
-        assert hb.maybe_beat(lambda: "b")
-        assert stream.getvalue() == "a\nb\n"
-
-    def test_render_not_called_when_not_due(self):
-        hb = Heartbeat(interval_s=100.0, stream=io.StringIO(),
-                       clock=lambda: 0.0)
-        hb.maybe_beat(lambda: pytest.fail("rendered a line that is not due"))
-
-    def test_tracer_heartbeat_lines(self):
-        stream = io.StringIO()
-        hb = Heartbeat(interval_s=0.0, stream=stream)
-        tracer = RoundTracer(heartbeat=hb)
-        net = Network(nx.cycle_graph(6), tracer=tracer)
-        Simulator(net, CountDown(), seed=1).run(label="ping:step")
-        tracer.close()
-        lines = stream.getvalue().splitlines()
-        assert len(lines) == 3  # one per round at interval 0
-        assert "[trace] round 1 ping:" in lines[0]
-        assert "rss" in lines[0]
-
 
 class TestSampler:
     def test_sample_fields(self):
@@ -477,7 +469,7 @@ class TestRunnerTracing:
         for spec in specs:
             path = tmp_path / trace_filename(spec.name)
             assert path.exists()
-            events = load_trace(path)
+            events = load_events(path)
             headers = [e for e in events if e["type"] == "header"]
             assert [h["trial"] for h in headers] == list(range(spec.trials))
             # per-round trace sums == the trial rows' ledger aggregates
@@ -499,16 +491,19 @@ class TestRunnerTracing:
         run_scenarios(specs, suite="smoke", workers=2,
                       trace_dir=tmp_path / "parallel")
         for spec in specs:
-            a = load_trace(tmp_path / "serial" / trace_filename(spec.name))
-            b = load_trace(tmp_path / "parallel" / trace_filename(spec.name))
+            a = load_events(tmp_path / "serial" / trace_filename(spec.name))
+            b = load_events(tmp_path / "parallel" / trace_filename(spec.name))
             assert compare_traces(a, b) == []
 
-    def test_run_traced_trial_returns_row_and_events(self):
+    def test_instrumented_trial_without_digest(self):
         spec = self._smoke_specs()[0]
-        row, events = run_traced_trial(spec, 0)
+        row, events = run_instrumented_trial(spec, 0)
         assert row["scenario"] == spec.name
+        assert "state_digest" not in row
         header = events[0]
         assert header["scenario"] == spec.name
         assert header["trial"] == 0
         assert header["solver"] == spec.solver
+        assert header["spec"]["name"] == spec.name  # bisect re-run input
         assert events[-1]["type"] == "end"
+        assert "chain" not in events[-1]
