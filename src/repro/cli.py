@@ -268,6 +268,8 @@ def cmd_suite_run(args: argparse.Namespace) -> int:
     from repro.obs import current_rss_mb, digest_filename, trace_filename
 
     _select_suite(args.suite, args.only)
+    if args.workers < 1:
+        raise UserError(f"--workers must be >= 1, got {args.workers}")
     if args.trials is not None and args.trials < 1:
         raise UserError(f"--trials must be >= 1, got {args.trials}")
     faults = _parse_faults(args.faults) if args.faults else None
@@ -382,6 +384,8 @@ def cmd_suite_compare(args: argparse.Namespace) -> int:
         run_suite, timing_summary,
     )
 
+    if args.workers < 1:
+        raise UserError(f"--workers must be >= 1, got {args.workers}")
     baseline = _load(load_suite_summary, args.baseline)
     fresh_timing = None
     wants_timing_artifact = (
@@ -495,12 +499,18 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trial_ids(events) -> str:
+    """The trial indices a run-event stream's headers name, for messages."""
+    ids = [str(e.get("trial")) for e in events if e.get("type") == "header"]
+    return ", ".join(ids) or "none"
+
+
 def cmd_diff(args: argparse.Namespace) -> int:
     """Align two run-event streams; optionally bisect to the first node.
 
     Either side may be a TRACE_*.jsonl or a DIGEST_*.jsonl file.  Exit
     codes: 0 when the streams are identical, 1 when they diverge, 2 on
-    unreadable inputs.
+    unreadable inputs or a bad ``--trial``/``--window``.
     """
     import json
     from dataclasses import asdict
@@ -511,11 +521,21 @@ def cmd_diff(args: argparse.Namespace) -> int:
         render_divergence, select_trial,
     )
 
+    if args.window < 0:
+        raise UserError(f"--window must be >= 0, got {args.window}")
     events_a = _load(load_events, args.a)
     events_b = _load(load_events, args.b)
     if args.trial is not None:
-        events_a = select_trial(events_a, args.trial)
-        events_b = select_trial(events_b, args.trial)
+        selected_a = select_trial(events_a, args.trial)
+        selected_b = select_trial(events_b, args.trial)
+        if not (selected_a and selected_b):
+            have = "; ".join(
+                f"{path} has trials {_trial_ids(events)}"
+                for path, events in ((args.a, events_a), (args.b, events_b))
+            )
+            raise UserError(f"--trial {args.trial} is not in both streams "
+                            f"({have})")
+        events_a, events_b = selected_a, selected_b
     divergence = first_divergence(events_a, events_b)
     drift = compare_traces(events_a, events_b)
     report = None
@@ -595,10 +615,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         else:
             summary = None
     if summary is None and not traces:
-        print(f"nothing to report: no {SUITE_FILENAME} for suite/scenario "
-              f"{args.target!r} and no matching {TRACE_PREFIX}*{EVENTS_SUFFIX} "
-              f"in {report_dir}")
-        return 2
+        raise UserError(
+            f"nothing to report: no {SUITE_FILENAME} for suite/scenario "
+            f"{args.target!r} and no matching {TRACE_PREFIX}*{EVENTS_SUFFIX} "
+            f"in {report_dir}"
+        )
 
     if summary is not None:
         print(format_table(suite_overview_rows(summary),
@@ -805,9 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("b", help="second TRACE_*.jsonl or DIGEST_*.jsonl stream")
     diff.add_argument("--bisect", action="store_true",
                       help="re-run both sides over a round window with "
-                           "per-node fine digests and name the first "
-                           "divergent node and component (inbox bytes, "
-                           "liveness, or solver state)")
+                           "per-receiver inbox digests and name the first "
+                           "node whose delivered payload bytes diverged")
     diff.add_argument("--window", type=int, default=1,
                       help="fine-mode half-window in rounds around the "
                            "divergent round (default 1)")

@@ -1,6 +1,6 @@
-"""Synchronous CONGEST / LOCAL network simulator.
+"""Synchronous CONGEST / LOCAL network engine.
 
-The simulator is the substrate every distributed primitive in this
+The engine is the substrate every distributed primitive in this
 reproduction runs on.  It is layered (see DESIGN.md):
 
 * :class:`~repro.congest.topology.Topology` — immutable CSR-style adjacency;
@@ -18,13 +18,13 @@ round: the round counter advances and each per-edge payload is charged its bit
 size against the bandwidth budget (``O(log n)`` bits in CONGEST, unlimited in
 LOCAL mode).  Oversized messages raise
 :class:`~repro.congest.errors.BandwidthExceeded`, so the coloring algorithms
-cannot accidentally cheat the model.
+cannot accidentally cheat the model.  Every solver drives its rounds through
+these calls directly, keeping per-node state in its own structures.
 """
 
 from repro.congest.errors import BandwidthExceeded, CongestError, ProtocolError
 from repro.congest.bandwidth import payload_bits
 from repro.congest.message import Message
-from repro.congest.node import NodeState
 from repro.congest.topology import Topology
 from repro.congest.transport import (
     DictTransport,
@@ -33,8 +33,6 @@ from repro.congest.transport import (
     make_transport,
 )
 from repro.congest.network import DEFAULT_BACKEND, Network, RoundRecord
-from repro.congest.program import NodeProgram, ProgramContext
-from repro.congest.simulator import Simulator, SimulationResult
 
 __all__ = [
     "BandwidthExceeded",
@@ -42,7 +40,6 @@ __all__ = [
     "ProtocolError",
     "payload_bits",
     "Message",
-    "NodeState",
     "Topology",
     "Transport",
     "DictTransport",
@@ -51,8 +48,4 @@ __all__ = [
     "DEFAULT_BACKEND",
     "Network",
     "RoundRecord",
-    "NodeProgram",
-    "ProgramContext",
-    "Simulator",
-    "SimulationResult",
 ]

@@ -124,9 +124,9 @@ class Topology:
     def node_index(self) -> Dict[Node, int]:
         """The contiguous node->index map (treat as read-only).
 
-        Exposed so slot-indexed consumers (the simulator, the slot transport)
-        can share the one map built at construction instead of each paying an
-        O(n) rebuild per run.
+        Exposed so :class:`~repro.congest.columnar.transport.ColumnarTransport`
+        shares the one map built at construction instead of paying an O(n)
+        rebuild per run.
         """
         return self._index
 

@@ -17,9 +17,7 @@ is never even wrapped around a transport):
   with this probability (see :mod:`repro.faults.corruption` for how payload
   types map to bits).
 * ``crash`` — ``{round: nodes}``: from communication round ``round`` on (as
-  counted by the ledger), the listed nodes neither send nor receive; the
-  :class:`~repro.congest.simulator.Simulator` also drops them from its
-  active set.
+  counted by the ledger), the listed nodes neither send nor receive.
 * ``throttle`` — multiplies the per-edge bandwidth budget (``0.25`` leaves a
   quarter of the usual bits per round), modelling sub-``O(log n)`` CONGEST.
 * ``delay`` — ``{(sender, receiver): slots}``: messages on that directed
@@ -188,16 +186,6 @@ class FaultPlan:
         if self.throttle == 1.0:
             return int(bandwidth_bits)
         return max(1, int(math.floor(bandwidth_bits * self.throttle)))
-
-    def crashed_by(self, round_id: int) -> frozenset:
-        """All nodes whose crash round is ``<= round_id``."""
-        if not self.crash:
-            return frozenset()
-        dead = set()
-        for r, nodes in self.crash.items():
-            if r <= round_id:
-                dead.update(nodes)
-        return frozenset(dead)
 
 
 @dataclass

@@ -19,8 +19,7 @@ primitive.  Design invariants (enforced by the fault-layer test suite):
   as they would on a fault-free transport.
 * **Round numbering is the ledger's.**  The crash schedule and delay slots
   count communication rounds as recorded by the shared ledger, which is the
-  one clock all backends and the :class:`~repro.congest.simulator.Simulator`
-  agree on.
+  one clock all backends agree on.
 
 The no-fault path never reaches this module: ``make_transport`` only wraps
 when the plan is non-trivial, so fault-free runs stay byte-identical to the

@@ -160,6 +160,8 @@ def planted_almost_cliques(
         raise ValueError("need at least one clique of size >= 3")
     if not 0 <= dropout < 0.5:
         raise ValueError("dropout must be in [0, 0.5)")
+    if num_sparse < 0:
+        raise ValueError(f"num_sparse must be >= 0, got {num_sparse}")
     rng = random.Random(seed)
     graph = nx.Graph()
     cliques: List[Set[int]] = []

@@ -5,14 +5,14 @@ Three layers, each built on the one below:
 * :func:`first_divergence` — align two run-event lists (``TRACE_*`` or
   ``DIGEST_*`` files) trial by trial and round by round and report the
   first divergent (round, phase) with per-component attribution: inbox
-  bytes, ledger counters, liveness, solver state, or round structure.
+  bytes, ledger counters, or round structure.
   When both sides carry a digest chain, prefix equality is one chain
   comparison per round; otherwise rounds align on their deterministic
   fields (label and ledger counters).
 * :func:`bisect_divergence` — re-run both sides' trials in *fine* mode
   over a window around the divergent round (default backend — valid
   because the digest chain is pinned equal across backends) and name the
-  first divergent node and which component diverged first for it.
+  first node whose delivered inbox diverged.
 * ``repro diff`` / ``repro report trend`` (:mod:`repro.cli`,
   :mod:`repro.obs.analytics.history`) — the user-facing surfaces.
 
@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-#: Component precedence inside one divergent round — causal order: a round's
-#: delivered bytes feed the state computation, which decides halting; the
-#: ledger counters summarize the delivery.
-_COMPONENT_ORDER = ("structure", "inbox", "counters", "liveness", "state")
+#: Component precedence inside one divergent round — causal order: a
+#: differing label means the rounds do different work, and the ledger
+#: counters summarize the delivered bytes the inbox digest covers.
+_COMPONENT_ORDER = ("structure", "inbox", "counters")
 
 
 # ------------------------------------------------------------- spec embedding
@@ -141,7 +141,7 @@ class Divergence:
     scenario: str
     trial: int
     pair_index: int
-    component: str  # primary: structure | inbox | counters | liveness | state
+    component: str  # primary: structure | inbox | counters
     components: Tuple[str, ...] = ()
     round: Optional[int] = None
     phase: Optional[str] = None
@@ -168,8 +168,8 @@ def _round_components(
 ) -> Tuple[List[str], List[str]]:
     """Which components differ between two aligned round events, and how.
 
-    The inbox, liveness and state components exist only when both sides
-    are ``digested``; otherwise label and counters are all there is.
+    The inbox component exists only when both sides are ``digested``;
+    otherwise label and counters are all there is.
     """
     components: List[str] = []
     details: List[str] = []
@@ -194,21 +194,6 @@ def _round_components(
     if counter_diffs:
         components.append("counters")
         details.append(", ".join(counter_diffs))
-    if not digested:
-        return components, details
-    if round_a.get("halted") != round_b.get("halted"):
-        components.append("liveness")
-        details.append(
-            f"halted {round_a.get('halted')} vs {round_b.get('halted')}"
-        )
-    if (round_a.get("state") != round_b.get("state")
-            or round_a.get("state_n") != round_b.get("state_n")):
-        components.append("state")
-        details.append(
-            "state digest "
-            f"{round_a.get('state')}/{round_a.get('state_n')} vs "
-            f"{round_b.get('state')}/{round_b.get('state_n')}"
-        )
     return components, details
 
 
@@ -338,7 +323,7 @@ class FineDivergence:
 
     round: int
     node: Optional[str]  # repr() of the node, or None if unlocalized
-    component: str  # inbox | liveness | state | unlocalized
+    component: str  # inbox | structure | unlocalized
     detail: str = ""
 
     def as_dict(self) -> Dict[str, Any]:
@@ -395,21 +380,17 @@ def _fine_rerun(header: Mapping[str, Any], window: Tuple[int, int]):
 def _first_fine_difference(
     fine_a: Mapping[str, Any], fine_b: Mapping[str, Any], round_index: int
 ) -> Optional[FineDivergence]:
-    """Compare two fine events: first differing node in causal order."""
-    for component, key in (("inbox", "inbox"), ("liveness", "halted"),
-                           ("state", "state")):
-        map_a = fine_a.get(key) or {}
-        map_b = fine_b.get(key) or {}
-        if map_a == map_b:
-            continue
-        for node in sorted(set(map_a) | set(map_b)):
-            value_a = map_a.get(node)
-            value_b = map_b.get(node)
-            if value_a != value_b:
-                return FineDivergence(
-                    round=round_index, node=node, component=component,
-                    detail=f"{key}[{node}] = {value_a!r} vs {value_b!r}",
-                )
+    """Compare two fine events: the first receiver whose inbox differs."""
+    map_a = fine_a.get("inbox") or {}
+    map_b = fine_b.get("inbox") or {}
+    for node in sorted(set(map_a) | set(map_b)):
+        value_a = map_a.get(node)
+        value_b = map_b.get(node)
+        if value_a != value_b:
+            return FineDivergence(
+                round=round_index, node=node, component="inbox",
+                detail=f"inbox[{node}] = {value_a!r} vs {value_b!r}",
+            )
     return None
 
 
@@ -422,10 +403,8 @@ def bisect_divergence(
     """Localize a stream divergence to its first divergent node.
 
     Re-runs both sides' trials in fine mode over ``[round - window,
-    round + window]`` and walks the per-node fine data in round order,
-    checking inbox bytes, then liveness, then solver state — the causal
-    order within a round.  Returns ``None`` when the streams do not
-    diverge at all.
+    round + window]`` and walks the per-receiver inbox digests in round
+    order.  Returns ``None`` when the streams do not diverge at all.
     """
     if divergence is None:
         divergence = first_divergence(events_a, events_b)
@@ -481,9 +460,9 @@ def bisect_divergence(
             return report
     report.fine = FineDivergence(
         round=divergence.round, node=None, component="unlocalized",
-        detail="no per-node inbox/liveness/state difference inside the "
-               "window (counters-only divergence, or the window is too "
-               "narrow — retry with a larger --window)",
+        detail="no per-node inbox difference inside the window "
+               "(counters-only divergence, or the window is too narrow — "
+               "retry with a larger --window)",
     )
     return report
 

@@ -5,9 +5,8 @@ properties carry the whole subsystem:
 
 * **Canonical bytes.** :func:`canonical_bytes` is a type-tagged,
   length-prefixed encoding with sorted map/set bodies, so the bytes of a
-  payload (or a node's solver-visible state) never depend on dict/set
-  iteration order, ``PYTHONHASHSEED``, or which transport backend delivered
-  it.
+  payload never depend on dict/set iteration order, ``PYTHONHASHSEED``, or
+  which transport backend delivered it.
 * **Commutative multisets.** Per-round digests are *multiset* sums
   (64-bit wrapping sum of per-entry hashes, plus a count), not order-folded
   chains.  The dict and columnar backends deliver the same messages in
@@ -35,10 +34,10 @@ from repro.hashing.keys import _MASK64, MIX64_INIT, element_key, mix64, mix64_st
 Node = Hashable
 
 # Domain-separation salts: one per kind of digested entry, so an exchange
-# entry can never collide with a state entry built from the same integers.
+# entry can never collide with a sent-value entry built from the same
+# integers.
 _EDGE_SALT = 0xD1E5  # delivered (sender, receiver, payload) entries
 _VALUE_SALT = 0xD15C  # broadcast_discard per-sender sent values
-_STATE_SALT = 0x57A7  # per-node solver-visible state entries
 _INT_SALT = 0x1477  # small-int payload fast path
 _CHAIN_SALT = 0xC4A1  # chain initialisation
 
@@ -141,7 +140,6 @@ def payload_hash(payload: Any) -> int:
 # per entry and gives the vector path a ready-made uint64 seed.
 _EDGE_ACC = mix64_step(MIX64_INIT, _EDGE_SALT)
 _VALUE_ACC = mix64_step(MIX64_INIT, _VALUE_SALT)
-_STATE_ACC = mix64_step(MIX64_INIT, _STATE_SALT)
 _INT_ACC = mix64_step(MIX64_INIT, _INT_SALT)
 
 # The same directed edges recur every round of a run, so their two-step key
@@ -228,19 +226,6 @@ def value_entry_hash(sender: Node, payload: Any) -> int:
             prefixes.clear()
         prefix = prefixes[sender] = mix64_step(_VALUE_ACC, element_key(sender))
     return mix64_step(prefix, payload_hash(payload))
-
-
-def node_state_entry(node: Node, state: Any) -> int:
-    """Multiset entry hash for one node's solver-visible state.
-
-    ``state`` is a :class:`~repro.congest.node.NodeState`; the digested
-    value is the canonical encoding of ``(halted, output, memory)`` — the
-    full solver-visible surface, RNG-derived fields included.
-    """
-    return mix64_step(
-        mix64_step(_STATE_ACC, element_key(node)),
-        hash_bytes(canonical_bytes((state.halted, state.output, state.memory))),
-    )
 
 
 # ------------------------------------------------------------ accumulators

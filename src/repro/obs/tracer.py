@@ -62,19 +62,15 @@ class Tracer:
     ``enabled`` is a class attribute so drivers can guard per-round hook
     calls with a single attribute check (``if tracer.enabled: ...``) instead
     of a method call — that is what makes the :class:`NullTracer` default
-    genuinely free on hot paths.  ``wants_payloads`` and ``wants_state``
-    guard the digest hooks the same way: the network only walks delivered
-    payloads (and the simulator only walks node states) for tracers that
-    opted in, so tracing rounds stays free of per-message work.
+    genuinely free on hot paths.  ``wants_payloads`` guards the digest
+    hooks the same way: the network only walks delivered payloads for
+    tracers that opted in, so tracing rounds stays free of per-message work.
     """
 
     enabled = False
     #: Opt-in: receive delivered payloads via the ``note_exchange`` /
     #: ``note_inboxes`` / ``note_values`` hooks after every primitive.
     wants_payloads = False
-    #: Opt-in: receive per-node solver-visible state via ``note_state``
-    #: at the end of every simulator step.
-    wants_state = False
 
     def attach(self, network) -> None:
         """Start observing ``network`` (install the ledger round observer)."""
@@ -90,9 +86,6 @@ class Tracer:
 
     def note_values(self, values) -> None:
         """Payload hook: a ``broadcast_discard`` round's sent values."""
-
-    def note_state(self, items) -> None:
-        """State hook: iterable of ``(node, entry_hash, halted)`` post-step."""
 
     def close(self) -> None:
         """Stop observing and finalize (idempotent)."""
@@ -115,17 +108,17 @@ class RoundTracer(Tracer):
         Extra key/value pairs merged into the header event (scenario name,
         trial index, embedded scenario spec for the bisection re-run, ...).
     digest:
-        Fold a chained digest over delivered payload bytes, per-node
-        solver-visible state and liveness, and the ledger counters, and add
-        it to every round event.  This turns the payload and state hooks on,
-        so the columnar similarity kernel declines (it never materializes
-        the payloads a digest hashes); a trace-only tracer leaves the hooks
-        off and the kernel running.
+        Fold a chained digest over delivered payload bytes and the ledger
+        counters, and add it to every round event.  This turns the payload
+        hooks on, so the columnar similarity kernel declines (it never
+        materializes the payloads a digest hashes); a trace-only tracer
+        leaves the hooks off and the kernel running.
     fine_rounds:
         Optional inclusive ``(lo, hi)`` round window for a digesting tracer:
-        rounds inside it emit an extra ``fine`` event with per-node detail —
-        the data the bisection debugger uses to name the first divergent
-        node.  Outside the window the per-round cost stays one multiset sum.
+        rounds inside it emit an extra ``fine`` event with per-receiver
+        inbox digests — the data the bisection debugger uses to name the
+        first divergent node.  Outside the window the per-round cost stays
+        one multiset sum.
     clock:
         Time source (``time.perf_counter`` by default; injectable for
         deterministic tests).
@@ -141,11 +134,10 @@ class RoundTracer(Tracer):
       i.e. including the compute that produced the round); optionally
       ``active``/``owned`` (when a driver reported them) and ``faults``
       (nonzero fault-counter deltas since the previous round).  With
-      ``digest``: ``payload`` (multiset hex) + ``payload_n``,
-      ``state``/``state_n``/``halted`` when state was observed, and
-      ``chain`` — the running chained digest through this round.
-    * ``fine`` — per-receiver ``inbox`` digests and per-node ``state`` /
-      ``halted`` maps for one in-window round (keys are ``repr(node)``).
+      ``digest``: ``payload`` (multiset hex) + ``payload_n`` and ``chain``
+      — the running chained digest through this round.
+    * ``fine`` — per-receiver ``inbox`` digests for one in-window round
+      (keys are ``repr(node)``).
     * ``sample`` — ``round``, ``wall_s`` since attach, ``rss_mb``,
       ``cpu_s``; at most one per :data:`SAMPLE_EVERY_S`, taken on round
       boundaries (no background thread, so an idle tracer costs nothing).
@@ -153,9 +145,8 @@ class RoundTracer(Tracer):
       sample, final fault counters when a fault plan ran, and the final
       ``chain`` with ``digest``.
 
-    The chain folds round identity, counters and the multiset digests —
-    never driver context such as ``active``/``owned`` (liveness reaches it
-    through the halted count of the state digest).
+    The chain folds round identity, counters and the payload multiset
+    digest — never driver context such as ``active``/``owned``.
     """
 
     enabled = True
@@ -167,9 +158,9 @@ class RoundTracer(Tracer):
         self.events: List[Dict[str, Any]] = []
         self.meta = dict(meta or {})
         self.digest = bool(digest)
-        # Plain attributes, not properties: each per-round guard in Network
-        # and Simulator stays a single attribute read.
-        self.wants_payloads = self.wants_state = self.digest
+        # A plain attribute, not a property: Network's per-round guard stays
+        # a single attribute read.
+        self.wants_payloads = self.digest
         if fine_rounds is not None:
             lo, hi = fine_rounds
             fine_rounds = (int(lo), int(hi))
@@ -186,11 +177,7 @@ class RoundTracer(Tracer):
         self._pending: Optional[Dict[str, Any]] = None
         self._chain = CHAIN_INIT
         self._payload = MultisetDigest()
-        self._state = MultisetDigest()
-        self._halted = 0
-        self._state_seen = False
         self._fine_inbox: Dict[Any, MultisetDigest] = {}
-        self._fine_state: Dict[Any, Tuple[int, bool]] = {}
 
     # ------------------------------------------------------------- lifecycle
     def attach(self, network) -> None:
@@ -302,25 +289,6 @@ class RoundTracer(Tracer):
         for sender, payload in values.items():
             self._payload.add(value_entry_hash(sender, payload))
 
-    # ------------------------------------------------------------ state hooks
-    def note_state(self, items) -> None:
-        acc = self._state
-        halted = self._halted
-        if self._fine_active():
-            fine = self._fine_state
-            for node, entry, is_halted in items:
-                acc.add(entry)
-                if is_halted:
-                    halted += 1
-                fine[node] = (entry, bool(is_halted))
-        else:
-            for node, entry, is_halted in items:
-                acc.add(entry)
-                if is_halted:
-                    halted += 1
-        self._halted = halted
-        self._state_seen = True
-
     # ---------------------------------------------------------- round events
     def _on_round(self, index: int, label: str, message_count: int,
                   total_bits: int, max_edge_bits: int) -> None:
@@ -354,18 +322,20 @@ class RoundTracer(Tracer):
     def _finalize_round(self) -> None:
         """Emit the pending round's events, folding its digest into the chain.
 
-        Deferred until the next round (or ``close``) because payload and
-        state hooks fire *after* the ledger observer for the round they
-        belong to: the transport records the round, then the network hands
-        the delivered payloads to the tracer, then the simulator reports
-        post-step state.
+        Deferred until the next round (or ``close``) because the payload
+        hooks fire *after* the ledger observer for the round they belong to:
+        the transport records the round, then the network hands the
+        delivered payloads to the tracer.
         """
         pending = self._pending
         if pending is None:
             return
         self._pending = None
         if self.digest:
-            payload, state = self._payload, self._state
+            payload = self._payload
+            # The repro-run/1 encoding ends each fold with three words that
+            # every solver run folds as zeros; folding them as constants
+            # keeps every recorded chain valid.
             self._chain = fold_chain(
                 self._chain,
                 pending["round"],
@@ -375,45 +345,25 @@ class RoundTracer(Tracer):
                 pending["max_edge_bits"],
                 payload.value,
                 payload.count,
-                state.value,
-                state.count,
-                self._halted,
+                0, 0, 0,
             )
             pending["payload"] = hex16(payload.value)
             pending["payload_n"] = payload.count
-            if self._state_seen:
-                pending["state"] = hex16(state.value)
-                pending["state_n"] = state.count
-                pending["halted"] = self._halted
             pending["chain"] = hex16(self._chain)
             payload.reset()
-            state.reset()
-            self._halted = 0
-            self._state_seen = False
         self.events.append(pending)
         if self.fine_rounds is not None:
             lo, hi = self.fine_rounds
             if lo <= pending["round"] <= hi:
-                fine: Dict[str, Any] = {
+                self.events.append({
                     "type": "fine",
                     "round": pending["round"],
                     "inbox": {
                         repr(node): [hex16(acc.value), acc.count]
                         for node, acc in self._fine_inbox.items()
                     },
-                }
-                if self._fine_state:
-                    fine["state"] = {
-                        repr(node): hex16(entry)
-                        for node, (entry, _) in self._fine_state.items()
-                    }
-                    fine["halted"] = {
-                        repr(node): halted
-                        for node, (_, halted) in self._fine_state.items()
-                    }
-                self.events.append(fine)
+                })
             self._fine_inbox = {}
-            self._fine_state = {}
         if self._last_ts - self._last_sample_ts >= SAMPLE_EVERY_S:
             sample: Dict[str, Any] = {
                 "type": "sample",

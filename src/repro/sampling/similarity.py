@@ -44,6 +44,12 @@ Node = Hashable
 Edge = Tuple[Node, Node]
 
 
+def check_eps(eps: float) -> None:
+    """Raise ``ValueError`` naming ``eps`` unless ``0 < eps < 1``."""
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
+
+
 @dataclass(frozen=True)
 class SimilarityParameters:
     """Tunable parameters of ``EstimateSimilarity``.
@@ -78,8 +84,7 @@ class SimilarityParameters:
         return cls(eps=eps, nu=nu, max_scale=4, sigma_cap=1024, seed=seed)
 
     def __post_init__(self):
-        if not 0 < self.eps < 1:
-            raise ValueError(f"eps must be in (0, 1), got {self.eps}")
+        check_eps(self.eps)
         if not 0 < self.nu < 1:
             raise ValueError(f"nu must be in (0, 1), got {self.nu}")
         if self.scale_constant <= 0:

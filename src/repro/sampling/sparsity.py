@@ -26,6 +26,7 @@ from repro.congest.network import Network
 from repro.sampling.similarity import (
     SimilarityParameters,
     SimilarityResult,
+    check_eps,
     estimate_similarity_on_edges,
 )
 
@@ -62,6 +63,7 @@ def estimate_global_sparsity(
     neighbourhoods simultaneously, then each node aggregates locally — the
     whole procedure is a constant number of CONGEST rounds.
     """
+    check_eps(eps)
     if params is None:
         params = SimilarityParameters.practical(eps=eps / 2.0, seed=seed)
     nodes = list(nodes) if nodes is not None else network.nodes
@@ -106,6 +108,7 @@ def estimate_local_sparsity(
     ``reliable`` only when fewer than ``ε·d_v/3`` of its neighbours have
     degree at least ``2·d_v`` — Lemma 5's precondition.
     """
+    check_eps(eps)
     if params is None:
         params = SimilarityParameters.practical(eps=eps / 3.0, seed=seed)
     nodes = list(nodes) if nodes is not None else network.nodes

@@ -20,6 +20,7 @@ from repro.congest.network import Network
 from repro.sampling.similarity import (
     SimilarityParameters,
     SimilarityResult,
+    check_eps,
     estimate_similarity_on_edges,
 )
 
@@ -66,6 +67,7 @@ def detect_triangle_rich_edges(
         Defaults to the true maximum degree of the network (globally known, as
         is standard in the property-testing setting).
     """
+    check_eps(eps)
     if delta is None:
         delta = max(1, network.max_degree())
     if params is None:

@@ -258,17 +258,43 @@ USER_ERRORS = {
                               "--fresh", "{tmp}/missing.json"],
     "compare-non-json-fresh": ["suite", "compare", "--baseline", "{bench}",
                                "--fresh", "{tmp}/bad.json"],
+    "compare-zero-workers": ["suite", "compare", "--baseline", "{bench}",
+                             "--fresh", "{bench}", "--workers", "0"],
+    "suite-run-zero-workers": ["suite", "run", "smoke", "--workers", "0",
+                               "--out", "{tmp}/out"],
+    "suite-run-negative-workers": ["suite", "run", "smoke", "--workers", "-3",
+                                   "--out", "{tmp}/out"],
     "trace-summarize-missing": ["trace", "summarize", "{tmp}/missing.jsonl"],
     "diff-missing": ["diff", "{tmp}/missing.jsonl", "{tmp}/missing.jsonl"],
+    "diff-trial-absent": ["diff", "{tmp}/run.jsonl", "{tmp}/run.jsonl",
+                          "--trial", "5"],
+    "diff-trial-negative": ["diff", "{tmp}/run.jsonl", "{tmp}/run.jsonl",
+                            "--trial", "-1"],
+    "diff-window-negative": ["diff", "{tmp}/run.jsonl", "{tmp}/run.jsonl",
+                             "--bisect", "--window", "-1"],
+    "acd-sparse-negative": ["acd", "--sparse", "-1"],
     "triangles-n-zero": ["triangles", "--n", "0"],
     "triangles-n-negative": ["triangles", "--n", "-5"],
     "triangles-eps-zero": ["triangles", "--eps", "0"],
+    "triangles-eps-above-one": ["triangles", "--eps", "1.5"],
     "report-non-json-trace": ["report", "bad", "--dir", "{tmp}"],
+    "report-nothing-found": ["report", "nope", "--dir", "{tmp}"],
     "faults-not-a-number": ["suite", "run", "smoke", "--faults", "drop=abc",
                             "--out", "{tmp}/out"],
     "faults-unknown-key": ["suite", "run", "smoke", "--faults", "bogus=1",
                            "--out", "{tmp}/out"],
 }
+
+
+def write_header_stream(path, trials=(0,)):
+    """A minimal run-event stream: one header event per trial index."""
+    import json
+
+    from repro.obs import RUN_SCHEMA
+
+    path.write_text("".join(
+        json.dumps({"type": "header", "schema": RUN_SCHEMA, "trial": trial})
+        + "\n" for trial in trials))
 
 
 class TestUserErrors:
@@ -277,6 +303,7 @@ class TestUserErrors:
     def test_exits_2_with_one_stderr_line(self, argv, capsys, tmp_path):
         (tmp_path / "bad.json").write_text("not json\n")
         (tmp_path / "TRACE_bad.jsonl").write_text("not json\n")
+        write_header_stream(tmp_path / "run.jsonl")
         bench = Path(__file__).resolve().parent.parent / "BENCH_suite.json"
         argv = [arg.format(tmp=tmp_path, bench=bench) for arg in argv]
         assert main(argv) == 2
@@ -297,6 +324,16 @@ class TestUserErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert schema in err and RUN_SCHEMA in err
+
+    def test_absent_trial_names_the_trials_each_stream_has(self, capsys,
+                                                           tmp_path):
+        write_header_stream(tmp_path / "a.jsonl")
+        write_header_stream(tmp_path / "b.jsonl", trials=(0, 1))
+        assert main(["diff", str(tmp_path / "a.jsonl"),
+                     str(tmp_path / "b.jsonl"), "--trial", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "--trial 1" in err
+        assert "a.jsonl has trials 0;" in err and "b.jsonl has trials 0, 1" in err
 
     def test_removed_backend_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -514,10 +551,6 @@ class TestAnalyticsCli:
         assert "gnp-d1c" in out_text
         assert "phase timeline: powerlaw-d1lc" not in out_text
         assert (tmp_path / "one.html").exists()
-
-    def test_report_nothing_found_exits_2(self, capsys, tmp_path):
-        assert main(["report", "nope", "--dir", str(tmp_path)]) == 2
-        assert "nothing to report" in capsys.readouterr().out
 
     def test_report_trend_table_and_gate(self, capsys, tmp_path):
         out = self._run_smoke(tmp_path)

@@ -5,7 +5,7 @@ import dataclasses
 import networkx as nx
 import pytest
 
-from repro.congest import BandwidthExceeded, Network, NodeProgram, ProtocolError, Simulator
+from repro.congest import BandwidthExceeded, Network, ProtocolError
 from repro.congest.message import Message
 from repro.congest.topology import Topology
 from repro.congest.transport import make_transport
@@ -86,12 +86,6 @@ class TestFaultPlan:
         assert FaultPlan(throttle=0.5).throttled_bandwidth(64) == 32
         assert FaultPlan(throttle=0.25).throttled_bandwidth(3) == 1  # floor >= 1
         assert FaultPlan().throttled_bandwidth(64) == 64
-
-    def test_crashed_by_is_cumulative(self):
-        plan = FaultPlan(crash={2: (0,), 5: (1, 2)})
-        assert plan.crashed_by(0) == frozenset()
-        assert plan.crashed_by(2) == frozenset({0})
-        assert plan.crashed_by(10) == frozenset({0, 1, 2})
 
 
 # --------------------------------------------------------------------------- #
@@ -424,40 +418,3 @@ class TestDeterminism:
         b = aggregate_suite(run_scenarios([endpoint], suite="tiny"))
         assert a == b
         assert compare_summaries(a, b) == []
-
-
-# --------------------------------------------------------------------------- #
-# Simulator crash integration
-# --------------------------------------------------------------------------- #
-
-class EchoCounter(NodeProgram):
-    """Counts its own steps; halts after round 5."""
-
-    def init(self, ctx):
-        ctx.state.memory["steps"] = 0
-
-    def step(self, ctx, inbox):
-        ctx.state.memory["steps"] += 1
-        if ctx.round_index >= 5:
-            ctx.state.halt()
-        return {u: 1 for u in ctx.network.neighbors(ctx.node)}
-
-    def finish(self, ctx):
-        return ctx.state.memory["steps"]
-
-
-class TestSimulatorCrash:
-    def test_crashed_node_leaves_active_set(self):
-        net = Network(nx.cycle_graph(6), faults={"crash": {2: (0,)}})
-        result = Simulator(net, EchoCounter(), seed=0).run()
-        assert result.outputs[0] == 2  # stepped in rounds 0 and 1 only
-        assert all(result.outputs[v] == 6 for v in range(1, 6))
-        assert result.states[0].halted
-        assert net.fault_stats["crashed_nodes"] == 1
-
-    def test_crash_everyone_halts_the_run(self):
-        nodes = tuple(range(6))
-        net = Network(nx.cycle_graph(6), faults={"crash": {0: nodes}})
-        result = Simulator(net, EchoCounter(), seed=0).run()
-        assert result.halted
-        assert all(steps == 0 for steps in result.outputs.values())

@@ -15,8 +15,6 @@ import networkx as nx
 import pytest
 
 from repro.congest import Network
-from repro.congest.program import NodeProgram
-from repro.congest.simulator import Simulator
 from repro.core import solve_d1c
 from repro.experiments import (
     aggregate_suite,
@@ -45,22 +43,13 @@ from repro.obs import (
 )
 from repro.obs.artifacts import MACHINE_FIELDS
 from repro.obs.tracer import SAMPLE_EVERY_S
+from round_driver import run_rounds
 
 
-class CountDown(NodeProgram):
+def ping(net):
     """Every node pings its neighbours for three rounds, then halts."""
-
-    def init(self, ctx):
-        ctx.state.memory["t"] = 0
-
-    def step(self, ctx, inbox):
-        ctx.state.memory["t"] += 1
-        if ctx.state.memory["t"] >= 3:
-            ctx.state.halt()
-        return {v: 1 for v in ctx.network.neighbors(ctx.node)}
-
-    def finish(self, ctx):
-        return ctx.state.memory["t"]
+    return run_rounds(net, lambda v, r, inbox, rng: (
+        {u: 1 for u in net.neighbors(v)}, r >= 2), label="ping:step")
 
 
 def ledger_fingerprint(network):
@@ -78,7 +67,7 @@ class TestRoundTracer:
     def test_event_stream_shape(self):
         tracer = RoundTracer(meta={"scenario": "unit"})
         net = Network(nx.cycle_graph(6), tracer=tracer)
-        Simulator(net, CountDown(), seed=1).run(label="ping:step")
+        ping(net)
         tracer.close()
         kinds = [e["type"] for e in tracer.events]
         assert kinds[0] == "header"
@@ -105,7 +94,7 @@ class TestRoundTracer:
         tracer = RoundTracer()
         net = Network(nx.gnm_random_graph(20, 40, seed=3), tracer=tracer)
         solve_d1c(net.graph, seed=5)  # unrelated run: tracer only sees `net`
-        Simulator(net, CountDown(), seed=1).run(label="ping:step")
+        ping(net)
         tracer.close()
         rounds = [e for e in tracer.events if e["type"] == "round"]
         assert sum(e["bits"] for e in rounds) == net.ledger.total_bits
@@ -116,7 +105,7 @@ class TestRoundTracer:
         tracer = RoundTracer()
         net = Network(nx.complete_graph(8), faults={"drop": 0.5},
                       fault_seed=7, tracer=tracer)
-        Simulator(net, CountDown(), seed=1).run(label="ping:step")
+        ping(net)
         tracer.close()
         assert "faults" in tracer.events[0]  # header carries the plan
         rounds = [e for e in tracer.events if e["type"] == "round"]
@@ -179,9 +168,9 @@ class TestRoundTracer:
 
     def test_trace_only_tracer_records_no_digest(self):
         tracer = RoundTracer()
-        assert not (tracer.wants_payloads or tracer.wants_state)
+        assert not tracer.wants_payloads
         net = Network(nx.cycle_graph(6), tracer=tracer)
-        Simulator(net, CountDown(), seed=1).run(label="ping:step")
+        ping(net)
         tracer.close()
         for event in tracer.events:
             assert not {"chain", "payload", "state"} & set(event)
@@ -218,19 +207,16 @@ class TestObservationOnly:
         assert (traced.rounds, traced.total_bits) == (
             plain.rounds, plain.total_bits)
 
-    def test_traced_simulation_identical(self):
+    def test_traced_node_rounds_identical(self):
         def run(tracer):
             net = Network(nx.cycle_graph(10), tracer=tracer)
-            result = Simulator(net, CountDown(), seed=2).run(label="ping:step")
-            return result, ledger_fingerprint(net)
+            return ping(net), ledger_fingerprint(net)
 
-        plain_result, plain_ledger = run(None)
+        plain = run(None)
         tracer = RoundTracer()
-        traced_result, traced_ledger = run(tracer)
+        traced = run(tracer)
         tracer.close()
-        assert traced_result.outputs == plain_result.outputs
-        assert traced_result.rounds == plain_result.rounds
-        assert traced_ledger == plain_ledger
+        assert traced == plain
 
     def test_null_tracer_installs_nothing(self):
         net = Network(nx.path_graph(4))
@@ -290,7 +276,7 @@ class TestRunArtifacts:
 
         tracer = RoundTracer(digest=True, clock=clock)
         net = Network(nx.cycle_graph(6), tracer=tracer)
-        Simulator(net, CountDown(), seed=1).run(label="ping:step")
+        ping(net)
         tracer.close()
         assert any(e["type"] == "sample" for e in tracer.events)
         view = deterministic_events(tracer.events)
@@ -326,7 +312,7 @@ class TestRunArtifacts:
     def test_summarize_stable_across_round_trip(self, tmp_path):
         tracer = RoundTracer()
         net = Network(nx.cycle_graph(6), tracer=tracer)
-        Simulator(net, CountDown(), seed=1).run(label="ping:step")
+        ping(net)
         tracer.close()
         direct = summarize_trace(tracer.events)
         path = write_events(tmp_path / trace_filename("rt"), tracer.events)

@@ -1,5 +1,7 @@
 """Tests for local triangle and 4-cycle detection (Theorems 2 and 3)."""
 
+import re
+
 import networkx as nx
 import pytest
 
@@ -59,6 +61,13 @@ class TestTriangleDetection:
         g = nx.complete_graph(4)
         net = Network(g)
         assert true_triangle_count(net, 0, 1) == 2
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, 2.0])
+    def test_eps_outside_unit_interval_rejected_before_any_round(self, eps):
+        net = Network(nx.complete_graph(6))
+        with pytest.raises(ValueError, match=re.escape(f"got {eps}")):
+            detect_triangle_rich_edges(net, eps=eps, seed=1)
+        assert net.ledger.rounds == 0
 
     def test_explicit_delta_threshold(self):
         g = nx.complete_graph(10)

@@ -1,5 +1,7 @@
 """Tests for sparsity estimation (Algorithm 3, Lemmas 4-5)."""
 
+import re
+
 import networkx as nx
 import pytest
 
@@ -10,6 +12,16 @@ from repro.sampling import (
     estimate_global_sparsity,
     estimate_local_sparsity,
 )
+
+
+@pytest.mark.parametrize("estimate", [estimate_global_sparsity,
+                                      estimate_local_sparsity])
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, 2.0])
+def test_eps_outside_unit_interval_rejected_before_any_round(estimate, eps):
+    net = Network(nx.complete_graph(6))
+    with pytest.raises(ValueError, match=re.escape(f"got {eps}")):
+        estimate(net, eps=eps, seed=1)
+    assert net.ledger.rounds == 0
 
 
 class TestGlobalSparsity:

@@ -6,17 +6,15 @@ deliver the same payloads and charge byte-identical ledgers — same rounds,
 labels, message counts, total bits and per-round maxima.  This suite checks
 that contract at the primitive level and end-to-end on several graph
 families, including small instances of the ``scale`` suite's families
-(geometric, power-law, ring-of-cliques), and for node programs driven by the
-:class:`~repro.congest.Simulator` under every fault axis.
+(geometric, power-law, ring-of-cliques), and for small node programs driven
+through ``Network.exchange`` rounds under every fault axis.
 """
 
 import networkx as nx
 import pytest
 
 from repro.baselines import johansson_coloring
-from repro.congest import (
-    BandwidthExceeded, Message, Network, NodeProgram, ProtocolError, Simulator,
-)
+from repro.congest import BandwidthExceeded, Message, Network, ProtocolError
 from repro.congest.transport import EMPTY_INBOX
 from repro.core import solve_d1c, solve_d1lc
 from repro.graphs import (
@@ -30,6 +28,7 @@ from repro.graphs import (
 )
 from repro.graphs.generators import triangle_rich_graph
 from repro.metrics.ledger import CounterLedger, RecordingLedger
+from round_driver import run_rounds
 
 BACKENDS = ("dict", "columnar")
 FAST_BACKENDS = ("columnar",)  # vs the "dict" reference
@@ -229,32 +228,13 @@ class TestEndToEndEquivalence:
                 b.rounds, b.total_bits, b.max_edge_bits
             ), backend
 
-    def test_simulator_identical_across_backends(self):
-        from repro.congest import NodeProgram
-
-        class FloodMin(NodeProgram):
-            def init(self, ctx):
-                ctx.state["best"] = ctx.node
-                ctx.state["changed"] = True
-
-            def step(self, ctx, inbox):
-                for value in inbox.values():
-                    if value < ctx.state["best"]:
-                        ctx.state["best"] = value
-                        ctx.state["changed"] = True
-                if not ctx.state["changed"]:
-                    ctx.state.halt(ctx.state["best"])
-                    return {}
-                ctx.state["changed"] = False
-                return {u: ctx.state["best"] for u in ctx.neighbors}
-
-            def finish(self, ctx):
-                return ctx.state["best"]
-
+    def test_node_program_identical_across_backends(self):
         nets = all_networks(nx.random_regular_graph(3, 12, seed=1))
         outputs = []
         for net in nets:
-            outputs.append(Simulator(net, FloodMin(), seed=5).run().outputs)
+            program = FloodMin(net)
+            run_rounds(net, program, seed=5)
+            outputs.append(program.output)
         assert all(out == outputs[0] for out in outputs[1:])
         assert_identical_ledgers(*nets)
 
@@ -311,47 +291,58 @@ class TestFaultedEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# Node programs on the Simulator, fault-free and under every fault axis
+# Node programs over exchange rounds, fault-free and under every fault axis
 # --------------------------------------------------------------------------- #
 
-class RoundCappedFlood(NodeProgram):
+class Program:
+    """A node program for ``run_rounds``; ``output`` holds per-node results."""
+
+    def __init__(self, net):
+        self.net, self.output = net, {}
+
+
+class FloodMin(Program):
+    """Flood the minimum id; a node halts once a round brings nothing new."""
+
+    def __call__(self, v, r, inbox, rng):
+        best = min([self.output.get(v, v), *inbox.values()])
+        changed = r == 0 or best < self.output[v]
+        self.output[v] = best
+        if not changed:
+            return {}, True
+        return {u: best for u in self.net.neighbors(v)}, False
+
+
+class RoundCappedFlood(Program):
     """Deterministic flood; every node halts in the same round."""
 
-    def init(self, ctx):
-        ctx.state["best"] = ctx.node
-
-    def step(self, ctx, inbox):
-        best = min([ctx.state["best"], *inbox.values()])
-        ctx.state["best"] = best
-        if ctx.round_index >= 6:
-            ctx.state.halt(best)
-            return None
-        return {u: best for u in ctx.neighbors}
+    def __call__(self, v, r, inbox, rng):
+        best = self.output[v] = min([self.output.get(v, v), *inbox.values()])
+        if r >= 6:
+            return {}, True
+        return {u: best for u in self.net.neighbors(v)}, False
 
 
-class RandomGossip(NodeProgram):
+class RandomGossip(Program):
     """Per-node randomness: every node's rng stream must advance identically."""
 
-    def init(self, ctx):
-        ctx.state["trace"] = [ctx.rng.randrange(1000)]
-
-    def step(self, ctx, inbox):
-        ctx.state["trace"].append(ctx.rng.randrange(1000) + sum(inbox.values()))
-        if ctx.round_index >= 4:
-            ctx.state.halt(tuple(ctx.state["trace"]))
-            return None
-        return {u: ctx.state["trace"][-1] % 7 for u in ctx.neighbors}
+    def __call__(self, v, r, inbox, rng):
+        trace = self.output.setdefault(v, [rng.randrange(1000)])
+        trace.append(rng.randrange(1000) + sum(inbox.values()))
+        if r >= 4:
+            return {}, True
+        return {u: trace[-1] % 7 for u in self.net.neighbors(v)}, False
 
 
-class StaggeredHalt(NodeProgram):
+class StaggeredHalt(Program):
     """Nodes halt at different rounds: later rounds run on a thinning active
     set while mail to already-halted receivers is still sent and charged."""
 
-    def step(self, ctx, inbox):
-        if ctx.round_index >= ctx.node % 5:
-            ctx.state.halt(("done", len(inbox)))
-            return None
-        return {u: 1 for u in ctx.neighbors}
+    def __call__(self, v, r, inbox, rng):
+        if r >= v % 5:
+            self.output[v] = ("done", len(inbox))
+            return {}, True
+        return {u: 1 for u in self.net.neighbors(v)}, False
 
 
 PROGRAMS = {
@@ -392,12 +383,12 @@ def run_program(graph, program_cls, backend, faults=None):
     """Drive ``program_cls`` to completion; return everything a run exposes."""
     net = Network(graph, backend=backend, ledger="records", faults=faults,
                   fault_seed=13)
-    result = Simulator(net, program_cls(), seed=7).run()
+    program = program_cls(net)
+    rounds, halted = run_rounds(net, program, seed=7)
     return {
-        "rounds": result.rounds,
-        "halted": result.halted,
-        "outputs": result.outputs,
-        "states": {v: (s.halted, s.output) for v, s in result.states.items()},
+        "rounds": rounds,
+        "halted": halted,
+        "outputs": program.output,
         "records": list(net.ledger.records),
         "fault_stats": net.fault_stats,
     }
@@ -416,7 +407,7 @@ class TestProgramEquivalence:
             for backend in BACKENDS
         }
         reference = runs["dict"]
-        assert reference["halted"]
+        assert reference["halted"] == set(graph)
         for backend in FAST_BACKENDS:
             assert runs[backend] == reference, backend
         if plan == "none":
@@ -428,9 +419,9 @@ class TestProgramEquivalence:
             assert reference["records"] != clean["records"]
 
     def test_crashing_a_contiguous_slot_block(self):
-        # A whole block of the topology's slot order crashes mid-run: the
-        # survivors keep stepping while every message to or from the block
-        # is suppressed, identically on both backends.
+        # A whole block of the topology's slot order crashes mid-run: every
+        # message to or from the block is suppressed, identically on both
+        # backends.
         graph = ring_of_cliques(6, 6)
         block = tuple(Network(graph).topology.nodes[:9])
         faults = {"crash": {2: block}}
@@ -442,24 +433,23 @@ class TestProgramEquivalence:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_protocol_error_propagates(self, backend):
-        class SendsOffGraph(NodeProgram):
-            def step(self, ctx, inbox):
-                return {"no-such-node": 1}
+        def sends_off_graph(v, r, inbox, rng):
+            return {"no-such-node": 1}, False
 
         net = Network(ring_of_cliques(4, 5), backend=backend)
         with pytest.raises(ProtocolError):
-            Simulator(net, SendsOffGraph()).run()
+            run_rounds(net, sends_off_graph)
         assert net.ledger.rounds == 0  # the violating round is never recorded
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_bandwidth_exceeded_propagates(self, backend):
-        class TooChatty(NodeProgram):
-            def step(self, ctx, inbox):
-                return {u: tuple(range(4096)) for u in ctx.neighbors}
-
         net = Network(ring_of_cliques(4, 5), backend=backend)
+
+        def too_chatty(v, r, inbox, rng):
+            return {u: tuple(range(4096)) for u in net.neighbors(v)}, False
+
         with pytest.raises(BandwidthExceeded):
-            Simulator(net, TooChatty()).run()
+            run_rounds(net, too_chatty)
         assert net.ledger.rounds == 0
 
 
