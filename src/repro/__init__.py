@@ -12,8 +12,8 @@ The package provides:
   and local triangle / 4-cycle detection;
 * ``repro.core`` — the (degree+1)-list-coloring pipeline (MultiTrial,
   almost-clique decomposition, SlackColor, dense/sparse phases, Theorem 1);
-* ``repro.baselines`` — Johansson-style random trials, naive high-bandwidth
-  implementations, and a centralized greedy reference;
+* ``repro.baselines`` — Johansson-style random trials and naive
+  high-bandwidth implementations;
 * ``repro.graphs`` / ``repro.metrics`` — instance generators, ground-truth
   properties, and experiment reporting.
 

@@ -23,7 +23,6 @@ be run without writing Python::
     python -m repro.cli suite compare --baseline BENCH_suite.json
     python -m repro.cli suite compare --baseline BENCH_suite.json --timing-budget 50
     python -m repro.cli suite compare --baseline BENCH_robustness.json
-    python -m repro.cli suite compare --comm-budget 10 --comm-baseline BENCH_comm.json
     python -m repro.cli trace summarize TRACE_gnp-d1c.jsonl --json
     python -m repro.cli report smoke --dir /tmp/out
     python -m repro.cli report gnp-d1c --dir /tmp/out --html /tmp/report.html
@@ -96,6 +95,11 @@ def _coloring_rows(name: str, result) -> List[dict]:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
+    if args.color_bits < 0:
+        raise UserError(f"--color-bits must be >= 0, got {args.color_bits}")
+    if args.color_bits and args.problem != "d1lc":
+        raise UserError(f"--color-bits applies only to --problem d1lc, "
+                        f"got --problem {args.problem}")
     with _user_input():
         graph = gnp_graph(args.n, args.p, seed=args.seed)
         if args.problem == "d1lc" and args.color_bits:
@@ -415,26 +419,6 @@ def cmd_suite_compare(args: argparse.Namespace) -> int:
         fresh_timing = timing_summary(result)
     findings = compare_summaries(baseline, fresh,
                                  max_regression=args.max_regression / 100.0)
-    if args.comm_budget is not None:
-        # The comm gate is hard (fail severity): communication volumes are
-        # byte-deterministic, so unlike timing/RSS there is no machine noise
-        # to soften for.
-        import json as _json
-
-        from repro.experiments.compare import Finding
-        from repro.obs.analytics import compare_comm
-
-        try:
-            comm_baseline = _json.loads(Path(args.comm_baseline).read_text())
-        except (OSError, ValueError) as exc:
-            findings.append(Finding(
-                "fail", "-", "comm_baseline",
-                f"failed to load {args.comm_baseline}: {exc}",
-            ))
-        else:
-            findings.extend(compare_comm(
-                comm_baseline, fresh, budget=args.comm_budget / 100.0,
-            ))
     if wants_timing_artifact and fresh_timing is not None:
         # The timing/RSS checks are soft by design: a missing/stale baseline
         # file (or one without this suite's entry) skips them with a note
@@ -658,7 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("--p", type=float, default=0.08)
     color.add_argument("--problem", choices=["d1c", "d1lc", "delta+1"], default="d1c")
     color.add_argument("--color-bits", type=int, default=0,
-                       help="draw D1LC palettes from a 2^bits color space (Appendix D.3)")
+                       help="draw D1LC palettes from a 2^bits color space "
+                            "(Appendix D.3; --problem d1lc only)")
     color.add_argument("--mode", choices=["congest", "local"], default="congest")
     color.add_argument("--uniform", action="store_true",
                        help="use the uniform (Section 5) implementations")
@@ -786,17 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     s_compare.add_argument("--strict-rss", action="store_true",
                            help="escalate rss-budget violations from warnings "
                                 "to gate failures")
-    s_compare.add_argument("--comm-budget", type=float, default=None, metavar="PCT",
-                           help="opt-in hard comm-volume check: fail when a "
-                                "scenario's per-log2(n) comm coefficient "
-                                "(max_edge_bits, bits_per_node) exceeds the "
-                                "committed comm baseline by more than PCT%% "
-                                "(comm volumes are deterministic, so this is "
-                                "a fail-severity gate, unlike timing/RSS)")
-    s_compare.add_argument("--comm-baseline", default="BENCH_comm.json",
-                           help="committed comm baseline for --comm-budget "
-                                "(build with repro.obs.analytics."
-                                "build_comm_baseline)")
     add_suite_run_options(s_compare)
     s_compare.set_defaults(func=cmd_suite_compare)
 

@@ -26,12 +26,12 @@ The byte-identity of every path against the ``dict`` oracle is pinned by
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.congest.columnar.buffers import CsrRoundBuffer
-from repro.congest.errors import BandwidthExceeded, ProtocolError
+from repro.congest.errors import BandwidthExceeded
 from repro.congest.message import Message
 from repro.congest.topology import Topology
 from repro.congest.transport import EMPTY_INBOX, Transport, _memoized_bits
@@ -97,8 +97,8 @@ class ColumnarTransport(Transport):
         }
 
     # -------------------------------------------------------------- exchange
-    def _deliver(self, messages: Mapping[DirectedEdge, Any], label: str,
-                 validate: bool) -> Dict[DirectedEdge, Any]:
+    def exchange(self, messages: Mapping[DirectedEdge, Any],
+                 label: str = "exchange") -> Dict[DirectedEdge, Any]:
         neighbor_sets = self.topology.neighbor_sets
         total_bits = 0
         max_edge_bits = 0
@@ -106,11 +106,10 @@ class ColumnarTransport(Transport):
         delivered: Dict[DirectedEdge, Any] = {}
         size_memo = self._round_memo()
         for edge, payload in messages.items():
-            if validate:
-                sender, receiver = edge
-                nbrs = neighbor_sets.get(sender)
-                if nbrs is None or receiver not in nbrs:
-                    self._validate_edge(sender, receiver)  # raises the reference error
+            sender, receiver = edge
+            nbrs = neighbor_sets.get(sender)
+            if nbrs is None or receiver not in nbrs:
+                self._validate_edge(sender, receiver)  # raises the reference error
             bits = _memoized_bits(payload, size_memo)
             delivered[edge] = payload.content if isinstance(payload, Message) else payload
             total_bits += bits
@@ -127,10 +126,6 @@ class ColumnarTransport(Transport):
             )
         self.ledger.record_round(label, len(delivered), total_bits, max_edge_bits)
         return delivered
-
-    def exchange(self, messages: Mapping[DirectedEdge, Any],
-                 label: str = "exchange") -> Dict[DirectedEdge, Any]:
-        return self._deliver(messages, label, validate=True)
 
     # ------------------------------------------------------------- broadcast
     def _account_broadcast(
@@ -174,7 +169,7 @@ class ColumnarTransport(Transport):
         position in send order.
         """
         topology = self.topology
-        index_of = topology.node_index
+        node_index = topology.node_index
         count = len(values)
         slots = np.empty(count, dtype=np.int64)
         bits = np.empty(count, dtype=np.int64)
@@ -183,7 +178,7 @@ class ColumnarTransport(Transport):
         size_memo = self._round_memo()
         pos = 0
         for sender, payload in values.items():
-            i = index_of.get(sender)
+            i = node_index.get(sender)
             if i is None:
                 topology.neighbors(sender)  # raises the canonical ProtocolError
             slots[pos] = i
@@ -197,10 +192,7 @@ class ColumnarTransport(Transport):
         self,
         values: Mapping[Node, Any],
         label: str = "broadcast",
-        senders_only_to: Optional[Mapping[Node, Iterable[Node]]] = None,
     ) -> Dict[Node, Mapping[Node, Any]]:
-        if senders_only_to is not None:
-            return self._broadcast_restricted(values, label, senders_only_to)
         nodes = self.topology.nodes
         senders, contents, slots, bits = self._collect_senders(values)
         message_count, total_bits, max_edge_bits = self._account_broadcast(
@@ -228,36 +220,6 @@ class ColumnarTransport(Transport):
                 box[sender] = payloads[p]
         self.ledger.record_round(label, message_count, total_bits, max_edge_bits)
         return dict(zip(nodes, boxes))
-
-    def _broadcast_restricted(
-        self,
-        values: Mapping[Node, Any],
-        label: str,
-        senders_only_to: Mapping[Node, Iterable[Node]],
-    ) -> Dict[Node, Mapping[Node, Any]]:
-        """Broadcast where some senders reach only a subset of neighbours.
-
-        Restricted recipients are rare and per-sender small, so this path
-        builds the per-edge mapping (validating each recipient) and delivers
-        it like an ``exchange``.
-        """
-        neighbors = self.topology.neighbors
-        messages: Dict[DirectedEdge, Any] = {}
-        for sender, payload in values.items():
-            nbrs = neighbors(sender)  # validates the sender exists
-            if sender in senders_only_to:
-                for receiver in senders_only_to[sender]:
-                    if receiver not in nbrs:
-                        raise ProtocolError(
-                            f"{sender!r} cannot broadcast to non-neighbour {receiver!r}"
-                        )
-                    messages[(sender, receiver)] = payload
-            else:
-                for receiver in nbrs:
-                    messages[(sender, receiver)] = payload
-        # Recipients were validated above, so delivery can skip edge checks.
-        delivered = self._deliver(messages, label, validate=False)
-        return self._inboxes(delivered)
 
     def broadcast_discard(
         self, values: Mapping[Node, Any], label: str = "broadcast"

@@ -26,18 +26,17 @@ and by ablation benchmarks.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
 
 import networkx as nx
 
 from repro.congest.errors import ProtocolError  # noqa: F401  (re-export)
 from repro.congest.topology import Topology
-from repro.congest.transport import Transport, make_transport
+from repro.congest.transport import make_transport
 from repro.metrics.ledger import (  # noqa: F401  (RoundRecord re-exported)
     BandwidthLedger,
     Ledger,
     RoundRecord,
-    ledger_class,
     make_ledger,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -130,66 +129,19 @@ class Network:
         require_serial(shards)
         self.graph = graph
         self.bandwidth_factor = float(bandwidth_factor)
-        if isinstance(backend, Transport):
-            if faults is not None:
-                from repro.faults.plan import FaultPlan
-
-                if FaultPlan.coerce(faults) is not None:
-                    raise ValueError(
-                        "faults= conflicts with an already-built transport "
-                        "instance; wrap it via make_transport(faults=...) first"
-                    )
-            # Adopt the instance's wiring wholesale: the facade's views and
-            # accounting must describe the transport that actually runs, not
-            # freshly-built ones it would silently bypass.  Conflicting
-            # explicit arguments are rejected rather than silently ignored.
-            if backend.topology.graph is not graph:
-                raise ValueError(
-                    "transport instance was built on a different graph than "
-                    "the one passed to Network"
-                )
-            if mode != backend.mode:
-                raise ValueError(
-                    f"mode={mode!r} conflicts with the transport instance's "
-                    f"mode={backend.mode!r}"
-                )
-            if bandwidth_bits is not None and int(bandwidth_bits) != backend.bandwidth_bits:
-                raise ValueError(
-                    f"bandwidth_bits={bandwidth_bits} conflicts with the "
-                    f"transport instance's budget of {backend.bandwidth_bits}"
-                )
-            if ledger is not None:
-                if isinstance(ledger, Ledger):
-                    if ledger is not backend.ledger:
-                        raise ValueError(
-                            "ledger instance conflicts with the transport "
-                            "instance's ledger (the transport's own ledger is "
-                            "always used)"
-                        )
-                elif ledger_class(ledger) is not type(backend.ledger):
-                    raise ValueError(
-                        f"ledger={ledger!r} conflicts with the transport "
-                        f"instance's {type(backend.ledger).__name__}"
-                    )
-            self.transport = backend
-            self.topology = backend.topology
-            self.mode = backend.mode
-            self.bandwidth_bits = backend.bandwidth_bits
-            self.ledger: Ledger = backend.ledger
-        else:
-            self.mode = mode
-            self.topology = Topology(graph)
-            n = max(self.topology.number_of_nodes, 2)
-            if bandwidth_bits is None:
-                bandwidth_bits = int(math.ceil(bandwidth_factor * math.log2(n)))
-            self.ledger = make_ledger(ledger)
-            self.transport = make_transport(
-                backend, self.topology, self.mode, int(bandwidth_bits),
-                self.ledger, faults=faults, fault_seed=fault_seed,
-            )
-            # The transport owns the effective budget: a fault plan's
-            # throttle factor may have scaled it at construction.
-            self.bandwidth_bits = self.transport.bandwidth_bits
+        self.mode = mode
+        self.topology = Topology(graph)
+        n = max(self.topology.number_of_nodes, 2)
+        if bandwidth_bits is None:
+            bandwidth_bits = int(math.ceil(bandwidth_factor * math.log2(n)))
+        self.ledger: Ledger = make_ledger(ledger)
+        self.transport = make_transport(
+            backend, self.topology, self.mode, int(bandwidth_bits),
+            self.ledger, faults=faults, fault_seed=fault_seed,
+        )
+        # The transport owns the effective budget: a fault plan's
+        # throttle factor may have scaled it at construction.
+        self.bandwidth_bits = self.transport.bandwidth_bits
         self.backend = self.transport.name
         self.tracer: Tracer = NULL_TRACER if tracer is None else tracer
         if self.tracer.enabled:
@@ -222,17 +174,6 @@ class Network:
     def max_degree(self) -> int:
         return self.topology.max_degree()
 
-    def are_adjacent(self, u: Node, v: Node) -> bool:
-        return self.topology.are_adjacent(u, v)
-
-    def index_of(self, v: Node) -> int:
-        """Contiguous index of ``v`` (see :meth:`Topology.index_of`)."""
-        return self.topology.index_of(v)
-
-    def node_at(self, i: int) -> Node:
-        """Node with contiguous index ``i`` (see :meth:`Topology.node_at`)."""
-        return self.topology.node_at(i)
-
     # ---------------------------------------------------------- communication
     def exchange(
         self,
@@ -262,19 +203,14 @@ class Network:
         self,
         values: Mapping[Node, Any],
         label: str = "broadcast",
-        senders_only_to: Optional[Mapping[Node, Iterable[Node]]] = None,
     ) -> Dict[Node, Mapping[Node, Any]]:
-        """Each node in ``values`` sends the same payload to (all) neighbours.
+        """Each node in ``values`` sends the same payload to all neighbours.
 
         Returns an inbox per node: ``inbox[v][u]`` is the payload ``v``
-        received from neighbour ``u``.  ``senders_only_to`` optionally
-        restricts each sender's recipients to a subset of its neighbours.
-        Inboxes are read-only views (empty ones are shared); copy before
-        mutating.
+        received from neighbour ``u``.  Inboxes are read-only views (empty
+        ones are shared); copy before mutating.
         """
-        inboxes = self.transport.broadcast(
-            values, label=label, senders_only_to=senders_only_to
-        )
+        inboxes = self.transport.broadcast(values, label=label)
         if self.tracer.wants_payloads:
             self.tracer.note_inboxes(inboxes)
         return inboxes
@@ -342,25 +278,6 @@ class Network:
         """Fault-layer outcome counters, or ``None`` on a fault-free network."""
         stats = getattr(self.transport, "fault_stats", None)
         return None if stats is None else stats.as_dict()
-
-    def summary(self) -> Dict[str, Any]:
-        """Return a compact dictionary describing resource usage so far."""
-        summary = {
-            "mode": self.mode,
-            "backend": self.backend,
-            "nodes": self.number_of_nodes,
-            "edges": self.number_of_edges,
-            "bandwidth_bits": self.bandwidth_bits,
-            "rounds": self.ledger.rounds,
-            "total_bits": self.ledger.total_bits,
-            "total_messages": self.ledger.total_messages,
-            "max_edge_bits": self.ledger.max_edge_bits,
-        }
-        plan = getattr(self.transport, "fault_plan", None)
-        if plan is not None:
-            summary["faults"] = plan.canonical()
-            summary.update(self.fault_stats or {})
-        return summary
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

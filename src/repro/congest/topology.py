@@ -12,7 +12,7 @@ without retraversing the ``networkx`` structure.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Hashable, Iterator, List, Tuple
+from typing import Dict, Hashable, Tuple
 
 import networkx as nx
 
@@ -103,22 +103,6 @@ class Topology:
     def max_degree(self) -> int:
         return self._max_degree
 
-    def are_adjacent(self, u: Node, v: Node) -> bool:
-        return v in self.neighbors(u)
-
-    def has_node(self, v: Node) -> bool:
-        return v in self._index
-
-    def edges(self) -> Iterator[Tuple[Node, Node]]:
-        """Each undirected edge once, as ``(u, v)`` with ``index(u) < index(v)``."""
-        nodes = self._nodes
-        indptr = self.indptr
-        indices = self.indices
-        for i, u in enumerate(nodes):
-            for j in indices[indptr[i]:indptr[i + 1]]:
-                if i < j:
-                    yield (u, nodes[j])
-
     # ----------------------------------------------------------- index helpers
     @property
     def node_index(self) -> Dict[Node, int]:
@@ -129,28 +113,6 @@ class Topology:
         rebuild per run.
         """
         return self._index
-
-    def index_of(self, v: Node) -> int:
-        """Contiguous index of ``v`` in ``[0, n)`` (stable for this topology)."""
-        try:
-            return self._index[v]
-        except KeyError:
-            raise ProtocolError(f"node {v!r} is not in the network") from None
-
-    def node_at(self, i: int) -> Node:
-        """Inverse of :meth:`index_of`.
-
-        Rejects any index outside ``[0, n)`` — including negative ones, so an
-        index-arithmetic underflow fails loudly instead of silently aliasing
-        Python's wrap-around indexing.
-        """
-        if not 0 <= i < len(self._nodes):
-            raise ProtocolError(f"node index {i} out of range")
-        return self._nodes[i]
-
-    def neighbor_indices(self, i: int) -> List[int]:
-        """CSR neighbor slice of the node with contiguous index ``i``."""
-        return list(self.indices[self.indptr[i]:self.indptr[i + 1]])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

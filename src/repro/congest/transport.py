@@ -29,7 +29,7 @@ The cross-backend equivalence suite enforces this.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, Mapping, Tuple
 
 from repro.congest.bandwidth import payload_bits
 from repro.congest.errors import BandwidthExceeded, ProtocolError
@@ -85,7 +85,6 @@ class Transport:
         self,
         values: Mapping[Node, Any],
         label: str = "broadcast",
-        senders_only_to: Optional[Mapping[Node, Iterable[Node]]] = None,
     ) -> Dict[Node, Mapping[Node, Any]]:
         raise NotImplementedError
 
@@ -261,20 +260,10 @@ class DictTransport(Transport):
         self,
         values: Mapping[Node, Any],
         label: str = "broadcast",
-        senders_only_to: Optional[Mapping[Node, Iterable[Node]]] = None,
     ) -> Dict[Node, Mapping[Node, Any]]:
         messages: Dict[DirectedEdge, Any] = {}
         for sender, payload in values.items():
-            recipients = (
-                self.topology.neighbors(sender)
-                if senders_only_to is None or sender not in senders_only_to
-                else senders_only_to[sender]
-            )
-            for receiver in recipients:
-                if receiver not in self.topology.neighbors(sender):
-                    raise ProtocolError(
-                        f"{sender!r} cannot broadcast to non-neighbour {receiver!r}"
-                    )
+            for receiver in self.topology.neighbors(sender):
                 messages[(sender, receiver)] = payload
         delivered = self.exchange(messages, label=label)
         return self._inboxes(delivered)
@@ -317,18 +306,6 @@ def make_transport(backend, topology: Topology, mode: str, bandwidth_bits: int,
     from repro.faults.plan import FaultPlan
 
     plan = FaultPlan.coerce(faults)
-    if isinstance(backend, Transport):
-        if plan is not None:
-            if plan.throttle != 1.0:
-                raise ValueError(
-                    "a throttled FaultPlan needs make_transport to build the "
-                    "backend itself (pass a backend name, not an instance), "
-                    "so the budget is scaled before construction"
-                )
-            from repro.faults.transport import FaultyTransport
-
-            return FaultyTransport(backend, plan, seed=fault_seed)
-        return backend
     cls = _transport_class(backend)
     if plan is None:
         return cls(topology, mode, bandwidth_bits, ledger)

@@ -62,12 +62,6 @@ class ColoringState:
     def uncolored_degree(self, v: Node) -> int:
         return sum(1 for u in self.network.neighbors(v) if u in self._uncolored)
 
-    def uncolored_neighbors(self, v: Node) -> Set[Node]:
-        return {u for u in self.network.neighbors(v) if u in self._uncolored}
-
-    def palette(self, v: Node) -> Set[Color]:
-        return self.palettes[v]
-
     def slack(self, v: Node) -> int:
         """Current slack: available colors minus uncolored neighbours."""
         return len(self.palettes[v]) - self.uncolored_degree(v)

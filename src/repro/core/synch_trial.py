@@ -58,11 +58,8 @@ def synch_color_trial(
             assignments[v] = color
             any_assignment = True
     if any_assignment:
-        # One membership map for the whole trial: the old per-recipient
-        # ``_clique_of`` scan rebuilt every clique's member set per lookup —
-        # O(cliques) set unions per assignment, the dominant cost of dense
-        # phases on graphs with many small cliques.  First-match order is
-        # preserved (cliques partition the nodes, so it never matters).
+        # One membership map for the whole trial.  First match wins
+        # (cliques partition the nodes, so it never matters).
         clique_of: Dict[Node, int] = {}
         for cid, info in leaders.items():
             for member in info.members:
@@ -90,15 +87,3 @@ def synch_color_trial(
         if matching:
             proposals[v] = sorted(matching, key=repr)[0]
     return try_color(state, proposals, label=label)
-
-
-def _clique_of(leaders: Mapping[int, LeaderInfo], node: Node) -> int:
-    """Linear membership scan; kept for ad-hoc callers and tests.
-
-    The trial itself uses a prebuilt node->clique map (same first-match
-    semantics) instead of paying this scan per recipient.
-    """
-    for cid, info in leaders.items():
-        if node in info.members:
-            return cid
-    raise KeyError(f"node {node!r} belongs to no almost-clique")

@@ -70,14 +70,3 @@ def validate_coloring(
         conflicts=conflicts,
         palette_violations=palette_violations,
     )
-
-
-def assert_valid_coloring(
-    instance: ColoringInstance,
-    coloring: Mapping[Node, Optional[Color]],
-) -> ColoringReport:
-    """Raise ``AssertionError`` with a readable message unless the coloring is valid."""
-    report = validate_coloring(instance, coloring)
-    if not report.is_valid:
-        raise AssertionError(f"invalid coloring: {report.summary()}")
-    return report

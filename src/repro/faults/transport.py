@@ -28,10 +28,10 @@ committed baselines by construction.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Tuple
 
 from repro.congest.bandwidth import payload_bits
-from repro.congest.errors import BandwidthExceeded, ProtocolError
+from repro.congest.errors import BandwidthExceeded
 from repro.congest.message import Message
 from repro.congest.transport import Transport
 from repro.faults.corruption import corrupt_payload, to_unit
@@ -198,7 +198,6 @@ class FaultyTransport(Transport):
         self,
         values: Mapping[Node, Any],
         label: str = "broadcast",
-        senders_only_to: Optional[Mapping[Node, Iterable[Node]]] = None,
     ) -> Dict[Node, Mapping[Node, Any]]:
         # Expand to per-edge messages here: corruption is per edge, so a
         # broadcast under faults is no longer "one payload object to all".
@@ -209,18 +208,9 @@ class FaultyTransport(Transport):
         neighbors = self.topology.neighbors
         messages: Dict[DirectedEdge, Any] = {}
         for sender, payload in values.items():
-            nbrs = neighbors(sender)  # raises the canonical error if unknown
-            if senders_only_to is not None and sender in senders_only_to:
-                for receiver in senders_only_to[sender]:
-                    if receiver not in nbrs:
-                        raise ProtocolError(
-                            f"{sender!r} cannot broadcast to non-neighbour "
-                            f"{receiver!r}"
-                        )
-                    messages[(sender, receiver)] = payload
-            else:
-                for receiver in nbrs:
-                    messages[(sender, receiver)] = payload
+            # neighbors() raises the canonical error for an unknown sender.
+            for receiver in neighbors(sender):
+                messages[(sender, receiver)] = payload
         surviving = self._filter(messages, round_id, label, validate=False,
                                  enforce_budget=self.mode == "congest")
         delivered = self.inner.exchange(surviving, label=label)

@@ -11,7 +11,6 @@ from repro.graphs.generators import (
     triangle_rich_graph,
     four_cycle_rich_graph,
     locally_sparse_graph,
-    degree_range_graph,
 )
 from repro.graphs.lists import (
     degree_plus_one_lists,
@@ -23,8 +22,6 @@ from repro.graphs.lists import (
 from repro.graphs.properties import (
     exact_global_sparsity,
     exact_local_sparsity,
-    is_friend_edge,
-    is_balanced_edge,
     validate_acd,
     neighborhood_edge_count,
 )
@@ -40,7 +37,6 @@ __all__ = [
     "triangle_rich_graph",
     "four_cycle_rich_graph",
     "locally_sparse_graph",
-    "degree_range_graph",
     "degree_plus_one_lists",
     "delta_plus_one_lists",
     "numeric_degree_lists",
@@ -48,8 +44,6 @@ __all__ = [
     "shared_pool_lists",
     "exact_global_sparsity",
     "exact_local_sparsity",
-    "is_friend_edge",
-    "is_balanced_edge",
     "validate_acd",
     "neighborhood_edge_count",
 ]

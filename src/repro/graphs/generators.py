@@ -101,28 +101,6 @@ def random_geometric_graph(n: int, radius: float = 0.15, seed: int = 0) -> nx.Gr
     return nx.random_geometric_graph(n, radius, seed=seed)
 
 
-def degree_range_graph(n: int, low: int, high: int, seed: int = 0) -> nx.Graph:
-    """Graph whose degrees concentrate inside ``[low, high]``.
-
-    The D1LC algorithm of the paper processes nodes in degree ranges
-    ``[log^7 x, x]``; this generator produces instances living inside one such
-    range by overlaying a ``low``-regular backbone with random extra edges.
-    """
-    if not 1 <= low <= high < n:
-        raise ValueError("need 1 <= low <= high < n")
-    rng = random.Random(seed)
-    graph = nx.random_regular_graph(low, n if (n * low) % 2 == 0 else n + 1, seed=seed)
-    graph = nx.Graph(graph)
-    nodes = list(graph.nodes())
-    extra_per_node = max(0, (high - low) // 2)
-    for v in nodes:
-        for _ in range(rng.randint(0, extra_per_node)):
-            u = rng.choice(nodes)
-            if u != v and graph.degree(v) < high and graph.degree(u) < high:
-                graph.add_edge(u, v)
-    return graph
-
-
 @dataclass
 class PlantedAlmostCliques:
     """A graph with planted almost-cliques plus sparse background nodes."""
@@ -130,12 +108,6 @@ class PlantedAlmostCliques:
     graph: nx.Graph
     cliques: List[Set[int]]
     sparse_nodes: Set[int] = field(default_factory=set)
-
-    def clique_of(self, node: int) -> Optional[int]:
-        for index, members in enumerate(self.cliques):
-            if node in members:
-                return index
-        return None
 
 
 def planted_almost_cliques(

@@ -42,22 +42,6 @@ def exact_local_sparsity(graph: nx.Graph, node: Node) -> float:
     return missing / degree
 
 
-def is_balanced_edge(graph: nx.Graph, u: Node, v: Node, eps: float) -> bool:
-    """``ε``-balanced (Definition 2): degrees within a ``(1 − ε)`` factor."""
-    du, dv = graph.degree(u), graph.degree(v)
-    return min(du, dv) >= (1 - eps) * max(du, dv)
-
-
-def is_friend_edge(graph: nx.Graph, u: Node, v: Node, eps: float) -> bool:
-    """``ε``-friend (Definition 2): balanced and sharing most neighbours."""
-    if not graph.has_edge(u, v):
-        return False
-    if not is_balanced_edge(graph, u, v, eps):
-        return False
-    shared = len(set(graph.neighbors(u)) & set(graph.neighbors(v)))
-    return shared >= (1 - eps) * min(graph.degree(u), graph.degree(v))
-
-
 def unevenness(graph: nx.Graph, node: Node) -> float:
     """``η_v = Σ_{u∈N(v)} max(0, d_u − d_v) / (d_u + 1)`` (Definition 5)."""
     dv = graph.degree(node)

@@ -3,21 +3,17 @@
 from repro.metrics.ledger import (
     BandwidthLedger,
     CounterLedger,
-    ExperimentRecord,
     Ledger,
     NO_RECORDS,
     RecordingLedger,
-    RoundBudgetCheck,
     RoundRecord,
     bits_by_phase,
     make_ledger,
     messages_by_phase,
     rounds_by_phase,
-    summarize_ledger,
 )
 from repro.metrics.report import (
     aggregate_rows,
-    format_series,
     format_table,
     mean,
     median,
@@ -28,19 +24,15 @@ from repro.metrics.report import (
 __all__ = [
     "BandwidthLedger",
     "CounterLedger",
-    "ExperimentRecord",
     "Ledger",
     "NO_RECORDS",
     "RecordingLedger",
-    "RoundBudgetCheck",
     "RoundRecord",
     "bits_by_phase",
     "make_ledger",
     "messages_by_phase",
     "rounds_by_phase",
-    "summarize_ledger",
     "format_table",
-    "format_series",
     "aggregate_rows",
     "mean",
     "median",

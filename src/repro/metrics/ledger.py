@@ -20,7 +20,7 @@ charged, only what is remembered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 
@@ -187,19 +187,6 @@ _LEDGER_KINDS = {
 }
 
 
-def ledger_class(spec: Union[str, Ledger]) -> type:
-    """Resolve a ledger spec (kind name or instance) to its concrete class."""
-    if isinstance(spec, Ledger):
-        return type(spec)
-    try:
-        return _LEDGER_KINDS[spec]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown ledger kind: {spec!r} (expected one of {sorted(_LEDGER_KINDS)} "
-            "or a Ledger instance)"
-        ) from None
-
-
 def make_ledger(spec: Union[str, Ledger, None] = "records") -> Ledger:
     """Build a ledger from a spec: a kind name, an instance, or ``None``.
 
@@ -219,48 +206,6 @@ def make_ledger(spec: Union[str, Ledger, None] = "records") -> Ledger:
             f"unknown ledger kind: {spec!r} (expected one of {sorted(_LEDGER_KINDS)} "
             "or a Ledger instance)"
         ) from None
-
-
-@dataclass
-class RoundBudgetCheck:
-    """Did an execution stay within the CONGEST bandwidth budget?"""
-
-    bandwidth_bits: int
-    max_edge_bits: int
-
-    @property
-    def respected(self) -> bool:
-        return self.max_edge_bits <= self.bandwidth_bits
-
-
-@dataclass
-class ExperimentRecord:
-    """One measurement row of an experiment (one workload/parameter point)."""
-
-    name: str
-    parameters: Dict[str, object] = field(default_factory=dict)
-    measurements: Dict[str, float] = field(default_factory=dict)
-
-    def as_row(self) -> Dict[str, object]:
-        row: Dict[str, object] = {"experiment": self.name}
-        row.update(self.parameters)
-        row.update(self.measurements)
-        return row
-
-
-def summarize_ledger(network) -> Dict[str, float]:
-    """Extract the headline resource numbers from a network's ledger."""
-    ledger = network.ledger
-    return {
-        "rounds": float(ledger.rounds),
-        "total_bits": float(ledger.total_bits),
-        "total_messages": float(ledger.total_messages),
-        "max_edge_bits": float(ledger.max_edge_bits),
-        "bandwidth_bits": float(network.bandwidth_bits),
-        "bits_per_round_per_edge": (
-            ledger.total_bits / max(1, ledger.rounds) / max(1, network.number_of_edges)
-        ),
-    }
 
 
 def _totals_by_phase(by_label: Dict[str, int], prefix_split: str) -> Dict[str, int]:

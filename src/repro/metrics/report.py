@@ -44,12 +44,6 @@ def format_table(rows: Sequence[Mapping[str, object]], title: str = "") -> str:
     return "\n".join(lines)
 
 
-def format_series(x_label: str, y_label: str, points: Iterable[tuple], title: str = "") -> str:
-    """Format an (x, y) series as a two-column table."""
-    rows = [{x_label: x, y_label: y} for x, y in points]
-    return format_table(rows, title=title)
-
-
 # --------------------------------------------------------------------------- #
 # Aggregation helpers (used by the experiment suite's artifact store)
 # --------------------------------------------------------------------------- #

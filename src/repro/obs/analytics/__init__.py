@@ -1,26 +1,13 @@
-"""repro.obs.analytics — performance intelligence over traces & aggregates.
+"""repro.obs.analytics — post-hoc reductions of run artifacts.
 
-Pure post-hoc reductions of the artifacts PR 6 introduced (``TRACE_*.jsonl``
-event streams, ``BENCH_*.json`` aggregates): comm-volume summaries and
-resource series, reference-curve fitting with the comm regression gate, the
-append-only run-history registry, and the static HTML report renderer.
-Nothing here touches a live run — the observation-only contract extends to
-analytics by construction (see DESIGN.md, "Analytics invariants").
+Reads ``TRACE_*.jsonl`` event streams and ``BENCH_*.json`` aggregates: the
+resource series of a trace, the append-only run-history registry behind
+``repro report trend``, and the static HTML report renderer.  Nothing here
+touches a live run — the observation-only contract extends to analytics by
+construction (see DESIGN.md, "Analytics invariants").
 """
 
 from repro.obs.analytics.comm import rss_series
-from repro.obs.analytics.curves import (
-    COMM_FILENAME,
-    COMM_SCHEMA,
-    REFERENCE_CURVES,
-    SUPER_LOGARITHMIC,
-    CurveFit,
-    best_fit,
-    build_comm_baseline,
-    compare_comm,
-    fit_curve,
-    load_comm_baseline,
-)
 from repro.obs.analytics.history import (
     RUNS_FILENAME,
     RUNS_SCHEMA,
@@ -42,25 +29,15 @@ from repro.obs.analytics.htmlreport import (
 )
 
 __all__ = [
-    "COMM_FILENAME",
-    "COMM_SCHEMA",
-    "REFERENCE_CURVES",
     "RUNS_FILENAME",
     "RUNS_SCHEMA",
-    "SUPER_LOGARITHMIC",
-    "CurveFit",
     "aggregate_digest",
     "append_run",
     "bar_chart",
-    "best_fit",
-    "build_comm_baseline",
-    "compare_comm",
     "detect_trends",
     "environment_provenance",
-    "fit_curve",
     "html_table",
     "line_chart",
-    "load_comm_baseline",
     "load_runs",
     "localize_digest_change",
     "render_report",

@@ -83,7 +83,7 @@ def load_events(path: Path) -> List[Dict[str, object]]:
     """Load a ``TRACE_`` or ``DIGEST_`` file back into its event list.
 
     Raises ``ValueError`` for a line that is not JSON, a stream without a
-    header, or a header of another schema.
+    header (an empty file included), or a header of another schema.
     """
     events: List[Dict[str, object]] = []
     for line in Path(path).read_text().splitlines():
@@ -94,7 +94,7 @@ def load_events(path: Path) -> List[Dict[str, object]]:
                 raise ValueError("a line is not a JSON object")
             events.append(event)
     headers = [e for e in events if e.get("type") == "header"]
-    if events and not headers:
+    if not headers:
         raise ValueError("no header event — not a run-event stream?")
     for header in headers:
         if header.get("schema") != RUN_SCHEMA:

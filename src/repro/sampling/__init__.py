@@ -11,6 +11,10 @@ These are the direct applications of representative hash functions:
   (Theorem 2),
 * :mod:`repro.sampling.four_cycles` — local 4-cycle-richness detection
   (Theorem 3).
+
+Sampling from set *differences* — a node's trial colors that no neighbour
+is also trying — runs inside :mod:`repro.core.multitrial` (steps 3–4), its
+one user.
 """
 
 from repro.sampling.similarity import (
@@ -20,11 +24,6 @@ from repro.sampling.similarity import (
     estimate_similarity_on_edges,
 )
 from repro.sampling.joint_sample import JointSampleResult, joint_sample, joint_sample_many
-from repro.sampling.difference import (
-    DifferenceSampleResult,
-    sample_from_difference,
-    sample_private_elements,
-)
 from repro.sampling.sparsity import (
     SparsityEstimates,
     estimate_global_sparsity,
@@ -41,9 +40,6 @@ __all__ = [
     "JointSampleResult",
     "joint_sample",
     "joint_sample_many",
-    "DifferenceSampleResult",
-    "sample_from_difference",
-    "sample_private_elements",
     "SparsityEstimates",
     "estimate_global_sparsity",
     "estimate_local_sparsity",

@@ -1,17 +1,11 @@
-"""Small shared utilities: math helpers, RNG streams, bit-size helpers."""
+"""Small shared utilities: iterated-logarithm math helpers and RNG streams."""
 
-from repro.utils.mathx import ilog2, log_star, tetration, clamp
+from repro.utils.mathx import log_star, tetration
 from repro.utils.rng import RngStream, derive_rng
-from repro.utils.bits import bit_length_of_int, bits_for_range, bits_for_bitstring
 
 __all__ = [
-    "ilog2",
     "log_star",
     "tetration",
-    "clamp",
     "RngStream",
     "derive_rng",
-    "bit_length_of_int",
-    "bits_for_range",
-    "bits_for_bitstring",
 ]

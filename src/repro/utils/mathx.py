@@ -1,21 +1,14 @@
 """Integer math helpers used throughout the reproduction.
 
 The coloring algorithm of the paper is stated in terms of iterated logarithms
-(``log* n``), tetration (``2 ↑↑ i``, used by ``SlackColor``), and various
-``log^k log n`` style quantities.  These helpers keep those computations in one
-place and make them exact for the small inputs used in tests.
+(``log* n``) and tetration (``2 ↑↑ i``, used by ``SlackColor``).  These
+helpers keep those computations in one place and make them exact for the
+small inputs used in tests.
 """
 
 from __future__ import annotations
 
 import math
-
-
-def ilog2(x: float) -> int:
-    """Return ``floor(log2(x))`` for ``x >= 1``, and 0 for smaller values."""
-    if x < 2:
-        return 0
-    return int(math.log2(x))
 
 
 def log_star(x: float, base: float = 2.0) -> int:
@@ -56,23 +49,3 @@ def tetration(base: int, height: int, cap: int = 2**62) -> int:
         if value >= cap:
             return cap
     return value
-
-
-def clamp(value: float, low: float, high: float) -> float:
-    """Clamp ``value`` into the closed interval ``[low, high]``."""
-    if low > high:
-        raise ValueError(f"empty interval: [{low}, {high}]")
-    return max(low, min(high, value))
-
-
-def poly_log_log(n: int, power: float) -> float:
-    """Return ``(log2 log2 n)**power`` with sane behaviour for tiny ``n``."""
-    inner = math.log2(max(n, 4))
-    return math.log2(max(inner, 2.0)) ** power
-
-
-def ceil_div(a: int, b: int) -> int:
-    """Integer ceiling division."""
-    if b <= 0:
-        raise ValueError("divisor must be positive")
-    return -(-a // b)

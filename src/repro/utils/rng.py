@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, Sequence
 
 
 def _digest_seed(*parts: object) -> int:
@@ -56,10 +55,6 @@ class RngStream:
     def __init__(self, seed: int):
         self.seed = int(seed)
 
-    def root(self) -> random.Random:
-        """RNG for global (non-node-specific) decisions."""
-        return derive_rng(self.seed, "root")
-
     def for_node(self, node: object, *labels: object) -> random.Random:
         """RNG dedicated to ``node`` (optionally further labelled)."""
         return derive_rng(self.seed, "node", node, *labels)
@@ -74,19 +69,3 @@ class RngStream:
         """
         key = tuple(sorted((repr(u), repr(v))))
         return derive_rng(self.seed, "edge", key, *labels)
-
-    def child(self, *labels: object) -> "RngStream":
-        """A new stream whose seed is derived from this one plus labels."""
-        return RngStream(_digest_seed(self.seed, "child", *labels))
-
-    def shuffled(self, items: Iterable, *labels: object) -> list:
-        """Return a deterministically shuffled copy of ``items``."""
-        result = list(items)
-        derive_rng(self.seed, "shuffle", *labels).shuffle(result)
-        return result
-
-    def choice(self, items: Sequence, *labels: object):
-        """Deterministic labelled choice from a non-empty sequence."""
-        if not items:
-            raise ValueError("cannot choose from an empty sequence")
-        return derive_rng(self.seed, "choice", *labels).choice(list(items))

@@ -1,33 +1,27 @@
 """Tests for the analytics layer (repro.obs.analytics).
 
-Covers the four layers of the communication & scaling analytics: comm-volume
-columns flowing into trial rows and aggregates, reference-curve fitting and
-the comm regression gate, the run-history registry with trend detection, and
-the self-contained HTML report renderer.  Everything here is post-hoc — the
-observation-only contract is pinned separately in test_obs.py.
+Covers the communication & scaling analytics: comm-volume columns flowing
+into trial rows and aggregates, the suite regression gate on those columns,
+the run-history registry with trend detection, and the self-contained HTML
+report renderer.  Everything here is post-hoc — the observation-only
+contract is pinned separately in test_obs.py.
 """
 
 import json
-import math
+from pathlib import Path
 
 import pytest
 
 from repro.core import solve_d1c
 from repro.experiments import aggregate_suite, canonical_dumps, run_scenarios
-from repro.experiments.compare import gate_passes
+from repro.experiments.compare import compare_summaries, gate_passes
 from repro.experiments.spec import ScenarioSpec
 from repro.graphs import gnp_graph
 from repro.obs.analytics import (
-    COMM_SCHEMA,
-    REFERENCE_CURVES,
     RUNS_SCHEMA,
     aggregate_digest,
     append_run,
-    best_fit,
-    build_comm_baseline,
-    compare_comm,
     detect_trends,
-    fit_curve,
     load_runs,
     render_report,
     run_record,
@@ -72,94 +66,68 @@ class TestCommColumns:
 
 
 # --------------------------------------------------------------------------- #
-# Reference curves + comm gate
+# Comm gate: the suite regression gate on the communication metrics
 # --------------------------------------------------------------------------- #
 
-class TestCurves:
-    def test_exact_log_sweep_fits_log_n(self):
-        points = [(n, 5.0 * math.log2(n)) for n in (100, 1000, 10_000)]
-        fit = best_fit(points)
-        assert fit.curve == "log_n"
-        assert fit.coefficient == pytest.approx(5.0)
-        assert fit.rel_rms == pytest.approx(0.0, abs=1e-9)
+ROOT = Path(__file__).resolve().parent.parent
+#: The committed aggregates that ``suite compare`` gates CI runs against.
+GATED_BASELINES = ("BENCH_suite.json", "BENCH_forensics.json",
+                   "BENCH_robustness.json", "BENCH_scale_smoke.json")
+COMM_METRICS = ("max_edge_bits", "bits_per_node")
 
-    def test_linear_sweep_prefers_linear_over_log(self):
-        points = [(n, 2.0 * n) for n in (100, 1000, 10_000)]
-        assert best_fit(points).curve == "n"
-        log_fit = fit_curve(points, "log_n")
-        assert log_fit.rel_rms > best_fit(points).rel_rms
 
-    def test_constant_sweep_resolves_to_simplest_curve(self):
-        points = [(n, 7.0) for n in (10, 100, 1000)]
-        assert best_fit(points).curve == "const"
-
-    def test_unknown_curve_and_empty_points_raise(self):
-        with pytest.raises(ValueError):
-            fit_curve([(10, 1.0)], "cubic")
-        with pytest.raises(ValueError):
-            fit_curve([], "log_n")
-
-    def test_all_reference_curves_are_positive_and_monotone(self):
-        for name, f in REFERENCE_CURVES.items():
-            values = [f(n) for n in (2, 64, 4096)]
-            assert all(v > 0 for v in values), name
-            assert values == sorted(values), name
+def _scaled(summary, scenario, metric, factor):
+    fresh = json.loads(canonical_dumps(summary))
+    fresh["scenarios"][scenario]["metrics"][metric]["mean"] *= factor
+    return fresh
 
 
 class TestCommGate:
     def test_baseline_round_trips_and_self_compare_is_clean(self):
         summary = _smoke_summary()
-        baseline = build_comm_baseline(summary)
-        assert baseline["schema"] == COMM_SCHEMA
-        assert set(baseline["scenarios"]) == set(summary["scenarios"])
         # Serialization round trip (what the committed file goes through).
-        baseline = json.loads(canonical_dumps(baseline))
-        findings = compare_comm(baseline, summary)
-        assert gate_passes(findings)
-        assert not [f for f in findings if f.severity == "fail"]
-        # No spurious drift on an identical run.
-        assert not [f for f in findings
-                    if f.metric in ("max_edge_bits", "bits_per_node")
-                    and f.severity == "info" and "->" in f.detail]
+        baseline = json.loads(canonical_dumps(summary))
+        findings = compare_summaries(baseline, summary)
+        assert findings == [] and gate_passes(findings)
 
     def test_regression_beyond_budget_fails(self):
         summary = _smoke_summary()
-        baseline = build_comm_baseline(summary)
-        worse = json.loads(canonical_dumps(summary))
-        stats = worse["scenarios"]["a-n40"]["metrics"]["max_edge_bits"]
-        stats["mean"] = stats["mean"] * 1.5
-        findings = compare_comm(baseline, worse, budget=0.10)
+        worse = _scaled(summary, "a-n40", "max_edge_bits", 1.5)
+        findings = compare_summaries(summary, worse, max_regression=0.10)
         fails = [f for f in findings if f.severity == "fail"]
-        assert fails and fails[0].scenario == "a-n40"
+        assert [(f.scenario, f.metric) for f in fails] == [("a-n40", "max_edge_bits")]
         assert not gate_passes(findings)
 
     def test_improvement_is_informational(self):
         summary = _smoke_summary()
-        baseline = build_comm_baseline(summary)
-        better = json.loads(canonical_dumps(summary))
-        stats = better["scenarios"]["a-n40"]["metrics"]["bits_per_node"]
-        stats["mean"] = stats["mean"] * 0.5
-        findings = compare_comm(baseline, better, budget=0.10)
+        better = _scaled(summary, "a-n40", "bits_per_node", 0.5)
+        findings = compare_summaries(summary, better, max_regression=0.10)
         assert gate_passes(findings)
+        assert [(f.severity, f.metric) for f in findings] == [("info", "bits_per_node")]
 
-    def test_suite_mismatch_fails(self):
-        summary = _smoke_summary()
-        baseline = build_comm_baseline(summary)
-        other = dict(summary)
-        other["suite"] = "different"
-        findings = compare_comm(baseline, other)
-        assert not gate_passes(findings)
+    @pytest.mark.parametrize("metric", COMM_METRICS)
+    @pytest.mark.parametrize("filename", GATED_BASELINES)
+    def test_committed_baseline_gates_comm_metric(self, filename, metric):
+        # An 11% bump of either comm metric in any one scenario of a
+        # committed baseline fails the gate on exactly that scenario.
+        baseline = json.loads((ROOT / filename).read_text())
+        for scenario, entry in baseline["scenarios"].items():
+            assert entry["metrics"][metric]["mean"] > 0, scenario
+            findings = compare_summaries(
+                baseline, _scaled(baseline, scenario, metric, 1.11))
+            fails = [(f.scenario, f.metric) for f in findings if f.severity == "fail"]
+            assert fails == [(scenario, metric)]
 
-    def test_bad_schema_fails(self):
-        findings = compare_comm({"schema": "nope"}, _smoke_summary())
-        assert not gate_passes(findings)
-
-    def test_sweep_shape_finding_present_for_multi_size_family(self):
-        summary = _smoke_summary()  # two gnp/d1c sizes -> one sweep
-        findings = compare_comm(build_comm_baseline(summary), summary)
-        sweep = [f for f in findings if "best fits" in f.detail]
-        assert len(sweep) == 1
-        assert sweep[0].scenario == "gnp/d1c"
+    @pytest.mark.parametrize("filename", GATED_BASELINES)
+    def test_committed_baseline_tolerates_comm_drift_within_budget(self, filename):
+        baseline = json.loads((ROOT / filename).read_text())
+        fresh = json.loads(canonical_dumps(baseline))
+        for entry in fresh["scenarios"].values():
+            for metric in COMM_METRICS:
+                entry["metrics"][metric]["mean"] *= 1.09
+        findings = compare_summaries(baseline, fresh)
+        assert gate_passes(findings)
+        assert {f.metric for f in findings} == set(COMM_METRICS)
 
 
 # --------------------------------------------------------------------------- #

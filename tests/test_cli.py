@@ -38,6 +38,14 @@ class TestCommands:
         assert exit_code == 0
         assert "rounds by phase" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bits,hashed", [(0, False), (80, False), (400, True)])
+    def test_color_bits_select_the_color_encoding(self, bits, hashed, capsys):
+        # The budget at n=40 is 171 bits: 80-bit colors go verbatim, 400-bit
+        # colors through per-node hashing (one color-hash round).
+        assert main(["color", "--n", "40", "--p", "0.15", "--problem", "d1lc",
+                     "--color-bits", str(bits), "--seed", "2"]) == 0
+        assert ("color-hash: 1" in capsys.readouterr().out) is hashed
+
     def test_color_local_mode(self, capsys):
         exit_code = main(["color", "--n", "40", "--p", "0.15", "--mode", "local", "--seed", "3"])
         assert exit_code == 0
@@ -247,6 +255,10 @@ class TestFaultsCli:
 USER_ERRORS = {
     "color-n-zero": ["color", "--n", "0"],
     "color-p-above-one": ["color", "--p", "2"],
+    "color-bits-negative": ["color", "--color-bits", "-5"],
+    "color-bits-without-d1lc": ["color", "--problem", "delta+1",
+                                "--color-bits", "400"],
+    "color-bits-with-d1c": ["color", "--color-bits", "60"],
     "baseline-n-zero": ["baseline", "--n", "0"],
     "suite-run-zero-trials": ["suite", "run", "smoke", "--trials", "0",
                               "--out", "{tmp}/out"],
@@ -265,7 +277,14 @@ USER_ERRORS = {
     "suite-run-negative-workers": ["suite", "run", "smoke", "--workers", "-3",
                                    "--out", "{tmp}/out"],
     "trace-summarize-missing": ["trace", "summarize", "{tmp}/missing.jsonl"],
+    "trace-summarize-empty": ["trace", "summarize", "{tmp}/empty.jsonl"],
+    "trace-summarize-headerless": ["trace", "summarize",
+                                   "{tmp}/headerless.jsonl"],
     "diff-missing": ["diff", "{tmp}/missing.jsonl", "{tmp}/missing.jsonl"],
+    "diff-empty": ["diff", "{tmp}/empty.jsonl", "{tmp}/empty.jsonl"],
+    "diff-one-side-empty": ["diff", "{tmp}/run.jsonl", "{tmp}/empty.jsonl"],
+    "diff-headerless": ["diff", "{tmp}/headerless.jsonl",
+                        "{tmp}/headerless.jsonl"],
     "diff-trial-absent": ["diff", "{tmp}/run.jsonl", "{tmp}/run.jsonl",
                           "--trial", "5"],
     "diff-trial-negative": ["diff", "{tmp}/run.jsonl", "{tmp}/run.jsonl",
@@ -279,6 +298,7 @@ USER_ERRORS = {
     "triangles-eps-above-one": ["triangles", "--eps", "1.5"],
     "report-non-json-trace": ["report", "bad", "--dir", "{tmp}"],
     "report-nothing-found": ["report", "nope", "--dir", "{tmp}"],
+    "report-empty-trace": ["report", "empty", "--dir", "{tmp}"],
     "faults-not-a-number": ["suite", "run", "smoke", "--faults", "drop=abc",
                             "--out", "{tmp}/out"],
     "faults-unknown-key": ["suite", "run", "smoke", "--faults", "bogus=1",
@@ -303,6 +323,9 @@ class TestUserErrors:
     def test_exits_2_with_one_stderr_line(self, argv, capsys, tmp_path):
         (tmp_path / "bad.json").write_text("not json\n")
         (tmp_path / "TRACE_bad.jsonl").write_text("not json\n")
+        (tmp_path / "empty.jsonl").write_text("")
+        (tmp_path / "TRACE_empty.jsonl").write_text("")
+        (tmp_path / "headerless.jsonl").write_text('{"type": "round", "round": 1}\n')
         write_header_stream(tmp_path / "run.jsonl")
         bench = Path(__file__).resolve().parent.parent / "BENCH_suite.json"
         argv = [arg.format(tmp=tmp_path, bench=bench) for arg in argv]
@@ -340,6 +363,15 @@ class TestUserErrors:
             main(["color", "--backend", "slot"])
         assert exc.value.code == 2
         assert "invalid choice: 'slot'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--comm-budget", "--comm-baseline"])
+    def test_removed_comm_gate_option_is_a_usage_error(self, option, capsys):
+        # The comm metrics are gated by suite compare's own regression budget.
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "compare", "--baseline", "BENCH_suite.json",
+                  f"{option}=10"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}=10" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["color"], ["baseline"], ["acd"], ["triangles"],
@@ -498,35 +530,6 @@ class TestAnalyticsCli:
         assert payload["identical"] is False
         assert any(d["column"] == "bits" for d in payload["drift"])
         assert payload["divergence"]["component"] == "counters"
-
-    def test_suite_compare_comm_budget_gates(self, capsys, tmp_path):
-        import json
-
-        from repro.experiments import canonical_dumps
-        from repro.obs.analytics import build_comm_baseline
-
-        out = self._run_smoke(tmp_path)
-        suite_path = out / "BENCH_suite.json"
-        comm_path = tmp_path / "BENCH_comm.json"
-        comm_path.write_text(canonical_dumps(
-            build_comm_baseline(json.loads(suite_path.read_text()))
-        ))
-        capsys.readouterr()
-        assert main(["suite", "compare", "--baseline", str(suite_path),
-                     "--fresh", str(suite_path), "--comm-budget", "10",
-                     "--comm-baseline", str(comm_path)]) == 0
-        out_text = capsys.readouterr().out
-        assert "PASS" in out_text
-
-    def test_suite_compare_missing_comm_baseline_fails(self, capsys, tmp_path):
-        out = self._run_smoke(tmp_path)
-        suite_path = out / "BENCH_suite.json"
-        capsys.readouterr()
-        assert main(["suite", "compare", "--baseline", str(suite_path),
-                     "--fresh", str(suite_path), "--comm-budget", "10",
-                     "--comm-baseline", str(tmp_path / "missing.json")]) == 1
-        out_text = capsys.readouterr().out
-        assert "comm_baseline" in out_text and "FAIL" in out_text
 
     def test_report_suite_renders_and_writes_html(self, capsys, tmp_path):
         out = self._run_smoke(tmp_path, trace=True)

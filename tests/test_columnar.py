@@ -28,7 +28,6 @@ from repro.congest.columnar.buffers import CsrRoundBuffer
 from repro.congest.columnar.kernels import (
     element_keys_array,
     hash_values_vec,
-    low_unique_values_vec,
     member_prefixes_vec,
     mix64_step_vec,
     mix64_vec,
@@ -98,16 +97,6 @@ class TestKernelParity:
         assert got.tolist() == expected
         fn = RepresentativeHashFunction(seeds[5], indices[5], lam=97)
         assert int(got[5]) == fn._prefix
-
-    @pytest.mark.parametrize("lam,sigma", [(7, 3), (97, 31), (1 << 20, 4096)])
-    def test_low_unique_values_match_scalar(self, lam, sigma):
-        rng = random.Random(lam)
-        fn = RepresentativeHashFunction(rng.getrandbits(64), 3, lam=lam)
-        keys = [rng.getrandbits(64) for _ in range(500)] + ADVERSARIAL[:8]
-        # duplicate keys hash identically, stressing the count==1 filter
-        keys += keys[:25]
-        got = low_unique_values_vec(fn._prefix, keys, sigma, lam)
-        assert sorted(got.tolist()) == sorted(fn.low_unique_values(keys, sigma))
 
     def test_hash_values_match_scalar_draw(self):
         fn = RepresentativeHashFunction(0xDEAD, 2, lam=101)

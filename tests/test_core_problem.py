@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 
 from repro.core import ColoringInstance, ColoringParameters, ColorSpace, validate_coloring
-from repro.core.validate import assert_valid_coloring
 from repro.graphs import degree_plus_one_lists
 
 
@@ -105,12 +104,6 @@ class TestValidateColoring:
         report = validate_coloring(instance, {0: 99, 1: 0, 2: 1})
         assert 0 in report.palette_violations
         assert not report.is_valid
-
-    def test_assert_valid_raises(self):
-        g = nx.path_graph(3)
-        instance = ColoringInstance.d1c(g)
-        with pytest.raises(AssertionError):
-            assert_valid_coloring(instance, {0: 0})
 
     def test_summary_is_readable(self):
         g = nx.path_graph(3)

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.congest import Network
-from repro.core import ColoringInstance, ColoringParameters
+from repro.core import ColoringInstance, ColoringParameters, ColorSpace
 from repro.core.large_colors import ColorHasher
 from repro.core.state import ColoringState
 from repro.graphs import huge_color_space_lists
@@ -86,6 +86,16 @@ class TestColorHasher:
         state = make_state(gnp_small)
         assert state.hasher.mode == "direct"
         assert state.hasher.value_for(0, 3) == 3
+
+    @pytest.mark.parametrize("excess,mode", [(0, "direct"), (1, "hashed")],
+                             ids=["at-budget-direct", "one-bit-over-hashed"])
+    def test_mode_switches_at_the_bandwidth_budget(self, gnp_small, excess, mode):
+        network = Network(gnp_small, bandwidth_bits=120)
+        space = ColorSpace.huge(network.bandwidth_bits + excess)
+        hasher = ColorHasher(network, space, ColoringParameters.small(seed=1),
+                             RngStream(1))
+        assert hasher.mode == mode
+        assert (hasher.family is None) is (mode == "direct")
 
     def test_hashed_mode_for_huge_spaces(self, gnp_small):
         lists = huge_color_space_lists(gnp_small, color_space_bits=300, seed=2)

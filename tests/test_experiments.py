@@ -34,6 +34,7 @@ from repro.experiments import (
     write_trial_rows,
 )
 from repro.experiments.artifacts import SCHEMA, TIMING_SCHEMA
+from repro.experiments.compare import HIGHER_IS_WORSE
 from repro.metrics.report import aggregate_rows, mean, median, percentile, summary_stats
 
 
@@ -283,14 +284,49 @@ class TestCompare:
         findings = compare_summaries(summary, summary)
         assert findings == [] and gate_passes(findings)
 
-    def test_round_regression_fails_gate(self):
+    @pytest.mark.parametrize("name", HIGHER_IS_WORSE)
+    def test_round_regression_fails_gate(self, name):
+        # An 11% bump, just over the 10% budget, fails the gate on every
+        # cost metric: rounds and the communication metrics alike.
         baseline = self._summary()
         fresh = json.loads(json.dumps(baseline))
-        metric = fresh["scenarios"]["tiny-d1c"]["metrics"]["rounds"]
-        metric["mean"] = metric["mean"] * 1.5
+        metric = fresh["scenarios"]["tiny-d1c"]["metrics"][name]
+        assert metric["mean"] > 0
+        metric["mean"] = metric["mean"] * 1.11
         findings = compare_summaries(baseline, fresh, max_regression=0.10)
         assert not gate_passes(findings)
-        assert any(f.metric == "rounds" and f.severity == "fail" for f in findings)
+        assert any(f.metric == name and f.severity == "fail" for f in findings)
+
+    @pytest.mark.parametrize("name", HIGHER_IS_WORSE)
+    def test_cost_improvement_is_informational(self, name):
+        baseline = self._summary()
+        fresh = json.loads(json.dumps(baseline))
+        fresh["scenarios"]["tiny-d1c"]["metrics"][name]["mean"] *= 0.5
+        findings = compare_summaries(baseline, fresh, max_regression=0.10)
+        assert gate_passes(findings)
+        assert [(f.severity, f.metric) for f in findings] == [("info", name)]
+
+    @pytest.mark.parametrize("name", ["bandwidth_bits", "phase_bits_acd",
+                                      "phase_messages_acd"])
+    def test_untracked_metric_growth_is_informational(self, name):
+        # Per-phase columns may shift between phases; total_bits and
+        # total_messages carry the gate.
+        assert name not in HIGHER_IS_WORSE
+        baseline = self._summary()
+        fresh = json.loads(json.dumps(baseline))
+        fresh["scenarios"]["tiny-d1c"]["metrics"][name]["mean"] *= 2
+        findings = compare_summaries(baseline, fresh, max_regression=0.10)
+        assert gate_passes(findings)
+        assert [(f.severity, f.metric) for f in findings] == [("info", name)]
+
+    def test_regression_exactly_at_budget_passes(self):
+        baseline = self._summary()
+        baseline["scenarios"]["tiny-d1c"]["metrics"]["rounds"]["mean"] = 10.0
+        fresh = json.loads(json.dumps(baseline))
+        fresh["scenarios"]["tiny-d1c"]["metrics"]["rounds"]["mean"] = 11.0
+        findings = compare_summaries(baseline, fresh, max_regression=0.10)
+        assert gate_passes(findings)
+        assert [f.severity for f in findings] == ["info"]
 
     def test_small_drift_is_informational(self):
         baseline = self._summary()

@@ -166,33 +166,29 @@ class TestFaultyTransport:
     def test_noop_plan_is_never_wrapped(self):
         graph = small_graph()
         topology = Topology(graph)
-        inner = make_transport("columnar", topology, "congest", 64, make_ledger(None))
-        same = make_transport(inner, topology, "congest", 64, inner.ledger,
-                              faults={})
-        assert same is inner
+        bare = make_transport("columnar", topology, "congest", 64,
+                              make_ledger(None), faults={})
+        assert not isinstance(bare, FaultyTransport)
+        assert bare.name == "columnar"
         net = Network(graph, faults=None)
         assert net.backend == "columnar" and net.fault_stats is None
-        # An empty plan is fault-free everywhere — including when adopting
-        # an already-built transport instance.
-        assert Network(graph, backend=inner, faults={}).backend == "columnar"
-        with pytest.raises(ValueError, match="already-built"):
-            Network(graph, backend=inner, faults={"drop": 0.5})
+        # An empty plan is fault-free everywhere.
+        net = Network(graph, faults={})
+        assert net.backend == "columnar" and net.fault_stats is None
 
     def test_wrapping_is_flat_and_guarded(self):
         graph = small_graph()
         topology = Topology(graph)
         ledger = make_ledger(None)
         inner = make_transport("columnar", topology, "congest", 64, ledger)
-        wrapped = make_transport(inner, topology, "congest", 64, ledger,
+        wrapped = make_transport("columnar", topology, "congest", 64, ledger,
                                  faults={"drop": 0.5})
         assert isinstance(wrapped, FaultyTransport)
+        assert not isinstance(wrapped.inner, FaultyTransport)
         with pytest.raises(ValueError, match="stack"):
             FaultyTransport(wrapped, FaultPlan(drop=0.5))
         with pytest.raises(ValueError, match="no-op"):
             FaultyTransport(inner, FaultPlan())
-        with pytest.raises(ValueError, match="throttled"):
-            make_transport(inner, topology, "congest", 64, ledger,
-                           faults={"throttle": 0.5})
 
     def test_drop_one_suppresses_delivery_but_records_rounds(self):
         net = faulty_network(small_graph(), {"drop": 1.0})

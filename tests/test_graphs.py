@@ -13,8 +13,6 @@ from repro.graphs import (
     gnp_fast_graph,
     gnp_graph,
     huge_color_space_lists,
-    is_balanced_edge,
-    is_friend_edge,
     locally_sparse_graph,
     neighborhood_edge_count,
     numeric_degree_lists,
@@ -27,7 +25,6 @@ from repro.graphs import (
     triangle_rich_graph,
     validate_acd,
 )
-from repro.graphs.generators import degree_range_graph
 from repro.graphs.properties import acd_report_is_clean, unevenness
 
 
@@ -79,16 +76,6 @@ class TestGenerators:
         with pytest.raises(ValueError):
             random_geometric_graph(10, 2.0)
 
-    def test_degree_range_graph_bounds(self):
-        g = degree_range_graph(60, 4, 10, seed=4)
-        degrees = [d for _, d in g.degree()]
-        assert min(degrees) >= 4
-        assert max(degrees) <= 14  # small overshoot tolerated by construction
-
-    def test_degree_range_validation(self):
-        with pytest.raises(ValueError):
-            degree_range_graph(10, 5, 3)
-
     def test_planted_cliques_structure(self):
         planted = planted_almost_cliques(num_cliques=3, clique_size=10, num_sparse=5, seed=5)
         assert len(planted.cliques) == 3
@@ -99,12 +86,6 @@ class TestGenerators:
             sub = planted.graph.subgraph(members)
             possible = len(members) * (len(members) - 1) / 2
             assert sub.number_of_edges() >= 0.8 * possible
-
-    def test_planted_clique_of_lookup(self):
-        planted = planted_almost_cliques(num_cliques=2, clique_size=5, num_sparse=2, seed=6)
-        member = next(iter(planted.cliques[1]))
-        assert planted.clique_of(member) == 1
-        assert planted.clique_of(next(iter(planted.sparse_nodes))) is None
 
     def test_planted_validation(self):
         with pytest.raises(ValueError):
@@ -187,18 +168,6 @@ class TestProperties:
     def test_exact_sparsity_star_center(self):
         g = nx.star_graph(10)
         assert exact_local_sparsity(g, 0) == pytest.approx((10 - 1) / 2)
-
-    def test_balanced_and_friend_edges_in_clique(self):
-        g = nx.complete_graph(8)
-        assert is_balanced_edge(g, 0, 1, eps=0.1)
-        # In K8 the endpoints share 6 of their 7 neighbours (they do not count
-        # each other), so the edge is a 0.2-friend but not a 0.1-friend.
-        assert is_friend_edge(g, 0, 1, eps=0.2)
-        assert not is_friend_edge(g, 0, 1, eps=0.05)
-
-    def test_friend_requires_edge(self):
-        g = nx.path_graph(4)
-        assert not is_friend_edge(g, 0, 3, eps=0.5)
 
     def test_unevenness_of_leaf(self):
         g = nx.star_graph(10)

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.congest import Message, Network
-from repro.metrics import ExperimentRecord, RoundBudgetCheck, format_series, format_table, summarize_ledger
+from repro.metrics import format_table
 from repro.metrics.ledger import (
     CounterLedger,
     RecordingLedger,
@@ -15,16 +15,6 @@ from repro.metrics.ledger import (
 
 
 class TestLedgerSummaries:
-    def test_summarize_ledger_fields(self):
-        net = Network(nx.path_graph(4), bandwidth_bits=32)
-        net.exchange({(0, 1): Message(content=1, bits=10)}, label="a:one")
-        net.exchange({(1, 2): Message(content=1, bits=20)}, label="a:two")
-        summary = summarize_ledger(net)
-        assert summary["rounds"] == 2
-        assert summary["total_bits"] == 30
-        assert summary["max_edge_bits"] == 20
-        assert summary["bandwidth_bits"] == 32
-
     def test_rounds_by_phase_groups_prefixes(self):
         net = Network(nx.path_graph(4))
         net.exchange({(0, 1): 1}, label="acd:degrees")
@@ -77,19 +67,6 @@ class TestLedgerSummaries:
         assert rec.messages_by_label() == cnt.messages_by_label()
         assert rec.rounds_by_label() == cnt.rounds_by_label()
 
-    def test_round_budget_check(self):
-        assert RoundBudgetCheck(bandwidth_bits=10, max_edge_bits=10).respected
-        assert not RoundBudgetCheck(bandwidth_bits=10, max_edge_bits=11).respected
-
-    def test_experiment_record_row(self):
-        record = ExperimentRecord(
-            name="E9", parameters={"n": 100}, measurements={"rounds": 42.0}
-        )
-        row = record.as_row()
-        assert row["experiment"] == "E9"
-        assert row["n"] == 100
-        assert row["rounds"] == 42.0
-
 
 class TestReportFormatting:
     def test_format_table_alignment_and_header(self):
@@ -107,8 +84,3 @@ class TestReportFormatting:
         rows = [{"a": 1}, {"b": 2}]
         text = format_table(rows)
         assert "a" in text and "b" in text
-
-    def test_format_series(self):
-        text = format_series("x", "y", [(1, 2), (3, 4)])
-        assert "x" in text and "y" in text
-        assert "3" in text

@@ -300,6 +300,17 @@ class TestRunArtifacts:
         with pytest.raises(ValueError, match="not a JSON object"):
             load_events(path)
 
+    @pytest.mark.parametrize("text", [
+        "", "\n  \n", '{"type": "round", "round": 1}\n{"type": "end"}\n',
+    ], ids=["empty", "blank-lines", "events-only"])
+    def test_load_requires_a_header_event(self, tmp_path, text):
+        # Even an empty file is not a run-event stream: diff and trace
+        # summarize must not read it as an identical / all-zero run.
+        path = tmp_path / "TRACE_headerless.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no header event"):
+            load_events(path)
+
     @pytest.mark.parametrize("schema", [
         "repro-trace/1", "repro-digest/1", "repro-run/99",
     ])

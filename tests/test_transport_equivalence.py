@@ -10,13 +10,17 @@ families, including small instances of the ``scale`` suite's families
 through ``Network.exchange`` rounds under every fault axis.
 """
 
+import inspect
+
 import networkx as nx
 import pytest
 
 from repro.baselines import johansson_coloring
 from repro.congest import BandwidthExceeded, Message, Network, ProtocolError
-from repro.congest.transport import EMPTY_INBOX
+from repro.congest.columnar.transport import ColumnarTransport
+from repro.congest.transport import EMPTY_INBOX, DictTransport, Transport
 from repro.core import solve_d1c, solve_d1lc
+from repro.faults.transport import FaultyTransport
 from repro.graphs import (
     degree_plus_one_lists,
     gnp_fast_graph,
@@ -84,14 +88,6 @@ class TestPrimitiveEquivalence:
             orders.append({v: list(box) for v, box in inbox.items()})
         assert all(order == orders[0] for order in orders[1:])
 
-    def test_broadcast_restricted_recipients(self):
-        nets = all_networks(nx.cycle_graph(5), bandwidth_bits=64)
-        for net in nets:
-            inbox = net.broadcast({0: 7}, senders_only_to={0: [1]}, label="b")
-            assert dict(inbox[1]) == {0: 7}
-            assert dict(inbox[4]) == {}
-        assert_identical_ledgers(*nets)
-
     def test_exchange_chunked(self):
         msgs = {
             (0, 1): Message(content="long", bits=50),
@@ -129,6 +125,20 @@ class TestPrimitiveEquivalence:
         # recipients), so max_edge_bits must not pick it up on any backend.
         assert_identical_ledgers(*nets)
         assert nets[0].ledger.max_edge_bits == 1
+
+
+PRIMITIVES = ("exchange", "broadcast", "broadcast_discard", "exchange_chunked",
+              "broadcast_chunked", "charge_silent_round")
+
+
+@pytest.mark.parametrize("cls", [DictTransport, ColumnarTransport, FaultyTransport],
+                         ids=lambda cls: cls.__name__)
+def test_primitives_keep_the_base_signature(cls):
+    # Network calls every transport through the base interface, so no
+    # backend (or the fault wrapper) may take a parameter the others lack.
+    for name in PRIMITIVES:
+        assert (inspect.signature(getattr(cls, name))
+                == inspect.signature(getattr(Transport, name))), name
 
 
 class TestEmptyInboxContract:

@@ -1,28 +1,8 @@
 """Tests for repro.utils.mathx."""
 
-import math
-
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.mathx import ceil_div, clamp, ilog2, log_star, poly_log_log, tetration
-
-
-class TestIlog2:
-    def test_small_values(self):
-        assert ilog2(0) == 0
-        assert ilog2(1) == 0
-        assert ilog2(2) == 1
-        assert ilog2(3) == 1
-        assert ilog2(4) == 2
-
-    def test_powers_of_two(self):
-        for k in range(1, 20):
-            assert ilog2(2 ** k) == k
-
-    @given(st.integers(min_value=2, max_value=10 ** 9))
-    def test_matches_floor_log(self, x):
-        assert ilog2(x) == int(math.log2(x))
+from repro.utils.mathx import log_star, tetration
 
 
 class TestLogStar:
@@ -60,47 +40,3 @@ class TestTetration:
 
     def test_negative_height(self):
         assert tetration(2, -1) == 1
-
-
-class TestClamp:
-    def test_inside(self):
-        assert clamp(5, 0, 10) == 5
-
-    def test_outside(self):
-        assert clamp(-1, 0, 10) == 0
-        assert clamp(11, 0, 10) == 10
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            clamp(1, 5, 2)
-
-    @given(st.floats(allow_nan=False, allow_infinity=False, width=32),
-           st.floats(min_value=-100, max_value=0),
-           st.floats(min_value=0.001, max_value=100))
-    def test_always_in_range(self, x, low, width):
-        high = low + width
-        assert low <= clamp(x, low, high) <= high
-
-
-class TestCeilDiv:
-    def test_exact(self):
-        assert ceil_div(10, 5) == 2
-
-    def test_rounds_up(self):
-        assert ceil_div(11, 5) == 3
-
-    def test_zero_divisor_rejected(self):
-        with pytest.raises(ValueError):
-            ceil_div(3, 0)
-
-    @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=1, max_value=10 ** 4))
-    def test_matches_math_ceil(self, a, b):
-        assert ceil_div(a, b) == math.ceil(a / b)
-
-
-class TestPolyLogLog:
-    def test_monotone_in_n(self):
-        assert poly_log_log(10 ** 6, 2) >= poly_log_log(100, 2)
-
-    def test_tiny_n_is_finite(self):
-        assert poly_log_log(1, 3) > 0

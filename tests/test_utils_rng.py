@@ -36,31 +36,6 @@ class TestRngStream:
             != stream.for_edge("a", "b", "y").random()
         )
 
-    def test_child_stream_differs_from_parent(self):
-        stream = RngStream(3)
-        child = stream.child("phase-1")
-        assert child.seed != stream.seed
-        assert child.for_node(0).random() != stream.for_node(0).random()
-
-    def test_shuffled_is_permutation_and_deterministic(self):
-        stream = RngStream(9)
-        items = list(range(20))
-        first = stream.shuffled(items, "order")
-        second = stream.shuffled(items, "order")
-        assert first == second
-        assert sorted(first) == items
-
-    def test_choice_deterministic(self):
-        stream = RngStream(5)
-        assert stream.choice([1, 2, 3], "pick") == stream.choice([1, 2, 3], "pick")
-
-    def test_choice_empty_rejected(self):
-        import pytest
-
-        stream = RngStream(5)
-        with pytest.raises(ValueError):
-            stream.choice([], "pick")
-
     @given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=0, max_value=100))
     def test_node_stream_reproducible_property(self, seed, node):
         a = RngStream(seed).for_node(node).random()
