@@ -26,7 +26,7 @@ setup(
         "numpy",
     ],
     extras_require={
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        "test": ["pytest", "hypothesis"],
         "scale": ["scipy"],
     },
 )

@@ -82,6 +82,14 @@ def _load(loader, path: str):
         raise UserError(f"cannot read {path}: {reason}") from None
 
 
+def _check_budgets(args: argparse.Namespace, *names: str) -> None:
+    """Reject a negative percentage budget (an unset one is ``None``)."""
+    for name in names:
+        if (getattr(args, name) or 0) < 0:
+            raise UserError(f"--{name.replace('_', '-')} must be >= 0, "
+                            f"got {getattr(args, name):g}")
+
+
 def _coloring_rows(name: str, result) -> List[dict]:
     return [{
         "run": name,
@@ -390,6 +398,7 @@ def cmd_suite_compare(args: argparse.Namespace) -> int:
 
     if args.workers < 1:
         raise UserError(f"--workers must be >= 1, got {args.workers}")
+    _check_budgets(args, "max_regression", "timing_budget", "rss_budget")
     baseline = _load(load_suite_summary, args.baseline)
     fresh_timing = None
     wants_timing_artifact = (
@@ -556,6 +565,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
     from repro.experiments.compare import gate_passes
 
+    _check_budgets(args, "wall_budget", "rss_budget")
     report_dir = Path(args.dir)
 
     if args.target == "trend":

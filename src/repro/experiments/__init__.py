@@ -1,12 +1,12 @@
 """Experiment orchestration: declarative scenario suites, runner, artifacts, gate.
 
-The subsystem the benchmarks and the ``repro suite`` CLI are built on:
+The subsystem the ``repro suite`` CLI and the conformance tests are built on:
 
 * :mod:`repro.experiments.spec` — :class:`ScenarioSpec` and deterministic
   per-trial seed derivation;
 * :mod:`repro.experiments.registry` — graph families, solvers, and the named
-  suites (``smoke``, ``coloring``, ``bandwidth``, ``detection``, ``scaling``,
-  ``scale``);
+  suites (``smoke``, ``conformance``, ``scale``, ``robustness``,
+  ``massive``);
 * :mod:`repro.experiments.runner` — serial / process-parallel trial execution
   with results independent of worker count;
 * :mod:`repro.experiments.artifacts` — JSONL trial store plus the

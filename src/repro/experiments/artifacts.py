@@ -16,7 +16,7 @@ A suite run produces three files in the output directory:
   **multi-suite**: each run merges its own suite's entry into whatever the
   file already holds (``{"schema": ..., "suites": {name: {total_wall_s,
   scenarios}}}``), so one committed artifact can carry the wall-clock
-  baselines of ``smoke``, ``scaling`` and ``scale`` at once — that is the
+  baselines of ``smoke`` and ``scale`` at once — that is the
   file the opt-in ``--timing-budget`` soft gate diffs against.
 """
 

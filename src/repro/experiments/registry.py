@@ -14,17 +14,16 @@ executable trial:
   trial's network — tracing is observation-only, so trial metrics are
   byte-identical either way; the runner owns the tracer's lifecycle.
 * ``SUITES`` — the named scenario collections the CLI exposes
-  (``smoke``, ``coloring``, ``bandwidth``, ``detection``, ``scaling``,
-  ``scale``, ``robustness``, ``massive``).  The suites absorb the workloads of the
-  historical ``bench_e*`` scripts — scenarios tagged
-  ``e09``/``e11``/``e12``/``e16`` are the exact points those benchmarks now
-  resolve via :func:`get_suite`.  ``scale`` is the large-n workload
-  (n = 2 000 / 10 000 / 50 000); it runs single trials on the ``counters``
-  ledger so wall-clock and memory stay bounded.  ``robustness`` sweeps the
-  fault-intensity axis (:mod:`repro.faults`): drop/corruption rates, node
-  crashes and bandwidth throttling across d1lc/d1c on three families.
-  ``massive`` is the very-large-n workload (n up to 500 000 on
-  ``gnp_fast``/geometric/ring-of-cliques).
+  (``smoke``, ``conformance``, ``scale``, ``robustness``, ``massive``).
+  ``conformance`` sweeps the paper's quantitative claims over 20 seeds per
+  point; its tags (``e05``…``e16``) name the claim each point serves.
+  ``scale`` is the large-n workload (n = 2 000 / 10 000 / 50 000); it runs
+  single trials on the ``counters`` ledger so wall-clock and memory stay
+  bounded.  ``robustness`` sweeps the fault-intensity axis
+  (:mod:`repro.faults`): drop/corruption rates, node crashes and bandwidth
+  throttling across d1lc/d1c on three families.  ``massive`` is the
+  very-large-n workload (n up to 500 000 on ``gnp_fast``/geometric/
+  ring-of-cliques).
 """
 
 from __future__ import annotations
@@ -525,110 +524,106 @@ def _smoke_suite() -> List[ScenarioSpec]:
     ]
 
 
-def _coloring_suite() -> List[ScenarioSpec]:
-    """Pipeline vs baseline head-to-heads plus palette-structure variants (E11)."""
+def _conformance_suite() -> List[ScenarioSpec]:
+    """The paper's quantitative claims, each point swept over 20 trial seeds.
+
+    Trial 0 of a point takes the same seeds at any trial count, so it is the
+    row the tier-1 E-series tests assert on.  Tags name the experiment:
+    ``e11`` pipeline vs Johansson, ``e12`` hashed vs naive at a strict
+    budget, ``e05``/``e06`` triangle/4-cycle detection, ``e09``/``e10``/
+    ``e16`` rounds against n and degree, ``e07`` MultiTrial, ``e08`` the ACD.
+    """
     specs: List[ScenarioSpec] = []
+
+    def point(name: str, family: str, solver: str, **fields) -> None:
+        specs.append(ScenarioSpec(name, family, solver, trials=20, **fields))
+
     for n in (60, 120, 240, 480):
         family_params = {"n": n, "avg_degree": 8.0}
-        specs.append(ScenarioSpec(
-            f"d1c-gnp-n{n}", "gnp_avg_degree", "d1c",
-            family_params=family_params, seed=n, tags=("e11", "pipeline"),
-        ))
-        specs.append(ScenarioSpec(
-            f"johansson-gnp-n{n}", "gnp_avg_degree", "johansson",
-            family_params=family_params, seed=n, tags=("e11", "baseline"),
-        ))
-    specs.extend([
-        ScenarioSpec("delta-plus-one-gnp", "gnp", "delta_plus_one",
-                     family_params={"n": 120, "p": 0.1}),
-        ScenarioSpec("d1lc-huge-colorspace", "gnp", "d1lc",
-                     family_params={"n": 80, "p": 0.12},
-                     solver_params={"lists": "huge", "color_bits": 60}),
-        ScenarioSpec("d1lc-shared-pool", "gnp", "d1lc",
-                     family_params={"n": 80, "p": 0.12},
-                     solver_params={"lists": "shared_pool"}),
-        ScenarioSpec("d1c-local-mode", "gnp", "d1c",
-                     family_params={"n": 80, "p": 0.12}, mode="local"),
-        ScenarioSpec("d1c-uniform-impl", "gnp", "d1c",
-                     family_params={"n": 80, "p": 0.12},
-                     solver_params={"uniform": True}),
-    ])
-    return specs
+        point(f"d1c-gnp-n{n}", "gnp_avg_degree", "d1c",
+              family_params=family_params, seed=n, tags=("e11", "pipeline"))
+        point(f"johansson-gnp-n{n}", "gnp_avg_degree", "johansson",
+              family_params=family_params, seed=n, tags=("e11", "baseline"))
+    point("delta-plus-one-gnp", "gnp", "delta_plus_one",
+          family_params={"n": 120, "p": 0.1})
+    point("d1lc-huge-colorspace", "gnp", "d1lc",
+          family_params={"n": 80, "p": 0.12},
+          solver_params={"lists": "huge", "color_bits": 60})
+    point("d1lc-shared-pool", "gnp", "d1lc",
+          family_params={"n": 80, "p": 0.12},
+          solver_params={"lists": "shared_pool"})
+    point("d1c-local-mode", "gnp", "d1c",
+          family_params={"n": 80, "p": 0.12}, mode="local")
+    point("d1c-uniform-impl", "gnp", "d1c",
+          family_params={"n": 80, "p": 0.12}, solver_params={"uniform": True})
 
-
-def _bandwidth_suite() -> List[ScenarioSpec]:
-    """The hashed-vs-naive ablations at a strict budget (E12) plus regimes."""
-    specs: List[ScenarioSpec] = []
     for tries in (4, 16, 32):
         for variant in ("hashed", "naive"):
-            specs.append(ScenarioSpec(
-                f"multitrial-{variant}-x{tries}", "gnp", "multitrial",
-                family_params={"n": 100, "p": 0.12},
-                solver_params={"tries": tries, "variant": variant},
-                bandwidth_bits=_strict_budget(100), seed=12,
-                tags=("e12", "multitrial", variant),
-            ))
+            point(f"multitrial-{variant}-x{tries}", "gnp", "multitrial",
+                  family_params={"n": 100, "p": 0.12},
+                  solver_params={"tries": tries, "variant": variant},
+                  bandwidth_bits=_strict_budget(100), seed=12,
+                  tags=("e12", "multitrial", variant))
     for clique_size in (16, 32, 48):
         n = 3 * clique_size + 10
         for variant in ("hashed", "naive"):
-            specs.append(ScenarioSpec(
-                f"acd-{variant}-k{clique_size}", "planted_almost_cliques", "acd",
-                family_params={"num_cliques": 3, "clique_size": clique_size,
-                               "num_sparse": 10},
-                solver_params={"variant": variant},
-                bandwidth_bits=_strict_budget(n), seed=clique_size,
-                tags=("e12", "acd", variant),
-            ))
-    # Bandwidth regimes: the same workload under tight and loose budgets.
+            point(f"acd-{variant}-k{clique_size}", "planted_almost_cliques", "acd",
+                  family_params={"num_cliques": 3, "clique_size": clique_size,
+                                 "num_sparse": 10},
+                  solver_params={"variant": variant},
+                  bandwidth_bits=_strict_budget(n), seed=clique_size,
+                  tags=("e12", "acd", variant))
     for bits in (8, 32, 128):
-        specs.append(ScenarioSpec(
-            f"d1c-budget-{bits}b", "gnp", "d1c",
-            family_params={"n": 100, "p": 0.1}, bandwidth_bits=bits,
-            tags=("regimes",),
-        ))
-    return specs
+        point(f"d1c-budget-{bits}b", "gnp", "d1c",
+              family_params={"n": 100, "p": 0.1}, bandwidth_bits=bits,
+              tags=("regimes",))
 
-
-def _detection_suite() -> List[ScenarioSpec]:
-    """Triangle / 4-cycle detection sweeps (E5/E6 workloads)."""
-    specs: List[ScenarioSpec] = []
     for eps in (0.2, 0.3, 0.5):
-        specs.append(ScenarioSpec(
-            f"triangles-eps{eps}", "triangle_rich", "triangles",
-            family_params={"n": 100, "planted_cliques": 3, "clique_size": 12},
-            solver_params={"eps": eps}, tags=("e05",),
-        ))
-    specs.append(ScenarioSpec(
-        "triangles-locally-sparse", "locally_sparse", "triangles",
-        family_params={"n": 80, "degree": 6}, solver_params={"eps": 0.3},
-    ))
-    specs.append(ScenarioSpec(
-        "four-cycles", "four_cycle_rich", "four_cycles",
-        family_params={"n": 80, "planted_blocks": 2, "side_size": 8},
-        solver_params={"eps": 0.3}, tags=("e06",),
-    ))
-    return specs
+        point(f"triangles-eps{eps}", "triangle_rich", "triangles",
+              family_params={"n": 100, "planted_cliques": 3, "clique_size": 12},
+              solver_params={"eps": eps}, tags=("e05",))
+    point("triangles-locally-sparse", "locally_sparse", "triangles",
+          family_params={"n": 80, "degree": 6}, solver_params={"eps": 0.3})
+    point("four-cycles", "four_cycle_rich", "four_cycles",
+          family_params={"n": 80, "planted_blocks": 2, "side_size": 8},
+          solver_params={"eps": 0.3}, tags=("e06",))
+    for n, cliques in ((120, 3), (240, 4)):
+        point(f"e05-triangles-n{n}", "triangle_rich", "triangles",
+              family_params={"n": n, "background_p": 0.02,
+                             "planted_cliques": cliques, "clique_size": 14},
+              solver_params={"eps": 0.3}, seed=n, tags=("e05",))
+    for n, side in ((100, 9), (180, 11)):
+        point(f"e06-four-cycles-n{n}", "four_cycle_rich", "four_cycles",
+              family_params={"n": n, "background_p": 0.02,
+                             "planted_blocks": 2, "side_size": side},
+              solver_params={"eps": 0.3}, seed=n, tags=("e06",))
 
-
-def _scaling_suite() -> List[ScenarioSpec]:
-    """Round scaling with n across families (E9/E10) incl. the E16 workload."""
-    specs: List[ScenarioSpec] = []
     for n in (60, 120, 240):
-        tags = ("e09", "e16") if n == 240 else ("e09",)
-        specs.append(ScenarioSpec(
-            f"d1lc-gnp-n{n}", "gnp_avg_degree", "d1lc",
-            family_params={"n": n, "avg_degree": 10.0}, seed=n, tags=tags,
-        ))
-    specs.extend([
-        ScenarioSpec("d1lc-powerlaw-high-degree", "power_law", "d1lc",
-                     family_params={"n": 300, "attachment": 6}, tags=("e10",)),
-        ScenarioSpec("d1lc-random-regular", "random_regular", "d1lc",
-                     family_params={"n": 128, "degree": 8}),
-        ScenarioSpec("d1c-ring-of-cliques-large", "ring_of_cliques", "d1c",
-                     family_params={"num_cliques": 12, "clique_size": 8}),
-        ScenarioSpec("d1lc-geometric-large", "random_geometric", "d1lc",
-                     family_params={"n": 200, "radius": 0.12}),
-    ])
+        point(f"d1lc-gnp-n{n}", "gnp_avg_degree", "d1lc",
+              family_params={"n": n, "avg_degree": 10.0}, seed=n,
+              tags=("e09", "e16") if n == 240 else ("e09",))
+    point("d1lc-powerlaw-high-degree", "power_law", "d1lc",
+          family_params={"n": 300, "attachment": 6}, tags=("e10",))
+    point("d1lc-random-regular", "random_regular", "d1lc",
+          family_params={"n": 128, "degree": 8})
+    point("d1c-ring-of-cliques-large", "ring_of_cliques", "d1c",
+          family_params={"num_cliques": 12, "clique_size": 8})
+    point("d1lc-geometric-large", "random_geometric", "d1lc",
+          family_params={"n": 200, "radius": 0.12})
+    for p in (0.08, 0.16, 0.32, 0.5):
+        point(f"e10-d1c-gnp-p{int(p * 100)}", "gnp", "d1c",
+              family_params={"n": 100, "p": p}, seed=int(p * 100),
+              tags=("e10",))
+
+    for tries in (1, 16):
+        point(f"e07-multitrial-x{tries}", "gnp", "multitrial",
+              family_params={"n": 120, "p": 0.1}, solver_params={"tries": tries},
+              seed=7, tags=("e07",))
+    for cliques, size in ((3, 14), (4, 20)):
+        point(f"e08-acd-{cliques}x{size}", "planted_almost_cliques", "acd",
+              family_params={"num_cliques": cliques, "clique_size": size,
+                             "num_sparse": 2 * cliques},
+              seed=size, tags=("e08",))
     return specs
 
 
@@ -755,10 +750,7 @@ def _massive_suite() -> List[ScenarioSpec]:
 
 _SUITE_BUILDERS: Dict[str, Callable[[], List[ScenarioSpec]]] = {
     "smoke": _smoke_suite,
-    "coloring": _coloring_suite,
-    "bandwidth": _bandwidth_suite,
-    "detection": _detection_suite,
-    "scaling": _scaling_suite,
+    "conformance": _conformance_suite,
     "scale": _scale_suite,
     "robustness": _robustness_suite,
     "massive": _massive_suite,

@@ -1,10 +1,8 @@
-"""Plain-text table formatting for the benchmark harness.
+"""Plain-text tables and the summary statistics of suite aggregates.
 
-``pytest-benchmark`` measures wall-clock time; the quantities the paper talks
-about (rounds, bits, success probabilities, accuracy) are printed by the
-benchmarks themselves using these helpers, so that running
-``pytest benchmarks/ --benchmark-only`` reproduces the series recorded in
-EXPERIMENTS.md.
+:func:`format_table` renders the CLI's and the examples' tables;
+:func:`aggregate_rows` and :func:`summary_stats` reduce a scenario's trial
+rows to the mean/median/p95/min/max columns of ``BENCH_*.json``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Shared fixtures for the test suite.
 
 Graphs are kept deliberately small so the whole suite runs in a couple of
-minutes; the benchmarks (``benchmarks/``) are where the larger sweeps live.
+minutes; the ``conformance`` suite (``repro suite run conformance``) is where
+the larger sweeps live.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ COMMANDS = [
     "color", "baseline", "acd", "triangles", "suite list", "suite list smoke",
     "suite run smoke --progress --trace {t}/a --digest {t}/a --out {t}/a",
     "suite run smoke --backend dict --out {t}/dict",
-    *(f"suite run {suite} --out {{t}}/{suite}"
-      for suite in ("robustness", "coloring", "detection", "scaling", "bandwidth")),
+    "suite run robustness --out {t}/robustness",
+    "suite run conformance --trials 1 --out {t}/conformance",
     f"suite run {SCALE} --out {{t}}/scale", f"suite run {SCALE} --profile --out {{t}}/scale",
     "suite compare --fresh {t}/dict/BENCH_suite.json",
     "suite compare --baseline BENCH_forensics.json --fresh {t}/a/BENCH_suite.json",

@@ -72,7 +72,7 @@ class TestSuiteCommands:
     def test_suite_list_all(self, capsys):
         assert main(["suite", "list"]) == 0
         out = capsys.readouterr().out
-        for name in ("smoke", "coloring", "bandwidth", "detection", "scaling"):
+        for name in ("conformance", "massive", "robustness", "scale", "smoke"):
             assert name in out
 
     def test_suite_list_one(self, capsys):
@@ -270,6 +270,16 @@ USER_ERRORS = {
                               "--fresh", "{tmp}/missing.json"],
     "compare-non-json-fresh": ["suite", "compare", "--baseline", "{bench}",
                                "--fresh", "{tmp}/bad.json"],
+    "compare-negative-max-regression": ["suite", "compare", "--baseline", "{bench}",
+                                        "--fresh", "{bench}", "--max-regression", "-5"],
+    "compare-negative-timing-budget": ["suite", "compare", "--baseline", "{bench}",
+                                       "--fresh", "{bench}", "--timing-budget", "-5"],
+    "compare-negative-rss-budget": ["suite", "compare", "--baseline", "{bench}",
+                                    "--fresh", "{bench}", "--rss-budget", "-5"],
+    "report-negative-wall-budget": ["report", "trend", "--dir", "{tmp}",
+                                    "--wall-budget", "-50"],
+    "report-negative-rss-budget": ["report", "trend", "--dir", "{tmp}",
+                                   "--rss-budget", "-5"],
     "compare-zero-workers": ["suite", "compare", "--baseline", "{bench}",
                              "--fresh", "{bench}", "--workers", "0"],
     "suite-run-zero-workers": ["suite", "run", "smoke", "--workers", "0",

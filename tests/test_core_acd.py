@@ -116,3 +116,36 @@ class TestUniformACD:
         net = Network(planted_graph)
         compute_acd(net, params)
         assert net.ledger.max_edge_bits <= net.bandwidth_bits
+
+
+def test_planted_recovery_and_flat_rounds():
+    """Section 4.2 (E8): on 3x14 and 4x20 planted cliques, both buddy tests
+    recover >= 60% of the planted cliques with a Definition 6-clean output,
+    and the EstimateSimilarity ACD gains at most 10 rounds from 3x14 to 4x20."""
+    rounds = {}
+    for uniform in (False, True):
+        params = ColoringParameters.small(seed=8, uniform=uniform)
+        for num_cliques, clique_size in ((3, 14), (4, 20)):
+            planted = planted_almost_cliques(
+                num_cliques=num_cliques, clique_size=clique_size,
+                num_sparse=2 * num_cliques, seed=clique_size,
+            )
+            acd = compute_acd(Network(planted.graph), params)
+            report = validate_acd(
+                planted.graph,
+                sparse_nodes=acd.sparse_nodes,
+                uneven_nodes=acd.uneven_nodes,
+                almost_cliques=list(acd.cliques.values()),
+                eps_sparse=params.sparsity_eps,
+                eps_clique=2 * params.acd_eps,
+            )
+            recovered = sum(
+                max((len(members & truth) / len(truth)
+                     for members in acd.cliques.values()), default=0.0) >= 0.8
+                for truth in planted.cliques
+            ) / len(planted.cliques)
+            assert round(recovered, 2) >= 0.6
+            assert acd_report_is_clean(report)
+            rounds.setdefault(uniform, []).append(acd.rounds_used)
+    similarity = rounds[False]
+    assert similarity[-1] <= similarity[0] + 10

@@ -139,6 +139,20 @@ class TestRoundComplexityShape:
         large_deg = solve_d1c(gnp_graph(60, 0.4, seed=1), seed=1).randomized_rounds
         assert large_deg <= 2.5 * max(1, small_deg)
 
+    def test_high_degree_regime_on_gnp_100(self):
+        """Theorem 1 (E10): on gnp(100, p) with seed ⌊100p⌋, raising p from
+        0.08 to 0.5 at most doubles the randomized rounds and adds at most 5
+        fallback nodes.  This is one seed; the conformance suite's
+        ``e10-d1c-gnp-p*`` points pin the 20-seed curve."""
+        rows = []
+        for p in (0.08, 0.16, 0.32, 0.5):
+            result = solve_d1c(gnp_graph(100, p, seed=int(p * 100)),
+                               params=ColoringParameters.small(seed=int(p * 100)))
+            assert result.is_valid, p
+            rows.append(result)
+        assert rows[-1].randomized_rounds <= 2.0 * max(1, rows[0].randomized_rounds)
+        assert rows[-1].fallback_nodes <= rows[0].fallback_nodes + 5
+
     def test_dense_graph_beats_naive_color_broadcast_bound(self, planted_graph):
         """Rounds stay far below Δ (what a neighborhood-exchange ACD would cost)."""
         result = solve_d1c(planted_graph, seed=3)

@@ -6,6 +6,7 @@ import pytest
 from repro.congest import Network
 from repro.core import ColoringInstance, ColoringParameters
 from repro.core.acd import compute_acd
+from repro.core.dense_phase import run_dense_phase
 from repro.core.leader import select_leaders
 from repro.core.putaside import color_put_aside, compute_put_aside
 from repro.core.slack import generate_slack
@@ -76,6 +77,35 @@ class TestLeaderSelection:
         _, _, _, leaders = dense_setup
         assert all(info.low_slack for info in leaders.values())
 
+    @pytest.mark.parametrize("dropout", [0.05, 0.15])
+    def test_leader_after_slack_generation(self, dropout):
+        """Lemma 12 (E14): with slack generated first, on 3 planted 18-cliques
+        the leader exactly minimises e + a + κ and every clique is low-slack."""
+        planted = planted_almost_cliques(
+            num_cliques=3, clique_size=18, num_sparse=8, dropout=dropout,
+            seed=int(dropout * 100),
+        )
+        graph = planted.graph
+        params = ColoringParameters.small(seed=14)
+        network = Network(graph)
+        state = ColoringState(
+            ColoringInstance.d1lc(graph, degree_plus_one_lists(graph, seed=1)),
+            network, params,
+        )
+        acd = compute_acd(network, params)
+        generate_slack(state)
+        leaders = select_leaders(state, acd)
+        for cid, info in leaders.items():
+            members = acd.cliques[cid]
+
+            def aggregate(v):
+                neighbors = network.neighbors(v)
+                return (len(neighbors - members)
+                        + max(0, len(members) - 1 - len(neighbors & members))
+                        + state.chromatic_slack[v])
+            assert aggregate(info.leader) == min(aggregate(v) for v in members)
+            assert info.low_slack
+
     def test_empty_acd_gives_no_leaders(self, gnp_small, small_params):
         instance = ColoringInstance.d1c(gnp_small)
         network = Network(gnp_small)
@@ -124,6 +154,39 @@ class TestPutAside:
         colored = color_put_aside(state, leaders, put_aside)
         all_put_aside = set().union(*put_aside.values()) if put_aside else set()
         assert colored == all_put_aside
+        assert state.report().is_proper
+
+    @pytest.mark.parametrize("clique_size", [16, 24])
+    def test_put_aside_through_the_dense_phase(self, clique_size):
+        """Algorithm 13 (E15): on 3 planted cliques, the mean put-aside set is
+        at most 2ℓ + 1, put-aside sets of different cliques are non-adjacent,
+        and the dense phase colors every put-aside node properly."""
+        planted = planted_almost_cliques(
+            num_cliques=3, clique_size=clique_size, num_sparse=6, seed=clique_size
+        )
+        graph = planted.graph
+        params = ColoringParameters.small(seed=15)
+        network = Network(graph)
+        state = ColoringState(
+            ColoringInstance.d1lc(graph, degree_plus_one_lists(graph, seed=2)),
+            network, params,
+        )
+        acd = compute_acd(network, params)
+        leaders = select_leaders(state, acd)
+        generate_slack(state, acd.dense_nodes)
+        put_aside = compute_put_aside(state, leaders)
+        ell = params.ell(state.instance.max_degree())
+        mean_size = sum(len(m) for m in put_aside.values()) / max(1, len(put_aside))
+        assert round(mean_size, 1) <= round(2 * ell, 1) + 1
+        for cid, members in put_aside.items():
+            for other_cid, other_members in put_aside.items():
+                if cid != other_cid:
+                    assert not any(network.neighbors(v) & other_members
+                                   for v in members)
+
+        outcome = run_dense_phase(state, acd)
+        put_aside_nodes = set().union(*outcome.put_aside.values()) if outcome.put_aside else set()
+        assert all(state.is_colored(v) for v in put_aside_nodes)
         assert state.report().is_proper
 
     def test_no_low_slack_cliques_gives_empty_result(self, gnp_small, small_params):

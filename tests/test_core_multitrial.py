@@ -7,7 +7,12 @@ from repro.congest import Network
 from repro.core import ColoringInstance, ColoringParameters
 from repro.core.multitrial import multi_trial
 from repro.core.state import ColoringState
-from repro.graphs import degree_plus_one_lists, huge_color_space_lists, numeric_degree_lists
+from repro.graphs import (
+    degree_plus_one_lists,
+    gnp_graph,
+    huge_color_space_lists,
+    numeric_degree_lists,
+)
 
 
 def make_state(graph, lists=None, extra=8, uniform=False, seed=1):
@@ -121,3 +126,22 @@ class TestMultiTrialProgress:
             multi_trial(state, 8)
         assert len(state.uncolored_nodes()) <= 0.05 * gnp_small.number_of_nodes()
         assert state.report().is_proper
+
+
+@pytest.mark.parametrize("uniform", [False, True], ids=["representative", "uniform"])
+def test_lemma6_success_series(uniform):
+    """Lemma 6 (E7): on gnp(120, 0.1) with 3Δ extra colors, one invocation
+    with x = 16 colors >= 85% of nodes, no x in 1..16 beats x = 16 by more
+    than 0.05, and every invocation takes at most 30 rounds."""
+    graph = gnp_graph(120, 0.1, seed=7)
+    delta = max(d for _, d in graph.degree())
+    fractions, rounds = [], []
+    for tries in (1, 2, 4, 8, 16):
+        state = make_state(graph, extra=3 * delta, uniform=uniform, seed=100 + tries)
+        before = state.network.rounds_used
+        colored = multi_trial(state, tries)
+        fractions.append(round(len(colored) / graph.number_of_nodes(), 3))
+        rounds.append(state.network.rounds_used - before)
+    assert fractions[-1] >= 0.85
+    assert fractions[-1] >= fractions[0] - 0.05
+    assert all(r <= 30 for r in rounds)

@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.congest import TRANSPORT_BACKENDS
 from repro.experiments import (
     Finding,
     GRAPH_FAMILIES,
@@ -38,6 +40,8 @@ from repro.experiments.compare import HIGHER_IS_WORSE
 from repro.metrics.report import aggregate_rows, mean, median, percentile, summary_stats
 
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
 TINY_SPECS = [
     ScenarioSpec("tiny-d1c", "gnp", "d1c", family_params={"n": 30, "p": 0.15}, trials=2),
     ScenarioSpec("tiny-johansson", "gnp", "johansson",
@@ -48,13 +52,11 @@ TINY_SPECS = [
 class TestRegistry:
     def test_expected_suites_exist(self):
         assert suite_names() == [
-            "bandwidth", "coloring", "detection", "massive", "robustness",
-            "scale", "scaling", "smoke"
+            "conformance", "massive", "robustness", "scale", "smoke"
         ]
 
     @pytest.mark.parametrize(
-        "name", ["bandwidth", "coloring", "detection", "massive", "robustness",
-                 "scale", "scaling", "smoke"])
+        "name", ["conformance", "massive", "robustness", "scale", "smoke"])
     def test_every_suite_resolves_and_validates(self, name):
         specs = get_suite(name)
         assert specs
@@ -67,6 +69,17 @@ class TestRegistry:
         for name in suite_names():
             names = [spec.name for spec in get_suite(name)]
             assert len(names) == len(set(names))
+
+    def test_committed_conformance_baseline_matches_the_registry(self):
+        """A stale BENCH_conformance.json fails here before CI's cmp does."""
+        baseline = load_suite_summary(REPO_ROOT / "BENCH_conformance.json")
+        specs = get_suite("conformance")
+        assert baseline["suite"] == "conformance"
+        assert sorted(baseline["scenarios"]) == sorted(s.name for s in specs)
+        for spec in specs:
+            entry = baseline["scenarios"][spec.name]
+            assert entry["trials"] == spec.trials >= 20, spec.name
+            assert entry["valid_trials"] == entry["trials"], spec.name
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -618,3 +631,66 @@ class TestPeakRss:
         data = load_suite_timing(path)
         assert "peak_rss_mb" not in data["suites"]["legacy"]
         assert data["suites"]["fresh"]["peak_rss_mb"] == {"b": 64.0}
+
+
+def run_tagged(tag, **overrides):
+    """Trial 0 of every conformance point tagged ``tag``, by scenario name.
+
+    Trial 0 takes the same seeds whatever the trial count, so these rows are
+    the first of each point's 20 in the committed baseline.
+    """
+    specs = [dataclasses.replace(spec, trials=1, **overrides)
+             for spec in get_suite("conformance") if tag in spec.tags]
+    result = run_scenarios(specs, suite="conformance")
+    return specs, {spec.name: result.rows_for(spec.name)[0] for spec in specs}
+
+
+class TestConformanceClaims:
+    def test_d1lc_rounds_flat_in_n(self):
+        """Theorem 1 (E9): D1LC on gnp at n = 60/120/240 is valid and within
+        the per-edge budget, and quadrupling n at most 2.5x the randomized
+        rounds (poly(log log n) growth is invisible at these sizes)."""
+        specs, rows = run_tagged("e09")
+        rows = [rows[spec.name] for spec in specs]
+        assert all(row["valid"] for row in rows)
+        assert all(row["max_edge_bits"] <= row["bandwidth_bits"] for row in rows)
+        assert rows[-1]["randomized_rounds"] <= 2.5 * max(1, rows[0]["randomized_rounds"])
+
+    def test_d1c_pipeline_grows_no_faster_than_johansson(self):
+        """Corollary 1 (E11): from n = 60 to 480 the pipeline's randomized
+        rounds grow by at most the Johansson baseline's growth plus 1."""
+        specs, rows = run_tagged("e11")
+        by_n = {}
+        for spec in specs:
+            kind = "pipeline" if "pipeline" in spec.tags else "baseline"
+            row = rows[spec.name]
+            by_n.setdefault(row["n"], {})[kind] = row
+        pairs = [by_n[n] for n in sorted(by_n)]
+        assert all(p["pipeline"]["valid"] and p["baseline"]["valid"] for p in pairs)
+        pipeline_growth = (pairs[-1]["pipeline"]["randomized_rounds"]
+                           / max(1, pairs[0]["pipeline"]["randomized_rounds"]))
+        baseline_growth = (pairs[-1]["baseline"]["rounds"]
+                           / max(1, pairs[0]["baseline"]["rounds"]))
+        assert pipeline_growth <= baseline_growth + 1.0
+
+    @pytest.mark.parametrize("backend", TRANSPORT_BACKENDS)
+    def test_hashed_primitives_beat_naive_growth(self, backend):
+        """Sections 4.1-4.2 (E12), at a strict log n budget: hashed
+        MultiTrial rounds grow no more than the naive ones from x = 4 to 32,
+        and hashed ACD bits/edge grow at most 0.5 more than naive from
+        k = 16 to 48."""
+        specs, rows = run_tagged("e12", backend=backend)
+
+        def series(kind):
+            return ([rows[s.name] for s in specs if kind in s.tags and "hashed" in s.tags],
+                    [rows[s.name] for s in specs if kind in s.tags and "naive" in s.tags])
+
+        hashed, naive = series("multitrial")
+        assert (hashed[-1]["rounds"] - hashed[0]["rounds"]
+                <= naive[-1]["rounds"] - naive[0]["rounds"])
+        hashed, naive = series("acd")
+        naive_bits_growth = (round(naive[-1]["bits_per_edge"])
+                             / max(1, round(naive[0]["bits_per_edge"])))
+        hashed_bits_growth = (round(hashed[-1]["bits_per_edge"])
+                              / max(1, round(hashed[0]["bits_per_edge"])))
+        assert hashed_bits_growth <= naive_bits_growth + 0.5

@@ -127,7 +127,8 @@ class TestLemma1Statistics:
 
     This mirrors Claim 1: for fixed sets A, B, most members of the family
     should report a low part of size close to sigma*|A|/lambda and few
-    collisions.  The benchmark E1 sweeps this more extensively.
+    collisions.  ``test_lemma1_good_fraction_across_size_regimes`` sweeps
+    this more extensively.
     """
 
     def setup_method(self):
@@ -174,6 +175,39 @@ class TestLemma1Statistics:
         for _ in range(20):
             h = self.family.member(self.family.sample_index(rng))
             assert len(low_part(h, a, sigma)) <= max(cap, 3 * sigma * len(a) / self.lam + 5)
+
+
+def test_lemma1_good_fraction_across_size_regimes():
+    """Claim 1 (E1): at least a 1 - ν share of members is (A, B)-good.
+
+    Good means both Lemma 1 properties hold at once, for |A| above, at and
+    below the αλ threshold.  The 0.15 allowance covers the capped
+    simulation-scale family.
+    """
+    alpha, beta, nu, lam, trials = 0.05, 0.25, 0.1, 4000, 60
+    family = RepresentativeHashFamily(
+        universe_label="e1", universe_size=10 ** 9, lam=lam,
+        alpha=alpha, beta=beta, nu=nu, seed=1,
+    )
+    sigma = family.sigma
+    rng = random.Random(0)
+    for size_a in (int(4 * alpha * lam), int(alpha * lam), int(alpha * lam / 4)):
+        a = set(range(size_a))
+        b = set(range(size_a // 2, size_a // 2 + int(beta * lam * 0.8)))
+        good = 0
+        for _ in range(trials):
+            h = family.member(family.sample_index(rng))
+            low = len(low_part(h, a, sigma))
+            collisions = len(colliding_part(h, a, b, sigma))
+            if size_a >= alpha * lam:
+                expected = sigma * size_a / lam
+                size_ok = abs(low - expected) <= beta * expected
+                coll_ok = collisions <= 2 * beta * expected
+            else:
+                size_ok = low <= sigma * alpha * (1 + beta)
+                coll_ok = collisions <= 2 * sigma * alpha * beta + 2
+            good += size_ok and coll_ok
+        assert round(good / trials, 3) >= 1 - nu - 0.15, size_a
 
 
 class TestElementKeyTypeSensitivity:

@@ -138,3 +138,32 @@ class TestWithRepresentativeFamily:
         expected = family.sigma * len(elements) / family.lam
         observed = len(low_part(h, elements, family.sigma))
         assert 0.5 * expected <= observed <= 2.0 * expected
+
+    def test_figures_1_2_part_sizes(self):
+        """Figures 1-2 (E13): mean |A|_h| over random members is within 35%
+        of σ|A|/λ, and the colliding and unique parts partition it.
+
+        The three figures share one member stream, in this order.  Averages
+        are rounded to one decimal, hence the 0.3 slack.
+        """
+        lam, trials = 20000, 40
+        family = RepresentativeHashFamily(
+            universe_label="e13", universe_size=10 ** 9, lam=lam,
+            alpha=0.05, beta=0.25, nu=0.1, seed=13,
+        )
+        sigma = family.sigma
+        rng = random.Random(0)
+        a = set(range(500))
+        for b in (set(range(500)), set(range(250, 750)), set(range(450, 950))):
+            low_sizes, collide_sizes, unique_sizes = [], [], []
+            for _ in range(trials):
+                h = family.member(family.sample_index(rng))
+                low_sizes.append(len(low_part(h, a, sigma)))
+                collide_sizes.append(len(colliding_part(h, a, b, sigma)))
+                unique_sizes.append(len(unique_part(h, a, b, sigma)))
+            predicted_low = round(sigma * len(a) / lam, 1)
+            low = round(sum(low_sizes) / trials, 1)
+            collide = round(sum(collide_sizes) / trials, 1)
+            unique = round(sum(unique_sizes) / trials, 1)
+            assert abs(low - predicted_low) <= 0.35 * predicted_low
+            assert abs(collide + unique - low) <= 0.3

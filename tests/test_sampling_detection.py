@@ -78,6 +78,34 @@ class TestTriangleDetection:
         assert not result.flagged
 
 
+    def test_planted_recall_precision_and_flat_rounds(self):
+        """Theorem 2 (E5): at ε = 0.3, 80% recall on edges in >= 2εΔ
+        triangles, at most 10% false alarms on edges in <= εΔ/4, and no
+        round growth from n = 120 to n = 240."""
+        eps = 0.3
+        rounds = []
+        for n, cliques in ((120, 3), (240, 4)):
+            planted = triangle_rich_graph(
+                n=n, background_p=0.02, planted_cliques=cliques, clique_size=14, seed=n
+            )
+            net = Network(planted.graph)
+            result = detect_triangle_rich_edges(net, eps=eps, seed=n)
+            hits = false_alarms = rich = poor = 0
+            for u, v in planted.graph.edges():
+                count = true_triangle_count(net, u, v)
+                flagged = result.is_flagged(u, v)
+                if count >= 2 * result.threshold:
+                    rich += 1
+                    hits += flagged
+                elif count <= 0.25 * result.threshold:
+                    poor += 1
+                    false_alarms += flagged
+            assert round(hits / max(1, rich), 3) >= 0.8, n
+            assert round(false_alarms / max(1, poor), 3) <= 0.1, n
+            rounds.append(result.rounds_used)
+        assert rounds[-1] <= rounds[0] + 5
+
+
 class TestFourCycleDetection:
     def test_bipartite_block_wedges_flagged(self):
         g = nx.complete_bipartite_graph(8, 8)
@@ -108,6 +136,28 @@ class TestFourCycleDetection:
             1 for (center, u, w) in result.flagged if center in planted.rich_centers
         )
         assert rich_hits >= 0.5 * max(1, len(result.flagged))
+
+    @pytest.mark.parametrize("n, side", [(100, 9), (180, 11)])
+    def test_planted_recall_and_precision(self, n, side):
+        """Theorem 3 (E6): at ε = 0.3, 70% recall on wedges in >= 2εΔ
+        4-cycles and at most 10% false alarms on wedges in <= εΔ/4."""
+        planted = four_cycle_rich_graph(
+            n=n, background_p=0.02, planted_blocks=2, side_size=side, seed=n
+        )
+        net = Network(planted.graph)
+        result = detect_four_cycle_rich_pairs(net, eps=0.3, seed=n)
+        hits = false_alarms = rich = poor = 0
+        for (center, u, w) in result.estimates:
+            count = true_four_cycle_count(net, center, u, w)
+            flagged = (center, u, w) in result.flagged
+            if count >= 2 * result.threshold:
+                rich += 1
+                hits += flagged
+            elif count <= 0.25 * result.threshold:
+                poor += 1
+                false_alarms += flagged
+        assert round(hits / max(1, rich), 3) >= 0.7
+        assert round(false_alarms / max(1, poor), 3) <= 0.1
 
     def test_estimates_cover_all_wedges_of_requested_nodes(self):
         g = nx.star_graph(5)

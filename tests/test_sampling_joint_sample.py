@@ -8,10 +8,10 @@ from repro.sampling import SimilarityParameters, joint_sample, joint_sample_many
 from repro.sampling.joint_sample import agreement_rate
 
 
-def overlapping_sets(size: int, overlap: int):
+def overlapping_sets(size: int, overlap: int, offset: int = 10_000):
     shared = set(range(overlap))
-    left = shared | {10_000 + i for i in range(size - overlap)}
-    right = shared | {20_000 + i for i in range(size - overlap)}
+    left = shared | {offset + i for i in range(size - overlap)}
+    right = shared | {2 * offset + i for i in range(size - overlap)}
     return left, right
 
 
@@ -38,6 +38,20 @@ class TestJointSample:
         # Lemma 3 promises >= 1 - 5eps/4 - nu = 0.525 for eps=0.3, nu=0.1;
         # in practice the rate is much higher.
         assert rate >= 0.5
+
+    @pytest.mark.parametrize("overlap_fraction", [0.9, 0.6, 0.3])
+    def test_lemma3_agreement_above_eps_threshold(self, overlap_fraction):
+        """Lemma 3 (E3): intersections of at least ε·max agree w.p. >= 1 - 5ε/4 - ν.
+
+        The 0.1 allowance is for the 40-run estimate of that probability.
+        """
+        eps, nu, size = 0.3, 0.1, 500
+        overlap = int(overlap_fraction * size)
+        assert overlap >= eps * size
+        left, right = overlapping_sets(size, overlap, offset=10 ** 6)
+        params = SimilarityParameters(eps=eps, nu=nu, max_scale=4, sigma_cap=4096, seed=2)
+        rate = agreement_rate(left, right, trials=40, params=params, seed=3)
+        assert round(rate, 3) >= round(1 - 5 * eps / 4 - nu, 3) - 0.1
 
     def test_tiny_intersection_rarely_agrees_on_shared_element(self):
         left, right = overlapping_sets(400, 4)

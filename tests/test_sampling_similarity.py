@@ -8,11 +8,14 @@ from repro.congest import Network
 from repro.sampling import SimilarityParameters, estimate_similarity, estimate_similarity_on_edges
 
 
-def overlapping_sets(size: int, overlap: int):
-    """Two sets of the given size sharing exactly ``overlap`` elements."""
+def overlapping_sets(size: int, overlap: int, offset: int = 10_000):
+    """Two sets of the given size sharing exactly ``overlap`` elements.
+
+    The private elements start at ``offset`` and ``2 * offset``.
+    """
     shared = set(range(overlap))
-    left = shared | {10_000 + i for i in range(size - overlap)}
-    right = shared | {20_000 + i for i in range(size - overlap)}
+    left = shared | {offset + i for i in range(size - overlap)}
+    right = shared | {2 * offset + i for i in range(size - overlap)}
     return left, right
 
 
@@ -79,6 +82,34 @@ class TestTwoPartyEstimate:
             if result.error_against(250) <= 0.3 * 500:
                 good += 1
         assert good >= 0.8 * trials
+
+    @pytest.mark.parametrize("eps", [0.5, 0.3, 0.2])
+    @pytest.mark.parametrize("overlap_fraction", [0.75, 0.5, 0.25, 0.05])
+    def test_lemma2_accuracy_sweep(self, eps, overlap_fraction):
+        """Lemma 2 (E2): at least 80% of 20 runs land within ε·max(|Su|,|Sv|)."""
+        size, trials = 600, 20
+        overlap = int(overlap_fraction * size)
+        left, right = overlapping_sets(size, overlap, offset=10 ** 6)
+        params = SimilarityParameters(eps=eps, nu=0.1, max_scale=4, sigma_cap=4096, seed=1)
+        within = sum(
+            abs(estimate_similarity(left, right, params, rng=random.Random(trial)).estimate
+                - overlap) <= eps * size
+            for trial in range(trials)
+        )
+        assert round(within / trials, 2) >= 0.8
+
+    def test_bits_do_not_shrink_as_eps_tightens(self):
+        """Lemma 2 (E2): the message cost grows as ε shrinks (the ε^-4 term)."""
+        left, right = overlapping_sets(600, 450, offset=10 ** 6)
+        bits = {
+            eps: estimate_similarity(
+                left, right,
+                SimilarityParameters(eps=eps, nu=0.1, max_scale=4, sigma_cap=4096, seed=1),
+                rng=random.Random(0),
+            ).bits_exchanged
+            for eps in (0.5, 0.2)
+        }
+        assert bits[0.2] >= bits[0.5]
 
     def test_bits_exchanged_matches_sigma_and_index(self):
         left, right = overlapping_sets(size=300, overlap=100)

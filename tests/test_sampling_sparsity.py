@@ -6,7 +6,12 @@ import networkx as nx
 import pytest
 
 from repro.congest import Network
-from repro.graphs import exact_global_sparsity, exact_local_sparsity
+from repro.graphs import (
+    exact_global_sparsity,
+    exact_local_sparsity,
+    gnp_graph,
+    planted_almost_cliques,
+)
 from repro.sampling import (
     SimilarityParameters,
     estimate_global_sparsity,
@@ -114,3 +119,35 @@ class TestLocalSparsity:
         params = SimilarityParameters.practical(eps=0.2, seed=9)
         result = estimate_local_sparsity(net, params=params, seed=9)
         assert set(result.estimates) == set(gnp_small.nodes())
+
+
+@pytest.mark.parametrize("make_graph", [
+    lambda: gnp_graph(100, 0.1, seed=4),
+    lambda: planted_almost_cliques(3, 16, num_sparse=20, seed=4).graph,
+], ids=["gnp-100-0.1", "planted-cliques"])
+def test_lemmas_4_5_accuracy_and_rounds(make_graph):
+    """Lemmas 4-5 (E4): at ε = 0.4, 90% of global and 80% of reliable local
+    estimates land in their windows, and the global pass is O(1) rounds.
+
+    Both estimates run on one network, global first.
+    """
+    eps = 0.4
+    graph = make_graph()
+    net = Network(graph)
+    global_est = estimate_global_sparsity(net, eps=eps, seed=5)
+    delta = max(d for _, d in graph.degree())
+    within_global = sum(
+        1 for v in graph.nodes()
+        if abs(global_est[v] - exact_global_sparsity(graph, v)) <= eps * delta
+    ) / graph.number_of_nodes()
+
+    local_est = estimate_local_sparsity(net, eps=eps, seed=6)
+    reliable = [v for v in graph.nodes() if local_est.reliable[v] and graph.degree(v) > 0]
+    within_local = sum(
+        1 for v in reliable
+        if abs(local_est[v] - exact_local_sparsity(graph, v)) <= eps * graph.degree(v) + 1
+    ) / max(1, len(reliable))
+
+    assert round(within_global, 3) >= 0.9
+    assert round(within_local, 3) >= 0.8
+    assert global_est.rounds_used <= 40

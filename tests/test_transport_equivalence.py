@@ -11,6 +11,8 @@ through ``Network.exchange`` rounds under every fault axis.
 """
 
 import inspect
+import time
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -20,6 +22,7 @@ from repro.congest import BandwidthExceeded, Message, Network, ProtocolError
 from repro.congest.columnar.transport import ColumnarTransport
 from repro.congest.transport import EMPTY_INBOX, DictTransport, Transport
 from repro.core import solve_d1c, solve_d1lc
+from repro.experiments import get_suite, run_trial
 from repro.faults.transport import FaultyTransport
 from repro.graphs import (
     degree_plus_one_lists,
@@ -247,6 +250,39 @@ class TestEndToEndEquivalence:
             outputs.append(program.output)
         assert all(out == outputs[0] for out in outputs[1:])
         assert_identical_ledgers(*nets)
+
+    def test_conformance_e16_trial_identical_across_backends(self):
+        """E16: trial 0 of the conformance suite's n=240 D1LC point gives the
+        same row on both backends, down to the coloring fingerprint."""
+        (spec,) = [s for s in get_suite("conformance") if "e16" in s.tags]
+        rows = {b: run_trial(replace(spec, backend=b, trials=1), 0) for b in BACKENDS}
+        for key in ("valid", "rounds", "total_bits", "max_edge_bits",
+                    "colors_used", "coloring_sha"):
+            for backend in FAST_BACKENDS:
+                assert rows[backend][key] == rows["dict"][key], (key, backend)
+
+
+def test_columnar_primitives_at_most_1_5x_dict_wall_clock():
+    """E16: 60 broadcast+exchange rounds on gnp(240, 10/240) charge identical
+    ledgers, and the columnar backend takes at most 1.5x the dict time."""
+    graph = gnp_graph(240, 10 / 240, seed=240)
+    timings, ledgers = {}, {}
+    for backend in BACKENDS:
+        network = Network(graph, bandwidth_bits=256, backend=backend)
+        payloads = {v: Message(content=v, bits=8, label="micro") for v in network.nodes}
+        start = time.perf_counter()
+        for _ in range(60):
+            network.broadcast(payloads, label="micro:bcast")
+            network.exchange(
+                {(u, v): Message(content=1, bits=4, label="m")
+                 for u in network.nodes for v in network.neighbors(u)},
+                label="micro:exch",
+            )
+        timings[backend] = time.perf_counter() - start
+        ledgers[backend] = (network.ledger.rounds, network.ledger.total_bits,
+                            network.ledger.max_edge_bits)
+    assert all(ledgers[b] == ledgers["dict"] for b in FAST_BACKENDS)
+    assert round(timings["columnar"], 3) <= round(timings["dict"], 3) * 1.5
 
 
 #: Fault plans the equivalence matrix runs under; the fault-free plan is the
