@@ -17,6 +17,5 @@ runs both).  The package splits along the byte-identity seams:
   chunked-round accounting);
 * :mod:`~repro.congest.columnar.sweep` — the vectorized
   ``EstimateSimilarity`` kernel behind the ACD buddy test, triangle
-  detection and sparsity estimation, the dominant compute of every large
-  run.
+  detection and sparsity estimation.
 """

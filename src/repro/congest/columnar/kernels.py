@@ -46,11 +46,15 @@ def mix64_step_vec(acc, value):
     finalizer.
     """
     with np.errstate(over="ignore"):
-        acc = np.bitwise_xor(np.asarray(acc, dtype=np.uint64), np.asarray(value, dtype=np.uint64))
-        acc = acc + _u64(_GOLDEN)
-        z = np.bitwise_xor(acc, acc >> np.uint64(30)) * _u64(_MIX_A)
-        z = np.bitwise_xor(z, z >> np.uint64(27)) * _u64(_MIX_B)
-        return np.bitwise_xor(z, z >> np.uint64(31))
+        # In place on the one fresh array: three shift temporaries, not ten.
+        z = np.bitwise_xor(np.asarray(acc, dtype=np.uint64), np.asarray(value, dtype=np.uint64))
+        z += _u64(_GOLDEN)
+        z ^= z >> np.uint64(30)
+        z *= _u64(_MIX_A)
+        z ^= z >> np.uint64(27)
+        z *= _u64(_MIX_B)
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def mix64_vec(*values):
@@ -82,9 +86,10 @@ def hash_values_vec(prefixes, keys, lams):
     Returns ``1 + finalize(prefix ^ key) % lam`` per element — the inlined
     splitmix64 body of the scalar hot loop, bit for bit.
     """
-    mixed = mix64_step_vec(prefixes, keys)
-    with np.errstate(over="ignore"):
-        return np.uint64(1) + mixed % np.asarray(lams, dtype=np.uint64)
+    values = mix64_step_vec(prefixes, keys)
+    values %= np.asarray(lams, dtype=np.uint64)
+    values += np.uint64(1)
+    return values
 
 
 def element_keys_array(elements: Iterable[object]) -> "np.ndarray":

@@ -1,46 +1,48 @@
 """Vectorized ``EstimateSimilarity``: one kernel for every columnar caller.
 
-:func:`columnar_similarity` runs Algorithm 1 on a whole edge list at once.
-That sweep is the ACD buddy test (Section 4.2), triangle detection
-(Theorem 2) and sparsity estimation (Lemmas 4 and 5); its inner work —
-splitmix64 hashing of every scaled neighborhood element, per edge —
-vectorizes exactly.  :func:`columnar_buddy_edges` is the ACD's threshold
-over the kernel.
+:func:`columnar_similarity` runs Algorithm 1 on a whole edge list at once:
+the ACD buddy test (Section 4.2, thresholded by :func:`columnar_buddy_edges`),
+triangle detection (Theorem 2) and sparsity estimation (Lemmas 4 and 5).
+Work that depends on a node alone runs once per node:
+
+* one key table per sweep holds every participating node's base element
+  keys, then each node's scaled keys ``(x, j)`` for each ``j`` below
+  ``k_max``, the largest scale factor among its swept edges, ``j``-major.  An
+  endpoint with factor ``k > 1`` reads one contiguous run of ``k·|S|`` keys
+  and with ``k = 1`` its base run, so each scaled key is hashed once per
+  sweep, not once per incident edge;
+* per-edge setup is columns; ``k``, λ, σ, family seed and index bits are
+  computed once per distinct max set size and gathered;
+* the member hash, the low filter and the two unique passes run over the
+  endpoints' key runs in blocks of at most :data:`_BLOCK_ELEMENTS`.
 
 Byte-identity with the scalar loop of :func:`repro.sampling.similarity.
 estimate_similarity_on_edges` is the load-bearing contract:
 
-* the shared hash-function *index* per edge comes from the same SHA-256
-  seeded ``random.Random`` stream (``RngStream.for_edge``), replayed here
-  with one reused ``Random`` instance (``rng.seed(x)`` is exactly
-  ``Random(x)``) — this part is inherently scalar;
+* each edge's hash-function *index* comes from the same SHA-256 seeded
+  ``random.Random`` stream (``RngStream.for_edge``); this draw and topology
+  validation, in the reference's order, are the per-edge Python left;
 * ledger records replay ``exchange_chunked`` on the same label/size
-  multisets (``{label}:index`` then ``{label}:indicator``), through the
-  transport's vectorized chunk accounting;
-* hash values, low-unique filtering and shared-value extraction run as flat
-  uint64 kernels (:mod:`~repro.congest.columnar.kernels`) over a CSR layout
-  of the neighborhood element keys — per-endpoint value multisets are
-  reduced by a packed ``(endpoint << 32) | value`` unique/count pass instead
-  of per-edge Python dicts;
+  multisets (``{label}:index`` then ``{label}:indicator``);
+* per-endpoint value multisets are reduced by a packed
+  ``(endpoint << 32) | value`` unique/count pass instead of Python dicts;
 * estimates are evaluated in float64, which matches Python exactly because
   every operand is below 2**53.
 
-The kernel declines — returns ``None`` before any ledger effect, so the
-caller runs the scalar reference instead — when
+Every requested pair is validated before the first round, whatever the sets
+hold.  The kernel declines — returns ``None`` before any ledger effect, so
+the caller runs the scalar reference instead — when
 
 * the transport does not set ``supports_columnar_sweep`` (the ``dict``
   oracle, and a fault-wrapped ``columnar``);
 * the network's tracer digests payloads (``wants_payloads``): the kernel
-  charges ledger records without materializing the payloads a digest hashes;
+  charges ledger records without materializing the payloads a digest hashes,
+  nor the inboxes, which the reference ignores;
 * an unordered pair repeats among the swept edges: the reference sends one
   index message per unordered pair and one indicator per directed key, where
   this kernel would charge one of each per list position;
 * the parameters leave the exactly-reproducible regime (λ ≥ 2**32 breaks
   the value packing, σ·λ ≥ 2**53 the float reproduction).
-
-The reference ignores the delivered inboxes of both rounds (only the ledger
-charge and the locally-computed hash sets matter), so no inbox is
-materialised here at all.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -95,11 +97,33 @@ class SimilaritySweep:
     values: "np.ndarray"
 
 
+def validate_pairs(transport, edges: Iterable[Edge]) -> None:
+    """Raise the index round's ``ProtocolError`` for the first pair that is no edge.
+
+    The reference's index round sends from the endpoint with the smaller
+    ``repr``, so that is the sender the canonical error names.
+    """
+    neighbor_sets = transport.topology.neighbor_sets
+    for u, v in edges:
+        nbrs = neighbor_sets.get(u)
+        if nbrs is None or v not in nbrs:
+            sender, receiver = (u, v) if repr(u) <= repr(v) else (v, u)
+            transport._validate_edge(sender, receiver)
+
+
+def _ranges(starts: "np.ndarray", lengths: "np.ndarray") -> "np.ndarray":
+    """The concatenation of ``arange(s, s + n)`` over aligned starts and lengths."""
+    ends = np.cumsum(lengths)
+    flat = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+    flat += np.repeat(starts - (ends - lengths), lengths)
+    return flat
+
+
 def _block_ranges(work: "np.ndarray") -> List[Tuple[int, int]]:
-    """Partition edges into contiguous blocks of at most ~_BLOCK_ELEMENTS work.
+    """Partition items (edges, key runs) into blocks of at most ~_BLOCK_ELEMENTS work.
 
     Greedy, like filling one block at a time: a block grows while its summed
-    work stays within the cap, and always takes at least one edge.
+    work stays within the cap, and always takes at least one item.
     """
     ends = np.cumsum(work)
     blocks: List[Tuple[int, int]] = []
@@ -112,6 +136,30 @@ def _block_ranges(work: "np.ndarray") -> List[Tuple[int, int]]:
         done = int(ends[stop - 1])
         start = stop
     return blocks
+
+
+def _index_draws(local_nodes: List[Node], eu: List[int], ev: List[int],
+                 family_sizes: List[int], seed: int, label: str) -> List[int]:
+    """Each edge's ``family.sample_index(RngStream(seed).for_edge(u, v, label))``.
+
+    ``for_edge`` seeds ``Random`` with the SHA-256 digest of
+    ``"\\x1f".join(repr(p) for p in (seed, "edge", sorted-repr-pair, label))``,
+    replayed here with one reused ``Random`` (``seed(x) == Random(x)``).
+    """
+    texts = [repr(node) for node in local_nodes]
+    quoted = [repr(text) for text in texts]
+    head = f"{int(seed)!r}\x1f'edge'\x1f("
+    tail = f")\x1f{label!r}"
+    rng = random.Random()
+    sha256 = hashlib.sha256
+    indices = []
+    for a, b, size in zip(eu, ev, family_sizes):
+        if texts[b] < texts[a]:
+            a, b = b, a
+        digest = sha256(f"{head}{quoted[a]}, {quoted[b]}{tail}".encode()).digest()
+        rng.seed(int.from_bytes(digest[:8], "big"))
+        indices.append(rng.randrange(size))
+    return indices
 
 
 def columnar_similarity(
@@ -135,224 +183,155 @@ def columnar_similarity(
     if getattr(network.tracer, "wants_payloads", False):
         return None
 
-    # ---------------------------------------------------------------- loop A
-    # Scalar per-edge setup: set sizes, scale factor k, family, and the
-    # SHA-seeded index draw.  Mirrors the reference's per-sweep caches; no
-    # ledger effect yet, so declining below stays side-effect free.
-    node_sets: Dict[Node, Set[Hashable]] = {}
-    families: Dict[int, RepresentativeHashFamily] = {}
-    k_cache: Dict[int, int] = {}
-    reprs: Dict[Node, Tuple[str, str]] = {}
+    # ------------------------------------------------------ per-edge columns
+    # Local node ids in first-seen order; endpoints interleave (u0, v0, ...).
     node_local: Dict[Node, int] = {}
-    local_nodes: List[Node] = []
+    local_of = node_local.setdefault
+    endpoints = np.fromiter(
+        (local_of(node, len(node_local)) for u, v in edges for node in (u, v)),
+        dtype=np.int64, count=2 * len(edges),
+    )
+    local_nodes = list(node_local)
+    # What the reference's set(...) copy holds; a set is not copied, which
+    # spares the garbage collector one tracked object per node.
+    node_sets = [
+        members if isinstance(members, (set, frozenset)) else set(members)
+        for members in (sets.get(node, ()) for node in local_nodes)
+    ]
+    sizes = np.fromiter(map(len, node_sets), dtype=np.int64, count=len(node_sets))
+    live = (sizes[endpoints[0::2]] > 0) & (sizes[endpoints[1::2]] > 0)
+    eu = endpoints[0::2][live]
+    ev = endpoints[1::2][live]
+    pairs = (np.minimum(eu, ev) << 32) | np.maximum(eu, ev)
+    if np.unique(pairs).size < pairs.size:
+        return None  # a repeated pair, which the reference charges once
 
-    seed_repr = repr(int(seed))
-    label_repr = repr(label)
-    rng = random.Random()
-    sha256 = hashlib.sha256
-
-    states: List[Optional[Tuple[int, RepresentativeHashFamily]]] = []
-    swept: Set[Edge] = set()
-    validate_pairs: List[Tuple[Node, Node]] = []
-    eu_list: List[int] = []
-    ev_list: List[int] = []
-    k_list: List[int] = []
-    lam_list: List[int] = []
-    sigma_list: List[int] = []
-    fseed_list: List[int] = []
-    index_list: List[int] = []
-    ibits_list: List[int] = []
-
-    def _set_of(node: Node) -> Set[Hashable]:
-        members = node_sets.get(node)
-        if members is None:
-            members = set(sets.get(node, ()))
-            node_sets[node] = members
-        return members
-
-    def _reprs_of(node: Node) -> Tuple[str, str]:
-        cached = reprs.get(node)
-        if cached is None:
-            text = repr(node)
-            cached = (text, repr(text))
-            reprs[node] = cached
-        return cached
-
-    def _local_of(node: Node) -> int:
-        slot = node_local.get(node)
-        if slot is None:
-            slot = len(local_nodes)
-            node_local[node] = slot
-            local_nodes.append(node)
-        return slot
-
-    for edge in edges:
-        u, v = edge
-        set_u = _set_of(u)
-        set_v = _set_of(v)
-        if not set_u or not set_v:
-            states.append(None)
-            continue
-        if edge in swept or (v, u) in swept:
-            return None  # a repeated pair, which the reference charges once
-        swept.add(edge)
-        du = len(set_u)
-        dv = len(set_v)
-        max_size = du if du >= dv else dv
-        k = k_cache.get(max_size)
-        if k is None:
-            k = params.scale_factor(max_size)
-            k_cache[max_size] = k
-        lam_arg = max_size * k
-        family = families.get(lam_arg)
-        if family is None:
-            family = params.family(lam_arg)
-            families[lam_arg] = family
+    # k and the family depend on the edge's max set size alone.
+    distinct, which = np.unique(np.maximum(sizes[eu], sizes[ev]), return_inverse=True)
+    by_size: List[Tuple[int, RepresentativeHashFamily]] = []
+    for max_size in distinct.tolist():
+        k = params.scale_factor(max_size)
+        family = params.family(max_size * k)
         if family.lam >= _MAX_LAM or family.sigma * family.lam >= _EXACT_FLOAT:
             return None  # outside the exactly-reproducible regime
-        # RngStream(seed).for_edge(u, v, label) -> Random(sha256 digest of
-        # "\x1f".join(repr(p) for p in (seed, "edge", sorted-repr-pair,
-        # label))), replayed with one reused Random (seed(x) == Random(x)).
-        ru, rru = _reprs_of(u)
-        rv, rrv = _reprs_of(v)
-        if ru <= rv:
-            key_repr = f"({rru}, {rrv})"
-            sender, receiver = u, v
-        else:
-            key_repr = f"({rrv}, {rru})"
-            sender, receiver = v, u
-        digest = sha256(
-            "\x1f".join((seed_repr, "'edge'", key_repr, label_repr)).encode("utf-8")
-        ).digest()
-        rng.seed(int.from_bytes(digest[:8], "big"))
-        index = rng.randrange(family.size)
+        by_size.append((k, family))
 
-        states.append((k, family))
-        validate_pairs.append((sender, receiver))
-        eu_list.append(_local_of(u))
-        ev_list.append(_local_of(v))
-        k_list.append(k)
-        lam_list.append(family.lam)
-        sigma_list.append(family.sigma)
-        fseed_list.append(family.family_seed)
-        index_list.append(index)
-        ibits_list.append(family.index_bits)
+    def column(values, dtype=np.int64):
+        """A per-distinct-size column, gathered to one entry per swept edge."""
+        return np.array(values, dtype=dtype)[which]
 
-    # Validation, in the reference's order (the index-payload round validates
-    # every participating edge before anything is charged).
-    neighbor_sets = transport.topology.neighbor_sets
-    for sender, receiver in validate_pairs:
-        nbrs = neighbor_sets.get(sender)
-        if sender == receiver or nbrs is None or receiver not in nbrs:
-            transport._validate_edge(sender, receiver)  # canonical ProtocolError
+    k_arr = column([k for k, _ in by_size])
+    lam = column([family.lam for _, family in by_size])
+    sigma = column([family.sigma for _, family in by_size])
+
+    validate_pairs(transport, edges)  # in the reference's order, before round 1
+    indices = _index_draws(
+        local_nodes, eu.tolist(), ev.tolist(),
+        column([family.size for _, family in by_size]).tolist(), seed, label,
+    )
+    prefixes = member_prefixes_vec(
+        column([family.family_seed for _, family in by_size], np.uint64),
+        np.array(indices, dtype=np.uint64),
+    )
 
     # Round 1: the hash-function index (log F bits per edge, one direction).
     transport.charge_chunked_sizes(
-        f"{label}:index", np.array(ibits_list, dtype=np.int64)
+        f"{label}:index", column([family.index_bits for _, family in by_size])
     )
 
-    count = len(eu_list)
-    k_arr = np.array(k_list, dtype=np.int64)
-    lam_i64 = np.array(lam_list, dtype=np.int64)
-    sigma_i64 = np.array(sigma_list, dtype=np.int64)
+    # ------------------------------------------------------------ key table
+    # Every participating node's base keys, then each node's k_max scaled
+    # runs (x, j) for j = 0 .. k_max - 1, j-major, when its largest k exceeds
+    # 1: an endpoint reads k·|S| contiguous keys, or its base run when k = 1.
+    k_max = np.zeros(len(local_nodes), dtype=np.int64)
+    np.maximum.at(k_max, eu, k_arr)
+    np.maximum.at(k_max, ev, k_arr)
+    runs = np.where(k_max > 1, k_max, 0)
+    base = element_keys_array(
+        [x for node in np.flatnonzero(k_max).tolist() for x in node_sets[node]]
+    )
+    base_len = np.where(k_max > 0, sizes, 0)
+    base_offsets = np.cumsum(base_len) - base_len
+    scaled_offsets = base.size + np.cumsum(sizes * runs) - sizes * runs
+    # One run per (node, j), hashed in blocks straight into the table so the
+    # build's temporaries stay block-sized.
+    run_node = np.repeat(np.arange(len(local_nodes), dtype=np.int64), runs)
+    run_len = sizes[run_node]
+    run_j = _ranges(np.zeros_like(runs), runs).astype(np.uint64)
+    table = np.empty(base.size + int(run_len.sum()), dtype=np.uint64)
+    table[:base.size] = base
+    at = base.size
+    for start, stop in _block_ranges(run_len):
+        lens = run_len[start:stop]
+        keys = base[_ranges(base_offsets[run_node[start:stop]], lens)]
+        table[at:at + keys.size] = scale_keys_vec(keys, np.repeat(run_j[start:stop], lens))
+        at += keys.size
+    del base, base_len, run_node, run_len, run_j
+
+    ep_node = np.empty(2 * eu.size, dtype=np.int64)
+    ep_node[0::2] = eu
+    ep_node[1::2] = ev
+    ep_k = np.repeat(k_arr, 2)
+    ep_len = sizes[ep_node] * ep_k
+    ep_start = np.where(ep_k > 1, scaled_offsets[ep_node], base_offsets[ep_node])
+    work = ep_len[0::2] + ep_len[1::2]
+
+    count = eu.size
+    lam_u64 = lam.astype(np.uint64)
+    sigma_u64 = sigma.astype(np.uint64)
     shared_counts = np.zeros(count, dtype=np.int64)
     shared_blocks: List["np.ndarray"] = []
-    if count:
-        # CSR layout of the participating neighborhoods' element keys.
-        key_arrays = [element_keys_array(node_sets[node]) for node in local_nodes]
-        key_counts = np.fromiter(
-            (arr.size for arr in key_arrays), dtype=np.int64, count=len(key_arrays)
+    for start, stop in _block_ranges(work):
+        span = stop - start
+        lens = ep_len[2 * start:2 * stop]
+        per_edge = work[start:stop]
+        values = hash_values_vec(
+            np.repeat(prefixes[start:stop], per_edge),
+            table[_ranges(ep_start[2 * start:2 * stop], lens)],
+            np.repeat(lam_u64[start:stop], per_edge),
         )
-        key_offsets = np.zeros(len(key_arrays) + 1, dtype=np.int64)
-        np.cumsum(key_counts, out=key_offsets[1:])
-        key_storage = np.concatenate(key_arrays)
-
-        eu = np.array(eu_list, dtype=np.int64)
-        ev = np.array(ev_list, dtype=np.int64)
-        lam_u64 = lam_i64.astype(np.uint64)
-        sigma_u64 = sigma_i64.astype(np.uint64)
-        prefixes = member_prefixes_vec(
-            np.array(fseed_list, dtype=np.uint64), np.array(index_list, dtype=np.uint64)
+        low = values <= np.repeat(sigma_u64[start:stop], per_edge)
+        # Pack (endpoint, value) into one uint64; a value survives for its
+        # endpoint iff exactly one element hit it (low_unique), and an edge
+        # shares a value iff both its endpoints' survivors hold it (count ==
+        # 2 after collapsing endpoint -> edge).  Endpoint ids are 2i / 2i+1
+        # within the block, so the edge id is endpoint >> 1.
+        packed = np.repeat(np.arange(2 * span, dtype=np.uint64) << np.uint64(32), lens)
+        packed |= values
+        unique, counts = np.unique(packed[low], return_counts=True)
+        survivors = unique[counts == 1]
+        by_edge = (survivors >> np.uint64(33) << np.uint64(32)) | (
+            survivors & np.uint64(0xFFFFFFFF)
         )
-
-        work = k_arr * (key_counts[eu] + key_counts[ev])
-        for start, stop in _block_ranges(work):
-            span = stop - start
-            # Endpoints interleave as (u0, v0, u1, v1, ...): endpoint id
-            # 2i/2i+1 within the block, edge id = endpoint >> 1.
-            ep_nodes = np.empty(2 * span, dtype=np.int64)
-            ep_nodes[0::2] = eu[start:stop]
-            ep_nodes[1::2] = ev[start:stop]
-            k_ep = np.repeat(k_arr[start:stop], 2)
-            lens = key_counts[ep_nodes]
-            total_base = int(lens.sum())
-            # Gather each endpoint's base keys into one contiguous run.
-            run_ends = np.cumsum(lens)
-            flat = np.arange(total_base, dtype=np.int64)
-            flat -= np.repeat(run_ends - lens, lens)
-            flat += np.repeat(key_offsets[ep_nodes], lens)
-            base_keys = key_storage[flat]
-            k_elem = np.repeat(k_ep, lens)
-            if int(k_ep.max()) > 1:
-                # Scale-up: every base element x expands to the keys of
-                # (x, 0) .. (x, k-1).  Expansion order within an endpoint is
-                # irrelevant — the downstream reduction only counts values.
-                total = int(k_elem.sum())
-                keys_rep = np.repeat(base_keys, k_elem)
-                exp_ends = np.cumsum(k_elem)
-                jj = np.arange(total, dtype=np.int64)
-                jj -= np.repeat(exp_ends - k_elem, k_elem)
-                kk = np.repeat(k_elem, k_elem)
-                scaled = scale_keys_vec(keys_rep, jj.astype(np.uint64))
-                keys_final = np.where(kk == 1, keys_rep, scaled)
-                elem_per_ep = lens * k_ep
-            else:
-                keys_final = base_keys
-                elem_per_ep = lens
-            ep_ids = np.repeat(np.arange(2 * span, dtype=np.int64), elem_per_ep)
-            edge_ids = ep_ids >> 1
-            values = hash_values_vec(
-                prefixes[start:stop][edge_ids],
-                keys_final,
-                lam_u64[start:stop][edge_ids],
-            )
-            low = values <= sigma_u64[start:stop][edge_ids]
-            # Pack (endpoint, value) into one uint64; a value survives for
-            # its endpoint iff exactly one element hit it (low_unique), and
-            # an edge shares a value iff both its endpoints' survivors hold
-            # it (count == 2 after collapsing endpoint -> edge).
-            packed = (ep_ids[low].astype(np.uint64) << np.uint64(32)) | values[low]
-            unique, counts = np.unique(packed, return_counts=True)
-            survivors = unique[counts == 1]
-            by_edge = (survivors >> np.uint64(33) << np.uint64(32)) | (
-                survivors & np.uint64(0xFFFFFFFF)
-            )
-            shared_vals, shared_cnt = np.unique(by_edge, return_counts=True)
-            shared_vals = shared_vals[shared_cnt == 2]
-            if shared_vals.size:
-                # Sorted by (edge, value), so the blocks concatenate into
-                # one ascending run per swept edge.
-                edge_hits = (shared_vals >> np.uint64(32)).astype(np.int64)
-                shared_counts[start:stop] = np.bincount(edge_hits, minlength=span)
-                shared_blocks.append(shared_vals & np.uint64(0xFFFFFFFF))
+        shared_vals, shared_cnt = np.unique(by_edge, return_counts=True)
+        shared_vals = shared_vals[shared_cnt == 2]
+        if shared_vals.size:
+            # Sorted by (edge, value), so the blocks concatenate into one
+            # ascending run per swept edge.
+            edge_hits = (shared_vals >> np.uint64(32)).astype(np.int64)
+            shared_counts[start:stop] = np.bincount(edge_hits, minlength=span)
+            shared_blocks.append(shared_vals & np.uint64(0xFFFFFFFF))
 
     # Round 2: both endpoints' σ-bit indicators (two directed messages per
     # participating edge, max(1, σ) bits each — σ is already >= 1).
     transport.charge_chunked_sizes(
-        f"{label}:indicator", np.repeat(np.maximum(sigma_i64, 1), 2)
+        f"{label}:indicator", np.repeat(np.maximum(sigma, 1), 2)
     )
 
     # Estimates in float64 == Python float exactly (all operands < 2**53;
     # int/int true division is correctly rounded in both).
-    estimates = (shared_counts * lam_i64).astype(np.float64)
-    estimates /= (sigma_i64 * k_arr).astype(np.float64)
+    estimates = (shared_counts * lam).astype(np.float64)
+    estimates /= (sigma * k_arr).astype(np.float64)
     offsets = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(shared_counts, out=offsets[1:])
     values = (
         np.concatenate(shared_blocks) if shared_blocks else np.empty(0, dtype=np.uint64)
     )
-    return SimilaritySweep(states=states, estimates=estimates, offsets=offsets,
-                           values=values)
+    codes = np.full(len(edges), len(by_size), dtype=np.int64)
+    codes[live] = which
+    lookup = by_size + [None]
+    return SimilaritySweep(states=[lookup[code] for code in codes.tolist()],
+                           estimates=estimates, offsets=offsets, values=values)
 
 
 def columnar_buddy_edges(

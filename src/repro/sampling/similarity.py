@@ -197,17 +197,24 @@ def _empty_result() -> SimilarityResult:
 
 
 def _sweep_results(edges: List[Edge], sweep) -> Dict[Edge, SimilarityResult]:
-    """Per-edge results of a columnar kernel sweep, keyed like the loop's."""
+    """Per-edge results of a kernel sweep, keyed like the loop's: :func:`_result`,
+    with its fields read once per distinct ``(k, family)`` state, not per edge."""
     values = sweep.values.tolist()
     bounds = sweep.offsets.tolist()
+    fields: Dict[Tuple, Tuple[int, int, int, int, int]] = {}
     results: Dict[Edge, SimilarityResult] = {}
     row = 0
     for edge, state in zip(edges, sweep.states):
         if state is None:
             results[edge] = _empty_result()
             continue
-        k, family = state
-        results[edge] = _result(k, family, frozenset(values[bounds[row]:bounds[row + 1]]))
+        if state not in fields:
+            k, family = state
+            fields[state] = (k, family.lam, family.sigma, family.sigma * k,
+                             family.index_bits + 2 * family.sigma)
+        k, lam, sigma, scale, bits = fields[state]
+        shared = frozenset(values[bounds[row]:bounds[row + 1]])
+        results[edge] = SimilarityResult(len(shared) * lam / scale, bits, k, sigma, lam, shared)
         row += 1
     return results
 
@@ -268,11 +275,12 @@ def estimate_similarity_on_edges(
 
     # The kernel decides whether it runs and declines before any ledger
     # effect, so nothing is charged twice.
-    from repro.congest.columnar.sweep import columnar_similarity
+    from repro.congest.columnar.sweep import columnar_similarity, validate_pairs
 
     sweep = columnar_similarity(network, sets, edges, params, seed, label)
     if sweep is not None:
         return _sweep_results(edges, sweep)
+    validate_pairs(network.transport, edges)  # whatever the sets hold, before round 1
     stream = RngStream(seed)
 
     # Per-sweep caches.  A node of degree d participates in up to d requested

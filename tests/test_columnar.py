@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.congest import Message, Network
+from repro.congest import Message, Network, ProtocolError
 from repro.congest.columnar import sweep
 from repro.congest.columnar.buffers import CsrRoundBuffer
 from repro.congest.columnar.kernels import (
@@ -313,8 +313,7 @@ def _sweep(params, edges=None, label="sim"):
     return run
 
 
-@pytest.fixture
-def kernel_ran(monkeypatch):
+def _spy_on_kernel(patch):
     """Per kernel call, in call order: ``True`` if it ran, ``False`` if it declined."""
     calls = []
     kernel = sweep.columnar_similarity
@@ -324,8 +323,13 @@ def kernel_ran(monkeypatch):
         calls.append(result is not None)
         return result
 
-    monkeypatch.setattr(sweep, "columnar_similarity", spy)
+    patch.setattr(sweep, "columnar_similarity", spy)
     return calls
+
+
+@pytest.fixture
+def kernel_ran(monkeypatch):
+    return _spy_on_kernel(monkeypatch)
 
 
 class TestSimilarityKernel:
@@ -451,6 +455,136 @@ class TestSimilarityKernel:
         # dict: the buddy threshold's kernel call and the reference sweep's
         # both decline; columnar: the threshold's call runs, nothing else.
         assert kernel_ran == [False, False, True]
+
+    @pytest.mark.parametrize("name", ["practical", "mixed-k"])
+    def test_scaled_keys_are_hashed_once_per_node(self, kernel_ran, monkeypatch, name):
+        params = SIMILARITY_PARAMS[name]
+        hashed = []
+        scale = sweep.scale_keys_vec
+
+        def spy(keys, j_values):
+            hashed.append(len(keys))
+            return scale(keys, j_values)
+
+        monkeypatch.setattr(sweep, "scale_keys_vec", spy)
+        graph = _similarity_graph()
+        network = Network(graph, backend="columnar", ledger="records")
+        sets = {v: set(graph.neighbors(v)) for v in graph}
+        estimate_similarity_on_edges(network, sets, params=params, seed=5)
+        assert kernel_ran == [True]
+        k_max = {}
+        for u, v in graph.edges():
+            k = params.scale_factor(max(len(sets[u]), len(sets[v])))
+            for node in (u, v):
+                k_max[node] = max(k_max.get(node, 0), k)
+        if name == "practical":
+            assert set(k_max.values()) == {4}
+            assert sum(hashed) == 4 * sum(len(sets[v]) for v in k_max)
+        else:
+            assert 0 < sum(hashed) <= sum(k * len(sets[v]) for v, k in k_max.items())
+
+
+#: ``k = ceil(9.95 / max_size)`` at these parameters: at least 5 up to size
+#: 2, 2 from 5 to 9 and 1 from 10 on, so the hub of :func:`_k_mix_star`
+#: sweeps edges at all three.
+K_MIX = SimilarityParameters(eps=0.3, scale_constant=0.049)
+
+ELEMENTS = st.one_of(
+    st.integers(min_value=0, max_value=15),
+    st.sampled_from(["a", "b", "c", "d"]),
+    st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from(["x", "y"])),
+)
+
+
+def _k_mix_star(first):
+    """A star with hub ``first`` and its sets: hub size 2, leaves 1, 6 and 12."""
+    sets = {first: {0, "a"}, first + 1: {0}, first + 2: {0, "a", 1, 2, 3, "b"},
+            first + 3: set(range(12))}
+    return nx.star_graph(range(first, first + 4)), sets
+
+
+@st.composite
+def similarity_inputs(draw):
+    """A small graph of isolated nodes, stars and cliques, with mixed sets."""
+    makers = {"isolated": nx.empty_graph, "star": nx.star_graph,
+              "clique": nx.complete_graph}
+    graph = nx.empty_graph(0)
+    parts = st.tuples(st.sampled_from(sorted(makers)), st.integers(1, 5))
+    for kind, size in draw(st.lists(parts, max_size=4)):
+        graph = nx.disjoint_union(graph, makers[kind](size))
+    sets = {}
+    for v in graph:
+        members = draw(st.none() | st.sets(ELEMENTS, max_size=12))
+        if members is not None:
+            sets[v] = members
+    if draw(st.booleans()):
+        star, star_sets = _k_mix_star(len(graph))
+        graph = nx.union(graph, star)
+        sets.update(star_sets)
+    params = draw(st.sampled_from(
+        [K_MIX, SIMILARITY_PARAMS["practical"], SIMILARITY_PARAMS["k1"]]))
+    params = dataclasses.replace(
+        params, sigma_cap=draw(st.sampled_from([None, 1, 3, 64])))
+    return graph, sets, params, draw(st.integers(0, 3))
+
+
+class TestSimilarityKernelProperties:
+    def test_k_mix_star_sweeps_one_node_at_k_1_2_and_5(self):
+        graph, sets = _k_mix_star(0)
+        factors = sorted(K_MIX.scale_factor(max(len(sets[u]), len(sets[v])))
+                         for u, v in graph.edges())
+        assert factors[0] == 1 and factors[1] == 2 and factors[2] >= 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=similarity_inputs(), mode=st.sampled_from(["congest", "local"]),
+           block=st.sampled_from([8, 1 << 18]))
+    def test_kernel_matches_dict(self, inputs, mode, block):
+        graph, sets, params, seed = inputs
+
+        def run(network):
+            return list(estimate_similarity_on_edges(
+                network, sets, params=params, seed=seed, label="prop").items())
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep, "_BLOCK_ELEMENTS", block)
+            ran = _spy_on_kernel(patch)
+            (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(
+                graph, run, mode=mode)
+        assert col == ref and col_rounds == ref_rounds
+        assert ran == [False, True]
+
+
+#: Pairs of ``nx.cycle_graph(6)`` that are no edge, with the error the
+#: reference's index round raises for them.
+BAD_PAIRS = {
+    "self-pair": ((4, 4), "node 4 cannot message itself"),
+    "non-adjacent": ((0, 3), "0 and 3 are not adjacent"),
+    "unknown-node": ((0, 9), "0 and 9 are not adjacent"),
+}
+
+
+class TestBadPairs:
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
+    @pytest.mark.parametrize("name", list(BAD_PAIRS))
+    @pytest.mark.parametrize("empty", [False, True], ids=["both-sets", "one-empty"])
+    def test_rejected_before_any_round(self, backend, name, empty):
+        pair, message = BAD_PAIRS[name]
+        network = Network(nx.cycle_graph(6), backend=backend, ledger="records")
+        sets = {v: {1, 2} for v in (*range(6), 9)}
+        if empty:
+            sets[pair[0]] = set()
+        with pytest.raises(ProtocolError, match=message):
+            estimate_similarity_on_edges(
+                network, sets, edges=[(1, 2), pair, (2, 3)],
+                params=SIMILARITY_PARAMS["practical"])
+        assert network.ledger.records == []
+
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
+    def test_triangle_detection_rejects_an_unknown_node(self, backend):
+        network = Network(nx.cycle_graph(6), backend=backend, ledger="records")
+        with pytest.raises(ProtocolError, match="0 and 9 are not adjacent"):
+            detect_triangle_rich_edges(network, edges=[(0, 9)])
+        assert network.ledger.records == []
 
 
 # --------------------------------------------------------------------------- #
