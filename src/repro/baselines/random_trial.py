@@ -32,10 +32,8 @@ def johansson_coloring(
     lists: Optional[Mapping[Node, Iterable[Color]]] = None,
     mode: str = "congest",
     seed: int = 0,
-    max_iterations: Optional[int] = None,
     params: Optional[ColoringParameters] = None,
     backend: str = DEFAULT_BACKEND,
-    ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
     tracer=None,
@@ -53,15 +51,12 @@ def johansson_coloring(
     else:
         instance = ColoringInstance.d1lc(graph, lists)
     params = (params or ColoringParameters.small()).with_seed(seed)
-    network = Network(graph, mode=mode, backend=backend, ledger=ledger,
-                      faults=faults,
+    network = Network(graph, mode=mode, backend=backend, faults=faults,
                       fault_seed=seed if fault_seed is None else fault_seed,
                       tracer=tracer)
     state = ColoringState(instance, network, params)
-    if max_iterations is None:
-        max_iterations = 8 * max(4, graph.number_of_nodes().bit_length() ** 2)
 
-    for _ in range(max_iterations):
+    for _ in range(8 * max(4, graph.number_of_nodes().bit_length() ** 2)):
         uncolored = state.uncolored_nodes()
         if not uncolored:
             break

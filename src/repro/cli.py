@@ -117,13 +117,13 @@ def cmd_color(args: argparse.Namespace) -> int:
     params = ColoringParameters.small(seed=args.seed, uniform=args.uniform)
     if args.problem == "d1c":
         result = solve_d1c(graph, params=params, mode=args.mode,
-                           backend=args.backend, ledger=args.ledger)
+                           backend=args.backend)
     elif args.problem == "delta+1":
         result = solve_delta_plus_one(graph, params=params, mode=args.mode,
-                                      backend=args.backend, ledger=args.ledger)
+                                      backend=args.backend)
     else:
         result = solve_d1lc(graph, lists, params=params, mode=args.mode,
-                            backend=args.backend, ledger=args.ledger)
+                            backend=args.backend)
     print(format_table(_coloring_rows(args.problem, result), title="coloring run"))
     print("\nrounds by phase:")
     for phase, rounds in sorted(result.rounds_by_phase.items()):
@@ -408,13 +408,14 @@ def cmd_suite_compare(args: argparse.Namespace) -> int:
         fresh = _load(load_suite_summary, args.fresh)
         if wants_timing_artifact:
             # A pre-produced aggregate keeps its timing (and peak RSS) in the
-            # sibling file.
-            sibling = Path(args.fresh).parent / TIMING_FILENAME
-            if sibling.exists():
-                fresh_timing = load_suite_timing(sibling, suite=fresh.get("suite"))
-            else:
-                print(f"no fresh timing found at {sibling}; "
-                      "skipping timing/RSS checks")
+            # sibling file; like the baseline's, a missing or bad one skips
+            # the soft checks with a note.
+            try:
+                fresh_timing = load_suite_timing(
+                    Path(args.fresh).parent / TIMING_FILENAME,
+                    suite=fresh.get("suite"))
+            except (OSError, ValueError) as exc:
+                print(f"timing/RSS checks skipped: {exc}")
     else:
         suite = args.suite or baseline.get("suite")
         _select_suite(suite)
@@ -591,7 +592,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     summary = None
     suite_path = report_dir / SUITE_FILENAME
     if suite_path.exists():
-        summary = load_suite_summary(suite_path)
+        summary = _load(load_suite_summary, str(suite_path))
     traces = []
     for path in sorted(report_dir.glob(f"{TRACE_PREFIX}*{EVENTS_SUFFIX}")):
         name = path.stem[len(TRACE_PREFIX):]
@@ -659,8 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the uniform (Section 5) implementations")
     color.add_argument("--seed", type=int, default=0)
     add_backend_option(color)
-    color.add_argument("--ledger", choices=["records", "counters"], default="records",
-                       help="keep full per-round history or aggregate counters only")
     color.set_defaults(func=cmd_color)
 
     baseline = sub.add_parser("baseline", help="compare against the random-trial baseline")

@@ -8,7 +8,8 @@ reproduction runs on.  It is layered (see DESIGN.md):
   (:class:`~repro.congest.transport.DictTransport`, the reference oracle,
   and :class:`~repro.congest.columnar.transport.ColumnarTransport`, the
   default numpy fast path);
-* :class:`~repro.metrics.ledger.Ledger` — pluggable bandwidth accounting.
+* :class:`~repro.metrics.ledger.Ledger` — the bandwidth accounting: the
+  aggregates plus one record per round.
 
 A :class:`~repro.congest.network.Network` facade wires the three together and
 exposes the synchronous communication primitives

@@ -8,16 +8,15 @@ communication engine (see DESIGN.md):
 * :class:`~repro.congest.transport.Transport` — the delivery mechanics,
   selected via ``backend=`` (``"columnar"``, the numpy fast path, by
   default; ``"dict"`` for the per-message reference semantics);
-* :class:`~repro.metrics.ledger.Ledger` — the bandwidth accounting, selected
-  via ``ledger=`` (``"records"`` keeps the full round history, ``"counters"``
-  keeps aggregates only for big runs).
+* :class:`~repro.metrics.ledger.Ledger` — the bandwidth accounting: the
+  aggregates plus one record per round.
 
 All communication goes through :meth:`Network.exchange` (per-edge directed
 messages) or :meth:`Network.broadcast` (same message to all neighbours); every
 call is exactly one synchronous round, and every per-edge payload is charged
 its bit size against the bandwidth budget.
 
-The budget defaults to ``ceil(bandwidth_factor * log2 n)`` bits, i.e. the
+The budget defaults to ``ceil(BUDGET_WORDS * log2 n)`` bits, i.e. the
 CONGEST model with ``log n`` bandwidth used in the paper (Theorem 1).  LOCAL
 mode (``mode="local"``) removes the budget and is used by the LOCAL baselines
 and by ablation benchmarks.
@@ -34,10 +33,8 @@ from repro.congest.errors import ProtocolError  # noqa: F401  (re-export)
 from repro.congest.topology import Topology
 from repro.congest.transport import make_transport
 from repro.metrics.ledger import (  # noqa: F401  (RoundRecord re-exported)
-    BandwidthLedger,
     Ledger,
     RoundRecord,
-    make_ledger,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -46,15 +43,29 @@ DirectedEdge = Tuple[Node, Node]
 
 DEFAULT_BACKEND = "columnar"
 
+#: The default budget is this many ``log2 n``-bit words per edge per round.
+#: The paper's algorithms use a constant number of ``log n``-bit words per
+#: round; 32 words keep the accounting honest (every primitive still uses
+#: ``O(log n)`` bits) while leaving room for the constant factors that the
+#: paper hides in Θ-notation.
+BUDGET_WORDS = 32
 
-def require_serial(shards: int) -> None:
-    """Reject any ``shards`` other than 1: execution is always serial.
 
-    The keyword survives on :class:`Network`, ``solve_d1c`` and
-    ``solve_d1lc`` only so that callers passing ``shards=1`` keep working.
+def check_compat_keywords(shards: int, ledger: Optional[str]) -> None:
+    """Reject ``shards`` other than 1 and ``ledger`` other than None/records/counters.
+
+    Both keywords survive on :class:`Network`, ``solve_d1c`` and
+    ``solve_d1lc`` only so that callers passing ``shards=1`` or
+    ``ledger="counters"`` keep working: execution is always serial, and
+    every network keeps one :class:`~repro.metrics.ledger.Ledger`.
     """
     if shards != 1:
         raise ValueError(f"shards must be 1 (execution is serial), got {shards!r}")
+    if ledger not in (None, "records", "counters"):
+        raise ValueError(
+            f"unknown ledger {ledger!r} (there is one ledger; None, "
+            "'records' and 'counters' are accepted and select nothing)"
+        )
 
 
 class Network:
@@ -69,13 +80,7 @@ class Network:
         ``"local"`` allows messages of arbitrary size.
     bandwidth_bits:
         Explicit per-edge per-round budget in bits.  When omitted it defaults
-        to ``ceil(bandwidth_factor * log2(max(n, 2)))``.
-    bandwidth_factor:
-        Multiplier on ``log2 n`` for the default budget.  The paper's
-        algorithms use a constant number of ``log n``-bit words per round; a
-        factor of 32 words keeps the accounting honest (every primitive still
-        uses ``O(log n)`` bits) while leaving room for the constant factors
-        that the paper hides in Θ-notation.
+        to ``ceil(BUDGET_WORDS * log2(max(n, 2)))``.
     backend:
         Transport backend: ``"columnar"`` (default) or ``"dict"``.  Both
         charge identical ledgers; ``"dict"`` keeps the original
@@ -83,8 +88,8 @@ class Network:
         the numpy fast path, which also runs every similarity sweep as one
         vectorized kernel.
     ledger:
-        Ledger kind (``"records"`` / ``"counters"``) or a
-        :class:`~repro.metrics.ledger.Ledger` instance to share.
+        Accepted for compatibility with callers that pass
+        ``ledger="counters"``; see :func:`check_compat_keywords`.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` (or a params mapping
         like ``{"drop": 0.01}``) that deterministically perturbs delivery —
@@ -116,9 +121,8 @@ class Network:
         graph: nx.Graph,
         mode: str = "congest",
         bandwidth_bits: Optional[int] = None,
-        bandwidth_factor: float = 32.0,
         backend: str = DEFAULT_BACKEND,
-        ledger: Any = None,
+        ledger: Optional[str] = None,
         faults: Any = None,
         fault_seed: int = 0,
         shards: int = 1,
@@ -126,15 +130,14 @@ class Network:
     ):
         if mode not in ("congest", "local"):
             raise ValueError(f"unknown mode: {mode!r}")
-        require_serial(shards)
+        check_compat_keywords(shards, ledger)
         self.graph = graph
-        self.bandwidth_factor = float(bandwidth_factor)
         self.mode = mode
         self.topology = Topology(graph)
         n = max(self.topology.number_of_nodes, 2)
         if bandwidth_bits is None:
-            bandwidth_bits = int(math.ceil(bandwidth_factor * math.log2(n)))
-        self.ledger: Ledger = make_ledger(ledger)
+            bandwidth_bits = int(math.ceil(BUDGET_WORDS * math.log2(n)))
+        self.ledger = Ledger()
         self.transport = make_transport(
             backend, self.topology, self.mode, int(bandwidth_bits),
             self.ledger, faults=faults, fault_seed=fault_seed,

@@ -25,11 +25,11 @@ from typing import Dict, Hashable, Iterable, Mapping, Optional
 
 import networkx as nx
 
-from repro.congest.network import DEFAULT_BACKEND, Network, require_serial
+from repro.congest.network import DEFAULT_BACKEND, Network, check_compat_keywords
 from repro.core.acd import compute_acd
 from repro.core.dense_phase import run_dense_phase
 from repro.core.params import ColoringParameters
-from repro.core.problem import ColoringInstance, ColorSpace
+from repro.core.problem import ColoringInstance
 from repro.core.shattering import deterministic_fallback
 from repro.core.sparse_phase import run_sparse_phase
 from repro.core.state import ColoringResult, ColoringState
@@ -68,7 +68,6 @@ def solve_instance(
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
     backend: str = DEFAULT_BACKEND,
-    ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
     tracer=None,
@@ -76,8 +75,7 @@ def solve_instance(
     """Run the full D1LC pipeline on a prepared instance.
 
     ``backend`` selects the transport engine (``"columnar"``, the default,
-    or the ``"dict"`` reference) and ``ledger`` the accounting depth
-    (``"records"`` / ``"counters"``); both choices change performance only,
+    or the ``"dict"`` reference); the choice changes performance only,
     never the reported rounds or bits.
 
     ``faults`` optionally perturbs delivery with a deterministic
@@ -101,7 +99,6 @@ def solve_instance(
         mode=mode,
         bandwidth_bits=bandwidth_bits,
         backend=backend,
-        ledger=ledger,
         faults=faults,
         fault_seed=params.seed if fault_seed is None else fault_seed,
         tracer=tracer,
@@ -136,9 +133,8 @@ def solve_d1lc(
     mode: str = "congest",
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
-    color_space: Optional[ColorSpace] = None,
     backend: str = DEFAULT_BACKEND,
-    ledger: str = "records",
+    ledger: Optional[str] = None,
     faults=None,
     fault_seed: Optional[int] = None,
     shards: int = 1,
@@ -149,17 +145,17 @@ def solve_d1lc(
     ``lists`` maps every node to its palette (at least ``d_v + 1`` colors); if
     omitted, the numeric D1C palettes ``{0..d_v}`` are used.  ``mode`` selects
     CONGEST (default) or LOCAL bandwidth accounting, ``backend`` the transport
-    engine (``"columnar"`` / ``"dict"``).  ``shards`` must be 1 (see
-    :func:`~repro.congest.network.require_serial`).
+    engine (``"columnar"`` / ``"dict"``).  ``ledger`` and ``shards`` select
+    nothing (see :func:`~repro.congest.network.check_compat_keywords`).
     """
-    require_serial(shards)
+    check_compat_keywords(shards, ledger)
     if lists is None:
         instance = ColoringInstance.d1c(graph)
     else:
-        instance = ColoringInstance.d1lc(graph, lists, color_space=color_space)
+        instance = ColoringInstance.d1lc(graph, lists)
     return solve_instance(
         instance, params=params, mode=mode, bandwidth_bits=bandwidth_bits,
-        seed=seed, backend=backend, ledger=ledger, faults=faults,
+        seed=seed, backend=backend, faults=faults,
         fault_seed=fault_seed, tracer=tracer,
     )
 
@@ -171,18 +167,18 @@ def solve_d1c(
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
     backend: str = DEFAULT_BACKEND,
-    ledger: str = "records",
+    ledger: Optional[str] = None,
     faults=None,
     fault_seed: Optional[int] = None,
     shards: int = 1,
     tracer=None,
 ) -> ColoringResult:
-    """Solve (deg+1)-coloring (Corollary 1); ``shards`` must be 1."""
-    require_serial(shards)
+    """Solve (deg+1)-coloring (Corollary 1); ``ledger``/``shards`` select nothing."""
+    check_compat_keywords(shards, ledger)
     return solve_instance(
         ColoringInstance.d1c(graph), params=params, mode=mode,
         bandwidth_bits=bandwidth_bits, seed=seed, backend=backend,
-        ledger=ledger, faults=faults, fault_seed=fault_seed, tracer=tracer,
+        faults=faults, fault_seed=fault_seed, tracer=tracer,
     )
 
 
@@ -193,7 +189,6 @@ def solve_delta_plus_one(
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
     backend: str = DEFAULT_BACKEND,
-    ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
     tracer=None,
@@ -202,5 +197,5 @@ def solve_delta_plus_one(
     return solve_instance(
         ColoringInstance.delta_plus_one(graph), params=params, mode=mode,
         bandwidth_bits=bandwidth_bits, seed=seed, backend=backend,
-        ledger=ledger, faults=faults, fault_seed=fault_seed, tracer=tracer,
+        faults=faults, fault_seed=fault_seed, tracer=tracer,
     )

@@ -88,14 +88,13 @@ def multi_trial(
     tries: Union[int, Mapping[Node, int]],
     participants: Optional[Iterable[Node]] = None,
     label: str = "multitrial",
-    cap_tries_by_slack: bool = True,
 ) -> Set[Node]:
     """Run one MultiTrial step for ``participants`` and return the newly colored nodes.
 
     ``tries`` is either a single ``x`` for everyone or a per-node mapping.
-    When ``cap_tries_by_slack`` is set, each node's ``x`` is clamped to
-    ``|Ψ_v| / (2·(uncolored degree))`` — the hypothesis of Lemma 6 — so that
-    callers can pass the schedule of Algorithm 15 verbatim.
+    Each node's ``x`` is clamped to ``|Ψ_v| / (2·(uncolored degree))`` — the
+    hypothesis of Lemma 6 — so that callers can pass the schedule of
+    Algorithm 15 verbatim.
     """
     if participants is None:
         participants = state.uncolored_nodes()
@@ -109,17 +108,16 @@ def multi_trial(
             state.network.charge_silent_round(label=f"{label}:{suffix}")
         return set()
 
-    if cap_tries_by_slack:
-        # Lemma 6 requires x <= |Ψ_v| / (2 |N(v)|) where N(v) is the set of
-        # neighbours that may try colors concurrently, i.e. the participating
-        # uncolored neighbours of this invocation.
-        participating_set = set(participants)
-        for v in participants:
-            competing = sum(
-                1 for u in state.network.neighbors(v) if u in participating_set
-            )
-            ceiling = max(1, len(state.palettes[v]) // max(1, 2 * competing))
-            tries_by_node[v] = max(1, min(tries_by_node[v], ceiling))
+    # Lemma 6 requires x <= |Ψ_v| / (2 |N(v)|) where N(v) is the set of
+    # neighbours that may try colors concurrently, i.e. the participating
+    # uncolored neighbours of this invocation.
+    participating_set = set(participants)
+    for v in participants:
+        competing = sum(
+            1 for u in state.network.neighbors(v) if u in participating_set
+        )
+        ceiling = max(1, len(state.palettes[v]) // max(1, 2 * competing))
+        tries_by_node[v] = max(1, min(tries_by_node[v], ceiling))
 
     if state.params.uniform:
         return _multi_trial_uniform(state, tries_by_node, participants, label)

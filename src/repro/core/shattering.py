@@ -32,7 +32,6 @@ def deterministic_fallback(
     state: ColoringState,
     nodes: Optional[Iterable[Node]] = None,
     label: str = "fallback",
-    max_iterations: Optional[int] = None,
 ) -> Set[Node]:
     """Color every remaining uncolored node deterministically.
 
@@ -45,12 +44,10 @@ def deterministic_fallback(
     targets = {v for v in targets if not state.is_colored(v)}
     if not targets:
         return set()
-    if max_iterations is None:
-        max_iterations = 2 * len(targets) + 4
 
     priority = {v: rank for rank, v in enumerate(sorted(targets, key=repr))}
     colored: Set[Node] = set()
-    for _ in range(max_iterations):
+    for _ in range(2 * len(targets) + 4):
         remaining = [v for v in targets if not state.is_colored(v)]
         if not remaining:
             break

@@ -137,7 +137,6 @@ def try_random_color(
     nodes: Iterable[Node],
     label: str = "try-random-color",
     track_chromatic_slack: bool = False,
-    priority: Optional[Mapping[Node, int]] = None,
 ) -> Set[Node]:
     """Algorithm 11: every listed (uncolored) node tries a random palette color."""
     proposals: Dict[Node, Color] = {}
@@ -152,7 +151,6 @@ def try_random_color(
     return try_color(
         state,
         proposals,
-        priority=priority,
         label=label,
         track_chromatic_slack=track_chromatic_slack,
     )

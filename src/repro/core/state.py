@@ -30,12 +30,11 @@ class ColoringState:
         instance: ColoringInstance,
         network: Network,
         params: Optional[ColoringParameters] = None,
-        seed: Optional[int] = None,
     ):
         self.instance = instance
         self.network = network
         self.params = params or ColoringParameters.small()
-        self.rng = RngStream(self.params.seed if seed is None else seed)
+        self.rng = RngStream(self.params.seed)
         self.colors: Dict[Node, Optional[Color]] = {v: None for v in instance.nodes}
         self.palettes: Dict[Node, Set[Color]] = {
             v: set(instance.palettes[v]) for v in instance.nodes
@@ -112,8 +111,8 @@ class ColoringResult:
     fault_stats: Optional[Dict[str, int]] = None
     #: Communication-volume breakdown read off the run's ledger: total
     #: message count plus per-phase bit/message totals (the label prefix
-    #: before ``":"``).  Deterministic across backends and ledgers, like
-    #: the headline ``total_bits``.
+    #: before ``":"``).  Deterministic across backends, like the headline
+    #: ``total_bits``.
     total_messages: int = 0
     bits_by_phase: Dict[str, int] = field(default_factory=dict)
     messages_by_phase: Dict[str, int] = field(default_factory=dict)

@@ -18,10 +18,10 @@ executable trial:
   ``conformance`` sweeps the paper's quantitative claims over 20 seeds per
   point; its tags (``e05``…``e16``) name the claim each point serves.
   ``scale`` is the large-n workload (n = 2 000 / 10 000 / 50 000); it runs
-  single trials on the ``counters`` ledger so wall-clock and memory stay
-  bounded.  ``robustness`` sweeps the fault-intensity axis
-  (:mod:`repro.faults`): drop/corruption rates, node crashes and bandwidth
-  throttling across d1lc/d1c on three families.  ``massive`` is the
+  single trials so wall-clock and memory stay bounded.  ``robustness``
+  sweeps the fault-intensity axis (:mod:`repro.faults`): drop/corruption
+  rates, node crashes and bandwidth throttling across d1lc/d1c on three
+  families.  ``massive`` is the
   very-large-n workload (n up to 500 000 on ``gnp_fast``/geometric/
   ring-of-cliques).
 """
@@ -40,8 +40,8 @@ from repro.core import ColoringInstance, ColoringParameters, solve_d1c, solve_d1
 from repro.core.acd import compute_acd
 from repro.core.multitrial import multi_trial
 from repro.core.state import ColoringResult, ColoringState
-from repro.experiments.spec import BACKENDS, LEDGERS, MODES, ScenarioSpec
-from repro.metrics.ledger import comm_row_metrics, phase_column_name
+from repro.experiments.spec import BACKENDS, MODES, ScenarioSpec
+from repro.metrics.ledger import comm_row_metrics, phase_columns
 from repro.graphs import (
     degree_plus_one_lists,
     delta_plus_one_lists,
@@ -180,23 +180,6 @@ def _coloring_fingerprint(coloring: Mapping) -> str:
     return digest[:16]
 
 
-def _phase_columns(bits_by_phase: Mapping[str, int],
-                   messages_by_phase: Mapping[str, int]) -> Dict[str, int]:
-    """Flatten per-phase ledger totals into trial-row columns.
-
-    Within a scenario every trial runs the same solver, so the phase set is
-    (near-)stable across trials; a phase that only some trials entered simply
-    drops out of the aggregate (``aggregate_rows`` skips ragged columns),
-    deterministically.
-    """
-    columns: Dict[str, int] = {}
-    for phase, bits in sorted(bits_by_phase.items()):
-        columns[phase_column_name("bits", phase)] = bits
-    for phase, msgs in sorted(messages_by_phase.items()):
-        columns[phase_column_name("messages", phase)] = msgs
-    return columns
-
-
 def _coloring_metrics(result: ColoringResult, graph: nx.Graph) -> Dict[str, object]:
     edges = max(1, graph.number_of_edges())
     nodes = max(1, graph.number_of_nodes())
@@ -214,7 +197,7 @@ def _coloring_metrics(result: ColoringResult, graph: nx.Graph) -> Dict[str, obje
         "colors_used": len({c for c in result.coloring.values() if c is not None}),
         "coloring_sha": _coloring_fingerprint(result.coloring),
     }
-    metrics.update(_phase_columns(result.bits_by_phase, result.messages_by_phase))
+    metrics.update(phase_columns(result.bits_by_phase, result.messages_by_phase))
     # Faulted runs report the perturbation outcome next to the workload
     # metrics; "valid" is then validity *under* the faults.  Fault-free rows
     # keep their historical schema (the committed baselines pin its bytes).
@@ -227,7 +210,7 @@ def _fault_kwargs(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     """The ``faults=``/``fault_seed=`` kwargs of one trial (empty when clean).
 
     The fault RNG is rooted at the trial's *solver seed*: deterministic per
-    trial, identical across backends/ledgers/worker counts, and varying
+    trial, identical across backends and worker counts, and varying
     trial to trial so a multi-trial scenario samples fresh perturbations.
     """
     if not spec.faults:
@@ -266,8 +249,7 @@ def _solve_d1c(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
                tracer=None):
     result = solve_d1c(
         graph, params=_solver_params(spec, seed), mode=spec.mode,
-        bandwidth_bits=spec.bandwidth_bits, backend=spec.backend,
-        ledger=spec.ledger, tracer=tracer,
+        bandwidth_bits=spec.bandwidth_bits, backend=spec.backend, tracer=tracer,
         **_fault_kwargs(spec, seed),
     )
     return _coloring_metrics(result, graph)
@@ -278,8 +260,7 @@ def _solve_d1lc(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
     lists = _build_lists(spec, graph, seed)
     result = solve_d1lc(
         graph, lists, params=_solver_params(spec, seed), mode=spec.mode,
-        bandwidth_bits=spec.bandwidth_bits, backend=spec.backend,
-        ledger=spec.ledger, tracer=tracer,
+        bandwidth_bits=spec.bandwidth_bits, backend=spec.backend, tracer=tracer,
         **_fault_kwargs(spec, seed),
     )
     return _coloring_metrics(result, graph)
@@ -289,8 +270,7 @@ def _solve_delta_plus_one(spec: ScenarioSpec, graph: nx.Graph, truth,
                           seed: int, tracer=None):
     result = solve_delta_plus_one(
         graph, params=_solver_params(spec, seed), mode=spec.mode,
-        bandwidth_bits=spec.bandwidth_bits, backend=spec.backend,
-        ledger=spec.ledger, tracer=tracer,
+        bandwidth_bits=spec.bandwidth_bits, backend=spec.backend, tracer=tracer,
         **_fault_kwargs(spec, seed),
     )
     return _coloring_metrics(result, graph)
@@ -299,8 +279,7 @@ def _solve_delta_plus_one(spec: ScenarioSpec, graph: nx.Graph, truth,
 def _solve_johansson(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
                      tracer=None):
     result = johansson_coloring(
-        graph, mode=spec.mode, seed=seed, backend=spec.backend,
-        ledger=spec.ledger, tracer=tracer,
+        graph, mode=spec.mode, seed=seed, backend=spec.backend, tracer=tracer,
         **_fault_kwargs(spec, seed),
     )
     return _coloring_metrics(result, graph)
@@ -310,7 +289,7 @@ def _solve_acd(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
                tracer=None):
     network = Network(
         graph, mode=spec.mode, bandwidth_bits=spec.bandwidth_bits,
-        backend=spec.backend, ledger=spec.ledger, tracer=tracer,
+        backend=spec.backend, tracer=tracer,
         **_fault_kwargs(spec, seed),
     )
     params = ColoringParameters.small(seed=seed)
@@ -349,7 +328,7 @@ def _solve_multitrial(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
     instance = ColoringInstance.d1lc(graph, lists)
     network = Network(
         graph, mode=spec.mode, bandwidth_bits=spec.bandwidth_bits,
-        backend=spec.backend, ledger=spec.ledger, tracer=tracer,
+        backend=spec.backend, tracer=tracer,
         **_fault_kwargs(spec, seed),
     )
     state = ColoringState(instance, network, ColoringParameters.small(seed=seed))
@@ -383,7 +362,7 @@ def _solve_triangles(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
                      tracer=None):
     network = Network(
         graph, mode=spec.mode, bandwidth_bits=spec.bandwidth_bits,
-        backend=spec.backend, ledger=spec.ledger, tracer=tracer,
+        backend=spec.backend, tracer=tracer,
         **_fault_kwargs(spec, seed),
     )
     eps = float(spec.solver_params.get("eps", 0.3))
@@ -414,7 +393,7 @@ def _solve_four_cycles(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
                        tracer=None):
     network = Network(
         graph, mode=spec.mode, bandwidth_bits=spec.bandwidth_bits,
-        backend=spec.backend, ledger=spec.ledger, tracer=tracer,
+        backend=spec.backend, tracer=tracer,
         **_fault_kwargs(spec, seed),
     )
     eps = float(spec.solver_params.get("eps", 0.3))
@@ -715,7 +694,7 @@ def _massive_suite() -> List[ScenarioSpec]:
 
     Three scalable families (``gnp_fast`` — the sparse-time G(n, p) sampler,
     geometric, ring-of-cliques) under the D1LC and D1C solvers, as single
-    trials on the ``counters`` ledger.  CI runs the
+    trials.  CI runs the
     ``massive-gnp-n50000-d1c`` point of the ``massive-smoke`` tier
     (n = 50 000).  Geometric radii target average degree ≈ 8
     (``r = sqrt(8 / (π n))``) so the sweeps stay linear in m.
@@ -795,8 +774,6 @@ def validate_spec(spec: ScenarioSpec) -> None:
         )
     if spec.backend not in BACKENDS:
         raise ValueError(f"{spec.name}: unknown backend {spec.backend!r}")
-    if spec.ledger not in LEDGERS:
-        raise ValueError(f"{spec.name}: unknown ledger {spec.ledger!r}")
     if spec.mode not in MODES:
         raise ValueError(f"{spec.name}: unknown mode {spec.mode!r}")
     if spec.trials < 1:

@@ -1,7 +1,7 @@
 """Declarative scenario specifications and deterministic seed derivation.
 
 A :class:`ScenarioSpec` names everything a trial needs — graph family and its
-parameters, solver and its parameters, transport backend, ledger kind,
+parameters, solver and its parameters, transport backend,
 bandwidth/mode, trial count and base seed — as plain data, so scenarios can be
 listed, diffed, pickled to worker processes, and re-run bit-identically.
 
@@ -28,7 +28,6 @@ from repro.utils.rng import derive_seed  # noqa: F401  (re-exported: the
 # seed-derivation chain now lives with the other deterministic-rng utilities
 # so the fault layer can share it without depending on the experiments layer)
 
-LEDGERS = ("records", "counters")
 MODES = ("congest", "local")
 
 
@@ -36,13 +35,13 @@ MODES = ("congest", "local")
 class ScenarioSpec:
     """One named workload point: graph family × solver × execution knobs.
 
-    ``backend`` and ``ledger`` are performance knobs only — the transport
-    engine guarantees identical accounting across them — so they do not feed
-    the seed derivation and do not appear in aggregate artifacts.
+    ``backend`` is a performance knob only — the transport engine
+    guarantees identical accounting across backends — so it does not feed
+    the seed derivation and does not appear in aggregate artifacts.
 
     ``faults`` (a ``{"drop": 0.01, "corrupt": 1e-4, ...}`` mapping — see
     :class:`repro.faults.FaultPlan`) perturbs delivery deterministically.
-    Like backend/ledger it stays out of the *trial* seed derivation: a
+    Like the backend it stays out of the *trial* seed derivation: a
     faulted scenario and its clean twin color the same graphs with the same
     solver randomness, so their rows are a controlled comparison.  The fault
     RNG is instead derived from the trial's solver seed plus the plan's
@@ -61,7 +60,6 @@ class ScenarioSpec:
     family_params: Mapping[str, object] = field(default_factory=dict)
     solver_params: Mapping[str, object] = field(default_factory=dict)
     backend: str = DEFAULT_BACKEND
-    ledger: str = "counters"
     mode: str = "congest"
     bandwidth_bits: object = None  # Optional[int]
     trials: int = 1
@@ -100,8 +98,8 @@ def trial_seeds(spec: ScenarioSpec, trial: int) -> Tuple[int, int]:
 
     Both seeds depend only on ``spec.seed`` and the trial index — plus, for
     the graph seed, the graph family and its parameters — so scenarios that
-    differ only in solver (pipeline vs baseline) or in performance knobs
-    (backend/ledger) see identical inputs and identical solver randomness.
+    differ only in solver (pipeline vs baseline) or in the backend see
+    identical inputs and identical solver randomness.
     """
     if trial < 0:
         raise ValueError("trial index must be non-negative")

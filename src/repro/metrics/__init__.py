@@ -1,14 +1,9 @@
 """Experiment metrics, validity checking and reporting helpers."""
 
 from repro.metrics.ledger import (
-    BandwidthLedger,
-    CounterLedger,
     Ledger,
-    NO_RECORDS,
-    RecordingLedger,
     RoundRecord,
     bits_by_phase,
-    make_ledger,
     messages_by_phase,
     rounds_by_phase,
 )
@@ -22,14 +17,9 @@ from repro.metrics.report import (
 )
 
 __all__ = [
-    "BandwidthLedger",
-    "CounterLedger",
     "Ledger",
-    "NO_RECORDS",
-    "RecordingLedger",
     "RoundRecord",
     "bits_by_phase",
-    "make_ledger",
     "messages_by_phase",
     "rounds_by_phase",
     "format_table",

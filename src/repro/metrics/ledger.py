@@ -1,27 +1,21 @@
-"""Bandwidth ledgers and experiment-level accounting.
+"""The bandwidth ledger and experiment-level accounting.
 
 The ledger is the accounting half of the communication engine (see
-DESIGN.md): every transport backend reports each synchronous round to a
-ledger via :meth:`Ledger.record_round`, and the ledger aggregates rounds,
-bits and messages.  Two implementations are provided:
+DESIGN.md): every transport backend reports each synchronous round to the
+network's one :class:`Ledger` via :meth:`Ledger.record_round`, which updates
+the aggregates (rounds, bits, messages, the largest per-edge payload) and
+keeps one :class:`RoundRecord` per round.  The per-label and per-phase
+breakdowns fold those records.
 
-* :class:`RecordingLedger` (the default, historically named
-  ``BandwidthLedger``) keeps a full per-round :class:`RoundRecord` history —
-  what the benchmarks and the phase breakdowns consume;
-* :class:`CounterLedger` keeps only the aggregate counters plus per-label
-  round counts, for big runs where a million :class:`RoundRecord` objects
-  would dominate memory.
-
-Both report identical headline numbers (``rounds``, ``total_bits``,
-``total_messages``, ``max_edge_bits``) for the same execution; the
-paper-fidelity invariant is that swapping the ledger never changes what is
-charged, only what is remembered.
+The history is small: the largest committed baseline runs 519 rounds in one
+trial, and an n = 500 000 solve runs 62, so one record per round never
+dominates memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional
 
 
 @dataclass
@@ -39,15 +33,9 @@ class RoundRecord:
 #: max_edge_bits)``, called after the ledger aggregates are updated.
 RoundObserver = Callable[[int, str, int, int, int], None]
 
-#: The one (immutable, shared) empty history every :class:`CounterLedger`
-#: reports.  A tuple, so a caller that tries to mutate what it wrongly
-#: assumes is its own private list fails loudly instead of silently sharing
-#: state across accesses.
-NO_RECORDS: Tuple[RoundRecord, ...] = ()
-
 
 class Ledger:
-    """Base class: aggregate communication statistics over an execution.
+    """Aggregate communication statistics over an execution, round by round.
 
     ``observer`` is the observability seam (see :mod:`repro.obs`): when set,
     it is called once per recorded round with the round's accounting, *after*
@@ -58,7 +46,7 @@ class Ledger:
     """
 
     __slots__ = ("rounds", "total_bits", "total_messages", "max_edge_bits",
-                 "observer")
+                 "observer", "records")
 
     def __init__(self) -> None:
         self.rounds = 0
@@ -66,185 +54,108 @@ class Ledger:
         self.total_messages = 0
         self.max_edge_bits = 0
         self.observer: Optional[RoundObserver] = None
+        self.records: List[RoundRecord] = []
 
     def record_round(self, label: str, message_count: int, total_bits: int,
                      max_edge_bits: int) -> None:
-        raise NotImplementedError
-
-    def _bump(self, label: str, message_count: int, total_bits: int,
-              max_edge_bits: int) -> None:
         self.rounds += 1
         self.total_bits += total_bits
         self.total_messages += message_count
         if max_edge_bits > self.max_edge_bits:
             self.max_edge_bits = max_edge_bits
+        self.records.append(RoundRecord(
+            index=self.rounds,
+            label=label,
+            message_count=message_count,
+            total_bits=total_bits,
+            max_edge_bits=max_edge_bits,
+        ))
         if self.observer is not None:
             self.observer(self.rounds, label, message_count, total_bits,
                           max_edge_bits)
 
     def rounds_by_label(self) -> Dict[str, int]:
         """Number of rounds spent under each label (useful in benchmarks)."""
-        raise NotImplementedError
-
-    def bits_by_label(self) -> Dict[str, int]:
-        """Total bits charged under each label."""
-        raise NotImplementedError
-
-    def messages_by_label(self) -> Dict[str, int]:
-        """Total messages delivered under each label."""
-        raise NotImplementedError
-
-
-class RecordingLedger(Ledger):
-    """Full-history ledger: keeps one :class:`RoundRecord` per round."""
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.records: List[RoundRecord] = []
-
-    def record_round(self, label: str, message_count: int, total_bits: int,
-                     max_edge_bits: int) -> None:
-        self._bump(label, message_count, total_bits, max_edge_bits)
-        self.records.append(
-            RoundRecord(
-                index=self.rounds,
-                label=label,
-                message_count=message_count,
-                total_bits=total_bits,
-                max_edge_bits=max_edge_bits,
-            )
-        )
-
-    def rounds_by_label(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for record in self.records:
             counts[record.label] = counts.get(record.label, 0) + 1
         return counts
 
     def bits_by_label(self) -> Dict[str, int]:
+        """Total bits charged under each label."""
         totals: Dict[str, int] = {}
         for record in self.records:
             totals[record.label] = totals.get(record.label, 0) + record.total_bits
         return totals
 
     def messages_by_label(self) -> Dict[str, int]:
+        """Total messages delivered under each label."""
         totals: Dict[str, int] = {}
         for record in self.records:
             totals[record.label] = totals.get(record.label, 0) + record.message_count
         return totals
 
 
-#: Historical name, kept because algorithms and tests refer to it.
-BandwidthLedger = RecordingLedger
+def phase_of(label: str) -> str:
+    """The phase a round label belongs to: the part before the first ``:``.
 
-
-class CounterLedger(Ledger):
-    """Counters-only ledger for big runs: no per-round history.
-
-    Per-label round/bit/message counts are still maintained (three dict
-    increments per round) because the phase breakdowns in results and the
-    trace summaries depend on them; everything else is a plain counter.
-    ``records`` is always the shared immutable :data:`NO_RECORDS` tuple.
+    A label without ``:`` is its own phase; the empty label is the ``""``
+    phase, so unlabeled rounds stay visible rather than vanishing.
     """
-
-    __slots__ = ("_label_rounds", "_label_bits", "_label_messages")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._label_rounds: Dict[str, int] = {}
-        self._label_bits: Dict[str, int] = {}
-        self._label_messages: Dict[str, int] = {}
-
-    @property
-    def records(self) -> Sequence[RoundRecord]:
-        return NO_RECORDS
-
-    def record_round(self, label: str, message_count: int, total_bits: int,
-                     max_edge_bits: int) -> None:
-        self._bump(label, message_count, total_bits, max_edge_bits)
-        self._label_rounds[label] = self._label_rounds.get(label, 0) + 1
-        self._label_bits[label] = self._label_bits.get(label, 0) + total_bits
-        self._label_messages[label] = (
-            self._label_messages.get(label, 0) + message_count
-        )
-
-    def rounds_by_label(self) -> Dict[str, int]:
-        return dict(self._label_rounds)
-
-    def bits_by_label(self) -> Dict[str, int]:
-        return dict(self._label_bits)
-
-    def messages_by_label(self) -> Dict[str, int]:
-        return dict(self._label_messages)
+    return label.split(":", 1)[0]
 
 
-_LEDGER_KINDS = {
-    "records": RecordingLedger,
-    "full": RecordingLedger,
-    "counters": CounterLedger,
-}
-
-
-def make_ledger(spec: Union[str, Ledger, None] = "records") -> Ledger:
-    """Build a ledger from a spec: a kind name, an instance, or ``None``.
-
-    ``"records"`` (default) keeps the full round history; ``"counters"``
-    keeps aggregates only.  Passing an existing :class:`Ledger` instance
-    returns it unchanged (so an experiment can share one ledger across
-    several networks).
-    """
-    if spec is None:
-        return RecordingLedger()
-    if isinstance(spec, Ledger):
-        return spec
-    try:
-        return _LEDGER_KINDS[spec]()
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown ledger kind: {spec!r} (expected one of {sorted(_LEDGER_KINDS)} "
-            "or a Ledger instance)"
-        ) from None
-
-
-def _totals_by_phase(by_label: Dict[str, int], prefix_split: str) -> Dict[str, int]:
-    """Fold per-label totals into per-phase totals (prefix before ``:``).
-
-    A label without the separator is its own phase; an empty label folds into
-    the ``""`` phase — unlabeled rounds stay visible rather than vanishing.
-    """
+def _totals_by_phase(by_label: Dict[str, int]) -> Dict[str, int]:
+    """Fold per-label totals into per-phase totals (see :func:`phase_of`)."""
     totals: Dict[str, int] = {}
     for label, value in by_label.items():
-        phase = label.split(prefix_split, 1)[0]
+        phase = phase_of(label)
         totals[phase] = totals.get(phase, 0) + value
     return totals
 
 
-def rounds_by_phase(network, prefix_split: str = ":") -> Dict[str, int]:
-    """Aggregate round counts by phase label prefix (the part before ``:``)."""
-    return _totals_by_phase(network.ledger.rounds_by_label(), prefix_split)
+def rounds_by_phase(network) -> Dict[str, int]:
+    """Aggregate round counts by phase (see :func:`phase_of`)."""
+    return _totals_by_phase(network.ledger.rounds_by_label())
 
 
-def phase_column_name(kind: str, phase: str) -> str:
-    """Flat column name for one phase's totals in a trial row.
+def bits_by_phase(network) -> Dict[str, int]:
+    """Aggregate total bits by phase (see :func:`phase_of`)."""
+    return _totals_by_phase(network.ledger.bits_by_label())
 
-    The empty phase (unlabeled rounds) maps to ``"unlabeled"`` so the column
-    name stays non-degenerate and the rounds stay visible in aggregates.
+
+def messages_by_phase(network) -> Dict[str, int]:
+    """Aggregate message counts by phase (see :func:`phase_of`)."""
+    return _totals_by_phase(network.ledger.messages_by_label())
+
+
+def phase_columns(bits: Mapping[str, int],
+                  messages: Mapping[str, int]) -> Dict[str, int]:
+    """Flatten per-phase totals into trial-row columns.
+
+    One ``phase_bits_<phase>`` column per phase, then one
+    ``phase_messages_<phase>`` column per phase, each in phase order; the
+    empty phase (unlabeled rounds) is named ``unlabeled`` so the column name
+    stays non-degenerate.  Within a scenario every trial runs the same
+    solver, so the phase set is (near-)stable across trials; a phase that
+    only some trials entered simply drops out of the aggregate
+    (``aggregate_rows`` skips ragged columns), deterministically.
     """
-    return f"phase_{kind}_{phase or 'unlabeled'}"
+    columns: Dict[str, int] = {}
+    for kind, totals in (("bits", bits), ("messages", messages)):
+        for phase, value in sorted(totals.items()):
+            columns[f"phase_{kind}_{phase or 'unlabeled'}"] = value
+    return columns
 
 
-def comm_row_metrics(network, prefix_split: str = ":") -> Dict[str, object]:
-    """Flat comm-volume columns for one trial row, from either ledger.
+def comm_row_metrics(network) -> Dict[str, object]:
+    """Flat comm-volume columns for one trial row, read off a network.
 
-    Emits the total message count, bits-per-node, and one
-    ``phase_bits_<phase>`` / ``phase_messages_<phase>`` column per phase that
-    charged anything — the columns the suite aggregates (and the analytics
-    layer on top of them) treat as first-class communication metrics.  Both
-    ledgers support the per-label folds, so the columns are available on
-    ``records`` and ``counters`` runs alike and are byte-identical across
-    backends and ledgers.
+    Emits the total message count, bits-per-node, and the
+    :func:`phase_columns` of every phase that charged anything — the columns
+    the suite aggregates (and the analytics layer on top of them) treat as
+    first-class communication metrics.  They are byte-identical across
+    backends.
     """
     ledger = network.ledger
     nodes = max(1, network.number_of_nodes)
@@ -252,18 +163,6 @@ def comm_row_metrics(network, prefix_split: str = ":") -> Dict[str, object]:
         "total_messages": ledger.total_messages,
         "bits_per_node": round(ledger.total_bits / nodes, 4),
     }
-    for phase, bits in sorted(bits_by_phase(network, prefix_split).items()):
-        metrics[phase_column_name("bits", phase)] = bits
-    for phase, msgs in sorted(messages_by_phase(network, prefix_split).items()):
-        metrics[phase_column_name("messages", phase)] = msgs
+    metrics.update(phase_columns(bits_by_phase(network),
+                                 messages_by_phase(network)))
     return metrics
-
-
-def bits_by_phase(network, prefix_split: str = ":") -> Dict[str, int]:
-    """Aggregate total bits by phase label prefix (the part before ``:``)."""
-    return _totals_by_phase(network.ledger.bits_by_label(), prefix_split)
-
-
-def messages_by_phase(network, prefix_split: str = ":") -> Dict[str, int]:
-    """Aggregate message counts by phase label prefix (the part before ``:``)."""
-    return _totals_by_phase(network.ledger.messages_by_label(), prefix_split)

@@ -69,7 +69,7 @@ def run_record(
     """Build one registry record from a run's aggregate (+ optional timing).
 
     ``knobs`` carries the perf-only execution parameters (backend,
-    workers, ledger) that the deterministic aggregate deliberately omits —
+    workers) that the deterministic aggregate deliberately omits —
     here they are exactly the provenance a trend reader wants.
     ``digest_dir`` records where the run wrote its ``DIGEST_*.jsonl``
     streams so ``repro report trend`` can align them when a later run's
@@ -144,7 +144,6 @@ def localize_digest_change(
     suite: str,
     prev: Mapping[str, object],
     cur: Mapping[str, object],
-    limit: int = LOCALIZE_LIMIT,
 ) -> List[Finding]:
     """Align two runs' stored ``DIGEST_*.jsonl`` streams, per scenario.
 
@@ -208,13 +207,13 @@ def localize_digest_change(
             f"`repro diff {path_a} {path_b} --bisect`",
         ))
         emitted += 1
-        if emitted >= limit:
+        if emitted >= LOCALIZE_LIMIT:
             remaining = len(scenarios) - scenarios.index(scenario) - 1
             if remaining > 0:
                 findings.append(Finding(
                     "info", suite, "digest",
                     f"{remaining} more scenario(s) not aligned "
-                    f"(localization limit {limit})",
+                    f"(localization limit {LOCALIZE_LIMIT})",
                 ))
             break
     return findings

@@ -240,13 +240,11 @@ def render_report(
     title: str,
     summary: Optional[Mapping[str, object]] = None,
     traces: Optional[Sequence[Tuple[str, Sequence[Mapping[str, object]]]]] = None,
-    extra_sections: Optional[Sequence[Tuple[str, str]]] = None,
 ) -> str:
     """Build the full self-contained HTML report document.
 
     ``summary`` is an optional suite aggregate (rendered as the overview
-    table); ``traces`` is ``(name, events)`` pairs, one section each;
-    ``extra_sections`` appends ``(heading, html)`` pairs verbatim.
+    table); ``traces`` is ``(name, events)`` pairs, one section each.
     """
     body: List[str] = [f"<h1>{escape(title)}</h1>"]
     if summary is not None:
@@ -257,9 +255,6 @@ def render_report(
         body.append(html_table(suite_overview_rows(summary)))
     for name, events in traces or ():
         body.append(_trace_section(name, events))
-    for heading, html in extra_sections or ():
-        body.append(f"<h2>{escape(heading)}</h2>")
-        body.append(html)
     return (
         "<!doctype html><html lang='en'><head><meta charset='utf-8'>"
         f"<title>{escape(title)}</title>"

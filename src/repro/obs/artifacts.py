@@ -34,8 +34,8 @@ DIGEST_PREFIX = "DIGEST_"
 EVENTS_SUFFIX = ".jsonl"
 
 #: Event fields that depend on the machine or on performance knobs (clock,
-#: process counters, transport backend, ledger kind) rather than the run.
-MACHINE_FIELDS = frozenset({"wall_s", "rss_mb", "cpu_s", "backend", "ledger"})
+#: process counters, transport backend) rather than the run.
+MACHINE_FIELDS = frozenset({"wall_s", "rss_mb", "cpu_s", "backend"})
 
 
 def _filename(prefix: str, scenario: str) -> str:

@@ -18,7 +18,7 @@ Three layers, each built on the one below:
 
 The bisection re-run is possible because every instrumented trial's header
 embeds the scenario spec's workload fields (:func:`spec_payload`);
-performance knobs (backend/ledger) are deliberately absent and default on
+the backend, a performance knob, is deliberately absent and defaults on
 re-run.
 """
 
@@ -38,8 +38,8 @@ def spec_payload(spec) -> Dict[str, Any]:
     """JSON-safe embedding of a spec's workload fields for stream headers.
 
     Everything the seed derivation and the solvers read — and nothing the
-    byte-identity contract says must not matter (backend, ledger,
-    trial-worker count).  Fault plans embed via their canonical encoding,
+    byte-identity contract says must not matter (backend, trial-worker
+    count).  Fault plans embed via their canonical encoding,
     which is JSON-round-trip stable by design.
     """
     from repro.faults.plan import FaultPlan

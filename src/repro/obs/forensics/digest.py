@@ -238,9 +238,9 @@ class MultisetDigest:
 
     __slots__ = ("value", "count")
 
-    def __init__(self, value: int = 0, count: int = 0):
-        self.value = value & _MASK64
-        self.count = count
+    def __init__(self) -> None:
+        self.value = 0
+        self.count = 0
 
     def add(self, entry_hash: int) -> None:
         self.value = (self.value + entry_hash) & _MASK64

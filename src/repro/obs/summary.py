@@ -1,8 +1,8 @@
 """Trace summaries: phase timelines and per-phase drift between two runs.
 
-A *phase timeline* folds a trace's round events by phase (the label prefix
-before ``":"`` — the same convention as
-:func:`repro.metrics.ledger.rounds_by_phase`), in first-appearance order:
+A *phase timeline* folds a trace's round events by phase
+(:func:`repro.metrics.ledger.phase_of` the label, as the ledger's phase
+folds do), in first-appearance order:
 per phase, how many rounds ran, how many messages and bits they moved, and
 how much wall-clock they took.  This is the per-phase comparison surface
 competing solvers will share.
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.metrics.ledger import phase_of
 from repro.metrics.report import format_table
 
 
@@ -75,8 +76,7 @@ def summarize_trace(events: Sequence[Mapping[str, object]]) -> TraceSummary:
     for event in events:
         kind = event.get("type")
         if kind == "round":
-            label = str(event.get("label", ""))
-            phase = str(event.get("phase", label.split(":", 1)[0]))
+            phase = str(event.get("phase", phase_of(str(event.get("label", "")))))
             totals = by_phase.get(phase)
             if totals is None:
                 totals = by_phase[phase] = PhaseTotals(phase=phase)

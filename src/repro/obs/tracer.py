@@ -36,6 +36,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.metrics.ledger import phase_of
 from repro.obs.forensics.digest import (
     CHAIN_INIT,
     MultisetDigest,
@@ -126,8 +127,8 @@ class RoundTracer(Tracer):
     Event shapes (schema :data:`RUN_SCHEMA`; plain JSON-serializable dicts,
     one JSONL line each):
 
-    * ``header`` — schema, topology size, mode/backend/budget, ledger kind,
-      fault plan, ``fine_rounds`` when set, plus ``meta``.
+    * ``header`` — schema, topology size, mode/backend/budget, fault plan,
+      ``fine_rounds`` when set, plus ``meta``.
     * ``round`` — ``round`` (1-based ledger index), ``label``, ``phase``
       (label prefix before ``":"``), ``messages``, ``bits``,
       ``max_edge_bits``, ``wall_s`` (time since the previous round event —
@@ -208,7 +209,6 @@ class RoundTracer(Tracer):
             "mode": network.mode,
             "backend": network.backend,
             "bandwidth_bits": network.bandwidth_bits,
-            "ledger": type(ledger).__name__,
         }
         if self.fine_rounds is not None:
             header["fine_rounds"] = list(self.fine_rounds)
@@ -298,7 +298,7 @@ class RoundTracer(Tracer):
             "type": "round",
             "round": index,
             "label": label,
-            "phase": label.split(":", 1)[0],
+            "phase": phase_of(label),
             "messages": message_count,
             "bits": total_bits,
             "max_edge_bits": max_edge_bits,

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 
 
-def log_star(x: float, base: float = 2.0) -> int:
-    """Return the iterated logarithm ``log* x``.
+def log_star(x: float) -> int:
+    """Return the iterated base-2 logarithm ``log* x``.
 
     ``log* x`` is the number of times the logarithm must be applied before the
     result drops to at most 1.  It is at most 5 for every input that fits in
@@ -25,7 +25,7 @@ def log_star(x: float, base: float = 2.0) -> int:
     value = x
     while value > 1:
         # math.log accepts arbitrarily large integers, so no float(x) cast.
-        value = math.log(value, base)
+        value = math.log(value, 2.0)
         count += 1
         if count > 128:  # pragma: no cover - defensive, unreachable for finite x
             break

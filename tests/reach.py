@@ -4,8 +4,9 @@ Runs the examples, the CLI commands CI runs and perfbench's three workloads (tin
 size) in this process under a ``sys.settrace`` hook (cProfile, which ``suite run
 --profile`` installs, takes the profile hook), prints each ``src/repro`` function
 never called as ``module:qualname``, and exits 1 naming any that ``unreached.txt``
-does not list.  Listed names that ran only get a note (``line_chart`` runs or not
-by wall time).  Usage: ``PYTHONPATH=src python tests/reach.py``
+does not list and any listed name ``src/repro`` no longer defines.  Listed names
+that ran only get a note (``line_chart`` runs or not by wall time).  Usage:
+``PYTHONPATH=src python tests/reach.py``
 """
 
 import contextlib, inspect, io, os, runpy, sys, tempfile  # noqa: E401
@@ -57,23 +58,29 @@ def main() -> int:
             perfbench(name, 1, seconds=0.0, trace=True, size="tiny")
     sys.settrace(None)
     reached = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in seen}
-    unreached = set()
+    defined, unreached = set(), set()
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
         module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
         stack = [compile(path.read_text(), str(path.resolve()), "exec")]
         while stack:  # every function and method body, nested ones included
             code = stack.pop()
             stack.extend(c for c in code.co_consts if inspect.iscode(c))
-            if (code.co_flags & inspect.CO_NEWLOCALS and code.co_name[0] != "<"
-                    and (code.co_filename, code.co_firstlineno) not in reached):
-                unreached.add(f"{module.removesuffix('.__init__')}:{code.co_qualname}")
+            if code.co_flags & inspect.CO_NEWLOCALS and code.co_name[0] != "<":
+                name = f"{module.removesuffix('.__init__')}:{code.co_qualname}"
+                defined.add(name)
+                if (code.co_filename, code.co_firstlineno) not in reached:
+                    unreached.add(name)
     listed = set(LISTED.read_text().split())
+    stale = listed - defined
     print("\n".join(sorted(unreached)))
-    for name in sorted(listed - unreached):
+    for name in sorted(listed - unreached - stale):
         print(f"listed in {LISTED.name} but reached now: {name}", file=sys.stderr)
+    for name in sorted(stale):
+        print(f"listed in {LISTED.name} but not defined in src/repro: {name}",
+              file=sys.stderr)
     for name in sorted(unreached - listed):
         print(f"unreached and not listed in {LISTED.name}: {name}", file=sys.stderr)
-    return 1 if unreached - listed else 0
+    return 1 if unreached - listed or stale else 0
 
 
 if __name__ == "__main__":

@@ -166,6 +166,30 @@ class TestSuiteCommands:
         out = capsys.readouterr().out
         assert "timing/RSS checks skipped" in out and "PASS" in out
 
+    @pytest.mark.parametrize("budget", ["--timing-budget", "--rss-budget"],
+                             ids=["timing-budget", "rss-budget"])
+    @pytest.mark.parametrize("timing", ["not-json", "no-suite-entry"])
+    def test_suite_compare_skips_timing_on_a_bad_fresh_timing_file(
+            self, timing, budget, capsys, tmp_path):
+        import json
+
+        assert main(["suite", "run", "smoke", "--only", "gnp-d1c",
+                     "--trials", "1", "--out", str(tmp_path)]) == 0
+        suite_path = tmp_path / "BENCH_suite.json"
+        timing_path = tmp_path / "BENCH_suite_timing.json"
+        if timing == "not-json":
+            timing_path.write_text("{bad")
+        else:
+            data = json.loads(timing_path.read_text())
+            data["suites"] = {"scale": data["suites"]["smoke"]}
+            timing_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["suite", "compare", "--baseline", str(suite_path),
+                     "--fresh", str(suite_path), budget, "25"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("timing/RSS checks skipped") == 1
+        assert "PASS" in captured.out and "Traceback" not in captured.err
+
     def test_suite_compare_timing_budget_warns_but_passes(self, capsys, tmp_path):
         import json
 
@@ -564,6 +588,16 @@ class TestAnalyticsCli:
         assert "gnp-d1c" in out_text
         assert "phase timeline: powerlaw-d1lc" not in out_text
         assert (tmp_path / "one.html").exists()
+
+    @pytest.mark.parametrize("content", ["{bad", '{"schema": "other"}'],
+                             ids=["not-json", "other-schema"])
+    def test_report_on_a_bad_suite_aggregate_exits_2(self, content, capsys,
+                                                     tmp_path):
+        (tmp_path / "BENCH_suite.json").write_text(content)
+        assert main(["report", "smoke", "--dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "BENCH_suite.json" in err
 
     def test_report_trend_table_and_gate(self, capsys, tmp_path):
         out = self._run_smoke(tmp_path)

@@ -122,8 +122,8 @@ class TestKernelParity:
 # --------------------------------------------------------------------------- #
 
 def _dict_vs_columnar_broadcast(graph, values, bandwidth_bits=64):
-    nets = [Network(graph, backend=b, bandwidth_bits=bandwidth_bits,
-                    ledger="records") for b in ("dict", "columnar")]
+    nets = [Network(graph, backend=b, bandwidth_bits=bandwidth_bits)
+            for b in ("dict", "columnar")]
     inboxes = [net.broadcast(values, label="b") for net in nets]
     return nets, inboxes
 
@@ -226,7 +226,7 @@ class TestChunkedAccounting:
                              3 * budget, rng.randrange(0, 6 * budget + 1)])
                  for _ in range(rng.randrange(1, 2000))]
         net = Network(nx.path_graph(4), backend="columnar",
-                      bandwidth_bits=budget, ledger="records")
+                      bandwidth_bits=budget)
         net.transport.charge_chunked_sizes("o", np.array(sizes,
                                                          dtype=np.int64))
         got = [(r.message_count, r.total_bits, r.max_edge_bits)
@@ -234,8 +234,7 @@ class TestChunkedAccounting:
         assert got == _simulate_chunk_rounds(sizes, budget)
 
     def test_empty_and_local_records(self):
-        net = Network(nx.path_graph(4), backend="columnar", mode="local",
-                      ledger="records")
+        net = Network(nx.path_graph(4), backend="columnar", mode="local")
         net.transport.charge_chunked_sizes("empty", np.array([],
                                                              dtype=np.int64))
         net.transport.charge_chunked_sizes("local", np.array([5, 0, 9],
@@ -250,10 +249,8 @@ class TestChunkedAccounting:
         rng = random.Random(99)
         graph = nx.path_graph(6)
         sizes = {(i, i + 1): rng.randrange(0, 120) for i in range(5)}
-        ref_net = Network(graph, backend="dict", bandwidth_bits=7,
-                          ledger="records")
-        col_net = Network(graph, backend="columnar", bandwidth_bits=7,
-                          ledger="records")
+        ref_net = Network(graph, backend="dict", bandwidth_bits=7)
+        col_net = Network(graph, backend="columnar", bandwidth_bits=7)
         monkeypatch.setattr(ct, "_VECTOR_MIN_SIZES", 0)  # force the array path
         ref_net.transport._charge_chunked_rounds("c", sizes)
         col_net.transport._charge_chunked_rounds("c", sizes)
@@ -265,9 +262,9 @@ class TestChunkedAccounting:
         monkeypatch.setattr(ct, "_VECTOR_MIN_SIZES", 0)
         sizes = {(0, 1): 1 << 80}  # OverflowError on fromiter
         ref_net = Network(nx.path_graph(3), backend="dict",
-                          bandwidth_bits=1 << 70, ledger="records")
+                          bandwidth_bits=1 << 70)
         col_net = Network(nx.path_graph(3), backend="columnar",
-                          bandwidth_bits=1 << 70, ledger="records")
+                          bandwidth_bits=1 << 70)
         ref_net.transport._charge_chunked_rounds("big", sizes)
         col_net.transport._charge_chunked_rounds("big", sizes)
         assert col_net.ledger.records == ref_net.ledger.records
@@ -298,7 +295,7 @@ def _on_dict_and_columnar(graph, run, **options):
     """``run(network)`` on a dict and a columnar network, each with its records."""
     outcomes = []
     for backend in ("dict", "columnar"):
-        network = Network(graph, backend=backend, ledger="records", **options)
+        network = Network(graph, backend=backend, **options)
         outcomes.append((run(network), network.ledger.records))
     return outcomes
 
@@ -414,7 +411,7 @@ class TestSimilarityKernel:
         for backend in ("dict", "columnar"):
             tracer = RoundTracer(digest=digest)
             network = Network(_similarity_graph(), backend=backend,
-                              ledger="records", tracer=tracer)
+                              tracer=tracer)
             detect_triangle_rich_edges(network, eps=0.3, seed=3)
             tracer.close()
             streams.append(deterministic_events(tracer.events))
@@ -468,7 +465,7 @@ class TestSimilarityKernel:
 
         monkeypatch.setattr(sweep, "scale_keys_vec", spy)
         graph = _similarity_graph()
-        network = Network(graph, backend="columnar", ledger="records")
+        network = Network(graph, backend="columnar")
         sets = {v: set(graph.neighbors(v)) for v in graph}
         estimate_similarity_on_edges(network, sets, params=params, seed=5)
         assert kernel_ran == [True]
@@ -569,7 +566,7 @@ class TestBadPairs:
     @pytest.mark.parametrize("empty", [False, True], ids=["both-sets", "one-empty"])
     def test_rejected_before_any_round(self, backend, name, empty):
         pair, message = BAD_PAIRS[name]
-        network = Network(nx.cycle_graph(6), backend=backend, ledger="records")
+        network = Network(nx.cycle_graph(6), backend=backend)
         sets = {v: {1, 2} for v in (*range(6), 9)}
         if empty:
             sets[pair[0]] = set()
@@ -581,7 +578,7 @@ class TestBadPairs:
 
     @pytest.mark.parametrize("backend", ["dict", "columnar"])
     def test_triangle_detection_rejects_an_unknown_node(self, backend):
-        network = Network(nx.cycle_graph(6), backend=backend, ledger="records")
+        network = Network(nx.cycle_graph(6), backend=backend)
         with pytest.raises(ProtocolError, match="0 and 9 are not adjacent"):
             detect_triangle_rich_edges(network, edges=[(0, 9)])
         assert network.ledger.records == []
@@ -595,8 +592,8 @@ class TestBroadcastDiscard:
     def test_ledger_identical_to_full_broadcast(self):
         graph = nx.random_geometric_graph(30, 0.3, seed=2)
         values = {v: Message(content=v, bits=9) for v in graph.nodes()}
-        full = Network(graph, backend="columnar", ledger="records")
-        lean = Network(graph, backend="columnar", ledger="records")
+        full = Network(graph, backend="columnar")
+        lean = Network(graph, backend="columnar")
         full.broadcast(values, label="x")
         assert lean.broadcast_discard(values, label="x") is None
         assert lean.ledger.records == full.ledger.records
@@ -606,7 +603,7 @@ class TestBroadcastDiscard:
         values = {0: Message(content="hub", bits=12), 3: 7}
         records = []
         for backend in ("dict", "columnar"):
-            net = Network(graph, backend=backend, ledger="records")
+            net = Network(graph, backend=backend)
             assert net.broadcast_discard(values, label="d") is None
             records.append(net.ledger.records)
         assert records[0] == records[1]

@@ -118,7 +118,6 @@ class TestRegistry:
             dataclasses.replace(good, family="nope"),
             dataclasses.replace(good, solver="nope"),
             dataclasses.replace(good, backend="nope"),
-            dataclasses.replace(good, ledger="nope"),
             dataclasses.replace(good, mode="nope"),
             dataclasses.replace(good, trials=0),
         ):
@@ -143,7 +142,7 @@ class TestSeedDerivation:
 
     def test_performance_knobs_do_not_change_seeds(self):
         spec = TINY_SPECS[0]
-        tweaked = dataclasses.replace(spec, backend="dict", ledger="records")
+        tweaked = dataclasses.replace(spec, backend="dict")
         assert trial_seeds(spec, 1) == trial_seeds(tweaked, 1)
 
     def test_family_params_change_graph_seed(self):

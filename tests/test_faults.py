@@ -15,7 +15,7 @@ from repro.faults.corruption import to_unit
 from repro.faults.transport import _CORRUPT_SALT, _DROP_SALT
 from repro.graphs import degree_plus_one_lists
 from repro.hashing.keys import element_key, mix64
-from repro.metrics.ledger import make_ledger
+from repro.metrics.ledger import Ledger
 
 
 def small_graph(n=30, p=0.2, seed=1):
@@ -167,7 +167,7 @@ class TestFaultyTransport:
         graph = small_graph()
         topology = Topology(graph)
         bare = make_transport("columnar", topology, "congest", 64,
-                              make_ledger(None), faults={})
+                              Ledger(), faults={})
         assert not isinstance(bare, FaultyTransport)
         assert bare.name == "columnar"
         net = Network(graph, faults=None)
@@ -179,7 +179,7 @@ class TestFaultyTransport:
     def test_wrapping_is_flat_and_guarded(self):
         graph = small_graph()
         topology = Topology(graph)
-        ledger = make_ledger(None)
+        ledger = Ledger()
         inner = make_transport("columnar", topology, "congest", 64, ledger)
         wrapped = make_transport("columnar", topology, "congest", 64, ledger,
                                  faults={"drop": 0.5})
@@ -352,8 +352,7 @@ class TestDeterminism:
         graph = small_graph(40, 0.15, seed=6)
         runs = []
         for backend in ("dict", "columnar"):
-            net = Network(graph, backend=backend, ledger="records",
-                          faults=FAULTS, fault_seed=5)
+            net = Network(graph, backend=backend, faults=FAULTS, fault_seed=5)
             inboxes = net.broadcast({v: v * 3 + 1 for v in graph.nodes()})
             runs.append((
                 [dataclasses.astuple(r) for r in net.ledger.records],

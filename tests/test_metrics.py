@@ -1,13 +1,17 @@
 """Tests for metrics, ledger summaries and report formatting."""
 
+from collections import Counter
+
 import networkx as nx
 import pytest
 
 from repro.congest import Message, Network
+from repro.core.acd import compute_acd
+from repro.core.params import ColoringParameters
+from repro.graphs import gnp_graph
 from repro.metrics import format_table
 from repro.metrics.ledger import (
-    CounterLedger,
-    RecordingLedger,
+    RoundRecord,
     bits_by_phase,
     messages_by_phase,
     rounds_by_phase,
@@ -22,9 +26,8 @@ class TestLedgerSummaries:
         net.exchange({(0, 1): 1}, label="dense:slack")
         assert rounds_by_phase(net) == {"acd": 2, "dense": 1}
 
-    @pytest.mark.parametrize("ledger", ["records", "counters"])
-    def test_bits_and_messages_by_phase(self, ledger):
-        net = Network(nx.path_graph(4), bandwidth_bits=32, ledger=ledger)
+    def test_bits_and_messages_by_phase(self):
+        net = Network(nx.path_graph(4), bandwidth_bits=32)
         net.exchange({(0, 1): Message(content=1, bits=10)}, label="acd:degrees")
         net.exchange({(0, 1): Message(content=1, bits=6),
                       (1, 2): Message(content=1, bits=4)}, label="acd:buddy")
@@ -34,38 +37,43 @@ class TestLedgerSummaries:
         # The three helpers agree on phase keys by construction.
         assert set(rounds_by_phase(net)) == set(bits_by_phase(net))
 
-    @pytest.mark.parametrize("ledger", ["records", "counters"])
-    def test_phase_helpers_on_empty_ledger(self, ledger):
-        net = Network(nx.path_graph(4), ledger=ledger)
+    def test_phase_helpers_on_empty_ledger(self):
+        net = Network(nx.path_graph(4))
         assert rounds_by_phase(net) == {}
         assert bits_by_phase(net) == {}
         assert messages_by_phase(net) == {}
 
-    @pytest.mark.parametrize("ledger", ["records", "counters"])
-    def test_phase_helpers_with_unlabeled_rounds(self, ledger):
+    def test_phase_helpers_with_unlabeled_rounds(self):
         # A label with no ":" separator is its own phase; an empty label
         # folds into the "" phase rather than being dropped.
-        net = Network(nx.path_graph(4), bandwidth_bits=32, ledger=ledger)
+        net = Network(nx.path_graph(4), bandwidth_bits=32)
         net.exchange({(0, 1): Message(content=1, bits=5)}, label="bare")
         net.exchange({(1, 2): Message(content=1, bits=3)}, label="")
         assert rounds_by_phase(net) == {"bare": 1, "": 1}
         assert bits_by_phase(net) == {"bare": 5, "": 3}
         assert messages_by_phase(net) == {"bare": 1, "": 1}
 
-    def test_by_label_helpers_match_across_ledgers(self):
-        nets = {
-            kind: Network(nx.path_graph(4), bandwidth_bits=32, ledger=kind)
-            for kind in ("records", "counters")
-        }
-        for net in nets.values():
-            net.exchange({(0, 1): Message(content=1, bits=10)}, label="a:one")
-            net.exchange({(1, 2): Message(content=1, bits=20)}, label="a:two")
-        rec, cnt = nets["records"].ledger, nets["counters"].ledger
-        assert isinstance(rec, RecordingLedger)
-        assert isinstance(cnt, CounterLedger)
-        assert rec.bits_by_label() == cnt.bits_by_label()
-        assert rec.messages_by_label() == cnt.messages_by_label()
-        assert rec.rounds_by_label() == cnt.rounds_by_label()
+
+class TestLedgerRecords:
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
+    def test_one_record_per_round_summing_to_the_aggregates(self, backend):
+        # The ACD runs the columnar similarity kernel, which charges the
+        # ledger directly; the broadcast and the silent round use the
+        # transport.
+        net = Network(gnp_graph(60, 0.15, seed=3), backend=backend)
+        compute_acd(net, ColoringParameters.small(seed=1))
+        net.broadcast({v: 1 for v in net.nodes}, label="extra:broadcast")
+        net.charge_silent_round(label="extra:silent")
+        ledger = net.ledger
+        records = ledger.records
+        assert ledger.rounds > 2
+        assert all(type(r) is RoundRecord for r in records)
+        assert [r.index for r in records] == list(range(1, ledger.rounds + 1))
+        assert sum(r.message_count for r in records) == ledger.total_messages
+        assert sum(r.total_bits for r in records) == ledger.total_bits
+        assert max(r.max_edge_bits for r in records) == ledger.max_edge_bits
+        assert ledger.rounds_by_label() == Counter(r.label for r in records)
+        assert records[-1].message_count == records[-1].total_bits == 0
 
 
 class TestReportFormatting:

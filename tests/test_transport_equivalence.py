@@ -34,7 +34,6 @@ from repro.graphs import (
     ring_of_cliques,
 )
 from repro.graphs.generators import triangle_rich_graph
-from repro.metrics.ledger import CounterLedger, RecordingLedger
 from round_driver import run_rounds
 
 BACKENDS = ("dict", "columnar")
@@ -427,8 +426,7 @@ PROGRAM_FAULTS = {
 
 def run_program(graph, program_cls, backend, faults=None):
     """Drive ``program_cls`` to completion; return everything a run exposes."""
-    net = Network(graph, backend=backend, ledger="records", faults=faults,
-                  fault_seed=13)
+    net = Network(graph, backend=backend, faults=faults, fault_seed=13)
     program = program_cls(net)
     rounds, halted = run_rounds(net, program, seed=7)
     return {
@@ -499,47 +497,36 @@ class TestProgramEquivalence:
         assert net.ledger.rounds == 0
 
 
+def _run_with_ledger(surface, graph, ledger):
+    """One run passing ``ledger=``: the network's ledger, or the solve's result."""
+    if surface == "Network":
+        net = Network(graph, ledger=ledger)
+        run_rounds(net, lambda v, r, inbox, rng: (
+            {u: r for u in net.neighbors(v)}, r >= 2))
+        return ledger_tuple(net), net.ledger.records
+    if surface == "solve_d1c":
+        return solve_d1c(graph, seed=3, ledger=ledger)
+    return solve_d1lc(graph, degree_plus_one_lists(graph, seed=3), seed=3,
+                      ledger=ledger)
+
+
+COMPAT_SURFACES = ("Network", "solve_d1c", "solve_d1lc")
+
+
 class TestLedgerBackends:
-    def test_counters_match_records(self):
+    """``ledger=`` survives on three surfaces for old callers; it selects nothing."""
+
+    @pytest.mark.parametrize("surface", COMPAT_SURFACES)
+    def test_counters_match_records(self, surface):
         graph = gnp_graph(40, 0.15, seed=8)
-        full = solve_d1c(graph, seed=3, backend="columnar", ledger="records")
-        lean = solve_d1c(graph, seed=3, backend="columnar", ledger="counters")
-        assert full.coloring == lean.coloring
-        assert (full.rounds, full.total_bits, full.max_edge_bits) == (
-            lean.rounds, lean.total_bits, lean.max_edge_bits
-        )
-        assert full.rounds_by_phase == lean.rounds_by_phase
+        runs = [_run_with_ledger(surface, graph, ledger)
+                for ledger in (None, "records", "counters")]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
-    def test_counter_ledger_keeps_no_records(self):
-        net = Network(nx.path_graph(4), ledger="counters")
-        net.exchange({(0, 1): 1}, label="a")
-        assert isinstance(net.ledger, CounterLedger)
-        assert list(net.ledger.records) == []
-        assert net.ledger.rounds == 1
-
-    def test_counter_ledger_records_cannot_leak_shared_state(self):
-        # `records` returns the module-level immutable empty tuple: a caller
-        # that tries to mutate it fails loudly instead of corrupting a list
-        # shared by every CounterLedger access.
-        net = Network(nx.path_graph(4), ledger="counters")
-        records = net.ledger.records
-        assert records is net.ledger.records  # no fresh allocation per access
-        with pytest.raises((AttributeError, TypeError)):
-            records.append("bogus")
-        other = Network(nx.path_graph(3), ledger="counters")
-        assert other.ledger.records == ()
-
-    def test_shared_ledger_instance(self):
-        shared = RecordingLedger()
-        net1 = Network(nx.path_graph(3), ledger=shared)
-        net2 = Network(nx.path_graph(3), ledger=shared)
-        net1.exchange({(0, 1): 1})
-        net2.exchange({(1, 2): 1})
-        assert shared.rounds == 2
-
-    def test_unknown_ledger_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Network(nx.path_graph(3), ledger="weird")
+    @pytest.mark.parametrize("surface", COMPAT_SURFACES)
+    def test_unknown_ledger_kind_rejected(self, surface):
+        with pytest.raises(ValueError, match="unknown ledger 'weird'"):
+            _run_with_ledger(surface, nx.path_graph(3), "weird")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -632,7 +619,7 @@ class TestSlotSizingCacheInvalidation:
 
     def test_mutated_payload_resized_next_round(self):
         graph = nx.path_graph(3)
-        net = Network(graph, mode="local", backend="columnar", ledger="records")
+        net = Network(graph, mode="local", backend="columnar")
         payload = [1, 1]
         net.exchange({(0, 1): payload}, label="r0")
         first_bits = net.ledger.records[-1].total_bits
@@ -650,7 +637,7 @@ class TestSlotSizingCacheInvalidation:
         # object, drop it, and keep sending new objects until the allocator
         # recycles the address — every delivery must charge the true size.
         graph = nx.path_graph(3)
-        net = Network(graph, mode="local", backend="columnar", ledger="records")
+        net = Network(graph, mode="local", backend="columnar")
         from repro.congest.bandwidth import payload_bits
 
         stale = [255] * 4
@@ -668,7 +655,7 @@ class TestSlotSizingCacheInvalidation:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_broadcast_resizes_mutated_payload_every_round(self, backend):
         graph = ring_of_cliques(3, 4)
-        net = Network(graph, mode="local", backend=backend, ledger="records")
+        net = Network(graph, mode="local", backend=backend)
         payload = {"colors": [1, 2]}
         sender = next(iter(graph.nodes()))
         net.broadcast({sender: payload}, label="r0")
