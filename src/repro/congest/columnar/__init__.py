@@ -9,12 +9,9 @@ runs both).  The package splits along the byte-identity seams:
 * :mod:`~repro.congest.columnar.kernels` — uint64-array twins of the scalar
   splitmix64 hashing kernels (``mix64_step`` / ``combine_part_keys`` /
   ``low_unique_values``), pinned bit-for-bit;
-* :mod:`~repro.congest.columnar.buffers` — CSR-offset message round buffers
-  (one ``offsets``/``storage`` pair per round, written sender-side, read
-  receiver-side in slot order);
 * :mod:`~repro.congest.columnar.transport` — the ``ColumnarTransport``
-  backend (pooled payload sizing, vectorized broadcast routing and
-  chunked-round accounting);
+  backend (pooled payload sizing, vectorized broadcast accounting, inboxes
+  filled from the topology CSR, and chunked-round accounting);
 * :mod:`~repro.congest.columnar.sweep` — the vectorized
   ``EstimateSimilarity`` kernel behind the ACD buddy test, triangle
   detection and sparsity estimation.

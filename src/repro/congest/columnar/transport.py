@@ -10,9 +10,7 @@ arithmetic off the Python interpreter:
   defers the bandwidth check to a single audit after sizing;
 * ``broadcast`` sizes and accounts all senders in one vectorized pass over
   the topology CSR (degree gather, ``bits * degree`` sums, worst-edge argmax)
-  and expands the round into one :class:`~repro.congest.columnar.buffers.
-  CsrRoundBuffer` ``offsets``/``storage`` pair instead of per-sender Python
-  slices;
+  and fills the inboxes straight from each sender's CSR row;
 * ``broadcast_discard`` charges a broadcast whose inboxes the caller throws
   away (the ACD's participation/degree announcements) without materialising
   a single inbox dict;
@@ -30,7 +28,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.congest.columnar.buffers import CsrRoundBuffer
 from repro.congest.errors import BandwidthExceeded
 from repro.congest.message import Message
 from repro.congest.topology import Topology
@@ -49,7 +46,7 @@ _VECTOR_MAX_ROUNDS = 4_000_000
 
 
 class ColumnarTransport(Transport):
-    """Fast path: pooled sizing, deferred audit, vectorized CSR routing.
+    """Fast path: pooled sizing, deferred audit, vectorized CSR accounting.
 
     On violating rounds the *reported* error may differ from ``dict``: edges
     are validated inline but the budget audit is deferred to the end of the
@@ -198,26 +195,20 @@ class ColumnarTransport(Transport):
         message_count, total_bits, max_edge_bits = self._account_broadcast(
             senders, slots, bits, label
         )
-        buffer = CsrRoundBuffer.from_broadcast(
-            self._np_indptr, self._np_indices, slots, contents
-        )
-        # Replay the buffer receiver-side.  Storage order is sender-major, so
-        # every receiver sees its senders in send order (the reference
-        # backend's inbox insertion sequence), and slot-indexed boxes replace
-        # per-node dict lookups in the one loop that must stay Python
-        # (payloads are boxed).
+        # Senders in send order, each over its CSR row: every receiver sees
+        # its senders in send order (the reference backend's inbox insertion
+        # sequence).  Slot-indexed boxes replace per-node dict lookups, and
+        # rows are read from the topology's arrays, so no per-round receiver
+        # or payload column is built.
         boxes: List[Any] = [EMPTY_INBOX] * len(nodes)
-        offsets = buffer.offsets.tolist()
-        receivers = buffer.receiver_slots.tolist()
-        payloads = buffer.storage.tolist()
-        for i, sender in enumerate(senders):
-            for p in range(offsets[i], offsets[i + 1]):
-                j = receivers[p]
+        indptr = self.topology.indptr
+        indices = self.topology.indices
+        for sender, content, i in zip(senders, contents, slots.tolist()):
+            for j in indices[indptr[i]:indptr[i + 1]]:
                 box = boxes[j]
                 if box is EMPTY_INBOX:
-                    box = {}
-                    boxes[j] = box
-                box[sender] = payloads[p]
+                    box = boxes[j] = {}
+                box[sender] = content
         self.ledger.record_round(label, message_count, total_bits, max_edge_bits)
         return dict(zip(nodes, boxes))
 

@@ -46,7 +46,7 @@ class Topology:
     )
 
     def __init__(self, graph: nx.Graph):
-        if any(u == v for u, v in graph.edges()):
+        if nx.number_of_selfloops(graph):
             raise ProtocolError("self-loops are not allowed in a CONGEST network")
         self.graph = graph
         self._nodes: Tuple[Node, ...] = tuple(graph.nodes())

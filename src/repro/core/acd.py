@@ -33,6 +33,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 from repro.congest.bandwidth import bitstring_message, index_message, integer_message
 from repro.congest.message import Message
 from repro.congest.network import Network
+from repro.congest.topology import Topology
 from repro.core.params import ColoringParameters
 from repro.hashing.ecc import ErrorCorrectingCode, hamming_distance
 from repro.hashing.multiset import RepresentativeMultisetFamily
@@ -273,6 +274,45 @@ def _unevenness(degrees: Dict[Node, int], neighbors: Dict[Node, Set[Node]], v: N
     )
 
 
+def _balanced_candidates(
+    topology: Topology, active_set: Set[Node], eps: float
+) -> Tuple[Dict[Node, int], List[Edge]]:
+    """Induced degrees and the ε-balanced candidate edges, read off the CSR.
+
+    ``degrees[v]`` counts ``v``'s neighbours in ``active_set``.  The
+    candidates are the edges with both endpoints active whose degrees are
+    ε-balanced, ``min(d_u, d_v) >= (1 - ε)·max(d_u, d_v)``: the CSR upper
+    triangle, so each edge appears once with its lower-index endpoint first,
+    as ``graph.edges()`` orients it.  Both endpoints of an active edge have
+    induced degree at least 1.  The masks are temporaries of this call, so
+    they are freed before the buddy sweep, which sets the solve's peak RSS.
+    """
+    # Imported here: numpy stays out of ``import repro`` until a run needs it.
+    import numpy as np
+
+    nodes = topology.nodes
+    index = topology.node_index
+    indptr = np.asarray(topology.indptr, dtype=np.int64)
+    indices = np.asarray(topology.indices, dtype=np.int64)
+    active = np.zeros(len(nodes), dtype=bool)
+    active[np.fromiter((index[v] for v in active_set), dtype=np.int64,
+                       count=len(active_set))] = True
+    rows = np.repeat(np.arange(len(nodes), dtype=np.int64), np.diff(indptr))
+    live = active[rows] & active[indices]
+    degree = np.bincount(rows[live], minlength=len(nodes))
+    upper = live & (rows < indices)
+    low, high = rows[upper], indices[upper]
+    d_low, d_high = degree[low], degree[high]
+    balanced = np.minimum(d_low, d_high) >= (1.0 - eps) * np.maximum(d_low, d_high)
+    degree_of = degree.tolist()
+    degrees = {v: degree_of[index[v]] for v in active_set}
+    candidates = [
+        (nodes[u], nodes[v])
+        for u, v in zip(low[balanced].tolist(), high[balanced].tolist())
+    ]
+    return degrees, candidates
+
+
 def compute_acd(
     network: Network,
     params: Optional[ColoringParameters] = None,
@@ -296,32 +336,23 @@ def compute_acd(
     # computes neighborhoods/degrees from the graph directly, so the inboxes
     # of both broadcasts are discarded — broadcast_discard charges them
     # identically while letting the columnar backend skip the inbox fill.
+    # Equal announcements share one frozen Message.
     network.broadcast_discard(
-        {v: Message(content=True, bits=1, label="acd:participation") for v in active_set},
+        dict.fromkeys(active_set, Message(content=True, bits=1, label="acd:participation")),
         label="acd:participation",
     )
     neighborhoods: Dict[Node, Set[Node]] = {
         v: {u for u in network.neighbors(v) if u in active_set} for v in active_set
     }
-    degrees = {v: len(neighborhoods[v]) for v in active_set}
-    network.broadcast_discard(
-        {
-            v: integer_message(degrees[v], max(2, network.number_of_nodes), label="acd:degree")
-            for v in active_set
-        },
-        label="acd:degrees",
-    )
-
     eps = params.acd_eps
-    candidate_edges: List[Edge] = []
-    for u, v in network.graph.edges():
-        if u not in active_set or v not in active_set:
-            continue
-        du, dv = degrees[u], degrees[v]
-        if min(du, dv) == 0:
-            continue
-        if min(du, dv) >= (1.0 - eps) * max(du, dv):
-            candidate_edges.append((u, v))
+    degrees, candidate_edges = _balanced_candidates(network.topology, active_set, eps)
+    universe = max(2, network.number_of_nodes)
+    announce = {
+        d: integer_message(d, universe, label="acd:degree") for d in set(degrees.values())
+    }
+    network.broadcast_discard(
+        {v: announce[degrees[v]] for v in active_set}, label="acd:degrees"
+    )
 
     if params.uniform:
         friend_edges = _uniform_buddy_edges(

@@ -19,7 +19,7 @@ is needed, and exposes encoding helpers that return
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, Optional
+from typing import AbstractSet, Dict, Hashable, Sequence
 
 from repro.congest.bandwidth import index_message
 from repro.congest.message import Message
@@ -40,9 +40,12 @@ _RANGE_EXPONENT = 6
 class ColorHasher:
     """Per-node color encoding for CONGEST messages.
 
-    In *direct* mode (small color spaces) colors are sent verbatim.  In
-    *hashed* mode (huge color spaces) each node owns a universal hash function
-    and neighbours address colors to it by hash value.
+    In *direct* mode (small color spaces) colors are sent verbatim, so a
+    node tells its whole neighbourhood one color with one broadcast, and a
+    receiver finds the named color by lookup.  In *hashed* mode (huge color
+    spaces) each node owns a universal hash function and neighbours address
+    colors to it by hash value: one message per receiver, matched by a scan
+    of the receiver's palette (:meth:`matching_colors`).
     """
 
     def __init__(
@@ -106,33 +109,20 @@ class ColorHasher:
         """Package ``color`` for a message addressed to ``owner``."""
         return Message(content=self.value_for(owner, color), bits=self.color_bits(), label=label)
 
-    def encode_shared(self, color: Color, label: str = "color") -> Optional[Message]:
-        """One message reusable for every receiver, or ``None`` in hashed mode.
+    def matching_colors(
+        self, owner: Node, palette: AbstractSet[Color], received_value: Hashable
+    ) -> Sequence[Color]:
+        """The colors of ``palette`` that ``received_value`` names for ``owner``.
 
-        In direct mode the encoding is receiver-independent (the color is
-        sent verbatim), so a sender announcing one color to its whole
-        neighbourhood can build a single frozen :class:`Message` and address
-        it to everyone — content, bits and label are exactly what
-        :meth:`encode_for` would produce per receiver, and payload sizing is
-        identity-memoized per round, so the ledger sees identical charges.
-        In hashed mode encodings are per-receiver; callers fall back to
-        :meth:`encode_for`.
+        The one question every receiver asks of a color message: pruning a
+        palette, counting chromatic slack, and finding a dealt color.  In
+        direct mode colors travel verbatim, so it is a lookup: the received
+        value itself when ``palette`` holds it, else nothing.  In hashed mode
+        it scans ``palette``, because a hash collision can name more than one
+        color; w.h.p. there is at most one, and returning all of them keeps
+        the coloring sound in the (negligible) collision case.
         """
-        if self.mode != "direct":
-            return None
-        return Message(content=color, bits=self.color_space.bits, label=label)
-
-    def matches(self, owner: Node, color: Color, received_value: Hashable) -> bool:
-        """Does ``color`` (known to ``owner``) correspond to a received encoding?"""
-        return self.value_for(owner, color) == received_value
-
-    def remove_matching(self, owner: Node, palette: set, received_value: Hashable) -> None:
-        """Remove from ``palette`` every color matching ``received_value`` for ``owner``.
-
-        In hashed mode there is at most one such color w.h.p.; removing all
-        matches keeps the coloring sound even in the (negligible) collision
-        case, at the cost of at most one spuriously discarded color.
-        """
-        doomed = [c for c in palette if self.matches(owner, c, received_value)]
-        for color in doomed:
-            palette.discard(color)
+        if self.mode == "direct":
+            return (received_value,) if received_value in palette else ()
+        function = self._functions[owner]
+        return [color for color in palette if function(color) == received_value]

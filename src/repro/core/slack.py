@@ -19,10 +19,43 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Mapping, Optional, Set
 
+from repro.congest.message import Message
+from repro.congest.transport import EMPTY_INBOX
 from repro.core.state import ColoringState
 
 Node = Hashable
 Color = Hashable
+
+
+def _send_colors(
+    state: ColoringState, colors: Mapping[Node, Color], label: str
+) -> Mapping[Node, Mapping[Node, Hashable]]:
+    """One round: every node in ``colors`` tells all its neighbours its color.
+
+    Returns the inboxes: ``inboxes[u][v]`` is what ``u`` received from ``v``
+    (receivers that got nothing may be absent).  In direct mode the color
+    travels verbatim, the same bits to every neighbour, so the round is one
+    :meth:`~repro.congest.network.Network.broadcast`.  In hashed mode the
+    value addressed to ``u`` is ``h_u(color)``, so the round is an exchange
+    with one message per receiver.  Both charge one message of
+    ``color_bits`` per edge.
+    """
+    network = state.network
+    hasher = state.hasher
+    if hasher.mode == "direct":
+        bits = hasher.color_bits()
+        return network.broadcast(
+            {v: Message(content=color, bits=bits, label=label) for v, color in colors.items()},
+            label=label,
+        )
+    messages = {}
+    for v, color in colors.items():
+        for u in network.neighbors(v):
+            messages[(v, u)] = hasher.encode_for(u, color, label=label)
+    inboxes: Dict[Node, Dict[Node, Hashable]] = {}
+    for (sender, receiver), value in network.exchange(messages, label=label).items():
+        inboxes.setdefault(receiver, {})[sender] = value
+    return inboxes
 
 
 def announce_adoptions(
@@ -33,37 +66,29 @@ def announce_adoptions(
 ) -> None:
     """One round: newly colored nodes tell neighbours, who prune their palettes.
 
-    When ``track_chromatic_slack`` is set (only during GenerateSlack), every
-    uncolored receiver also checks whether the announced color lies outside
-    its *original* palette and, if so, increments its chromatic slack ``κ_v``
-    (Definition 7) — the quantity later used for leader selection.
+    The round is :func:`_send_colors` (one broadcast in direct mode), and
+    every uncolored receiver removes the colors each received value names
+    (:meth:`~repro.core.large_colors.ColorHasher.matching_colors`).  When
+    ``track_chromatic_slack`` is set (only during GenerateSlack), it also
+    checks whether the announced color lies outside its *original* palette
+    and, if so, increments its chromatic slack ``κ_v`` (Definition 7) — the
+    quantity later used for leader selection.
     """
     if not adopted:
         state.network.charge_silent_round(label=f"{label}:adopt")
         return
-    messages = {}
-    for v, color in adopted.items():
-        # Direct mode: one receiver-independent Message reused for the whole
-        # neighbourhood (payload sizing is identity-memoized per round, so the
-        # ledger charges are unchanged); hashed mode encodes per receiver.
-        shared = state.hasher.encode_shared(color, label=f"{label}:adopt")
-        if shared is None:
-            for u in state.network.neighbors(v):
-                messages[(v, u)] = state.hasher.encode_for(u, color, label=f"{label}:adopt")
-        else:
-            for u in state.network.neighbors(v):
-                messages[(v, u)] = shared
-    delivered = state.network.exchange(messages, label=f"{label}:adopt")
-    for (sender, receiver), value in delivered.items():
-        if state.is_colored(receiver):
+    inboxes = _send_colors(state, adopted, f"{label}:adopt")
+    matching_colors = state.hasher.matching_colors
+    for receiver, inbox in inboxes.items():
+        if not inbox or state.is_colored(receiver):
             continue
-        if track_chromatic_slack:
-            in_original = any(
-                state.hasher.matches(receiver, c, value)
-                for c in state.original_palettes[receiver]
-            )
-            state.note_chromatic_slack(receiver, not in_original)
-        state.remove_from_palette(receiver, value)
+        for value in inbox.values():
+            if track_chromatic_slack:
+                original = state.original_palettes[receiver]
+                state.note_chromatic_slack(
+                    receiver, not matching_colors(receiver, original, value)
+                )
+            state.remove_from_palette(receiver, value)
 
 
 def try_color(
@@ -75,6 +100,9 @@ def try_color(
 ) -> Set[Node]:
     """Algorithm 12: try one color per proposing node, resolve conflicts, announce.
 
+    Two rounds, each one :func:`_send_colors` call: proposers announce the
+    color they try (``{label}:propose``), then adopters announce the color
+    they keep (``{label}:adopt``, see :func:`announce_adoptions`).
     ``priority`` optionally ranks proposers (lower rank wins): a proposer only
     treats higher- or equal-priority neighbours as conflicting, which realises
     the paper's ``N^+ / N^-`` refinement while preserving the correctness
@@ -90,22 +118,8 @@ def try_color(
         state.network.charge_silent_round(label=f"{label}:adopt")
         return set()
 
-    # Round 1: everyone announces the color it is trying.  As in
-    # announce_adoptions, direct mode shares one Message per proposer.
-    messages = {}
-    for v, color in proposals.items():
-        shared = state.hasher.encode_shared(color, label=f"{label}:propose")
-        if shared is None:
-            for u in state.network.neighbors(v):
-                messages[(v, u)] = state.hasher.encode_for(u, color, label=f"{label}:propose")
-        else:
-            for u in state.network.neighbors(v):
-                messages[(v, u)] = shared
-    delivered = state.network.exchange(messages, label=f"{label}:propose")
-    received: Dict[Node, Dict[Node, Hashable]] = {v: {} for v in proposals}
-    for (sender, receiver), value in delivered.items():
-        if receiver in received:
-            received[receiver][sender] = value
+    # Round 1: everyone announces the color it is trying.
+    inboxes = _send_colors(state, proposals, f"{label}:propose")
 
     # Conflict resolution: keep the color unless a conflicting (higher- or
     # equal-priority) neighbour proposed a color with the same encoding.
@@ -113,7 +127,7 @@ def try_color(
     for v, color in proposals.items():
         own_value = state.hasher.value_for(v, color)
         conflict = False
-        for u, value in received[v].items():
+        for u, value in inboxes.get(v, EMPTY_INBOX).items():
             if u not in proposals:
                 continue
             if priority is not None and priority.get(u, 0) > priority.get(v, 0):

@@ -80,8 +80,10 @@ class ColoringState:
         self._uncolored.discard(v)
 
     def remove_from_palette(self, v: Node, encoded_value: Hashable) -> None:
-        """Remove the color matching ``encoded_value`` from ``v``'s palette."""
-        self.hasher.remove_matching(v, self.palettes[v], encoded_value)
+        """Remove every color ``encoded_value`` names from ``v``'s palette."""
+        palette = self.palettes[v]
+        for color in self.hasher.matching_colors(v, palette, encoded_value):
+            palette.discard(color)
 
     def note_chromatic_slack(self, v: Node, neighbor_color_outside_palette: bool) -> None:
         if neighbor_color_outside_palette:

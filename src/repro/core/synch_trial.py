@@ -83,7 +83,7 @@ def synch_color_trial(
         if state.is_colored(v):
             continue
         value = state.hasher.value_for(v, color)
-        matching = [c for c in state.palettes[v] if state.hasher.matches(v, c, value)]
+        matching = state.hasher.matching_colors(v, state.palettes[v], value)
         if matching:
             proposals[v] = sorted(matching, key=repr)[0]
     return try_color(state, proposals, label=label)

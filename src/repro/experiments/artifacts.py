@@ -153,14 +153,26 @@ def merge_timing(path: Path, summary: Mapping[str, object]) -> Dict[str, object]
     return data
 
 
+def _load_object(path: Path, kind: str) -> Dict[str, object]:
+    """Parse ``path`` as JSON, raising ``ValueError`` unless it is an object."""
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{path}: the {kind} is not a JSON object (got {type(data).__name__})"
+        )
+    return data
+
+
 def load_suite_timing(path: Path, suite: Optional[str] = None) -> Dict[str, object]:
     """Load the timing artifact; with ``suite`` given, return that entry only."""
-    data = json.loads(Path(path).read_text())
+    data = _load_object(path, "timing snapshot")
     if data.get("schema") != TIMING_SCHEMA:
         raise ValueError(
             f"{path}: unsupported timing snapshot schema {data.get('schema')!r} "
             f"(expected {TIMING_SCHEMA!r})"
         )
+    if not isinstance(data.get("suites"), dict):
+        raise ValueError(f"{path}: the timing snapshot's 'suites' is not a JSON object")
     if suite is None:
         return data
     try:
@@ -213,7 +225,7 @@ def load_trial_rows(path: Path) -> List[Dict[str, object]]:
 
 
 def load_suite_summary(path: Path) -> Dict[str, object]:
-    summary = json.loads(Path(path).read_text())
+    summary = _load_object(path, "suite snapshot")
     schema = summary.get("schema")
     if schema != SCHEMA:
         raise ValueError(

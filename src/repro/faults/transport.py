@@ -45,6 +45,11 @@ _DROP_SALT = 0xD809
 _CORRUPT_SALT = 0xC0BB
 
 
+def _charged_bits(payload: Any) -> int:
+    """What the wrapped transport charges for ``payload``."""
+    return payload.bits if isinstance(payload, Message) else payload_bits(payload)
+
+
 class FaultyTransport(Transport):
     """Wrap ``inner`` so that ``plan`` perturbs every round it carries."""
 
@@ -99,8 +104,7 @@ class FaultyTransport(Transport):
         if validate:
             self._validate_edge(sender, receiver)
         if enforce_budget:
-            bits = payload.bits if isinstance(payload, Message) else \
-                payload_bits(payload)
+            bits = _charged_bits(payload)
             if bits > self.bandwidth_bits:
                 raise BandwidthExceeded((sender, receiver), bits,
                                         self.bandwidth_bits, label)
@@ -164,11 +168,18 @@ class FaultyTransport(Transport):
             else:
                 surviving[edge] = payload
         if self._pending:
-            self._deliver_due(surviving, round_id)
+            self._deliver_due(surviving, round_id, enforce_budget)
         return surviving
 
-    def _deliver_due(self, surviving: Dict[DirectedEdge, Any], round_id: int) -> None:
-        """Merge delayed messages whose due round has arrived (FIFO order)."""
+    def _deliver_due(self, surviving: Dict[DirectedEdge, Any], round_id: int,
+                     enforce_budget: bool) -> None:
+        """Merge delayed messages whose due round has arrived (FIFO order).
+
+        A late message was checked when it was sent.  One larger than this
+        round's budget (the payload of a chunked stream) waits for the next
+        round that streams, a chunked one, instead of failing this round's
+        budget check: faults surface as absences, never as exceptions.
+        """
         crashed = self._crashed
         still: List[Tuple[int, DirectedEdge, Any]] = []
         for due, edge, payload in self._pending:
@@ -180,6 +191,8 @@ class FaultyTransport(Transport):
                 # The edge carries a fresh message this round; the late one
                 # waits one more round rather than silently clobbering it.
                 still.append((round_id + 1, edge, payload))
+            elif enforce_budget and _charged_bits(payload) > self.bandwidth_bits:
+                still.append((due, edge, payload))
             else:
                 surviving[edge] = payload
         self._pending = still

@@ -168,7 +168,8 @@ class TestSuiteCommands:
 
     @pytest.mark.parametrize("budget", ["--timing-budget", "--rss-budget"],
                              ids=["timing-budget", "rss-budget"])
-    @pytest.mark.parametrize("timing", ["not-json", "no-suite-entry"])
+    @pytest.mark.parametrize("timing", ["not-json", "no-suite-entry",
+                                        "json-array", "suites-array"])
     def test_suite_compare_skips_timing_on_a_bad_fresh_timing_file(
             self, timing, budget, capsys, tmp_path):
         import json
@@ -177,11 +178,14 @@ class TestSuiteCommands:
                      "--trials", "1", "--out", str(tmp_path)]) == 0
         suite_path = tmp_path / "BENCH_suite.json"
         timing_path = tmp_path / "BENCH_suite_timing.json"
+        data = json.loads(timing_path.read_text())
         if timing == "not-json":
             timing_path.write_text("{bad")
+        elif timing == "json-array":
+            timing_path.write_text("[1]")
         else:
-            data = json.loads(timing_path.read_text())
-            data["suites"] = {"scale": data["suites"]["smoke"]}
+            data["suites"] = ({"scale": data["suites"]["smoke"]}
+                              if timing == "no-suite-entry" else [1])
             timing_path.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["suite", "compare", "--baseline", str(suite_path),
@@ -274,7 +278,8 @@ class TestFaultsCli:
 
 
 #: Bad invocations, by name.  ``{tmp}`` is a scratch directory holding
-#: ``bad.json`` and ``TRACE_bad.jsonl`` (neither is JSON); ``{bench}`` is the
+#: ``bad.json`` and ``TRACE_bad.jsonl`` (neither is JSON), ``array.json`` and
+#: ``array/BENCH_suite.json`` (JSON arrays, not objects); ``{bench}`` is the
 #: committed smoke aggregate.
 USER_ERRORS = {
     "color-n-zero": ["color", "--n", "0"],
@@ -294,6 +299,10 @@ USER_ERRORS = {
                               "--fresh", "{tmp}/missing.json"],
     "compare-non-json-fresh": ["suite", "compare", "--baseline", "{bench}",
                                "--fresh", "{tmp}/bad.json"],
+    "compare-array-baseline": ["suite", "compare",
+                               "--baseline", "{tmp}/array.json"],
+    "compare-array-fresh": ["suite", "compare", "--baseline", "{bench}",
+                            "--fresh", "{tmp}/array.json"],
     "compare-negative-max-regression": ["suite", "compare", "--baseline", "{bench}",
                                         "--fresh", "{bench}", "--max-regression", "-5"],
     "compare-negative-timing-budget": ["suite", "compare", "--baseline", "{bench}",
@@ -333,6 +342,7 @@ USER_ERRORS = {
     "report-non-json-trace": ["report", "bad", "--dir", "{tmp}"],
     "report-nothing-found": ["report", "nope", "--dir", "{tmp}"],
     "report-empty-trace": ["report", "empty", "--dir", "{tmp}"],
+    "report-array-aggregate": ["report", "smoke", "--dir", "{tmp}/array"],
     "faults-not-a-number": ["suite", "run", "smoke", "--faults", "drop=abc",
                             "--out", "{tmp}/out"],
     "faults-unknown-key": ["suite", "run", "smoke", "--faults", "bogus=1",
@@ -356,6 +366,9 @@ class TestUserErrors:
                              ids=list(USER_ERRORS))
     def test_exits_2_with_one_stderr_line(self, argv, capsys, tmp_path):
         (tmp_path / "bad.json").write_text("not json\n")
+        (tmp_path / "array.json").write_text("[1]\n")
+        (tmp_path / "array").mkdir()
+        (tmp_path / "array" / "BENCH_suite.json").write_text("[1]\n")
         (tmp_path / "TRACE_bad.jsonl").write_text("not json\n")
         (tmp_path / "empty.jsonl").write_text("")
         (tmp_path / "TRACE_empty.jsonl").write_text("")

@@ -1,10 +1,10 @@
-"""Columnar core: kernels, buffers and accounting pinned bit-for-bit.
+"""Columnar core: kernels, broadcast inboxes and accounting pinned bit-for-bit.
 
 The columnar backend's contract (DESIGN.md "Columnar core invariants") is
 byte-identity with the ``dict`` reference backend.  The end-to-end half of
 that contract lives in the equivalence matrix (``test_transport_equivalence``);
 this module pins the *pieces* — vectorized splitmix64 kernels against the
-scalar implementations, CSR round buffers against the reference inbox fill,
+scalar implementations, broadcast inboxes against the reference inbox fill,
 vectorized chunk accounting against a literal chunk-by-chunk simulation, the
 similarity kernel against the scalar sweep — so a drift in any one layer
 fails here with a precise finger instead of as an opaque end-to-end diff.
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.congest import Message, Network, ProtocolError
 from repro.congest.columnar import sweep
-from repro.congest.columnar.buffers import CsrRoundBuffer
 from repro.congest.columnar.kernels import (
     element_keys_array,
     hash_values_vec,
@@ -118,7 +117,7 @@ class TestKernelParity:
 
 
 # --------------------------------------------------------------------------- #
-# CSR round buffers: write sender-side, read receiver-side in slot order
+# Broadcast inboxes: filled from the CSR rows, senders in send order
 # --------------------------------------------------------------------------- #
 
 def _dict_vs_columnar_broadcast(graph, values, bandwidth_bits=64):
@@ -128,7 +127,7 @@ def _dict_vs_columnar_broadcast(graph, values, bandwidth_bits=64):
     return nets, inboxes
 
 
-class TestCsrRoundBuffer:
+class TestBroadcastInboxes:
     def test_round_trip_reproduces_reference_inboxes_and_order(self):
         graph = nx.random_geometric_graph(40, 0.3, seed=3)
         values = {v: Message(content=(v, "payload"), bits=17)
@@ -141,23 +140,6 @@ class TestCsrRoundBuffer:
         assert {v: list(b) for v, b in col_in.items()} == \
             {v: list(b) for v, b in ref_in.items()}
         assert nets[0].ledger.records == nets[1].ledger.records
-
-    def test_entries_are_sender_major_in_csr_row_order(self):
-        graph = nx.complete_graph(5)
-        net = Network(graph, backend="columnar")
-        topo = net.topology
-        indptr = np.asarray(topo.indptr, dtype=np.int64)
-        indices = np.asarray(topo.indices, dtype=np.int64)
-        senders = np.array([3, 1], dtype=np.int64)  # send order preserved
-        buf = CsrRoundBuffer.from_broadcast(indptr, indices, senders,
-                                            ["from3", "from1"])
-        entries = list(buf.entries())
-        assert len(buf) == len(entries) == 8
-        expected = [(3, int(r), "from3")
-                    for r in indices[indptr[3]:indptr[4]]] + \
-                   [(1, int(r), "from1")
-                    for r in indices[indptr[1]:indptr[2]]]
-        assert entries == expected
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -2,10 +2,13 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest import Network
+from repro.congest.topology import Topology
 from repro.core import ColoringParameters
-from repro.core.acd import compute_acd
+from repro.core.acd import _balanced_candidates, compute_acd
 from repro.graphs import planted_almost_cliques, validate_acd
 from repro.graphs.generators import locally_sparse_graph
 from repro.graphs.properties import acd_report_is_clean
@@ -91,6 +94,33 @@ class TestComputeACD:
         acd2 = compute_acd(Network(planted_graph), params)
         assert acd1.clique_of == acd2.clique_of
         assert acd1.sparse_nodes == acd2.sparse_nodes
+
+
+class TestBalancedCandidates:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_csr_read_matches_the_edge_walk(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=14))
+        labels = data.draw(st.permutations([f"v{i}" for i in range(n)]))
+        graph = nx.Graph()
+        graph.add_nodes_from(labels)  # index order is not label order
+        pairs = [(a, b) for i, a in enumerate(labels) for b in labels[:i]]
+        graph.add_edges_from(data.draw(st.lists(st.sampled_from(pairs), unique=True))
+                             if pairs else [])
+        active = set(data.draw(st.lists(st.sampled_from(labels), unique=True))
+                     if labels else [])
+        eps = data.draw(st.sampled_from([0.05, 0.2, 0.5]))
+        degrees, candidates = _balanced_candidates(Topology(graph), active, eps)
+        # Reference: the same selection by walking graph.edges().
+        want_degrees = {v: sum(1 for u in graph[v] if u in active) for v in active}
+        want = [
+            (u, v) for u, v in graph.edges()
+            if u in active and v in active
+            and min(want_degrees[u], want_degrees[v])
+            >= (1.0 - eps) * max(want_degrees[u], want_degrees[v])
+        ]
+        assert degrees == want_degrees
+        assert len(candidates) == len(want) and set(candidates) == set(want)
 
 
 class TestUniformACD:

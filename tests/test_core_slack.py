@@ -4,10 +4,10 @@ import networkx as nx
 import pytest
 
 from repro.congest import Network
-from repro.core import ColoringInstance, ColoringParameters
+from repro.core import ColoringInstance, ColoringParameters, solve_d1c
 from repro.core.slack import generate_slack, try_color, try_random_color
 from repro.core.state import ColoringState
-from repro.graphs import degree_plus_one_lists, huge_color_space_lists
+from repro.graphs import degree_plus_one_lists, gnp_graph, huge_color_space_lists
 
 
 def make_state(graph, params=None, lists=None, seed=1):
@@ -142,3 +142,25 @@ class TestGenerateSlack:
         subset = set(list(gnp_medium.nodes())[:10])
         colored = generate_slack(state, subset)
         assert colored <= subset
+
+
+class TestColorRounds:
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
+    def test_direct_mode_color_rounds_are_broadcasts(self, backend, monkeypatch):
+        labels = {"exchange": [], "broadcast": []}
+        for method, seen in labels.items():
+            original = getattr(Network, method)
+
+            def spy(self, payload, label=method, _original=original, _seen=seen):
+                _seen.append(label)
+                return _original(self, payload, label=label)
+
+            monkeypatch.setattr(Network, method, spy)
+        result = solve_d1c(gnp_graph(80, 0.1, seed=2), seed=5, backend=backend)
+        assert result.is_valid and result.mode == "congest"
+
+        def color_round(label):
+            return label.endswith((":propose", ":adopt"))
+
+        assert not [label for label in labels["exchange"] if color_round(label)]
+        assert any(color_round(label) for label in labels["broadcast"])

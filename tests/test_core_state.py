@@ -2,6 +2,8 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest import Network
 from repro.core import ColoringInstance, ColoringParameters, ColorSpace
@@ -130,7 +132,7 @@ class TestColorHasher:
         v = next(iter(gnp_small.nodes()))
         color = next(iter(state.palettes[v]))
         value = state.hasher.value_for(v, color)
-        assert state.hasher.matches(v, color, value)
+        assert state.hasher.matching_colors(v, state.palettes[v], value) == [color]
 
     def test_hashed_no_collisions_within_neighborhood_palettes(self, gnp_small):
         """The Appendix D.3 guarantee: distinct relevant colors rarely collide."""
@@ -152,6 +154,29 @@ class TestColorHasher:
         palette = state.palettes[v]
         target = next(iter(palette))
         before = len(palette)
-        state.hasher.remove_matching(v, palette, state.hasher.value_for(v, target))
+        state.remove_from_palette(v, state.hasher.value_for(v, target))
         assert target not in palette
         assert len(palette) == before - 1
+
+
+#: Colors of mixed kinds, as list-coloring palettes may hold them.
+COLORS = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.text(max_size=3),
+    st.tuples(st.integers(min_value=0, max_value=4), st.text(max_size=2)),
+)
+
+
+class TestMatchingColors:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_direct_lookup_equals_the_scan_it_replaces(self, data):
+        hasher = make_state(nx.path_graph(3)).hasher
+        assert hasher.mode == "direct"
+        palette = data.draw(st.sets(COLORS, max_size=12))
+        palette = data.draw(st.sampled_from([set, frozenset]))(palette)
+        # Present values and (mostly absent) arbitrary ones alike.
+        present = st.sampled_from(sorted(palette, key=repr)) if palette else COLORS
+        value = data.draw(st.one_of(present, COLORS))
+        scan = [color for color in palette if hasher.value_for(0, color) == value]
+        assert list(hasher.matching_colors(0, palette, value)) == scan

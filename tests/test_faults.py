@@ -285,6 +285,16 @@ class TestFaultyTransport:
         assert net2.exchange({(0, 1): "second"}) == {(0, 1): "first"}
         assert net2.exchange({}) == {(0, 1): "second"}
 
+    def test_late_stream_waits_for_a_chunked_round(self):
+        graph = nx.path_graph(4)
+        net = faulty_network(graph, {"delay": {(0, 1): 1}})
+        wide = Message(content="w", bits=3 * net.bandwidth_bits)
+        assert net.exchange_chunked({(0, 1): wide}) == {}
+        # Due now but wider than the budget: absent here, never an error.
+        assert net.exchange({(1, 2): "x"}) == {(1, 2): "x"}
+        assert net.exchange_chunked({}) == {(0, 1): "w"}
+        assert [r.message_count for r in net.ledger.records] == [0, 1, 1, 1, 1]
+
     def test_broadcast_chunked_and_silent_rounds_under_faults(self):
         graph = nx.path_graph(4)
         net = faulty_network(graph, {"drop": 1.0}, mode="local")

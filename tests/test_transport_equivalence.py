@@ -28,6 +28,7 @@ from repro.graphs import (
     degree_plus_one_lists,
     gnp_fast_graph,
     gnp_graph,
+    huge_color_space_lists,
     planted_almost_cliques,
     power_law_graph,
     random_geometric_graph,
@@ -333,6 +334,61 @@ class TestFaultedEquivalence:
                 b.rounds, b.total_bits, b.max_edge_bits
             ), backend
             assert a.fault_stats == b.fault_stats, backend
+
+
+#: Plans for the hashed-color matrix: fault-free and each axis that reshapes
+#: what a color round delivers.
+HASHED_FAULT_PLANS = {
+    "none": lambda graph: None,
+    "drop": lambda graph: {"drop": 0.05},
+    "corrupt": lambda graph: {"corrupt": 1e-3},
+    "delay": lambda graph: {"delay": delayed_edges(graph)},
+}
+
+
+def solve_on_recorded_network(monkeypatch, *args, **kwargs):
+    """``solve_d1lc(*args, **kwargs)`` and the network the solve ran on."""
+    import repro.core.d1lc as d1lc_module
+
+    built = []
+
+    class RecordedNetwork(Network):
+        def __init__(self, *net_args, **net_kwargs):
+            super().__init__(*net_args, **net_kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(d1lc_module, "Network", RecordedNetwork)
+    result = solve_d1lc(*args, **kwargs)
+    (network,) = built
+    return result, network
+
+
+class TestHashedColorEquivalence:
+    """Colors wider than the budget (as in ``examples/frequency_assignment.py``)
+    travel hashed, one message per receiver; both backends must agree."""
+
+    @pytest.mark.parametrize("plan", sorted(HASHED_FAULT_PLANS))
+    def test_hashed_d1lc_identical_across_backends(self, plan, monkeypatch):
+        graph = gnp_graph(60, 0.12, seed=9)
+        lists = huge_color_space_lists(graph, color_space_bits=400, seed=10)
+        faults = HASHED_FAULT_PLANS[plan](graph)
+        runs = {}
+        for backend in BACKENDS:
+            result, network = solve_on_recorded_network(
+                monkeypatch, graph, lists, seed=4, backend=backend,
+                faults=faults, fault_seed=13,
+            )
+            runs[backend] = (result.coloring, network.ledger.records,
+                             result.fault_stats)
+        reference = runs["dict"]
+        assert "color-hash" in {r.label.split(":")[0] for r in reference[1]}
+        assert any(r.label.endswith(":adopt") and r.message_count for r in reference[1])
+        if faults is not None:
+            assert reference[2] is not None
+        for backend in FAST_BACKENDS:
+            assert runs[backend][0] == reference[0], backend
+            assert runs[backend][1] == reference[1], backend
+            assert runs[backend][2] == reference[2], backend
 
 
 # --------------------------------------------------------------------------- #
