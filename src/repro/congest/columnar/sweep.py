@@ -19,9 +19,11 @@ Work that depends on a node alone runs once per node:
 Byte-identity with the scalar loop of :func:`repro.sampling.similarity.
 estimate_similarity_on_edges` is the load-bearing contract:
 
-* each edge's hash-function *index* comes from the same SHA-256 seeded
-  ``random.Random`` stream (``RngStream.for_edge``); this draw and topology
-  validation, in the reference's order, are the per-edge Python left;
+* each edge's hash-function *index* is the reference's
+  ``RngStream.for_edge`` draw, computed for the whole edge list at once by
+  its array twin ``RngStream.edge_randrange`` over one ``element_keys_array``
+  of the swept nodes; topology validation, in the reference's order, is the
+  per-edge Python left;
 * ledger records replay ``exchange_chunked`` on the same label/size
   multisets (``{label}:index`` then ``{label}:indicator``);
 * per-endpoint value multisets are reduced by a packed
@@ -47,8 +49,6 @@ the caller runs the scalar reference instead — when
 
 from __future__ import annotations
 
-import hashlib
-import random
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -61,6 +61,7 @@ from repro.congest.columnar.kernels import (
     scale_keys_vec,
 )
 from repro.hashing.representative import RepresentativeHashFamily
+from repro.utils.rng import RngStream
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -138,30 +139,6 @@ def _block_ranges(work: "np.ndarray") -> List[Tuple[int, int]]:
     return blocks
 
 
-def _index_draws(local_nodes: List[Node], eu: List[int], ev: List[int],
-                 family_sizes: List[int], seed: int, label: str) -> List[int]:
-    """Each edge's ``family.sample_index(RngStream(seed).for_edge(u, v, label))``.
-
-    ``for_edge`` seeds ``Random`` with the SHA-256 digest of
-    ``"\\x1f".join(repr(p) for p in (seed, "edge", sorted-repr-pair, label))``,
-    replayed here with one reused ``Random`` (``seed(x) == Random(x)``).
-    """
-    texts = [repr(node) for node in local_nodes]
-    quoted = [repr(text) for text in texts]
-    head = f"{int(seed)!r}\x1f'edge'\x1f("
-    tail = f")\x1f{label!r}"
-    rng = random.Random()
-    sha256 = hashlib.sha256
-    indices = []
-    for a, b, size in zip(eu, ev, family_sizes):
-        if texts[b] < texts[a]:
-            a, b = b, a
-        digest = sha256(f"{head}{quoted[a]}, {quoted[b]}{tail}".encode()).digest()
-        rng.seed(int.from_bytes(digest[:8], "big"))
-        indices.append(rng.randrange(size))
-    return indices
-
-
 def columnar_similarity(
     network,
     sets: Mapping[Node, Set[Hashable]],
@@ -174,8 +151,10 @@ def columnar_similarity(
 
     Charges the two ledger rounds of the scalar loop in
     ``estimate_similarity_on_edges`` and computes the same per-edge scale
-    factor, family and shared hash values.  ``edges`` is a list of tuples.
-    The module docstring lists when the kernel declines.
+    factor, family, hash-function index (one ``RngStream.edge_randrange``
+    pass, the array twin of ``for_edge(u, v, label).randrange``) and shared
+    hash values.  ``edges`` is a list of tuples.  The module docstring lists
+    when the kernel declines.
     """
     transport = network.transport
     if not getattr(transport, "supports_columnar_sweep", False):
@@ -225,13 +204,12 @@ def columnar_similarity(
     sigma = column([family.sigma for _, family in by_size])
 
     validate_pairs(transport, edges)  # in the reference's order, before round 1
-    indices = _index_draws(
-        local_nodes, eu.tolist(), ev.tolist(),
-        column([family.size for _, family in by_size]).tolist(), seed, label,
+    node_keys = element_keys_array(local_nodes)
+    indices = RngStream(seed).edge_randrange(
+        node_keys[eu], node_keys[ev], column([family.size for _, family in by_size]), label,
     )
     prefixes = member_prefixes_vec(
-        column([family.family_seed for _, family in by_size], np.uint64),
-        np.array(indices, dtype=np.uint64),
+        column([family.family_seed for _, family in by_size], np.uint64), indices,
     )
 
     # Round 1: the hash-function index (log F bits per edge, one direction).

@@ -8,7 +8,9 @@ using a constant number of small messages.  The protocol:
 2. scale both sets up by a factor ``k`` (Cartesian product with ``[k]``) so
    the representative-family hypotheses of Lemma 1 hold even for small sets;
 3. agree on a random member ``h`` of a representative family with parameters
-   ``λ = 8·max/ε``, ``β = ε/4``, ``α = ε²/8`` (one ``log F``-bit message);
+   ``λ = 8·max/ε``, ``β = ε/4``, ``α = ε²/8`` (one ``log F``-bit message;
+   in the network form the index is the edge's shared draw,
+   ``RngStream.for_edge(u, v, label).randrange(F)``);
 4. each endpoint sends the ``σ``-bit indicator of ``h(T)`` for
    ``T = S ¬_h S`` (its elements with a unique low hash value);
 5. output ``|h(T_u) ∩ h(T_v)| · λ / (σ·k)``.
@@ -264,8 +266,12 @@ def estimate_similarity_on_edges(
     point of the paper's construction.  Results are keyed by the edge in the
     orientation given (``(u, v)`` and ``(v, u)`` would hold the same result).
 
-    On a columnar network the whole sweep runs as one vectorized kernel
-    (:func:`repro.congest.columnar.sweep.columnar_similarity`) with the same
+    Each edge's hash-function index is one ``randrange`` of its splitmix64
+    edge stream (``RngStream.for_edge``), so both endpoints draw the same
+    index whichever orientation is given.  On a columnar network the whole
+    sweep runs as one vectorized kernel
+    (:func:`repro.congest.columnar.sweep.columnar_similarity`, which draws
+    every index in one pass of the stream's array twin) with the same
     results and ledger records; the loop below is the reference it is tested
     against, and runs whenever the kernel declines.
     """

@@ -13,6 +13,7 @@ fails here with a precise finger instead of as an opaque end-to-end diff.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -340,6 +341,20 @@ class TestSimilarityKernel:
             _similarity_graph(), detector)
         assert col == ref and col_rounds == ref_rounds
         assert kernel_ran == [False, True]
+
+    def test_detection_draws_no_sha256_or_mt19937_seed(self, kernel_ran, monkeypatch):
+        """The kernel's hash-function indices come from the splitmix64 edge
+        stream's array twin, not a SHA-256-seeded ``random.Random`` per edge."""
+        network = Network(_similarity_graph(), backend="columnar")
+        calls = []
+        sha256, seed = hashlib.sha256, random.Random.seed
+        monkeypatch.setattr(hashlib, "sha256",
+                            lambda *a, **k: calls.append("sha256") or sha256(*a, **k))
+        monkeypatch.setattr(random.Random, "seed",
+                            lambda self, *a, **k: calls.append("seed") or seed(self, *a, **k))
+        result = detect_triangle_rich_edges(network, eps=0.3, seed=2)
+        assert kernel_ran == [True] and result.flagged
+        assert calls == []
 
     @pytest.mark.parametrize("relabel", [
         lambda v: f"n{v}", lambda v: (v % 3, str(v)),
