@@ -10,8 +10,8 @@ runs both).  The package splits along the byte-identity seams:
   splitmix64 hashing kernels (``mix64_step`` / ``combine_part_keys`` /
   ``low_unique_values``), pinned bit-for-bit;
 * :mod:`~repro.congest.columnar.transport` — the ``ColumnarTransport``
-  backend (pooled payload sizing, vectorized broadcast accounting, inboxes
-  filled from the topology CSR, and chunked-round accounting);
+  backend: the ``dict`` oracle with vectorized broadcast accounting and
+  inboxes filled from the topology CSR;
 * :mod:`~repro.congest.columnar.sweep` — the vectorized
   ``EstimateSimilarity`` kernel behind the ACD buddy test, triangle
   detection and sparsity estimation.

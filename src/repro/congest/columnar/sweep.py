@@ -24,7 +24,8 @@ estimate_similarity_on_edges` is the load-bearing contract:
   its array twin ``RngStream.edge_randrange`` over one ``element_keys_array``
   of the swept nodes; topology validation, in the reference's order, is the
   per-edge Python left;
-* ledger records replay ``exchange_chunked`` on the same label/size
+* ledger records come from ``Transport.charge_chunked``, the accounting
+  of the reference's ``exchange_chunked``, on the same label/size
   multisets (``{label}:index`` then ``{label}:indicator``);
 * per-endpoint value multisets are reduced by a packed
   ``(endpoint << 32) | value`` unique/count pass instead of Python dicts;
@@ -49,6 +50,7 @@ the caller runs the scalar reference instead — when
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -199,6 +201,15 @@ def columnar_similarity(
         """A per-distinct-size column, gathered to one entry per swept edge."""
         return np.array(values, dtype=dtype)[which]
 
+    edges_per_size = np.bincount(which, minlength=len(by_size)).tolist()
+
+    def size_counts(bits_per_size, messages_per_edge):
+        """``{payload bits: message count}`` for one round's messages."""
+        tally: Counter = Counter()
+        for bits, edge_count in zip(bits_per_size, edges_per_size):
+            tally[bits] += messages_per_edge * edge_count
+        return tally
+
     k_arr = column([k for k, _ in by_size])
     lam = column([family.lam for _, family in by_size])
     sigma = column([family.sigma for _, family in by_size])
@@ -213,8 +224,8 @@ def columnar_similarity(
     )
 
     # Round 1: the hash-function index (log F bits per edge, one direction).
-    transport.charge_chunked_sizes(
-        f"{label}:index", column([family.index_bits for _, family in by_size])
+    transport.charge_chunked(
+        f"{label}:index", size_counts([family.index_bits for _, family in by_size], 1)
     )
 
     # ------------------------------------------------------------ key table
@@ -292,8 +303,9 @@ def columnar_similarity(
 
     # Round 2: both endpoints' σ-bit indicators (two directed messages per
     # participating edge, max(1, σ) bits each — σ is already >= 1).
-    transport.charge_chunked_sizes(
-        f"{label}:indicator", np.repeat(np.maximum(sigma, 1), 2)
+    transport.charge_chunked(
+        f"{label}:indicator",
+        size_counts([max(1, family.sigma) for _, family in by_size], 2),
     )
 
     # Estimates in float64 == Python float exactly (all operands < 2**53;

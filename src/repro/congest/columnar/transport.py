@@ -1,60 +1,48 @@
 """The ``columnar`` transport backend: the engine's fast path.
 
-:class:`ColumnarTransport` keeps the reference backend's observable contract
-— same delivered payloads, same sender-major inbox insertion order, same
-ledger rounds/labels/counts/bits/maxima — while moving the per-round
-arithmetic off the Python interpreter:
+:class:`ColumnarTransport` is the ``dict`` oracle with its two broadcast
+primitives replaced; ``exchange``, the chunked primitives and their
+accounting are the oracle's own.  The replacements keep the oracle's
+observable contract — same delivered payloads, same sender-major inbox
+insertion order, same ledger rounds/labels/counts/bits/maxima:
 
-* ``exchange`` sizes payloads through one sizing memo pooled across rounds
-  (keyed by payload identity, cleared at the start of every round) and
-  defers the bandwidth check to a single audit after sizing;
-* ``broadcast`` sizes and accounts all senders in one vectorized pass over
-  the topology CSR (degree gather, ``bits * degree`` sums, worst-edge argmax)
-  and fills the inboxes straight from each sender's CSR row;
+* ``broadcast`` sizes each sender's payload once, accounts all senders in
+  one vectorized pass over the topology CSR (degree gather,
+  ``bits * degree`` sums, worst-edge argmax) and fills the inboxes straight
+  from each sender's CSR row;
 * ``broadcast_discard`` charges a broadcast whose inboxes the caller throws
   away (the ACD's participation/degree announcements) without materialising
-  a single inbox dict;
-* chunked-stream accounting (``exchange_chunked``) replaces the per-chunk
-  histogram dicts with ``np.bincount`` / ``np.maximum.at`` over the size
-  array — identical records, O(edges) numpy instead of O(edges) Python.
+  a single inbox dict.
 
-The byte-identity of every path against the ``dict`` oracle is pinned by
+The byte-identity of both against the ``dict`` oracle is pinned by
 ``tests/test_columnar.py`` and the two-backend equivalence matrix.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
+from repro.congest.bandwidth import payload_bits
 from repro.congest.errors import BandwidthExceeded
 from repro.congest.message import Message
 from repro.congest.topology import Topology
-from repro.congest.transport import EMPTY_INBOX, Transport, _memoized_bits
+from repro.congest.transport import EMPTY_INBOX, DictTransport
 from repro.metrics.ledger import Ledger
 
 Node = Any
-DirectedEdge = Tuple[Node, Node]
-
-#: Below this many edges the scalar chunk-accounting loop wins (array setup
-#: costs more than it saves); the records are identical either way.
-_VECTOR_MIN_SIZES = 1024
-#: Degenerate budget/size combinations (absurdly many chunk rounds would
-#: allocate absurd histograms) fall back to the scalar path, which streams.
-_VECTOR_MAX_ROUNDS = 4_000_000
 
 
-class ColumnarTransport(Transport):
-    """Fast path: pooled sizing, deferred audit, vectorized CSR accounting.
+class ColumnarTransport(DictTransport):
+    """Fast path: the oracle with vectorized, CSR-routed broadcasts.
 
-    On violating rounds the *reported* error may differ from ``dict``: edges
-    are validated inline but the budget audit is deferred to the end of the
-    round, so with several violations in one round ``dict`` raises for the
-    first offending entry in iteration order while ``columnar`` raises the
-    edge error it hits first or a :class:`BandwidthExceeded` for the largest
-    payload (a broadcast's worst edge is found in CSR order).  Either way the
-    round is rejected before it is recorded.
+    On a broadcast round with several over-budget senders the *reported*
+    edge may differ from ``dict``: ``dict`` names the first over-budget
+    sender in send order, paired with its first neighbor in neighbor-set
+    order, while ``columnar`` names the first sender at the largest payload,
+    paired with the head of its CSR row.  Either way the round is rejected
+    before it is recorded.
     """
 
     name = "columnar"
@@ -68,61 +56,11 @@ class ColumnarTransport(Transport):
     def __init__(self, topology: Topology, mode: str, bandwidth_bits: int,
                  ledger: Ledger):
         super().__init__(topology, mode, bandwidth_bits, ledger)
-        self._size_memo: Dict[int, int] = {}
         # array("l") exposes the buffer protocol, so these are zero-copy
         # int64 views of the topology CSR.
         self._np_indptr = np.asarray(topology.indptr, dtype=np.int64)
         self._np_indices = np.asarray(topology.indices, dtype=np.int64)
         self._np_degrees = np.diff(self._np_indptr)
-
-    def _round_memo(self) -> Dict[int, int]:
-        """The pooled payload-sizing memo, invalidated (cleared) for a new round.
-
-        The "generation" of an ``id()`` key is the round that computed it: a
-        payload object is only guaranteed alive while its round's message
-        mapping holds it, so entries never survive into the next round.
-        """
-        memo = self._size_memo
-        memo.clear()
-        return memo
-
-    def _sizes(self, messages: Mapping[DirectedEdge, Any]) -> Dict[DirectedEdge, int]:
-        size_memo = self._round_memo()
-        return {
-            edge: _memoized_bits(payload, size_memo)
-            for edge, payload in messages.items()
-        }
-
-    # -------------------------------------------------------------- exchange
-    def exchange(self, messages: Mapping[DirectedEdge, Any],
-                 label: str = "exchange") -> Dict[DirectedEdge, Any]:
-        neighbor_sets = self.topology.neighbor_sets
-        total_bits = 0
-        max_edge_bits = 0
-        worst_edge: Optional[DirectedEdge] = None
-        delivered: Dict[DirectedEdge, Any] = {}
-        size_memo = self._round_memo()
-        for edge, payload in messages.items():
-            sender, receiver = edge
-            nbrs = neighbor_sets.get(sender)
-            if nbrs is None or receiver not in nbrs:
-                self._validate_edge(sender, receiver)  # raises the reference error
-            bits = _memoized_bits(payload, size_memo)
-            delivered[edge] = payload.content if isinstance(payload, Message) else payload
-            total_bits += bits
-            if bits > max_edge_bits:
-                max_edge_bits = bits
-                worst_edge = edge
-        if (
-            self.mode == "congest"
-            and max_edge_bits > self.bandwidth_bits
-            and worst_edge is not None
-        ):
-            raise BandwidthExceeded(
-                worst_edge, max_edge_bits, self.bandwidth_bits, label
-            )
-        self.ledger.record_round(label, len(delivered), total_bits, max_edge_bits)
-        return delivered
 
     # ------------------------------------------------------------- broadcast
     def _account_broadcast(
@@ -161,9 +99,9 @@ class ColumnarTransport(Transport):
     ) -> Tuple[List[Node], List[Any], "np.ndarray", "np.ndarray"]:
         """Scalar prologue: slot + sized bits + unwrapped content per sender.
 
-        Sizing goes through the pooled identity memo (``_round_memo``), and
-        an unknown sender raises the canonical ProtocolError at the same
-        position in send order.
+        Each payload is sized once, by ``payload_bits``, and an unknown
+        sender raises the canonical ProtocolError at the same position in
+        send order.
         """
         topology = self.topology
         node_index = topology.node_index
@@ -172,14 +110,13 @@ class ColumnarTransport(Transport):
         bits = np.empty(count, dtype=np.int64)
         senders: List[Node] = []
         contents: List[Any] = []
-        size_memo = self._round_memo()
         pos = 0
         for sender, payload in values.items():
             i = node_index.get(sender)
             if i is None:
                 topology.neighbors(sender)  # raises the canonical ProtocolError
             slots[pos] = i
-            bits[pos] = _memoized_bits(payload, size_memo)
+            bits[pos] = payload_bits(payload)
             senders.append(sender)
             contents.append(payload.content if isinstance(payload, Message) else payload)
             pos += 1
@@ -228,79 +165,3 @@ class ColumnarTransport(Transport):
         )
         self.ledger.record_round(label, message_count, total_bits, max_edge_bits)
         return None
-
-    # --------------------------------------------------------------- chunked
-    def charge_chunked_sizes(self, label: str, sizes: "np.ndarray") -> None:
-        """The ledger records of :meth:`exchange_chunked` for pre-sized edges.
-
-        ``sizes`` holds per-edge payload bits (int64).  Used by the columnar
-        buddy sweep, whose exchanged payloads are statically sized and whose
-        inboxes the reference implementation ignores; the records — empty
-        round, LOCAL single round, or the CONGEST chunk-round sequence —
-        match the reference ``exchange_chunked`` byte for byte.
-        """
-        if sizes.size == 0:
-            self.ledger.record_round(label, 0, 0, 0)
-            return
-        if self.mode == "local":
-            self.ledger.record_round(
-                label, int(sizes.size), int(sizes.sum()), int(sizes.max())
-            )
-            return
-        self._charge_chunked_array(label, sizes)
-
-    def _charge_chunked_rounds(
-        self, label: str, sizes: Mapping[DirectedEdge, int]
-    ) -> None:
-        if len(sizes) < _VECTOR_MIN_SIZES:
-            super()._charge_chunked_rounds(label, sizes)
-            return
-        try:
-            array = np.fromiter(sizes.values(), dtype=np.int64, count=len(sizes))
-        except OverflowError:
-            # Payloads beyond int64 bits only arise in adversarial unit
-            # tests; the scalar path handles arbitrary Python ints.
-            super()._charge_chunked_rounds(label, sizes)
-            return
-        self._charge_chunked_array(label, array)
-
-    def _charge_chunked_array(self, label: str, sizes: "np.ndarray") -> None:
-        """Vectorized twin of ``Transport._charge_chunked_rounds``.
-
-        The reference groups edges by chunk count into three dict histograms
-        and then replays the rounds; ``np.bincount``/``np.add.at``/
-        ``np.maximum.at`` build the same histograms as arrays.  All values
-        re-enter Python as native ints before ``record_round`` so ledgers
-        (and their JSON artifacts) are byte-identical.
-        """
-        budget = self.bandwidth_bits
-        positive = sizes[sizes > 0]
-        zero_count = int(sizes.size - positive.size)
-        record = self.ledger.record_round
-        if positive.size == 0:
-            record(label, zero_count, 0, 0)
-            return
-        chunks = -(-positive // budget)  # ceil-divide, like the scalar path
-        total_rounds = int(chunks.max())
-        if total_rounds > _VECTOR_MAX_ROUNDS:
-            super()._charge_chunked_rounds(
-                label, dict(enumerate(sizes.tolist()))
-            )
-            return
-        remainder = positive - (chunks - 1) * budget
-        finish_count = np.bincount(chunks, minlength=total_rounds + 1).tolist()
-        finish_bits = np.zeros(total_rounds + 1, dtype=np.int64)
-        np.add.at(finish_bits, chunks, remainder)
-        finish_bits = finish_bits.tolist()
-        finish_max = np.zeros(total_rounds + 1, dtype=np.int64)
-        np.maximum.at(finish_max, chunks, remainder)
-        finish_max = finish_max.tolist()
-        streaming = int(positive.size)
-        for r in range(1, total_rounds + 1):
-            finishing = finish_count[r]
-            full = streaming - finishing
-            count = streaming + (zero_count if r == 1 else 0)
-            bits = budget * full + finish_bits[r]
-            max_bits = budget if full > 0 else finish_max[r]
-            record(label, count, bits, max_bits)
-            streaming -= finishing

@@ -79,8 +79,8 @@ class Network:
         ``"congest"`` (default) enforces the per-edge bandwidth budget;
         ``"local"`` allows messages of arbitrary size.
     bandwidth_bits:
-        Explicit per-edge per-round budget in bits.  When omitted it defaults
-        to ``ceil(BUDGET_WORDS * log2(max(n, 2)))``.
+        Explicit per-edge per-round budget in bits, at least 1.  When
+        omitted it defaults to ``ceil(BUDGET_WORDS * log2(max(n, 2)))``.
     backend:
         Transport backend: ``"columnar"`` (default) or ``"dict"``.  Both
         charge identical ledgers; ``"dict"`` keeps the original
@@ -130,6 +130,8 @@ class Network:
     ):
         if mode not in ("congest", "local"):
             raise ValueError(f"unknown mode: {mode!r}")
+        if bandwidth_bits is not None and int(bandwidth_bits) < 1:
+            raise ValueError(f"bandwidth_bits must be at least 1, got {bandwidth_bits!r}")
         check_compat_keywords(shards, ledger)
         self.graph = graph
         self.mode = mode

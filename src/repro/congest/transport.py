@@ -10,10 +10,14 @@ and reporting the round to the ledger — on top of an immutable
   budget-check and deliver each entry in order.  It is the reference
   semantics (the oracle).
 * :class:`~repro.congest.columnar.transport.ColumnarTransport`
-  (``backend="columnar"``, the default) is the fast path: bulk sizing with a
-  pooled per-round memo, a deferred budget audit, vectorized CSR broadcast
-  routing and chunked-round accounting, and the vectorized
-  ``EstimateSimilarity`` kernel.
+  (``backend="columnar"``, the default) is the fast path: it inherits the
+  oracle's ``exchange`` and chunked primitives and overrides only the
+  broadcasts, which it accounts in one vectorized pass and routes along the
+  topology's CSR rows; it also runs the vectorized ``EstimateSimilarity``
+  kernel.
+
+Every payload is charged :func:`~repro.congest.bandwidth.payload_bits`, and
+every chunked stream is charged by :meth:`Transport.charge_chunked`.
 
 Broadcast inboxes from **both** backends are read-only views: silent nodes
 share one immutable empty mapping instead of each allocating a dict every
@@ -28,12 +32,13 @@ The cross-backend equivalence suite enforces this.
 
 from __future__ import annotations
 
+from collections import Counter
 from types import MappingProxyType
 from typing import Any, Dict, Hashable, Mapping, Tuple
 
 from repro.congest.bandwidth import payload_bits
 from repro.congest.errors import BandwidthExceeded, ProtocolError
-from repro.congest.message import Message, unwrap
+from repro.congest.message import unwrap
 from repro.congest.topology import Topology
 from repro.metrics.ledger import Ledger
 
@@ -42,26 +47,6 @@ DirectedEdge = Tuple[Node, Node]
 
 #: Shared read-only inbox for nodes that received nothing this round.
 EMPTY_INBOX: Mapping[Node, Any] = MappingProxyType({})
-
-
-def _memoized_bits(payload: Any, memo: Dict[int, int]) -> int:
-    """Charge for ``payload``, memoized by object identity within one round.
-
-    The single sizing rule of the columnar path (exchange, broadcast and
-    chunked):
-    a ``Message`` is charged its declared bits; anything else goes through
-    :func:`payload_bits` once per distinct object (a broadcast reuses one
-    payload object for all recipients).  Identity keys are safe because the
-    caller's message mapping keeps every payload alive for the whole round.
-    """
-    if isinstance(payload, Message):
-        return payload.bits
-    key = id(payload)
-    bits = memo.get(key)
-    if bits is None:
-        bits = payload_bits(payload)
-        memo[key] = bits
-    return bits
 
 
 class Transport:
@@ -110,10 +95,6 @@ class Transport:
         self.ledger.record_round(label, 0, 0, 0)
 
     # ---------------------------------------------------------------- chunked
-    def _sizes(self, messages: Mapping[DirectedEdge, Any]) -> Dict[DirectedEdge, int]:
-        """Size every payload (backends may memoize repeated payloads)."""
-        return {edge: payload_bits(payload) for edge, payload in messages.items()}
-
     def _validate_edge(self, sender: Node, receiver: Node) -> None:
         if sender == receiver:
             raise ProtocolError(f"node {sender!r} cannot message itself")
@@ -135,55 +116,56 @@ class Transport:
         own edges, so the cost is ``ceil(max_message_bits / budget)`` rounds.
         In LOCAL mode this is exactly one round charged with the true
         per-edge sizes, identical to what :meth:`exchange` would charge.
-
-        The per-round ledger entries mirror a chunk-by-chunk simulation: in
-        each round every still-streaming edge contributes ``budget`` bits
-        (or its final remainder), and every message is counted once per round
-        it occupies its edge.
+        The rounds are charged by :meth:`charge_chunked`.
         """
-        if not messages:
-            self.ledger.record_round(label, 0, 0, 0)
-            return {}
         for sender, receiver in messages:
             self._validate_edge(sender, receiver)
-        sizes = self._sizes(messages)
-        if self.mode == "local":
-            # Exactly one round, charged with the true per-edge sizes — the
-            # same record exchange() would produce for these messages.
-            self.ledger.record_round(
-                label, len(sizes), sum(sizes.values()), max(sizes.values())
-            )
-        else:
-            self._charge_chunked_rounds(label, sizes)
+        self.charge_chunked(label, Counter(map(payload_bits, messages.values())))
         return {edge: unwrap(payload) for edge, payload in messages.items()}
 
-    def _charge_chunked_rounds(self, label: str, sizes: Mapping[DirectedEdge, int]) -> None:
-        """Charge the CONGEST chunk rounds arithmetically (O(edges + rounds)).
+    def charge_chunked(self, label: str, size_counts: Mapping[int, int]) -> None:
+        """Charge one chunked stream given ``{payload bits: message count}``.
 
-        Equivalent to simulating every round over every edge, but grouped by
-        each message's chunk count so large fan-outs do not pay
-        ``O(rounds * edges)`` in Python.
+        The one chunk accounting: :meth:`exchange_chunked` passes it the
+        sizes of its payloads, and the columnar similarity kernel the sizes
+        of the messages it does not build.  Every count is positive.  With
+        no message it records one empty round, and in LOCAL mode one round
+        with the true sizes.  In CONGEST mode the records are those of a
+        literal chunk-by-chunk simulation: each round, every message still
+        streaming sends one ``budget``-bit chunk (its last chunk the
+        remainder) and is counted once, and a zero-bit message occupies
+        round 1 only.  They are built from a histogram over chunk counts,
+        grouped by distinct size, so the work is ``O(sizes + rounds)``, not
+        ``O(rounds * edges)``.
         """
+        record = self.ledger.record_round
+        if not size_counts:
+            record(label, 0, 0, 0)
+            return
+        if self.mode == "local":
+            record(label, sum(size_counts.values()),
+                   sum(bits * count for bits, count in size_counts.items()),
+                   max(size_counts))
+            return
         budget = self.bandwidth_bits
         zero_count = 0
         finish_count: Dict[int, int] = {}
         finish_bits: Dict[int, int] = {}
         finish_max: Dict[int, int] = {}
         total_rounds = 1
-        for bits in sizes.values():
+        for bits, count in size_counts.items():
             if bits <= 0:
-                zero_count += 1
+                zero_count += count
                 continue
             chunks = -(-bits // budget)  # ceil
             remainder = bits - (chunks - 1) * budget
-            finish_count[chunks] = finish_count.get(chunks, 0) + 1
-            finish_bits[chunks] = finish_bits.get(chunks, 0) + remainder
+            finish_count[chunks] = finish_count.get(chunks, 0) + count
+            finish_bits[chunks] = finish_bits.get(chunks, 0) + count * remainder
             if remainder > finish_max.get(chunks, 0):
                 finish_max[chunks] = remainder
             if chunks > total_rounds:
                 total_rounds = chunks
         streaming = sum(finish_count.values())  # edges still active this round
-        record = self.ledger.record_round
         for r in range(1, total_rounds + 1):
             finishing = finish_count.get(r, 0)
             full = streaming - finishing  # edges that send a full budget chunk

@@ -60,7 +60,7 @@ class ColorHasher:
         self.params = params
         self._rng_stream = rng_stream
         # Colors are sent verbatim when they comfortably fit in one message.
-        self.mode = "direct" if color_space.bits <= network.bandwidth_bits else "hashed"
+        self.mode = "direct" if color_space.fits_in(network.bandwidth_bits) else "hashed"
         self._functions: Dict[Node, UniversalHashFunction] = {}
         if self.mode == "hashed":
             n = max(2, network.number_of_nodes)

@@ -21,10 +21,10 @@ is never even wrapped around a transport):
 * ``throttle`` — multiplies the per-edge bandwidth budget (``0.25`` leaves a
   quarter of the usual bits per round), modelling sub-``O(log n)`` CONGEST.
 * ``delay`` — ``{(sender, receiver): slots}``: messages on that directed
-  edge arrive ``slots`` communication rounds late.  Delays apply to
-  in-budget messages; combining a per-edge delay with *chunked* oversized
-  payloads on the same edge is unsupported (the late delivery would land in
-  a budget-enforced round).
+  edge arrive ``slots`` communication rounds late.  A late payload wider
+  than the budget (part of a chunked stream) waits for the next chunked
+  round instead of failing a budget-enforced one (see
+  ``FaultyTransport._deliver_due``).
 """
 
 from __future__ import annotations

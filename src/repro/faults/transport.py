@@ -32,7 +32,6 @@ from typing import Any, Dict, Hashable, List, Mapping, Tuple
 
 from repro.congest.bandwidth import payload_bits
 from repro.congest.errors import BandwidthExceeded
-from repro.congest.message import Message
 from repro.congest.transport import Transport
 from repro.faults.corruption import corrupt_payload, to_unit
 from repro.faults.plan import FaultPlan, FaultStats
@@ -43,11 +42,6 @@ DirectedEdge = Tuple[Node, Node]
 
 _DROP_SALT = 0xD809
 _CORRUPT_SALT = 0xC0BB
-
-
-def _charged_bits(payload: Any) -> int:
-    """What the wrapped transport charges for ``payload``."""
-    return payload.bits if isinstance(payload, Message) else payload_bits(payload)
 
 
 class FaultyTransport(Transport):
@@ -104,7 +98,7 @@ class FaultyTransport(Transport):
         if validate:
             self._validate_edge(sender, receiver)
         if enforce_budget:
-            bits = _charged_bits(payload)
+            bits = payload_bits(payload)
             if bits > self.bandwidth_bits:
                 raise BandwidthExceeded((sender, receiver), bits,
                                         self.bandwidth_bits, label)
@@ -191,7 +185,7 @@ class FaultyTransport(Transport):
                 # The edge carries a fresh message this round; the late one
                 # waits one more round rather than silently clobbering it.
                 still.append((round_id + 1, edge, payload))
-            elif enforce_budget and _charged_bits(payload) > self.bandwidth_bits:
+            elif enforce_budget and payload_bits(payload) > self.bandwidth_bits:
                 still.append((due, edge, payload))
             else:
                 surviving[edge] = payload

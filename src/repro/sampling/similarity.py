@@ -21,7 +21,7 @@ log max(|S_u|,|S_v|))`` bits.
 
 Two interfaces are provided: :func:`estimate_similarity` runs the two-party
 protocol in isolation (returning the estimate and exact bit cost; used by the
-unit tests and the accuracy benchmarks), and
+unit tests, among them the tier-1 Lemma 2 accuracy checks), and
 :func:`estimate_similarity_on_edges` runs it simultaneously on every requested
 edge of a :class:`~repro.congest.network.Network`, charging the messages to
 the network ledger — this is the form used by sparsity estimation, ACD

@@ -5,9 +5,10 @@ byte-identity with the ``dict`` reference backend.  The end-to-end half of
 that contract lives in the equivalence matrix (``test_transport_equivalence``);
 this module pins the *pieces* — vectorized splitmix64 kernels against the
 scalar implementations, broadcast inboxes against the reference inbox fill,
-vectorized chunk accounting against a literal chunk-by-chunk simulation, the
-similarity kernel against the scalar sweep — so a drift in any one layer
-fails here with a precise finger instead of as an opaque end-to-end diff.
+``charge_chunked`` (which the similarity kernel charges through) against a
+literal chunk-by-chunk simulation, the similarity kernel against the scalar
+sweep — so a drift in any one layer fails here with a precise finger
+instead of as an opaque end-to-end diff.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import numpy as np
@@ -178,7 +180,7 @@ class TestBroadcastInboxes:
 
 
 # --------------------------------------------------------------------------- #
-# Vectorized chunk accounting vs a literal chunk-by-chunk simulation
+# Chunk accounting vs a literal chunk-by-chunk simulation
 # --------------------------------------------------------------------------- #
 
 def _simulate_chunk_rounds(sizes, budget):
@@ -202,7 +204,7 @@ def _simulate_chunk_rounds(sizes, budget):
 
 class TestChunkedAccounting:
     @pytest.mark.parametrize("trial", range(10))
-    def test_charge_chunked_sizes_matches_literal_simulation(self, trial):
+    def test_charge_chunked_matches_literal_simulation(self, trial):
         rng = random.Random(trial)
         budget = rng.choice([1, 3, 8, 17])
         sizes = [rng.choice([0, 1, budget - 1, budget, budget + 1,
@@ -210,47 +212,29 @@ class TestChunkedAccounting:
                  for _ in range(rng.randrange(1, 2000))]
         net = Network(nx.path_graph(4), backend="columnar",
                       bandwidth_bits=budget)
-        net.transport.charge_chunked_sizes("o", np.array(sizes,
-                                                         dtype=np.int64))
+        net.transport.charge_chunked("o", Counter(sizes))
         got = [(r.message_count, r.total_bits, r.max_edge_bits)
                for r in net.ledger.records]
         assert got == _simulate_chunk_rounds(sizes, budget)
 
     def test_empty_and_local_records(self):
         net = Network(nx.path_graph(4), backend="columnar", mode="local")
-        net.transport.charge_chunked_sizes("empty", np.array([],
-                                                             dtype=np.int64))
-        net.transport.charge_chunked_sizes("local", np.array([5, 0, 9],
-                                                             dtype=np.int64))
+        net.transport.charge_chunked("empty", {})
+        net.transport.charge_chunked("local", Counter([5, 0, 9]))
         got = [(r.label, r.message_count, r.total_bits, r.max_edge_bits)
                for r in net.ledger.records]
         assert got == [("empty", 0, 0, 0), ("local", 3, 14, 9)]
 
-    def test_vector_path_matches_scalar_path_on_same_sizes(self, monkeypatch):
-        import repro.congest.columnar.transport as ct
-
-        rng = random.Random(99)
-        graph = nx.path_graph(6)
-        sizes = {(i, i + 1): rng.randrange(0, 120) for i in range(5)}
-        ref_net = Network(graph, backend="dict", bandwidth_bits=7)
-        col_net = Network(graph, backend="columnar", bandwidth_bits=7)
-        monkeypatch.setattr(ct, "_VECTOR_MIN_SIZES", 0)  # force the array path
-        ref_net.transport._charge_chunked_rounds("c", sizes)
-        col_net.transport._charge_chunked_rounds("c", sizes)
-        assert col_net.ledger.records == ref_net.ledger.records
-
-    def test_beyond_int64_payload_falls_back_to_scalar(self, monkeypatch):
-        import repro.congest.columnar.transport as ct
-
-        monkeypatch.setattr(ct, "_VECTOR_MIN_SIZES", 0)
-        sizes = {(0, 1): 1 << 80}  # OverflowError on fromiter
-        ref_net = Network(nx.path_graph(3), backend="dict",
-                          bandwidth_bits=1 << 70)
-        col_net = Network(nx.path_graph(3), backend="columnar",
-                          bandwidth_bits=1 << 70)
-        ref_net.transport._charge_chunked_rounds("big", sizes)
-        col_net.transport._charge_chunked_rounds("big", sizes)
-        assert col_net.ledger.records == ref_net.ledger.records
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
+    def test_beyond_int64_payload_matches_literal_simulation(self, backend):
+        sizes = [1 << 80, 5]  # 1024 chunk rounds for the 2**80-bit payload
+        budget = 1 << 70
+        net = Network(nx.path_graph(3), backend=backend, bandwidth_bits=budget)
+        net.exchange_chunked({(0, 1): Message(content="big", bits=sizes[0]),
+                              (2, 1): Message(content="small", bits=sizes[1])})
+        got = [(r.message_count, r.total_bits, r.max_edge_bits)
+               for r in net.ledger.records]
+        assert got == _simulate_chunk_rounds(sizes, budget)
 
 
 # --------------------------------------------------------------------------- #

@@ -44,6 +44,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Network(nx.path_graph(3), mode="weird")
 
+    @pytest.mark.parametrize("bits", [0, -5])
+    def test_budget_below_one_bit_rejected(self, backend, bits):
+        # A zero budget would divide by zero in the first chunked round, and
+        # a negative one would charge a chunked message negative bits.
+        with pytest.raises(ValueError, match=f"got {bits}$"):
+            Network(nx.path_graph(3), bandwidth_bits=bits, backend=backend)
+
     def test_views(self, square):
         assert square.number_of_nodes == 4
         assert square.degree(0) == 2

@@ -256,8 +256,9 @@ class TestBisect:
         # perturbed — and record the ground truth (transport round, edge) by
         # spying on the fault filter.  The digest round index is the ledger's
         # post-increment observer index, i.e. transport round + 1.  LOCAL
-        # mode: per-edge delays are unsupported alongside chunked oversized
-        # payloads (the late delivery would land in a budget-enforced round).
+        # mode delivers the late message in the very next round; in CONGEST
+        # mode a late payload wider than the budget would wait for the next
+        # chunked round, so the divergence could land later.
         # gnp-johansson materializes inboxes from round 1, so the perturbed
         # delivery is localizable to its receiver (a broadcast_discard round
         # would diverge on counters only, by design).

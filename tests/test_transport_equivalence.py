@@ -18,7 +18,7 @@ import networkx as nx
 import pytest
 
 from repro.baselines import johansson_coloring
-from repro.congest import BandwidthExceeded, Message, Network, ProtocolError
+from repro.congest import BandwidthExceeded, CongestError, Message, Network, ProtocolError
 from repro.congest.columnar.transport import ColumnarTransport
 from repro.congest.transport import EMPTY_INBOX, DictTransport, Transport
 from repro.core import solve_d1c, solve_d1lc
@@ -71,6 +71,24 @@ class TestPrimitiveEquivalence:
             net.exchange({(0, 1): 5, (2, 3): [7, 8]}, label="t")
             net.exchange({}, label="empty")
         assert_identical_ledgers(*nets)
+
+    def test_violating_exchange_raises_the_oracle_error(self):
+        """A round with several violations fails at its first offending
+        entry in iteration order, over budget or off-graph, on every backend,
+        and is never recorded."""
+        rounds = [
+            {(0, 1): 20, (1, 2): 40},  # two payloads over budget
+            {(0, 1): 40, (0, 2): 1},  # over budget, then a non-edge
+        ]
+        for sizes in rounds:
+            raised = []
+            for net in all_networks(nx.path_graph(3), bandwidth_bits=16):
+                with pytest.raises(CongestError) as info:
+                    net.exchange({edge: Message(content=bits, bits=bits)
+                                  for edge, bits in sizes.items()}, label="v")
+                raised.append((type(info.value), getattr(info.value, "edge", None)))
+                assert net.ledger.rounds == 0
+            assert raised == [(BandwidthExceeded, (0, 1))] * len(BACKENDS)
 
     def test_broadcast_inboxes_and_ledger(self):
         nets = all_networks(nx.star_graph(5), bandwidth_bits=64)
@@ -665,12 +683,11 @@ class TestChunkedAccountingOracle:
 
 
 class TestSlotSizingCacheInvalidation:
-    """The columnar backend's pooled payload-sizing cache is keyed by ``id()``.
+    """Every round charges each payload its current ``payload_bits``.
 
-    The cache must be invalidated between rounds: an ``id()`` key is only
-    meaningful while the round's message mapping keeps the payload alive,
-    and a program that mutates a payload object and re-sends it next round
-    must be charged the *new* size, not a stale cached one.
+    A program that mutates a payload object and re-sends it next round is
+    charged the *new* size, and a fresh object that lands on a previous
+    round's ``id()`` is charged its own size: no size outlives its round.
     """
 
     def test_mutated_payload_resized_next_round(self):
