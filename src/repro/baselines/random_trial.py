@@ -60,7 +60,7 @@ def johansson_coloring(
         uncolored = state.uncolored_nodes()
         if not uncolored:
             break
-        if network.tracer.enabled:
+        if network.tracer is not None:
             network.tracer.note_nodes(len(uncolored), network.number_of_nodes)
         try_random_color(state, uncolored, label="johansson")
     return _build_result(state, fallback_count=0)

@@ -4,10 +4,11 @@ The engine is the substrate every distributed primitive in this
 reproduction runs on.  It is layered (see DESIGN.md):
 
 * :class:`~repro.congest.topology.Topology` — immutable CSR-style adjacency;
-* :class:`~repro.congest.transport.Transport` — two delivery backends
-  (:class:`~repro.congest.transport.DictTransport`, the reference oracle,
-  and :class:`~repro.congest.columnar.transport.ColumnarTransport`, the
-  default numpy fast path);
+* :class:`~repro.congest.transport.DictTransport` — the delivery
+  mechanics: the reference oracle, and the root of the two other
+  transports (:class:`~repro.congest.columnar.transport.ColumnarTransport`,
+  the default numpy fast path, and the fault transport of
+  :mod:`repro.faults`);
 * :class:`~repro.metrics.ledger.Ledger` — the bandwidth accounting: the
   aggregates plus one record per round.
 
@@ -30,7 +31,6 @@ from repro.congest.topology import Topology
 from repro.congest.transport import (
     DictTransport,
     TRANSPORT_BACKENDS,
-    Transport,
     make_transport,
 )
 from repro.congest.network import DEFAULT_BACKEND, Network, RoundRecord
@@ -42,7 +42,6 @@ __all__ = [
     "payload_bits",
     "Message",
     "Topology",
-    "Transport",
     "DictTransport",
     "TRANSPORT_BACKENDS",
     "make_transport",

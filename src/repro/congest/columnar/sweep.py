@@ -24,7 +24,7 @@ estimate_similarity_on_edges` is the load-bearing contract:
   its array twin ``RngStream.edge_randrange`` over one ``element_keys_array``
   of the swept nodes; topology validation, in the reference's order, is the
   per-edge Python left;
-* ledger records come from ``Transport.charge_chunked``, the accounting
+* ledger records come from ``DictTransport.charge_chunked``, the accounting
   of the reference's ``exchange_chunked``, on the same label/size
   multisets (``{label}:index`` then ``{label}:indicator``);
 * per-endpoint value multisets are reduced by a packed
@@ -36,9 +36,9 @@ Every requested pair is validated before the first round, whatever the sets
 hold.  The kernel declines — returns ``None`` before any ledger effect, so
 the caller runs the scalar reference instead — when
 
-* the transport does not set ``supports_columnar_sweep`` (the ``dict``
-  oracle, and a fault-wrapped ``columnar``);
-* the network's tracer digests payloads (``wants_payloads``): the kernel
+* the transport is not a ``ColumnarTransport`` (the ``dict`` oracle, and
+  the fault transport that any fault plan builds);
+* the network's tracer digests payloads (``tracer.digest``): the kernel
   charges ledger records without materializing the payloads a digest hashes,
   nor the inboxes, which the reference ignores;
 * an unordered pair repeats among the swept edges: the reference sends one
@@ -62,6 +62,7 @@ from repro.congest.columnar.kernels import (
     member_prefixes_vec,
     scale_keys_vec,
 )
+from repro.congest.columnar.transport import ColumnarTransport
 from repro.hashing.representative import RepresentativeHashFamily
 from repro.utils.rng import RngStream
 
@@ -159,9 +160,9 @@ def columnar_similarity(
     when the kernel declines.
     """
     transport = network.transport
-    if not getattr(transport, "supports_columnar_sweep", False):
+    if not isinstance(transport, ColumnarTransport):
         return None
-    if getattr(network.tracer, "wants_payloads", False):
+    if network.tracer is not None and network.tracer.digest:
         return None
 
     # ------------------------------------------------------ per-edge columns

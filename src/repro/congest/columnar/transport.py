@@ -43,15 +43,14 @@ class ColumnarTransport(DictTransport):
     order, while ``columnar`` names the first sender at the largest payload,
     paired with the head of its CSR row.  Either way the round is rejected
     before it is recorded.
+
+    The vectorized ``EstimateSimilarity`` kernel
+    (:mod:`repro.congest.columnar.sweep`) runs only on an instance of this
+    class, for the ACD, triangle detection and sparsity alike; the ``dict``
+    oracle and the fault transport take the scalar reference sweep.
     """
 
     name = "columnar"
-    #: The vectorized ``EstimateSimilarity`` kernel
-    #: (:mod:`repro.congest.columnar.sweep`) runs only on a transport that
-    #: sets this, for the ACD, triangle detection and sparsity alike.  The
-    #: ``dict`` oracle, and a ``FaultyTransport`` wrapping this one (it does
-    #: not forward the flag), take the scalar reference sweep.
-    supports_columnar_sweep = True
 
     def __init__(self, topology: Topology, mode: str, bandwidth_bits: int,
                  ledger: Ledger):

@@ -5,9 +5,10 @@ communication engine (see DESIGN.md):
 
 * :class:`~repro.congest.topology.Topology` — immutable CSR-style adjacency
   (cached node list, neighbor sets, degrees, contiguous node index);
-* :class:`~repro.congest.transport.Transport` — the delivery mechanics,
-  selected via ``backend=`` (``"columnar"``, the numpy fast path, by
-  default; ``"dict"`` for the per-message reference semantics);
+* the transport (:func:`~repro.congest.transport.make_transport`) — the
+  delivery mechanics, selected via ``backend=`` (``"columnar"``, the numpy
+  fast path, by default; ``"dict"`` for the per-message reference
+  semantics);
 * :class:`~repro.metrics.ledger.Ledger` — the bandwidth accounting: the
   aggregates plus one record per round.
 
@@ -36,7 +37,7 @@ from repro.metrics.ledger import (  # noqa: F401  (RoundRecord re-exported)
     Ledger,
     RoundRecord,
 )
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import RoundTracer
 
 Node = Hashable
 DirectedEdge = Tuple[Node, Node]
@@ -86,15 +87,16 @@ class Network:
         charge identical ledgers; ``"dict"`` keeps the original
         message-at-a-time reference implementation, and ``"columnar"`` is
         the numpy fast path, which also runs every similarity sweep as one
-        vectorized kernel.
+        vectorized kernel.  Under a fault plan the name is still validated,
+        but the run takes the ``dict`` oracle's code either way.
     ledger:
         Accepted for compatibility with callers that pass
         ``ledger="counters"``; see :func:`check_compat_keywords`.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` (or a params mapping
         like ``{"drop": 0.01}``) that deterministically perturbs delivery —
-        see :mod:`repro.faults`.  ``None`` or an all-default plan leaves the
-        transport unwrapped, byte-identical to a fault-free network.  The
+        see :mod:`repro.faults`.  ``None`` or an all-default plan builds the
+        bare backend, byte-identical to a fault-free network.  The
         plan's ``throttle`` factor scales the bandwidth budget (and
         :attr:`bandwidth_bits` reports the throttled value).
     fault_seed:
@@ -106,14 +108,13 @@ class Network:
         any other value raises :class:`ValueError`.  Execution is always
         serial in this process.
     tracer:
-        Optional :class:`~repro.obs.tracer.Tracer` observing this run.  The
-        default is the shared :data:`~repro.obs.tracer.NULL_TRACER`, which
-        installs nothing — untraced runs execute the exact code they always
-        did.  Passing a :class:`~repro.obs.tracer.RoundTracer` attaches it as
-        the ledger's one round observer (and, with ``digest=True``, hands
-        it every primitive's delivered payloads); tracing is
-        observation-only (no RNG, no state mutation) and a traced run is
-        byte-identical to an untraced one.
+        Optional :class:`~repro.obs.tracer.RoundTracer` observing this run,
+        attached as the ledger's one round observer (and, with
+        ``digest=True``, handed every primitive's delivered payloads).
+        ``None`` (the default) installs nothing, so untraced runs execute
+        the exact code they always did; tracing is observation-only (no
+        RNG, no state mutation) and a traced run is byte-identical to an
+        untraced one.
     """
 
     def __init__(
@@ -126,12 +127,10 @@ class Network:
         faults: Any = None,
         fault_seed: int = 0,
         shards: int = 1,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[RoundTracer] = None,
     ):
         if mode not in ("congest", "local"):
             raise ValueError(f"unknown mode: {mode!r}")
-        if bandwidth_bits is not None and int(bandwidth_bits) < 1:
-            raise ValueError(f"bandwidth_bits must be at least 1, got {bandwidth_bits!r}")
         check_compat_keywords(shards, ledger)
         self.graph = graph
         self.mode = mode
@@ -141,16 +140,16 @@ class Network:
             bandwidth_bits = int(math.ceil(BUDGET_WORDS * math.log2(n)))
         self.ledger = Ledger()
         self.transport = make_transport(
-            backend, self.topology, self.mode, int(bandwidth_bits),
+            backend, self.topology, self.mode, bandwidth_bits,
             self.ledger, faults=faults, fault_seed=fault_seed,
         )
         # The transport owns the effective budget: a fault plan's
         # throttle factor may have scaled it at construction.
         self.bandwidth_bits = self.transport.bandwidth_bits
         self.backend = self.transport.name
-        self.tracer: Tracer = NULL_TRACER if tracer is None else tracer
-        if self.tracer.enabled:
-            self.tracer.attach(self)
+        self.tracer = tracer
+        if tracer is not None:
+            tracer.attach(self)
 
     # ------------------------------------------------------------------ views
     @property
@@ -200,7 +199,7 @@ class Network:
             If any single payload exceeds the bandwidth budget (CONGEST mode).
         """
         delivered = self.transport.exchange(messages, label=label)
-        if self.tracer.wants_payloads:
+        if self.tracer is not None and self.tracer.digest:
             self.tracer.note_exchange(delivered)
         return delivered
 
@@ -216,7 +215,7 @@ class Network:
         ones are shared); copy before mutating.
         """
         inboxes = self.transport.broadcast(values, label=label)
-        if self.tracer.wants_payloads:
+        if self.tracer is not None and self.tracer.digest:
             self.tracer.note_inboxes(inboxes)
         return inboxes
 
@@ -231,7 +230,7 @@ class Network:
         can skip inbox materialisation (columnar) do so here.
         """
         self.transport.broadcast_discard(values, label=label)
-        if self.tracer.wants_payloads:
+        if self.tracer is not None and self.tracer.digest:
             self.tracer.note_values(values)
 
     def exchange_chunked(
@@ -254,7 +253,7 @@ class Network:
         depends on ``ε`` — the simulator makes that cost explicit.
         """
         delivered = self.transport.exchange_chunked(messages, label=label)
-        if self.tracer.wants_payloads:
+        if self.tracer is not None and self.tracer.digest:
             self.tracer.note_exchange(delivered)
         return delivered
 
@@ -265,7 +264,7 @@ class Network:
     ) -> Dict[Node, Mapping[Node, Any]]:
         """Chunked variant of :meth:`broadcast` for payloads above the budget."""
         inboxes = self.transport.broadcast_chunked(values, label=label)
-        if self.tracer.wants_payloads:
+        if self.tracer is not None and self.tracer.digest:
             self.tracer.note_inboxes(inboxes)
         return inboxes
 

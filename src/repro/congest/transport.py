@@ -1,9 +1,10 @@
-"""Pluggable message-transport backends for the CONGEST/LOCAL engine.
+"""Message-transport backends for the CONGEST/LOCAL engine.
 
-A :class:`Transport` owns the *mechanics* of a synchronous round — validating
-edges, sizing payloads, enforcing the bandwidth budget, delivering messages
-and reporting the round to the ledger — on top of an immutable
-:class:`~repro.congest.topology.Topology`.  Two backends are provided:
+A transport owns the *mechanics* of a synchronous round — validating edges,
+sizing payloads, enforcing the bandwidth budget, delivering messages and
+reporting the round to the ledger — on top of an immutable
+:class:`~repro.congest.topology.Topology`.  The transport tree has one
+root:
 
 * :class:`DictTransport` (``backend="dict"``) processes one message at a
   time, exactly as the original ``Network.exchange`` did: validate, size,
@@ -15,9 +16,12 @@ and reporting the round to the ledger — on top of an immutable
   broadcasts, which it accounts in one vectorized pass and routes along the
   topology's CSR rows; it also runs the vectorized ``EstimateSimilarity``
   kernel.
+* :class:`~repro.faults.transport.FaultyTransport`, which
+  :func:`make_transport` builds under a fault plan whatever the backend
+  name, is the oracle with every round perturbed by the plan.
 
 Every payload is charged :func:`~repro.congest.bandwidth.payload_bits`, and
-every chunked stream is charged by :meth:`Transport.charge_chunked`.
+every chunked stream is charged by :meth:`DictTransport.charge_chunked`.
 
 Broadcast inboxes from **both** backends are read-only views: silent nodes
 share one immutable empty mapping instead of each allocating a dict every
@@ -49,10 +53,16 @@ DirectedEdge = Tuple[Node, Node]
 EMPTY_INBOX: Mapping[Node, Any] = MappingProxyType({})
 
 
-class Transport:
-    """Base class: delivery mechanics over a topology, charged to a ledger."""
+class DictTransport:
+    """Reference backend: per-message validation, sizing and budget checks.
 
-    name = "abstract"
+    This preserves the original ``Network.exchange`` semantics entry by
+    entry — including the order in which violations are detected — and is
+    the oracle the equivalence suite measures the ``columnar`` backend
+    against.
+    """
+
+    name = "dict"
 
     def __init__(self, topology: Topology, mode: str, bandwidth_bits: int,
                  ledger: Ledger):
@@ -64,14 +74,29 @@ class Transport:
     # ------------------------------------------------------------- primitives
     def exchange(self, messages: Mapping[DirectedEdge, Any],
                  label: str = "exchange") -> Dict[DirectedEdge, Any]:
-        raise NotImplementedError
+        total_bits = 0
+        max_edge_bits = 0
+        delivered: Dict[DirectedEdge, Any] = {}
+        congest = self.mode == "congest"
+        for (sender, receiver), payload in messages.items():
+            self._validate_edge(sender, receiver)
+            bits = payload_bits(payload)
+            if congest and bits > self.bandwidth_bits:
+                raise BandwidthExceeded(
+                    (sender, receiver), bits, self.bandwidth_bits, label
+                )
+            total_bits += bits
+            max_edge_bits = max(max_edge_bits, bits)
+            delivered[(sender, receiver)] = unwrap(payload)
+        self.ledger.record_round(label, len(delivered), total_bits, max_edge_bits)
+        return delivered
 
     def broadcast(
         self,
         values: Mapping[Node, Any],
         label: str = "broadcast",
     ) -> Dict[Node, Mapping[Node, Any]]:
-        raise NotImplementedError
+        return self._inboxes(self.exchange(self._per_edge(values), label=label))
 
     def broadcast_discard(
         self,
@@ -82,10 +107,9 @@ class Transport:
 
         Several protocol steps (the ACD's participation and degree
         announcements) broadcast purely so the *ledger* reflects the
-        communication; the delivered inboxes are thrown away.  The default
-        implementation simply broadcasts and drops the result, so accounting
-        is identical by construction; backends that can skip inbox
-        materialisation entirely (columnar) override this with an
+        communication; the delivered inboxes are thrown away.  The oracle
+        simply broadcasts and drops the result, so accounting is identical
+        by construction; the columnar backend overrides this with an
         accounting-only path charged byte-identically.
         """
         self.broadcast(values, label=label)
@@ -93,6 +117,19 @@ class Transport:
 
     def charge_silent_round(self, label: str = "silent") -> None:
         self.ledger.record_round(label, 0, 0, 0)
+
+    def _per_edge(self, values: Mapping[Node, Any]) -> Dict[DirectedEdge, Any]:
+        """One message per edge for a broadcast of ``values``.
+
+        Sender-major, in topology neighbor order; an unknown sender raises
+        the canonical ProtocolError.
+        """
+        neighbors = self.topology.neighbors
+        return {
+            (sender, receiver): payload
+            for sender, payload in values.items()
+            for receiver in neighbors(sender)
+        }
 
     # ---------------------------------------------------------------- chunked
     def _validate_edge(self, sender: Node, receiver: Node) -> None:
@@ -181,17 +218,14 @@ class Transport:
         label: str = "broadcast-chunked",
     ) -> Dict[Node, Mapping[Node, Any]]:
         """Chunked variant of :meth:`broadcast` for payloads above the budget."""
-        messages: Dict[DirectedEdge, Any] = {}
-        for sender, payload in values.items():
-            for receiver in self.topology.neighbors(sender):
-                messages[(sender, receiver)] = payload
-        delivered = self.exchange_chunked(messages, label=label)
-        return self._inboxes(delivered)
+        return self._inboxes(
+            self.exchange_chunked(self._per_edge(values), label=label)
+        )
 
     def _inboxes(self, delivered: Mapping[DirectedEdge, Any]) -> Dict[Node, Mapping[Node, Any]]:
         """Group delivered messages into one inbox per node.
 
-        Both backends share this: real dicts are allocated only for nodes
+        Every transport shares this: real dicts are allocated only for nodes
         that actually received something; every silent node gets the one
         shared immutable empty mapping.  Inboxes are read-only views —
         callers that want to mutate must copy (no in-repo algorithm does).
@@ -208,49 +242,6 @@ class Transport:
         return inbox
 
 
-class DictTransport(Transport):
-    """Reference backend: per-message validation, sizing and budget checks.
-
-    This preserves the original ``Network.exchange`` semantics entry by
-    entry — including the order in which violations are detected — and is
-    the oracle the equivalence suite measures the ``columnar`` backend
-    against.
-    """
-
-    name = "dict"
-
-    def exchange(self, messages: Mapping[DirectedEdge, Any],
-                 label: str = "exchange") -> Dict[DirectedEdge, Any]:
-        total_bits = 0
-        max_edge_bits = 0
-        delivered: Dict[DirectedEdge, Any] = {}
-        congest = self.mode == "congest"
-        for (sender, receiver), payload in messages.items():
-            self._validate_edge(sender, receiver)
-            bits = payload_bits(payload)
-            if congest and bits > self.bandwidth_bits:
-                raise BandwidthExceeded(
-                    (sender, receiver), bits, self.bandwidth_bits, label
-                )
-            total_bits += bits
-            max_edge_bits = max(max_edge_bits, bits)
-            delivered[(sender, receiver)] = unwrap(payload)
-        self.ledger.record_round(label, len(delivered), total_bits, max_edge_bits)
-        return delivered
-
-    def broadcast(
-        self,
-        values: Mapping[Node, Any],
-        label: str = "broadcast",
-    ) -> Dict[Node, Mapping[Node, Any]]:
-        messages: Dict[DirectedEdge, Any] = {}
-        for sender, payload in values.items():
-            for receiver in self.topology.neighbors(sender):
-                messages[(sender, receiver)] = payload
-        delivered = self.exchange(messages, label=label)
-        return self._inboxes(delivered)
-
-
 #: Backends selectable via ``Network(backend=...)``: the ``dict`` reference
 #: oracle and the ``columnar`` fast path.  The one list of backend names the
 #: CLI, the scenario specs and the benchmarks read.
@@ -261,7 +252,7 @@ def _transport_class(backend):
     if backend == "dict":
         return DictTransport
     if backend == "columnar":
-        # Imported lazily: the columnar module subclasses Transport from here.
+        # Imported lazily: the columnar module subclasses DictTransport.
         from repro.congest.columnar.transport import ColumnarTransport
 
         return ColumnarTransport
@@ -272,26 +263,34 @@ def _transport_class(backend):
 
 
 def make_transport(backend, topology: Topology, mode: str, bandwidth_bits: int,
-                   ledger: Ledger, faults=None, fault_seed: int = 0) -> Transport:
+                   ledger: Ledger, faults=None,
+                   fault_seed: int = 0) -> DictTransport:
     """Build a transport from a backend name (``columnar`` or ``dict``).
 
-    ``faults`` optionally wraps the backend in a
-    :class:`~repro.faults.transport.FaultyTransport` driven by a
-    :class:`~repro.faults.plan.FaultPlan` (or a plain params mapping) and
-    ``fault_seed``.  The plan's bandwidth throttle is applied to the budget
+    ``bandwidth_bits`` must be at least 1: a zero budget would divide by
+    zero in the first chunked round, and a negative one would charge a
+    chunked message negative bits.  ``faults`` optionally perturbs delivery
+    with a :class:`~repro.faults.plan.FaultPlan` (or a plain params mapping)
+    and ``fault_seed``: the backend name is still validated, but what is
+    built is a :class:`~repro.faults.transport.FaultyTransport`, the
+    ``dict`` oracle under the plan, so ``backend`` has no effect on a
+    faulted run.  The plan's bandwidth throttle is applied to the budget
     *here*, at the single construction point, so every caller sees the
     throttled budget.  A ``None``/no-op plan changes nothing: the bare
     backend instance is returned, keeping fault-free runs byte-identical.
     """
-    # Imported lazily: repro.faults depends on this module for the Transport
-    # base class, so a module-level import would be circular.
+    # Imported lazily: repro.faults subclasses DictTransport from this
+    # module, so a module-level import would be circular.
     from repro.faults.plan import FaultPlan
 
+    if int(bandwidth_bits) < 1:
+        raise ValueError(f"bandwidth_bits must be at least 1, got {bandwidth_bits!r}")
     plan = FaultPlan.coerce(faults)
     cls = _transport_class(backend)
     if plan is None:
         return cls(topology, mode, bandwidth_bits, ledger)
     from repro.faults.transport import FaultyTransport
 
-    inner = cls(topology, mode, plan.throttled_bandwidth(bandwidth_bits), ledger)
-    return FaultyTransport(inner, plan, seed=fault_seed)
+    return FaultyTransport(topology, mode,
+                           plan.throttled_bandwidth(int(bandwidth_bits)),
+                           ledger, plan, seed=fault_seed)

@@ -112,7 +112,7 @@ def solve_instance(
         }
         if not active:
             break
-        if network.tracer.enabled:
+        if network.tracer is not None:
             # Observation only: pipeline-level progress for the trace.
             network.tracer.note_nodes(len(active), network.number_of_nodes)
         uncolored_before = len(state.uncolored_nodes())

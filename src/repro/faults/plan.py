@@ -9,7 +9,7 @@ perturbs a run identically across transport backends, worker counts and
 processes.
 
 The five perturbation axes (all optional; an all-default plan is a no-op and
-is never even wrapped around a transport):
+builds no fault transport):
 
 * ``drop`` — every directed message is lost independently with this
   probability.  Receivers simply see a missing inbox entry.
@@ -120,8 +120,8 @@ class FaultPlan:
         """Normalise ``None`` / plan / params-mapping to a plan or ``None``.
 
         A no-op plan collapses to ``None`` so callers can treat "no faults"
-        and "an empty plan" identically — both leave the transport unwrapped
-        and the run byte-identical to a fault-free one.
+        and "an empty plan" identically — both build the bare backend and
+        leave the run byte-identical to a fault-free one.
         """
         if value is None:
             return None

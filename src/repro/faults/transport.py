@@ -1,29 +1,31 @@
-"""A transport decorator that perturbs delivery deterministically.
+"""The ``dict`` oracle with delivery perturbed deterministically.
 
-:class:`FaultyTransport` wraps either concrete backend (dict / columnar)
-behind the same :class:`~repro.congest.transport.Transport` interface and
-applies a :class:`~repro.faults.plan.FaultPlan` to every communication
-primitive.  Design invariants (enforced by the fault-layer test suite):
+:class:`FaultyTransport` subclasses
+:class:`~repro.congest.transport.DictTransport` and applies a
+:class:`~repro.faults.plan.FaultPlan` to every communication primitive.
+``make_transport`` builds it for a non-trivial plan whatever the backend
+name, so a faulted run takes the oracle's code on either backend.  Design
+invariants (enforced by the fault-layer test suite):
 
 * **Backend-independent bytes.**  Every fault decision is a pure function of
   ``(master_seed, round_id, sender, receiver)`` via ``mix64`` over stable
-  element keys — never of dict iteration order or backend internals.  The
-  wrapped round is materialised as one per-edge message mapping and handed
-  to the inner backend's ``exchange``, whose ledger records are already
-  proven identical across backends, so a fixed (seed, plan) pair yields
-  byte-identical ledgers, inboxes and stats on dict and columnar.
+  element keys — never of dict iteration order.  Every round is
+  materialised as one per-edge message mapping, filtered, and delivered by
+  the oracle's ``exchange`` (or ``exchange_chunked``), so a fixed (seed,
+  plan) pair yields byte-identical ledgers, inboxes and stats whichever
+  backend was named.
 * **Failures are absences, not exceptions.**  A dropped, crashed-away or
   still-delayed message is simply missing from the result mapping / inbox;
   programs never see a fault-layer exception.  Protocol violations (illegal
   edges, oversized payloads under the throttled budget) still raise exactly
   as they would on a fault-free transport.
 * **Round numbering is the ledger's.**  The crash schedule and delay slots
-  count communication rounds as recorded by the shared ledger, which is the
-  one clock all backends agree on.
+  count communication rounds as recorded by the ledger, which is the one
+  clock all backends agree on.
 
-The no-fault path never reaches this module: ``make_transport`` only wraps
-when the plan is non-trivial, so fault-free runs stay byte-identical to the
-committed baselines by construction.
+The no-fault path never reaches this module: ``make_transport`` only builds
+this transport when the plan is non-trivial, so fault-free runs stay
+byte-identical to the committed baselines by construction.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ from typing import Any, Dict, Hashable, List, Mapping, Tuple
 
 from repro.congest.bandwidth import payload_bits
 from repro.congest.errors import BandwidthExceeded
-from repro.congest.transport import Transport
+from repro.congest.topology import Topology
+from repro.congest.transport import DictTransport
 from repro.faults.corruption import corrupt_payload, to_unit
 from repro.faults.plan import FaultPlan, FaultStats
 from repro.hashing.keys import element_key, mix64
+from repro.metrics.ledger import Ledger
 
 Node = Hashable
 DirectedEdge = Tuple[Node, Node]
@@ -44,24 +48,22 @@ _DROP_SALT = 0xD809
 _CORRUPT_SALT = 0xC0BB
 
 
-class FaultyTransport(Transport):
-    """Wrap ``inner`` so that ``plan`` perturbs every round it carries."""
+class FaultyTransport(DictTransport):
+    """The ``dict`` oracle with ``plan`` perturbing every round it carries."""
 
-    def __init__(self, inner: Transport, plan: FaultPlan, seed: int = 0):
-        if isinstance(inner, FaultyTransport):
-            raise ValueError("refusing to stack fault layers: unwrap first")
+    name = "faults"
+
+    def __init__(self, topology: Topology, mode: str, bandwidth_bits: int,
+                 ledger: Ledger, plan: FaultPlan, seed: int = 0):
         if plan.is_noop:
             raise ValueError(
-                "a no-op FaultPlan must not be wrapped (make_transport "
+                "a no-op FaultPlan builds no FaultyTransport (make_transport "
                 "returns the bare backend for it)"
             )
-        super().__init__(inner.topology, inner.mode, inner.bandwidth_bits,
-                         inner.ledger)
-        self.inner = inner
+        super().__init__(topology, mode, bandwidth_bits, ledger)
         self.fault_plan = plan
         self.fault_seed = int(seed)
         self.fault_stats = FaultStats()
-        self.name = f"{inner.name}+faults"
         self._master = plan.master_seed(seed)
         self._crash_schedule: List[Tuple[int, Tuple[Node, ...]]] = sorted(
             plan.crash.items()
@@ -115,7 +117,7 @@ class FaultyTransport(Transport):
 
         Only the messages the fault layer *removes* are checked here
         (edge legality when ``validate`` is set, budget when
-        ``enforce_budget`` is set) — survivors get the inner backend's own
+        ``enforce_budget`` is set) — survivors get the oracle's own
         delivery checks, so the common no-fault-hit message is validated
         exactly once and protocol violations raise exactly as they would on
         a clean transport.
@@ -197,7 +199,7 @@ class FaultyTransport(Transport):
         round_id = self._begin_round()
         surviving = self._filter(messages, round_id, label, validate=True,
                                  enforce_budget=self.mode == "congest")
-        delivered = self.inner.exchange(surviving, label=label)
+        delivered = super().exchange(surviving, label=label)
         self.fault_stats.delivered_messages += len(delivered)
         return delivered
 
@@ -206,21 +208,14 @@ class FaultyTransport(Transport):
         values: Mapping[Node, Any],
         label: str = "broadcast",
     ) -> Dict[Node, Mapping[Node, Any]]:
-        # Expand to per-edge messages here: corruption is per edge, so a
-        # broadcast under faults is no longer "one payload object to all".
-        # The expansion order (sender-major, topology neighbor order) is the
-        # same one every backend uses, and delivery goes through the inner
-        # backend's exchange, keeping ledgers and inboxes backend-identical.
+        # Corruption is per edge, so a broadcast under faults is no longer
+        # "one payload object to all": it is filtered edge by edge and
+        # delivered through the oracle's exchange.
         round_id = self._begin_round()
-        neighbors = self.topology.neighbors
-        messages: Dict[DirectedEdge, Any] = {}
-        for sender, payload in values.items():
-            # neighbors() raises the canonical error for an unknown sender.
-            for receiver in neighbors(sender):
-                messages[(sender, receiver)] = payload
-        surviving = self._filter(messages, round_id, label, validate=False,
+        surviving = self._filter(self._per_edge(values), round_id, label,
+                                 validate=False,
                                  enforce_budget=self.mode == "congest")
-        delivered = self.inner.exchange(surviving, label=label)
+        delivered = super().exchange(surviving, label=label)
         self.fault_stats.delivered_messages += len(delivered)
         return self._inboxes(delivered)
 
@@ -234,13 +229,13 @@ class FaultyTransport(Transport):
         # removed messages skip the budget re-check here.
         surviving = self._filter(messages, round_id, label, validate=True,
                                  enforce_budget=False)
-        delivered = self.inner.exchange_chunked(surviving, label=label)
+        delivered = super().exchange_chunked(surviving, label=label)
         self.fault_stats.delivered_messages += len(delivered)
         return delivered
 
-    # broadcast_chunked is inherited: the base expansion feeds our faulted
-    # exchange_chunked, which is exactly the per-edge semantics we want.
+    # broadcast_chunked and broadcast_discard are inherited: the oracle's
+    # versions call the faulted exchange_chunked and broadcast above.
 
     def charge_silent_round(self, label: str = "silent") -> None:
         self._begin_round()
-        self.inner.charge_silent_round(label=label)
+        super().charge_silent_round(label=label)

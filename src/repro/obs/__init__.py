@@ -30,25 +30,16 @@ from repro.obs.summary import (
     summary_as_dict,
     timeline_rows,
 )
-from repro.obs.tracer import (
-    NULL_TRACER,
-    RUN_SCHEMA,
-    NullTracer,
-    RoundTracer,
-    Tracer,
-)
+from repro.obs.tracer import RUN_SCHEMA, RoundTracer
 
 __all__ = [
     "EVENTS_SUFFIX",
-    "NULL_TRACER",
     "RUN_SCHEMA",
     "TRACE_PREFIX",
-    "NullTracer",
     "PhaseDrift",
     "PhaseTotals",
     "ResourceSampler",
     "RoundTracer",
-    "Tracer",
     "TraceSummary",
     "compare_traces",
     "cpu_seconds",

@@ -18,10 +18,7 @@ links the per-round summaries into one tamper-evident running digest; the
 round sequence is deterministic by the engine's own contract, so chaining
 over it is safe.
 
-Entry hashes reuse the splitmix64 pipeline from :mod:`repro.hashing.keys`
-(and its pinned uint64-array twins in :mod:`repro.congest.columnar.kernels`
-for the vectorized fast path), so the scalar and vector paths are
-bit-identical by the same contract the columnar backend rests on.
+Entry hashes reuse the splitmix64 pipeline from :mod:`repro.hashing.keys`.
 """
 
 from __future__ import annotations
@@ -43,10 +40,6 @@ _CHAIN_SALT = 0xC4A1  # chain initialisation
 
 #: Every chain starts here; byte-identical streams share it by construction.
 CHAIN_INIT = mix64(_CHAIN_SALT)
-
-#: Use the vectorized kernels only above this batch size: below it the
-#: numpy array setup costs more than the scalar loop it replaces.
-_VECTOR_MIN = 32
 
 
 def hex16(value: int) -> str:
@@ -126,8 +119,8 @@ def payload_hash(payload: Any) -> int:
     """64-bit hash of one message payload.
 
     Plain uint64-range ints (the dominant payload shape: colors, counters,
-    packed words) take a pure splitmix64 path that the columnar kernels can
-    reproduce vectorized; everything else hashes its canonical bytes.
+    packed words) take a pure splitmix64 path; everything else hashes its
+    canonical bytes.
     """
     if type(payload) is int and 0 <= payload <= _MASK64:
         return mix64(_INT_SALT, payload)
@@ -135,22 +128,10 @@ def payload_hash(payload: Any) -> int:
 
 
 # ------------------------------------------------------------ entry hashes
-# Precomputed chain prefixes: mix64(SALT, ...) == chained steps from
-# MIX64_INIT, so folding from the precomputed accumulator saves one step
-# per entry and gives the vector path a ready-made uint64 seed.
+# Precomputed salt steps: mix64(SALT, ...) == chained steps from MIX64_INIT,
+# so folding from the precomputed accumulator saves one step per entry.
 _EDGE_ACC = mix64_step(MIX64_INIT, _EDGE_SALT)
 _VALUE_ACC = mix64_step(MIX64_INIT, _VALUE_SALT)
-_INT_ACC = mix64_step(MIX64_INIT, _INT_SALT)
-
-# The same directed edges recur every round of a run, so their two-step key
-# prefix is cached by (sender, receiver).  Caching by node *equality* is
-# consistent with element_key's own semantics (it already unifies 1, 1.0 and
-# True), so a cache hit always returns exactly the uncached value.  Bounded
-# by wholesale clearing — entries are cheap to recompute and a massive-n run
-# on the scalar path must not hold a multi-hundred-MB cache alive.
-_EDGE_PREFIX: Dict[Any, int] = {}
-_VALUE_PREFIX: Dict[Any, int] = {}
-_PREFIX_CACHE_MAX = 1 << 18
 
 
 def delivery_entry_hashes(
@@ -164,34 +145,7 @@ def delivery_entry_hashes(
     Broadcast inboxes fold through the same function with the same
     (sender, receiver) orientation, so an exchange and the broadcast that
     delivers identical bytes produce identical entries.
-
-    When every payload is a plain uint64-range int, the whole batch runs
-    through the pinned uint64 kernel twins.
     """
-    count = len(payloads)
-    if (
-        count >= _VECTOR_MIN
-        and all(type(p) is int and 0 <= p <= _MASK64 for p in payloads)
-    ):
-        # Imported here, like the columnar transport itself: every network
-        # imports this module (through ``repro.obs.tracer``), and numpy
-        # stays out of ``import repro`` until a columnar path needs it.
-        import numpy as np
-
-        from repro.congest.columnar.kernels import (
-            element_keys_array,
-            mix64_step_vec,
-        )
-
-        pay = np.fromiter(payloads, dtype=np.uint64, count=count)
-        phashes = mix64_step_vec(np.uint64(_INT_ACC), pay)
-        acc = mix64_step_vec(np.uint64(_EDGE_ACC), element_keys_array(senders))
-        acc = mix64_step_vec(acc, element_keys_array(receivers))
-        acc = mix64_step_vec(acc, phashes)
-        return acc.tolist()
-    prefixes = _EDGE_PREFIX
-    if len(prefixes) > _PREFIX_CACHE_MAX:
-        prefixes.clear()
     # Per-call identity memo: broadcast fan-out repeats one payload object
     # per receiver, and identical objects trivially hash identically.  The
     # payloads sequence keeps every object alive, so ids are stable here.
@@ -199,33 +153,22 @@ def delivery_entry_hashes(
     memo_get = memo.get
     out: List[int] = []
     append = out.append
-    for i in range(count):
-        sender = senders[i]
-        receiver = receivers[i]
-        payload = payloads[i]
-        edge = (sender, receiver)
-        prefix = prefixes.get(edge)
-        if prefix is None:
-            prefix = prefixes[edge] = mix64_step(
-                mix64_step(_EDGE_ACC, element_key(sender)),
-                element_key(receiver),
-            )
+    for sender, receiver, payload in zip(senders, receivers, payloads):
         entry = memo_get(id(payload))
         if entry is None:
             entry = memo[id(payload)] = payload_hash(payload)
-        append(mix64_step(prefix, entry))
+        append(mix64_step(
+            mix64_step(mix64_step(_EDGE_ACC, element_key(sender)),
+                       element_key(receiver)),
+            entry,
+        ))
     return out
 
 
 def value_entry_hash(sender: Node, payload: Any) -> int:
     """Multiset entry hash for one ``broadcast_discard`` sent value."""
-    prefixes = _VALUE_PREFIX
-    prefix = prefixes.get(sender)
-    if prefix is None:
-        if len(prefixes) > _PREFIX_CACHE_MAX:
-            prefixes.clear()
-        prefix = prefixes[sender] = mix64_step(_VALUE_ACC, element_key(sender))
-    return mix64_step(prefix, payload_hash(payload))
+    return mix64_step(mix64_step(_VALUE_ACC, element_key(sender)),
+                      payload_hash(payload))
 
 
 # ------------------------------------------------------------ accumulators

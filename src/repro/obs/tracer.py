@@ -5,19 +5,13 @@ what every synchronous round *cost* — bits, messages, the per-edge maximum,
 wall-clock time, how many nodes were still active, fault-counter movement —
 and, on request, a chained determinism digest of what the round *did*.
 
-Three pieces:
-
-* :class:`Tracer` — the protocol.  Every hook is a no-op here, and
-  ``enabled = False`` lets hot paths skip even the call with one attribute
-  check.
-* :class:`NullTracer` / :data:`NULL_TRACER` — the zero-overhead default
-  every :class:`~repro.congest.network.Network` carries.  No observer is
-  installed on the ledger, so an untraced run executes byte-for-byte the
-  code it always did.
-* :class:`RoundTracer` — the one tracer: one event per round from the
-  network ledger's ``record_round`` seam, periodic resource samples, and
-  with ``digest=True`` the chain fields of :mod:`repro.obs.forensics.digest`
-  on the same round events.
+:class:`RoundTracer` is the one tracer: one event per round from the
+network ledger's ``record_round`` seam, periodic resource samples, and with
+``digest=True`` the chain fields of :mod:`repro.obs.forensics.digest` on the
+same round events.  An untraced :class:`~repro.congest.network.Network`
+holds ``tracer=None``: no observer is installed on the ledger, and hot paths
+test ``tracer is not None`` (payload hooks: ``tracer.digest``) before any
+call, so an untraced run executes byte-for-byte the code it always did.
 
 **The observation-only contract** (pinned by ``tests/test_obs.py`` and
 ``tests/test_forensics.py``): a tracer consumes no randomness, never mutates
@@ -57,50 +51,7 @@ RUN_SCHEMA = "repro-run/1"
 SAMPLE_EVERY_S = 1.0
 
 
-class Tracer:
-    """Protocol for run observers; every hook is a no-op by default.
-
-    ``enabled`` is a class attribute so drivers can guard per-round hook
-    calls with a single attribute check (``if tracer.enabled: ...``) instead
-    of a method call — that is what makes the :class:`NullTracer` default
-    genuinely free on hot paths.  ``wants_payloads`` guards the digest
-    hooks the same way: the network only walks delivered payloads for
-    tracers that opted in, so tracing rounds stays free of per-message work.
-    """
-
-    enabled = False
-    #: Opt-in: receive delivered payloads via the ``note_exchange`` /
-    #: ``note_inboxes`` / ``note_values`` hooks after every primitive.
-    wants_payloads = False
-
-    def attach(self, network) -> None:
-        """Start observing ``network`` (install the ledger round observer)."""
-
-    def note_nodes(self, active: int, owned: int) -> None:
-        """Driver hook: node counts as of the round about to execute."""
-
-    def note_exchange(self, delivered) -> None:
-        """Payload hook: one round's delivered ``{(u, v): payload}`` mapping."""
-
-    def note_inboxes(self, inboxes) -> None:
-        """Payload hook: one round's delivered ``inbox[v][u]`` mapping."""
-
-    def note_values(self, values) -> None:
-        """Payload hook: a ``broadcast_discard`` round's sent values."""
-
-    def close(self) -> None:
-        """Stop observing and finalize (idempotent)."""
-
-
-class NullTracer(Tracer):
-    """The zero-overhead default: observes nothing, installs nothing."""
-
-
-#: Shared singleton — every untraced network points here, allocating nothing.
-NULL_TRACER = NullTracer()
-
-
-class RoundTracer(Tracer):
+class RoundTracer:
     """Capture one event per synchronous round, plus resource samples.
 
     Parameters
@@ -110,10 +61,11 @@ class RoundTracer(Tracer):
         trial index, embedded scenario spec for the bisection re-run, ...).
     digest:
         Fold a chained digest over delivered payload bytes and the ledger
-        counters, and add it to every round event.  This turns the payload
-        hooks on, so the columnar similarity kernel declines (it never
-        materializes the payloads a digest hashes); a trace-only tracer
-        leaves the hooks off and the kernel running.
+        counters, and add it to every round event.  The network hands
+        payloads to the ``note_*`` hooks only when this is set, and the
+        columnar similarity kernel declines (it never materializes the
+        payloads a digest hashes); a trace-only tracer leaves the hooks off
+        and the kernel running.
     fine_rounds:
         Optional inclusive ``(lo, hi)`` round window for a digesting tracer:
         rounds inside it emit an extra ``fine`` event with per-receiver
@@ -150,8 +102,6 @@ class RoundTracer(Tracer):
     digest — never driver context such as ``active``/``owned``.
     """
 
-    enabled = True
-
     def __init__(self, meta: Optional[Dict[str, Any]] = None,
                  digest: bool = False,
                  fine_rounds: Optional[Tuple[int, int]] = None,
@@ -159,9 +109,6 @@ class RoundTracer(Tracer):
         self.events: List[Dict[str, Any]] = []
         self.meta = dict(meta or {})
         self.digest = bool(digest)
-        # A plain attribute, not a property: Network's per-round guard stays
-        # a single attribute read.
-        self.wants_payloads = self.digest
         if fine_rounds is not None:
             lo, hi = fine_rounds
             fine_rounds = (int(lo), int(hi))
@@ -182,6 +129,7 @@ class RoundTracer(Tracer):
 
     # ------------------------------------------------------------- lifecycle
     def attach(self, network) -> None:
+        """Start observing ``network`` (install the ledger round observer)."""
         if self._network is network:
             return  # idempotent: a driver re-threading the run's own tracer
         if self._network is not None:
@@ -251,6 +199,7 @@ class RoundTracer(Tracer):
 
     # ----------------------------------------------------------- driver hooks
     def note_nodes(self, active: int, owned: int) -> None:
+        """Driver hook: node counts as of the round about to execute."""
         self._nodes = (int(active), int(owned))
 
     def _fine_active(self) -> bool:
@@ -275,14 +224,17 @@ class RoundTracer(Tracer):
                 acc.add(entry)
 
     def note_exchange(self, delivered) -> None:
+        """Payload hook: one round's delivered ``{(u, v): payload}`` mapping."""
         if delivered:
             self._note_edges(*flatten_exchange(delivered))
 
     def note_inboxes(self, inboxes) -> None:
+        """Payload hook: one round's delivered ``inbox[v][u]`` mapping."""
         if inboxes:
             self._note_edges(*flatten_inboxes(inboxes))
 
     def note_values(self, values) -> None:
+        """Payload hook: a ``broadcast_discard`` round's sent values."""
         # Sent values, hashed per sender.  A discarded inbox cannot affect
         # any node's downstream state, so sent-side hashing is the honest
         # (and backend-neutral) digest for the discard primitive.

@@ -18,7 +18,8 @@ def run_rounds(network, step, seed=0, label="program", max_rounds=100):
     rngs = {v: stream.for_node(v) for v in network.nodes}
     halted, inboxes, rounds = set(), {}, 0
     while len(halted) < len(rngs) and rounds < max_rounds:
-        network.tracer.note_nodes(len(rngs) - len(halted), len(rngs))
+        if network.tracer is not None:
+            network.tracer.note_nodes(len(rngs) - len(halted), len(rngs))
         outgoing = {}
         for v, rng in rngs.items():
             if v not in halted:

@@ -401,6 +401,20 @@ class TestSimilarityKernel:
         assert ledgers[0] == ledgers[1]
         assert kernel_ran == [False, not digest]
 
+    def test_declines_on_a_faulted_network(self, kernel_ran):
+        # Any fault plan builds the fault transport, the dict oracle under
+        # the plan, whichever backend is named: no ColumnarTransport runs.
+        outcomes = []
+        for backend in ("dict", "columnar"):
+            network = Network(_similarity_graph(), backend=backend,
+                              faults={"drop": 0.1}, fault_seed=3)
+            result = detect_triangle_rich_edges(network, eps=0.3, seed=3)
+            outcomes.append((result.estimates, network.ledger.records,
+                             network.fault_stats))
+        assert kernel_ran == [False, False]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2]["dropped_messages"] > 0
+
     def test_repeated_and_reversed_pairs_match_dict(self, kernel_ran):
         graph = _similarity_graph()
         edges = list(graph.edges())[:12]

@@ -8,10 +8,12 @@ from repro.congest import (
     Message,
     Network,
     ProtocolError,
+    Topology,
+    make_transport,
     payload_bits,
 )
 from repro.graphs import gnp_graph, ring_of_cliques
-from repro.metrics.ledger import comm_row_metrics
+from repro.metrics.ledger import Ledger, comm_row_metrics
 
 
 @pytest.fixture(params=["dict", "columnar"])
@@ -50,6 +52,17 @@ class TestConstruction:
         # a negative one would charge a chunked message negative bits.
         with pytest.raises(ValueError, match=f"got {bits}$"):
             Network(nx.path_graph(3), bandwidth_bits=bits, backend=backend)
+
+    @pytest.mark.parametrize("faults", [None, {"drop": 0.1}, {"throttle": 0.5}],
+                             ids=["clean", "drop", "throttle"])
+    @pytest.mark.parametrize("bits", [0, -5])
+    def test_make_transport_rejects_a_budget_below_one_bit(self, backend, bits,
+                                                           faults):
+        # Checked before the throttle, which would clamp the budget to 1.
+        message = f"^bandwidth_bits must be at least 1, got {bits}$"
+        with pytest.raises(ValueError, match=message):
+            make_transport(backend, Topology(nx.path_graph(3)), "congest", bits,
+                           Ledger(), faults=faults)
 
     def test_views(self, square):
         assert square.number_of_nodes == 4

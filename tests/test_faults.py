@@ -6,9 +6,10 @@ import networkx as nx
 import pytest
 
 from repro.congest import BandwidthExceeded, Network, ProtocolError
+from repro.congest.columnar.transport import ColumnarTransport
 from repro.congest.message import Message
 from repro.congest.topology import Topology
-from repro.congest.transport import make_transport
+from repro.congest.transport import DictTransport, make_transport
 from repro.core import solve_d1c, solve_d1lc
 from repro.faults import FaultPlan, FaultyTransport, corrupt_bits, corrupt_payload
 from repro.faults.corruption import to_unit
@@ -176,19 +177,22 @@ class TestFaultyTransport:
         net = Network(graph, faults={})
         assert net.backend == "columnar" and net.fault_stats is None
 
-    def test_wrapping_is_flat_and_guarded(self):
-        graph = small_graph()
-        topology = Topology(graph)
-        ledger = Ledger()
-        inner = make_transport("columnar", topology, "congest", 64, ledger)
-        wrapped = make_transport("columnar", topology, "congest", 64, ledger,
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
+    def test_a_plan_builds_the_oracle_and_no_backend(self, backend, monkeypatch):
+        built = []
+        monkeypatch.setattr(ColumnarTransport, "__init__",
+                            lambda *args: built.append(args))
+        topology = Topology(small_graph())
+        faulted = make_transport(backend, topology, "congest", 64, Ledger(),
                                  faults={"drop": 0.5})
-        assert isinstance(wrapped, FaultyTransport)
-        assert not isinstance(wrapped.inner, FaultyTransport)
-        with pytest.raises(ValueError, match="stack"):
-            FaultyTransport(wrapped, FaultPlan(drop=0.5))
+        assert type(faulted) is FaultyTransport and built == []
+        assert FaultyTransport.__mro__[1] is DictTransport
+        assert faulted.name == "faults"
+        with pytest.raises(ValueError, match="unknown transport backend"):
+            make_transport("slot", topology, "congest", 64, Ledger(),
+                           faults={"drop": 0.5})
         with pytest.raises(ValueError, match="no-op"):
-            FaultyTransport(inner, FaultPlan())
+            FaultyTransport(topology, "congest", 64, Ledger(), FaultPlan())
 
     def test_drop_one_suppresses_delivery_but_records_rounds(self):
         net = faulty_network(small_graph(), {"drop": 1.0})
