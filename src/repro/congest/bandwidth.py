@@ -86,5 +86,7 @@ def integer_message(value: int, universe_size: int, label: str = "int") -> Messa
     """Package an integer known to lie in ``[0, universe_size)``."""
     if universe_size <= 0:
         raise ValueError("universe_size must be positive")
+    if not 0 <= value < universe_size:
+        raise ValueError(f"value {value} out of range for universe of size {universe_size}")
     width = max(1, (universe_size - 1).bit_length())
     return Message(content=int(value), bits=width, label=label)

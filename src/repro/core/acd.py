@@ -424,6 +424,11 @@ def compute_acd(
                 evicted.add(v)
                 clique_of.pop(v, None)
             del cliques[clique_id]
+    # Renumber the survivors 0..k-1, in the order they were found, so every
+    # id fits the ``len(cliques)``-sized universe the leaders announce it in.
+    renumbered = {old: new for new, old in enumerate(cliques)}
+    cliques = {renumbered[cid]: members for cid, members in cliques.items()}
+    clique_of = {v: renumbered[cid] for v, cid in clique_of.items()}
 
     uneven: Set[Node] = set()
     sparse: Set[Node] = set()

@@ -75,6 +75,23 @@ def _pairwise_family(state: ColoringState, lam: int) -> PairwiseHashFamily:
     )
 
 
+def lemma6_bound(state: ColoringState, tries: int) -> float:
+    """Lemma 6's success bound ``1 − (7/8)^x − 2ν`` for the worst current participant.
+
+    ``ν = ColoringParameters.multitrial_nu(λ_v, n)`` grows as ``λ_v`` shrinks,
+    so the worst participant is the uncolored node with the smallest palette.
+    ``ν`` clamps to 0.5, so with few spare colors the bound is negative.
+    """
+    params = state.params
+    n = max(2, state.network.number_of_nodes)
+    nu = max(
+        (params.multitrial_nu(max(2, params.multitrial_lambda_factor * len(state.palettes[v])), n)
+         for v in state.uncolored_nodes() if state.palettes[v]),
+        default=0.0,
+    )
+    return 1.0 - (7 / 8) ** tries - 2.0 * nu
+
+
 def _normalize_tries(
     tries: Union[int, Mapping[Node, int]], participants: Iterable[Node]
 ) -> Dict[Node, int]:

@@ -51,14 +51,17 @@ def compute_put_aside(
             clique_of[v] = cid
 
     # Step 1: independent sampling of inliers, announced to all neighbours.
-    sampled: Set[Node] = set()
-    for cid, info in low_slack.items():
+    movers, probabilities = [], []
+    for info in low_slack.values():
         probability = params.putaside_probability(ell, info.max_degree)
-        for v in sorted(info.inliers, key=repr):
-            if state.is_colored(v):
-                continue
-            if state.rng.for_node(v, "put-aside").random() < probability:
-                sampled.add(v)
+        for v in info.inliers:
+            if not state.is_colored(v):
+                movers.append(v)
+                probabilities.append(probability)
+    coins = state.rng.node_random(movers, "put-aside").tolist()
+    sampled: Set[Node] = {
+        v for v, coin, probability in zip(movers, coins, probabilities) if coin < probability
+    }
     network.broadcast(
         {v: Message(content=True, bits=1, label=f"{label}:sample") for v in sampled},
         label=f"{label}:sample",

@@ -152,16 +152,19 @@ def try_random_color(
     label: str = "try-random-color",
     track_chromatic_slack: bool = False,
 ) -> Set[Node]:
-    """Algorithm 11: every listed (uncolored) node tries a random palette color."""
-    proposals: Dict[Node, Color] = {}
-    for v in nodes:
-        if state.is_colored(v):
-            continue
-        palette = state.palettes[v]
-        if not palette:
-            continue
-        rng = state.rng.for_node(v, "try-random", state.network.rounds_used)
-        proposals[v] = rng.choice(sorted(palette, key=repr))
+    """Algorithm 11: every listed (uncolored) node tries a random palette color.
+
+    Each mover's color is its ``repr``-sorted palette at the index its
+    ``(v, "try-random", round)`` node stream draws, one array pass for all.
+    """
+    palettes = state.palettes
+    movers = [v for v in nodes if not state.is_colored(v) and palettes[v]]
+    picks = state.rng.node_randrange(
+        movers, [len(palettes[v]) for v in movers], "try-random", state.network.rounds_used
+    )
+    proposals = {
+        v: sorted(palettes[v], key=repr)[i] for v, i in zip(movers, picks.tolist())
+    }
     return try_color(
         state,
         proposals,
@@ -181,13 +184,10 @@ def generate_slack(
     during this (and only this) procedure, as Definition 7 prescribes.
     """
     nodes = list(nodes) if nodes is not None else state.nodes
-    participants = []
-    for v in nodes:
-        if state.is_colored(v):
-            continue
-        rng = state.rng.for_node(v, "generate-slack")
-        if rng.random() < state.params.slack_probability:
-            participants.append(v)
+    movers = [v for v in nodes if not state.is_colored(v)]
+    coins = state.rng.node_random(movers, "generate-slack").tolist()
+    probability = state.params.slack_probability
+    participants = [v for v, coin in zip(movers, coins) if coin < probability]
     return try_random_color(
         state, participants, label=label, track_chromatic_slack=True
     )

@@ -38,7 +38,7 @@ from repro.baselines import johansson_coloring, naive_compute_acd, naive_multi_t
 from repro.congest import Network
 from repro.core import ColoringInstance, ColoringParameters, solve_d1c, solve_d1lc, solve_delta_plus_one
 from repro.core.acd import compute_acd
-from repro.core.multitrial import multi_trial
+from repro.core.multitrial import lemma6_bound, multi_trial
 from repro.core.state import ColoringResult, ColoringState
 from repro.experiments.spec import BACKENDS, MODES, ScenarioSpec
 from repro.metrics.ledger import comm_row_metrics, phase_columns
@@ -332,8 +332,10 @@ def _solve_multitrial(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
         backend=spec.backend, tracer=tracer,
         **_fault_kwargs(spec, seed),
     )
-    state = ColoringState(instance, network, ColoringParameters.small(seed=seed))
-    if variant == "hashed":
+    params = ColoringParameters.small(seed=seed, uniform=variant == "uniform")
+    state = ColoringState(instance, network, params)
+    bound = lemma6_bound(state, tries)
+    if variant in ("hashed", "uniform"):
         colored = multi_trial(state, tries)
     elif variant == "naive":
         colored = naive_multi_trial(state, tries)
@@ -349,6 +351,7 @@ def _solve_multitrial(spec: ScenarioSpec, graph: nx.Graph, truth, seed: int,
         "rounds": network.ledger.rounds,
         "colored": len(colored),
         "tries": tries,
+        "lemma6_bound": round(bound, 4),
         "total_bits": network.ledger.total_bits,
         "bits_per_edge": round(network.ledger.total_bits / edges, 4),
         "max_edge_bits": network.ledger.max_edge_bits,
@@ -614,9 +617,20 @@ def _conformance_suite() -> List[ScenarioSpec]:
               family_params={"n": 100, "p": p}, seed=int(p * 100),
               tags=("e10",))
 
-    for tries in (1, 16):
-        point(f"e07-multitrial-x{tries}", "gnp", "multitrial",
-              family_params={"n": 120, "p": 0.1}, solver_params={"tries": tries},
+    # Lemma 6 (E7).  With 3Δ spare colors ν clamps to 0.5, so the
+    # lemma6_bound column is negative: these rows only pin the measured
+    # curve.  With 25Δ the bound has content, and tier-1 holds every
+    # trial's colored fraction to it.
+    for variant in ("hashed", "uniform"):
+        infix = "" if variant == "hashed" else "uniform-"
+        for tries in (1, 16):
+            point(f"e07-multitrial-{infix}x{tries}", "gnp", "multitrial",
+                  family_params={"n": 120, "p": 0.1},
+                  solver_params={"tries": tries, "variant": variant},
+                  seed=7, tags=("e07",))
+        point(f"e07-multitrial-{infix}25d-x16", "gnp", "multitrial",
+              family_params={"n": 120, "p": 0.1},
+              solver_params={"tries": 16, "variant": variant, "extra_factor": 25},
               seed=7, tags=("e07",))
     for cliques, size in ((3, 14), (4, 20)):
         point(f"e08-acd-{cliques}x{size}", "planted_almost_cliques", "acd",

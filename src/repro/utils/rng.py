@@ -6,29 +6,23 @@ RNG: the order in which nodes are processed then changes their random choices.
 per-node and per-edge randomness is stable regardless of iteration order,
 which makes the simulator reproducible and the tests deterministic.
 
-Node streams are ``random.Random`` (MT19937) instances seeded from a SHA-256
-digest.  Edge streams are splitmix64 counter streams (:class:`EdgeStream`):
-a draw is a pure function of the edge's key and a counter, so
-:meth:`RngStream.edge_randrange` computes the draws of a whole edge list as
-array arithmetic, bit for bit equal to the scalar stream.
+Node and edge streams are both splitmix64 counter streams
+(:class:`CounterStream`): a draw is a pure function of the stream's key and a
+counter, so :meth:`RngStream.node_random`, :meth:`RngStream.node_randrange`
+and :meth:`RngStream.edge_randrange` compute the first draw of every stream
+in a list as array arithmetic, bit for bit equal to the scalar streams.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 
 from repro.hashing.keys import element_key, mix64, mix64_step
 
 #: Domain tag mixed into every edge key (ASCII ``EDGE``).
 EDGE_TAG = 0x45444745
-
-
-def _digest_seed(*parts: object) -> int:
-    """Derive a 64-bit seed from arbitrary labelled parts."""
-    text = "\x1f".join(repr(p) for p in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+#: Domain tag mixed into every node key (ASCII ``NODE``).
+NODE_TAG = 0x4E4F4445
 
 
 def derive_seed(*parts: object) -> int:
@@ -46,18 +40,13 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:4], "big") % (2**31 - 1)
 
 
-def derive_rng(seed: int, *labels: object) -> random.Random:
-    """Return a ``random.Random`` deterministically derived from labels."""
-    return random.Random(_digest_seed(seed, *labels))
+class CounterStream:
+    """One node's or one edge's random stream.
 
-
-class EdgeStream:
-    """The random stream the two endpoints of one edge share.
-
-    Output ``j = 1, 2, ...`` is ``mix64_step(key, j)``.  :meth:`randrange` is
-    the one draw the protocols make from an edge stream: a hash-family index
-    (``sample_index``), possibly several in a row (rejection sampling for a
-    low-collision member).
+    Output ``j = 1, 2, ...`` is ``mix64_step(key, j)``.  Every draw is built
+    from :meth:`randrange`: the protocols draw hash-family indices
+    (``sample_index``), trial colors (:meth:`sample`) and a leader's deal
+    order (:meth:`shuffle`).
     """
 
     __slots__ = ("_key", "_count")
@@ -86,6 +75,55 @@ class EdgeStream:
             if value < n:
                 return value
 
+    def sample(self, population, k: int) -> list:
+        """``k`` distinct members of ``population``, in draw order.
+
+        A partial Fisher-Yates shuffle of ``pool = list(population)``: for
+        ``i`` in ``range(k)``, swap ``pool[i]`` with
+        ``pool[i + randrange(len(pool) - i)]``; return ``pool[:k]``.
+        """
+        pool = list(population)
+        for i in range(k):
+            j = i + self.randrange(len(pool) - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+
+    def shuffle(self, x: list) -> None:
+        """Shuffle ``x`` in place: for ``i`` from the end down to 1, swap
+        ``x[i]`` with ``x[randrange(i + 1)]``."""
+        for i in range(len(x) - 1, 0, -1):
+            j = self.randrange(i + 1)
+            x[i], x[j] = x[j], x[i]
+
+
+def _first_randrange(keys, n):
+    """The first ``randrange(n)`` of the counter stream of each key.
+
+    ``keys`` is a uint64 array of stream keys and ``n`` one range size or
+    one per key, in ``[1, 2**64)``.  One vectorized rejection round per
+    output index; returns a uint64 array.
+    """
+    import numpy as np
+
+    from repro.congest.columnar.kernels import mix64_step_vec
+
+    sizes = np.broadcast_to(np.asarray(n, dtype=np.uint64), keys.shape)
+    if (sizes == 0).any():
+        raise ValueError("empty range for randrange(0)")
+    distinct, which = np.unique(sizes, return_inverse=True)
+    shifts = np.array([64 - int(size).bit_length() for size in distinct.tolist()],
+                      dtype=np.uint64)[which]
+    draws = np.empty(keys.size, dtype=np.uint64)
+    pending = np.arange(keys.size)
+    j = 0
+    while pending.size:
+        j += 1
+        values = mix64_step_vec(keys[pending], np.uint64(j)) >> shifts[pending]
+        hit = values < sizes[pending]
+        draws[pending[hit]] = values[hit]
+        pending = pending[~hit]
+    return draws
+
 
 class RngStream:
     """A labelled source of independent RNG sub-streams.
@@ -93,9 +131,7 @@ class RngStream:
     Example
     -------
     >>> stream = RngStream(7)
-    >>> a = stream.for_node(3)
-    >>> b = stream.for_node(3)
-    >>> a.random() == b.random()
+    >>> stream.for_node(3).randrange(100) == stream.for_node(3).randrange(100)
     True
     >>> stream.for_edge(1, 2).randrange(100) == stream.for_edge(2, 1).randrange(100)
     True
@@ -104,11 +140,17 @@ class RngStream:
     def __init__(self, seed: int):
         self.seed = int(seed)
 
-    def for_node(self, node: object, *labels: object) -> random.Random:
-        """RNG dedicated to ``node`` (optionally further labelled)."""
-        return derive_rng(self.seed, "node", node, *labels)
+    def for_node(self, node: object, *labels: object) -> CounterStream:
+        """Stream dedicated to ``node`` (optionally further labelled).
 
-    def for_edge(self, u: object, v: object, *labels: object) -> EdgeStream:
+        The key is ``mix64(element_key(seed), NODE_TAG, element_key(node),
+        *label keys)``.
+        """
+        return CounterStream(
+            mix64(element_key(self.seed), NODE_TAG, element_key(node), *map(element_key, labels))
+        )
+
+    def for_edge(self, u: object, v: object, *labels: object) -> CounterStream:
         """Stream shared by the two endpoints of edge ``{u, v}``.
 
         The paper repeatedly has the two endpoints of an edge "jointly pick a
@@ -120,9 +162,37 @@ class RngStream:
         orientations give the same stream.
         """
         lo, hi = sorted((element_key(u), element_key(v)))
-        return EdgeStream(
+        return CounterStream(
             mix64(element_key(self.seed), EDGE_TAG, lo, hi, *map(element_key, labels))
         )
+
+    def _node_keys(self, nodes, labels):
+        # Imported here: numpy stays out of ``import repro`` until a run needs it.
+        from repro.congest.columnar.kernels import element_keys_array, mix64_vec
+
+        return mix64_vec(element_key(self.seed), NODE_TAG, element_keys_array(nodes),
+                         *map(element_key, labels))
+
+    def node_random(self, nodes, *labels: object):
+        """One uniform float in ``[0, 1)`` per node, as a float64 array.
+
+        Node ``v``'s value is ``(output 1 >> 11) · 2**-53`` of
+        ``for_node(v, *labels)``: its first output's top 53 bits.
+        """
+        import numpy as np
+
+        from repro.congest.columnar.kernels import mix64_step_vec
+
+        top = mix64_step_vec(self._node_keys(nodes, labels), np.uint64(1)) >> np.uint64(11)
+        return top.astype(np.float64) * 2.0 ** -53
+
+    def node_randrange(self, nodes, n, *labels: object):
+        """Array twin of ``for_node(v, *labels).randrange(n)``, one draw per node.
+
+        ``n`` is one range size or one per node, in ``[1, 2**64)``.  Returns
+        the draws as a uint64 array, bit for bit equal to the scalar stream.
+        """
+        return _first_randrange(self._node_keys(nodes, labels), n)
 
     def edge_randrange(self, u_keys, v_keys, n, *labels: object):
         """Array twin of ``for_edge(u, v, *labels).randrange(n)``, one draw per edge.
@@ -130,31 +200,14 @@ class RngStream:
         ``u_keys`` and ``v_keys`` are aligned 1-D arrays of the endpoints'
         ``element_key`` values (``element_keys_array`` of the nodes), and
         ``n`` is one range size or one per edge, in ``[1, 2**64)``.  Returns
-        the draws as a uint64 array, bit for bit equal to the scalar stream:
-        one vectorized rejection round per output index.
+        the draws as a uint64 array, bit for bit equal to the scalar stream.
         """
-        # Imported here: numpy stays out of ``import repro`` until a run needs it.
         import numpy as np
 
-        from repro.congest.columnar.kernels import mix64_step_vec, mix64_vec
+        from repro.congest.columnar.kernels import mix64_vec
 
         u_keys = np.asarray(u_keys, dtype=np.uint64)
         v_keys = np.asarray(v_keys, dtype=np.uint64)
         keys = mix64_vec(element_key(self.seed), EDGE_TAG, np.minimum(u_keys, v_keys),
                          np.maximum(u_keys, v_keys), *map(element_key, labels))
-        sizes = np.broadcast_to(np.asarray(n, dtype=np.uint64), keys.shape)
-        if (sizes == 0).any():
-            raise ValueError("empty range for randrange(0)")
-        distinct, which = np.unique(sizes, return_inverse=True)
-        shifts = np.array([64 - int(size).bit_length() for size in distinct.tolist()],
-                          dtype=np.uint64)[which]
-        draws = np.empty(keys.size, dtype=np.uint64)
-        pending = np.arange(keys.size)
-        j = 0
-        while pending.size:
-            j += 1
-            values = mix64_step_vec(keys[pending], np.uint64(j)) >> shifts[pending]
-            hit = values < sizes[pending]
-            draws[pending[hit]] = values[hit]
-            pending = pending[~hit]
-        return draws
+        return _first_randrange(keys, n)

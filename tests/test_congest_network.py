@@ -12,6 +12,7 @@ from repro.congest import (
     make_transport,
     payload_bits,
 )
+from repro.congest.bandwidth import integer_message
 from repro.graphs import gnp_graph, ring_of_cliques
 from repro.metrics.ledger import Ledger, comm_row_metrics
 
@@ -243,6 +244,13 @@ class TestPayloadBits:
     def test_negative_bits_rejected(self):
         with pytest.raises(ValueError):
             Message(content=1, bits=-1)
+
+    def test_integer_message_is_range_checked(self):
+        assert integer_message(3, 4).bits == 2
+        assert integer_message(0, 1).bits == 1
+        for value in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                integer_message(value, 4)
 
 
 class TestChunkedLocalAccounting:

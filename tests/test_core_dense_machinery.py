@@ -12,7 +12,7 @@ from repro.core.putaside import color_put_aside, compute_put_aside
 from repro.core.slack import generate_slack
 from repro.core.state import ColoringState
 from repro.core.synch_trial import synch_color_trial
-from repro.graphs import degree_plus_one_lists, planted_almost_cliques
+from repro.graphs import degree_plus_one_lists, planted_almost_cliques, random_geometric_graph
 
 
 @pytest.fixture
@@ -105,6 +105,20 @@ class TestLeaderSelection:
                         + state.chromatic_slack[v])
             assert aggregate(info.leader) == min(aggregate(v) for v in members)
             assert info.low_slack
+
+    def test_clique_ids_fit_the_announced_universe(self):
+        """The ACD disbands components of two nodes or fewer after numbering
+        them; on this geometric graph the one survivor was found fourth, so
+        unless survivors are renumbered its id (3) overflows the clique-id
+        universe of ``len(cliques) + 1`` and ``integer_message`` rejects it."""
+        graph = random_geometric_graph(70, 0.2, seed=1)
+        params = ColoringParameters.small(seed=1)
+        network = Network(graph)
+        state = ColoringState(ColoringInstance.d1c(graph), network, params)
+        acd = compute_acd(network, params)
+        assert list(acd.cliques) == [0]
+        assert acd.clique_of == {v: 0 for v in acd.cliques[0]}
+        assert set(select_leaders(state, acd)) == {0}
 
     def test_empty_acd_gives_no_leaders(self, gnp_small, small_params):
         instance = ColoringInstance.d1c(gnp_small)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.congest import TRANSPORT_BACKENDS
+from repro.congest import TRANSPORT_BACKENDS, Message
 from repro.experiments import (
     Finding,
     GRAPH_FAMILIES,
@@ -80,6 +80,20 @@ class TestRegistry:
             entry = baseline["scenarios"][spec.name]
             assert entry["trials"] == spec.trials >= 20, spec.name
             assert entry["valid_trials"] == entry["trials"], spec.name
+
+    def test_committed_lemma6_points_meet_the_bound(self):
+        """Lemma 6 (E7) at 25Δ spare colors: on every committed trial of each
+        such point, MultiTrial colors at least the share 1 − (7/8)^x − 2ν it
+        bounds each node's success by (ν of the worst node; the strictest
+        trial's bound).  CI's cmp holds a fresh sweep to the same rows."""
+        baseline = load_suite_summary(REPO_ROOT / "BENCH_conformance.json")
+        names = [spec.name for spec in get_suite("conformance")
+                 if spec.solver_params.get("extra_factor") == 25]
+        assert len(names) == 2
+        for name in names:
+            metrics = baseline["scenarios"][name]["metrics"]
+            bound = metrics["lemma6_bound"]["max"]
+            assert 0 < bound <= metrics["colored"]["min"] / metrics["n"]["max"], name
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -693,3 +707,28 @@ class TestConformanceClaims:
         hashed_bits_growth = (round(hashed[-1]["bits_per_edge"])
                               / max(1, round(hashed[0]["bits_per_edge"])))
         assert hashed_bits_growth <= naive_bits_growth + 0.5
+
+
+def test_smoke_messages_fit_their_declared_width(monkeypatch):
+    """Trial 0 of every smoke scenario: no message whose content is an int
+    or a 0/1 tuple needs more bits than it is charged."""
+    under = []
+    post_init = Message.__post_init__
+
+    def audit(message):
+        post_init(message)
+        content = message.content
+        if isinstance(content, int):
+            need = max(1, abs(content).bit_length())
+        elif isinstance(content, tuple) and all(bit in (0, 1) for bit in content):
+            need = len(content)
+        else:
+            return
+        if need > message.bits:
+            under.append((message.label, content, message.bits))
+
+    monkeypatch.setattr(Message, "__post_init__", audit)
+    specs = [dataclasses.replace(spec, trials=1) for spec in get_suite("smoke")]
+    result = run_scenarios(specs, suite="smoke")
+    assert all(result.rows_for(spec.name) for spec in specs)
+    assert under == []
