@@ -12,7 +12,10 @@ insertion order, same ledger rounds/labels/counts/bits/maxima:
   from each sender's CSR row;
 * ``broadcast_discard`` charges a broadcast whose inboxes the caller throws
   away (the ACD's participation/degree announcements) without materialising
-  a single inbox dict.
+  a single inbox dict;
+* ``broadcast_columns`` (the color rounds: one value of one width per
+  sender) charges the same record and gathers the deliveries' receiver
+  column straight from the CSR rows, building no ``Message`` and no inbox.
 
 The byte-identity of both against the ``dict`` oracle is pinned by
 ``tests/test_columnar.py`` and the two-backend equivalence matrix.
@@ -20,6 +23,7 @@ The byte-identity of both against the ``dict`` oracle is pinned by
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
@@ -28,7 +32,7 @@ from repro.congest.bandwidth import payload_bits
 from repro.congest.errors import BandwidthExceeded
 from repro.congest.message import Message
 from repro.congest.topology import Topology
-from repro.congest.transport import EMPTY_INBOX, DictTransport
+from repro.congest.transport import EMPTY_INBOX, Deliveries, DictTransport
 from repro.metrics.ledger import Ledger
 
 Node = Any
@@ -147,6 +151,32 @@ class ColumnarTransport(DictTransport):
                 box[sender] = content
         self.ledger.record_round(label, message_count, total_bits, max_edge_bits)
         return dict(zip(nodes, boxes))
+
+    def broadcast_columns(
+        self,
+        values: Mapping[Node, Any],
+        bits: int,
+        label: str = "broadcast",
+    ) -> Deliveries:
+        """The oracle's record and deliveries, gathered from the CSR rows.
+
+        Each sender's value is named once: a delivery's slot is its sender's
+        position in send order, and the sender's receivers are its CSR row.
+        """
+        senders = list(values)
+        slots = np.fromiter(
+            map(self.topology.node_index.get, senders, repeat(-1)),
+            dtype=np.int64, count=len(senders),
+        )
+        unknown = np.flatnonzero(slots < 0)
+        if len(unknown):
+            self.topology.neighbors(senders[int(unknown[0])])  # raises the canonical ProtocolError
+        message_count, total_bits, max_edge_bits = self._account_broadcast(
+            senders, slots, np.full(len(slots), bits, dtype=np.int64), label
+        )
+        receivers, positions = self.topology.gather_rows(slots)
+        self.ledger.record_round(label, message_count, total_bits, max_edge_bits)
+        return Deliveries(receivers, slots[positions], list(values.values()), positions)
 
     def broadcast_discard(
         self, values: Mapping[Node, Any], label: str = "broadcast"

@@ -13,9 +13,11 @@ communication engine (see DESIGN.md):
   aggregates plus one record per round.
 
 All communication goes through :meth:`Network.exchange` (per-edge directed
-messages) or :meth:`Network.broadcast` (same message to all neighbours); every
-call is exactly one synchronous round, and every per-edge payload is charged
-its bit size against the bandwidth budget.
+messages), :meth:`Network.broadcast` (same message to all neighbours) or
+:meth:`Network.broadcast_columns` (a broadcast of same-width values whose
+deliveries come back as columns); every call is exactly one synchronous
+round, and every per-edge payload is charged its bit size against the
+bandwidth budget.
 
 The budget defaults to ``ceil(BUDGET_WORDS * log2 n)`` bits, i.e. the
 CONGEST model with ``log n`` bandwidth used in the paper (Theorem 1).  LOCAL
@@ -32,7 +34,7 @@ import networkx as nx
 
 from repro.congest.errors import ProtocolError  # noqa: F401  (re-export)
 from repro.congest.topology import Topology
-from repro.congest.transport import make_transport
+from repro.congest.transport import Deliveries, make_transport
 from repro.metrics.ledger import (  # noqa: F401  (RoundRecord re-exported)
     Ledger,
     RoundRecord,
@@ -218,6 +220,24 @@ class Network:
         if self.tracer is not None and self.tracer.digest:
             self.tracer.note_inboxes(inboxes)
         return inboxes
+
+    def broadcast_columns(
+        self,
+        values: Mapping[Node, Any],
+        bits: int,
+        label: str = "broadcast",
+    ) -> Deliveries:
+        """Each node in ``values`` sends its value, ``bits`` wide, to all neighbours.
+
+        The round and its deliveries are those of :meth:`broadcast` of
+        ``{v: Message(value, bits)}``, returned as
+        :class:`~repro.congest.transport.Deliveries` columns instead of
+        inboxes, and a digesting tracer hashes the same entries.
+        """
+        deliveries = self.transport.broadcast_columns(values, bits, label=label)
+        if self.tracer is not None and self.tracer.digest:
+            self.tracer.note_edges(*deliveries.labelled(self.topology.nodes))
+        return deliveries
 
     def broadcast_discard(
         self,

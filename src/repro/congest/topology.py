@@ -6,15 +6,18 @@ every view the transports and algorithms need — the node list, per-node
 neighbor sets, degrees, the contiguous node index — is computed once and
 cached.  The CSR arrays (``indptr``/``indices`` over the contiguous index)
 give the vectorized columnar backend a dense representation to work from
-without retraversing the ``networkx`` structure.
+without retraversing the ``networkx`` structure, and answer every
+"how many of my neighbours are in this set" question in one reduction
+(:meth:`Topology.neighbor_counts`).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Hashable, Tuple
+from typing import Collection, Dict, Hashable, Sequence, Tuple, Union
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.errors import ProtocolError
 
@@ -103,7 +106,45 @@ class Topology:
     def max_degree(self) -> int:
         return self._max_degree
 
+    def neighbor_counts(
+        self, nodes: Sequence[Node], members: Union[Collection[Node], "np.ndarray"]
+    ) -> "np.ndarray":
+        """For each of ``nodes``, how many of its neighbours lie in ``members``.
+
+        ``members`` is a collection of nodes or a boolean mask over the node
+        index.  One CSR reduction: the neighbour rows of ``nodes`` are
+        gathered, tested against the mask, and the hits counted per row.
+        Returns an int64 array aligned with ``nodes``.
+        """
+        if not isinstance(members, np.ndarray):
+            mask = np.zeros(len(self._nodes), dtype=bool)
+            mask[self.index_array(members)] = True
+            members = mask
+        neighbors, row_of = self.gather_rows(self.index_array(nodes))
+        return np.bincount(row_of[members[neighbors]], minlength=len(nodes))
+
+    def gather_rows(self, rows: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+        """The CSR rows of node indices ``rows``, concatenated.
+
+        Returns ``(neighbors, row_of)``: every neighbour index of every row
+        in turn, and the position in ``rows`` of the row it came from.
+        """
+        # array("l") exposes the buffer protocol: zero-copy int64 views.
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        starts = indptr[rows]
+        degrees = indptr[rows + 1] - starts
+        ends = np.cumsum(degrees)
+        total = int(ends[-1]) if len(ends) else 0
+        edges = np.repeat(starts - (ends - degrees), degrees) + np.arange(total)
+        return (np.asarray(self.indices, dtype=np.int64)[edges],
+                np.repeat(np.arange(len(rows)), degrees))
+
     # ----------------------------------------------------------- index helpers
+    def index_array(self, nodes: Collection[Node]) -> "np.ndarray":
+        """The node indices of ``nodes``, in order, as an int64 array."""
+        return np.fromiter(map(self._index.__getitem__, nodes), dtype=np.int64,
+                           count=len(nodes))
+
     @property
     def node_index(self) -> Dict[Node, int]:
         """The contiguous node->index map (treat as read-only).

@@ -27,6 +27,9 @@ Broadcast inboxes from **both** backends are read-only views: silent nodes
 share one immutable empty mapping instead of each allocating a dict every
 round (``{v: {} for v in nodes}`` used to dominate broadcast cost on large
 sparse rounds).  Callers that want to mutate an inbox must copy it.
+:meth:`DictTransport.broadcast_columns` builds no inbox at all: it returns a
+broadcast's deliveries as :class:`Deliveries` columns, which is all a color
+round's receivers need.
 
 The paper-fidelity contract (see DESIGN.md) is that both backends produce
 **identical ledgers** — the same rounds, labels, message counts, total bits
@@ -38,19 +41,54 @@ from __future__ import annotations
 
 from collections import Counter
 from types import MappingProxyType
-from typing import Any, Dict, Hashable, Mapping, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, NamedTuple, Tuple
+
+import numpy as np
 
 from repro.congest.bandwidth import payload_bits
 from repro.congest.errors import BandwidthExceeded, ProtocolError
-from repro.congest.message import unwrap
+from repro.congest.message import Message, unwrap
 from repro.congest.topology import Topology
 from repro.metrics.ledger import Ledger
+from repro.obs.forensics.digest import flatten_inboxes
 
 Node = Hashable
 DirectedEdge = Tuple[Node, Node]
 
 #: Shared read-only inbox for nodes that received nothing this round.
 EMPTY_INBOX: Mapping[Node, Any] = MappingProxyType({})
+
+
+class Deliveries(NamedTuple):
+    """One round's deliveries as aligned columns over the topology's node index.
+
+    Delivery ``k`` carries ``values[slots[k]]`` from node ``senders[k]`` to
+    node ``receivers[k]`` (both indices into ``Topology.nodes``).  The
+    columnar broadcast names each sender's value once, so ``slots`` is the
+    sender's position in send order; the oracle names one value per
+    delivery, because a fault plan corrupts each edge's copy on its own.
+    Deliveries come in no particular order.
+    """
+
+    receivers: "np.ndarray"
+    senders: "np.ndarray"
+    values: List[Any]
+    slots: "np.ndarray"
+
+    @classmethod
+    def from_labels(cls, senders: List[Node], receivers: List[Node],
+                    values: List[Any], topology: Topology) -> "Deliveries":
+        """Deliveries given as aligned node-label columns, one value each."""
+        return cls(topology.index_array(receivers), topology.index_array(senders),
+                   values, np.arange(len(values), dtype=np.int64))
+
+    def labelled(self, nodes) -> Tuple[List[Node], List[Node], List[Any]]:
+        """``(senders, receivers, values)`` per delivery, as node labels;
+        :meth:`from_labels` inverts it."""
+        values = self.values
+        return ([nodes[i] for i in self.senders.tolist()],
+                [nodes[i] for i in self.receivers.tolist()],
+                [values[slot] for slot in self.slots.tolist()])
 
 
 class DictTransport:
@@ -97,6 +135,25 @@ class DictTransport:
         label: str = "broadcast",
     ) -> Dict[Node, Mapping[Node, Any]]:
         return self._inboxes(self.exchange(self._per_edge(values), label=label))
+
+    def broadcast_columns(
+        self,
+        values: Mapping[Node, Any],
+        bits: int,
+        label: str = "broadcast",
+    ) -> Deliveries:
+        """Broadcast in which every sender's value is ``bits`` wide, as columns.
+
+        The oracle broadcasts ``{v: Message(value, bits)}`` with its own
+        :meth:`broadcast` (so a fault plan perturbs it exactly as it does any
+        broadcast) and flattens the inboxes.
+        """
+        inboxes = self.broadcast(
+            {v: Message(content=value, bits=bits, label=label)
+             for v, value in values.items()},
+            label=label,
+        )
+        return Deliveries.from_labels(*flatten_inboxes(inboxes), self.topology)
 
     def broadcast_discard(
         self,

@@ -106,9 +106,11 @@ def solve_instance(
     state = ColoringState(instance, network, params)
 
     for _iteration in range(max(1, params.max_phase_iterations)):
+        uncolored = list(state.uncolored_nodes())
+        degrees = network.topology.neighbor_counts(uncolored, state.uncolored_mask)
         active = {
-            v for v in state.uncolored_nodes()
-            if state.uncolored_degree(v) >= params.low_degree_cutoff
+            v for v, degree in zip(uncolored, degrees.tolist())
+            if degree >= params.low_degree_cutoff
         }
         if not active:
             break

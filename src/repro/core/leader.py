@@ -62,13 +62,15 @@ def select_leaders(
         return {}
 
     # Round: every dense node announces its clique identifier so neighbours
-    # can tell in-clique from external edges.
+    # can tell in-clique from external edges.  Members of a clique send the
+    # same id, so they share one message.
     clique_count = max(2, len(acd.cliques) + 1)
+    id_messages = {
+        cid: integer_message(cid, clique_count, label=f"{label}:clique-id")
+        for cid in acd.cliques
+    }
     network.broadcast(
-        {
-            v: integer_message(acd.clique_of[v], clique_count, label=f"{label}:clique-id")
-            for v in acd.clique_of
-        },
+        {v: id_messages[cid] for v, cid in acd.clique_of.items()},
         label=f"{label}:clique-id",
     )
     # Rounds: members forward their (e_v + a_v + κ_v) aggregate towards the

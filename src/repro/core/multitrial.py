@@ -75,21 +75,54 @@ def _pairwise_family(state: ColoringState, lam: int) -> PairwiseHashFamily:
     )
 
 
-def lemma6_bound(state: ColoringState, tries: int) -> float:
-    """Lemma 6's success bound ``1 − (7/8)^x − 2ν`` for the worst current participant.
+def lemma6_tries(
+    state: ColoringState,
+    tries: Union[int, Mapping[Node, int]],
+    participants: Optional[Iterable[Node]] = None,
+) -> Dict[Node, int]:
+    """Each participant's ``x_v``: ``tries`` clamped to Lemma 6's hypothesis.
 
-    ``ν = ColoringParameters.multitrial_nu(λ_v, n)`` grows as ``λ_v`` shrinks,
-    so the worst participant is the uncolored node with the smallest palette.
+    Participants are the given (default: all uncolored) nodes that are
+    uncolored, have a nonempty palette and at least one try.  Lemma 6
+    requires ``x_v <= |Ψ_v| / (2|N(v)|)`` where ``N(v)`` is the set of
+    neighbours that may try colors concurrently, i.e. the other
+    participants, so each ``x_v`` is clamped to that ceiling (and to at
+    least 1).  Keys keep the participants' order.
+    """
+    if participants is None:
+        participants = state.uncolored_nodes()
+    participants = [
+        v for v in participants if not state.is_colored(v) and state.palettes[v]
+    ]
+    tries_by_node = _normalize_tries(tries, participants)
+    participants = [v for v in participants if tries_by_node.get(v, 0) >= 1]
+    competing = state.network.topology.neighbor_counts(participants, participants)
+    return {
+        v: min(tries_by_node[v], max(1, len(state.palettes[v]) // max(1, 2 * c)))
+        for v, c in zip(participants, competing.tolist())
+    }
+
+
+def lemma6_bound(state: ColoringState, tries: int) -> float:
+    """Lemma 6's success bound ``1 − (7/8)^{x_v} − 2ν_v`` for the worst participant.
+
+    ``x_v`` is the clamped number of tries :func:`multi_trial` runs at
+    ``v`` (:func:`lemma6_tries`), and ``ν_v = ColoringParameters.
+    multitrial_nu(λ_v, n)`` grows as ``λ_v`` (so ``v``'s palette) shrinks.
     ``ν`` clamps to 0.5, so with few spare colors the bound is negative.
+    With no participant it is ``1 − (7/8)^x``.
     """
     params = state.params
     n = max(2, state.network.number_of_nodes)
-    nu = max(
-        (params.multitrial_nu(max(2, params.multitrial_lambda_factor * len(state.palettes[v])), n)
-         for v in state.uncolored_nodes() if state.palettes[v]),
-        default=0.0,
+
+    def bound(v: Node, x: int) -> float:
+        lam = max(2, params.multitrial_lambda_factor * len(state.palettes[v]))
+        return 1.0 - (7 / 8) ** x - 2.0 * params.multitrial_nu(lam, n)
+
+    return min(
+        (bound(v, x) for v, x in lemma6_tries(state, tries).items()),
+        default=1.0 - (7 / 8) ** tries,
     )
-    return 1.0 - (7 / 8) ** tries - 2.0 * nu
 
 
 def _normalize_tries(
@@ -109,32 +142,16 @@ def multi_trial(
     """Run one MultiTrial step for ``participants`` and return the newly colored nodes.
 
     ``tries`` is either a single ``x`` for everyone or a per-node mapping.
-    Each node's ``x`` is clamped to ``|Ψ_v| / (2·(uncolored degree))`` — the
-    hypothesis of Lemma 6 — so that callers can pass the schedule of
-    Algorithm 15 verbatim.
+    Each node's ``x`` is clamped to ``|Ψ_v| / (2·(competing degree))`` — the
+    hypothesis of Lemma 6, see :func:`lemma6_tries` — so that callers can
+    pass the schedule of Algorithm 15 verbatim.
     """
-    if participants is None:
-        participants = state.uncolored_nodes()
-    participants = [
-        v for v in participants if not state.is_colored(v) and state.palettes[v]
-    ]
-    tries_by_node = _normalize_tries(tries, participants)
-    participants = [v for v in participants if tries_by_node.get(v, 0) >= 1]
+    tries_by_node = lemma6_tries(state, tries, participants)
+    participants = list(tries_by_node)
     if not participants:
         for suffix in ("setup", "indicator", "adopt"):
             state.network.charge_silent_round(label=f"{label}:{suffix}")
         return set()
-
-    # Lemma 6 requires x <= |Ψ_v| / (2 |N(v)|) where N(v) is the set of
-    # neighbours that may try colors concurrently, i.e. the participating
-    # uncolored neighbours of this invocation.
-    participating_set = set(participants)
-    for v in participants:
-        competing = sum(
-            1 for u in state.network.neighbors(v) if u in participating_set
-        )
-        ceiling = max(1, len(state.palettes[v]) // max(1, 2 * competing))
-        tries_by_node[v] = max(1, min(tries_by_node[v], ceiling))
 
     if state.params.uniform:
         return _multi_trial_uniform(state, tries_by_node, participants, label)

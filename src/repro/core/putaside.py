@@ -98,8 +98,10 @@ def color_put_aside(
     adjacency within ``P_C`` to the leader through disjoint relay groups of
     in-clique neighbours; the leader then colors ``P_C`` locally and sends the
     colors back.  The simulator performs the equivalent centralised assignment
-    and charges a constant number of (chunked) rounds for the relayed traffic,
-    matching the paper's O(1)-round argument.
+    and charges two silent ``{label}:collect`` rounds in its place, which
+    keeps the paper's O(1) round count but charges the relayed traffic no
+    bits (ROADMAP item 1 is to charge it).  The adoptions are then
+    announced as one color round.
     """
     network = state.network
     colored: Set[Node] = set()

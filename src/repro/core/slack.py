@@ -19,9 +19,11 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Mapping, Optional, Set
 
-from repro.congest.message import Message
-from repro.congest.transport import EMPTY_INBOX
+import numpy as np
+
+from repro.congest.transport import Deliveries
 from repro.core.state import ColoringState
+from repro.obs.forensics.digest import flatten_exchange
 
 Node = Hashable
 Color = Hashable
@@ -29,33 +31,27 @@ Color = Hashable
 
 def _send_colors(
     state: ColoringState, colors: Mapping[Node, Color], label: str
-) -> Mapping[Node, Mapping[Node, Hashable]]:
+) -> Deliveries:
     """One round: every node in ``colors`` tells all its neighbours its color.
 
-    Returns the inboxes: ``inboxes[u][v]`` is what ``u`` received from ``v``
-    (receivers that got nothing may be absent).  In direct mode the color
-    travels verbatim, the same bits to every neighbour, so the round is one
-    :meth:`~repro.congest.network.Network.broadcast`.  In hashed mode the
-    value addressed to ``u`` is ``h_u(color)``, so the round is an exchange
-    with one message per receiver.  Both charge one message of
-    ``color_bits`` per edge.
+    Returns the round's deliveries as columns over the node index.  In
+    direct mode the color travels verbatim, the same bits to every
+    neighbour, so the round is one
+    :meth:`~repro.congest.network.Network.broadcast_columns`.  In hashed
+    mode the value addressed to ``u`` is ``h_u(color)``, so the round is an
+    exchange with one message per receiver, flattened to the same columns.
+    Both charge one message of ``color_bits`` per edge.
     """
     network = state.network
     hasher = state.hasher
     if hasher.mode == "direct":
-        bits = hasher.color_bits()
-        return network.broadcast(
-            {v: Message(content=color, bits=bits, label=label) for v, color in colors.items()},
-            label=label,
-        )
+        return network.broadcast_columns(colors, hasher.color_bits(), label=label)
     messages = {}
     for v, color in colors.items():
         for u in network.neighbors(v):
             messages[(v, u)] = hasher.encode_for(u, color, label=label)
-    inboxes: Dict[Node, Dict[Node, Hashable]] = {}
-    for (sender, receiver), value in network.exchange(messages, label=label).items():
-        inboxes.setdefault(receiver, {})[sender] = value
-    return inboxes
+    delivered = network.exchange(messages, label=label)
+    return Deliveries.from_labels(*flatten_exchange(delivered), network.topology)
 
 
 def announce_adoptions(
@@ -67,28 +63,37 @@ def announce_adoptions(
     """One round: newly colored nodes tell neighbours, who prune their palettes.
 
     The round is :func:`_send_colors` (one broadcast in direct mode), and
-    every uncolored receiver removes the colors each received value names
-    (:meth:`~repro.core.large_colors.ColorHasher.matching_colors`).  When
-    ``track_chromatic_slack`` is set (only during GenerateSlack), it also
-    checks whether the announced color lies outside its *original* palette
-    and, if so, increments its chromatic slack ``κ_v`` (Definition 7) — the
-    quantity later used for leader selection.
+    every delivery to a still-uncolored receiver removes the colors its
+    value names: the value itself in direct mode, the colors
+    :meth:`~repro.core.large_colors.ColorHasher.matching_colors` finds in
+    hashed mode.  When ``track_chromatic_slack`` is set (only during
+    GenerateSlack), it also checks whether the announced color lies outside
+    the receiver's *original* palette and, if so, increments its chromatic
+    slack ``κ_v`` (Definition 7) — the quantity later used for leader
+    selection.
     """
     if not adopted:
         state.network.charge_silent_round(label=f"{label}:adopt")
         return
-    inboxes = _send_colors(state, adopted, f"{label}:adopt")
+    deliveries = _send_colors(state, adopted, f"{label}:adopt")
+    live = state.uncolored_mask[deliveries.receivers]
+    receivers = deliveries.receivers[live].tolist()
+    slots = deliveries.slots[live].tolist()
+    nodes = state.network.nodes
+    values = deliveries.values
+    palettes = state.palettes
+    direct = state.hasher.mode == "direct"
     matching_colors = state.hasher.matching_colors
-    for receiver, inbox in inboxes.items():
-        if not inbox or state.is_colored(receiver):
-            continue
-        for value in inbox.values():
-            if track_chromatic_slack:
-                original = state.original_palettes[receiver]
-                state.note_chromatic_slack(
-                    receiver, not matching_colors(receiver, original, value)
-                )
-            state.remove_from_palette(receiver, value)
+    for receiver, slot in zip(receivers, slots):
+        v, value = nodes[receiver], values[slot]
+        if track_chromatic_slack:
+            state.note_chromatic_slack(
+                v, not matching_colors(v, state.original_palettes[v], value)
+            )
+        if direct:
+            palettes[v].discard(value)
+        else:
+            state.remove_from_palette(v, value)
 
 
 def try_color(
@@ -119,23 +124,39 @@ def try_color(
         return set()
 
     # Round 1: everyone announces the color it is trying.
-    inboxes = _send_colors(state, proposals, f"{label}:propose")
+    deliveries = _send_colors(state, proposals, f"{label}:propose")
 
     # Conflict resolution: keep the color unless a conflicting (higher- or
     # equal-priority) neighbour proposed a color with the same encoding.
+    # Values are coded by equality (as dict keys): ``own[i]`` is the code of
+    # the value proposer ``i`` would receive for its own color, -2 for a
+    # node that does not propose; a received value no proposer's own value
+    # equals codes as -1.  A delivery from a sender that does not propose
+    # now (a late message under a delay fault) never conflicts.
+    rows = state.network.topology.index_array(proposals)
+    codes: Dict[Hashable, int] = {}
+    own = np.full(state.network.number_of_nodes, -2, dtype=np.int64)
+    own[rows] = [
+        codes.setdefault(state.hasher.value_for(v, color), len(codes))
+        for v, color in proposals.items()
+    ]
+    received = np.fromiter(
+        (codes.get(value, -1) for value in deliveries.values),
+        dtype=np.int64, count=len(deliveries.values),
+    )[deliveries.slots]
+    receivers, senders = deliveries.receivers, deliveries.senders
+    conflict = (own[receivers] == received) & (own[senders] >= 0)
+    if priority is not None:
+        rank = np.zeros(len(own), dtype=np.int64)
+        rank[rows] = [priority.get(v, 0) for v in proposals]
+        # A strictly lower-priority (higher-rank) sender never blocks.
+        conflict &= rank[senders] <= rank[receivers]
+    blocked = np.zeros(len(own), dtype=bool)
+    blocked[receivers[conflict]] = True
+
     adopted: Dict[Node, Color] = {}
-    for v, color in proposals.items():
-        own_value = state.hasher.value_for(v, color)
-        conflict = False
-        for u, value in inboxes.get(v, EMPTY_INBOX).items():
-            if u not in proposals:
-                continue
-            if priority is not None and priority.get(u, 0) > priority.get(v, 0):
-                continue  # u has strictly lower priority; v wins this conflict
-            if value == own_value:
-                conflict = True
-                break
-        if not conflict:
+    for (v, color), is_blocked in zip(proposals.items(), blocked[rows].tolist()):
+        if not is_blocked:
             adopted[v] = color
             state.adopt(v, color)
 

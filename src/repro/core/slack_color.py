@@ -64,22 +64,23 @@ def slack_color(
         outcome.colored |= newly & participants
         participants.difference_update(newly)
 
-    def competing_degree(v: Node) -> int:
-        """Uncolored neighbours that compete for colors *in this invocation*.
+    def drop(condition) -> None:
+        """Drop the participants whose ``condition(slack, competing)`` holds.
 
+        ``competing`` counts the uncolored neighbours that compete for colors
+        *in this invocation*, and ``slack`` is the palette size minus it.
         SlackColor is always run on a set whose complement provides temporary
         slack (uncolored inliers while the outliers color, put-aside nodes
         while the rest of the clique colors, slack-rich sparse nodes while
         ``V_start`` colors).  Only participants try colors concurrently, so
         only they can steal a palette color during the run.
         """
-        return sum(1 for u in state.network.neighbors(v) if u in participants)
-
-    def slack_here(v: Node) -> int:
-        return len(state.palettes[v]) - competing_degree(v)
-
-    def drop(condition) -> None:
-        doomed = {v for v in participants if condition(v)}
+        nodes = list(participants)
+        competing = state.network.topology.neighbor_counts(nodes, participants).tolist()
+        doomed = {
+            v for v, c in zip(nodes, competing)
+            if condition(len(state.palettes[v]) - c, c)
+        }
         outcome.dropped |= doomed
         participants.difference_update(doomed)
 
@@ -90,7 +91,7 @@ def slack_color(
             return outcome
 
     # Step 2: nodes without slack at least twice their competing degree leave.
-    drop(lambda v: slack_here(v) < 2 * competing_degree(v))
+    drop(lambda slack, competing: slack < 2 * competing)
     if not participants:
         return outcome
 
@@ -106,8 +107,7 @@ def slack_color(
             outcome.iterations += 1
             if not participants:
                 return outcome
-        bound = lambda v, x=x_i: competing_degree(v) > slack_here(v) / min(2.0 * x, rho_kappa)
-        drop(bound)
+        drop(lambda slack, competing, x=x_i: competing > slack / min(2.0 * x, rho_kappa))
         if not participants:
             return outcome
 
@@ -122,7 +122,7 @@ def slack_color(
             if not participants:
                 return outcome
         limit = min(rho ** ((i + 1) * kappa), rho)
-        drop(lambda v, lim=limit: competing_degree(v) > slack_here(v) / lim)
+        drop(lambda slack, competing, lim=limit: competing > slack / lim)
         if not participants:
             return outcome
 

@@ -64,24 +64,25 @@ def run_sparse_phase(
     # Step 1 (performed after slack generation, as Appendix D prescribes):
     # classify the remaining nodes by the slack they actually received.
     # One round: every node announces whether it considers itself slack-rich.
+    # Slack is available colors minus uncolored neighbours.
+    topology = state.network.topology
+    order = list(targets)
+    induced_degree: Dict[Node, int] = dict(
+        zip(order, topology.neighbor_counts(order, targets).tolist())
+    )
+    uncolored_degree = topology.neighbor_counts(order, state.uncolored_mask).tolist()
     slack_rich: Set[Node] = set()
-    induced_degree: Dict[Node, int] = {}
-    for v in targets:
-        induced_degree[v] = sum(1 for u in state.network.neighbors(v) if u in targets)
+    for v, degree in zip(order, uncolored_degree):
         threshold = params.start_slack_fraction * max(1, induced_degree[v])
-        if state.slack(v) - 1 >= threshold:
+        if len(state.palettes[v]) - degree - 1 >= threshold:
             slack_rich.add(v)
     state.network.broadcast(
         {v: Message(content=True, bits=1, label=f"{label}:slack-rich") for v in slack_rich},
         label=f"{label}:slack-rich",
     )
-    for v in targets:
-        if v in slack_rich:
-            continue
+    others = [v for v in order if v not in slack_rich]
+    for v, rich_neighbors in zip(others, topology.neighbor_counts(others, slack_rich).tolist()):
         threshold = params.start_slack_fraction * max(1, induced_degree[v])
-        rich_neighbors = sum(
-            1 for u in state.network.neighbors(v) if u in slack_rich
-        )
         if rich_neighbors >= threshold:
             outcome.start_set.add(v)
         else:

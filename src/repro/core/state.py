@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Set
 
+import numpy as np
+
 from repro.congest.network import Network
 from repro.core.large_colors import ColorHasher
 from repro.core.params import ColoringParameters
@@ -41,6 +43,8 @@ class ColoringState:
         }
         self.original_palettes = {v: frozenset(instance.palettes[v]) for v in instance.nodes}
         self._uncolored: Set[Node] = set(instance.nodes)
+        #: ``uncolored_mask[i]``: is ``network.nodes[i]`` still uncolored?
+        self.uncolored_mask = np.ones(network.number_of_nodes, dtype=bool)
         self.hasher = ColorHasher(network, instance.color_space, self.params, self.rng)
         self.hasher.setup()
         #: chromatic slack κ_v: neighbours colored outside v's original palette
@@ -58,13 +62,6 @@ class ColoringState:
     def uncolored_nodes(self) -> Set[Node]:
         return set(self._uncolored)
 
-    def uncolored_degree(self, v: Node) -> int:
-        return sum(1 for u in self.network.neighbors(v) if u in self._uncolored)
-
-    def slack(self, v: Node) -> int:
-        """Current slack: available colors minus uncolored neighbours."""
-        return len(self.palettes[v]) - self.uncolored_degree(v)
-
     # ------------------------------------------------------------------ mutation
     def adopt(self, v: Node, color: Color) -> None:
         """Permanently color ``v`` with ``color`` (local bookkeeping only).
@@ -78,6 +75,7 @@ class ColoringState:
             raise ValueError(f"color {color!r} is not in the palette of {v!r}")
         self.colors[v] = color
         self._uncolored.discard(v)
+        self.uncolored_mask[self.network.topology.node_index[v]] = False
 
     def remove_from_palette(self, v: Node, encoded_value: Hashable) -> None:
         """Remove every color ``encoded_value`` names from ``v``'s palette."""

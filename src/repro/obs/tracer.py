@@ -209,8 +209,9 @@ class RoundTracer:
         return lo <= self._pending["round"] <= hi
 
     # ---------------------------------------------------------- payload hooks
-    def _note_edges(self, senders: Sequence[Any], receivers: Sequence[Any],
-                    payloads: Sequence[Any]) -> None:
+    def note_edges(self, senders: Sequence[Any], receivers: Sequence[Any],
+                   payloads: Sequence[Any]) -> None:
+        """Payload hook: one round's deliveries as aligned label columns."""
         if not payloads:
             return
         hashes = delivery_entry_hashes(senders, receivers, payloads)
@@ -226,12 +227,12 @@ class RoundTracer:
     def note_exchange(self, delivered) -> None:
         """Payload hook: one round's delivered ``{(u, v): payload}`` mapping."""
         if delivered:
-            self._note_edges(*flatten_exchange(delivered))
+            self.note_edges(*flatten_exchange(delivered))
 
     def note_inboxes(self, inboxes) -> None:
         """Payload hook: one round's delivered ``inbox[v][u]`` mapping."""
         if inboxes:
-            self._note_edges(*flatten_inboxes(inboxes))
+            self.note_edges(*flatten_inboxes(inboxes))
 
     def note_values(self, values) -> None:
         """Payload hook: a ``broadcast_discard`` round's sent values."""

@@ -1,7 +1,10 @@
 """Tests for the immutable Topology layer (CSR adjacency, node index)."""
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest import Network, ProtocolError, Topology
 from repro.graphs import gnp_graph, random_geometric_graph, ring_of_cliques
@@ -128,6 +131,51 @@ class TestCsrInvariants:
             assert len(row) == topo.degree(v) == graph.degree(v)
             assert {topo.nodes[j] for j in row} == topo.neighbor_sets[v]
         assert topo.max_degree() == max(dict(graph.degree()).values())
+
+
+def reference_neighbor_counts(graph: nx.Graph, nodes, members) -> list:
+    """The per-node generator sum :meth:`Topology.neighbor_counts` replaces."""
+    return [sum(1 for u in graph.neighbors(v) if u in members) for v in nodes]
+
+
+class TestNeighborCounts:
+    @pytest.mark.parametrize("family", list(GRAPH_FAMILIES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_generator_sum(self, family, data):
+        graph = GRAPH_FAMILIES[family]()
+        topo = Topology(graph)
+        everyone = list(graph.nodes())
+        # Repeated and reordered query nodes; any member set, empty included.
+        nodes = data.draw(st.lists(st.sampled_from(everyone), max_size=2 * len(everyone)))
+        members = data.draw(st.sets(st.sampled_from(everyone)))
+        expected = reference_neighbor_counts(graph, nodes, members)
+        counts = topo.neighbor_counts(nodes, members)
+        assert counts.dtype == np.int64 and counts.tolist() == expected
+        mask = np.array([v in members for v in topo.nodes], dtype=bool)
+        assert topo.neighbor_counts(nodes, mask).tolist() == expected
+
+    def test_empty_member_set_and_isolated_nodes(self):
+        graph = labelled_with_isolated_nodes()
+        topo = Topology(graph)
+        nodes = list(graph.nodes())
+        assert topo.neighbor_counts(nodes, set()).tolist() == [0] * len(nodes)
+        counts = dict(zip(nodes, topo.neighbor_counts(nodes, nodes).tolist()))
+        assert counts["lonely"] == counts["also-lonely"] == 0
+        assert counts == {v: graph.degree(v) for v in nodes}
+        assert topo.neighbor_counts([], nodes).tolist() == []
+        assert topo.neighbor_counts(["lonely"], ["lonely", "z"]).tolist() == [0]
+
+    def test_non_int_labels(self):
+        graph = nx.Graph([(("t", 1), "s"), ("s", 2.5), (2.5, ("t", 1)), ("s", frozenset({1}))])
+        topo = Topology(graph)
+        nodes = list(graph.nodes())
+        members = {("t", 1), frozenset({1})}
+        assert (topo.neighbor_counts(nodes, members).tolist()
+                == reference_neighbor_counts(graph, nodes, members) == [0, 2, 1, 0])
+
+    def test_empty_graph(self):
+        assert Topology(nx.Graph()).neighbor_counts([], set()).tolist() == []
 
 
 class TestNetworkFacade:

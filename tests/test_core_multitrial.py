@@ -5,7 +5,8 @@ import pytest
 
 from repro.congest import Network
 from repro.core import ColoringInstance, ColoringParameters
-from repro.core.multitrial import multi_trial
+from repro.core import multitrial as multitrial_module
+from repro.core.multitrial import lemma6_bound, lemma6_tries, multi_trial
 from repro.core.state import ColoringState
 from repro.graphs import (
     degree_plus_one_lists,
@@ -23,6 +24,43 @@ def make_state(graph, lists=None, extra=8, uniform=False, seed=1):
     network = Network(graph)
     params = ColoringParameters.small(seed=seed, uniform=uniform)
     return ColoringState(instance, network, params)
+
+
+class TestLemma6Tries:
+    def test_a_crowded_node_runs_fewer_tries_and_lowers_the_bound(self, monkeypatch):
+        """A star's centre competes with 20 leaves: with 560 colors Lemma 6
+        allows it 560 // 40 = 14 < 16 tries, and the bound is its
+        1 − (7/8)^14 − 2ν, below 1 − (7/8)^16 − 2ν of the worst ν."""
+        graph = nx.star_graph(20)
+        lists = {0: range(560), **{leaf: range(1000, 2000) for leaf in range(1, 21)}}
+        state = make_state(graph, lists=lists)
+        tries = lemma6_tries(state, 16)
+        assert tries == {v: 14 if v == 0 else 16 for v in graph}
+        params = state.params
+
+        def nu(v):
+            lam = max(2, params.multitrial_lambda_factor * len(state.palettes[v]))
+            return params.multitrial_nu(lam, graph.number_of_nodes())
+
+        bound = lemma6_bound(state, 16)
+        assert bound == 1.0 - (7 / 8) ** 14 - 2.0 * nu(0)
+        assert bound == min(1.0 - (7 / 8) ** tries[v] - 2.0 * nu(v) for v in graph)
+        assert 0 < bound < 1.0 - (7 / 8) ** 16 - 2.0 * max(map(nu, graph)) - 0.03
+        # multi_trial runs the tries this same helper clamps.
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(lemma6_tries(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(multitrial_module, "lemma6_tries", spy)
+        multi_trial(state, 16)
+        assert seen == [tries]
+
+    def test_no_participant_leaves_the_unclamped_bound(self):
+        state = make_state(nx.empty_graph(0))
+        assert lemma6_tries(state, 16) == {}
+        assert lemma6_bound(state, 16) == 1.0 - (7 / 8) ** 16
 
 
 class TestMultiTrialRepresentative:

@@ -53,13 +53,16 @@ class TestColoringState:
             state.adopt(v, "not-a-color")
 
     def test_uncolored_degree_and_slack(self):
+        # Uncolored degrees are one CSR reduction over the uncolored mask.
         g = nx.complete_graph(4)
         state = make_state(g)
-        v = 0
-        assert state.uncolored_degree(v) == 3
-        assert state.slack(v) == 1  # |palette| = 4, uncolored neighbours = 3
+        uncolored_degree = state.network.topology.neighbor_counts
+        assert uncolored_degree([0], state.uncolored_mask).tolist() == [3]
+        # Slack: |palette| = 4, uncolored neighbours = 3.
+        assert len(state.palettes[0]) - uncolored_degree([0], state.uncolored_mask)[0] == 1
         state.adopt(1, 3)
-        assert state.uncolored_degree(v) == 2
+        assert state.uncolored_mask.tolist() == [True, False, True, True]
+        assert uncolored_degree([0, 1], state.uncolored_mask).tolist() == [2, 3]
 
     def test_remove_from_palette(self):
         g = nx.path_graph(3)

@@ -17,8 +17,10 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
+from repro.congest import Message, Network
 from repro.experiments import (
     aggregate_suite,
     canonical_dumps,
@@ -112,6 +114,31 @@ class TestDigestPrimitives:
         backward.add_many(reversed(entries))
         assert forward.snapshot() == backward.snapshot()
         assert forward.count == 4
+
+
+    def test_column_broadcast_digests_as_the_inbox_broadcast(self):
+        """A digesting tracer hashes ``broadcast_columns``' deliveries as
+        the same (sender, receiver, payload) entries as the inbox broadcast
+        of ``Message(value, bits)``, per round and per receiver."""
+        graph = nx.star_graph(4)
+        graph.add_edge(2, "leaf")
+        values = {0: 3, 2: (1, "a"), "leaf": 3}
+        streams = []
+        for backend in ("dict", "columnar"):
+            for columns in (False, True):
+                tracer = RoundTracer(digest=True, fine_rounds=(1, 2))
+                network = Network(graph, backend=backend, tracer=tracer)
+                if columns:
+                    network.broadcast_columns(values, 7, label="c")
+                else:
+                    network.broadcast({v: Message(content=value, bits=7)
+                                       for v, value in values.items()}, label="c")
+                network.charge_silent_round(label="s")
+                tracer.close()
+                streams.append([{k: v for k, v in event.items() if k != "backend"}
+                                for event in deterministic_events(tracer.events)])
+        assert streams[0][1]["payload_n"] == 4 + 2 + 1  # the senders' degrees
+        assert all(stream == streams[0] for stream in streams[1:])
 
 
 # --------------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ import time
 from dataclasses import replace
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.baselines import johansson_coloring
@@ -109,6 +110,48 @@ class TestPrimitiveEquivalence:
             orders.append({v: list(box) for v, box in inbox.items()})
         assert all(order == orders[0] for order in orders[1:])
 
+    def test_broadcast_columns_deliver_the_broadcast(self):
+        """The same deliveries as the inbox broadcast of ``Message(value,
+        bits)``, the same record, on every backend; isolated and silent
+        nodes, non-int labels and equal values of different types included."""
+        graph = nx.star_graph(4)
+        graph.add_edge(3, "x")
+        graph.add_node(("lonely",))
+        values = {0: (1,), 3: (True,), ("lonely",): 5, "x": "s"}
+        expected = None
+        for net in all_networks(graph, bandwidth_bits=64):
+            reference = Network(graph, bandwidth_bits=64, backend="dict")
+            inboxes = reference.broadcast(
+                {v: Message(content=value, bits=12) for v, value in values.items()}, label="c")
+            triples = sorted(((s, r, p) for r, box in inboxes.items() for s, p in box.items()),
+                             key=repr)
+            deliveries = net.broadcast_columns(values, 12, label="c")
+            senders, receivers, payloads = deliveries.labelled(net.nodes)
+            got = sorted(zip(senders, receivers, payloads), key=repr)
+            assert got == triples
+            # Equal values keep their own type: (True,) is not delivered as (1,).
+            assert [type(p[0]) for s, _r, p in got if s in (0, 3)] == (
+                [type(p[0]) for s, _r, p in triples if s in (0, 3)])
+            assert net.ledger.records == reference.ledger.records
+            assert deliveries.receivers.dtype == deliveries.senders.dtype == np.int64
+            expected = expected or got
+            assert got == expected
+        for net in all_networks(graph, bandwidth_bits=64):
+            empty = net.broadcast_columns({}, 3, label="none")
+            assert (len(empty.receivers), len(empty.senders), empty.values) == (0, 0, [])
+            assert net.ledger.records[-1].message_count == 0
+
+    def test_broadcast_columns_raise_the_broadcast_errors(self):
+        graph = nx.path_graph(3)
+        for backend in BACKENDS:
+            net = Network(graph, bandwidth_bits=8, backend=backend)
+            with pytest.raises(ProtocolError, match="ghost"):
+                net.broadcast_columns({0: 1, "ghost": 1, "other": 2}, 3, label="p")
+            with pytest.raises(BandwidthExceeded) as info:
+                net.broadcast_columns({2: 1, 0: 1}, 9, label="w")
+            assert info.value.edge == (2, 1)
+            assert net.ledger.rounds == 0
+
     def test_exchange_chunked(self):
         msgs = {
             (0, 1): Message(content="long", bits=50),
@@ -148,8 +191,8 @@ class TestPrimitiveEquivalence:
         assert nets[0].ledger.max_edge_bits == 1
 
 
-PRIMITIVES = ("exchange", "broadcast", "broadcast_discard", "exchange_chunked",
-              "broadcast_chunked", "charge_silent_round")
+PRIMITIVES = ("exchange", "broadcast", "broadcast_discard", "broadcast_columns",
+              "exchange_chunked", "broadcast_chunked", "charge_silent_round")
 
 
 @pytest.mark.parametrize("cls", [ColumnarTransport, FaultyTransport],
