@@ -14,14 +14,17 @@ reproduction runs on.  It is layered (see DESIGN.md):
 
 A :class:`~repro.congest.network.Network` facade wires the three together and
 exposes the synchronous communication primitives
-(:meth:`~repro.congest.network.Network.exchange`,
-:meth:`~repro.congest.network.Network.broadcast`).  Each call is one CONGEST
-round: the round counter advances and each per-edge payload is charged its bit
-size against the bandwidth budget (``O(log n)`` bits in CONGEST, unlimited in
-LOCAL mode).  Oversized messages raise
-:class:`~repro.congest.errors.BandwidthExceeded`, so the coloring algorithms
-cannot accidentally cheat the model.  Every solver drives its rounds through
-these calls directly, keeping per-node state in its own structures.
+(:meth:`~repro.congest.network.Network.exchange`, which returns a
+``{(sender, receiver): payload}`` mapping, and
+:meth:`~repro.congest.network.Network.broadcast`, which returns the round's
+deliveries as :class:`~repro.congest.transport.Deliveries` columns on every
+backend).  Each call is one CONGEST round: the round counter advances and
+each per-edge payload is charged its bit size against the bandwidth budget
+(``O(log n)`` bits in CONGEST, unlimited in LOCAL mode).  Oversized
+messages raise :class:`~repro.congest.errors.BandwidthExceeded`, so the
+coloring algorithms cannot accidentally cheat the model.  Every solver
+drives its rounds through these calls directly, keeping per-node state in
+its own structures.
 """
 
 from repro.congest.errors import BandwidthExceeded, CongestError, ProtocolError

@@ -40,7 +40,7 @@ the caller runs the scalar reference instead — when
   the fault transport that any fault plan builds);
 * the network's tracer digests payloads (``tracer.digest``): the kernel
   charges ledger records without materializing the payloads a digest hashes,
-  nor the inboxes, which the reference ignores;
+  nor the deliveries, which the reference ignores;
 * an unordered pair repeats among the swept edges: the reference sends one
   index message per unordered pair and one indicator per directed key, where
   this kernel would charge one of each per list position;

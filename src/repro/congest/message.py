@@ -30,10 +30,6 @@ class Message:
         if self.bits < 0:
             raise ValueError("bits must be non-negative")
 
-    def unwrap(self) -> Any:
-        """Return the logical content."""
-        return self.content
-
 
 def unwrap(payload: object) -> object:
     """Return ``payload.content`` if it is a Message, else the payload itself."""

@@ -13,11 +13,10 @@ communication engine (see DESIGN.md):
   aggregates plus one record per round.
 
 All communication goes through :meth:`Network.exchange` (per-edge directed
-messages), :meth:`Network.broadcast` (same message to all neighbours) or
-:meth:`Network.broadcast_columns` (a broadcast of same-width values whose
-deliveries come back as columns); every call is exactly one synchronous
-round, and every per-edge payload is charged its bit size against the
-bandwidth budget.
+messages) or :meth:`Network.broadcast` (same message to all neighbours,
+whose deliveries come back as columns); every call is exactly one
+synchronous round, and every per-edge payload is charged its bit size
+against the bandwidth budget.
 
 The budget defaults to ``ceil(BUDGET_WORDS * log2 n)`` bits, i.e. the
 CONGEST model with ``log n`` bandwidth used in the paper (Theorem 1).  LOCAL
@@ -209,32 +208,17 @@ class Network:
         self,
         values: Mapping[Node, Any],
         label: str = "broadcast",
-    ) -> Dict[Node, Mapping[Node, Any]]:
-        """Each node in ``values`` sends the same payload to all neighbours.
-
-        Returns an inbox per node: ``inbox[v][u]`` is the payload ``v``
-        received from neighbour ``u``.  Inboxes are read-only views (empty
-        ones are shared); copy before mutating.
-        """
-        inboxes = self.transport.broadcast(values, label=label)
-        if self.tracer is not None and self.tracer.digest:
-            self.tracer.note_inboxes(inboxes)
-        return inboxes
-
-    def broadcast_columns(
-        self,
-        values: Mapping[Node, Any],
-        bits: int,
-        label: str = "broadcast",
+        bits: Optional[int] = None,
     ) -> Deliveries:
-        """Each node in ``values`` sends its value, ``bits`` wide, to all neighbours.
+        """Each node in ``values`` sends its value to all its neighbours.
 
-        The round and its deliveries are those of :meth:`broadcast` of
-        ``{v: Message(value, bits)}``, returned as
-        :class:`~repro.congest.transport.Deliveries` columns instead of
-        inboxes, and a digesting tracer hashes the same entries.
+        With ``bits``, every value is charged as ``Message(value, bits)``
+        would be; without, each payload is charged its ``payload_bits``.
+        Returns the round's deliveries as
+        :class:`~repro.congest.transport.Deliveries` columns (unwrapped
+        payloads, in no particular order).
         """
-        deliveries = self.transport.broadcast_columns(values, bits, label=label)
+        deliveries = self.transport.broadcast(values, label=label, bits=bits)
         if self.tracer is not None and self.tracer.digest:
             self.tracer.note_edges(*deliveries.labelled(self.topology.nodes))
         return deliveries
@@ -244,12 +228,12 @@ class Network:
         values: Mapping[Node, Any],
         label: str = "broadcast",
     ) -> None:
-        """:meth:`broadcast` for callers that discard the inboxes.
+        """:meth:`broadcast` for callers that discard the deliveries.
 
-        Ledger accounting is identical to a full broadcast; backends that
-        can skip inbox materialisation (columnar) do so here.
+        The round is the same; a digesting tracer hashes the sent values
+        per sender instead of the deliveries.
         """
-        self.transport.broadcast_discard(values, label=label)
+        self.transport.broadcast(values, label=label)
         if self.tracer is not None and self.tracer.digest:
             self.tracer.note_values(values)
 
@@ -281,12 +265,12 @@ class Network:
         self,
         values: Mapping[Node, Any],
         label: str = "broadcast-chunked",
-    ) -> Dict[Node, Mapping[Node, Any]]:
+    ) -> Deliveries:
         """Chunked variant of :meth:`broadcast` for payloads above the budget."""
-        inboxes = self.transport.broadcast_chunked(values, label=label)
+        deliveries = self.transport.broadcast_chunked(values, label=label)
         if self.tracer is not None and self.tracer.digest:
-            self.tracer.note_inboxes(inboxes)
-        return inboxes
+            self.tracer.note_edges(*deliveries.labelled(self.topology.nodes))
+        return deliveries
 
     def charge_silent_round(self, label: str = "silent") -> None:
         """Advance the round counter without sending anything.

@@ -9,27 +9,22 @@ root:
 * :class:`DictTransport` (``backend="dict"``) processes one message at a
   time, exactly as the original ``Network.exchange`` did: validate, size,
   budget-check and deliver each entry in order.  It is the reference
-  semantics (the oracle).
+  semantics (the oracle): its broadcasts expand the round per edge through
+  ``exchange`` / ``exchange_chunked``.
 * :class:`~repro.congest.columnar.transport.ColumnarTransport`
   (``backend="columnar"``, the default) is the fast path: it inherits the
-  oracle's ``exchange`` and chunked primitives and overrides only the
-  broadcasts, which it accounts in one vectorized pass and routes along the
-  topology's CSR rows; it also runs the vectorized ``EstimateSimilarity``
+  oracle's ``exchange`` and chunked primitives and overrides only
+  ``broadcast``, which it accounts in one vectorized pass and routes along
+  the topology's CSR rows; it also runs the vectorized ``EstimateSimilarity``
   kernel.
 * :class:`~repro.faults.transport.FaultyTransport`, which
   :func:`make_transport` builds under a fault plan whatever the backend
-  name, is the oracle with every round perturbed by the plan.
+  name, is the oracle with every exchange perturbed by the plan.
 
 Every payload is charged :func:`~repro.congest.bandwidth.payload_bits`, and
 every chunked stream is charged by :meth:`DictTransport.charge_chunked`.
-
-Broadcast inboxes from **both** backends are read-only views: silent nodes
-share one immutable empty mapping instead of each allocating a dict every
-round (``{v: {} for v in nodes}`` used to dominate broadcast cost on large
-sparse rounds).  Callers that want to mutate an inbox must copy it.
-:meth:`DictTransport.broadcast_columns` builds no inbox at all: it returns a
-broadcast's deliveries as :class:`Deliveries` columns, which is all a color
-round's receivers need.
+Every broadcast returns its deliveries as :class:`Deliveries` columns over
+the topology's node index, in no promised order.
 
 The paper-fidelity contract (see DESIGN.md) is that both backends produce
 **identical ledgers** — the same rounds, labels, message counts, total bits
@@ -40,8 +35,7 @@ The cross-backend equivalence suite enforces this.
 from __future__ import annotations
 
 from collections import Counter
-from types import MappingProxyType
-from typing import Any, Dict, Hashable, List, Mapping, NamedTuple, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -50,13 +44,10 @@ from repro.congest.errors import BandwidthExceeded, ProtocolError
 from repro.congest.message import Message, unwrap
 from repro.congest.topology import Topology
 from repro.metrics.ledger import Ledger
-from repro.obs.forensics.digest import flatten_inboxes
+from repro.obs.forensics.digest import flatten_exchange
 
 Node = Hashable
 DirectedEdge = Tuple[Node, Node]
-
-#: Shared read-only inbox for nodes that received nothing this round.
-EMPTY_INBOX: Mapping[Node, Any] = MappingProxyType({})
 
 
 class Deliveries(NamedTuple):
@@ -76,15 +67,16 @@ class Deliveries(NamedTuple):
     slots: "np.ndarray"
 
     @classmethod
-    def from_labels(cls, senders: List[Node], receivers: List[Node],
-                    values: List[Any], topology: Topology) -> "Deliveries":
-        """Deliveries given as aligned node-label columns, one value each."""
+    def from_exchange(cls, delivered: Mapping[DirectedEdge, Any],
+                      topology: Topology) -> "Deliveries":
+        """An exchange's ``{(sender, receiver): payload}`` result as columns,
+        one value per delivery."""
+        senders, receivers, values = flatten_exchange(delivered)
         return cls(topology.index_array(receivers), topology.index_array(senders),
                    values, np.arange(len(values), dtype=np.int64))
 
     def labelled(self, nodes) -> Tuple[List[Node], List[Node], List[Any]]:
-        """``(senders, receivers, values)`` per delivery, as node labels;
-        :meth:`from_labels` inverts it."""
+        """``(senders, receivers, values)`` per delivery, as node labels."""
         values = self.values
         return ([nodes[i] for i in self.senders.tolist()],
                 [nodes[i] for i in self.receivers.tolist()],
@@ -133,55 +125,34 @@ class DictTransport:
         self,
         values: Mapping[Node, Any],
         label: str = "broadcast",
-    ) -> Dict[Node, Mapping[Node, Any]]:
-        return self._inboxes(self.exchange(self._per_edge(values), label=label))
-
-    def broadcast_columns(
-        self,
-        values: Mapping[Node, Any],
-        bits: int,
-        label: str = "broadcast",
+        bits: Optional[int] = None,
     ) -> Deliveries:
-        """Broadcast in which every sender's value is ``bits`` wide, as columns.
+        """Each sender in ``values`` sends its payload to all its neighbours.
 
-        The oracle broadcasts ``{v: Message(value, bits)}`` with its own
-        :meth:`broadcast` (so a fault plan perturbs it exactly as it does any
-        broadcast) and flattens the inboxes.
+        With ``bits``, every value is charged as ``Message(value, bits)``
+        would be; without, each payload is charged its ``payload_bits``.
+        The oracle expands the round per edge and delivers it through
+        :meth:`exchange`, so a fault plan perturbs each edge's copy on its
+        own and the deliveries name one value each.
         """
-        inboxes = self.broadcast(
-            {v: Message(content=value, bits=bits, label=label)
-             for v, value in values.items()},
-            label=label,
+        return Deliveries.from_exchange(
+            self.exchange(self._per_edge(values, bits), label=label), self.topology
         )
-        return Deliveries.from_labels(*flatten_inboxes(inboxes), self.topology)
-
-    def broadcast_discard(
-        self,
-        values: Mapping[Node, Any],
-        label: str = "broadcast",
-    ) -> None:
-        """Broadcast whose inboxes the caller discards.
-
-        Several protocol steps (the ACD's participation and degree
-        announcements) broadcast purely so the *ledger* reflects the
-        communication; the delivered inboxes are thrown away.  The oracle
-        simply broadcasts and drops the result, so accounting is identical
-        by construction; the columnar backend overrides this with an
-        accounting-only path charged byte-identically.
-        """
-        self.broadcast(values, label=label)
-        return None
 
     def charge_silent_round(self, label: str = "silent") -> None:
         self.ledger.record_round(label, 0, 0, 0)
 
-    def _per_edge(self, values: Mapping[Node, Any]) -> Dict[DirectedEdge, Any]:
+    def _per_edge(self, values: Mapping[Node, Any],
+                  bits: Optional[int] = None) -> Dict[DirectedEdge, Any]:
         """One message per edge for a broadcast of ``values``.
 
         Sender-major, in topology neighbor order; an unknown sender raises
-        the canonical ProtocolError.
+        the canonical ProtocolError.  With ``bits`` each sender's value is
+        wrapped in one ``Message(value, bits)``.
         """
         neighbors = self.topology.neighbors
+        if bits is not None:
+            values = {v: Message(content=value, bits=bits) for v, value in values.items()}
         return {
             (sender, receiver): payload
             for sender, payload in values.items()
@@ -273,30 +244,11 @@ class DictTransport:
         self,
         values: Mapping[Node, Any],
         label: str = "broadcast-chunked",
-    ) -> Dict[Node, Mapping[Node, Any]]:
+    ) -> Deliveries:
         """Chunked variant of :meth:`broadcast` for payloads above the budget."""
-        return self._inboxes(
-            self.exchange_chunked(self._per_edge(values), label=label)
+        return Deliveries.from_exchange(
+            self.exchange_chunked(self._per_edge(values), label=label), self.topology
         )
-
-    def _inboxes(self, delivered: Mapping[DirectedEdge, Any]) -> Dict[Node, Mapping[Node, Any]]:
-        """Group delivered messages into one inbox per node.
-
-        Every transport shares this: real dicts are allocated only for nodes
-        that actually received something; every silent node gets the one
-        shared immutable empty mapping.  Inboxes are read-only views —
-        callers that want to mutate must copy (no in-repo algorithm does).
-        """
-        inbox: Dict[Node, Mapping[Node, Any]] = dict.fromkeys(
-            self.topology.nodes, EMPTY_INBOX
-        )
-        for (sender, receiver), payload in delivered.items():
-            box = inbox[receiver]
-            if box is EMPTY_INBOX:
-                box = {}
-                inbox[receiver] = box
-            box[sender] = payload
-        return inbox
 
 
 #: Backends selectable via ``Network(backend=...)``: the ``dict`` reference

@@ -333,9 +333,8 @@ def compute_acd(
     active_set = set(active) if active is not None else set(network.nodes)
 
     # Round 1: participation + induced degree announcement.  The simulator
-    # computes neighborhoods/degrees from the graph directly, so the inboxes
-    # of both broadcasts are discarded — broadcast_discard charges them
-    # identically while letting the columnar backend skip the inbox fill.
+    # computes neighborhoods/degrees from the graph directly, so the
+    # deliveries of both broadcasts are discarded (broadcast_discard).
     # Equal announcements share one frozen Message.
     network.broadcast_discard(
         dict.fromkeys(active_set, Message(content=True, bits=1, label="acd:participation")),

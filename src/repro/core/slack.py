@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.congest.transport import Deliveries
 from repro.core.state import ColoringState
-from repro.obs.forensics.digest import flatten_exchange
 
 Node = Hashable
 Color = Hashable
@@ -37,21 +36,21 @@ def _send_colors(
     Returns the round's deliveries as columns over the node index.  In
     direct mode the color travels verbatim, the same bits to every
     neighbour, so the round is one
-    :meth:`~repro.congest.network.Network.broadcast_columns`.  In hashed
-    mode the value addressed to ``u`` is ``h_u(color)``, so the round is an
+    :meth:`~repro.congest.network.Network.broadcast` with ``bits``.  In
+    hashed mode the value addressed to ``u`` is ``h_u(color)``, so the round is an
     exchange with one message per receiver, flattened to the same columns.
     Both charge one message of ``color_bits`` per edge.
     """
     network = state.network
     hasher = state.hasher
     if hasher.mode == "direct":
-        return network.broadcast_columns(colors, hasher.color_bits(), label=label)
+        return network.broadcast(colors, label=label, bits=hasher.color_bits())
     messages = {}
     for v, color in colors.items():
         for u in network.neighbors(v):
             messages[(v, u)] = hasher.encode_for(u, color, label=label)
     delivered = network.exchange(messages, label=label)
-    return Deliveries.from_labels(*flatten_exchange(delivered), network.topology)
+    return Deliveries.from_exchange(delivered, network.topology)
 
 
 def announce_adoptions(

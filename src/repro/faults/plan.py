@@ -12,7 +12,7 @@ The five perturbation axes (all optional; an all-default plan is a no-op and
 builds no fault transport):
 
 * ``drop`` — every directed message is lost independently with this
-  probability.  Receivers simply see a missing inbox entry.
+  probability.  Receivers simply see a missing delivery.
 * ``corrupt`` — every bit of every delivered payload flips independently
   with this probability (see :mod:`repro.faults.corruption` for how payload
   types map to bits).

@@ -2,20 +2,23 @@
 
 :class:`FaultyTransport` subclasses
 :class:`~repro.congest.transport.DictTransport` and applies a
-:class:`~repro.faults.plan.FaultPlan` to every communication primitive.
-``make_transport`` builds it for a non-trivial plan whatever the backend
-name, so a faulted run takes the oracle's code on either backend.  Design
-invariants (enforced by the fault-layer test suite):
+:class:`~repro.faults.plan.FaultPlan` to its per-edge primitives,
+``exchange`` and ``exchange_chunked``.  The oracle's broadcasts expand each
+round per edge through those two, so every round a fault plan can touch
+passes through them.  ``make_transport`` builds it for a non-trivial plan
+whatever the backend name, so a faulted run takes the oracle's code on
+either backend.  Design invariants (enforced by the fault-layer test
+suite):
 
 * **Backend-independent bytes.**  Every fault decision is a pure function of
   ``(master_seed, round_id, sender, receiver)`` via ``mix64`` over stable
   element keys — never of dict iteration order.  Every round is
   materialised as one per-edge message mapping, filtered, and delivered by
   the oracle's ``exchange`` (or ``exchange_chunked``), so a fixed (seed,
-  plan) pair yields byte-identical ledgers, inboxes and stats whichever
+  plan) pair yields byte-identical ledgers, deliveries and stats whichever
   backend was named.
 * **Failures are absences, not exceptions.**  A dropped, crashed-away or
-  still-delayed message is simply missing from the result mapping / inbox;
+  still-delayed message is simply missing from the round's deliveries;
   programs never see a fault-layer exception.  Protocol violations (illegal
   edges, oversized payloads under the throttled budget) still raise exactly
   as they would on a fault-free transport.
@@ -88,7 +91,7 @@ class FaultyTransport(DictTransport):
         return round_id
 
     def _check_removed(self, sender: Node, receiver: Node, payload: Any,
-                       label: str, validate: bool, enforce_budget: bool) -> None:
+                       label: str, enforce_budget: bool) -> None:
         """Re-create the clean transport's checks for a message we remove.
 
         A dropped or crash-suppressed message must still raise for an
@@ -97,8 +100,7 @@ class FaultyTransport(DictTransport):
         never become silently survivable just because the fault seed
         happened to remove the offending message.
         """
-        if validate:
-            self._validate_edge(sender, receiver)
+        self._validate_edge(sender, receiver)
         if enforce_budget:
             bits = payload_bits(payload)
             if bits > self.bandwidth_bits:
@@ -110,17 +112,15 @@ class FaultyTransport(DictTransport):
         messages: Mapping[DirectedEdge, Any],
         round_id: int,
         label: str,
-        validate: bool,
         enforce_budget: bool,
     ) -> Dict[DirectedEdge, Any]:
         """Apply crash/drop/corrupt/delay to one round's messages.
 
-        Only the messages the fault layer *removes* are checked here
-        (edge legality when ``validate`` is set, budget when
-        ``enforce_budget`` is set) — survivors get the oracle's own
-        delivery checks, so the common no-fault-hit message is validated
-        exactly once and protocol violations raise exactly as they would on
-        a clean transport.
+        Only the messages the fault layer *removes* are checked here (edge
+        legality, and budget when ``enforce_budget`` is set) — survivors
+        get the oracle's own delivery checks, so the common no-fault-hit
+        message is validated exactly once and protocol violations raise
+        exactly as they would on a clean transport.
         """
         plan = self.fault_plan
         master = self._master
@@ -134,7 +134,7 @@ class FaultyTransport(DictTransport):
             sender, receiver = edge
             if crashed and (sender in crashed or receiver in crashed):
                 self._check_removed(sender, receiver, payload, label,
-                                    validate, enforce_budget)
+                                    enforce_budget)
                 stats.dropped_messages += 1
                 continue
             if drop or corrupt:
@@ -145,7 +145,7 @@ class FaultyTransport(DictTransport):
                              _DROP_SALT)
                 if to_unit(draw) < drop:
                     self._check_removed(sender, receiver, payload, label,
-                                        validate, enforce_budget)
+                                        enforce_budget)
                     stats.dropped_messages += 1
                     continue
             if corrupt:
@@ -159,7 +159,7 @@ class FaultyTransport(DictTransport):
                 # A delayed message is checked at send time, like the clean
                 # transport would; delivery re-checks are harmless.
                 self._check_removed(sender, receiver, payload, label,
-                                    validate, enforce_budget)
+                                    enforce_budget)
                 self._pending.append((round_id + slots, edge, payload))
             else:
                 surviving[edge] = payload
@@ -197,27 +197,11 @@ class FaultyTransport(DictTransport):
     def exchange(self, messages: Mapping[DirectedEdge, Any],
                  label: str = "exchange") -> Dict[DirectedEdge, Any]:
         round_id = self._begin_round()
-        surviving = self._filter(messages, round_id, label, validate=True,
+        surviving = self._filter(messages, round_id, label,
                                  enforce_budget=self.mode == "congest")
         delivered = super().exchange(surviving, label=label)
         self.fault_stats.delivered_messages += len(delivered)
         return delivered
-
-    def broadcast(
-        self,
-        values: Mapping[Node, Any],
-        label: str = "broadcast",
-    ) -> Dict[Node, Mapping[Node, Any]]:
-        # Corruption is per edge, so a broadcast under faults is no longer
-        # "one payload object to all": it is filtered edge by edge and
-        # delivered through the oracle's exchange.
-        round_id = self._begin_round()
-        surviving = self._filter(self._per_edge(values), round_id, label,
-                                 validate=False,
-                                 enforce_budget=self.mode == "congest")
-        delivered = super().exchange(surviving, label=label)
-        self.fault_stats.delivered_messages += len(delivered)
-        return self._inboxes(delivered)
 
     def exchange_chunked(
         self,
@@ -227,14 +211,14 @@ class FaultyTransport(DictTransport):
         round_id = self._begin_round()
         # Chunked streams legitimately exceed the per-round budget, so
         # removed messages skip the budget re-check here.
-        surviving = self._filter(messages, round_id, label, validate=True,
-                                 enforce_budget=False)
+        surviving = self._filter(messages, round_id, label, enforce_budget=False)
         delivered = super().exchange_chunked(surviving, label=label)
         self.fault_stats.delivered_messages += len(delivered)
         return delivered
 
-    # broadcast_chunked and broadcast_discard are inherited: the oracle's
-    # versions call the faulted exchange_chunked and broadcast above.
+    # broadcast and broadcast_chunked are inherited: the oracle's versions
+    # expand the round per edge through the faulted exchange and
+    # exchange_chunked above.
 
     def charge_silent_round(self, label: str = "silent") -> None:
         self._begin_round()

@@ -142,7 +142,7 @@ def delivery_entry_hashes(
     """Multiset entry hashes for delivered per-edge messages.
 
     Entry = ``mix64(_EDGE_SALT, key(sender), key(receiver), payload_hash)``.
-    Broadcast inboxes fold through the same function with the same
+    Broadcast deliveries fold through the same function with the same
     (sender, receiver) orientation, so an exchange and the broadcast that
     delivers identical bytes produce identical entries.
     """
@@ -198,9 +198,6 @@ class MultisetDigest:
         self.value = total & _MASK64
         self.count = count
 
-    def snapshot(self) -> Tuple[int, int]:
-        return (self.value, self.count)
-
     def reset(self) -> None:
         self.value = 0
         self.count = 0
@@ -215,26 +212,6 @@ def fold_chain(chain: int, *values: int) -> int:
     for value in values:
         acc = mix64_step(acc, value)
     return acc
-
-
-def flatten_inboxes(
-    inboxes: Mapping[Node, Mapping[Node, Any]]
-) -> Tuple[List[Node], List[Node], List[Any]]:
-    """Flatten ``inbox[receiver][sender] = payload`` to aligned columns.
-
-    Ordered (sender, receiver) orientation matches the exchange mapping's
-    ``(sender, receiver)`` keys, so broadcast and exchange digests agree on
-    identical delivered bytes.
-    """
-    senders: List[Node] = []
-    receivers: List[Node] = []
-    payloads: List[Any] = []
-    for receiver, box in inboxes.items():
-        for sender, payload in box.items():
-            senders.append(sender)
-            receivers.append(receiver)
-            payloads.append(payload)
-    return senders, receivers, payloads
 
 
 def flatten_exchange(

@@ -15,7 +15,7 @@ call, so an untraced run executes byte-for-byte the code it always did.
 
 **The observation-only contract** (pinned by ``tests/test_obs.py`` and
 ``tests/test_forensics.py``): a tracer consumes no randomness, never mutates
-ledgers, inboxes, or node state, and a traced run is byte-identical to an
+ledgers, deliveries, or node state, and a traced run is byte-identical to an
 untraced one on every backend, fault-free and under fault plans.  Tracers
 may read clocks and process counters — those land in the machine-dependent
 event fields, which :func:`repro.obs.artifacts.deterministic_events` drops
@@ -36,7 +36,6 @@ from repro.obs.forensics.digest import (
     MultisetDigest,
     delivery_entry_hashes,
     flatten_exchange,
-    flatten_inboxes,
     fold_chain,
     hex16,
     label_key,
@@ -229,14 +228,9 @@ class RoundTracer:
         if delivered:
             self.note_edges(*flatten_exchange(delivered))
 
-    def note_inboxes(self, inboxes) -> None:
-        """Payload hook: one round's delivered ``inbox[v][u]`` mapping."""
-        if inboxes:
-            self.note_edges(*flatten_inboxes(inboxes))
-
     def note_values(self, values) -> None:
         """Payload hook: a ``broadcast_discard`` round's sent values."""
-        # Sent values, hashed per sender.  A discarded inbox cannot affect
+        # Sent values, hashed per sender.  A discarded delivery cannot affect
         # any node's downstream state, so sent-side hashing is the honest
         # (and backend-neutral) digest for the discard primitive.
         for sender, payload in values.items():

@@ -20,9 +20,13 @@ worst-case contribution is accounted separately).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
+
+import numpy as np
 
 from repro.congest.network import Network
+from repro.congest.topology import Topology
+from repro.congest.transport import Deliveries
 from repro.sampling.similarity import (
     SimilarityParameters,
     SimilarityResult,
@@ -48,6 +52,33 @@ class SparsityEstimates:
 
 def _neighborhoods(network: Network, nodes: Iterable[Node]) -> Dict[Node, set]:
     return {v: set(network.neighbors(v)) for v in nodes}
+
+
+def _misheard_degrees(
+    topology: Topology, announced: Deliveries, degrees: Dict[Node, int]
+) -> Dict[Node, Dict[Node, Any]]:
+    """Neighbour degrees as heard by each receiver of a differing announcement.
+
+    A receiver uses the announced degree where one arrived and the true
+    degree where a fault removed it, so only announcements that differ from
+    their sender's true degree change what it hears; only a corrupting
+    fault plan makes any.  One array comparison over the round's values
+    finds them.  Every other receiver hears ``degrees``.
+    """
+    nodes = topology.nodes
+    values = announced.values
+    true_degrees = np.diff(np.asarray(topology.indptr, dtype=np.int64))
+    sender_of_slot = np.zeros(len(values), dtype=np.int64)
+    sender_of_slot[announced.slots] = announced.senders
+    differs = (np.fromiter(values, dtype=object, count=len(values))
+               != true_degrees[sender_of_slot])
+    heard: Dict[Node, Dict[Node, Any]] = {}
+    for k in np.flatnonzero(differs[announced.slots]).tolist():
+        receiver = nodes[announced.receivers[k]]
+        if receiver not in heard:
+            heard[receiver] = {u: degrees[u] for u in topology.neighbors(receiver)}
+        heard[receiver][nodes[announced.senders[k]]] = values[announced.slots[k]]
+    return heard
 
 
 def estimate_global_sparsity(
@@ -115,10 +146,12 @@ def estimate_local_sparsity(
     rounds_before = network.rounds_used
 
     # Round 0: everyone announces its degree.
-    degree_inbox = network.broadcast(
-        {v: network.degree(v) for v in network.nodes}, label="estimate-sparsity:degrees"
-    )
     degrees = {v: network.degree(v) for v in network.nodes}
+    heard = _misheard_degrees(
+        network.topology,
+        network.broadcast(degrees, label="estimate-sparsity:degrees"),
+        degrees,
+    )
 
     neighborhoods = _neighborhoods(network, network.nodes)
     edges = [tuple(e) for e in network.graph.edges()]
@@ -135,10 +168,8 @@ def estimate_local_sparsity(
     reliable: Dict[Node, bool] = {}
     for v in nodes:
         dv = max(1, degrees[v])
-        usable = [
-            u for u in network.neighbors(v)
-            if degree_inbox[v].get(u, degrees[u]) < 2 * dv
-        ]
+        heard_by_v = heard.get(v, degrees)
+        usable = [u for u in network.neighbors(v) if heard_by_v[u] < 2 * dv]
         excluded = network.degree(v) - len(usable)
         total = sum(by_edge[(v, u)].estimate for u in usable)
         estimates[v] = (dv - 1) / 2.0 - total / (2.0 * dv)

@@ -1,4 +1,5 @@
-"""Drive per-node step callables over ``Network.exchange`` (tests only)."""
+"""Drive per-node step callables over ``Network.exchange``, and read a
+broadcast's deliveries per edge (tests only)."""
 
 from repro.utils.rng import RngStream
 
@@ -32,3 +33,13 @@ def run_rounds(network, step, seed=0, label="program", max_rounds=100):
             inboxes.setdefault(v, {})[u] = payload
         rounds += 1
     return rounds, halted
+
+
+def by_edge(network, deliveries):
+    """A broadcast's deliveries as ``{(sender, receiver): payload}``.
+
+    A round delivers at most one message per directed edge, so the mapping
+    loses nothing.
+    """
+    senders, receivers, payloads = deliveries.labelled(network.nodes)
+    return dict(zip(zip(senders, receivers), payloads))

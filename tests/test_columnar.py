@@ -1,10 +1,10 @@
-"""Columnar core: kernels, broadcast inboxes and accounting pinned bit-for-bit.
+"""Columnar core: kernels, broadcast deliveries and accounting pinned bit-for-bit.
 
 The columnar backend's contract (DESIGN.md "Columnar core invariants") is
 byte-identity with the ``dict`` reference backend.  The end-to-end half of
 that contract lives in the equivalence matrix (``test_transport_equivalence``);
 this module pins the *pieces* — vectorized splitmix64 kernels against the
-scalar implementations, broadcast inboxes against the reference inbox fill,
+scalar implementations, broadcast deliveries against the oracle's,
 ``charge_chunked`` (which the similarity kernel charges through) against a
 literal chunk-by-chunk simulation, the similarity kernel against the scalar
 sweep — so a drift in any one layer fails here with a precise finger
@@ -35,7 +35,6 @@ from repro.congest.columnar.kernels import (
     mix64_vec,
     scale_keys_vec,
 )
-from repro.congest.transport import EMPTY_INBOX
 from repro.core.acd import compute_acd
 from repro.hashing.keys import (
     MIX64_INIT, combine_part_keys, element_key, mix64, mix64_step,
@@ -45,6 +44,7 @@ from repro.obs import RoundTracer, deterministic_events
 from repro.sampling.similarity import SimilarityParameters, estimate_similarity_on_edges
 from repro.sampling.sparsity import estimate_global_sparsity, estimate_local_sparsity
 from repro.sampling.triangles import detect_triangle_rich_edges
+from round_driver import by_edge
 
 MASK64 = (1 << 64) - 1
 
@@ -120,28 +120,23 @@ class TestKernelParity:
 
 
 # --------------------------------------------------------------------------- #
-# Broadcast inboxes: filled from the CSR rows, senders in send order
+# Broadcast deliveries: gathered from the CSR rows
 # --------------------------------------------------------------------------- #
 
 def _dict_vs_columnar_broadcast(graph, values, bandwidth_bits=64):
     nets = [Network(graph, backend=b, bandwidth_bits=bandwidth_bits)
             for b in ("dict", "columnar")]
-    inboxes = [net.broadcast(values, label="b") for net in nets]
-    return nets, inboxes
+    delivered = [by_edge(net, net.broadcast(values, label="b")) for net in nets]
+    return nets, delivered
 
 
-class TestBroadcastInboxes:
-    def test_round_trip_reproduces_reference_inboxes_and_order(self):
+class TestBroadcastDeliveries:
+    def test_round_trip_reproduces_reference_deliveries(self):
         graph = nx.random_geometric_graph(40, 0.3, seed=3)
         values = {v: Message(content=(v, "payload"), bits=17)
                   for v in list(graph.nodes())[::2]}
         nets, (ref_in, col_in) = _dict_vs_columnar_broadcast(graph, values)
-        assert {v: dict(b) for v, b in col_in.items()} == \
-            {v: dict(b) for v, b in ref_in.items()}
-        # insertion order per receiver must match too (seeded algorithms
-        # iterate inbox.items() and consume randomness in that order)
-        assert {v: list(b) for v, b in col_in.items()} == \
-            {v: list(b) for v, b in ref_in.items()}
+        assert col_in == ref_in
         assert nets[0].ledger.records == nets[1].ledger.records
 
     @settings(max_examples=40, deadline=None)
@@ -172,10 +167,9 @@ class TestBroadcastInboxes:
             values[v] = Message(content=payload, bits=bits)
         nets, (ref_in, col_in) = _dict_vs_columnar_broadcast(
             graph, values, bandwidth_bits=budget)
-        for v, box in col_in.items():
-            assert dict(box) == dict(ref_in[v])
-            for sender, content in box.items():
-                assert content is values[sender].content
+        assert col_in == ref_in
+        for (sender, _receiver), content in col_in.items():
+            assert content is values[sender].content
         assert nets[0].ledger.records == nets[1].ledger.records
 
 
@@ -580,7 +574,7 @@ class TestBadPairs:
 
 
 # --------------------------------------------------------------------------- #
-# broadcast_discard: accounting-only broadcast
+# broadcast_discard: a broadcast whose deliveries the caller drops
 # --------------------------------------------------------------------------- #
 
 class TestBroadcastDiscard:

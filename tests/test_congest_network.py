@@ -15,6 +15,7 @@ from repro.congest import (
 from repro.congest.bandwidth import integer_message
 from repro.graphs import gnp_graph, ring_of_cliques
 from repro.metrics.ledger import Ledger, comm_row_metrics
+from round_driver import by_edge
 
 
 @pytest.fixture(params=["dict", "columnar"])
@@ -118,10 +119,7 @@ class TestExchange:
 
 class TestBroadcast:
     def test_reaches_all_neighbors(self, square):
-        inbox = square.broadcast({0: 42})
-        assert inbox[1][0] == 42
-        assert inbox[3][0] == 42
-        assert inbox[2] == {}
+        assert by_edge(square, square.broadcast({0: 42})) == {(0, 1): 42, (0, 3): 42}
 
     def test_broadcast_is_one_round(self, square):
         square.broadcast({0: 1, 1: 2, 2: 3})
@@ -134,10 +132,9 @@ class TestBroadcast:
     ], ids=["star-plus-isolated", "ring-of-cliques", "gnp"])
     def test_every_node_hears_exactly_its_neighbors(self, graph, backend):
         net = Network(graph, bandwidth_bits=64, backend=backend)
-        inbox = net.broadcast({v: ("from", v) for v in graph.nodes()})
-        assert set(inbox) == set(graph.nodes())
-        for v in graph.nodes():
-            assert dict(inbox[v]) == {u: ("from", u) for u in graph.neighbors(v)}
+        delivered = by_edge(net, net.broadcast({v: ("from", v) for v in graph.nodes()}))
+        assert delivered == {(u, v): ("from", u)
+                             for v in graph.nodes() for u in graph.neighbors(v)}
         assert net.rounds_used == 1
         assert net.ledger.total_messages == 2 * graph.number_of_edges()
 
@@ -183,8 +180,8 @@ class TestChunkedExchange:
 
     def test_broadcast_chunked(self, backend):
         net = Network(nx.star_graph(3), bandwidth_bits=8, backend=backend)
-        inbox = net.broadcast_chunked({0: Message(content="hub", bits=20)})
-        assert all(inbox[leaf][0] == "hub" for leaf in (1, 2, 3))
+        deliveries = net.broadcast_chunked({0: Message(content="hub", bits=20)})
+        assert by_edge(net, deliveries) == {(0, leaf): "hub" for leaf in (1, 2, 3)}
         assert net.rounds_used == 3
 
 

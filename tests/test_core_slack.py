@@ -151,19 +151,21 @@ class TestColorRounds:
     @pytest.mark.parametrize("backend", ["dict", "columnar"])
     def test_direct_mode_color_rounds_are_broadcasts(self, backend, monkeypatch):
         """Every direct-mode ``:propose``/``:adopt`` round of a solve is one
-        ``broadcast_columns`` call (or a silent round), and none is an
-        exchange or an inbox broadcast."""
-        rounds_by_method = {method: [] for method in (
-            "exchange", "broadcast", "broadcast_discard", "broadcast_columns",
-            "exchange_chunked", "broadcast_chunked", "charge_silent_round",
-        )}
-        for method, seen in rounds_by_method.items():
+        ``broadcast`` call with ``bits`` (or a silent round), and none is an
+        exchange or a broadcast sized by ``payload_bits``."""
+        methods = ("exchange", "broadcast", "broadcast_discard", "exchange_chunked",
+                   "broadcast_chunked", "charge_silent_round")
+        rounds_by_method = {method: [] for method in methods + ("broadcast with bits",)}
+        for method in methods:
             original = getattr(Network, method)
 
-            def spy(self, *args, _original=original, _seen=seen, **kwargs):
+            def spy(self, *args, _original=original, _method=method, **kwargs):
                 before = len(self.ledger.records)
                 result = _original(self, *args, **kwargs)
-                _seen.extend(record.label for record in self.ledger.records[before:])
+                sized = kwargs.get("bits", args[2] if len(args) > 2 else None) is not None
+                seen = rounds_by_method[
+                    "broadcast with bits" if _method == "broadcast" and sized else _method]
+                seen.extend(record.label for record in self.ledger.records[before:])
                 return result
 
             monkeypatch.setattr(Network, method, spy)
@@ -183,7 +185,7 @@ class TestColorRounds:
         def color_rounds(labels):
             return [label for label in labels if label.endswith((":propose", ":adopt"))]
 
-        columns = color_rounds(rounds_by_method.pop("broadcast_columns"))
+        columns = color_rounds(rounds_by_method.pop("broadcast with bits"))
         silent = color_rounds(rounds_by_method.pop("charge_silent_round"))
         assert columns
         assert not [label for labels in rounds_by_method.values()

@@ -17,6 +17,7 @@ from repro.faults.transport import _CORRUPT_SALT, _DROP_SALT
 from repro.graphs import degree_plus_one_lists
 from repro.hashing.keys import element_key, mix64
 from repro.metrics.ledger import Ledger
+from round_driver import by_edge
 
 
 def small_graph(n=30, p=0.2, seed=1):
@@ -196,8 +197,7 @@ class TestFaultyTransport:
 
     def test_drop_one_suppresses_delivery_but_records_rounds(self):
         net = faulty_network(small_graph(), {"drop": 1.0})
-        inboxes = net.broadcast({0: 1, 1: 2})
-        assert all(not box for box in inboxes.values())
+        assert by_edge(net, net.broadcast({0: 1, 1: 2})) == {}
         delivered = net.exchange({(u, v): 1 for u, v in net.graph.edges()})
         assert delivered == {}
         assert net.ledger.rounds == 2  # both rounds recorded, zero messages
@@ -246,17 +246,14 @@ class TestFaultyTransport:
         clean = Network(graph)
         noisy = faulty_network(graph, {"corrupt": 0.5}, seed=3)
         values = {v: 0b1111111111 for v in graph.nodes()}
-        clean_in = clean.broadcast(values)
-        noisy_in = noisy.broadcast(values)
+        clean_in = by_edge(clean, clean.broadcast(values))
+        noisy_in = by_edge(noisy, noisy.broadcast(values))
         # Same senders deliver to the same receivers...
-        assert {v: sorted(b) for v, b in clean_in.items()} == \
-            {v: sorted(b) for v, b in noisy_in.items()}
+        assert clean_in.keys() == noisy_in.keys()
         # ...but many payloads changed.
         assert noisy.fault_stats["corrupted_messages"] > 0
-        changed = sum(
-            1 for v, box in noisy_in.items()
-            for u, payload in box.items() if payload != clean_in[v][u]
-        )
+        changed = sum(1 for edge, payload in noisy_in.items()
+                      if payload != clean_in[edge])
         assert changed == noisy.fault_stats["corrupted_messages"]
 
     def test_throttle_scales_budget_and_still_enforces_it(self):
@@ -270,11 +267,11 @@ class TestFaultyTransport:
     def test_crash_silences_node_from_its_round_on(self):
         graph = nx.cycle_graph(5)
         net = faulty_network(graph, {"crash": {1: (0,)}})
-        first = net.broadcast({v: 1 for v in graph.nodes()})  # round 0: alive
-        assert 0 in first[1]
-        second = net.broadcast({v: 1 for v in graph.nodes()})  # round 1: dead
-        assert 0 not in second[1] and 0 not in second[4]
-        assert not second[0]  # receives nothing either
+        first = by_edge(net, net.broadcast({v: 1 for v in graph.nodes()}))  # round 0: alive
+        assert (0, 1) in first
+        second = by_edge(net, net.broadcast({v: 1 for v in graph.nodes()}))  # round 1: dead
+        assert (0, 1) not in second and (0, 4) not in second
+        assert not [edge for edge in second if edge[1] == 0]  # receives nothing either
         assert net.fault_stats["crashed_nodes"] == 1
 
     def test_delay_slots_shift_delivery(self):
@@ -302,8 +299,7 @@ class TestFaultyTransport:
     def test_broadcast_chunked_and_silent_rounds_under_faults(self):
         graph = nx.path_graph(4)
         net = faulty_network(graph, {"drop": 1.0}, mode="local")
-        inboxes = net.broadcast_chunked({0: "x" * 100})
-        assert all(not box for box in inboxes.values())
+        assert by_edge(net, net.broadcast_chunked({0: "x" * 100})) == {}
         net.charge_silent_round()
         assert net.ledger.rounds == 2
 
@@ -367,10 +363,10 @@ class TestDeterminism:
         runs = []
         for backend in ("dict", "columnar"):
             net = Network(graph, backend=backend, faults=FAULTS, fault_seed=5)
-            inboxes = net.broadcast({v: v * 3 + 1 for v in graph.nodes()})
+            deliveries = net.broadcast({v: v * 3 + 1 for v in graph.nodes()})
             runs.append((
                 [dataclasses.astuple(r) for r in net.ledger.records],
-                {v: dict(box) for v, box in inboxes.items()},
+                by_edge(net, deliveries),
                 net.fault_stats,
             ))
         assert runs[0] == runs[1]

@@ -112,24 +112,24 @@ class TestDigestPrimitives:
         forward.add_many(entries)
         backward = MultisetDigest()
         backward.add_many(reversed(entries))
-        assert forward.snapshot() == backward.snapshot()
+        assert (forward.value, forward.count) == (backward.value, backward.count)
         assert forward.count == 4
 
 
-    def test_column_broadcast_digests_as_the_inbox_broadcast(self):
-        """A digesting tracer hashes ``broadcast_columns``' deliveries as
-        the same (sender, receiver, payload) entries as the inbox broadcast
-        of ``Message(value, bits)``, per round and per receiver."""
+    def test_broadcast_with_bits_digests_as_the_message_broadcast(self):
+        """A digesting tracer hashes a broadcast with ``bits`` as the same
+        (sender, receiver, payload) entries as the broadcast of
+        ``Message(value, bits)``, per round and per receiver."""
         graph = nx.star_graph(4)
         graph.add_edge(2, "leaf")
         values = {0: 3, 2: (1, "a"), "leaf": 3}
         streams = []
         for backend in ("dict", "columnar"):
-            for columns in (False, True):
+            for sized in (False, True):
                 tracer = RoundTracer(digest=True, fine_rounds=(1, 2))
                 network = Network(graph, backend=backend, tracer=tracer)
-                if columns:
-                    network.broadcast_columns(values, 7, label="c")
+                if sized:
+                    network.broadcast(values, label="c", bits=7)
                 else:
                     network.broadcast({v: Message(content=value, bits=7)
                                        for v, value in values.items()}, label="c")
@@ -286,7 +286,7 @@ class TestBisect:
         # mode delivers the late message in the very next round; in CONGEST
         # mode a late payload wider than the budget would wait for the next
         # chunked round, so the divergence could land later.
-        # gnp-johansson materializes inboxes from round 1, so the perturbed
+        # gnp-johansson digests deliveries from round 1, so the perturbed
         # delivery is localizable to its receiver (a broadcast_discard round
         # would diverge on counters only, by design).
         spec = smoke_spec("gnp-johansson", trials=1, mode="local")
@@ -353,7 +353,7 @@ class TestBisect:
         assert report.notes == []
 
     def test_fine_mode_windows_per_node_data(self):
-        # gnp-johansson: every round materializes inboxes (no discard rounds)
+        # gnp-johansson: every round digests its deliveries (no discard rounds)
         spec = smoke_spec("gnp-johansson", trials=1)
         tracer = RoundTracer(digest=True, fine_rounds=(2, 3))
         try:

@@ -151,3 +151,45 @@ def test_lemmas_4_5_accuracy_and_rounds(make_graph):
     assert round(within_global, 3) >= 0.9
     assert round(within_local, 3) >= 0.8
     assert global_est.rounds_used <= 40
+
+
+@pytest.mark.parametrize("plan, delivered, changed", [
+    ({"drop": 0.3}, 1187, 0),
+    ({"corrupt": 0.05}, 1752, 352),
+], ids=["drop", "corrupt"])
+@pytest.mark.parametrize("backend", ["dict", "columnar"])
+def test_local_sparsity_under_a_fault_plan_matches_a_per_node_loop(
+        backend, plan, delivered, changed):
+    """Under a fault plan each receiver reads the announced degree where one
+    arrived and the true degree where the plan removed it.
+
+    A twin network replays the degree round (the plan's draws depend only
+    on the round, sender and receiver), and a per-node loop recomputes
+    ``estimates`` and ``reliable`` from what it delivered and the returned
+    per-edge similarities.
+    """
+    graph = gnp_graph(150, 0.08, seed=4)
+    network = Network(graph, backend=backend, faults=plan, fault_seed=3)
+    result = estimate_local_sparsity(network, seed=5)
+
+    twin = Network(graph, backend=backend, faults=plan, fault_seed=3)
+    deliveries = twin.broadcast({v: twin.degree(v) for v in twin.nodes},
+                                label="estimate-sparsity:degrees")
+    heard = {v: {} for v in graph.nodes()}
+    for sender, receiver, degree in zip(*deliveries.labelled(twin.nodes)):
+        heard[receiver][sender] = degree
+    assert sum(map(len, heard.values())) == delivered
+    assert sum(degree != graph.degree(sender) for box in heard.values()
+               for sender, degree in box.items()) == changed
+
+    eps = 0.3  # estimate_local_sparsity's default
+    estimates, reliable = {}, {}
+    for v in graph.nodes():
+        dv = max(1, graph.degree(v))
+        usable = [u for u in network.neighbors(v)
+                  if heard[v].get(u, graph.degree(u)) < 2 * dv]
+        total = sum(result.edge_similarities[(v, u)].estimate for u in usable)
+        estimates[v] = (dv - 1) / 2.0 - total / (2.0 * dv)
+        reliable[v] = graph.degree(v) - len(usable) < eps * dv / 3.0
+    assert result.estimates == estimates
+    assert result.reliable == reliable
