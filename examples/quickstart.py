@@ -25,16 +25,8 @@ def main() -> None:
 
     result = solve_d1c(graph, params=ColoringParameters.small(seed=7))
 
-    print(f"coloring valid: {result.is_valid}")
-    print(f"colors used:    {len(set(result.coloring.values()))}")
-    rows = [
-        {"metric": "CONGEST rounds (total)", "value": result.rounds},
-        {"metric": "rounds (randomized part)", "value": result.randomized_rounds},
-        {"metric": "nodes finished by fallback", "value": result.fallback_nodes},
-        {"metric": "bandwidth budget (bits/edge/round)", "value": result.bandwidth_bits},
-        {"metric": "max bits on an edge in one round", "value": result.max_edge_bits},
-        {"metric": "total bits exchanged", "value": result.total_bits},
-    ]
+    print(f"colors used: {len(set(result.coloring.values()))}")
+    rows = [{"metric": key, "value": value} for key, value in result.summary().items()]
     print(format_table(rows, title="\nresource usage"))
     print("\nrounds by phase:")
     for phase, rounds in sorted(result.rounds_by_phase.items()):

@@ -16,6 +16,7 @@ from __future__ import annotations
 from repro.congest import Network
 from repro.core import ColoringParameters
 from repro.core.acd import compute_acd
+from repro.core.params import SPARSITY_EPS
 from repro.graphs import exact_local_sparsity, planted_almost_cliques, validate_acd
 from repro.metrics import format_table
 from repro.sampling import estimate_local_sparsity
@@ -59,7 +60,7 @@ def main() -> None:
         sparse_nodes=acd.sparse_nodes,
         uneven_nodes=acd.uneven_nodes,
         almost_cliques=list(acd.cliques.values()),
-        eps_sparse=params.sparsity_eps,
+        eps_sparse=SPARSITY_EPS,
         eps_clique=2 * params.acd_eps,
     )
     violations = {k: len(v) for k, v in report.items()}

@@ -15,7 +15,7 @@ from repro.congest.bandwidth import index_message
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.core.acd import ACDResult
-from repro.core.params import ColoringParameters
+from repro.core.params import SPARSITY_EPS, ColoringParameters
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -102,7 +102,7 @@ def naive_compute_acd(
         unevenness = sum(
             max(0, degrees[u] - dv) / (degrees[u] + 1) for u in neighborhoods[v]
         )
-        if dv > 0 and unevenness >= params.sparsity_eps * dv:
+        if dv > 0 and unevenness >= SPARSITY_EPS * dv:
             uneven.add(v)
         else:
             sparse.add(v)

@@ -475,7 +475,7 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
 
     if args.json:
         # Machine-readable shape: one key per trace file, key-sorted and
-        # stable — CI consumes this without scraping tables.
+        # stable, so a script can read it without scraping tables.
         payload = {
             Path(path).name: summary_as_dict(summarize_trace(_load(load_events, path)))
             for path in args.trace

@@ -24,10 +24,8 @@ import numpy as np
 
 from repro.congest.bandwidth import payload_bits
 from repro.congest.errors import BandwidthExceeded
-from repro.congest.message import unwrap
-from repro.congest.topology import Topology
+from repro.congest.message import Message, unwrap
 from repro.congest.transport import Deliveries, DictTransport
-from repro.metrics.ledger import Ledger
 
 Node = Any
 
@@ -50,15 +48,6 @@ class ColumnarTransport(DictTransport):
 
     name = "columnar"
 
-    def __init__(self, topology: Topology, mode: str, bandwidth_bits: int,
-                 ledger: Ledger):
-        super().__init__(topology, mode, bandwidth_bits, ledger)
-        # array("l") exposes the buffer protocol, so these are zero-copy
-        # int64 views of the topology CSR.
-        self._np_indptr = np.asarray(topology.indptr, dtype=np.int64)
-        self._np_indices = np.asarray(topology.indices, dtype=np.int64)
-        self._np_degrees = np.diff(self._np_indptr)
-
     # ------------------------------------------------------------- broadcast
     def _account_broadcast(
         self, senders: List[Node], slots: "np.ndarray", bits: "np.ndarray",
@@ -72,7 +61,8 @@ class ColumnarTransport(DictTransport):
         the first sender (in send order) attaining the maximal per-edge bits,
         paired with the head of its CSR row.
         """
-        degrees = self._np_degrees[slots]
+        indptr = self.topology.indptr
+        degrees = indptr[slots + 1] - indptr[slots]
         message_count = int(degrees.sum())
         if message_count == 0:
             return 0, 0, 0
@@ -81,10 +71,9 @@ class ColumnarTransport(DictTransport):
         max_edge_bits = int(bits[nonzero].max())
         if self.mode == "congest" and max_edge_bits > self.bandwidth_bits:
             first = int(np.flatnonzero(nonzero & (bits == max_edge_bits))[0])
-            worst_slot = int(slots[first])
             worst_edge = (
                 senders[first],
-                self.topology.nodes[int(self._np_indices[int(self._np_indptr[worst_slot])])],
+                self.topology.nodes[int(self.topology.indices[indptr[slots[first]]])],
             )
             raise BandwidthExceeded(
                 worst_edge, max_edge_bits, self.bandwidth_bits, label
@@ -102,8 +91,12 @@ class ColumnarTransport(DictTransport):
         Every sender is looked up before any payload is sized, so an unknown
         sender raises the oracle's ProtocolError.  Each sender's value is
         named once: a delivery's slot is its sender's position in send
-        order, and the sender's receivers are its CSR row.
+        order, and the sender's receivers are its CSR row.  A negative
+        ``bits`` raises the oracle's ValueError before any sender is looked
+        up.
         """
+        if values and bits is not None and bits < 0:
+            Message(content=None, bits=bits)  # raises the canonical ValueError
         senders = list(values)
         slots = np.fromiter(
             map(self.topology.node_index.get, senders, repeat(-1)),

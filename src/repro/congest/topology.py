@@ -67,8 +67,10 @@ class Topology:
             indptr.append(len(indices))
         self._neighbor_sets = neighbor_sets
         self._degrees = degrees
-        self.indptr = indptr
-        self.indices = indices
+        # The one conversion to int64 numpy: zero-copy where array("l") is
+        # 8 bytes, a copy where it is 4.
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
         self._number_of_edges = len(indices) // 2
         self._max_degree = max(degrees.values(), default=0)
 
@@ -129,15 +131,13 @@ class Topology:
         Returns ``(neighbors, row_of)``: every neighbour index of every row
         in turn, and the position in ``rows`` of the row it came from.
         """
-        # array("l") exposes the buffer protocol: zero-copy int64 views.
-        indptr = np.asarray(self.indptr, dtype=np.int64)
+        indptr = self.indptr
         starts = indptr[rows]
         degrees = indptr[rows + 1] - starts
         ends = np.cumsum(degrees)
         total = int(ends[-1]) if len(ends) else 0
         edges = np.repeat(starts - (ends - degrees), degrees) + np.arange(total)
-        return (np.asarray(self.indices, dtype=np.int64)[edges],
-                np.repeat(np.arange(len(rows)), degrees))
+        return self.indices[edges], np.repeat(np.arange(len(rows)), degrees)
 
     # ----------------------------------------------------------- index helpers
     def index_array(self, nodes: Collection[Node]) -> "np.ndarray":

@@ -34,7 +34,7 @@ from repro.congest.bandwidth import bitstring_message, index_message, integer_me
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.topology import Topology
-from repro.core.params import ColoringParameters
+from repro.core.params import SPARSITY_EPS, ColoringParameters
 from repro.hashing.ecc import ErrorCorrectingCode, hamming_distance
 from repro.hashing.multiset import RepresentativeMultisetFamily
 from repro.hashing.pairwise import PairwiseHashFamily
@@ -59,9 +59,6 @@ class ACDResult:
     @property
     def dense_nodes(self) -> Set[Node]:
         return set(self.clique_of)
-
-    def clique_members(self, node: Node) -> Set[Node]:
-        return self.cliques[self.clique_of[node]]
 
     def partition_summary(self) -> Dict[str, int]:
         return {
@@ -292,8 +289,7 @@ def _balanced_candidates(
 
     nodes = topology.nodes
     index = topology.node_index
-    indptr = np.asarray(topology.indptr, dtype=np.int64)
-    indices = np.asarray(topology.indices, dtype=np.int64)
+    indptr, indices = topology.indptr, topology.indices
     active = np.zeros(len(nodes), dtype=bool)
     active[np.fromiter((index[v] for v in active_set), dtype=np.int64,
                        count=len(active_set))] = True
@@ -434,7 +430,7 @@ def compute_acd(
     for v in active_set:
         if v in clique_of:
             continue
-        if degrees[v] > 0 and _unevenness(degrees, neighborhoods, v) >= params.sparsity_eps * degrees[v]:
+        if degrees[v] > 0 and _unevenness(degrees, neighborhoods, v) >= SPARSITY_EPS * degrees[v]:
             uneven.add(v)
         else:
             sparse.add(v)

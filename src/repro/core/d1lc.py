@@ -8,7 +8,7 @@ fallback.  The paper schedules the pipeline over ``O(log* n)`` degree ranges
 ``[log^7 x, x]``; with laptop-scale degrees every range collapses to "all
 nodes of degree above a small cutoff", so the driver simply iterates the
 pipeline on the uncolored nodes above the cutoff until no progress is made
-(``max_phase_iterations`` bounds the loop), which preserves both the round
+(``MAX_PHASE_ITERATIONS`` bounds the loop), which preserves both the round
 structure and the bandwidth accounting.  See DESIGN.md for the substitution
 notes.
 
@@ -28,7 +28,7 @@ import networkx as nx
 from repro.congest.network import DEFAULT_BACKEND, Network, check_compat_keywords
 from repro.core.acd import compute_acd
 from repro.core.dense_phase import run_dense_phase
-from repro.core.params import ColoringParameters
+from repro.core.params import MAX_PHASE_ITERATIONS, ColoringParameters
 from repro.core.problem import ColoringInstance
 from repro.core.shattering import deterministic_fallback
 from repro.core.sparse_phase import run_sparse_phase
@@ -105,7 +105,7 @@ def solve_instance(
     )
     state = ColoringState(instance, network, params)
 
-    for _iteration in range(max(1, params.max_phase_iterations)):
+    for _iteration in range(MAX_PHASE_ITERATIONS):
         uncolored = list(state.uncolored_nodes())
         degrees = network.topology.neighbor_counts(uncolored, state.uncolored_mask)
         active = {

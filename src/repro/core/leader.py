@@ -27,6 +27,7 @@ from typing import Dict, Hashable, Optional, Set
 
 from repro.congest.bandwidth import integer_message
 from repro.core.acd import ACDResult
+from repro.core.params import OUTLIER_COMMON_FRACTION, OUTLIER_DEGREE_FRACTION
 from repro.core.state import ColoringState
 
 Node = Hashable
@@ -116,10 +117,10 @@ def select_leaders(
             v: len(network.neighbors(v) & leader_neighbors) for v in others
         }
         by_common = sorted(others, key=lambda v: (common_with_leader[v], repr(v)))
-        take_common = int(max(d_leader, size) * params.outlier_common_fraction)
+        take_common = int(max(d_leader, size) * OUTLIER_COMMON_FRACTION)
         outliers: Set[Node] = set(by_common[:take_common])
         by_degree = sorted(others, key=lambda v: (-network.degree(v), repr(v)))
-        take_degree = int(size * params.outlier_degree_fraction)
+        take_degree = int(size * OUTLIER_DEGREE_FRACTION)
         outliers |= set(by_degree[:take_degree])
         outliers |= {v for v in others if v not in network.neighbors(leader)}
 

@@ -33,6 +33,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 from repro.congest.bandwidth import bitstring_message
 from repro.congest.message import Message
 from repro.core.slack import announce_adoptions
+from repro.core.params import MULTITRIAL_ALPHA, MULTITRIAL_BETA, MULTITRIAL_LAMBDA_FACTOR
 from repro.core.state import ColoringState
 from repro.hashing.multiset import RepresentativeMultisetFamily
 from repro.hashing.pairwise import PairwiseHashFamily
@@ -59,8 +60,8 @@ def _representative_family(state: ColoringState, lam: int) -> RepresentativeHash
         universe_label="multitrial",
         universe_size=_universe_size(state),
         lam=lam,
-        alpha=params.multitrial_alpha,
-        beta=params.multitrial_beta,
+        alpha=MULTITRIAL_ALPHA,
+        beta=MULTITRIAL_BETA,
         nu=nu,
         seed=params.seed,
     )
@@ -116,7 +117,7 @@ def lemma6_bound(state: ColoringState, tries: int) -> float:
     n = max(2, state.network.number_of_nodes)
 
     def bound(v: Node, x: int) -> float:
-        lam = max(2, params.multitrial_lambda_factor * len(state.palettes[v]))
+        lam = max(2, MULTITRIAL_LAMBDA_FACTOR * len(state.palettes[v]))
         return 1.0 - (7 / 8) ** x - 2.0 * params.multitrial_nu(lam, n)
 
     return min(
@@ -178,13 +179,13 @@ def _multi_trial_representative(
     sigma_of: Dict[Node, int] = {}
     setup_payload: Dict[Node, Message] = {}
     for v in participants:
-        lam = max(2, params.multitrial_lambda_factor * len(state.palettes[v]))
+        lam = max(2, MULTITRIAL_LAMBDA_FACTOR * len(state.palettes[v]))
         family = _representative_family(state, lam)
         index = family.sample_index(state.rng.for_node(v, "multitrial", state.network.rounds_used))
         lam_of[v] = lam
         hash_of[v] = family.member(index)
         sigma_of[v] = params.multitrial_sigma(lam, tries_by_node[v], n)
-        lam_bits = max(1, (params.multitrial_lambda_factor * (state.instance.max_degree() + 1)).bit_length())
+        lam_bits = max(1, (MULTITRIAL_LAMBDA_FACTOR * (state.instance.max_degree() + 1)).bit_length())
         setup_payload[v] = Message(
             content=(lam, index),
             bits=lam_bits + family.index_bits,
@@ -252,7 +253,7 @@ def _multi_trial_uniform(
     setup_payload: Dict[Node, Message] = {}
     for v in participants:
         palette = state.palettes[v]
-        lam = max(2, params.multitrial_lambda_factor * len(palette))
+        lam = max(2, MULTITRIAL_LAMBDA_FACTOR * len(palette))
         family = _pairwise_family(state, lam)
         rng = state.rng.for_node(v, "multitrial-uniform", state.network.rounds_used)
         # Step 1: a hash function with at most λ_v/3 collisions inside Ψ_v.
@@ -268,7 +269,7 @@ def _multi_trial_uniform(
         multiset_index = multisets.sample_index(rng)
         sample = multisets.member(multiset_index).points()
         lam_of[v], hash_of[v], sample_of[v] = lam, h, sample
-        lam_bits = max(1, (params.multitrial_lambda_factor * (state.instance.max_degree() + 1)).bit_length())
+        lam_bits = max(1, (MULTITRIAL_LAMBDA_FACTOR * (state.instance.max_degree() + 1)).bit_length())
         setup_payload[v] = Message(
             content=(lam, hash_index, multiset_index),
             bits=lam_bits + family.index_bits + multisets.index_bits,

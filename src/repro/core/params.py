@@ -1,36 +1,59 @@
-"""Every constant of the D1LC algorithm, in one configurable place.
+"""Every constant of the D1LC algorithm, in one place.
 
 The paper fixes a number of constants (``p_g = 1/10`` for slack generation,
 ``α = 1/12`` and ``β = 1/3`` inside MultiTrial, ``ℓ = log^{2.1} Δ`` for the
-low-/high-slack threshold, the ``log^7`` degree threshold of Theorem 1, the
-outlier fractions 1/3 and 1/6, the put-aside sampling probability
-``ℓ² / (48 Δ_C)``, ...).  Those constants are tuned for asymptotic statements
-about graphs whose minimum degree is ``log^7 n`` — astronomically large.  To
-run the *same* algorithms on laptop-sized graphs, every constant is exposed
-here with the paper's value as the default and a :meth:`ColoringParameters.small`
-preset that scales the thresholds down (documented as a simulation knob in
-DESIGN.md).
+low-/high-slack threshold, the outlier fractions 1/3 and 1/6, the put-aside
+sampling probability ``ℓ² / (48 Δ_C)``, ...).  Those that every run shares
+are the module constants below, at the paper's values.
+
+The paper's constants are tuned for asymptotic statements about graphs
+whose minimum degree is ``log^7 n`` — astronomically large.  To run the *same*
+algorithms on laptop-sized graphs, the values that must scale with the graph
+are the fields of :class:`ColoringParameters`.  Their class defaults are not
+all the paper's: :meth:`ColoringParameters.paper` overrides four of them (the
+MultiTrial σ window and the EstimateSimilarity caps), and
+:meth:`ColoringParameters.small` sets all seven for degrees of about 10–200
+(both documented as simulation knobs in DESIGN.md).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
+
+#: ``p_g`` of GenerateSlack (Algorithm 10).
+SLACK_PROBABILITY = 0.1
+#: The ``α`` and ``β`` of Section 4.1.
+MULTITRIAL_ALPHA = 1.0 / 12.0
+MULTITRIAL_BETA = 1.0 / 3.0
+#: The ``c > 3`` in ``ν_λ = max(n^{-c}, 12·exp(−αλ/45))``.
+MULTITRIAL_NU_EXPONENT = 4.0
+#: MultiTrial hashes into ``[λ]`` with ``λ`` this factor times the palette size.
+MULTITRIAL_LAMBDA_FACTOR = 6
+#: ``ε_sp`` used to classify sparse and uneven nodes.
+SPARSITY_EPS = 0.1
+#: Exponent in ``ℓ = log^{2.1} Δ`` separating low- and high-slack cliques.
+ELL_EXPONENT = 2.1
+#: The ``max(d_x, |C|)/3`` and ``|C|/6`` outlier fractions (Appendix E.2).
+OUTLIER_COMMON_FRACTION = 1.0 / 3.0
+OUTLIER_DEGREE_FRACTION = 1.0 / 6.0
+#: The 48 in the put-aside sampling probability ``ℓ²/(48 Δ_C)``.
+PUTASIDE_CONSTANT = 48.0
+#: Number of plain random color trials at the top of SlackColor.
+SLACK_COLOR_INITIAL_TRIALS = 2
+#: ``ε̂`` used when identifying ``V_start`` after slack generation.
+START_SLACK_FRACTION = 0.05
+#: Most passes of the ACD, sparse and dense phases before the fallback.
+MAX_PHASE_ITERATIONS = 8
 
 
 @dataclass(frozen=True)
 class ColoringParameters:
-    """Parameters of the D1LC pipeline.
+    """Parameters of the D1LC pipeline that a preset or caller varies.
 
     Attributes
     ----------
-    slack_probability:
-        ``p_g`` of GenerateSlack (Algorithm 10); paper value 1/10.
-    multitrial_alpha, multitrial_beta:
-        The ``α = 1/12`` and ``β = 1/3`` of Section 4.1.
-    multitrial_nu_exponent:
-        The ``c > 3`` in ``ν_λ = max(n^{-c}, 12·exp(−αλ/45))``.
     multitrial_sigma_floor, multitrial_sigma_per_try:
         Lower bound and per-tried-color scaling of the observation window
         ``σ``.  The paper takes ``σ = Θ(β^{-2} α^{-1} log(1/ν)) = Θ(log n)``;
@@ -38,26 +61,12 @@ class ColoringParameters:
         letting the ``small()`` preset shrink the constant.
     acd_eps:
         ``ε`` of the almost-clique decomposition (ε-friend / ε-buddy edges).
-    sparsity_eps:
-        ``ε_sp`` used to classify sparse and uneven nodes.
-    ell_exponent:
-        Exponent in ``ℓ = log^{2.1} Δ`` separating low- and high-slack cliques.
-    degree_exponent:
-        The ``7`` of the ``log^7 n`` degree threshold of Theorem 1.
     low_degree_cutoff:
         Nodes of degree below this participate in the randomized pipeline but
         are allowed to fall through to the deterministic post-shattering
         fallback (the paper's shattering framework).
-    outlier_common_fraction, outlier_degree_fraction:
-        The ``max(d_x, |C|)/3`` and ``|C|/6`` outlier fractions (Appendix E.2).
-    putaside_constant:
-        The 48 in the put-aside sampling probability ``ℓ²/(48 Δ_C)``.
     slack_color_kappa:
         The ``κ ∈ (1/s_min, 1]`` parameter of SlackColor (Algorithm 15).
-    slack_color_initial_trials:
-        Number of plain random color trials at the top of SlackColor.
-    start_slack_fraction:
-        ``ε̂`` used when identifying ``V_start`` after slack generation.
     uniform:
         Use the explicit/uniform implementations of Section 5 (pairwise
         independent hashing + averaging samplers) instead of representative
@@ -69,31 +78,15 @@ class ColoringParameters:
         Master seed for all randomness of a solver run.
     """
 
-    # --- slack generation
-    slack_probability: float = 0.1
     # --- MultiTrial
-    multitrial_alpha: float = 1.0 / 12.0
-    multitrial_beta: float = 1.0 / 3.0
-    multitrial_nu_exponent: float = 4.0
     multitrial_sigma_floor: int = 96
     multitrial_sigma_per_try: int = 24
-    multitrial_lambda_factor: int = 6
     # --- ACD
     acd_eps: float = 0.15
-    sparsity_eps: float = 0.1
-    # --- dense phase
-    ell_exponent: float = 2.1
-    degree_exponent: float = 7.0
-    outlier_common_fraction: float = 1.0 / 3.0
-    outlier_degree_fraction: float = 1.0 / 6.0
-    putaside_constant: float = 48.0
     # --- SlackColor
     slack_color_kappa: float = 0.25
-    slack_color_initial_trials: int = 2
     # --- phase structure
     low_degree_cutoff: int = 4
-    start_slack_fraction: float = 0.05
-    max_phase_iterations: int = 8
     # --- implementation selection
     uniform: bool = False
     similarity_sigma_cap: Optional[int] = 1024
@@ -118,7 +111,6 @@ class ColoringParameters:
             multitrial_sigma_per_try=48,
             similarity_sigma_cap=8192,
             similarity_max_scale=32,
-            low_degree_cutoff=4,
             seed=seed,
         )
 
@@ -127,7 +119,6 @@ class ColoringParameters:
         """Constants scaled for laptop-sized graphs (degrees ~10–200)."""
         return cls(
             acd_eps=0.3,
-            sparsity_eps=0.1,
             multitrial_sigma_floor=64,
             multitrial_sigma_per_try=16,
             slack_color_kappa=0.5,
@@ -143,18 +134,14 @@ class ColoringParameters:
 
     # ------------------------------------------------------------ derived values
     def ell(self, delta: int) -> float:
-        """``ℓ = log^{ell_exponent} Δ``, the low/high-slack threshold."""
-        return math.log2(max(delta, 4)) ** self.ell_exponent
-
-    def degree_threshold(self, upper: float) -> float:
-        """``log^{degree_exponent} x``, the lower end of a degree-range phase."""
-        return math.log2(max(upper, 4)) ** self.degree_exponent
+        """``ℓ = log^{ELL_EXPONENT} Δ``, the low/high-slack threshold."""
+        return math.log2(max(delta, 4)) ** ELL_EXPONENT
 
     def multitrial_nu(self, lam: int, n: int) -> float:
         """``ν_λ = max(n^{-c}, 12·exp(−αλ/45))`` of Section 4.1."""
         n = max(n, 2)
-        from_n = n ** (-self.multitrial_nu_exponent)
-        from_lam = 12.0 * math.exp(-self.multitrial_alpha * lam / 45.0)
+        from_n = n ** (-MULTITRIAL_NU_EXPONENT)
+        from_lam = 12.0 * math.exp(-MULTITRIAL_ALPHA * lam / 45.0)
         return min(0.5, max(from_n, from_lam))
 
     def multitrial_sigma(self, lam: int, tries: int, n: int) -> int:
@@ -166,7 +153,7 @@ class ColoringParameters:
         """
         nu = self.multitrial_nu(lam, n)
         from_nu = int(math.ceil(3.0 * math.log(1.0 / nu)
-                                / (self.multitrial_beta ** 2 * self.multitrial_alpha)))
+                                / (MULTITRIAL_BETA ** 2 * MULTITRIAL_ALPHA)))
         sigma = max(self.multitrial_sigma_floor,
                     self.multitrial_sigma_per_try * max(1, tries))
         sigma = max(sigma, min(from_nu, 4 * self.multitrial_sigma_floor))
@@ -176,4 +163,4 @@ class ColoringParameters:
         """``p_s = ℓ² / (48 Δ_C)`` (Algorithm 13), clamped to [0, 1]."""
         if clique_degree <= 0:
             return 0.0
-        return min(1.0, ell ** 2 / (self.putaside_constant * clique_degree))
+        return min(1.0, ell ** 2 / (PUTASIDE_CONSTANT * clique_degree))

@@ -55,10 +55,6 @@ class ColorSpace:
     def numeric(cls, size: int) -> "ColorSpace":
         return cls(bits=max(1, (max(2, size) - 1).bit_length()), size=max(2, size))
 
-    @classmethod
-    def huge(cls, bits: int) -> "ColorSpace":
-        return cls(bits=bits, size=None)
-
     def fits_in(self, bandwidth_bits: int) -> bool:
         """Can a single color be sent verbatim within one message budget?"""
         return self.bits <= bandwidth_bits
@@ -141,19 +137,9 @@ class ColoringInstance:
     def nodes(self):
         return list(self.graph.nodes())
 
-    def degree(self, v: Node) -> int:
-        return self.graph.degree(v)
-
     def max_degree(self) -> int:
         delta = self._max_degree
         if delta is None:
             delta = max((d for _, d in self.graph.degree()), default=0)
             self._max_degree = delta
         return delta
-
-    def palette(self, v: Node) -> FrozenSet[Color]:
-        return self.palettes[v]
-
-    def slack(self, v: Node) -> int:
-        """Initial slack: palette size minus degree (at least 1 in D1LC)."""
-        return len(self.palettes[v]) - self.graph.degree(v)

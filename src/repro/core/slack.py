@@ -22,6 +22,7 @@ from typing import Dict, Hashable, Iterable, Mapping, Optional, Set
 import numpy as np
 
 from repro.congest.transport import Deliveries
+from repro.core.params import SLACK_PROBABILITY
 from repro.core.state import ColoringState
 
 Node = Hashable
@@ -83,11 +84,12 @@ def announce_adoptions(
     palettes = state.palettes
     direct = state.hasher.mode == "direct"
     matching_colors = state.hasher.matching_colors
+    original_palettes = state.instance.palettes
     for receiver, slot in zip(receivers, slots):
         v, value = nodes[receiver], values[slot]
         if track_chromatic_slack:
             state.note_chromatic_slack(
-                v, not matching_colors(v, state.original_palettes[v], value)
+                v, not matching_colors(v, original_palettes[v], value)
             )
         if direct:
             palettes[v].discard(value)
@@ -195,7 +197,7 @@ def try_random_color(
 
 def generate_slack(
     state: ColoringState,
-    nodes: Optional[Iterable[Node]] = None,
+    nodes: Iterable[Node],
     label: str = "generate-slack",
 ) -> Set[Node]:
     """Algorithm 10: each node tries a random color with probability ``p_g``.
@@ -203,11 +205,9 @@ def generate_slack(
     Returns the set of nodes colored by the trial.  Chromatic slack is tracked
     during this (and only this) procedure, as Definition 7 prescribes.
     """
-    nodes = list(nodes) if nodes is not None else state.nodes
     movers = [v for v in nodes if not state.is_colored(v)]
     coins = state.rng.node_random(movers, "generate-slack").tolist()
-    probability = state.params.slack_probability
-    participants = [v for v, coin in zip(movers, coins) if coin < probability]
+    participants = [v for v, coin in zip(movers, coins) if coin < SLACK_PROBABILITY]
     return try_random_color(
         state, participants, label=label, track_chromatic_slack=True
     )

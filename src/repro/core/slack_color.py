@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Set
 
 from repro.core.multitrial import multi_trial
+from repro.core.params import SLACK_COLOR_INITIAL_TRIALS
 from repro.core.slack import try_random_color
 from repro.core.state import ColoringState
 from repro.utils.mathx import log_star, tetration
@@ -34,11 +35,6 @@ class SlackColorOutcome:
     colored: Set[Node] = field(default_factory=set)
     dropped: Set[Node] = field(default_factory=set)
     iterations: int = 0
-
-    @property
-    def remaining(self) -> Set[Node]:
-        """Participants neither colored nor dropped (should be empty)."""
-        return set()
 
 
 def _active(state: ColoringState, nodes: Iterable[Node]) -> List[Node]:
@@ -85,7 +81,7 @@ def slack_color(
         participants.difference_update(doomed)
 
     # Step 1: a constant number of plain random color trials.
-    for _ in range(max(1, params.slack_color_initial_trials)):
+    for _ in range(SLACK_COLOR_INITIAL_TRIALS):
         register_colored(try_random_color(state, participants, label=f"{label}:warmup"))
         if not participants:
             return outcome

@@ -25,6 +25,7 @@ from typing import Dict, Hashable, Set
 
 from repro.congest.message import Message
 from repro.core.acd import ACDResult
+from repro.core.params import START_SLACK_FRACTION
 from repro.core.slack import generate_slack
 from repro.core.slack_color import slack_color
 from repro.core.state import ColoringState
@@ -49,7 +50,6 @@ def run_sparse_phase(
 ) -> SparsePhaseOutcome:
     """Color the sparse and uneven nodes of the current ACD (Algorithm 8)."""
     outcome = SparsePhaseOutcome()
-    params = state.params
     targets = {
         v for v in (acd.sparse_nodes | acd.uneven_nodes) if not state.is_colored(v)
     }
@@ -73,7 +73,7 @@ def run_sparse_phase(
     uncolored_degree = topology.neighbor_counts(order, state.uncolored_mask).tolist()
     slack_rich: Set[Node] = set()
     for v, degree in zip(order, uncolored_degree):
-        threshold = params.start_slack_fraction * max(1, induced_degree[v])
+        threshold = START_SLACK_FRACTION * max(1, induced_degree[v])
         if len(state.palettes[v]) - degree - 1 >= threshold:
             slack_rich.add(v)
     state.network.broadcast(
@@ -82,7 +82,7 @@ def run_sparse_phase(
     )
     others = [v for v in order if v not in slack_rich]
     for v, rich_neighbors in zip(others, topology.neighbor_counts(others, slack_rich).tolist()):
-        threshold = params.start_slack_fraction * max(1, induced_degree[v])
+        threshold = START_SLACK_FRACTION * max(1, induced_degree[v])
         if rich_neighbors >= threshold:
             outcome.start_set.add(v)
         else:
@@ -90,7 +90,7 @@ def run_sparse_phase(
 
     # Step 3: color V_start first — its slack is temporary (uncolored
     # slack-rich neighbours), so it must go before them.
-    s_min = max(4, int(params.start_slack_fraction
+    s_min = max(4, int(START_SLACK_FRACTION
                        * max(1, min((induced_degree[v] for v in targets), default=1))))
     if outcome.start_set:
         start_outcome = slack_color(

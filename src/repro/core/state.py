@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Set
+from typing import Dict, Hashable, Optional, Set
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from repro.congest.network import Network
 from repro.core.large_colors import ColorHasher
 from repro.core.params import ColoringParameters
 from repro.core.problem import ColoringInstance
-from repro.core.validate import ColoringReport, validate_coloring
+from repro.core.validate import ColoringReport
 from repro.utils.rng import RngStream
 
 Node = Hashable
@@ -21,10 +21,11 @@ Color = Hashable
 class ColoringState:
     """Everything the coloring subroutines read and update.
 
-    The state owns the (mutable) palettes, the partial coloring, the per-node
-    original palettes (needed for chromatic slack), and the color hasher that
-    decides how colors travel over the network.  All communication still goes
-    through :attr:`network`, so the ledger keeps measuring rounds and bits.
+    The state owns the (mutable) palettes, the partial coloring and the color
+    hasher that decides how colors travel over the network; the original
+    palettes (needed for chromatic slack) stay in ``instance.palettes``.  All
+    communication still goes through :attr:`network`, so the ledger keeps
+    measuring rounds and bits.
     """
 
     def __init__(
@@ -37,25 +38,21 @@ class ColoringState:
         self.network = network
         self.params = params or ColoringParameters.small()
         self.rng = RngStream(self.params.seed)
-        self.colors: Dict[Node, Optional[Color]] = {v: None for v in instance.nodes}
+        nodes = instance.nodes
+        self.colors: Dict[Node, Optional[Color]] = dict.fromkeys(nodes)
         self.palettes: Dict[Node, Set[Color]] = {
-            v: set(instance.palettes[v]) for v in instance.nodes
+            v: set(instance.palettes[v]) for v in nodes
         }
-        self.original_palettes = {v: frozenset(instance.palettes[v]) for v in instance.nodes}
-        self._uncolored: Set[Node] = set(instance.nodes)
+        self._uncolored: Set[Node] = set(nodes)
         #: ``uncolored_mask[i]``: is ``network.nodes[i]`` still uncolored?
         self.uncolored_mask = np.ones(network.number_of_nodes, dtype=bool)
         self.hasher = ColorHasher(network, instance.color_space, self.params, self.rng)
         self.hasher.setup()
         #: chromatic slack κ_v: neighbours colored outside v's original palette
         #: during GenerateSlack (Definition 7); updated by the slack routines.
-        self.chromatic_slack: Dict[Node, int] = {v: 0 for v in instance.nodes}
+        self.chromatic_slack: Dict[Node, int] = dict.fromkeys(nodes, 0)
 
     # --------------------------------------------------------------- basic views
-    @property
-    def nodes(self) -> List[Node]:
-        return self.instance.nodes
-
     def is_colored(self, v: Node) -> bool:
         return self.colors[v] is not None
 
@@ -86,10 +83,6 @@ class ColoringState:
     def note_chromatic_slack(self, v: Node, neighbor_color_outside_palette: bool) -> None:
         if neighbor_color_outside_palette:
             self.chromatic_slack[v] += 1
-
-    # ----------------------------------------------------------------- reporting
-    def report(self) -> ColoringReport:
-        return validate_coloring(self.instance, self.colors)
 
 
 @dataclass

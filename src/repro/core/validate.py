@@ -35,13 +35,6 @@ class ColoringReport:
         """Complete and proper — what Theorem 1 promises w.h.p."""
         return self.is_complete and self.is_proper
 
-    def summary(self) -> str:
-        return (
-            f"colored {self.colored_nodes}/{self.total_nodes}, "
-            f"{len(self.conflicts)} conflicts, "
-            f"{len(self.palette_violations)} palette violations"
-        )
-
 
 def validate_coloring(
     instance: ColoringInstance,

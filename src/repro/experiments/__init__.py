@@ -23,7 +23,6 @@ from repro.experiments.artifacts import (
     canonical_dumps,
     load_suite_summary,
     load_suite_timing,
-    load_trial_rows,
     merge_timing,
     timing_summary,
     write_suite_artifacts,
@@ -79,7 +78,6 @@ __all__ = [
     "get_suite",
     "load_suite_summary",
     "load_suite_timing",
-    "load_trial_rows",
     "merge_timing",
     "profile_filename",
     "run_scenarios",

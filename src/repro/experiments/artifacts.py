@@ -4,7 +4,7 @@ A suite run produces three files in the output directory:
 
 * ``BENCH_suite_trials.jsonl`` — one JSON row per trial, in (scenario, trial)
   order, including seeds and per-trial wall-clock.  The full-resolution
-  record; ``load_trial_rows`` round-trips it.
+  record.
 * ``BENCH_suite.json`` — the aggregate snapshot: per-scenario summary stats
   (mean/median/p95/min/max) of every numeric metric, plus validity counts.
   **Fully deterministic**: it contains no timing and no backend/ledger knobs,
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.experiments.runner import NON_METRIC_KEYS, SuiteResult
 from repro.metrics.report import aggregate_rows
@@ -213,15 +213,6 @@ def write_suite_artifacts(
 def write_trial_rows(path: Path, rows: Sequence[Mapping[str, object]]) -> None:
     lines = [json.dumps(dict(row), sort_keys=True, default=str) for row in rows]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def load_trial_rows(path: Path) -> List[Dict[str, object]]:
-    rows: List[Dict[str, object]] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            rows.append(json.loads(line))
-    return rows
 
 
 def load_suite_summary(path: Path) -> Dict[str, object]:

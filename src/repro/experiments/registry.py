@@ -44,7 +44,6 @@ from repro.experiments.spec import BACKENDS, MODES, ScenarioSpec
 from repro.metrics.ledger import comm_row_metrics, phase_columns
 from repro.graphs import (
     degree_plus_one_lists,
-    delta_plus_one_lists,
     gnp_fast_graph,
     gnp_graph,
     huge_color_space_lists,
@@ -228,8 +227,6 @@ def _build_lists(spec: ScenarioSpec, graph: nx.Graph, seed: int):
     kind = spec.solver_params.get("lists", "degree_plus_one")
     if kind == "degree_plus_one":
         return degree_plus_one_lists(graph, seed=seed)
-    if kind == "delta_plus_one":
-        return delta_plus_one_lists(graph)
     if kind == "numeric":
         return numeric_degree_lists(graph, extra=int(spec.solver_params.get("extra", 0)))
     if kind == "shared_pool":

@@ -88,12 +88,6 @@ class SuiteResult:
     def rows(self) -> List[Dict[str, object]]:
         return [row for scenario in self.scenarios for row in scenario.rows]
 
-    def rows_for(self, scenario_name: str) -> List[Dict[str, object]]:
-        for scenario in self.scenarios:
-            if scenario.spec.name == scenario_name:
-                return scenario.rows
-        raise KeyError(f"no scenario named {scenario_name!r} in suite {self.suite!r}")
-
 
 def run_trial(spec: ScenarioSpec, trial: int,
               tracer: Optional[RoundTracer] = None) -> Dict[str, object]:

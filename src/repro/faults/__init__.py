@@ -17,7 +17,7 @@ no fault transport is built and the run is byte-identical to a fault-free
 one.  See DESIGN.md ("Fault model & determinism invariants").
 """
 
-from repro.faults.corruption import corrupt_bits, corrupt_payload
+from repro.faults.corruption import corrupt_payload
 from repro.faults.plan import FAULT_PARAM_KEYS, FaultPlan, FaultStats
 from repro.faults.transport import FaultyTransport
 
@@ -26,6 +26,5 @@ __all__ = [
     "FaultPlan",
     "FaultStats",
     "FaultyTransport",
-    "corrupt_bits",
     "corrupt_payload",
 ]

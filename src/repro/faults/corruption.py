@@ -24,7 +24,7 @@ independent of dict iteration order, backend, and process.
 
 from __future__ import annotations
 
-from typing import Any, Sequence, Tuple
+from typing import Any, Tuple
 
 from repro.congest.message import Message
 from repro.hashing.keys import element_key, mix64
@@ -48,24 +48,6 @@ def to_unit(mixed: int) -> float:
 def _uniform(seed: int, index: int) -> float:
     """The ``index``-th uniform draw of the stream rooted at ``seed``."""
     return to_unit(mix64(seed, index))
-
-
-def corrupt_bits(bits: Sequence[int], rate: float, seed: int) -> Tuple[Tuple[int, ...], int]:
-    """Flip each 0/1 entry independently with probability ``rate``.
-
-    Returns ``(corrupted, flips)``.  This is the operator the ECC property
-    tests drive directly: it is exactly what the fault layer applies to
-    indicator bitstrings on the wire.
-    """
-    out = []
-    flips = 0
-    for index, bit in enumerate(bits):
-        if _uniform(seed, index) < rate:
-            out.append(1 - bit)
-            flips += 1
-        else:
-            out.append(bit)
-    return tuple(out), flips
 
 
 def _corrupt_int(value: int, rate: float, seed: int) -> Tuple[int, int]:

@@ -14,7 +14,6 @@ from repro.graphs.generators import (
 )
 from repro.graphs.lists import (
     degree_plus_one_lists,
-    delta_plus_one_lists,
     numeric_degree_lists,
     huge_color_space_lists,
     shared_pool_lists,
@@ -38,7 +37,6 @@ __all__ = [
     "four_cycle_rich_graph",
     "locally_sparse_graph",
     "degree_plus_one_lists",
-    "delta_plus_one_lists",
     "numeric_degree_lists",
     "huge_color_space_lists",
     "shared_pool_lists",

@@ -26,13 +26,6 @@ def numeric_degree_lists(graph: nx.Graph, extra: int = 0) -> Dict[Node, Palette]
     return {v: set(range(graph.degree(v) + 1 + extra)) for v in graph.nodes()}
 
 
-def delta_plus_one_lists(graph: nx.Graph, extra: int = 0) -> Dict[Node, Palette]:
-    """(Δ+1)-coloring palettes: every node gets ``{0, ..., Δ + extra}``."""
-    delta = max((d for _, d in graph.degree()), default=0)
-    palette = set(range(delta + 1 + extra))
-    return {v: set(palette) for v in graph.nodes()}
-
-
 def degree_plus_one_lists(
     graph: nx.Graph,
     color_space_size: Optional[int] = None,

@@ -8,7 +8,7 @@ not, which is the whole point of the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -112,16 +112,3 @@ def validate_acd(
         "membership_violations": sorted(membership_violations, key=repr),
     }
 
-
-def acd_report_is_clean(report: Mapping[str, object], allow_sparse_slack: bool = True) -> bool:
-    """True when the ACD report contains no partition/degree violations.
-
-    ``sparse_violations`` and ``uneven_violations`` measure how aggressively
-    the decomposition classified nodes as sparse/uneven; randomized
-    decompositions may produce a few borderline members, so those two checks
-    can be relaxed with ``allow_sparse_slack``.
-    """
-    hard_keys = ["uncovered", "overlapping", "degree_violations", "membership_violations"]
-    if not allow_sparse_slack:
-        hard_keys += ["sparse_violations", "uneven_violations"]
-    return all(not report[key] for key in hard_keys)

@@ -18,7 +18,6 @@ This package implements every pseudorandom object the paper relies on:
 """
 
 from repro.hashing.setops import (
-    hash_image,
     low_part,
     colliding_part,
     unique_part,
@@ -34,7 +33,6 @@ from repro.hashing.multiset import AveragingSampler, RepresentativeMultisetFamil
 from repro.hashing.ecc import ErrorCorrectingCode, hamming_distance
 
 __all__ = [
-    "hash_image",
     "low_part",
     "colliding_part",
     "unique_part",

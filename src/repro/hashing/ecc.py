@@ -64,7 +64,3 @@ class ErrorCorrectingCode:
                 chunk = mix64(self._seed, key, position // 64)
             bits.append((chunk >> (position % 64)) & 1)
         return tuple(bits)
-
-    def relative_distance(self, first: Hashable, second: Hashable) -> float:
-        """Fraction of differing positions between the two codewords."""
-        return hamming_distance(self.encode(first), self.encode(second)) / self.codeword_bits

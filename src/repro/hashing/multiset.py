@@ -18,8 +18,7 @@ tests check the averaging property empirically.
 
 from __future__ import annotations
 
-import math
-from typing import List, Sequence
+from typing import List
 
 from repro.hashing.keys import mix64
 
@@ -45,14 +44,6 @@ class AveragingSampler:
             1 + mix64(self.seed, self.index, position) % self.domain_size
             for position in range(self.count)
         ]
-
-    def empirical_mean(self, values: Sequence[float]) -> float:
-        """Average of ``values[point - 1]`` over the sampled points."""
-        if len(values) != self.domain_size:
-            raise ValueError("values must cover the full domain")
-        pts = self.points()
-        return sum(values[p - 1] for p in pts) / len(pts)
-
 
 class RepresentativeMultisetFamily:
     """A family of representative multisets over ``[domain_size]``.
@@ -97,10 +88,3 @@ class RepresentativeMultisetFamily:
     def __getitem__(self, index: int) -> AveragingSampler:
         return self.member(index)
 
-
-def recommended_sample_count(domain_size: int, n: int, constant: float = 4.0) -> int:
-    """The paper's ``t = Theta(log|C| + log n)`` sample count (Appendix B)."""
-    return max(
-        8,
-        int(constant * (math.log2(max(domain_size, 2)) + math.log2(max(n, 2)))),
-    )

@@ -24,11 +24,6 @@ from typing import Callable, Dict, Hashable, Iterable, Set
 HashFn = Callable[[Hashable], int]
 
 
-def hash_image(h: HashFn, elements: Iterable[Hashable]) -> Set[int]:
-    """Return ``h(S)``, the set of hash values of ``elements``."""
-    return {h(x) for x in elements}
-
-
 def low_part(h: HashFn, elements: Iterable[Hashable], sigma: int) -> Set[Hashable]:
     """Return ``A|_h^{<=sigma}``: elements hashing to a value in ``[sigma]``.
 
@@ -81,17 +76,3 @@ def unique_part(
     first = set(first)
     return low_part(h, first, sigma) - colliding_part(h, first, second, sigma)
 
-
-def unique_hash_values(
-    h: HashFn,
-    own: Iterable[Hashable],
-    sigma: int,
-) -> Dict[int, Hashable]:
-    """Map each hash value in ``[sigma]`` hit by exactly one element to that element.
-
-    This is the view a node transmits in ``EstimateSimilarity`` and the
-    uniform ``eps-Buddy``: for each low hash value, whether it owns a unique
-    preimage (and, locally, which one).
-    """
-    buckets = _hash_buckets(h, own, sigma)
-    return {value: items[0] for value, items in buckets.items() if len(items) == 1}

@@ -82,11 +82,6 @@ class ApproximatelyUniversalFamily:
         )
 
     @property
-    def index_bits(self) -> int:
-        """Bits to describe a member: ``O(log M + log log |C| + log 1/eps)``."""
-        return max(1, (self.family_size - 1).bit_length())
-
-    @property
     def value_bits(self) -> int:
         """Bits to send one hash value, ``ceil(log2 M)``."""
         return max(1, (self.modulus - 1).bit_length())

@@ -20,7 +20,6 @@ one user.
 from repro.sampling.similarity import (
     SimilarityParameters,
     SimilarityResult,
-    estimate_similarity,
     estimate_similarity_on_edges,
 )
 from repro.sampling.joint_sample import JointSampleResult, joint_sample, joint_sample_many
@@ -35,7 +34,6 @@ from repro.sampling.four_cycles import FourCycleDetectionResult, detect_four_cyc
 __all__ = [
     "SimilarityParameters",
     "SimilarityResult",
-    "estimate_similarity",
     "estimate_similarity_on_edges",
     "JointSampleResult",
     "joint_sample",

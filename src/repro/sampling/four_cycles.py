@@ -38,16 +38,6 @@ class FourCycleDetectionResult:
     flagged: Set[EdgePair]
     rounds_used: int
 
-    def is_flagged(self, center: Node, u: Node, w: Node) -> bool:
-        key = (center,) + tuple(sorted((u, w), key=repr))
-        return key in self.flagged
-
-
-def true_four_cycle_count(network: Network, center: Node, u: Node, w: Node) -> int:
-    """Exact number of 4-cycles through the wedge ``u - center - w``."""
-    common = network.neighbors(u) & network.neighbors(w)
-    return len(common - {center})
-
 
 def detect_four_cycle_rich_pairs(
     network: Network,

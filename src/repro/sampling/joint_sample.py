@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.hashing.setops import unique_part
-from repro.sampling.similarity import SimilarityParameters, _scaled
+from repro.sampling.similarity import SimilarityParameters
 
 
 @dataclass
@@ -41,6 +41,13 @@ class JointSampleResult:
     @property
     def empty(self) -> bool:
         return self.u_element is None and self.v_element is None
+
+
+def _scaled(elements: Iterable[Hashable], k: int) -> Set[Hashable]:
+    """Cartesian product ``S × [k]`` used to scale small sets up (step 3)."""
+    if k <= 1:
+        return set(elements)
+    return {(x, j) for x in elements for j in range(k)}
 
 
 def _unscale(element: Hashable, k: int) -> Hashable:

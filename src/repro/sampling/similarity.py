@@ -19,19 +19,15 @@ Lemma 2 shows the output is within ``ε·max(|S_u|, |S_v|)`` of the truth with
 probability ``1 − ν``, at a cost of ``O(ε^{-4}·log(1/ν) + log log|U| +
 log max(|S_u|,|S_v|))`` bits.
 
-Two interfaces are provided: :func:`estimate_similarity` runs the two-party
-protocol in isolation (returning the estimate and exact bit cost; used by the
-unit tests, among them the tier-1 Lemma 2 accuracy checks), and
-:func:`estimate_similarity_on_edges` runs it simultaneously on every requested
-edge of a :class:`~repro.congest.network.Network`, charging the messages to
-the network ledger — this is the form used by sparsity estimation, ACD
-computation and triangle/4-cycle detection.
+The protocol runs as :func:`estimate_similarity_on_edges`: simultaneously on
+every requested edge of a :class:`~repro.congest.network.Network`, charging
+the messages to the network ledger.  Sparsity estimation, ACD computation and
+triangle detection use it, and the Lemma 2 tests run it on a one-edge network.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -121,7 +117,7 @@ class SimilarityParameters:
 
 @dataclass
 class SimilarityResult:
-    """Outcome of one two-party ``EstimateSimilarity`` execution."""
+    """Outcome of ``EstimateSimilarity`` on one edge."""
 
     estimate: float
     bits_exchanged: int
@@ -129,34 +125,6 @@ class SimilarityResult:
     sigma: int
     lam: int
     shared_hash_values: FrozenSet[int]
-
-    def error_against(self, true_intersection: int) -> float:
-        return abs(self.estimate - true_intersection)
-
-
-def _scaled(elements: Iterable[Hashable], k: int) -> Set[Hashable]:
-    """Cartesian product ``S × [k]`` used to scale small sets up (step 3)."""
-    if k <= 1:
-        return set(elements)
-    return {(x, j) for x in elements for j in range(k)}
-
-
-def _low_unique_hashes(h, elements: Set[Hashable], sigma: int) -> Set[int]:
-    """Hash values (``<= sigma``) hit by exactly one element of ``elements``.
-
-    Equivalent to ``{h(x) for x in unique_part(h, elements, elements, sigma)}``
-    but computed in a single counting pass: a low hash value survives iff
-    exactly one element maps to it (set members are pairwise distinct, so the
-    "collides with an *other* element" clause reduces to a count).
-    """
-    counts: Dict[int, int] = {}
-    get = counts.get
-    for x in elements:
-        value = h(x)
-        if value <= sigma:
-            seen = get(value)
-            counts[value] = 1 if seen is None else seen + 1
-    return {value for value, count in counts.items() if count == 1}
 
 
 def _indicator_message(hashes: Set[int], sigma: int, label: str) -> Message:
@@ -219,35 +187,6 @@ def _sweep_results(edges: List[Edge], sweep) -> Dict[Edge, SimilarityResult]:
         results[edge] = SimilarityResult(len(shared) * lam / scale, bits, k, sigma, lam, shared)
         row += 1
     return results
-
-
-def estimate_similarity(
-    set_u: Iterable[Hashable],
-    set_v: Iterable[Hashable],
-    params: SimilarityParameters = SimilarityParameters(),
-    rng: Optional[random.Random] = None,
-) -> SimilarityResult:
-    """Run the two-party protocol of Algorithm 1 and return its estimate.
-
-    The returned :class:`SimilarityResult` includes the exact number of bits
-    the two parties exchanged (hash-family index + two ``σ``-bit indicator
-    strings), which the bandwidth benchmarks compare against Lemma 2's bound.
-    """
-    set_u, set_v = set(set_u), set(set_v)
-    if not set_u or not set_v:
-        return _empty_result()
-    rng = rng or random.Random(params.seed)
-    max_size = max(len(set_u), len(set_v))
-    k = params.scale_factor(max_size)
-    scaled_u, scaled_v = _scaled(set_u, k), _scaled(set_v, k)
-    family = params.family(max_size * k)
-    index = family.sample_index(rng)
-    h = family.member(index)
-    sigma = family.sigma
-
-    hashes_u = _low_unique_hashes(h, scaled_u, sigma)
-    hashes_v = _low_unique_hashes(h, scaled_v, sigma)
-    return _result(k, family, frozenset(hashes_u & hashes_v))
 
 
 def estimate_similarity_on_edges(

@@ -67,7 +67,7 @@ def _misheard_degrees(
     """
     nodes = topology.nodes
     values = announced.values
-    true_degrees = np.diff(np.asarray(topology.indptr, dtype=np.int64))
+    true_degrees = np.diff(topology.indptr)
     sender_of_slot = np.zeros(len(values), dtype=np.int64)
     sender_of_slot[announced.slots] = announced.senders
     differs = (np.fromiter(values, dtype=object, count=len(values))

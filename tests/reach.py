@@ -26,6 +26,9 @@ COMMANDS = [
     "color", "baseline", "acd", "triangles", "suite list", "suite list smoke",
     "suite run smoke --progress --trace {t}/a --digest {t}/a --out {t}/a",
     "suite run smoke --backend dict --out {t}/dict",
+    # CI's worker-pool path; the workers run outside the trace hook, so the
+    # serial runs stay for the solver code.
+    "suite run smoke --only gnp-d1c --trials 2 --workers 2 --out {t}/workers",
     "suite run robustness --out {t}/robustness",
     "suite run conformance --trials 1 --out {t}/conformance",
     f"suite run {SCALE} --out {{t}}/scale", f"suite run {SCALE} --profile --out {{t}}/scale",

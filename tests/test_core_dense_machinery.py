@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.congest import Network
-from repro.core import ColoringInstance, ColoringParameters
+from repro.core import ColoringInstance, ColoringParameters, validate_coloring
 from repro.core.acd import compute_acd
 from repro.core.dense_phase import run_dense_phase
 from repro.core.leader import select_leaders
@@ -93,7 +93,7 @@ class TestLeaderSelection:
             network, params,
         )
         acd = compute_acd(network, params)
-        generate_slack(state)
+        generate_slack(state, state.network.nodes)
         leaders = select_leaders(state, acd)
         for cid, info in leaders.items():
             members = acd.cliques[cid]
@@ -131,14 +131,14 @@ class TestLeaderSelection:
 class TestPutAside:
     def test_put_aside_only_in_low_slack_cliques(self, dense_setup):
         _, state, _, leaders = dense_setup
-        generate_slack(state)
+        generate_slack(state, state.network.nodes)
         put_aside = compute_put_aside(state, leaders)
         for cid in put_aside:
             assert leaders[cid].low_slack
 
     def test_put_aside_members_are_uncolored_inliers(self, dense_setup):
         _, state, _, leaders = dense_setup
-        generate_slack(state)
+        generate_slack(state, state.network.nodes)
         put_aside = compute_put_aside(state, leaders)
         for cid, members in put_aside.items():
             assert members <= leaders[cid].inliers
@@ -168,7 +168,7 @@ class TestPutAside:
         colored = color_put_aside(state, leaders, put_aside)
         all_put_aside = set().union(*put_aside.values()) if put_aside else set()
         assert colored == all_put_aside
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
     @pytest.mark.parametrize("clique_size", [16, 24])
     def test_put_aside_through_the_dense_phase(self, clique_size):
@@ -201,7 +201,7 @@ class TestPutAside:
         outcome = run_dense_phase(state, acd)
         put_aside_nodes = set().union(*outcome.put_aside.values()) if outcome.put_aside else set()
         assert all(state.is_colored(v) for v in put_aside_nodes)
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
     def test_no_low_slack_cliques_gives_empty_result(self, gnp_small, small_params):
         instance = ColoringInstance.d1c(gnp_small)
@@ -215,7 +215,7 @@ class TestSynchColorTrial:
         _, state, _, leaders = dense_setup
         colored = synch_color_trial(state, leaders)
         assert len(colored) > 0
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
     def test_no_in_clique_conflicts(self, dense_setup):
         """The dealt colors are distinct, so in-clique conflicts are impossible."""

@@ -4,9 +4,10 @@ import networkx as nx
 import pytest
 
 from repro.congest import Network
-from repro.core import ColoringInstance, ColoringParameters
+from repro.core import ColoringInstance, ColoringParameters, validate_coloring
 from repro.core import multitrial as multitrial_module
 from repro.core.multitrial import lemma6_bound, lemma6_tries, multi_trial
+from repro.core.params import MULTITRIAL_LAMBDA_FACTOR
 from repro.core.state import ColoringState
 from repro.graphs import (
     degree_plus_one_lists,
@@ -39,7 +40,7 @@ class TestLemma6Tries:
         params = state.params
 
         def nu(v):
-            lam = max(2, params.multitrial_lambda_factor * len(state.palettes[v]))
+            lam = max(2, MULTITRIAL_LAMBDA_FACTOR * len(state.palettes[v]))
             return params.multitrial_nu(lam, graph.number_of_nodes())
 
         bound = lemma6_bound(state, 16)
@@ -68,7 +69,7 @@ class TestMultiTrialRepresentative:
         state = make_state(gnp_small, extra=3 * max(d for _, d in gnp_small.degree()))
         colored = multi_trial(state, 8)
         assert len(colored) >= 0.7 * gnp_small.number_of_nodes()
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
     def test_lemma6_success_rate_improves_with_tries(self, gnp_medium):
         """More tried colors -> higher per-invocation coloring probability."""
@@ -84,7 +85,7 @@ class TestMultiTrialRepresentative:
         state = make_state(gnp_small, extra=10)
         for _ in range(3):
             multi_trial(state, 4)
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
     def test_constant_rounds_per_invocation(self, gnp_small):
         state = make_state(gnp_small, extra=20)
@@ -116,14 +117,14 @@ class TestMultiTrialRepresentative:
         """With tiny palettes the Lemma 6 cap kicks in and the call still works."""
         state = make_state(gnp_small, extra=0)
         colored = multi_trial(state, 64)
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
         assert isinstance(colored, set)
 
     def test_huge_color_space(self, gnp_small):
         lists = huge_color_space_lists(gnp_small, color_space_bits=200, extra=15, seed=4)
         state = make_state(gnp_small, lists=lists)
         colored = multi_trial(state, 8)
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
         assert len(colored) > 0
         assert state.network.ledger.max_edge_bits <= state.network.bandwidth_bits
 
@@ -134,13 +135,13 @@ class TestMultiTrialUniform:
                            uniform=True)
         colored = multi_trial(state, 8)
         assert len(colored) >= 0.5 * gnp_small.number_of_nodes()
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
     def test_uniform_variant_never_conflicts(self, gnp_small):
         state = make_state(gnp_small, extra=10, uniform=True)
         for _ in range(3):
             multi_trial(state, 4)
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
     def test_uniform_bandwidth_respected(self, gnp_small):
         state = make_state(gnp_small, extra=20, uniform=True)
@@ -163,7 +164,7 @@ class TestMultiTrialProgress:
                 break
             multi_trial(state, 8)
         assert len(state.uncolored_nodes()) <= 0.05 * gnp_small.number_of_nodes()
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
 
 @pytest.mark.parametrize("uniform", [False, True], ids=["representative", "uniform"])

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.congest import Network
-from repro.core import ColoringInstance, ColoringParameters
+from repro.core import ColoringInstance, ColoringParameters, validate_coloring
 from repro.core.acd import compute_acd
 from repro.core.dense_phase import run_dense_phase
 from repro.core.sparse_phase import run_sparse_phase
@@ -31,7 +31,7 @@ class TestSparsePhase:
         targets = acd.sparse_nodes | acd.uneven_nodes
         colored_targets = {v for v in targets if state.is_colored(v)}
         assert len(colored_targets) >= 0.85 * len(targets)
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
     def test_leftover_consistent(self):
         g = locally_sparse_graph(60, degree=6, seed=3)
@@ -68,7 +68,7 @@ class TestDensePhase:
         outcome = run_dense_phase(state, acd)
         colored_dense = {v for v in acd.dense_nodes if state.is_colored(v)}
         assert len(colored_dense) >= 0.9 * len(acd.dense_nodes)
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
     def test_outcome_structures_populated(self, planted_graph):
         state, acd = build(planted_graph, seed=8)
@@ -96,4 +96,4 @@ class TestDensePhase:
         run_sparse_phase(state, acd)
         run_dense_phase(state, acd)
         assert len(state.uncolored_nodes()) <= 0.15 * planted_graph.number_of_nodes()
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper

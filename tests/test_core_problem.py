@@ -1,11 +1,13 @@
 """Tests for problem instances, color spaces, parameters and validation."""
 
+import dataclasses
 import math
 
 import networkx as nx
 import pytest
 
 from repro.core import ColoringInstance, ColoringParameters, ColorSpace, validate_coloring
+from repro.core.params import ELL_EXPONENT, MULTITRIAL_ALPHA, MULTITRIAL_BETA, SLACK_PROBABILITY
 from repro.graphs import degree_plus_one_lists
 
 
@@ -25,7 +27,7 @@ class TestColorSpace:
         assert space.size == 3
 
     def test_huge(self):
-        space = ColorSpace.huge(bits=500)
+        space = ColorSpace(bits=500)
         assert space.size is None
         assert not space.fits_in(64)
 
@@ -43,8 +45,7 @@ class TestColoringInstance:
     def test_d1c_palettes(self, gnp_small):
         instance = ColoringInstance.d1c(gnp_small)
         for v in gnp_small.nodes():
-            assert instance.palette(v) == frozenset(range(gnp_small.degree(v) + 1))
-            assert instance.slack(v) == 1
+            assert instance.palettes[v] == frozenset(range(gnp_small.degree(v) + 1))
 
     def test_delta_plus_one_palettes(self, gnp_small):
         instance = ColoringInstance.delta_plus_one(gnp_small)
@@ -68,10 +69,8 @@ class TestColoringInstance:
             ColoringInstance(graph=g, palettes={0: frozenset({0, 1})},
                              color_space=ColorSpace.numeric(4))
 
-    def test_degree_accessors(self, gnp_small):
+    def test_max_degree(self, gnp_small):
         instance = ColoringInstance.d1c(gnp_small)
-        v = instance.nodes[0]
-        assert instance.degree(v) == gnp_small.degree(v)
         assert instance.max_degree() == max(d for _, d in gnp_small.degree())
 
 
@@ -105,29 +104,17 @@ class TestValidateColoring:
         assert 0 in report.palette_violations
         assert not report.is_valid
 
-    def test_summary_is_readable(self):
-        g = nx.path_graph(3)
-        instance = ColoringInstance.d1c(g)
-        text = validate_coloring(instance, {0: 0}).summary()
-        assert "1/3" in text
-
 
 class TestColoringParameters:
     def test_defaults_match_paper_constants(self):
-        params = ColoringParameters()
-        assert params.slack_probability == pytest.approx(0.1)
-        assert params.multitrial_alpha == pytest.approx(1 / 12)
-        assert params.multitrial_beta == pytest.approx(1 / 3)
-        assert params.ell_exponent == pytest.approx(2.1)
-        assert params.degree_exponent == pytest.approx(7.0)
+        assert SLACK_PROBABILITY == pytest.approx(0.1)
+        assert MULTITRIAL_ALPHA == pytest.approx(1 / 12)
+        assert MULTITRIAL_BETA == pytest.approx(1 / 3)
+        assert ELL_EXPONENT == pytest.approx(2.1)
 
     def test_ell_formula(self):
         params = ColoringParameters()
         assert params.ell(1024) == pytest.approx(10 ** 2.1)
-
-    def test_degree_threshold_formula(self):
-        params = ColoringParameters()
-        assert params.degree_threshold(2 ** 16) == pytest.approx(16 ** 7)
 
     def test_multitrial_nu_bounded(self):
         params = ColoringParameters()
@@ -155,6 +142,14 @@ class TestColoringParameters:
         assert small.similarity_sigma_cap is not None
         assert paper.similarity_sigma_cap > small.similarity_sigma_cap
         assert paper.multitrial_sigma_floor > small.multitrial_sigma_floor
+
+    def test_every_tunable_field_differs_between_presets(self):
+        """A field both presets set alike is a constant, not a parameter."""
+        small, paper = ColoringParameters.small(), ColoringParameters.paper()
+        same = [f.name for f in dataclasses.fields(ColoringParameters)
+                if f.name not in ("seed", "uniform")
+                and getattr(small, f.name) == getattr(paper, f.name)]
+        assert same == []
 
     def test_with_seed(self):
         params = ColoringParameters.small(seed=1).with_seed(9)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest import Network
-from repro.core import ColoringInstance, ColoringParameters, solve_d1c
+from repro.core import ColoringInstance, ColoringParameters, solve_d1c, validate_coloring
 from repro.core.problem import ColorSpace
 from repro.core.slack import announce_adoptions, generate_slack, try_color, try_random_color
 from repro.core.state import ColoringState
@@ -31,7 +31,7 @@ class TestTryColor:
         state = make_state(g)
         colored = try_color(state, {0: 0, 1: 1, 2: 0, 3: 1})
         assert colored == {0, 1, 2, 3}
-        assert state.report().is_valid
+        assert validate_coloring(state.instance, state.colors).is_valid
 
     def test_conflicting_neighbors_both_fail(self):
         g = nx.path_graph(2)
@@ -50,7 +50,7 @@ class TestTryColor:
         state = make_state(gnp_small)
         proposals = {v: 0 for v in gnp_small.nodes()}  # everyone tries color 0
         try_color(state, proposals)
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
     def test_adopted_colors_removed_from_neighbor_palettes(self):
         g = nx.path_graph(3)
@@ -98,7 +98,7 @@ class TestTryColor:
         state = make_state(gnp_small, lists=lists)
         proposals = {v: sorted(state.palettes[v])[0] for v in gnp_small.nodes()}
         try_color(state, proposals)
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
         assert state.network.ledger.max_edge_bits <= state.network.bandwidth_bits
 
 
@@ -108,7 +108,7 @@ class TestTryRandomColor:
         state = make_state(gnp_small, lists=lists)
         colored = try_random_color(state, gnp_small.nodes())
         assert len(colored) >= 0.3 * gnp_small.number_of_nodes()
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
     def test_skips_colored_nodes(self):
         g = nx.path_graph(3)
@@ -127,16 +127,16 @@ class TestGenerateSlack:
     def test_participation_probability_roughly_pg(self, gnp_medium):
         params = ColoringParameters.small(seed=2)
         state = make_state(gnp_medium, params=params)
-        colored = generate_slack(state)
+        colored = generate_slack(state, state.network.nodes)
         n = gnp_medium.number_of_nodes()
         # At most p_g fraction participate, so at most that many get colored.
         assert len(colored) <= 0.3 * n
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
     def test_generates_chromatic_slack_on_list_instances(self, gnp_medium):
         lists = degree_plus_one_lists(gnp_medium, seed=7)
         state = make_state(gnp_medium, lists=lists, seed=3)
-        generate_slack(state)
+        generate_slack(state, state.network.nodes)
         total_slack = sum(state.chromatic_slack.values())
         assert total_slack > 0
 
@@ -249,7 +249,7 @@ def color_round_inputs(draw):
 def fuzz_state(inputs, backend):
     graph = inputs["graph"]
     # A color space wider than the budget sends every color hashed.
-    space = ColorSpace.huge(400) if inputs["hashed"] else None
+    space = ColorSpace(bits=400) if inputs["hashed"] else None
     instance = ColoringInstance.d1lc(graph, inputs["lists"], color_space=space)
     state = ColoringState(instance, Network(graph, backend=backend),
                           ColoringParameters.small(seed=3))
@@ -294,7 +294,7 @@ def reference_announce(state, adopted, track):
             if state.is_colored(w):
                 continue
             value = hasher.value_for(w, color)
-            if track and not hasher.matching_colors(w, state.original_palettes[w], value):
+            if track and not hasher.matching_colors(w, state.instance.palettes[w], value):
                 state.chromatic_slack[w] += 1
             for match in list(hasher.matching_colors(w, state.palettes[w], value)):
                 state.palettes[w].discard(match)

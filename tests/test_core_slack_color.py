@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.congest import Network
-from repro.core import ColoringInstance, ColoringParameters
+from repro.core import ColoringInstance, ColoringParameters, validate_coloring
 from repro.core.shattering import deterministic_fallback
 from repro.core.slack_color import slack_color
 from repro.core.state import ColoringState
@@ -26,12 +26,12 @@ class TestSlackColor:
         assert not state.uncolored_nodes()
         assert outcome.colored == set(gnp_small.nodes())
         assert not outcome.dropped
-        assert state.report().is_valid
+        assert validate_coloring(state.instance, state.colors).is_valid
 
     def test_result_always_proper(self, gnp_medium):
         state = make_state(gnp_medium, extra=4)
         slack_color(state, gnp_medium.nodes(), s_min=4)
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
     def test_drops_nodes_without_slack(self):
         # A clique with bare deg+1 palettes: after the warm-up trials some
@@ -42,7 +42,7 @@ class TestSlackColor:
         state = make_state(g, extra=0)
         outcome = slack_color(state, g.nodes(), s_min=4)
         assert outcome.colored | outcome.dropped == set(g.nodes())
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
     def test_round_count_scales_with_log_star_not_degree(self, gnp_small):
         """The schedule is O(log* s_min) MultiTrial calls, each O(1) rounds."""
@@ -84,14 +84,14 @@ class TestSlackColor:
         participants = set(list(g.nodes())[:8])  # the other 8 stay uncolored
         outcome = slack_color(state, participants, s_min=4)
         assert len(outcome.colored) >= 6
-        assert state.report().is_proper
+        assert validate_coloring(state.instance, state.colors).is_proper
 
 
 class TestDeterministicFallback:
     def test_completes_any_partial_coloring(self, gnp_medium):
         state = make_state(gnp_medium, extra=0, seed=5)
         deterministic_fallback(state)
-        assert state.report().is_valid
+        assert validate_coloring(state.instance, state.colors).is_valid
 
     def test_respects_existing_colors(self, gnp_small):
         from repro.core.slack import try_color
@@ -104,14 +104,14 @@ class TestDeterministicFallback:
         assert try_color(state, {v: color}) == {v}
         deterministic_fallback(state)
         assert state.colors[v] == color
-        assert state.report().is_valid
+        assert validate_coloring(state.instance, state.colors).is_valid
 
     def test_on_clique(self):
         g = nx.complete_graph(10)
         state = make_state(g, extra=0, seed=7)
         colored = deterministic_fallback(state)
         assert colored == set(g.nodes())
-        assert state.report().is_valid
+        assert validate_coloring(state.instance, state.colors).is_valid
 
     def test_restricted_node_set(self, gnp_small):
         state = make_state(gnp_small, extra=0, seed=8)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest import Network
-from repro.core import ColoringInstance, ColoringParameters, ColorSpace
+from repro.core import ColoringInstance, ColoringParameters, ColorSpace, validate_coloring
 from repro.core.large_colors import ColorHasher
 from repro.core.state import ColoringState
 from repro.graphs import huge_color_space_lists
@@ -81,9 +81,9 @@ class TestColoringState:
     def test_report_reflects_progress(self):
         g = nx.path_graph(3)
         state = make_state(g)
-        assert state.report().colored_nodes == 0
+        assert validate_coloring(state.instance, state.colors).colored_nodes == 0
         state.adopt(0, 0)
-        assert state.report().colored_nodes == 1
+        assert validate_coloring(state.instance, state.colors).colored_nodes == 1
 
 
 class TestColorHasher:
@@ -96,7 +96,7 @@ class TestColorHasher:
                              ids=["at-budget-direct", "one-bit-over-hashed"])
     def test_mode_switches_at_the_bandwidth_budget(self, gnp_small, excess, mode):
         network = Network(gnp_small, bandwidth_bits=120)
-        space = ColorSpace.huge(network.bandwidth_bits + excess)
+        space = ColorSpace(bits=network.bandwidth_bits + excess)
         hasher = ColorHasher(network, space, ColoringParameters.small(seed=1),
                              RngStream(1))
         assert hasher.mode == mode

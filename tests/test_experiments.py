@@ -22,7 +22,6 @@ from repro.experiments import (
     get_suite,
     load_suite_summary,
     load_suite_timing,
-    load_trial_rows,
     merge_timing,
     profile_filename,
     run_scenarios,
@@ -218,7 +217,8 @@ class TestArtifacts:
         result = run_scenarios(TINY_SPECS[:1], suite="tiny")
         path = tmp_path / "trials.jsonl"
         write_trial_rows(path, result.rows())
-        assert load_trial_rows(path) == [json.loads(json.dumps(r)) for r in result.rows()]
+        loaded = [json.loads(line) for line in path.read_text().splitlines()]
+        assert loaded == [json.loads(json.dumps(r)) for r in result.rows()]
 
     def test_write_and_load_suite_artifacts(self, tmp_path):
         result = run_scenarios(TINY_SPECS, suite="tiny")
@@ -655,7 +655,7 @@ def run_tagged(tag, **overrides):
     specs = [dataclasses.replace(spec, trials=1, **overrides)
              for spec in get_suite("conformance") if tag in spec.tags]
     result = run_scenarios(specs, suite="conformance")
-    return specs, {spec.name: result.rows_for(spec.name)[0] for spec in specs}
+    return specs, {scenario.spec.name: scenario.rows[0] for scenario in result.scenarios}
 
 
 class TestConformanceClaims:
@@ -730,5 +730,5 @@ def test_smoke_messages_fit_their_declared_width(monkeypatch):
     monkeypatch.setattr(Message, "__post_init__", audit)
     specs = [dataclasses.replace(spec, trials=1) for spec in get_suite("smoke")]
     result = run_scenarios(specs, suite="smoke")
-    assert all(result.rows_for(spec.name) for spec in specs)
+    assert [len(scenario.rows) for scenario in result.scenarios] == [1] * len(specs)
     assert under == []

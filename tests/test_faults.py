@@ -11,7 +11,7 @@ from repro.congest.message import Message
 from repro.congest.topology import Topology
 from repro.congest.transport import DictTransport, make_transport
 from repro.core import solve_d1c, solve_d1lc
-from repro.faults import FaultPlan, FaultyTransport, corrupt_bits, corrupt_payload
+from repro.faults import FaultPlan, FaultyTransport, corrupt_payload
 from repro.faults.corruption import to_unit
 from repro.faults.transport import _CORRUPT_SALT, _DROP_SALT
 from repro.graphs import degree_plus_one_lists
@@ -96,18 +96,19 @@ class TestFaultPlan:
 
 class TestCorruption:
     def test_corrupt_bits_edge_rates(self):
+        """A tuple of 0/1 entries (a codeword on the wire) flips entrywise."""
         bits = (0, 1) * 32
-        same, flips = corrupt_bits(bits, 0.0, seed=7)
+        same, flips = corrupt_payload(bits, 0.0, seed=7)
         assert same == bits and flips == 0
-        flipped, flips = corrupt_bits(bits, 1.0, seed=7)
+        flipped, flips = corrupt_payload(bits, 1.0, seed=7)
         assert flips == len(bits)
         assert flipped == tuple(1 - b for b in bits)
 
     def test_corrupt_bits_deterministic_and_seed_sensitive(self):
         bits = tuple(i % 2 for i in range(200))
-        a = corrupt_bits(bits, 0.3, seed=11)
-        assert a == corrupt_bits(bits, 0.3, seed=11)
-        assert a != corrupt_bits(bits, 0.3, seed=12)
+        a = corrupt_payload(bits, 0.3, seed=11)
+        assert a == corrupt_payload(bits, 0.3, seed=11)
+        assert a != corrupt_payload(bits, 0.3, seed=12)
         corrupted, flips = a
         assert 0 < flips < len(bits)
         assert sum(x != y for x, y in zip(bits, corrupted)) == flips

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graphs import (
     degree_plus_one_lists,
-    delta_plus_one_lists,
     exact_global_sparsity,
     exact_local_sparsity,
     four_cycle_rich_graph,
@@ -25,7 +24,8 @@ from repro.graphs import (
     triangle_rich_graph,
     validate_acd,
 )
-from repro.graphs.properties import acd_report_is_clean, unevenness
+from repro.graphs.properties import unevenness
+from acd_checks import acd_report_is_clean
 
 
 class TestGenerators:
@@ -122,11 +122,6 @@ class TestLists:
         lists = numeric_degree_lists(gnp_small, extra=3)
         for v in gnp_small.nodes():
             assert len(lists[v]) == gnp_small.degree(v) + 4
-
-    def test_delta_plus_one_lists(self, gnp_small):
-        lists = delta_plus_one_lists(gnp_small)
-        delta = max(d for _, d in gnp_small.degree())
-        assert all(lst == set(range(delta + 1)) for lst in lists.values())
 
     def test_degree_plus_one_lists_sizes(self, gnp_small):
         lists = degree_plus_one_lists(gnp_small, seed=1)

@@ -3,8 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults import corrupt_payload
 from repro.hashing.ecc import ErrorCorrectingCode, hamming_distance
 from repro.hashing.keys import element_key, mix64
+
+
+def relative_distance(code, first, second):
+    """Fraction of differing positions between two words' codewords."""
+    return hamming_distance(code.encode(first), code.encode(second)) / code.codeword_bits
 
 
 class TestHammingDistance:
@@ -40,14 +46,14 @@ class TestErrorCorrectingCode:
 
     def test_identical_words_identical_codewords(self):
         code = ErrorCorrectingCode(word_bits=24)
-        assert code.relative_distance(123, 123) == 0.0
+        assert relative_distance(code, 123, 123) == 0.0
 
     def test_distinct_words_far_apart(self):
         """The Algorithm 6 requirement: distinct IDs differ in a constant fraction."""
         code = ErrorCorrectingCode(word_bits=32, seed=1)
         for u in range(20):
             for w in range(u + 1, 20):
-                assert code.relative_distance(u, w) >= 0.25
+                assert relative_distance(code, u, w) >= 0.25
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -61,9 +67,9 @@ class TestErrorCorrectingCode:
     def test_distance_property_random_pairs(self, u, w):
         code = ErrorCorrectingCode(word_bits=24, seed=7)
         if u == w:
-            assert code.relative_distance(u, w) == 0.0
+            assert relative_distance(code, u, w) == 0.0
         else:
-            assert code.relative_distance(u, w) >= 0.2
+            assert relative_distance(code, u, w) >= 0.2
 
 
 class TestKeys:
@@ -85,7 +91,11 @@ class TestKeys:
 
 
 class TestDistanceUnderFaultCorruption:
-    """The code's distance property under the fault layer's bit-flip operator.
+    """The code's distance property under the wire's corruption operator.
+
+    The fault layer corrupts a codeword sent as a tuple of 0/1 entries with
+    :func:`~repro.faults.corrupt_payload`, which flips each entry from its
+    own sub-seed.
 
     Algorithm 6's analysis needs two things from the ``[3b, b, b/2]`` code
     once the channel flips bits at rate ``q``:
@@ -101,9 +111,7 @@ class TestDistanceUnderFaultCorruption:
     WORD_BITS = 24
 
     def _corrupted(self, code, word, rate, seed):
-        from repro.faults import corrupt_bits
-
-        return corrupt_bits(code.encode(word), rate, seed=seed)
+        return corrupt_payload(code.encode(word), rate, seed=seed)
 
     def test_unique_decoding_survives_five_percent_noise(self):
         code = ErrorCorrectingCode(word_bits=self.WORD_BITS, seed=3)
@@ -138,13 +146,11 @@ class TestDistanceUnderFaultCorruption:
     @given(word=st.integers(min_value=0, max_value=10 ** 9),
            seed=st.integers(min_value=0, max_value=10 ** 6))
     def test_corruption_preserves_codeword_shape(self, word, seed):
-        from repro.faults import corrupt_bits
-
         code = ErrorCorrectingCode(word_bits=16, seed=11)
         codeword = code.encode(word)
-        corrupted, flips = corrupt_bits(codeword, 0.1, seed=seed)
+        corrupted, flips = corrupt_payload(codeword, 0.1, seed=seed)
         assert len(corrupted) == len(codeword)
         assert set(corrupted) <= {0, 1}
         assert hamming_distance(corrupted, codeword) == flips
         # Determinism: the operator is a pure function of (bits, rate, seed).
-        assert corrupt_bits(codeword, 0.1, seed=seed) == (corrupted, flips)
+        assert corrupt_payload(codeword, 0.1, seed=seed) == (corrupted, flips)

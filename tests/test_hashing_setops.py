@@ -7,13 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hashing.keys import element_key, mix64
 from repro.hashing.representative import RepresentativeHashFamily
-from repro.hashing.setops import (
-    colliding_part,
-    hash_image,
-    low_part,
-    unique_hash_values,
-    unique_part,
-)
+from repro.hashing.setops import colliding_part, low_part, unique_part
 
 
 def make_hash(lam: int, seed: int = 0):
@@ -37,10 +31,6 @@ class TestLowPart:
         small = low_part(h, elements, 4)
         large = low_part(h, elements, 12)
         assert small <= large
-
-    def test_hash_image(self):
-        h = make_hash(8)
-        assert hash_image(h, [1, 2, 3]) == {h(1), h(2), h(3)}
 
 
 class TestCollidingAndUnique:
@@ -66,11 +56,6 @@ class TestCollidingAndUnique:
         assert colliding_part(h, {"a"}, {"b"}, 5) == {"a"}
         assert colliding_part(h, {"a"}, {"c"}, 5) == set()
 
-    def test_unique_hash_values_maps_to_preimages(self):
-        h = lambda x: {1: 1, 2: 1, 3: 2}[x]
-        mapping = unique_hash_values(h, {1, 2, 3}, sigma=5)
-        assert mapping == {2: 3}
-
 
 # --------------------------------------------------------------------------- #
 # Proposition 1 as property-based tests.
@@ -86,7 +71,7 @@ def test_proposition1_image_of_collisions_at_most_half(a, b, lam, sigma, seed):
     """Eq. (1): |h(A ∧ A)| <= |A ∧ A| / 2."""
     h = make_hash(lam, seed)
     collisions = colliding_part(h, a, a, sigma)
-    assert len(hash_image(h, collisions)) <= len(collisions) / 2 or not collisions
+    assert len({h(x) for x in collisions}) <= len(collisions) / 2 or not collisions
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,7 +82,7 @@ def test_proposition1_unique_part_injective(a, extra, lam, sigma, seed):
     h = make_hash(lam, seed)
     b = a | extra
     survivors = unique_part(h, a, b, sigma)
-    assert len(hash_image(h, survivors)) == len(survivors)
+    assert len({h(x) for x in survivors}) == len(survivors)
 
 
 @settings(max_examples=60, deadline=None)

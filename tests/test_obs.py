@@ -463,7 +463,7 @@ class TestRunnerTracing:
     def test_trace_dir_writes_per_scenario_artifacts(self, tmp_path):
         specs = self._smoke_specs()
         result = run_scenarios(specs, suite="smoke", trace_dir=tmp_path)
-        for spec in specs:
+        for spec, scenario in zip(specs, result.scenarios, strict=True):
             path = tmp_path / trace_filename(spec.name)
             assert path.exists()
             events = load_events(path)
@@ -471,9 +471,8 @@ class TestRunnerTracing:
             assert [h["trial"] for h in headers] == list(range(spec.trials))
             # per-round trace sums == the trial rows' ledger aggregates
             summary = summarize_trace(events)
-            rows = result.rows_for(spec.name)
-            assert summary.bits == sum(r["total_bits"] for r in rows)
-            assert summary.rounds == sum(r["rounds"] for r in rows)
+            assert summary.bits == sum(r["total_bits"] for r in scenario.rows)
+            assert summary.rounds == sum(r["rounds"] for r in scenario.rows)
 
     def test_traced_aggregate_matches_untraced(self, tmp_path):
         specs = self._smoke_specs()

@@ -8,8 +8,12 @@ import pytest
 from repro.congest import Network
 from repro.graphs.generators import four_cycle_rich_graph, triangle_rich_graph
 from repro.sampling import detect_four_cycle_rich_pairs, detect_triangle_rich_edges
-from repro.sampling.four_cycles import true_four_cycle_count
 from repro.sampling.triangles import true_triangle_count
+
+
+def true_four_cycle_count(network, center, u, w):
+    """Exact number of 4-cycles through the wedge ``u - center - w``."""
+    return len((network.neighbors(u) & network.neighbors(w)) - {center})
 
 
 class TestTriangleDetection:

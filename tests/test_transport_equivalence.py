@@ -140,8 +140,8 @@ class TestPrimitiveEquivalence:
 
     def test_broadcast_raises_the_oracle_errors(self):
         """An unknown sender raises the oracle's ProtocolError before any
-        payload is sized, and a round over budget raises before it is
-        recorded."""
+        payload is sized, a negative width the oracle's ValueError, and a
+        round over budget raises before it is recorded."""
         graph = nx.path_graph(3)
         for backend in BACKENDS:
             net = Network(graph, bandwidth_bits=8, backend=backend)
@@ -149,6 +149,8 @@ class TestPrimitiveEquivalence:
                 net.broadcast({0: 1, "ghost": 1, "other": 2}, label="p", bits=3)
             with pytest.raises(ProtocolError, match="ghost"):
                 net.broadcast({0: object(), "ghost": 1}, label="p")
+            with pytest.raises(ValueError, match="bits must be non-negative"):
+                net.broadcast({0: 5, 1: 7}, label="x", bits=-3)
             with pytest.raises(BandwidthExceeded) as info:
                 net.broadcast({2: 1, 0: 1}, label="w", bits=9)
             assert info.value.edge == (2, 1)
