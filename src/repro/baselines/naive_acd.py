@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
 
-from repro.congest.bandwidth import index_message
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.core.acd import ACDResult

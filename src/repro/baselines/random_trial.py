@@ -12,7 +12,7 @@ large-color hashing otherwise).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Mapping, Optional
 
 import networkx as nx
 

@@ -15,7 +15,7 @@ All functions accept numpy uint64 arrays (scalars broadcast) and run inside
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 

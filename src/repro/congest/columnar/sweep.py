@@ -1,8 +1,16 @@
 """Vectorized ``EstimateSimilarity``: one kernel for every columnar caller.
 
-:func:`columnar_similarity` runs Algorithm 1 on a whole edge list at once:
-the ACD buddy test (Section 4.2, thresholded by :func:`columnar_buddy_edges`),
-triangle detection (Theorem 2) and sparsity estimation (Lemmas 4 and 5).
+One core, :func:`_sweep`, runs Algorithm 1 on a whole edge list at once.  Two
+input builders feed it:
+
+* :func:`columnar_similarity` takes a sets mapping and an edge list of node
+  pairs: triangle detection (Theorem 2), sparsity estimation (Lemmas 4 and
+  5) and any direct caller of ``estimate_similarity_on_edges``;
+* :func:`csr_similarity` takes a member mask over the topology's node index
+  and index pairs of the CSR: node ``v``'s set is its CSR row under the
+  mask.  The ACD buddy test (Section 4.2) thresholds it in
+  :func:`columnar_buddy_edges`.
+
 Work that depends on a node alone runs once per node:
 
 * one key table per sweep holds every participating node's base element
@@ -13,37 +21,39 @@ Work that depends on a node alone runs once per node:
   sweep, not once per incident edge;
 * per-edge setup is columns; ``k``, λ, σ, family seed and index bits are
   computed once per distinct max set size and gathered;
-* the member hash, the low filter and the two unique passes run over the
-  endpoints' key runs in blocks of at most :data:`_BLOCK_ELEMENTS`.
+* the member hash, the low filter and one sort run over the endpoints' key
+  runs in blocks of at most :data:`_BLOCK_ELEMENTS`.
 
 Byte-identity with the scalar loop of :func:`repro.sampling.similarity.
 estimate_similarity_on_edges` is the load-bearing contract:
 
 * each edge's hash-function *index* is the reference's
   ``RngStream.for_edge`` draw, computed for the whole edge list at once by
-  its array twin ``RngStream.edge_randrange`` over one ``element_keys_array``
-  of the swept nodes; topology validation, in the reference's order, is the
-  per-edge Python left;
+  its array twin ``RngStream.edge_randrange`` over the endpoints' element
+  keys;
 * ledger records come from ``DictTransport.charge_chunked``, the accounting
   of the reference's ``exchange_chunked``, on the same label/size
   multisets (``{label}:index`` then ``{label}:indicator``);
-* per-endpoint value multisets are reduced by a packed
-  ``(endpoint << 32) | value`` unique/count pass instead of Python dicts;
+* per-endpoint value multisets are reduced by one sort of packed
+  ``(edge << 33) | (value << 1) | side`` keys per block instead of Python
+  dicts;
 * estimates are evaluated in float64, which matches Python exactly because
   every operand is below 2**53.
 
-Every requested pair is validated before the first round, whatever the sets
-hold.  The kernel declines — returns ``None`` before any ledger effect, so
-the caller runs the scalar reference instead — when
+The mapping builder validates every requested pair before the first round,
+whatever the sets hold; the CSR builder's pairs are edges by construction.
+The kernel declines — returns ``None`` before any ledger effect, so the
+caller runs the scalar reference instead — when
 
 * the transport is not a ``ColumnarTransport`` (the ``dict`` oracle, and
   the fault transport that any fault plan builds);
 * the network's tracer digests payloads (``tracer.digest``): the kernel
   charges ledger records without materializing the payloads a digest hashes,
   nor the deliveries, which the reference ignores;
-* an unordered pair repeats among the swept edges: the reference sends one
-  index message per unordered pair and one indicator per directed key, where
-  this kernel would charge one of each per list position;
+* an unordered pair repeats among the swept edges of a mapping sweep: the
+  reference sends one index message per unordered pair and one indicator
+  per directed key, where this kernel would charge one of each per list
+  position (CSR upper-triangle pairs never repeat);
 * the parameters leave the exactly-reproducible regime (λ ≥ 2**32 breaks
   the value packing, σ·λ ≥ 2**53 the float reproduction).
 """
@@ -52,7 +62,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -77,25 +87,27 @@ Edge = Tuple[Node, Node]
 #: on the benchmark's sparse G(n, p) workload).
 _BLOCK_ELEMENTS = 1 << 18
 
-# Packing guards: endpoint-local hash values share a uint64 with a 32-bit
-# endpoint id, and estimates must reproduce Python float division exactly.
+# Packing guards: hash values share a uint64 with a block-local edge id and a
+# side bit, and estimates must reproduce Python float division exactly.
 _MAX_LAM = 1 << 32
 _EXACT_FLOAT = 1 << 53
 
 
 @dataclass
 class SimilaritySweep:
-    """What :func:`columnar_similarity` computed for an edge list.
+    """What the kernel computed for an edge list.
 
-    ``states`` follows the caller's edge order: ``(k, family)`` for an edge
-    the kernel swept, ``None`` for an edge with an empty endpoint set (the
-    protocol answers 0 there and sends nothing).  The arrays follow the swept
-    edges in that order: swept edge ``i`` has the estimate ``estimates[i]``
-    and the shared hash values ``values[offsets[i]:offsets[i + 1]]``, in
-    ascending order.
+    ``swept`` masks the caller's edges the kernel swept; an unswept edge has
+    an empty endpoint set (the protocol answers 0 there and sends nothing).
+    The other arrays follow the swept edges in the caller's order: swept
+    edge ``i`` ran with ``(k, family) = families[which[i]]``, has the
+    estimate ``estimates[i]`` and the shared hash values
+    ``values[offsets[i]:offsets[i + 1]]``, in ascending order.
     """
 
-    states: List[Optional[Tuple[int, RepresentativeHashFamily]]]
+    swept: "np.ndarray"
+    families: List[Tuple[int, RepresentativeHashFamily]]
+    which: "np.ndarray"
     estimates: "np.ndarray"
     offsets: "np.ndarray"
     values: "np.ndarray"
@@ -142,52 +154,34 @@ def _block_ranges(work: "np.ndarray") -> List[Tuple[int, int]]:
     return blocks
 
 
-def columnar_similarity(
-    network,
-    sets: Mapping[Node, Set[Hashable]],
-    edges: List[Edge],
+def _declines(network) -> bool:
+    """True off a ``ColumnarTransport`` and under a payload-digesting tracer."""
+    if not isinstance(network.transport, ColumnarTransport):
+        return True
+    return network.tracer is not None and network.tracer.digest
+
+
+def _sweep(
+    transport: ColumnarTransport,
+    swept: "np.ndarray",
+    eu: "np.ndarray",
+    ev: "np.ndarray",
+    sizes: "np.ndarray",
+    node_keys: "np.ndarray",
+    set_keys: Callable[["np.ndarray"], "np.ndarray"],
     params,
     seed: int,
     label: str,
 ) -> Optional[SimilaritySweep]:
-    """``EstimateSimilarity`` on every edge of ``edges``, or ``None`` to decline.
+    """The shared core: Algorithm 1 on the swept edges ``(eu[i], ev[i])``.
 
-    Charges the two ledger rounds of the scalar loop in
-    ``estimate_similarity_on_edges`` and computes the same per-edge scale
-    factor, family, hash-function index (one ``RngStream.edge_randrange``
-    pass, the array twin of ``for_edge(u, v, label).randrange``) and shared
-    hash values.  ``edges`` is a list of tuples.  The module docstring lists
-    when the kernel declines.
+    Endpoints are node ids: ``sizes[x]`` is node ``x``'s set size (positive
+    at every endpoint), ``node_keys[x]`` its own element key, and
+    ``set_keys(rows)`` the element keys of the sets of the nodes ``rows``
+    (ascending ids), concatenated, ``sizes[x]`` keys per node in any order.
+    ``swept`` is the caller's mask, passed through.  Returns ``None``
+    outside the exactly-reproducible regime, before any ledger effect.
     """
-    transport = network.transport
-    if not isinstance(transport, ColumnarTransport):
-        return None
-    if network.tracer is not None and network.tracer.digest:
-        return None
-
-    # ------------------------------------------------------ per-edge columns
-    # Local node ids in first-seen order; endpoints interleave (u0, v0, ...).
-    node_local: Dict[Node, int] = {}
-    local_of = node_local.setdefault
-    endpoints = np.fromiter(
-        (local_of(node, len(node_local)) for u, v in edges for node in (u, v)),
-        dtype=np.int64, count=2 * len(edges),
-    )
-    local_nodes = list(node_local)
-    # What the reference's set(...) copy holds; a set is not copied, which
-    # spares the garbage collector one tracked object per node.
-    node_sets = [
-        members if isinstance(members, (set, frozenset)) else set(members)
-        for members in (sets.get(node, ()) for node in local_nodes)
-    ]
-    sizes = np.fromiter(map(len, node_sets), dtype=np.int64, count=len(node_sets))
-    live = (sizes[endpoints[0::2]] > 0) & (sizes[endpoints[1::2]] > 0)
-    eu = endpoints[0::2][live]
-    ev = endpoints[1::2][live]
-    pairs = (np.minimum(eu, ev) << 32) | np.maximum(eu, ev)
-    if np.unique(pairs).size < pairs.size:
-        return None  # a repeated pair, which the reference charges once
-
     # k and the family depend on the edge's max set size alone.
     distinct, which = np.unique(np.maximum(sizes[eu], sizes[ev]), return_inverse=True)
     by_size: List[Tuple[int, RepresentativeHashFamily]] = []
@@ -215,8 +209,6 @@ def columnar_similarity(
     lam = column([family.lam for _, family in by_size])
     sigma = column([family.sigma for _, family in by_size])
 
-    validate_pairs(transport, edges)  # in the reference's order, before round 1
-    node_keys = element_keys_array(local_nodes)
     indices = RngStream(seed).edge_randrange(
         node_keys[eu], node_keys[ev], column([family.size for _, family in by_size]), label,
     )
@@ -233,19 +225,17 @@ def columnar_similarity(
     # Every participating node's base keys, then each node's k_max scaled
     # runs (x, j) for j = 0 .. k_max - 1, j-major, when its largest k exceeds
     # 1: an endpoint reads k·|S| contiguous keys, or its base run when k = 1.
-    k_max = np.zeros(len(local_nodes), dtype=np.int64)
+    k_max = np.zeros(len(sizes), dtype=np.int64)
     np.maximum.at(k_max, eu, k_arr)
     np.maximum.at(k_max, ev, k_arr)
     runs = np.where(k_max > 1, k_max, 0)
-    base = element_keys_array(
-        [x for node in np.flatnonzero(k_max).tolist() for x in node_sets[node]]
-    )
+    base = set_keys(np.flatnonzero(k_max))
     base_len = np.where(k_max > 0, sizes, 0)
     base_offsets = np.cumsum(base_len) - base_len
     scaled_offsets = base.size + np.cumsum(sizes * runs) - sizes * runs
     # One run per (node, j), hashed in blocks straight into the table so the
     # build's temporaries stay block-sized.
-    run_node = np.repeat(np.arange(len(local_nodes), dtype=np.int64), runs)
+    run_node = np.repeat(np.arange(len(sizes), dtype=np.int64), runs)
     run_len = sizes[run_node]
     run_j = _ranges(np.zeros_like(runs), runs).astype(np.uint64)
     table = np.empty(base.size + int(run_len.sum()), dtype=np.uint64)
@@ -281,20 +271,23 @@ def columnar_similarity(
             np.repeat(lam_u64[start:stop], per_edge),
         )
         low = values <= np.repeat(sigma_u64[start:stop], per_edge)
-        # Pack (endpoint, value) into one uint64; a value survives for its
-        # endpoint iff exactly one element hit it (low_unique), and an edge
-        # shares a value iff both its endpoints' survivors hold it (count ==
-        # 2 after collapsing endpoint -> edge).  Endpoint ids are 2i / 2i+1
-        # within the block, so the edge id is endpoint >> 1.
-        packed = np.repeat(np.arange(2 * span, dtype=np.uint64) << np.uint64(32), lens)
-        packed |= values
-        unique, counts = np.unique(packed[low], return_counts=True)
-        survivors = unique[counts == 1]
-        by_edge = (survivors >> np.uint64(33) << np.uint64(32)) | (
-            survivors & np.uint64(0xFFFFFFFF)
-        )
-        shared_vals, shared_cnt = np.unique(by_edge, return_counts=True)
-        shared_vals = shared_vals[shared_cnt == 2]
+        # One sort of (edge << 33) | (value << 1) | side over the low values.
+        # Endpoint 2i / 2i+1 of the block is edge i's side 0 / 1.  A value
+        # survives for a side iff exactly one of its elements hit it, so the
+        # edge shares it iff its (edge, value) run is exactly one side-0
+        # entry followed by one side-1 entry.  Block edge ids stay below
+        # 2**31 and values below 2**32 (the λ guard), so the packing fits.
+        endpoint = np.arange(2 * span, dtype=np.uint64)
+        packed = np.repeat((endpoint >> np.uint64(1) << np.uint64(33))
+                           | (endpoint & np.uint64(1)), lens)
+        packed |= values << np.uint64(1)
+        packed = np.sort(packed[low])
+        by_edge = packed >> np.uint64(1)
+        same = by_edge[1:] == by_edge[:-1]
+        bounded = np.zeros(same.size + 2, dtype=bool)
+        bounded[1:-1] = same
+        pair = same & ~bounded[:-2] & ~bounded[2:] & (packed[1:] != packed[:-1])
+        shared_vals = by_edge[:-1][pair]
         if shared_vals.size:
             # Sorted by (edge, value), so the blocks concatenate into one
             # ascending run per swept edge.
@@ -318,41 +311,114 @@ def columnar_similarity(
     values = (
         np.concatenate(shared_blocks) if shared_blocks else np.empty(0, dtype=np.uint64)
     )
-    codes = np.full(len(edges), len(by_size), dtype=np.int64)
-    codes[live] = which
-    lookup = by_size + [None]
-    return SimilaritySweep(states=[lookup[code] for code in codes.tolist()],
+    return SimilaritySweep(swept=swept, families=by_size, which=which,
                            estimates=estimates, offsets=offsets, values=values)
 
 
-def columnar_buddy_edges(
+def columnar_similarity(
     network,
     sets: Mapping[Node, Set[Hashable]],
-    degrees: Mapping[Node, int],
     edges: List[Edge],
     params,
     seed: int,
     label: str,
-    threshold_coeff: float,
-) -> Optional[Set[Edge]]:
-    """The ACD's buddy edges over :func:`columnar_similarity`, or ``None``.
+) -> Optional[SimilaritySweep]:
+    """``EstimateSimilarity`` on every pair of ``edges`` over ``sets``, or ``None``.
 
-    Exactly the set the reference gives — the edges whose estimate reaches
-    ``threshold_coeff * min(degrees[u], degrees[v])`` — with the kernel's
-    ledger records; ``None`` when the kernel declines.
+    The mapping builder: ``edges`` is a list of node tuples, in the caller's
+    order, and node ``v``'s set is ``sets.get(v, ())``.  Charges the two
+    ledger rounds of the scalar loop in ``estimate_similarity_on_edges`` and
+    computes the same per-edge scale factor, family, hash-function index and
+    shared hash values.  The module docstring lists when the kernel declines.
     """
-    edges = [tuple(edge) for edge in edges]
-    sweep = columnar_similarity(network, sets, edges, params, seed, label)
+    if _declines(network):
+        return None
+    # Local node ids in first-seen order; endpoints interleave (u0, v0, ...).
+    node_local: Dict[Node, int] = {}
+    local_of = node_local.setdefault
+    endpoints = np.fromiter(
+        (local_of(node, len(node_local)) for u, v in edges for node in (u, v)),
+        dtype=np.int64, count=2 * len(edges),
+    )
+    local_nodes = list(node_local)
+    # What the reference's set(...) copy holds; a set is not copied, which
+    # spares the garbage collector one tracked object per node.
+    node_sets = [
+        members if isinstance(members, (set, frozenset)) else set(members)
+        for members in (sets.get(node, ()) for node in local_nodes)
+    ]
+    sizes = np.fromiter(map(len, node_sets), dtype=np.int64, count=len(node_sets))
+    swept = (sizes[endpoints[0::2]] > 0) & (sizes[endpoints[1::2]] > 0)
+    eu = endpoints[0::2][swept]
+    ev = endpoints[1::2][swept]
+    pairs = (np.minimum(eu, ev) << 32) | np.maximum(eu, ev)
+    if np.unique(pairs).size < pairs.size:
+        return None  # a repeated pair, which the reference charges once
+    validate_pairs(network.transport, edges)  # in the reference's order, before round 1
+
+    def set_keys(rows):
+        return element_keys_array([x for node in rows.tolist() for x in node_sets[node]])
+
+    return _sweep(network.transport, swept, eu, ev, sizes, element_keys_array(local_nodes),
+                  set_keys, params, seed, label)
+
+
+def csr_similarity(
+    network,
+    members: "np.ndarray",
+    degree: "np.ndarray",
+    pairs: "np.ndarray",
+    params,
+    seed: int,
+    label: str,
+) -> Optional[SimilaritySweep]:
+    """``EstimateSimilarity`` on CSR index pairs over member-masked rows, or ``None``.
+
+    The CSR builder: ``members`` is a boolean mask over the topology's node
+    index, node ``v``'s set is its CSR row under that mask, and
+    ``degree[v]`` is that set's size (0 off the mask).  ``pairs`` is an
+    ``(m, 2)`` array of distinct node-index pairs of the CSR upper triangle,
+    so every pair is an edge and none repeats: no pair is validated.  Each
+    element's key comes from one ``element_keys_array`` of the topology's
+    nodes.  Results and ledger records are those of :func:`columnar_similarity`
+    on the same sets and pairs.
+    """
+    if _declines(network):
+        return None
+    topology = network.topology
+    keys = element_keys_array(topology.nodes)
+    eu, ev = pairs[:, 0], pairs[:, 1]
+    swept = (degree[eu] > 0) & (degree[ev] > 0)
+
+    def set_keys(rows):
+        neighbors, _row_of = topology.gather_rows(rows)
+        return keys[neighbors[members[neighbors]]]
+
+    return _sweep(network.transport, swept, eu[swept], ev[swept], degree, keys,
+                  set_keys, params, seed, label)
+
+
+def columnar_buddy_edges(
+    network,
+    members: "np.ndarray",
+    degree: "np.ndarray",
+    candidates: "np.ndarray",
+    params,
+    seed: int,
+    label: str,
+    threshold_coeff: float,
+) -> Optional["np.ndarray"]:
+    """The ACD's buddy verdicts over :func:`csr_similarity`, or ``None``.
+
+    A boolean over the ``(m, 2)`` ``candidates``: exactly the edges the
+    reference accepts, those whose estimate reaches ``threshold_coeff *
+    min(degree[u], degree[v])``, with the kernel's ledger records; ``None``
+    when the kernel declines.
+    """
+    sweep = csr_similarity(network, members, degree, candidates, params, seed, label)
     if sweep is None:
         return None
-    swept = [edge for edge, state in zip(edges, sweep.states) if state is not None]
-    min_degrees = np.fromiter(
-        (min(degrees[u], degrees[v]) for u, v in swept),
-        dtype=np.float64, count=len(swept),
-    )
-    hits = np.flatnonzero(sweep.estimates >= threshold_coeff * min_degrees)
-    buddies: Set[Edge] = {swept[i] for i in hits.tolist()}
-    for (u, v), state in zip(edges, sweep.states):
-        if state is None and 0.0 >= threshold_coeff * min(degrees[u], degrees[v]):
-            buddies.add((u, v))
-    return buddies
+    estimates = np.zeros(len(candidates), dtype=np.float64)
+    estimates[sweep.swept] = sweep.estimates
+    return estimates >= threshold_coeff * np.minimum(
+        degree[candidates[:, 0]], degree[candidates[:, 1]])

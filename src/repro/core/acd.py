@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.congest.bandwidth import bitstring_message, index_message, integer_message
+import numpy as np
+
+from repro.congest.bandwidth import bitstring_message, integer_message
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.topology import Topology
@@ -73,16 +75,8 @@ class ACDResult:
 # Buddy tests
 # --------------------------------------------------------------------------- #
 
-def _similarity_buddy_edges(
-    network: Network,
-    neighborhoods: Dict[Node, Set[Node]],
-    degrees: Dict[Node, int],
-    candidate_edges: List[Edge],
-    params: ColoringParameters,
-    seed: int,
-) -> Set[Edge]:
-    """Buddy test via ``EstimateSimilarity`` (the Section 4.2 construction)."""
-    eps = params.acd_eps
+def _similarity_params(params: ColoringParameters, seed: int) -> SimilarityParameters:
+    """The ``EstimateSimilarity`` parameters of the buddy test."""
     # The buddy threshold needs the per-edge estimate to be accurate to a small
     # fraction of min(d_u, d_v); with the simulation-scale σ cap this requires a
     # larger observation window than the default similarity preset, so the cap
@@ -91,31 +85,33 @@ def _similarity_buddy_edges(
     sigma_cap = params.similarity_sigma_cap
     if sigma_cap is not None:
         sigma_cap = max(sigma_cap, 4096)
-    sim_params = SimilarityParameters(
-        eps=eps / 2.0,
+    return SimilarityParameters(
+        eps=params.acd_eps / 2.0,
         nu=0.1,
         max_scale=params.similarity_max_scale,
         sigma_cap=sigma_cap,
         seed=seed,
     )
-    # The columnar kernel decides whether it runs: it declines (None, before
-    # any ledger effect) off the columnar transport, under payload-digesting
-    # tracers and outside its exactly-reproducible regime, and the reference
-    # sweep below runs instead.  Looked up per call, so a wrapper installed
-    # on the module attribute (as tracing and profiling do) takes effect.
-    from repro.congest.columnar.sweep import columnar_buddy_edges
 
-    buddies = columnar_buddy_edges(
-        network, neighborhoods, degrees, candidate_edges,
-        params=sim_params, seed=seed, label="acd:buddy",
-        threshold_coeff=1.0 - 1.5 * eps,
-    )
-    if buddies is not None:
-        return buddies
+
+def _similarity_buddy_edges(
+    network: Network,
+    neighborhoods: Dict[Node, Set[Node]],
+    degrees: Dict[Node, int],
+    candidate_edges: List[Edge],
+    params: ColoringParameters,
+    seed: int,
+) -> Set[Edge]:
+    """Buddy test via ``EstimateSimilarity`` (the Section 4.2 construction).
+
+    The scalar reference of :func:`repro.congest.columnar.sweep.
+    columnar_buddy_edges`, which :func:`_buddy_mask` offers the sweep first.
+    """
     results = estimate_similarity_on_edges(
-        network, neighborhoods, edges=candidate_edges, params=sim_params,
-        seed=seed, label="acd:buddy",
+        network, neighborhoods, edges=candidate_edges,
+        params=_similarity_params(params, seed), seed=seed, label="acd:buddy",
     )
+    eps = params.acd_eps
     buddies: Set[Edge] = set()
     for (u, v), result in results.items():
         threshold = (1.0 - 1.5 * eps) * min(degrees[u], degrees[v])
@@ -264,49 +260,229 @@ def _uniform_buddy_edges(
 # The decomposition itself
 # --------------------------------------------------------------------------- #
 
-def _unevenness(degrees: Dict[Node, int], neighbors: Dict[Node, Set[Node]], v: Node) -> float:
-    dv = degrees[v]
-    return sum(
-        max(0, degrees[u] - dv) / (degrees[u] + 1) for u in neighbors[v]
-    )
-
 
 def _balanced_candidates(
-    topology: Topology, active_set: Set[Node], eps: float
-) -> Tuple[Dict[Node, int], List[Edge]]:
-    """Induced degrees and the ε-balanced candidate edges, read off the CSR.
+    topology: Topology, members: "np.ndarray", eps: float
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Induced degrees and the ε-balanced candidate edges, as arrays over the CSR.
 
-    ``degrees[v]`` counts ``v``'s neighbours in ``active_set``.  The
-    candidates are the edges with both endpoints active whose degrees are
-    ε-balanced, ``min(d_u, d_v) >= (1 - ε)·max(d_u, d_v)``: the CSR upper
-    triangle, so each edge appears once with its lower-index endpoint first,
-    as ``graph.edges()`` orients it.  Both endpoints of an active edge have
-    induced degree at least 1.  The masks are temporaries of this call, so
-    they are freed before the buddy sweep, which sets the solve's peak RSS.
+    ``members`` is the active set as a boolean mask over the node index.
+    Returns ``(degree, candidates)``.  ``degree[i]`` counts node ``i``'s
+    neighbours in the active set (0 for an inactive node).  ``candidates`` is
+    an ``(m, 2)`` int64 array of node indices: the edges with both endpoints
+    active whose degrees are ε-balanced, ``min(d_u, d_v) >= (1 - ε)·max(d_u,
+    d_v)``, as rows of the CSR upper triangle in CSR order, lower index
+    first.  So every pair is an edge, none repeats, and both endpoints have
+    induced degree at least 1.  The CSR-length masks are temporaries of this
+    call, freed before the buddy sweep, which sets the solve's peak RSS.
     """
-    # Imported here: numpy stays out of ``import repro`` until a run needs it.
-    import numpy as np
-
-    nodes = topology.nodes
-    index = topology.node_index
     indptr, indices = topology.indptr, topology.indices
-    active = np.zeros(len(nodes), dtype=bool)
-    active[np.fromiter((index[v] for v in active_set), dtype=np.int64,
-                       count=len(active_set))] = True
-    rows = np.repeat(np.arange(len(nodes), dtype=np.int64), np.diff(indptr))
-    live = active[rows] & active[indices]
-    degree = np.bincount(rows[live], minlength=len(nodes))
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    live = members[rows] & members[indices]
+    degree = np.bincount(rows[live], minlength=n)
     upper = live & (rows < indices)
     low, high = rows[upper], indices[upper]
     d_low, d_high = degree[low], degree[high]
     balanced = np.minimum(d_low, d_high) >= (1.0 - eps) * np.maximum(d_low, d_high)
+    return degree, np.stack((low[balanced], high[balanced]), axis=1)
+
+
+def _buddy_mask(
+    network: Network,
+    active_set: Set[Node],
+    members: "np.ndarray",
+    degree: "np.ndarray",
+    candidates: "np.ndarray",
+    params: ColoringParameters,
+    seed: int,
+) -> "np.ndarray":
+    """The buddy test's verdict on each candidate row, as a boolean array.
+
+    The columnar kernel decides whether it runs: it declines (None, before
+    any ledger effect) off the columnar transport, under payload-digesting
+    tracers and outside its exactly-reproducible regime, and a reference
+    test runs instead.  Only the reference tests read per-node sets and node
+    tuples, so only they build them.
+    """
+    if not params.uniform:
+        # Looked up per call, so a wrapper installed on the module attribute
+        # (as tracing and profiling do) takes effect.
+        from repro.congest.columnar.sweep import columnar_buddy_edges
+
+        buddies = columnar_buddy_edges(
+            network, members, degree, candidates,
+            params=_similarity_params(params, seed), seed=seed, label="acd:buddy",
+            threshold_coeff=1.0 - 1.5 * params.acd_eps,
+        )
+        if buddies is not None:
+            return buddies
+    nodes, index = network.topology.nodes, network.topology.node_index
+    neighborhoods = {
+        v: {u for u in network.neighbors(v) if u in active_set} for v in active_set
+    }
     degree_of = degree.tolist()
     degrees = {v: degree_of[index[v]] for v in active_set}
-    candidates = [
-        (nodes[u], nodes[v])
-        for u, v in zip(low[balanced].tolist(), high[balanced].tolist())
-    ]
-    return degrees, candidates
+    edges = [(nodes[u], nodes[v]) for u, v in candidates.tolist()]
+    test = _uniform_buddy_edges if params.uniform else _similarity_buddy_edges
+    buddies = test(network, neighborhoods, degrees, edges, params, seed)
+    return np.fromiter(map(buddies.__contains__, edges), dtype=bool, count=len(edges))
+
+
+def _components(n: int, pairs: "np.ndarray") -> "np.ndarray":
+    """Each node's component root in the graph on ``n`` nodes with edge rows ``pairs``.
+
+    Min-label hooking with full path compression: every round hooks the
+    larger root of each edge whose endpoints' roots differ onto the smaller,
+    then compresses until every node points at a root.  The root of a
+    component is its least index.
+    """
+    root = np.arange(n, dtype=np.int64)
+    u, v = pairs[:, 0], pairs[:, 1]
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            return root
+        ru, rv = ru[split], rv[split]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+
+
+def _filter_clique(
+    topology: Topology, members: Set[Node], degree_of: Sequence[int], eps: float
+) -> None:
+    """Definition 6's post-filter of one almost-clique, evicting in place.
+
+    Each pass visits the members in ``repr`` order against the pass's size,
+    and an eviction shrinks the in-clique count of the members visited after
+    it, so the passes are sequential Python.
+    """
+    index = topology.node_index
+    changed = True
+    while changed and members:
+        changed = False
+        size = len(members)
+        for v in sorted(members, key=repr):
+            in_clique = len(topology.neighbors(v) & members)
+            too_big = degree_of[index[v]] > (1.0 + 2 * eps) * size
+            too_detached = (1.0 + 2 * eps) * max(in_clique, 1) < size
+            if too_big or too_detached:
+                members.discard(v)
+                changed = True
+
+
+def _almost_cliques(
+    topology: Topology,
+    dense: "np.ndarray",
+    friend_pairs: "np.ndarray",
+    degree: "np.ndarray",
+    eps: float,
+) -> "np.ndarray":
+    """Each node's almost-clique id, or -1: components, post-filter and renumbering.
+
+    The almost-cliques are the connected components of the dense nodes under
+    friend edges, numbered in the order of each component's ``repr``-least
+    member in ``sorted(dense, key=repr)``.  The post-filter evicts members
+    against Definition 6's degree and membership bounds and disbands
+    components left with at most two members; the survivors are renumbered
+    0..k-1 in that order, so every id fits the ``len(cliques)``-sized
+    universe the leaders announce it in.
+    """
+    nodes = topology.nodes
+    n = len(nodes)
+    dense_idx = np.flatnonzero(dense)
+    both = dense[friend_pairs[:, 0]] & dense[friend_pairs[:, 1]]
+    root = _components(n, friend_pairs[both])
+    reprs = [repr(nodes[i]) for i in dense_idx.tolist()]
+    by_repr = dense_idx[np.array(sorted(range(len(reprs)), key=reprs.__getitem__),
+                                 dtype=np.int64)]
+    roots = root[by_repr]
+    first = np.unique(roots, return_index=True)[1]
+    found = roots[np.sort(first)]
+    rank = np.zeros(n, dtype=np.int64)
+    rank[found] = np.arange(found.size)
+    clique = np.full(n, -1, dtype=np.int64)
+    clique[dense_idx] = rank[root[dense_idx]]
+
+    # Definition 6's bounds, checked for every member at once against its
+    # whole component.  Evictions only lower in-clique counts, so a component
+    # whose members all pass keeps them all; the sequential post-filter runs
+    # only on the components where some member fails.
+    own = clique[dense_idx]
+    size = np.bincount(own, minlength=found.size)
+    neighbors, row_of = topology.gather_rows(dense_idx)
+    inside = np.bincount(row_of[clique[neighbors] == own[row_of]], minlength=dense_idx.size)
+    bound = 1.0 + 2 * eps
+    fails = (degree[dense_idx] > bound * size[own]) | (bound * np.maximum(inside, 1) < size[own])
+    if fails.any():
+        by_clique = dense_idx[np.argsort(own, kind="stable")]
+        starts = np.cumsum(size) - size
+        degree_of = degree.tolist()
+        for cid in np.unique(own[fails]).tolist():
+            group = by_clique[starts[cid]:starts[cid] + size[cid]].tolist()
+            members = {nodes[i] for i in group}
+            _filter_clique(topology, members, degree_of, eps)
+            clique[[i for i in group if nodes[i] not in members]] = -1
+        size = np.bincount(clique[dense_idx][clique[dense_idx] >= 0], minlength=found.size)
+    survives = size > 2
+    renumbered = np.where(survives, np.cumsum(survives) - 1, -1)
+    clique[dense_idx] = np.where(clique[dense_idx] >= 0, renumbered[clique[dense_idx]], -1)
+    return clique
+
+
+def _set_order_unevenness(
+    topology: Topology, active_set: Set[Node], degree_of: Sequence[int], v: Node
+) -> float:
+    """Definition 5's unevenness of ``v``, summed in the order its set iterates."""
+    index = topology.node_index
+    dv = degree_of[index[v]]
+    neighborhood = {u for u in topology.neighbors(v) if u in active_set}
+    return sum(
+        max(0, degree_of[index[u]] - dv) / (degree_of[index[u]] + 1) for u in neighborhood
+    )
+
+
+def _uneven(
+    topology: Topology,
+    active_set: Set[Node],
+    members: "np.ndarray",
+    degree: "np.ndarray",
+    rows: "np.ndarray",
+) -> "np.ndarray":
+    """Which of the active ``rows`` of positive degree are uneven (Definition 5).
+
+    Node ``v`` is uneven iff ``Σ_u max(0, d_u − d_v)/(d_u + 1) ≥
+    SPARSITY_EPS·d_v`` over its active neighbours ``u``: one weighted
+    ``bincount`` over the rows' active CSR entries.  That sum adds the same
+    terms as the reference's set-order Python sum, in another order.  Each
+    of the ``d_v`` terms lies in [0, 1), so each sum is within ``d_v²·2⁻⁵³``
+    of the exact value and the two within ``d_v²·2⁻⁵²``.  A node whose array
+    sum lies within ``d_v²·2⁻⁵⁰`` of the threshold is decided by the Python
+    sum in set order; outside that band both sums fall on the same side.
+    """
+    neighbors, row_of = topology.gather_rows(rows)
+    active = members[neighbors]
+    neighbors, row_of = neighbors[active], row_of[active]
+    d_u = degree[neighbors]
+    d_v = degree[rows]
+    terms = np.maximum(d_u - d_v[row_of], 0) / (d_u + 1)
+    totals = np.bincount(row_of, weights=terms, minlength=rows.size)
+    thresholds = SPARSITY_EPS * d_v
+    uneven = totals >= thresholds
+    band = d_v.astype(np.float64) ** 2 * 2.0 ** -50
+    near = np.flatnonzero(np.abs(totals - thresholds) <= band)
+    if near.size:
+        nodes, degree_of = topology.nodes, degree.tolist()
+        for i in near.tolist():
+            row = int(rows[i])
+            uneven[i] = (_set_order_unevenness(topology, active_set, degree_of, nodes[row])
+                         >= SPARSITY_EPS * degree_of[row])
+    return uneven
 
 
 def compute_acd(
@@ -321,119 +497,78 @@ def compute_acd(
     driver passes the uncolored nodes of the current degree range); degrees
     and neighbourhoods are taken within that subgraph, as the paper's phases
     require.  Runs in ``O(1)`` CONGEST rounds for constant ``ε``.
+
+    The classification is array work over the topology's node index (DESIGN
+    "ACD on index arrays"): the active set is a mask, degrees, candidates,
+    buddy verdicts, friend counts and clique ids are arrays, and only the
+    result's sets and dicts hold node labels.
     """
     params = params or ColoringParameters.small()
     seed = params.seed if seed is None else seed
     rounds_before = network.rounds_used
+    topology = network.topology
+    nodes = topology.nodes
 
     active_set = set(active) if active is not None else set(network.nodes)
 
     # Round 1: participation + induced degree announcement.  The simulator
-    # computes neighborhoods/degrees from the graph directly, so the
-    # deliveries of both broadcasts are discarded (broadcast_discard).
-    # Equal announcements share one frozen Message.
+    # reads the induced degrees off the CSR, so the deliveries of both
+    # broadcasts are discarded (broadcast_discard).  Equal announcements
+    # share one frozen Message.
     network.broadcast_discard(
         dict.fromkeys(active_set, Message(content=True, bits=1, label="acd:participation")),
         label="acd:participation",
     )
-    neighborhoods: Dict[Node, Set[Node]] = {
-        v: {u for u in network.neighbors(v) if u in active_set} for v in active_set
-    }
     eps = params.acd_eps
-    degrees, candidate_edges = _balanced_candidates(network.topology, active_set, eps)
+    active_list = list(active_set)
+    active_index = topology.index_array(active_list)
+    members = np.zeros(len(nodes), dtype=bool)
+    members[active_index] = True
+    degree, candidates = _balanced_candidates(topology, members, eps)
+    active_degree = degree[active_index].tolist()
     universe = max(2, network.number_of_nodes)
     announce = {
-        d: integer_message(d, universe, label="acd:degree") for d in set(degrees.values())
+        d: integer_message(d, universe, label="acd:degree") for d in set(active_degree)
     }
     network.broadcast_discard(
-        {v: announce[degrees[v]] for v in active_set}, label="acd:degrees"
+        dict(zip(active_list, map(announce.__getitem__, active_degree))), label="acd:degrees"
     )
 
-    if params.uniform:
-        friend_edges = _uniform_buddy_edges(
-            network, neighborhoods, degrees, candidate_edges, params, seed
-        )
-    else:
-        friend_edges = _similarity_buddy_edges(
-            network, neighborhoods, degrees, candidate_edges, params, seed
-        )
-    friends_of: Dict[Node, Set[Node]] = {v: set() for v in active_set}
-    for (u, v) in friend_edges:
-        friends_of[u].add(v)
-        friends_of[v].add(u)
+    buddy = _buddy_mask(network, active_set, members, degree, candidates, params, seed)
+    friend_pairs = candidates[buddy]
+    friend_edges = set(zip(map(nodes.__getitem__, friend_pairs[:, 0].tolist()),
+                           map(nodes.__getitem__, friend_pairs[:, 1].tolist())))
 
     # Dense nodes: most of their neighbourhood are friends.
-    dense: Set[Node] = {
-        v for v in active_set
-        if degrees[v] > 0 and len(friends_of[v]) >= (1.0 - 2.0 * eps) * degrees[v]
-    }
+    friends = np.bincount(friend_pairs.ravel(), minlength=len(nodes))
+    dense = (degree > 0) & (friends >= (1.0 - 2.0 * eps) * degree)
 
     # Almost-cliques: connected components of dense nodes under friend edges.
     # Each component has diameter at most 2, so the distributed version is two
     # rounds of min-identifier flooding over friend edges; the simulator
     # computes the same components centrally and charges those rounds.
-    clique_of: Dict[Node, int] = {}
-    cliques: Dict[int, Set[Node]] = {}
-    visited: Set[Node] = set()
-    next_id = 0
-    for v in sorted(dense, key=repr):
-        if v in visited:
-            continue
-        component = {v}
-        frontier = [v]
-        while frontier:
-            current = frontier.pop()
-            for u in friends_of[current]:
-                if u in dense and u not in component:
-                    component.add(u)
-                    frontier.append(u)
-        visited |= component
-        cliques[next_id] = component
-        for u in component:
-            clique_of[u] = next_id
-        next_id += 1
+    clique = _almost_cliques(topology, dense, friend_pairs, degree, eps)
     network.charge_silent_round(label="acd:clique-id")
     network.charge_silent_round(label="acd:clique-id")
 
-    # Post-filter cliques against the Definition 6 degree/membership bounds;
-    # evicted nodes (and members of disbanded tiny cliques) fall back to the
-    # sparse / uneven classes.
-    evicted: Set[Node] = set()
-    for clique_id in list(cliques):
-        members = cliques[clique_id]
-        changed = True
-        while changed and members:
-            changed = False
-            size = len(members)
-            for v in sorted(members, key=repr):
-                in_clique = len(neighborhoods[v] & members)
-                too_big = degrees[v] > (1.0 + 2 * eps) * size
-                too_detached = (1.0 + 2 * eps) * max(in_clique, 1) < size
-                if too_big or too_detached:
-                    members.discard(v)
-                    evicted.add(v)
-                    clique_of.pop(v, None)
-                    changed = True
-        if len(members) <= 2:
-            for v in members:
-                evicted.add(v)
-                clique_of.pop(v, None)
-            del cliques[clique_id]
-    # Renumber the survivors 0..k-1, in the order they were found, so every
-    # id fits the ``len(cliques)``-sized universe the leaders announce it in.
-    renumbered = {old: new for new, old in enumerate(cliques)}
-    cliques = {renumbered[cid]: members for cid, members in cliques.items()}
-    clique_of = {v: renumbered[cid] for v, cid in clique_of.items()}
+    kept = np.flatnonzero(clique >= 0)
+    kept = kept[np.argsort(clique[kept], kind="stable")]
+    labels = [nodes[i] for i in kept.tolist()]
+    ids = clique[kept].tolist()
+    clique_of: Dict[Node, int] = dict(zip(labels, ids))
+    ends = np.cumsum(np.bincount(clique[kept])).tolist()
+    cliques: Dict[int, Set[Node]] = {
+        cid: set(labels[start:end]) for cid, (start, end) in enumerate(zip([0] + ends[:-1], ends))
+    }
 
-    uneven: Set[Node] = set()
-    sparse: Set[Node] = set()
-    for v in active_set:
-        if v in clique_of:
-            continue
-        if degrees[v] > 0 and _unevenness(degrees, neighborhoods, v) >= SPARSITY_EPS * degrees[v]:
-            uneven.add(v)
-        else:
-            sparse.add(v)
+    # Non-dense nodes (evicted ones included) are uneven or sparse.
+    rest = np.flatnonzero(members & (clique < 0) & (degree > 0))
+    uneven_mask = np.zeros(len(nodes), dtype=bool)
+    uneven_mask[rest[_uneven(topology, active_set, members, degree, rest)]] = True
+    # Per active node, in the active set's order: 0 sparse, 1 uneven, 2 dense.
+    flags = (uneven_mask + 2 * (clique >= 0))[active_index].tolist()
+    uneven: Set[Node] = {v for v, flag in zip(active_list, flags) if flag == 1}
+    sparse: Set[Node] = {v for v, flag in zip(active_list, flags) if flag == 0}
 
     return ACDResult(
         sparse_nodes=sparse,

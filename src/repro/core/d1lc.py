@@ -21,7 +21,7 @@ Public entry points:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Mapping, Optional
 
 import networkx as nx
 

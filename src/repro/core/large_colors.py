@@ -18,7 +18,6 @@ is needed, and exposes encoding helpers that return
 
 from __future__ import annotations
 
-import math
 from typing import AbstractSet, Dict, Hashable, Sequence
 
 from repro.congest.bandwidth import index_message

@@ -22,8 +22,8 @@ rounds and performs the equivalent aggregation centrally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Hashable, Set
 
 from repro.congest.bandwidth import integer_message
 from repro.core.acd import ACDResult

@@ -27,8 +27,7 @@ selected with ``ColoringParameters.uniform``.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Union
 
 from repro.congest.bandwidth import bitstring_message
 from repro.congest.message import Message

@@ -13,7 +13,6 @@ the universal-hashing machinery of Appendix D.3.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional
 

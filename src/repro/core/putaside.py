@@ -18,7 +18,7 @@ slack the rest of the algorithm needs.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Set
+from typing import Dict, Hashable, Mapping, Set
 
 from repro.congest.message import Message
 from repro.core.leader import LeaderInfo

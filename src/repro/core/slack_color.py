@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Set
+from typing import Hashable, Iterable, List, Set
 
 from repro.core.multitrial import multi_trial
 from repro.core.params import SLACK_COLOR_INITIAL_TRIALS

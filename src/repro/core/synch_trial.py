@@ -14,7 +14,7 @@ color space is too big to send verbatim.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Set
+from typing import Dict, Hashable, Mapping, Optional, Set
 
 from repro.core.leader import LeaderInfo
 from repro.core.slack import try_color

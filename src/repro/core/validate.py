@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Hashable, List, Mapping, Optional, Tuple
 
 from repro.core.problem import ColoringInstance
 

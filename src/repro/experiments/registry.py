@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 import networkx as nx
 
@@ -227,8 +227,6 @@ def _build_lists(spec: ScenarioSpec, graph: nx.Graph, seed: int):
     kind = spec.solver_params.get("lists", "degree_plus_one")
     if kind == "degree_plus_one":
         return degree_plus_one_lists(graph, seed=seed)
-    if kind == "numeric":
-        return numeric_degree_lists(graph, extra=int(spec.solver_params.get("extra", 0)))
     if kind == "shared_pool":
         return shared_pool_lists(graph, seed=seed)
     if kind == "huge":
@@ -445,7 +443,7 @@ SOLVERS: Dict[str, Solver] = {
 #: Accepted ``solver_params`` keys per solver (see FAMILY_PARAM_KEYS).
 SOLVER_PARAM_KEYS: Dict[str, frozenset] = {
     "d1c": frozenset({"uniform"}),
-    "d1lc": frozenset({"uniform", "lists", "extra", "color_bits"}),
+    "d1lc": frozenset({"uniform", "lists", "color_bits"}),
     "delta_plus_one": frozenset({"uniform"}),
     "johansson": frozenset(),
     "acd": frozenset({"variant"}),

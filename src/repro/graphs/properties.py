@@ -8,7 +8,7 @@ not, which is the whole point of the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set
 
 import networkx as nx
 

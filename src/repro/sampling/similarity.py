@@ -171,18 +171,18 @@ def _sweep_results(edges: List[Edge], sweep) -> Dict[Edge, SimilarityResult]:
     with its fields read once per distinct ``(k, family)`` state, not per edge."""
     values = sweep.values.tolist()
     bounds = sweep.offsets.tolist()
-    fields: Dict[Tuple, Tuple[int, int, int, int, int]] = {}
+    which = sweep.which.tolist()
+    fields = [
+        (k, family.lam, family.sigma, family.sigma * k, family.index_bits + 2 * family.sigma)
+        for k, family in sweep.families
+    ]
     results: Dict[Edge, SimilarityResult] = {}
     row = 0
-    for edge, state in zip(edges, sweep.states):
-        if state is None:
+    for edge, swept in zip(edges, sweep.swept.tolist()):
+        if not swept:
             results[edge] = _empty_result()
             continue
-        if state not in fields:
-            k, family = state
-            fields[state] = (k, family.lam, family.sigma, family.sigma * k,
-                             family.index_bits + 2 * family.sigma)
-        k, lam, sigma, scale, bits = fields[state]
+        k, lam, sigma, scale, bits = fields[which[row]]
         shared = frozenset(values[bounds[row]:bounds[row + 1]])
         results[edge] = SimilarityResult(len(shared) * lam / scale, bits, k, sigma, lam, shared)
         row += 1

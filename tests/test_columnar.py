@@ -271,17 +271,18 @@ def _sweep(params, edges=None, label="sim"):
     return run
 
 
-def _spy_on_kernel(patch):
-    """Per kernel call, in call order: ``True`` if it ran, ``False`` if it declined."""
+def _spy_on_kernel(patch, builder="columnar_similarity"):
+    """Per call of the kernel's input ``builder``, in call order: ``True`` if
+    it ran, ``False`` if it declined."""
     calls = []
-    kernel = sweep.columnar_similarity
+    kernel = getattr(sweep, builder)
 
     def spy(*args, **kwargs):
         result = kernel(*args, **kwargs)
         calls.append(result is not None)
         return result
 
-    patch.setattr(sweep, "columnar_similarity", spy)
+    patch.setattr(sweep, builder, spy)
     return calls
 
 
@@ -433,14 +434,18 @@ class TestSimilarityKernel:
         pairs = len({frozenset(edge) for edge in given})
         assert first["dup:index"] == pairs and first["dup:indicator"] == 2 * pairs
 
-    def test_acd_runs_the_kernel_only_on_columnar(self, kernel_ran):
+    def test_acd_runs_the_kernel_only_on_columnar(self, kernel_ran, monkeypatch):
+        csr_ran = _spy_on_kernel(monkeypatch, "csr_similarity")
         graph = nx.disjoint_union(nx.complete_graph(10), nx.complete_graph(10))
         (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(
             graph, lambda net: compute_acd(net, seed=1).friend_edges)
         assert col == ref and col_rounds == ref_rounds
-        # dict: the buddy threshold's kernel call and the reference sweep's
-        # both decline; columnar: the threshold's call runs, nothing else.
-        assert kernel_ran == [False, False, True]
+        assert len(col) == 90
+        # dict: the CSR builder declines, then the reference sweep offers the
+        # mapping builder, which declines too; columnar: the CSR builder
+        # runs, and the ACD never builds a sets mapping for the kernel.
+        assert csr_ran == [False, True]
+        assert kernel_ran == [False]
 
     @pytest.mark.parametrize("name", ["practical", "mixed-k"])
     def test_scaled_keys_are_hashed_once_per_node(self, kernel_ran, monkeypatch, name):
@@ -468,6 +473,67 @@ class TestSimilarityKernel:
             assert sum(hashed) == 4 * sum(len(sets[v]) for v in k_max)
         else:
             assert 0 < sum(hashed) <= sum(k * len(sets[v]) for v, k in k_max.items())
+
+
+def _member_sweeps(graph, members_of, params, seed=4):
+    """The same sweep through both input builders, each on its own network.
+
+    Node ``v``'s set is its neighbours among the members (``members_of``
+    picks them from the node list); the pairs are the whole CSR upper
+    triangle, so pairs with a non-member endpoint have an empty set.
+    """
+    outcomes = []
+    for builder in ("mapping", "csr"):
+        network = Network(graph, backend="columnar")
+        topology = network.topology
+        nodes = topology.nodes
+        members = np.zeros(len(nodes), dtype=bool)
+        members[topology.index_array(members_of(list(nodes)))] = True
+        degree = np.where(members, topology.neighbor_counts(nodes, members), 0)
+        rows = np.repeat(np.arange(len(nodes)), np.diff(topology.indptr))
+        upper = rows < topology.indices
+        pairs = np.stack((rows[upper], topology.indices[upper]), axis=1)
+        if builder == "mapping":
+            sets = {nodes[i]: {nodes[j] for j in topology.indices[
+                topology.indptr[i]:topology.indptr[i + 1]].tolist() if members[j]}
+                for i in np.flatnonzero(members).tolist()}
+            edges = [(nodes[u], nodes[v]) for u, v in pairs.tolist()]
+            result = sweep.columnar_similarity(network, sets, edges, params, seed, "b")
+        else:
+            result = sweep.csr_similarity(network, members, degree, pairs, params, seed, "b")
+        families = [(k, family.lam, family.sigma, family.size, family.family_seed)
+                    for k, family in result.families]
+        outcomes.append((result.swept.tolist(), families, result.which.tolist(),
+                         result.estimates.tolist(), result.offsets.tolist(),
+                         result.values.tolist(), network.ledger.records))
+    return outcomes
+
+
+class TestCsrBuilder:
+    """The CSR builder (a member mask over the CSR) and the mapping builder
+    (per-node sets and node pairs) feed the one core the same sweep."""
+
+    @pytest.mark.parametrize("name", ["practical", "mixed-k"])
+    @pytest.mark.parametrize("graph", [
+        nx.gnp_random_graph(60, 0.15, seed=2),
+        nx.relabel_nodes(nx.ring_of_cliques(5, 6), lambda v: f"n{v}"),
+    ], ids=["gnp", "ring-of-cliques"])
+    @pytest.mark.parametrize("partial", [False, True], ids=["all", "partial"])
+    def test_same_estimates_and_records(self, graph, name, partial):
+        members_of = ((lambda nodes: [v for i, v in enumerate(nodes) if i % 4])
+                      if partial else (lambda nodes: nodes))
+        mapping, csr = _member_sweeps(graph, members_of, SIMILARITY_PARAMS[name])
+        assert csr == mapping
+        swept = csr[0]
+        assert any(swept) and (all(swept) != partial)
+        assert any(csr[5])  # some shared values
+
+    def test_block_boundaries_do_not_matter(self, monkeypatch):
+        graph = nx.gnp_random_graph(60, 0.15, seed=2)
+        params = SIMILARITY_PARAMS["practical"]
+        whole = _member_sweeps(graph, lambda nodes: nodes, params)
+        monkeypatch.setattr(sweep, "_BLOCK_ELEMENTS", 8)
+        assert _member_sweeps(graph, lambda nodes: nodes, params) == whole
 
 
 #: ``k = ceil(9.95 / max_size)`` at these parameters: at least 5 up to size

@@ -493,6 +493,15 @@ class TestSpecParamValidation:
         with pytest.raises(ValueError, match="unknown solver_params.*tries"):
             ScenarioSpec("typo", "gnp", "d1c", solver_params={"tries": 4})
 
+    def test_list_kinds_are_the_registered_ones(self):
+        # "numeric" lists and their "extra" key were set by no suite.
+        with pytest.raises(ValueError, match="unknown solver_params.*extra"):
+            ScenarioSpec("typo", "gnp", "d1lc", solver_params={"extra": 2})
+        spec = ScenarioSpec("numeric", "gnp", "d1lc", family_params={"n": 12, "p": 0.3},
+                            solver_params={"lists": "numeric"})
+        with pytest.raises(ValueError, match="unknown list kind: 'numeric'"):
+            run_trial(spec, 0)
+
     def test_unknown_fault_param_rejected_at_construction(self):
         with pytest.raises(ValueError, match="dorp"):
             ScenarioSpec("typo", "gnp", "d1c", faults={"dorp": 0.1})
