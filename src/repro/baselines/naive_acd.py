@@ -111,6 +111,7 @@ def naive_compute_acd(
         uneven_nodes=uneven,
         cliques=cliques,
         clique_of=clique_of,
-        friend_edges=friend_edges,
+        friend_pairs=network.topology.index_array(
+            [v for edge in friend_edges for v in edge]).reshape(-1, 2),
         rounds_used=network.rounds_used - rounds_before,
     )

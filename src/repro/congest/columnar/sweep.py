@@ -119,10 +119,10 @@ def validate_pairs(transport, edges: Iterable[Edge]) -> None:
     The reference's index round sends from the endpoint with the smaller
     ``repr``, so that is the sender the canonical error names.
     """
-    neighbor_sets = transport.topology.neighbor_sets
+    topology = transport.topology
+    index = topology.node_index
     for u, v in edges:
-        nbrs = neighbor_sets.get(u)
-        if nbrs is None or v not in nbrs:
+        if u not in index or v not in topology.neighbors(u):
             sender, receiver = (u, v) if repr(u) <= repr(v) else (v, u)
             transport._validate_edge(sender, receiver)
 

@@ -1,19 +1,21 @@
 """Immutable graph topology with CSR-style adjacency.
 
 :class:`Topology` is the structural half of the communication engine (see
-DESIGN.md): it is built once from a ``networkx`` graph and never mutated, so
-every view the transports and algorithms need — the node list, per-node
-neighbor sets, degrees, the contiguous node index — is computed once and
-cached.  The CSR arrays (``indptr``/``indices`` over the contiguous index)
-give the vectorized columnar backend a dense representation to work from
-without retraversing the ``networkx`` structure, and answer every
-"how many of my neighbours are in this set" question in one reduction
-(:meth:`Topology.neighbor_counts`).
+DESIGN.md): it is built once from a ``networkx`` graph and never mutated.
+Construction builds the node tuple, the contiguous node index, the CSR
+arrays (``indptr``/``indices`` over that index) and the degree dict, with
+numpy and without one Python object per node.  The CSR gives the
+vectorized columnar backend a dense representation to work from without
+retraversing the ``networkx`` structure, and answers every "how many of my
+neighbours are in this set" question in one reduction
+(:meth:`Topology.neighbor_counts`).  A node's neighbour set is built from
+the graph's adjacency on its first :meth:`Topology.neighbors` call and
+cached.
 """
 
 from __future__ import annotations
 
-from array import array
+from itertools import chain
 from typing import Collection, Dict, Hashable, Sequence, Tuple, Union
 
 import networkx as nx
@@ -31,9 +33,10 @@ class Topology:
     ----------
     graph:
         The communication graph.  Self-loops are rejected (CONGEST networks
-        are simple graphs).  The graph object is kept only as a reference for
-        callers that need ``networkx`` algorithms; all hot-path queries are
-        answered from the cached structures.
+        are simple graphs).  The graph is kept: neighbour sets are built
+        from its adjacency on demand, and callers that need ``networkx``
+        algorithms read it; every other query is answered from the cached
+        structures.
     """
 
     __slots__ = (
@@ -49,30 +52,32 @@ class Topology:
     )
 
     def __init__(self, graph: nx.Graph):
-        if nx.number_of_selfloops(graph):
-            raise ProtocolError("self-loops are not allowed in a CONGEST network")
         self.graph = graph
-        self._nodes: Tuple[Node, ...] = tuple(graph.nodes())
+        self._nodes: Tuple[Node, ...] = tuple(graph)
         self._index: Dict[Node, int] = {v: i for i, v in enumerate(self._nodes)}
-        neighbor_sets: Dict[Node, frozenset] = {}
-        degrees: Dict[Node, int] = {}
-        indptr = array("l", [0])
-        indices = array("l")
-        index = self._index
-        for v in self._nodes:
-            nbrs = frozenset(graph.neighbors(v))
-            neighbor_sets[v] = nbrs
-            degrees[v] = len(nbrs)
-            indices.extend(sorted(index[u] for u in nbrs))
-            indptr.append(len(indices))
-        self._neighbor_sets = neighbor_sets
-        self._degrees = degrees
-        # The one conversion to int64 numpy: zero-copy where array("l") is
-        # 8 bytes, a copy where it is 4.
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        # The graph's own adjacency dicts, in node order, not copied.
+        rows = [nbrs for _, nbrs in graph.adjacency()]
+        n = len(rows)
+        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        row = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        indices = np.fromiter(map(self._index.__getitem__, chain.from_iterable(rows)),
+                              dtype=np.int64, count=int(indptr[-1]))
+        if (indices == row).any():
+            raise ProtocolError("self-loops are not allowed in a CONGEST network")
+        # Every row sorted at once: one sort of row·n + column, then the
+        # row offset comes off again.
+        row *= n
+        indices += row
+        indices.sort()
+        indices -= row
+        self.indptr = indptr
+        self.indices = indices
+        self._neighbor_sets: Dict[Node, frozenset] = {}
+        self._degrees: Dict[Node, int] = dict(zip(self._nodes, degrees.tolist()))
         self._number_of_edges = len(indices) // 2
-        self._max_degree = max(degrees.values(), default=0)
+        self._max_degree = int(degrees.max()) if n else 0
 
     # ------------------------------------------------------------------- views
     @property
@@ -88,16 +93,21 @@ class Topology:
     def number_of_edges(self) -> int:
         return self._number_of_edges
 
-    @property
-    def neighbor_sets(self) -> Dict[Node, frozenset]:
-        """The per-node neighbor sets (treat as read-only)."""
-        return self._neighbor_sets
-
     def neighbors(self, v: Node) -> frozenset:
-        try:
-            return self._neighbor_sets[v]
-        except KeyError:
-            raise ProtocolError(f"node {v!r} is not in the network") from None
+        """``v``'s neighbour set, built on first request and then cached.
+
+        Built from the graph's adjacency, not from the CSR row: a
+        frozenset's iteration order depends on insertion order where hashes
+        collide, and the readers that iterate it (the ``dict`` oracle's
+        per-edge fan-out, fault plans, the uniform ACD, MultiTrial, the
+        unevenness band) keep the order they always had.
+        """
+        nbrs = self._neighbor_sets.get(v)
+        if nbrs is None:
+            if v not in self._index:
+                raise ProtocolError(f"node {v!r} is not in the network")
+            nbrs = self._neighbor_sets[v] = frozenset(self.graph.neighbors(v))
+        return nbrs
 
     def degree(self, v: Node) -> int:
         try:

@@ -55,7 +55,8 @@ class ACDResult:
     uneven_nodes: Set[Node]
     cliques: Dict[int, Set[Node]]
     clique_of: Dict[Node, int]
-    friend_edges: Set[Edge] = field(default_factory=set, repr=False)
+    #: The friend edges, as an ``(m, 2)`` int64 array of node indices.
+    friend_pairs: "np.ndarray" = field(repr=False, compare=False)
     rounds_used: int = 0
 
     @property
@@ -147,7 +148,9 @@ def _uniform_buddy_edges(
     code = ErrorCorrectingCode(word_bits=id_bits, expansion=3, seed=params.seed)
 
     # Round A: the lexicographically larger endpoint picks the hash function
-    # (few collisions among its own neighbours) and sends (λ, index).
+    # (few collisions among its own neighbours) and sends (λ, index).  On a
+    # tiny network the setup can exceed the budget, so it streams in chunks
+    # like the longer messages below; where it fits, that is one round.
     setup_messages = {}
     edge_state: Dict[Edge, Tuple] = {}
     for (u, v) in candidate_edges:
@@ -178,7 +181,7 @@ def _uniform_buddy_edges(
             label="acd:uniform-setup",
         )
     if setup_messages:
-        network.exchange(setup_messages, label="acd:uniform-setup")
+        network.exchange_chunked(setup_messages, label="acd:uniform-setup")
     else:
         network.charge_silent_round(label="acd:uniform-setup")
 
@@ -536,8 +539,6 @@ def compute_acd(
 
     buddy = _buddy_mask(network, active_set, members, degree, candidates, params, seed)
     friend_pairs = candidates[buddy]
-    friend_edges = set(zip(map(nodes.__getitem__, friend_pairs[:, 0].tolist()),
-                           map(nodes.__getitem__, friend_pairs[:, 1].tolist())))
 
     # Dense nodes: most of their neighbourhood are friends.
     friends = np.bincount(friend_pairs.ravel(), minlength=len(nodes))
@@ -575,6 +576,6 @@ def compute_acd(
         uneven_nodes=uneven,
         cliques=cliques,
         clique_of=clique_of,
-        friend_edges=friend_edges,
+        friend_pairs=friend_pairs,
         rounds_used=network.rounds_used - rounds_before,
     )

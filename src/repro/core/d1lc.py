@@ -42,7 +42,7 @@ Color = Hashable
 
 def _build_result(state: ColoringState, fallback_count: int) -> ColoringResult:
     network = state.network
-    report = validate_coloring(state.instance, state.colors)
+    report = validate_coloring(state.instance, state.colors, network.topology)
     return ColoringResult(
         coloring=dict(state.colors),
         report=report,

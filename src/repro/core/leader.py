@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Set
 
+import numpy as np
+
 from repro.congest.bandwidth import integer_message
 from repro.core.acd import ACDResult
 from repro.core.params import OUTLIER_COMMON_FRACTION, OUTLIER_DEGREE_FRACTION
@@ -81,48 +83,67 @@ def select_leaders(
 
     delta = max(1, state.instance.max_degree())
     ell = params.ell(delta)
-    results: Dict[int, LeaderInfo] = {}
-    for clique_id, members in acd.cliques.items():
-        members = set(members)
-        size = len(members)
-        scores: Dict[Node, float] = {}
-        external: Dict[Node, int] = {}
-        anti: Dict[Node, int] = {}
-        for v in members:
-            neighbors = network.neighbors(v)
-            in_clique = neighbors & members
-            external[v] = len(neighbors - members)
-            anti[v] = max(0, size - 1 - len(in_clique))
-            scores[v] = external[v] + anti[v] + state.chromatic_slack[v]
-        leader = min(sorted(members, key=repr), key=lambda v: scores[v])
+    topology = network.topology
+    cliques = [(clique_id, set(members)) for clique_id, members in acd.cliques.items()]
 
-        # Lemma 16: estimate the leader's sparsity by counting the edges inside
-        # its in-clique neighbourhood (each such neighbour reports how many of
-        # the leader's neighbours it is adjacent to — one more round).
-        leader_neighbors = network.neighbors(leader) & members
-        in_clique_edges = 0
-        for u in leader_neighbors:
-            in_clique_edges += len(network.neighbors(u) & leader_neighbors)
-        in_clique_edges //= 2
-        d_leader = max(1, len(network.neighbors(leader)))
+    # Per-member numbers, as reductions over the members' CSR rows under one
+    # clique-position array (DESIGN "Leader selection on the CSR").
+    labels = [v for _, members in cliques for v in members]
+    rows = topology.index_array(labels)
+    sizes = np.array([len(members) for _, members in cliques], dtype=np.int64)
+    own = np.repeat(np.arange(len(cliques), dtype=np.int64), sizes)
+    clique = np.full(topology.number_of_nodes, -1, dtype=np.int64)
+    clique[rows] = own
+    neighbors, row_of = topology.gather_rows(rows)
+    inside = clique[neighbors] == own[row_of]
+    in_clique = np.bincount(row_of[inside], minlength=rows.size)
+    degree = topology.indptr[rows + 1] - topology.indptr[rows]
+    external = degree - in_clique
+    anti = np.maximum(0, sizes[own] - 1 - in_clique)
+    slack = state.chromatic_slack
+    score = external + anti + np.array([slack[v] for v in labels])
+    score_of = dict(zip(labels, score.tolist()))
+    leaders = [min(sorted(members, key=repr), key=score_of.__getitem__)
+               for _, members in cliques]
+
+    # Lemma 16 and the outlier ranks read who is adjacent to the leader
+    # ("near"): each member's common neighbours with the leader, and each
+    # clique's edges among the near members, each counted from both ends
+    # (what the near members report to the leader in one more round).
+    leader_neighbors, leader_of = topology.gather_rows(topology.index_array(leaders))
+    near = np.zeros(topology.number_of_nodes, dtype=bool)
+    near[leader_neighbors[clique[leader_neighbors] == leader_of]] = True
+    to_near = inside & near[neighbors]
+    common = np.bincount(row_of[to_near], minlength=rows.size)
+    near_pairs = to_near & near[rows][row_of]
+    in_clique_edges = np.bincount(own[row_of[near_pairs]], minlength=len(cliques)) // 2
+    max_degree = np.zeros(len(cliques), dtype=np.int64)
+    np.maximum.at(max_degree, own, degree)
+
+    external_of = dict(zip(labels, external.tolist()))
+    degree_of = dict(zip(labels, degree.tolist()))
+    common_of = dict(zip(labels, common.tolist()))
+    near_of = dict(zip(labels, near[rows].tolist()))
+    results: Dict[int, LeaderInfo] = {}
+    for position, ((clique_id, members), leader) in enumerate(zip(cliques, leaders)):
+        size = len(members)
+        d_leader = max(1, degree_of[leader])
         sparsity_estimate = (
-            d_leader * (d_leader - 1) / 2.0 - in_clique_edges
+            d_leader * (d_leader - 1) / 2.0 - int(in_clique_edges[position])
         ) / d_leader
-        slackability = external[leader] + sparsity_estimate + state.chromatic_slack[leader]
+        slackability = external_of[leader] + sparsity_estimate + slack[leader]
 
         # Outliers (Appendix E.2): fewest common neighbours with the leader,
         # largest original degree, and the leader's in-clique non-neighbours.
+        # ``others`` is in repr order, so the stable sorts break ties by repr.
         others = sorted(members - {leader}, key=repr)
-        common_with_leader = {
-            v: len(network.neighbors(v) & leader_neighbors) for v in others
-        }
-        by_common = sorted(others, key=lambda v: (common_with_leader[v], repr(v)))
+        by_common = sorted(others, key=common_of.__getitem__)
         take_common = int(max(d_leader, size) * OUTLIER_COMMON_FRACTION)
         outliers: Set[Node] = set(by_common[:take_common])
-        by_degree = sorted(others, key=lambda v: (-network.degree(v), repr(v)))
+        by_degree = sorted(others, key=degree_of.__getitem__, reverse=True)
         take_degree = int(size * OUTLIER_DEGREE_FRACTION)
         outliers |= set(by_degree[:take_degree])
-        outliers |= {v for v in others if v not in network.neighbors(leader)}
+        outliers |= {v for v in others if not near_of[v]}
 
         inliers = set(others) - outliers
         results[clique_id] = LeaderInfo(
@@ -133,7 +154,7 @@ def select_leaders(
             low_slack=slackability <= ell,
             slackability_estimate=slackability,
             clique_size=size,
-            max_degree=max((network.degree(v) for v in members), default=1),
+            max_degree=int(max_degree[position]),
         )
     network.charge_silent_round(label=f"{label}:sparsity-count")
     return results

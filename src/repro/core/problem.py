@@ -90,13 +90,12 @@ class ColoringInstance:
     ) -> "ColoringInstance":
         """A general list-coloring instance; lists must have ``>= d_v + 1`` colors."""
         palettes: Dict[Node, FrozenSet[Color]] = {}
-        for v in graph.nodes():
+        for v, degree in graph.degree():
             palette = frozenset(lists[v])
-            need = graph.degree(v) + 1
-            if len(palette) < need:
+            if len(palette) <= degree:
                 raise ValueError(
-                    f"node {v!r} has degree {graph.degree(v)} but only "
-                    f"{len(palette)} colors; D1LC requires at least {need}"
+                    f"node {v!r} has degree {degree} but only "
+                    f"{len(palette)} colors; D1LC requires at least {degree + 1}"
                 )
             palettes[v] = palette
         if color_space is None:
@@ -106,17 +105,20 @@ class ColoringInstance:
 
     @classmethod
     def d1c(cls, graph: nx.Graph) -> "ColoringInstance":
-        """(deg+1)-coloring: node ``v`` may use colors ``{0, ..., d_v}``."""
-        palettes = {
-            v: frozenset(range(graph.degree(v) + 1)) for v in graph.nodes()
-        }
-        delta = max((d for _, d in graph.degree()), default=1)
-        return cls(
+        """(deg+1)-coloring: node ``v`` may use colors ``{0, ..., d_v}``.
+
+        Nodes of equal degree share one palette object.
+        """
+        degrees = dict(graph.degree())
+        shared = {d: frozenset(range(d + 1)) for d in set(degrees.values())}
+        instance = cls(
             graph=graph,
-            palettes=palettes,
-            color_space=ColorSpace.numeric(delta + 1),
+            palettes={v: shared[d] for v, d in degrees.items()},
+            color_space=ColorSpace.numeric(max(shared, default=1) + 1),
             name="d1c",
         )
+        instance._max_degree = max(shared, default=0)
+        return instance
 
     @classmethod
     def delta_plus_one(cls, graph: nx.Graph) -> "ColoringInstance":

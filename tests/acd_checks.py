@@ -11,6 +11,12 @@ def acd_report_is_clean(report):
     return all(not report[key] for key in HARD_CHECKS)
 
 
+def friend_labels(network, acd):
+    """``acd.friend_pairs`` as a set of label pairs ``(nodes[u], nodes[v])``."""
+    nodes = network.nodes
+    return {(nodes[u], nodes[v]) for u, v in acd.friend_pairs.tolist()}
+
+
 def reference_unevenness(degrees, neighbors, v):
     """Definition 5's unevenness of ``v``, summed in its set's order."""
     dv = degrees[v]

@@ -10,6 +10,7 @@ from repro.core import ColoringInstance, ColoringParameters, validate_coloring
 from repro.core.multitrial import multi_trial
 from repro.core.state import ColoringState
 from repro.graphs import degree_plus_one_lists, numeric_degree_lists
+from acd_checks import friend_labels
 
 
 class TestJohansson:
@@ -41,6 +42,8 @@ class TestNaiveACD:
         net = Network(planted.graph)
         acd = naive_compute_acd(net, small_params)
         assert len(acd.cliques) == len(planted.cliques)
+        friends = friend_labels(net, acd)
+        assert friends and all(planted.graph.has_edge(u, v) for u, v in friends)
 
     def test_uses_more_bits_per_edge_than_hashed_acd(self, planted, small_params):
         """The ablation: naive ACD ships Θ(Δ log n) bits, the hashed one O(ε^-4 log n)."""

@@ -44,6 +44,7 @@ from repro.obs import RoundTracer, deterministic_events
 from repro.sampling.similarity import SimilarityParameters, estimate_similarity_on_edges
 from repro.sampling.sparsity import estimate_global_sparsity, estimate_local_sparsity
 from repro.sampling.triangles import detect_triangle_rich_edges
+from acd_checks import friend_labels
 from round_driver import by_edge
 
 MASK64 = (1 << 64) - 1
@@ -438,7 +439,7 @@ class TestSimilarityKernel:
         csr_ran = _spy_on_kernel(monkeypatch, "csr_similarity")
         graph = nx.disjoint_union(nx.complete_graph(10), nx.complete_graph(10))
         (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(
-            graph, lambda net: compute_acd(net, seed=1).friend_edges)
+            graph, lambda net: friend_labels(net, compute_acd(net, seed=1)))
         assert col == ref and col_rounds == ref_rounds
         assert len(col) == 90
         # dict: the CSR builder declines, then the reference sweep offers the

@@ -1,13 +1,17 @@
 """Tests for the immutable Topology layer (CSR adjacency, node index)."""
 
+import random
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.congest.topology as topology_module
 from repro.congest import Network, ProtocolError, Topology
 from repro.graphs import gnp_graph, random_geometric_graph, ring_of_cliques
+from topology_checks import reference_topology
 
 
 @pytest.fixture
@@ -129,8 +133,91 @@ class TestCsrInvariants:
         for i, v in enumerate(topo.nodes):
             row = csr_row(topo, i)
             assert len(row) == topo.degree(v) == graph.degree(v)
-            assert {topo.nodes[j] for j in row} == topo.neighbor_sets[v]
+            assert {topo.nodes[j] for j in row} == topo.neighbors(v)
         assert topo.max_degree() == max(dict(graph.degree()).values())
+
+
+#: Labels by node position; "given" keeps the family's own labels.
+RELABEL = {
+    "given": None,
+    # At or above a set's table size, int hashes collide modulo it.
+    "big-int": lambda i: 1024 * i + 7,
+    "str": lambda i: f"n{i}",
+    "tuple": lambda i: (i % 3, str(i)),
+}
+
+
+def variant(family: str, labels: str, shuffled: bool) -> nx.Graph:
+    """A family's graph relabelled, its nodes and edges reinserted in a
+    shuffled order when asked."""
+    graph = GRAPH_FAMILIES[family]()
+    if RELABEL[labels] is not None:
+        graph = nx.relabel_nodes(graph, {v: RELABEL[labels](i) for i, v in enumerate(graph)})
+    if not shuffled:
+        return graph
+    rng = random.Random(f"{family}-{labels}")
+    nodes, edges = list(graph), list(graph.edges())
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    out = nx.Graph()
+    out.add_nodes_from(nodes)
+    out.add_edges_from((v, u) if rng.random() < 0.5 else (u, v) for u, v in edges)
+    return out
+
+
+class TestAgainstThePerNodeConstructor:
+    """The numpy constructor against the per-node one it replaced
+    (``tests/topology_checks.py``)."""
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["inserted", "shuffled"])
+    @pytest.mark.parametrize("labels", list(RELABEL))
+    @pytest.mark.parametrize("family", list(GRAPH_FAMILIES))
+    def test_same_arrays_degrees_and_set_order(self, family, labels, shuffled):
+        graph = variant(family, labels, shuffled)
+        want = reference_topology(graph)
+        topo = Topology(graph)
+        assert topo.nodes == want.nodes and topo.node_index == want.node_index
+        for got, ref in ((topo.indptr, want.indptr), (topo.indices, want.indices)):
+            assert got.dtype == np.int64 and np.array_equal(got, ref)
+        assert topo.number_of_edges == want.number_of_edges
+        assert topo.max_degree() == want.max_degree
+        assert {v: topo.degree(v) for v in topo.nodes} == want.degrees
+        for v in topo.nodes:
+            # Iteration order, not only membership: readers iterate the set.
+            assert list(topo.neighbors(v)) == list(frozenset(graph.neighbors(v)))
+            assert list(topo.neighbors(v)) == list(want.neighbor_sets[v])
+
+    def test_construction_builds_no_set_and_sorts_no_row(self, monkeypatch):
+        built, sorted_rows = [], []
+        monkeypatch.setattr(topology_module, "frozenset",
+                            lambda items: built.append(1) or frozenset(items), raising=False)
+        monkeypatch.setattr(topology_module, "sorted",
+                            lambda *a, **k: sorted_rows.append(1) or sorted(*a, **k),
+                            raising=False)
+        topo = Topology(variant("gnp", "str", True))
+        assert built == [] and sorted_rows == []
+        v = topo.nodes[3]
+        assert topo.neighbors(v) is topo.neighbors(v)  # built once, then cached
+        assert built == [1]
+
+    @pytest.mark.parametrize("labels", ["big-int", "str"])
+    @pytest.mark.parametrize("at", [0, 5, 9])
+    def test_self_loops_raise_the_canonical_error(self, labels, at):
+        label = RELABEL[labels]
+        graph = nx.relabel_nodes(nx.path_graph(10), label)
+        graph.add_edge(label(at), label(at))
+        message = "self-loops are not allowed in a CONGEST network"
+        with pytest.raises(ProtocolError, match=message):
+            reference_topology(graph)
+        with pytest.raises(ProtocolError, match=message):
+            Topology(graph)
+
+    def test_unknown_nodes_raise_the_canonical_error(self):
+        topo = Topology(variant("path", "str", False))
+        for lookup in (topo.neighbors, topo.degree):
+            with pytest.raises(ProtocolError, match="node 'nope' is not in the network"):
+                lookup("nope")
+        assert topo.neighbors("n1") == {"n0", "n2"}
 
 
 def reference_neighbor_counts(graph: nx.Graph, nodes, members) -> list:

@@ -16,7 +16,7 @@ from repro.core.acd import _balanced_candidates, compute_acd
 from repro.core.params import SPARSITY_EPS
 from repro.graphs import planted_almost_cliques, validate_acd
 from repro.graphs.generators import locally_sparse_graph
-from acd_checks import acd_report_is_clean, reference_classification
+from acd_checks import acd_report_is_clean, friend_labels, reference_classification
 
 
 class TestComputeACD:
@@ -163,15 +163,10 @@ def _detached_members():
                      (5, 1), (5, 2), (5, 3), (0, 4), (0, 5)])
 
 
-#: The uniform test's setup message is 39 bits, above a 2-node network's
-#: default budget of 32; every network of the differential test gets this one.
-BUDGET = 64
-
-
 def _reference_buddies(graph, active, params, seed):
     """The reference buddy test on the dict oracle, from per-node sets and the
     candidate tuples of an edge walk (what ``compute_acd`` used to build)."""
-    network = Network(graph, backend="dict", bandwidth_bits=BUDGET)
+    network = Network(graph, backend="dict")
     active = set(active)
     neighborhoods = {v: {u for u in graph[v] if u in active} for v in active}
     degrees = {v: len(neighborhoods[v]) for v in active}
@@ -254,9 +249,9 @@ class TestIndexArrayClassification:
                                           params, seed)
         records = []
         for backend in ("dict", "columnar"):
-            network = Network(graph, backend=backend, bandwidth_bits=BUDGET)
+            network = Network(graph, backend=backend)
             acd = compute_acd(network, params, active=active)
-            assert acd.friend_edges == want_buddies
+            assert friend_labels(network, acd) == want_buddies
             _assert_matches_reference(acd, graph, active, want_buddies, params.acd_eps)
             records.append(network.ledger.records)
         assert records[0] == records[1]
@@ -273,11 +268,11 @@ class TestIndexArrayClassification:
         def buddy_mask(network, active_set, members, degree, candidates, params, seed):
             return rng.random(len(candidates)) < share
 
+        network = Network(graph)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(acd_module, "_buddy_mask", buddy_mask)
-            acd = compute_acd(Network(graph), ColoringParameters.small(seed=1),
-                              active=active)
-        _assert_matches_reference(acd, graph, active, set(acd.friend_edges), 0.3)
+            acd = compute_acd(network, ColoringParameters.small(seed=1), active=active)
+        _assert_matches_reference(acd, graph, active, friend_labels(network, acd), 0.3)
 
     @pytest.mark.parametrize("graph, cliques", [
         (_detached_members(), {0: {1, 2, 3}}),
@@ -289,8 +284,9 @@ class TestIndexArrayClassification:
         monkeypatch.setattr(acd_module, "_buddy_mask",
                             lambda network, active_set, members, degree, candidates,
                             params, seed: np.ones(len(candidates), dtype=bool))
-        acd = compute_acd(Network(graph), ColoringParameters.small(seed=1))
-        _assert_matches_reference(acd, graph, None, set(acd.friend_edges), 0.3)
+        network = Network(graph)
+        acd = compute_acd(network, ColoringParameters.small(seed=1))
+        _assert_matches_reference(acd, graph, None, friend_labels(network, acd), 0.3)
         assert acd.cliques == cliques
 
 
@@ -311,9 +307,10 @@ class TestUnevennessBand:
                for i in topology.indices[topology.indptr[0]:topology.indptr[1]].tolist()]
         assert row[:3] == [2, 3, 1]
         assert unevenness(row) < threshold == unevenness(set(topology.neighbors(0)))
-        acd = compute_acd(Network(graph, backend=backend), ColoringParameters.small(seed=1))
+        network = Network(graph, backend=backend)
+        acd = compute_acd(network, ColoringParameters.small(seed=1))
         assert 0 in acd.uneven_nodes
-        _assert_matches_reference(acd, graph, None, acd.friend_edges, 0.3)
+        _assert_matches_reference(acd, graph, None, friend_labels(network, acd), 0.3)
 
 
 class TestUniformACD:
@@ -339,6 +336,22 @@ class TestUniformACD:
         net = Network(planted_graph)
         compute_acd(net, params)
         assert net.ledger.max_edge_bits <= net.bandwidth_bits
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("shape", ["path", "star", "clique"])
+    def test_the_setup_streams_within_a_tiny_budget(self, shape, n):
+        """The setup (λ, hash index, multiset index) outgrows the default
+        budget of a network this small (39 bits against 32 at n = 2); it
+        is chunked, so the run stays within the budget on both backends."""
+        graph = {"path": nx.path_graph, "star": lambda k: nx.star_graph(k - 1),
+                 "clique": nx.complete_graph}[shape](n)
+        records = []
+        for backend in ("dict", "columnar"):
+            network = Network(graph, backend=backend)
+            compute_acd(network, ColoringParameters.small(seed=2, uniform=True))
+            assert network.ledger.max_edge_bits <= network.bandwidth_bits
+            records.append(network.ledger.records)
+        assert records[0] == records[1]
 
 
 def test_planted_recovery_and_flat_rounds():

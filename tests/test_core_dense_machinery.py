@@ -1,18 +1,28 @@
 """Tests for leader selection, put-aside sets and SynchColorTrial (App. D.1/D.2, Alg. 13-14)."""
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.congest import Network
-from repro.core import ColoringInstance, ColoringParameters, validate_coloring
-from repro.core.acd import compute_acd
+import repro.congest.topology as topology_module
+from repro.congest import Network, Topology
+from repro.core import ColoringInstance, ColoringParameters, solve_d1c, validate_coloring
+from repro.core.acd import ACDResult, compute_acd
 from repro.core.dense_phase import run_dense_phase
 from repro.core.leader import select_leaders
 from repro.core.putaside import color_put_aside, compute_put_aside
 from repro.core.slack import generate_slack
 from repro.core.state import ColoringState
 from repro.core.synch_trial import synch_color_trial
-from repro.graphs import degree_plus_one_lists, planted_almost_cliques, random_geometric_graph
+from repro.graphs import (
+    degree_plus_one_lists,
+    gnp_fast_graph,
+    planted_almost_cliques,
+    random_geometric_graph,
+)
+from leader_checks import reference_leaders
 
 
 @pytest.fixture
@@ -126,6 +136,114 @@ class TestLeaderSelection:
         state = ColoringState(instance, network, small_params)
         acd = compute_acd(network, small_params, active=set())
         assert select_leaders(state, acd) == {}
+
+
+def _ring(draw):
+    count, size = draw(st.integers(2, 5)), draw(st.integers(3, 8))
+    graph = nx.ring_of_cliques(count, size)
+    return graph, [set(range(i * size, (i + 1) * size)) for i in range(count)]
+
+
+def _planted(draw):
+    planted = planted_almost_cliques(
+        num_cliques=draw(st.integers(1, 3)), clique_size=draw(st.integers(3, 12)),
+        dropout=draw(st.sampled_from([0.0, 0.2, 0.4])), num_sparse=draw(st.integers(0, 6)),
+        seed=draw(st.integers(0, 99)))
+    return planted.graph, [set(c) for c in planted.cliques]
+
+
+def _cliques_missing_edges(draw):
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    graph = nx.disjoint_union_all([nx.complete_graph(size) for size in sizes])
+    edges = list(graph.edges())
+    if edges:
+        graph.remove_edges_from(draw(st.lists(st.sampled_from(edges), unique=True,
+                                              max_size=len(edges) // 2)))
+    cliques, start = [], 0
+    for size in sizes:
+        cliques.append(set(range(start, start + size)))
+        start += size
+    # A few edges between the groups: external degree.
+    nodes = list(graph)
+    for _ in range(draw(st.integers(0, 6))):
+        u, v = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+        if u != v:
+            graph.add_edge(u, v)
+    return graph, cliques
+
+
+LEADER_GRAPHS = {
+    "ring-of-cliques": _ring,
+    "planted": _planted,
+    "cliques-missing-edges": _cliques_missing_edges,
+}
+LEADER_LABELS = {
+    "int": lambda v: v,
+    "big-int": lambda v: 1024 * v + 7,  # hashes collide in small sets
+    "str": lambda v: f"n{v}",
+    "tuple": lambda v: (v % 3, str(v)),
+}
+
+
+@st.composite
+def leader_inputs(draw):
+    """A graph with groups as almost-cliques (in a drawn order), reinserted
+    in a drawn node order and relabelled, and a chromatic slack per node."""
+    graph, groups = LEADER_GRAPHS[draw(st.sampled_from(sorted(LEADER_GRAPHS)))](draw)
+    label = LEADER_LABELS[draw(st.sampled_from(sorted(LEADER_LABELS)))]
+    shuffled = nx.Graph()
+    shuffled.add_nodes_from(label(v) for v in draw(st.permutations(list(graph))))
+    shuffled.add_edges_from((label(u), label(v)) for u, v in graph.edges())
+    groups = draw(st.permutations([{label(v) for v in group} for group in groups]))
+    # Few distinct values, so scores tie.
+    slack = {v: draw(st.integers(0, 2)) for v in shuffled}
+    return shuffled, groups, slack
+
+
+class TestLeadersOnTheCsr:
+    """``select_leaders``' CSR reductions against the per-node intersections
+    it replaced (``tests/leader_checks.py``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=leader_inputs())
+    def test_matches_the_per_node_reference(self, inputs):
+        graph, groups, slack = inputs
+        network = Network(graph)
+        state = ColoringState(ColoringInstance.d1c(graph), network,
+                              ColoringParameters.small(seed=1))
+        state.chromatic_slack.update(slack)
+        clique_of = {v: cid for cid, group in enumerate(groups) for v in group}
+        acd = ACDResult(sparse_nodes=set(graph) - set(clique_of), uneven_nodes=set(),
+                        cliques=dict(enumerate(groups)), clique_of=clique_of,
+                        friend_pairs=np.zeros((0, 2), dtype=np.int64))
+        want = reference_leaders(state, acd)
+        got = select_leaders(state, acd)
+        assert list(got) == list(want)
+        for cid, info in got.items():
+            assert info == want[cid]
+            # Insertion order too: the dense phase iterates these sets.
+            assert list(info.inliers) == list(want[cid].inliers)
+            assert list(info.outliers) == list(want[cid].outliers)
+
+    def test_reads_no_neighbour_set(self, dense_setup, monkeypatch):
+        _, state, acd, _ = dense_setup
+        calls = []
+        for owner in (Network, Topology):
+            monkeypatch.setattr(owner, "neighbors", lambda self, v, _read=owner.neighbors:
+                                calls.append(v) or _read(self, v))
+        assert set(select_leaders(state, acd)) == set(acd.cliques)
+        assert calls == []
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_columnar_d1c_solve_builds_few_neighbour_sets(seed, monkeypatch):
+    """The columnar path reads the CSR: under a tenth of the nodes get a set."""
+    built = []
+    monkeypatch.setattr(topology_module, "frozenset",
+                        lambda items: built.append(1) or frozenset(items), raising=False)
+    result = solve_d1c(gnp_fast_graph(2000, avg_degree=8, seed=seed), seed=seed)
+    assert result.report.is_valid
+    assert len(built) < 200
 
 
 class TestPutAside:

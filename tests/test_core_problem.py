@@ -5,10 +5,14 @@ import math
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.congest import Topology
 from repro.core import ColoringInstance, ColoringParameters, ColorSpace, validate_coloring
 from repro.core.params import ELL_EXPONENT, MULTITRIAL_ALPHA, MULTITRIAL_BETA, SLACK_PROBABILITY
 from repro.graphs import degree_plus_one_lists
+from topology_checks import reference_validation
 
 
 class TestColorSpace:
@@ -73,6 +77,16 @@ class TestColoringInstance:
         instance = ColoringInstance.d1c(gnp_small)
         assert instance.max_degree() == max(d for _, d in gnp_small.degree())
 
+    @pytest.mark.parametrize("graph", [nx.Graph(), nx.empty_graph(3), nx.star_graph(5)],
+                             ids=["empty", "edgeless", "star"])
+    def test_d1c_shares_one_palette_per_degree(self, graph):
+        instance = ColoringInstance.d1c(graph)
+        degrees = dict(graph.degree())
+        assert instance.palettes == {v: frozenset(range(d + 1)) for v, d in degrees.items()}
+        assert len({id(p) for p in instance.palettes.values()}) == len(set(degrees.values()))
+        assert instance.max_degree() == max(degrees.values(), default=0)
+        assert instance.color_space == ColorSpace.numeric(max(degrees.values(), default=1) + 1)
+
 
 class TestValidateColoring:
     def test_valid_complete_coloring(self):
@@ -103,6 +117,47 @@ class TestValidateColoring:
         report = validate_coloring(instance, {0: 99, 1: 0, 2: 1})
         assert 0 in report.palette_violations
         assert not report.is_valid
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_node_and_edge_walk(self, data):
+        """Conflicts in edge-walk order with its ``==`` rule, and uncolored
+        nodes and palette violations in node order, with and without a
+        topology; colors equal across types (1, 1.0, True) conflict."""
+        n = data.draw(st.integers(0, 14))
+        labels = data.draw(st.sampled_from([str, lambda i: (i % 2, str(i)), lambda i: i]))
+        order = data.draw(st.permutations(range(n)))
+        graph = nx.Graph()
+        graph.add_nodes_from(labels(i) for i in order)
+        pairs = [(labels(i), labels(j)) for i in range(n) for j in range(i)]
+        graph.add_edges_from(data.draw(st.lists(st.sampled_from(pairs), unique=True))
+                             if pairs else [])
+        instance = ColoringInstance.d1c(graph)
+        colors = st.sampled_from([None, 0, 1, 1.0, True, 2, 99, "x"])
+        coloring = {v: data.draw(colors) for v in graph if data.draw(st.booleans())}
+        coloring["not-a-node"] = 0
+        want = reference_validation(instance, coloring)
+        for topology in (None, Topology(graph)):
+            report = validate_coloring(instance, coloring, topology)
+            assert (report.uncolored, report.conflicts, report.palette_violations) == want
+            assert report.total_nodes == n
+            assert report.colored_nodes == n - len(want[0])
+
+    def test_a_proper_coloring_walks_no_edge(self):
+        class EdgeWalks(nx.Graph):
+            walks = 0
+
+            @property
+            def edges(self):
+                EdgeWalks.walks += 1
+                return super().edges
+
+        graph = EdgeWalks(nx.cycle_graph(6))
+        instance = ColoringInstance.d1c(graph)
+        assert validate_coloring(instance, {v: v % 2 for v in graph}).is_valid
+        assert EdgeWalks.walks == 0
+        report = validate_coloring(instance, {0: 0, 1: 1, 2: 0, 3: 0, 4: 1, 5: 2})
+        assert report.conflicts == [(2, 3)] and EdgeWalks.walks == 1
 
 
 class TestColoringParameters:
