@@ -1,15 +1,11 @@
-"""Vectorized ``EstimateSimilarity``: one kernel for every columnar caller.
+"""Vectorized ``EstimateSimilarity``: one kernel over the CSR.
 
-One core, :func:`_sweep`, runs Algorithm 1 on a whole edge list at once.  Two
-input builders feed it:
-
-* :func:`columnar_similarity` takes a sets mapping and an edge list of node
-  pairs: triangle detection (Theorem 2), sparsity estimation (Lemmas 4 and
-  5) and any direct caller of ``estimate_similarity_on_edges``;
-* :func:`csr_similarity` takes a member mask over the topology's node index
-  and index pairs of the CSR: node ``v``'s set is its CSR row under the
-  mask.  The ACD buddy test (Section 4.2) thresholds it in
-  :func:`columnar_buddy_edges`.
+:func:`csr_similarity` runs Algorithm 1 on a whole array of node-index pairs
+at once: node ``v``'s set is its CSR row under a member mask.  Two callers
+use it: the graph-wide sweep of ``estimate_similarity_on_edges`` (every
+edge, each on its endpoints' whole neighbourhoods: triangle detection,
+Theorem 2, and sparsity estimation, Lemmas 4 and 5) and the ACD buddy test
+(Section 4.2), which thresholds it in :func:`columnar_buddy_edges`.
 
 Work that depends on a node alone runs once per node:
 
@@ -40,20 +36,17 @@ estimate_similarity_on_edges` is the load-bearing contract:
 * estimates are evaluated in float64, which matches Python exactly because
   every operand is below 2**53.
 
-The mapping builder validates every requested pair before the first round,
-whatever the sets hold; the CSR builder's pairs are edges by construction.
-The kernel declines — returns ``None`` before any ledger effect, so the
-caller runs the scalar reference instead — when
+Neither the per-edge results nor the ledger records depend on the order of
+the pairs or on the node numbering.  The pairs are distinct edges by
+construction, so none is validated.  The kernel declines — returns ``None``
+before any ledger effect, so the caller runs the scalar reference instead —
+when
 
 * the transport is not a ``ColumnarTransport`` (the ``dict`` oracle, and
   the fault transport that any fault plan builds);
 * the network's tracer digests payloads (``tracer.digest``): the kernel
   charges ledger records without materializing the payloads a digest hashes,
   nor the deliveries, which the reference ignores;
-* an unordered pair repeats among the swept edges of a mapping sweep: the
-  reference sends one index message per unordered pair and one indicator
-  per directed key, where this kernel would charge one of each per list
-  position (CSR upper-triangle pairs never repeat);
 * the parameters leave the exactly-reproducible regime (λ ≥ 2**32 breaks
   the value packing, σ·λ ≥ 2**53 the float reproduction).
 """
@@ -62,7 +55,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,9 +68,6 @@ from repro.congest.columnar.kernels import (
 from repro.congest.columnar.transport import ColumnarTransport
 from repro.hashing.representative import RepresentativeHashFamily
 from repro.utils.rng import RngStream
-
-Node = Hashable
-Edge = Tuple[Node, Node]
 
 #: Cap on scaled elements hashed per vector block.  Blocks partition the edge
 #: list and results are per edge, so the cap only bounds the sweep's
@@ -111,20 +101,6 @@ class SimilaritySweep:
     estimates: "np.ndarray"
     offsets: "np.ndarray"
     values: "np.ndarray"
-
-
-def validate_pairs(transport, edges: Iterable[Edge]) -> None:
-    """Raise the index round's ``ProtocolError`` for the first pair that is no edge.
-
-    The reference's index round sends from the endpoint with the smaller
-    ``repr``, so that is the sender the canonical error names.
-    """
-    topology = transport.topology
-    index = topology.node_index
-    for u, v in edges:
-        if u not in index or v not in topology.neighbors(u):
-            sender, receiver = (u, v) if repr(u) <= repr(v) else (v, u)
-            transport._validate_edge(sender, receiver)
 
 
 def _ranges(starts: "np.ndarray", lengths: "np.ndarray") -> "np.ndarray":
@@ -173,7 +149,7 @@ def _sweep(
     seed: int,
     label: str,
 ) -> Optional[SimilaritySweep]:
-    """The shared core: Algorithm 1 on the swept edges ``(eu[i], ev[i])``.
+    """The kernel's core: Algorithm 1 on the swept edges ``(eu[i], ev[i])``.
 
     Endpoints are node ids: ``sizes[x]`` is node ``x``'s set size (positive
     at every endpoint), ``node_keys[x]`` its own element key, and
@@ -315,54 +291,6 @@ def _sweep(
                            estimates=estimates, offsets=offsets, values=values)
 
 
-def columnar_similarity(
-    network,
-    sets: Mapping[Node, Set[Hashable]],
-    edges: List[Edge],
-    params,
-    seed: int,
-    label: str,
-) -> Optional[SimilaritySweep]:
-    """``EstimateSimilarity`` on every pair of ``edges`` over ``sets``, or ``None``.
-
-    The mapping builder: ``edges`` is a list of node tuples, in the caller's
-    order, and node ``v``'s set is ``sets.get(v, ())``.  Charges the two
-    ledger rounds of the scalar loop in ``estimate_similarity_on_edges`` and
-    computes the same per-edge scale factor, family, hash-function index and
-    shared hash values.  The module docstring lists when the kernel declines.
-    """
-    if _declines(network):
-        return None
-    # Local node ids in first-seen order; endpoints interleave (u0, v0, ...).
-    node_local: Dict[Node, int] = {}
-    local_of = node_local.setdefault
-    endpoints = np.fromiter(
-        (local_of(node, len(node_local)) for u, v in edges for node in (u, v)),
-        dtype=np.int64, count=2 * len(edges),
-    )
-    local_nodes = list(node_local)
-    # What the reference's set(...) copy holds; a set is not copied, which
-    # spares the garbage collector one tracked object per node.
-    node_sets = [
-        members if isinstance(members, (set, frozenset)) else set(members)
-        for members in (sets.get(node, ()) for node in local_nodes)
-    ]
-    sizes = np.fromiter(map(len, node_sets), dtype=np.int64, count=len(node_sets))
-    swept = (sizes[endpoints[0::2]] > 0) & (sizes[endpoints[1::2]] > 0)
-    eu = endpoints[0::2][swept]
-    ev = endpoints[1::2][swept]
-    pairs = (np.minimum(eu, ev) << 32) | np.maximum(eu, ev)
-    if np.unique(pairs).size < pairs.size:
-        return None  # a repeated pair, which the reference charges once
-    validate_pairs(network.transport, edges)  # in the reference's order, before round 1
-
-    def set_keys(rows):
-        return element_keys_array([x for node in rows.tolist() for x in node_sets[node]])
-
-    return _sweep(network.transport, swept, eu, ev, sizes, element_keys_array(local_nodes),
-                  set_keys, params, seed, label)
-
-
 def csr_similarity(
     network,
     members: "np.ndarray",
@@ -374,14 +302,15 @@ def csr_similarity(
 ) -> Optional[SimilaritySweep]:
     """``EstimateSimilarity`` on CSR index pairs over member-masked rows, or ``None``.
 
-    The CSR builder: ``members`` is a boolean mask over the topology's node
-    index, node ``v``'s set is its CSR row under that mask, and
-    ``degree[v]`` is that set's size (0 off the mask).  ``pairs`` is an
-    ``(m, 2)`` array of distinct node-index pairs of the CSR upper triangle,
-    so every pair is an edge and none repeats: no pair is validated.  Each
-    element's key comes from one ``element_keys_array`` of the topology's
-    nodes.  Results and ledger records are those of :func:`columnar_similarity`
-    on the same sets and pairs.
+    ``members`` is a boolean mask over the topology's node index, node
+    ``v``'s set is its CSR row under that mask, and ``degree[v]`` is that
+    set's size (0 off the mask).  ``pairs`` is an ``(m, 2)`` array of
+    node-index pairs, each a distinct edge in either orientation: no pair is
+    validated.  Each element's key comes from one ``element_keys_array`` of
+    the topology's nodes.  Charges the two ledger rounds of the scalar loop
+    in ``estimate_similarity_on_edges`` and computes the same per-edge scale
+    factor, family, hash-function index and shared hash values.  The module
+    docstring lists when the kernel declines.
     """
     if _declines(network):
         return None

@@ -82,9 +82,3 @@ class RepresentativeMultisetFamily:
     def sample_index(self, rng) -> int:
         return rng.randrange(self.family_size)
 
-    def __len__(self) -> int:
-        return self.family_size
-
-    def __getitem__(self, index: int) -> AveragingSampler:
-        return self.member(index)
-

@@ -97,12 +97,6 @@ class PairwiseHashFamily:
         b = mix64(self._seed, index, 2) % _PRIME
         return PairwiseHashFunction(a, b, self.lam)
 
-    def __len__(self) -> int:
-        return self.family_size
-
-    def __getitem__(self, index: int) -> PairwiseHashFunction:
-        return self.member(index)
-
     def sample_index(self, rng) -> int:
         return rng.randrange(self.family_size)
 

@@ -241,12 +241,6 @@ class RepresentativeHashFamily:
             self._members[index] = fn
         return fn
 
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, index: int) -> RepresentativeHashFunction:
-        return self.member(index)
-
     def sample_index(self, rng) -> int:
         """Pick a uniformly random member index using ``rng``."""
         return rng.randrange(self.size)

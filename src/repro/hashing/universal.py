@@ -93,9 +93,3 @@ class ApproximatelyUniversalFamily:
 
     def sample_index(self, rng) -> int:
         return rng.randrange(self.family_size)
-
-    def __len__(self) -> int:
-        return self.family_size
-
-    def __getitem__(self, index: int) -> UniversalHashFunction:
-        return self.member(index)

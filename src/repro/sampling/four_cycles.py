@@ -23,6 +23,7 @@ from repro.congest.bandwidth import bitstring_message, index_message
 from repro.congest.network import Network
 from repro.hashing.representative import RepresentativeHashFamily
 from repro.hashing.setops import unique_part
+from repro.sampling.similarity import check_eps
 from repro.utils.rng import RngStream
 
 Node = Hashable
@@ -49,6 +50,7 @@ def detect_four_cycle_rich_pairs(
     seed: int = 0,
 ) -> FourCycleDetectionResult:
     """Flag every wedge contained in at least ``ε·Δ`` 4-cycles (Theorem 3)."""
+    check_eps(eps)
     if delta is None:
         delta = max(1, network.max_degree())
     nodes = list(nodes) if nodes is not None else network.nodes
@@ -84,7 +86,7 @@ def detect_four_cycle_rich_pairs(
     for v in nodes:
         h = family.member(chosen_index[v])
         for u in network.neighbors(v):
-            neighborhood = set(network.neighbors(u))
+            neighborhood = network.neighbors(u)
             survivors = unique_part(h, neighborhood, neighborhood, sigma)
             values = frozenset(h(x) for x in survivors)
             replies[(u, v)] = values

@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.congest.bandwidth import index_message
 from repro.congest.message import Message
 from repro.congest.network import Network
@@ -189,9 +191,23 @@ def _sweep_results(edges: List[Edge], sweep) -> Dict[Edge, SimilarityResult]:
     return results
 
 
+def validate_pairs(transport, edges: Iterable[Edge]) -> None:
+    """Raise the index round's ``ProtocolError`` for the first pair that is no edge.
+
+    The index round sends from the endpoint with the smaller ``repr``, so
+    that is the sender the canonical error names.
+    """
+    topology = transport.topology
+    index = topology.node_index
+    for u, v in edges:
+        if u not in index or v not in topology.neighbors(u):
+            sender, receiver = (u, v) if repr(u) <= repr(v) else (v, u)
+            transport._validate_edge(sender, receiver)
+
+
 def estimate_similarity_on_edges(
     network: Network,
-    sets: Mapping[Node, Set[Hashable]],
+    sets: Optional[Mapping[Node, Set[Hashable]]] = None,
     edges: Optional[Iterable[Edge]] = None,
     params: SimilarityParameters = SimilarityParameters(),
     seed: int = 0,
@@ -204,27 +220,34 @@ def estimate_similarity_on_edges(
     index, one synchronous exchange of the ``σ``-bit indicators), which is the
     point of the paper's construction.  Results are keyed by the edge in the
     orientation given (``(u, v)`` and ``(v, u)`` would hold the same result).
+    Without ``sets`` each node's set is its neighbourhood; without ``edges``
+    the edges are ``network.graph.edges()``, in that order.
 
     Each edge's hash-function index is one ``randrange`` of its splitmix64
     edge stream (``RngStream.for_edge``), so both endpoints draw the same
-    index whichever orientation is given.  On a columnar network the whole
-    sweep runs as one vectorized kernel
-    (:func:`repro.congest.columnar.sweep.columnar_similarity`, which draws
-    every index in one pass of the stream's array twin) with the same
-    results and ledger records; the loop below is the reference it is tested
-    against, and runs whenever the kernel declines.
+    index whichever orientation is given.  The graph-wide sweep, both
+    arguments omitted, runs on a columnar network as one vectorized kernel
+    over the CSR (:func:`repro.congest.columnar.sweep.csr_similarity`,
+    which draws every index in one pass of the stream's array twin) with the
+    same results and ledger records; the loop below is the reference it is
+    tested against, and runs for every other call and whenever the kernel
+    declines.
     """
     if edges is None:
         edges = list(network.graph.edges())
+        if sets is None:
+            # The graph-wide sweep.  The kernel decides whether it runs and
+            # declines before any ledger effect, so nothing is charged twice.
+            from repro.congest.columnar.sweep import csr_similarity
+
+            topology = network.topology
+            degree = np.diff(topology.indptr)
+            pairs = topology.index_array([node for edge in edges for node in edge])
+            sweep = csr_similarity(network, np.ones(degree.size, dtype=bool), degree,
+                                   pairs.reshape(-1, 2), params, seed, label)
+            if sweep is not None:
+                return _sweep_results(edges, sweep)
     edges = [tuple(edge) for edge in edges]
-
-    # The kernel decides whether it runs and declines before any ledger
-    # effect, so nothing is charged twice.
-    from repro.congest.columnar.sweep import columnar_similarity, validate_pairs
-
-    sweep = columnar_similarity(network, sets, edges, params, seed, label)
-    if sweep is not None:
-        return _sweep_results(edges, sweep)
     validate_pairs(network.transport, edges)  # whatever the sets hold, before round 1
     stream = RngStream(seed)
 
@@ -247,7 +270,7 @@ def estimate_similarity_on_edges(
     def _set_of(node: Node) -> Set[Hashable]:
         members = node_sets.get(node)
         if members is None:
-            members = set(sets.get(node, ()))
+            members = set(network.neighbors(node) if sets is None else sets.get(node, ()))
             node_sets[node] = members
         return members
 

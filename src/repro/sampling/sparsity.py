@@ -50,8 +50,15 @@ class SparsityEstimates:
         return self.estimates[node]
 
 
-def _neighborhoods(network: Network, nodes: Iterable[Node]) -> Dict[Node, set]:
-    return {v: set(network.neighbors(v)) for v in nodes}
+def _both_orientations(
+    similarities: Dict[Tuple[Node, Node], SimilarityResult]
+) -> Dict[Tuple[Node, Node], SimilarityResult]:
+    """The (symmetric) per-edge results, keyed by both orientations of each edge."""
+    by_edge: Dict[Tuple[Node, Node], SimilarityResult] = {}
+    for (u, v), result in similarities.items():
+        by_edge[(u, v)] = result
+        by_edge[(v, u)] = result
+    return by_edge
 
 
 def _misheard_degrees(
@@ -99,17 +106,9 @@ def estimate_global_sparsity(
         params = SimilarityParameters.practical(eps=eps / 2.0, seed=seed)
     nodes = list(nodes) if nodes is not None else network.nodes
     rounds_before = network.rounds_used
-    neighborhoods = _neighborhoods(network, network.nodes)
-    edges = [tuple(e) for e in network.graph.edges()]
-    similarities = estimate_similarity_on_edges(
-        network, neighborhoods, edges=edges, params=params, seed=seed,
-        label="estimate-sparsity",
-    )
-    # Index the (symmetric) similarity estimate by both orientations.
-    by_edge: Dict[Tuple[Node, Node], SimilarityResult] = {}
-    for (u, v), result in similarities.items():
-        by_edge[(u, v)] = result
-        by_edge[(v, u)] = result
+    by_edge = _both_orientations(estimate_similarity_on_edges(
+        network, params=params, seed=seed, label="estimate-sparsity",
+    ))
 
     delta = max(1, network.max_degree())
     estimates: Dict[Node, float] = {}
@@ -153,16 +152,9 @@ def estimate_local_sparsity(
         degrees,
     )
 
-    neighborhoods = _neighborhoods(network, network.nodes)
-    edges = [tuple(e) for e in network.graph.edges()]
-    similarities = estimate_similarity_on_edges(
-        network, neighborhoods, edges=edges, params=params, seed=seed,
-        label="estimate-local-sparsity",
-    )
-    by_edge: Dict[Tuple[Node, Node], SimilarityResult] = {}
-    for (u, v), result in similarities.items():
-        by_edge[(u, v)] = result
-        by_edge[(v, u)] = result
+    by_edge = _both_orientations(estimate_similarity_on_edges(
+        network, params=params, seed=seed, label="estimate-local-sparsity",
+    ))
 
     estimates: Dict[Node, float] = {}
     reliable: Dict[Node, bool] = {}

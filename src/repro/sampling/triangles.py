@@ -13,13 +13,12 @@ edge learns whether it personally sits in many triangles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Optional, Set, Tuple
 
 from repro.congest.network import Network
 from repro.sampling.similarity import (
     SimilarityParameters,
-    SimilarityResult,
     check_eps,
     estimate_similarity_on_edges,
 )
@@ -36,7 +35,6 @@ class TriangleDetectionResult:
     estimates: Dict[Edge, float]
     flagged: Set[Edge]
     rounds_used: int
-    edge_results: Dict[Edge, SimilarityResult] = field(repr=False, default_factory=dict)
 
     def is_flagged(self, u: Node, v: Node) -> bool:
         return (u, v) in self.flagged or (v, u) in self.flagged
@@ -51,8 +49,6 @@ def detect_triangle_rich_edges(
     network: Network,
     eps: float = 0.3,
     delta: Optional[int] = None,
-    params: Optional[SimilarityParameters] = None,
-    edges: Optional[Iterable[Edge]] = None,
     seed: int = 0,
 ) -> TriangleDetectionResult:
     """Flag every edge contained in at least ``ε·Δ`` triangles (Theorem 2).
@@ -70,13 +66,9 @@ def detect_triangle_rich_edges(
     check_eps(eps)
     if delta is None:
         delta = max(1, network.max_degree())
-    if params is None:
-        params = SimilarityParameters.practical(eps=eps / 2.0, seed=seed)
     rounds_before = network.rounds_used
-    edges = [tuple(e) for e in (edges if edges is not None else network.graph.edges())]
-    neighborhoods = {v: set(network.neighbors(v)) for v in network.nodes}
     similarities = estimate_similarity_on_edges(
-        network, neighborhoods, edges=edges, params=params, seed=seed,
+        network, params=SimilarityParameters.practical(eps=eps / 2.0, seed=seed), seed=seed,
         label="triangle-detection",
     )
     threshold = eps * delta
@@ -87,5 +79,4 @@ def detect_triangle_rich_edges(
         estimates=estimates,
         flagged=flagged,
         rounds_used=network.rounds_used - rounds_before,
-        edge_results=similarities,
     )

@@ -38,10 +38,12 @@ COMMANDS = [
     "suite compare --baseline BENCH_scale_smoke.json --fresh {t}/scale/BENCH_suite.json"
     " --rss-budget 50",
     "trace summarize {t}/a/TRACE_powerlaw-d1lc.jsonl {t}/a/TRACE_gnp-d1c.jsonl",
+    "trace summarize {t}/a/TRACE_gnp-d1c.jsonl --json",
     "diff {t}/a/TRACE_gnp-d1c.jsonl {t}/a/DIGEST_gnp-d1c.jsonl",
     f"suite run {TWIN} --digest {{t}}/clean --out {{t}}/clean",
     f"suite run {TWIN} --digest {{t}}/drift --out {{t}}/drift --faults corrupt=2e-3",
     "diff {t}/clean/DIGEST_gnp-d1c.jsonl {t}/drift/DIGEST_gnp-d1c.jsonl --bisect",
+    "diff {t}/clean/DIGEST_gnp-d1c.jsonl {t}/drift/DIGEST_gnp-d1c.jsonl --bisect --json --trial 0",
     "report smoke --dir {t}/a", "report trend --dir {t}/a",
 ]
 

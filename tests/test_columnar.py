@@ -25,7 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.congest import Message, Network, ProtocolError
+import repro.congest.topology as topology_module
+from repro.congest import Message, Network, ProtocolError, Topology
 from repro.congest.columnar import sweep
 from repro.congest.columnar.kernels import (
     element_keys_array,
@@ -41,7 +42,9 @@ from repro.hashing.keys import (
 )
 from repro.hashing.representative import RepresentativeHashFunction
 from repro.obs import RoundTracer, deterministic_events
-from repro.sampling.similarity import SimilarityParameters, estimate_similarity_on_edges
+from repro.sampling.similarity import (
+    SimilarityParameters, _sweep_results, estimate_similarity_on_edges,
+)
 from repro.sampling.sparsity import estimate_global_sparsity, estimate_local_sparsity
 from repro.sampling.triangles import detect_triangle_rich_edges
 from acd_checks import friend_labels
@@ -262,28 +265,27 @@ def _on_dict_and_columnar(graph, run, **options):
     return outcomes
 
 
-def _sweep(params, edges=None, label="sim"):
-    """``estimate_similarity_on_edges`` over the neighborhoods, as a list."""
+def _sweep(params, label="sim"):
+    """The graph-wide ``estimate_similarity_on_edges`` sweep, as a list."""
     def run(network):
-        sets = {v: set(network.neighbors(v)) for v in network.nodes}
         return list(estimate_similarity_on_edges(
-            network, sets, edges=edges, params=params, seed=5, label=label,
+            network, params=params, seed=5, label=label,
         ).items())
     return run
 
 
-def _spy_on_kernel(patch, builder="columnar_similarity"):
-    """Per call of the kernel's input ``builder``, in call order: ``True`` if
-    it ran, ``False`` if it declined."""
+def _spy_on_kernel(patch):
+    """Per call of ``csr_similarity``, in call order: ``True`` if it ran,
+    ``False`` if it declined."""
     calls = []
-    kernel = getattr(sweep, builder)
+    kernel = sweep.csr_similarity
 
     def spy(*args, **kwargs):
         result = kernel(*args, **kwargs)
         calls.append(result is not None)
         return result
 
-    patch.setattr(sweep, builder, spy)
+    patch.setattr(sweep, "csr_similarity", spy)
     return calls
 
 
@@ -336,6 +338,20 @@ class TestSimilarityKernel:
         assert kernel_ran == [True] and result.flagged
         assert calls == []
 
+    def test_columnar_detection_builds_no_neighbour_set(self, kernel_ran, monkeypatch):
+        """The graph-wide sweep reads CSR rows: no node's neighbour set is
+        built, and ``Topology.neighbors`` is never called."""
+        built, asked = [], []
+        neighbors = Topology.neighbors
+        monkeypatch.setattr(topology_module, "frozenset",
+                            lambda items: built.append(1) or frozenset(items), raising=False)
+        monkeypatch.setattr(Topology, "neighbors",
+                            lambda self, v: asked.append(v) or neighbors(self, v))
+        network = Network(_similarity_graph(), backend="columnar")
+        result = detect_triangle_rich_edges(network, eps=0.3, seed=2)
+        assert kernel_ran == [True] and result.flagged
+        assert built == [] and asked == []
+
     @pytest.mark.parametrize("relabel", [
         lambda v: f"n{v}", lambda v: (v % 3, str(v)),
     ], ids=["str", "tuple"])
@@ -345,6 +361,24 @@ class TestSimilarityKernel:
             graph, lambda net: detect_triangle_rich_edges(net, eps=0.3, seed=4))
         assert col == ref and col_rounds == ref_rounds
         assert kernel_ran == [False, True]
+
+    @pytest.mark.parametrize("given", ["sets", "edges", "both"])
+    def test_given_sets_or_edges_run_the_reference_loop(self, kernel_ran, given):
+        """Only the graph-wide sweep is offered to the kernel; handed the same
+        neighbourhoods or edges, the reference loop gives its results."""
+        graph = _similarity_graph()
+        params = SIMILARITY_PARAMS["mixed-k"]
+        explicit = {"sets": {v: set(graph.neighbors(v)) for v in graph},
+                    "edges": list(graph.edges())}
+        if given != "both":
+            explicit = {given: explicit[given]}
+        outcomes = []
+        for inputs in ({}, explicit):
+            network = Network(graph, backend="columnar")
+            results = estimate_similarity_on_edges(network, params=params, seed=5, **inputs)
+            outcomes.append((list(results.items()), network.ledger.records))
+        assert outcomes[1] == outcomes[0]
+        assert kernel_ran == [True]
 
     def test_empty_sets(self, kernel_ran):
         params = SIMILARITY_PARAMS["practical"]
@@ -360,7 +394,7 @@ class TestSimilarityKernel:
         (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(
             _similarity_graph(), run)
         assert col == ref and col_rounds == ref_rounds
-        assert kernel_ran == [False, False, True, True]
+        assert kernel_ran == []
         some, none = col
         assert {result.sigma == 0 for _edge, result in some} == {True, False}
         assert all(result.sigma == 0 for _edge, result in none)
@@ -417,15 +451,13 @@ class TestSimilarityKernel:
         given = edges + [(v, u) for u, v in edges[:4]] + edges[5:7]
 
         def run(network):
-            similarity = _sweep(SIMILARITY_PARAMS["practical"], edges=given,
-                                label="dup")(network)
-            triangles = detect_triangle_rich_edges(network, eps=0.3, edges=given,
-                                                   seed=9)
-            return similarity, triangles
+            return list(estimate_similarity_on_edges(
+                network, edges=given, params=SIMILARITY_PARAMS["practical"], seed=5,
+                label="dup").items())
 
         (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(graph, run)
         assert col == ref and col_rounds == ref_rounds
-        assert kernel_ran == [False, False, False, False]
+        assert kernel_ran == []
         # The reference's accounting, read off each stream's first chunk
         # round: one index message per unordered pair, one indicator per
         # directed key.
@@ -435,18 +467,15 @@ class TestSimilarityKernel:
         pairs = len({frozenset(edge) for edge in given})
         assert first["dup:index"] == pairs and first["dup:indicator"] == 2 * pairs
 
-    def test_acd_runs_the_kernel_only_on_columnar(self, kernel_ran, monkeypatch):
-        csr_ran = _spy_on_kernel(monkeypatch, "csr_similarity")
+    def test_acd_runs_the_kernel_only_on_columnar(self, kernel_ran):
         graph = nx.disjoint_union(nx.complete_graph(10), nx.complete_graph(10))
         (ref, ref_rounds), (col, col_rounds) = _on_dict_and_columnar(
             graph, lambda net: friend_labels(net, compute_acd(net, seed=1)))
         assert col == ref and col_rounds == ref_rounds
         assert len(col) == 90
-        # dict: the CSR builder declines, then the reference sweep offers the
-        # mapping builder, which declines too; columnar: the CSR builder
-        # runs, and the ACD never builds a sets mapping for the kernel.
-        assert csr_ran == [False, True]
-        assert kernel_ran == [False]
+        # dict: the kernel declines and the ACD's reference sweep, handed a
+        # sets mapping, runs the scalar loop; columnar: the kernel runs.
+        assert kernel_ran == [False, True]
 
     @pytest.mark.parametrize("name", ["practical", "mixed-k"])
     def test_scaled_keys_are_hashed_once_per_node(self, kernel_ran, monkeypatch, name):
@@ -461,58 +490,75 @@ class TestSimilarityKernel:
         monkeypatch.setattr(sweep, "scale_keys_vec", spy)
         graph = _similarity_graph()
         network = Network(graph, backend="columnar")
-        sets = {v: set(graph.neighbors(v)) for v in graph}
-        estimate_similarity_on_edges(network, sets, params=params, seed=5)
+        estimate_similarity_on_edges(network, params=params, seed=5)
         assert kernel_ran == [True]
+        degree = dict(graph.degree())
         k_max = {}
         for u, v in graph.edges():
-            k = params.scale_factor(max(len(sets[u]), len(sets[v])))
+            k = params.scale_factor(max(degree[u], degree[v]))
             for node in (u, v):
                 k_max[node] = max(k_max.get(node, 0), k)
         if name == "practical":
             assert set(k_max.values()) == {4}
-            assert sum(hashed) == 4 * sum(len(sets[v]) for v in k_max)
+            assert sum(hashed) == 4 * sum(degree[v] for v in k_max)
         else:
-            assert 0 < sum(hashed) <= sum(k * len(sets[v]) for v, k in k_max.items())
+            assert 0 < sum(hashed) <= sum(k * degree[v] for v, k in k_max.items())
+
+
+def _masked_csr(topology, members_of):
+    """A member mask, the masked degrees and the CSR upper triangle's pairs.
+
+    Node ``v``'s set is its neighbours among the members (``members_of``
+    picks them from the node list), so pairs with a non-member endpoint
+    have an empty set.
+    """
+    nodes = topology.nodes
+    members = np.zeros(len(nodes), dtype=bool)
+    members[topology.index_array(members_of(list(nodes)))] = True
+    degree = np.where(members, topology.neighbor_counts(nodes, members), 0)
+    rows = np.repeat(np.arange(len(nodes)), np.diff(topology.indptr))
+    upper = rows < topology.indices
+    return members, degree, np.stack((rows[upper], topology.indices[upper]), axis=1)
 
 
 def _member_sweeps(graph, members_of, params, seed=4):
-    """The same sweep through both input builders, each on its own network.
-
-    Node ``v``'s set is its neighbours among the members (``members_of``
-    picks them from the node list); the pairs are the whole CSR upper
-    triangle, so pairs with a non-member endpoint have an empty set.
-    """
+    """The CSR builder and the reference loop on the same member-masked sets,
+    each on its own columnar network: per-edge results and ledger records."""
     outcomes = []
-    for builder in ("mapping", "csr"):
+    for builder in ("reference", "csr"):
         network = Network(graph, backend="columnar")
         topology = network.topology
         nodes = topology.nodes
-        members = np.zeros(len(nodes), dtype=bool)
-        members[topology.index_array(members_of(list(nodes)))] = True
-        degree = np.where(members, topology.neighbor_counts(nodes, members), 0)
-        rows = np.repeat(np.arange(len(nodes)), np.diff(topology.indptr))
-        upper = rows < topology.indices
-        pairs = np.stack((rows[upper], topology.indices[upper]), axis=1)
-        if builder == "mapping":
+        members, degree, pairs = _masked_csr(topology, members_of)
+        edges = [(nodes[u], nodes[v]) for u, v in pairs.tolist()]
+        if builder == "reference":
             sets = {nodes[i]: {nodes[j] for j in topology.indices[
                 topology.indptr[i]:topology.indptr[i + 1]].tolist() if members[j]}
                 for i in np.flatnonzero(members).tolist()}
-            edges = [(nodes[u], nodes[v]) for u, v in pairs.tolist()]
-            result = sweep.columnar_similarity(network, sets, edges, params, seed, "b")
+            results = estimate_similarity_on_edges(network, sets, edges, params, seed, "b")
         else:
-            result = sweep.csr_similarity(network, members, degree, pairs, params, seed, "b")
-        families = [(k, family.lam, family.sigma, family.size, family.family_seed)
-                    for k, family in result.families]
-        outcomes.append((result.swept.tolist(), families, result.which.tolist(),
-                         result.estimates.tolist(), result.offsets.tolist(),
-                         result.values.tolist(), network.ledger.records))
+            results = _sweep_results(edges, sweep.csr_similarity(
+                network, members, degree, pairs, params, seed, "b"))
+        outcomes.append((list(results.items()), network.ledger.records))
     return outcomes
 
 
+def _per_pair(result):
+    """Each pair's ``(family fields, estimate, shared values)``, ``None`` if unswept."""
+    shared = np.split(result.values, result.offsets[1:-1])
+    rows = iter([
+        ((k, family.lam, family.sigma, family.size, family.family_seed),
+         estimate, values.tolist())
+        for (k, family), estimate, values in zip(
+            [result.families[w] for w in result.which.tolist()],
+            result.estimates.tolist(), shared)
+    ])
+    return [next(rows) if swept else None for swept in result.swept.tolist()]
+
+
 class TestCsrBuilder:
-    """The CSR builder (a member mask over the CSR) and the mapping builder
-    (per-node sets and node pairs) feed the one core the same sweep."""
+    """The CSR builder (a member mask over the CSR) against the reference
+    loop on the same sets and pairs."""
 
     @pytest.mark.parametrize("name", ["practical", "mixed-k"])
     @pytest.mark.parametrize("graph", [
@@ -523,11 +569,11 @@ class TestCsrBuilder:
     def test_same_estimates_and_records(self, graph, name, partial):
         members_of = ((lambda nodes: [v for i, v in enumerate(nodes) if i % 4])
                       if partial else (lambda nodes: nodes))
-        mapping, csr = _member_sweeps(graph, members_of, SIMILARITY_PARAMS[name])
-        assert csr == mapping
-        swept = csr[0]
+        reference, csr = _member_sweeps(graph, members_of, SIMILARITY_PARAMS[name])
+        assert csr == reference
+        swept = [result.sigma > 0 for _edge, result in csr[0]]
         assert any(swept) and (all(swept) != partial)
-        assert any(csr[5])  # some shared values
+        assert any(result.shared_hash_values for _edge, result in csr[0])
 
     def test_block_boundaries_do_not_matter(self, monkeypatch):
         graph = nx.gnp_random_graph(60, 0.15, seed=2)
@@ -536,67 +582,98 @@ class TestCsrBuilder:
         monkeypatch.setattr(sweep, "_BLOCK_ELEMENTS", 8)
         assert _member_sweeps(graph, lambda nodes: nodes, params) == whole
 
+    @pytest.mark.parametrize("partial", [False, True], ids=["all", "partial"])
+    def test_pair_order_and_orientation_do_not_matter(self, partial):
+        """The graph-wide sweep hands the kernel pairs in ``graph.edges()``
+        order and the ACD in CSR order: shuffled and half-reversed pairs get
+        the same results, permuted the same way, and the same records."""
+        graph = nx.relabel_nodes(_similarity_graph(), lambda v: f"n{v}")
+        members_of = ((lambda nodes: [v for i, v in enumerate(nodes) if i % 3])
+                      if partial else (lambda nodes: nodes))
+        outcomes = []
+        for order in (None, random.Random(5).sample(range(graph.number_of_edges()),
+                                                    graph.number_of_edges())):
+            network = Network(graph, backend="columnar")
+            members, degree, pairs = _masked_csr(network.topology, members_of)
+            if order is not None:
+                pairs = pairs[order]
+                pairs[1::2] = pairs[1::2, ::-1].copy()
+            result = sweep.csr_similarity(network, members, degree, pairs,
+                                          SIMILARITY_PARAMS["mixed-k"], 4, "b")
+            outcomes.append((_per_pair(result), network.ledger.records))
+        (base, base_records), (moved, moved_records) = outcomes
+        assert moved == [base[i] for i in order]
+        assert moved_records == base_records
+        assert (None in base) == partial
+        assert len({fields for fields, _estimate, _values in filter(None, base)}) > 1
+
 
 #: ``k = ceil(9.95 / max_size)`` at these parameters: at least 5 up to size
-#: 2, 2 from 5 to 9 and 1 from 10 on, so the hub of :func:`_k_mix_star`
-#: sweeps edges at all three.
+#: 2, 2 from 5 to 9 and 1 from 10 on.
 K_MIX = SimilarityParameters(eps=0.3, scale_constant=0.049)
 
-ELEMENTS = st.one_of(
-    st.integers(min_value=0, max_value=15),
-    st.sampled_from(["a", "b", "c", "d"]),
-    st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from(["x", "y"])),
-)
+LABELS = {"int": lambda v: v, "str": lambda v: f"n{v}", "tuple": lambda v: (v % 3, str(v))}
 
 
-def _k_mix_star(first):
-    """A star with hub ``first`` and its sets: hub size 2, leaves 1, 6 and 12."""
-    sets = {first: {0, "a"}, first + 1: {0}, first + 2: {0, "a", 1, 2, 3, "b"},
-            first + 3: set(range(12))}
-    return nx.star_graph(range(first, first + 4)), sets
+def _k_mix_graph():
+    """A path into the hub of a 12-leaf star, linked to a 6-leaf star's hub.
+
+    Under :data:`K_MIX` node 2 sweeps its path edge at ``k = 5`` and its hub
+    edge at 1, and the 6-leaf hub its leaves at 2 and the other hub at 1, so
+    both read a scaled key run and their base run in one sweep.
+    """
+    graph = nx.path_graph(3)
+    graph.add_edges_from((3, leaf) for leaf in range(4, 16))
+    graph.add_edges_from((16, leaf) for leaf in range(17, 23))
+    graph.add_edges_from([(2, 3), (3, 16)])
+    return graph
 
 
 @st.composite
 def similarity_inputs(draw):
-    """A small graph of isolated nodes, stars and cliques, with mixed sets."""
-    makers = {"isolated": nx.empty_graph, "star": nx.star_graph,
-              "clique": nx.complete_graph}
+    """Isolated nodes, paths, cliques and 6- and 12-leaf stars, maybe chained
+    part to part, with int, str or tuple labels."""
+    parts = st.one_of(
+        st.tuples(st.sampled_from([nx.empty_graph, nx.path_graph, nx.complete_graph]),
+                  st.integers(1, 5)),
+        st.tuples(st.just(nx.star_graph), st.sampled_from([6, 12])),
+    )
     graph = nx.empty_graph(0)
-    parts = st.tuples(st.sampled_from(sorted(makers)), st.integers(1, 5))
-    for kind, size in draw(st.lists(parts, max_size=4)):
-        graph = nx.disjoint_union(graph, makers[kind](size))
-    sets = {}
-    for v in graph:
-        members = draw(st.none() | st.sets(ELEMENTS, max_size=12))
-        if members is not None:
-            sets[v] = members
+    firsts = []
+    for make, size in draw(st.lists(parts, max_size=4)):
+        firsts.append(len(graph))
+        graph = nx.disjoint_union(graph, make(size))
     if draw(st.booleans()):
-        star, star_sets = _k_mix_star(len(graph))
-        graph = nx.union(graph, star)
-        sets.update(star_sets)
+        graph.add_edges_from(zip(firsts, firsts[1:]))
+    if draw(st.booleans()):
+        graph = nx.disjoint_union(graph, _k_mix_graph())
+    graph = nx.relabel_nodes(graph, LABELS[draw(st.sampled_from(sorted(LABELS)))])
     params = draw(st.sampled_from(
         [K_MIX, SIMILARITY_PARAMS["practical"], SIMILARITY_PARAMS["k1"]]))
     params = dataclasses.replace(
         params, sigma_cap=draw(st.sampled_from([None, 1, 3, 64])))
-    return graph, sets, params, draw(st.integers(0, 3))
+    return graph, params, draw(st.integers(0, 3))
 
 
 class TestSimilarityKernelProperties:
-    def test_k_mix_star_sweeps_one_node_at_k_1_2_and_5(self):
-        graph, sets = _k_mix_star(0)
-        factors = sorted(K_MIX.scale_factor(max(len(sets[u]), len(sets[v])))
-                         for u, v in graph.edges())
-        assert factors[0] == 1 and factors[1] == 2 and factors[2] >= 5
+    def test_k_mix_graph_sweeps_a_node_at_two_factors(self):
+        graph = _k_mix_graph()
+
+        def factors(node):
+            return {K_MIX.scale_factor(max(graph.degree(u), graph.degree(v)))
+                    for u, v in graph.edges(node)}
+
+        assert factors(2) == {5, 1} and factors(16) == {2, 1}
 
     @settings(max_examples=60, deadline=None)
     @given(inputs=similarity_inputs(), mode=st.sampled_from(["congest", "local"]),
            block=st.sampled_from([8, 1 << 18]))
     def test_kernel_matches_dict(self, inputs, mode, block):
-        graph, sets, params, seed = inputs
+        graph, params, seed = inputs
 
         def run(network):
             return list(estimate_similarity_on_edges(
-                network, sets, params=params, seed=seed, label="prop").items())
+                network, params=params, seed=seed, label="prop").items())
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sweep, "_BLOCK_ELEMENTS", block)
@@ -633,10 +710,12 @@ class TestBadPairs:
         assert network.ledger.records == []
 
     @pytest.mark.parametrize("backend", ["dict", "columnar"])
-    def test_triangle_detection_rejects_an_unknown_node(self, backend):
+    @pytest.mark.parametrize("name", list(BAD_PAIRS))
+    def test_a_neighbourhood_sweep_rejects_it_before_any_round(self, backend, name):
+        pair, message = BAD_PAIRS[name]
         network = Network(nx.cycle_graph(6), backend=backend)
-        with pytest.raises(ProtocolError, match="0 and 9 are not adjacent"):
-            detect_triangle_rich_edges(network, edges=[(0, 9)])
+        with pytest.raises(ProtocolError, match=message):
+            estimate_similarity_on_edges(network, edges=[(1, 2), pair, (2, 3)])
         assert network.ledger.records == []
 
 

@@ -74,10 +74,11 @@ class TestFamily:
         with pytest.raises(IndexError):
             family.member(family.size)
 
-    def test_len_and_getitem(self):
+    def test_size_and_member(self):
         family = self.make()
-        assert len(family) == family.size
-        assert family[2](7) == family.member(2)(7)
+        assert family.size == family.params.family_size > 2
+        assert family.member(2) is family.member(2)
+        assert 1 <= family.member(family.size - 1)(7) <= family.lam
 
     def test_sample_index_within_range(self):
         family = self.make()

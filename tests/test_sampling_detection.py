@@ -174,3 +174,11 @@ class TestFourCycleDetection:
         net = Network(g)
         detect_four_cycle_rich_pairs(net, eps=0.3, seed=6)
         assert net.ledger.max_edge_bits <= net.bandwidth_bits
+
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
+    @pytest.mark.parametrize("eps", [0, 1, 1.5, -0.2])
+    def test_eps_outside_unit_interval_rejected_before_any_round(self, backend, eps):
+        net = Network(nx.complete_bipartite_graph(4, 4), backend=backend)
+        with pytest.raises(ValueError, match=re.escape(f"eps must be in (0, 1), got {eps}")):
+            detect_four_cycle_rich_pairs(net, eps=eps, seed=1)
+        assert net.ledger.records == []
